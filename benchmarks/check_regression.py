@@ -55,6 +55,7 @@ REQUIRED = (
     "fault_recovery.resume_vs_rerun",
     "fault_recovery.transient_30pct_overhead",
     "olap_query.dirty_group_refresh",
+    "olap_query.first_touch_node",
     "olap_query.warm_rollup_vs_csv",
     "parallel_chase.wave_overlap",
     "sharded_chase.panel_scaling",

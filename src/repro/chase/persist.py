@@ -279,6 +279,10 @@ def attach_store_sidecar(
 
 # -- OLAP lattice sidecars ----------------------------------------------------
 #
+# Library functions only: no CLI command writes or attaches these since
+# ``exl query`` became demand-driven (decoding a whole lattice cost more
+# than reducing the one node a query reads).
+#
 # The same trust model as the columnar sidecars, applied to the roll-up
 # lattice (repro.olap.lattice): ``csv_sha256`` ties the sidecar to the
 # baseline CSV's bytes, ``payload_sha256`` to its own group data, and on
@@ -330,6 +334,7 @@ def write_lattice_sidecar(
 ) -> bool:
     """Persist a roll-up lattice's node groups beside the baseline CSV.
 
+    Every node is dumped, so nodes not yet read are reduced first.
     Returns False (removing any stale sidecar) when the lattice uses an
     unregistered aggregate or holds group keys that do not round-trip
     through JSON.
@@ -342,6 +347,7 @@ def write_lattice_sidecar(
         except OSError:
             pass
         return False
+    lattice.materialize_all()
     try:
         nodes = [
             {
@@ -391,9 +397,9 @@ def attach_lattice_sidecar(
     derived from the *current* catalog; the sidecar is only adopted
     when it verifies against the CSV and its own payload hash, names
     the same aggregate, and covers exactly the node keys the lattice
-    derives.  On success the lattice is left in the same state a
-    :meth:`build` from ``cube`` would produce (the contribution
-    indexes stay lazy), so incremental refreshes work immediately.
+    derives.  On success the lattice is bound to ``cube`` with every
+    node materialized from the sidecar (the contribution indexes stay
+    lazy), so incremental refreshes work immediately.
     An unreadable-but-present sidecar counts as
     ``olap.sidecar.fallback.reason:sidecar-unreadable`` on ``metrics``.
     """
@@ -431,9 +437,7 @@ def attach_lattice_sidecar(
         return False
     if set(decoded) != set(lattice.nodes):
         return False
+    lattice.build(cube, version)
     for key, node in lattice.nodes.items():
         node.groups = decoded[key]
-        node.invalidate()
-    lattice._base = cube
-    lattice.version = version
     return True

@@ -29,7 +29,10 @@ Commands:
   the affected subgraphs, skipping clean ones;
 * ``recover`` — replay the write-ahead journal after a hard crash
   (SIGKILL, OOM, power loss), roll back torn writes, and synthesize a
-  resumable state file from the checksummed committed subgraphs.
+  resumable state file from the checksummed committed subgraphs;
+* ``query``   — OLAP queries (point, roll-up, slice/dice, drill-down,
+  cross-tab) over one cube of a finished run: reads that cube's
+  baseline CSV and columnar sidecar, nothing else, and writes nothing.
 
 Fault tolerance: ``run`` accepts ``--retries`` / ``--deadline`` /
 ``--on-error fail|continue|degrade`` and a deterministic fault-injection
@@ -65,11 +68,8 @@ from typing import Any, Dict, List, Optional
 from .backends import all_backends
 from .chase.atomic import atomic_write
 from .chase.persist import (
-    attach_lattice_sidecar,
     attach_store_sidecar,
-    olap_sidecar_path_for,
     sidecar_path_for,
-    write_lattice_sidecar,
     write_store_sidecar,
 )
 from .engine import EXLEngine, RunJournal
@@ -121,7 +121,12 @@ class Project:
         if program_spec is None:
             raise ReproError("project file needs a 'program' entry")
         program_path = base_dir / program_spec
-        if program_path.exists():
+        try:
+            is_file = program_path.exists()
+        except OSError:
+            # an inline program longer than NAME_MAX is no file name
+            is_file = False
+        if is_file:
             self.program_source = program_path.read_text()
         else:
             # allow inline programs: "program": "C := A * 2"
@@ -194,6 +199,7 @@ def _build_engine(
     journal=None,
     adaptive: bool = False,
     out_dir: Optional[Path] = None,
+    load_data: bool = True,
 ) -> EXLEngine:
     # adaptive runs learn across processes: the cost history lives next
     # to the run's other durable state, under <out>/costs/
@@ -233,8 +239,9 @@ def _build_engine(
                         for key, value in mapping.items()
                     },
                 )
-    for cube in project.load_data().values():
-        engine.load(cube)
+    if load_data:
+        for cube in project.load_data().values():
+            engine.load(cube)
     return engine
 
 
@@ -267,6 +274,14 @@ def _journal_for(args, out_dir: Path) -> Optional[RunJournal]:
     return RunJournal(out_dir)
 
 
+def _report_corrupt(kind: str, path: Path, detail, out_dir: Path) -> None:
+    print(f"corrupt {kind} at {path}: {detail}", file=sys.stderr)
+    print(
+        f"inspect or delete it, or try: exl recover --out {out_dir}",
+        file=sys.stderr,
+    )
+
+
 def _load_state_json(
     path: Path, kind: str, out_dir: Path
 ) -> Optional[Dict[str, Any]]:
@@ -280,24 +295,10 @@ def _load_state_json(
     try:
         data = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        print(
-            f"corrupt {kind} at {path}: {exc}",
-            file=sys.stderr,
-        )
-        print(
-            f"inspect or delete it, or try: exl recover --out {out_dir}",
-            file=sys.stderr,
-        )
+        _report_corrupt(kind, path, exc, out_dir)
         return None
     if not isinstance(data, dict) or not isinstance(data.get("record"), dict):
-        print(
-            f"corrupt {kind} at {path}: not a run-state document",
-            file=sys.stderr,
-        )
-        print(
-            f"inspect or delete it, or try: exl recover --out {out_dir}",
-            file=sys.stderr,
-        )
+        _report_corrupt(kind, path, "not a run-state document", out_dir)
         return None
     return data
 
@@ -459,12 +460,6 @@ def _persist_baseline(engine, record, out_dir: Path, journal=None) -> None:
         write_store_sidecar(
             engine.data(name), destination, sidecar_path_for(baseline_dir, name)
         )
-        if engine.olap is not None:
-            write_lattice_sidecar(
-                engine.olap.lattice(name),
-                destination,
-                olap_sidecar_path_for(baseline_dir, name),
-            )
         cubes[name] = destination.name
     atomic_write(
         baseline_file,
@@ -775,33 +770,58 @@ def _level_value(lattice, dim: str, level_name: str, text: str):
     return text
 
 
-def cmd_query(args) -> int:
-    project = load_project(args.project)
-    engine = _build_engine(project)
-    out_dir = Path(args.out)
+def _load_queried_cube(
+    engine, project: Project, name: str, out_dir: Path
+) -> int:
+    """Put the one cube a query reads into the engine's store.
+
+    The cube comes from ``<out>/baseline/<name>.csv`` with its columnar
+    sidecar attached (every trust check of
+    :func:`attach_store_sidecar` applies); an elementary cube the
+    baseline lacks comes from its project CSV.  No other cube's file is
+    opened.  Returns 0 — with the store left empty when neither file
+    is there to read — or :data:`EXIT_CORRUPT_STATE`.
+    """
     baseline_dir, baseline_file = _baseline_paths(out_dir)
-    # re-admit the persisted baseline so derived cubes are queryable
-    # without re-running; elementary project CSVs are already loaded
-    cube_csvs: Dict[str, Path] = {}
+    schema = engine.catalog.schema_of(name)
+    rel_path = None
     if baseline_file.exists():
         state = _load_state_json(baseline_file, "baseline", out_dir)
         if state is None:
             return EXIT_CORRUPT_STATE
-        for name, rel_path in state.get("cubes", {}).items():
-            if name not in engine.catalog:
-                continue
-            path = baseline_dir / rel_path
-            cube = read_cube_csv(engine.catalog.schema_of(name), path)
-            attach_store_sidecar(
-                cube, path, sidecar_path_for(baseline_dir, name),
-                metrics=engine.metrics,
-            )
-            engine.catalog.store.put(cube)
-            cube_csvs[name] = path
+        rel_path = state.get("cubes", {}).get(name)
+    if rel_path is not None:
+        path = baseline_dir / rel_path
+        try:
+            cube = read_cube_csv(schema, path)
+        except (OSError, ValueError, ReproError) as exc:
+            _report_corrupt("baseline CSV", path, exc, out_dir)
+            return EXIT_CORRUPT_STATE
+        attach_store_sidecar(
+            cube, path, sidecar_path_for(baseline_dir, name),
+            metrics=engine.metrics,
+        )
+        engine.catalog.store.put(cube)
+        return 0
+    csv_path = project.csv_paths.get(name)
+    if csv_path is not None:
+        engine.load(read_cube_csv(schema, csv_path))
+    return 0
+
+
+def cmd_query(args) -> int:
+    project = load_project(args.project)
+    out_dir = Path(args.out)
+    # the program is compiled for schemas and groupings only: a query
+    # reads one cube, so no project or baseline data is loaded up front
+    engine = _build_engine(project, load_data=False)
     name = args.cube
     if name not in engine.catalog:
         print(f"unknown cube {name!r}", file=sys.stderr)
         return 2
+    code = _load_queried_cube(engine, project, name, out_dir)
+    if code:
+        return code
     if not engine.catalog.has_data(name):
         print(
             f"cube {name!r} has no data; run the project first: "
@@ -810,22 +830,6 @@ def cmd_query(args) -> int:
         )
         return 2
     service = engine.enable_olap(aggregate=args.agg)
-    # attach the persisted lattice so warm queries skip the group-by;
-    # a stale or missing sidecar just means one in-process build
-    csv_path = cube_csvs.get(name)
-    attached = False
-    if csv_path is not None:
-        lattice = service._new_lattice(name)
-        attached = attach_lattice_sidecar(
-            lattice,
-            engine.catalog.store.get(name),
-            csv_path,
-            olap_sidecar_path_for(baseline_dir, name),
-            version=engine.catalog.store.latest_version(name),
-            metrics=engine.metrics,
-        )
-        if attached:
-            service._live[name] = lattice
     lattice = service.lattice(name)
     levels = _parse_assignments(args.levels, "level assignment")
     if args.point:
@@ -873,13 +877,7 @@ def cmd_query(args) -> int:
             print(
                 f"  {hierarchy.dim.name}: {', '.join(hierarchy.level_names)}"
             )
-        print(f"  groups materialized: {lattice.total_groups()}")
-    if csv_path is not None and not attached:
-        write_lattice_sidecar(
-            service.lattice(name),
-            csv_path,
-            olap_sidecar_path_for(baseline_dir, name),
-        )
+        print(f"  lattice nodes: {len(lattice.nodes)}")
     return 0
 
 
@@ -1084,8 +1082,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "query",
         help="OLAP queries over the computed cubes: point lookups, "
         "roll-ups along derived hierarchies, slice/dice, and cross-tabs "
-        "with sub-totals — answered from the materialized roll-up "
-        "lattice, not by re-aggregating CSVs",
+        "with sub-totals — each call loads the queried cube alone "
+        "(<out>/baseline/CUBE.csv + its columnar sidecar), reduces the "
+        "one roll-up lattice node the query names, and writes nothing",
     )
     query.add_argument("project")
     query.add_argument("cube", help="cube to query (elementary or derived)")

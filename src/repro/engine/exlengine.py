@@ -200,10 +200,13 @@ class EXLEngine:
     ):
         """Turn on the OLAP query layer (:mod:`repro.olap`).
 
-        Builds and then eagerly maintains a roll-up lattice per
-        queryable cube: after every committed run the engine refreshes
-        the lattices of the cubes that run wrote, re-reducing only
-        dirty groups, so slice/dice/roll-up queries — and ``as_of``
+        Nothing is built here or at commit time for cubes nobody has
+        queried: the first query on a cube binds a roll-up lattice to
+        its head version, and each lattice node group-reduces when a
+        query first reads it.  After every committed run the engine
+        brings the lattices queried so far to the versions that run
+        wrote, re-reducing only the dirty groups of their materialized
+        nodes, so repeated slice/dice/roll-up queries — and ``as_of``
         queries pinned at any past run — answer from memory.
 
         Args:

@@ -208,9 +208,9 @@ file, `"groupings": {"G": {"r": {"zone": {"north": "cold", "south":
 "warm"}}}}` — after which `--levels r=zone` aggregates by zone, and
 `--dice r=cold` keeps only the cold rows. `--point "q=2020Q1,r=north"`
 prints the single base cell, and `--drilldown q` steps one level finer
-from wherever `--levels` put the time axis. All of it answers from the
-persisted lattice sidecar (`out/baseline/olap/G.json`) without loading
-a CSV.
+from wherever `--levels` put the time axis. Each call loads
+`out/baseline/G.csv` (with its columnar sidecar) and no other cube,
+and reduces only the lattice node the query names.
 """
 
 

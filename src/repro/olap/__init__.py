@@ -2,7 +2,8 @@
 
 Statistical cubes are already the paper's data model; this package adds
 the query side: dimension hierarchies derived from the metadata
-(:mod:`.hierarchy`), an eagerly maintained roll-up lattice per cube
+(:mod:`.hierarchy`), a roll-up lattice per cube whose nodes
+materialize on demand and stay fresh incrementally
 (:mod:`.lattice`), and a slice/dice/roll-up/drill-down service with
 version pinning (:mod:`.query`).
 """

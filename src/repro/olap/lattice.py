@@ -1,10 +1,12 @@
-"""The eagerly maintained roll-up lattice of one cube.
+"""The roll-up lattice of one cube, materialized on demand.
 
 Gray et al.'s data cube is the union of group-bys over every subset of
 dimensions; with hierarchies, every *combination of one level per
-dimension* is a lattice node.  :class:`CubeLattice` materializes all of
-them for one cube, so slice/dice/roll-up/drill-down queries are
-dictionary lookups — no CSV is read and no group-by runs at query time.
+dimension* is a lattice node, so the node count is the product of the
+hierarchy depths.  :class:`CubeLattice` names all of them for one cube
+but reduces a node only when a query first reads it: a roll-up pays for
+the one cuboid it names (Kuijpers–Vaisman: one level choice) and every
+later read of that node is a dictionary lookup.
 
 Three properties keep the lattice honest:
 
@@ -12,17 +14,20 @@ Three properties keep the lattice honest:
   with measures folded in :func:`repro.stats.aggregates.canonical_bag`
   order.  A lattice-served aggregate is therefore bit-identical to a
   recompute-from-scratch oracle, whichever path built it.
-* **Building is columnar**: the cube's :class:`ColumnStore` image is
-  grouped with the same primitives as the aggregation kernel —
-  per-distinct-value level transforms (:func:`transform_encoded`),
-  mixed-radix composite group codes (:func:`mix_codes`), one stable
-  argsort per node.  Tuple mode (``EXL_FORCE_TUPLE_VIEW=1``) falls back
-  to a plain dict group-by with identical results.
-* **Refreshing is incremental**: each node keeps a per-group
-  contribution index (built lazily from the previous base version) and
-  splices a :class:`CubeDelta` through it with
+* **Reducing is columnar**: the bound cube's :class:`ColumnStore` image
+  is grouped with the same primitives as the aggregation kernel —
+  per-distinct-value level transforms (:func:`transform_encoded`,
+  cached per (dimension, level) and shared by every node using that
+  level), mixed-radix composite group codes (:func:`mix_codes`), one
+  stable argsort per node.  Tuple mode (``EXL_FORCE_TUPLE_VIEW=1``)
+  and composite-code overflow fall back to a plain dict group-by with
+  identical results.
+* **Refreshing is incremental**: each *materialized* node keeps a
+  per-group contribution index (built lazily from the previous base
+  version) and splices a :class:`CubeDelta` through it with
   :func:`repro.chase.delta.rereduce_groups`, re-reducing only dirty
   groups — the count lands on ``olap.lattice.groups.rereduced``.
+  Nodes nobody has read stay unreduced and cost a refresh nothing.
   Unregistered (callable) aggregates cannot be named in sidecars or
   trusted to be bag functions, so they rebuild from scratch instead,
   counted under ``olap.lattice.fallback.reason:*`` exactly like the
@@ -59,20 +64,42 @@ class LatticeNode:
     ``key`` names the level choice (one level name per dimension, in
     schema order); ``groups`` maps group keys — tuples of level values
     for the non-all dimensions, in schema order — to the aggregate of
-    the base measures rolling up into them.
+    the base measures rolling up into them.  ``groups`` is reduced from
+    the lattice's bound cube the first time it is read.
     """
 
-    __slots__ = ("key", "levels", "groups", "_index", "_store")
+    __slots__ = ("key", "levels", "_lattice", "_groups", "_index", "_store")
 
-    def __init__(self, key: Tuple[str, ...], levels: Tuple[Level, ...]):
+    def __init__(
+        self,
+        key: Tuple[str, ...],
+        levels: Tuple[Level, ...],
+        lattice: "CubeLattice",
+    ):
         self.key = key
         self.levels = levels
-        self.groups: Dict[Tuple, float] = {}
+        self._lattice = lattice
+        self._groups: Optional[Dict[Tuple, float]] = None
         # lazy per-group contribution index {group key: {base dims:
         # measure}}, built from the previous base version on first
         # incremental refresh; None until then
         self._index: Optional[Dict[Tuple, Dict[Tuple, Any]]] = None
         self._store: Optional[ColumnStore] = None
+
+    @property
+    def groups(self) -> Dict[Tuple, float]:
+        if self._groups is None:
+            self._groups = self._lattice._reduce(self)
+        return self._groups
+
+    @groups.setter
+    def groups(self, groups: Dict[Tuple, float]) -> None:
+        self._groups = groups
+
+    @property
+    def materialized(self) -> bool:
+        """Whether ``groups`` has been reduced (reading it does so)."""
+        return self._groups is not None
 
     @property
     def arity(self) -> int:
@@ -100,14 +127,17 @@ class LatticeNode:
         """
         store = self._store
         if store is None:
+            groups = self.groups
             store = ColumnStore(self.arity + 1)
-            for key in sorted(self.groups, key=_group_sort_key):
-                store.add(key + (self.groups[key],))
+            for key in sorted(groups, key=_group_sort_key):
+                store.add(key + (groups[key],))
             store.dims_distinct = True
             self._store = store
         return store
 
     def invalidate(self) -> None:
+        """Forget everything derived from the lattice's previous base."""
+        self._groups = None
         self._index = None
         self._store = None
 
@@ -117,7 +147,8 @@ def _group_sort_key(key: Tuple) -> Tuple:
 
 
 class CubeLattice:
-    """All roll-up nodes of one cube, kept fresh across versions."""
+    """All roll-up nodes of one cube, reduced on demand, kept fresh
+    across versions."""
 
     def __init__(
         self,
@@ -142,8 +173,14 @@ class CubeLattice:
         self.version: Optional[int] = None
         self.nodes: Dict[Tuple[str, ...], LatticeNode] = {}
         for key, levels in _level_product(hierarchies):
-            self.nodes[key] = LatticeNode(key, levels)
+            self.nodes[key] = LatticeNode(key, levels, self)
         self._base: Optional[Cube] = None
+        # per-(dimension position, level name) transforms of the bound
+        # cube, shared by every node that uses the level: encoded columns
+        # on the columnar path, base value -> level value maps on the
+        # tuple path
+        self._columns: Dict[Tuple[int, str], EncodedColumn] = {}
+        self._value_maps: Dict[Tuple[int, str], Dict[Any, Any]] = {}
         if metrics is not None:
             metrics.inc("olap.lattice.nodes", len(self.nodes))
 
@@ -171,87 +208,96 @@ class CubeLattice:
                 return hierarchy
         raise OlapError(f"cube {self.name!r} has no dimension {dim!r}")
 
+    def materialized_nodes(self) -> List[LatticeNode]:
+        return [node for node in self.nodes.values() if node.materialized]
+
     def total_groups(self) -> int:
-        return sum(len(node.groups) for node in self.nodes.values())
+        """Groups held by the materialized nodes (reduces none)."""
+        return sum(len(node.groups) for node in self.materialized_nodes())
 
-    # -- full build --------------------------------------------------------
+    def materialize_all(self) -> None:
+        """Reduce every node not yet read: what a dump of the whole
+        lattice, or a measurement over all of it, needs first."""
+        for node in self.nodes.values():
+            node.groups
+
+    # -- binding and on-demand reduction -------------------------------------
     def build(self, cube: Cube, version: Optional[int] = None) -> None:
-        """Group-reduce every node from the base cube.
+        """Bind the lattice to a base cube and drop every reduced node.
 
-        Uses the columnar kernels when the cube carries (or can build)
-        a :class:`ColumnStore`; forced tuple view or non-columnar rows
-        take the scalar group-by.  Both fold in canonical bag order.
+        No group-by runs here: each node reduces from ``cube`` when its
+        ``groups`` are first read.
         """
-        self._base = cube
-        self.version = version
+        self._bind(cube, version)
         for node in self.nodes.values():
             node.invalidate()
-        store = None if cube.schema.arity == 0 else store_for_cube(cube)
-        if store is not None and store.n_rows:
-            try:
-                self._build_columnar(store.image())
-            except FallbackUnsupported:
-                self._build_tuple(cube)
-        else:
-            self._build_tuple(cube)
         if self.metrics is not None:
             self.metrics.inc("olap.lattice.builds")
-            self.metrics.inc("olap.lattice.groups", self.total_groups())
 
-    def _build_columnar(self, image) -> None:
-        n = image.n_rows
-        measures = image.measures
-        # one dictionary transform per (dimension, level), shared by
-        # every node that uses that level
-        transformed: Dict[Tuple[int, str], EncodedColumn] = {}
-        for j, hierarchy in enumerate(self.hierarchies):
-            for lvl in hierarchy.levels:
-                if lvl.is_all:
-                    continue
-                if lvl.is_base:
-                    transformed[(j, lvl.name)] = image.dims[j]
-                else:
-                    transformed[(j, lvl.name)] = transform_encoded(
-                        image.dims[j], lvl.fn
-                    )
-        for node in self.nodes.values():
-            cols = [
-                transformed[(j, lvl.name)]
-                for j, lvl in enumerate(node.levels)
-                if not lvl.is_all
-            ]
-            node.groups = _group_reduce(cols, measures, n, self.aggregate)
+    def _bind(self, cube: Cube, version: Optional[int]) -> None:
+        self._base = cube
+        self.version = version
+        self._columns = {}
+        self._value_maps = {}
 
-    def _build_tuple(self, cube: Cube) -> None:
-        # per-(dimension, level) value maps computed once over the
-        # distinct base values, mirroring transform_encoded's
-        # per-distinct-value evaluation
-        distinct: List[Dict[Any, None]] = [
-            {} for _ in range(cube.schema.arity)
-        ]
-        for dims in cube.keys():
-            for j, value in enumerate(dims):
-                distinct[j][value] = None
-        level_maps: Dict[Tuple[int, str], Dict[Any, Any]] = {}
-        for j, hierarchy in enumerate(self.hierarchies):
-            for lvl in hierarchy.levels:
-                if not lvl.is_all:
-                    level_maps[(j, lvl.name)] = {
-                        value: lvl.fn(value) for value in distinct[j]
-                    }
-        for node in self.nodes.values():
-            maps = [
-                (j, level_maps[(j, lvl.name)])
-                for j, lvl in enumerate(node.levels)
-                if not lvl.is_all
-            ]
-            bags: Dict[Tuple, List[float]] = {}
-            for dims, measure in cube.items():
-                key = tuple(mapping[dims[j]] for j, mapping in maps)
-                bags.setdefault(key, []).append(measure)
-            node.groups = {
-                key: self.aggregate(values) for key, values in bags.items()
-            }
+    def _reduce(self, node: LatticeNode) -> Dict[Tuple, float]:
+        """Group-reduce one node from the bound cube.
+
+        Uses the columnar kernels when the cube carries (or can build)
+        a :class:`ColumnStore`; forced tuple view, non-columnar rows or
+        composite-code overflow take the scalar group-by.  Both fold in
+        canonical bag order.
+        """
+        cube = self._base
+        if cube is None:
+            return {}
+        store = None if cube.schema.arity == 0 else store_for_cube(cube)
+        groups = None
+        if store is not None and store.n_rows:
+            try:
+                groups = self._reduce_columnar(node, store.image())
+            except FallbackUnsupported:
+                pass
+        if groups is None:
+            groups = self._reduce_tuple(node, cube)
+        if self.metrics is not None:
+            self.metrics.inc("olap.lattice.groups", len(groups))
+        return groups
+
+    def _reduce_columnar(self, node: LatticeNode, image) -> Dict[Tuple, float]:
+        cols = []
+        for j, lvl in enumerate(node.levels):
+            if lvl.is_all:
+                continue
+            col = self._columns.get((j, lvl.name))
+            if col is None:
+                col = image.dims[j]
+                if not lvl.is_base:
+                    col = transform_encoded(col, lvl.fn)
+                self._columns[(j, lvl.name)] = col
+            cols.append(col)
+        return _group_reduce(cols, image.measures, image.n_rows, self.aggregate)
+
+    def _reduce_tuple(self, node: LatticeNode, cube: Cube) -> Dict[Tuple, float]:
+        # level values are computed once per distinct base value,
+        # mirroring transform_encoded's per-distinct-value evaluation
+        maps = []
+        for j, lvl in enumerate(node.levels):
+            if lvl.is_all:
+                continue
+            mapping = self._value_maps.get((j, lvl.name))
+            if mapping is None:
+                mapping = {}
+                for dims in cube.keys():
+                    if dims[j] not in mapping:
+                        mapping[dims[j]] = lvl.fn(dims[j])
+                self._value_maps[(j, lvl.name)] = mapping
+            maps.append((j, mapping))
+        bags: Dict[Tuple, List[float]] = {}
+        for dims, measure in cube.items():
+            key = tuple(mapping[dims[j]] for j, mapping in maps)
+            bags.setdefault(key, []).append(measure)
+        return {key: self.aggregate(values) for key, values in bags.items()}
 
     # -- incremental refresh -----------------------------------------------
     def refresh(
@@ -262,11 +308,13 @@ class CubeLattice:
     ) -> int:
         """Bring the lattice to a new base version.
 
-        Splices the row delta through each node's contribution index,
-        re-reducing only dirty groups; returns the total re-reduced
-        group count across nodes (also ``olap.lattice.groups.rereduced``
-        on the metrics registry).  Falls back to a full :meth:`build`
-        — counted like the delta chase's ``delta.fallback.reason:*`` —
+        Splices the row delta through the contribution index of each
+        *materialized* node, re-reducing only dirty groups; returns the
+        total re-reduced group count across those nodes (also
+        ``olap.lattice.groups.rereduced`` on the metrics registry).
+        Unmaterialized nodes are left alone: they reduce from the new
+        base when first read.  Falls back to a full :meth:`build` —
+        counted like the delta chase's ``delta.fallback.reason:*`` —
         when there is no baseline to delta against or the aggregate is
         an unregistered callable.
         """
@@ -274,25 +322,26 @@ class CubeLattice:
             return self._fallback(cube, version, "no-baseline")
         if self.agg_name is None or self.agg_name not in AGGREGATES:
             return self._fallback(cube, version, "unregistered-aggregate")
-        if delta is None:
-            delta = self._base.delta(cube)
-        old_facts = list(delta.deleted) + [old for old, _ in delta.updated]
-        new_facts = list(delta.inserted) + [new for _, new in delta.updated]
         rereduced = 0
-        for node in self.nodes.values() if old_facts or new_facts else ():
-            if node._index is None:
-                node._index = self._build_index(node)
-            rereduced += rereduce_groups(
-                node._index,
-                old_facts,
-                new_facts,
-                node.classify,
-                self.aggregate,
-                node.groups,
-            )
-            node._store = None
-        self._base = cube
-        self.version = version
+        nodes = self.materialized_nodes()
+        if nodes:
+            if delta is None:
+                delta = self._base.delta(cube)
+            old_facts = list(delta.deleted) + [old for old, _ in delta.updated]
+            new_facts = list(delta.inserted) + [new for _, new in delta.updated]
+            for node in nodes if old_facts or new_facts else ():
+                if node._index is None:
+                    node._index = self._build_index(node)
+                rereduced += rereduce_groups(
+                    node._index,
+                    old_facts,
+                    new_facts,
+                    node.classify,
+                    self.aggregate,
+                    node.groups,
+                )
+                node._store = None
+        self._bind(cube, version)
         if self.metrics is not None:
             self.metrics.inc("olap.lattice.refreshes")
             self.metrics.inc("olap.lattice.groups.rereduced", rereduced)
@@ -309,11 +358,13 @@ class CubeLattice:
     def _fallback(
         self, cube: Cube, version: Optional[int], reason: str
     ) -> int:
+        """Rebind in full: every node re-reduces when next read, so no
+        group is re-reduced here."""
         if self.metrics is not None:
             self.metrics.inc("olap.lattice.fallback")
             self.metrics.inc(f"olap.lattice.fallback.reason:{reason}")
         self.build(cube, version)
-        return self.total_groups()
+        return 0
 
 
 def _level_product(

@@ -1,16 +1,18 @@
 """The OLAP query service: slice/dice/roll-up/drill-down over lattices.
 
-:class:`OlapService` keeps one live :class:`CubeLattice` per queryable
-cube, refreshed eagerly after every engine commit, plus a cache of
-*pinned* lattices built on demand from the :class:`VersionedStore` for
-``as_of=run_id`` queries — historicity means any past run's data stays
-queryable at the exact versions that run left behind
-(``RunRecord.baseline_versions``).
+:class:`OlapService` keeps one live :class:`CubeLattice` per *queried*
+cube, created by the first query on it and refreshed after every engine
+commit, plus a cache of *pinned* lattices bound on demand to the
+:class:`VersionedStore` for ``as_of=run_id`` queries — historicity means
+any past run's data stays queryable at the exact versions that run left
+behind (``RunRecord.baseline_versions``).
 
-Queries never touch CSVs or re-run a group-by: a point lookup is a dict
-probe on the base node, a roll-up reads one node's groups, and a
-cross-tab assembles four nodes (cells, row totals, column totals, grand
-total — the sub-total semantics of Gray et al.'s ``ALL``).
+A query pays for the lattice nodes it names and no others: a point
+lookup is a dict probe on the base node, a roll-up reads one node's
+groups, and a cross-tab assembles four nodes (cells, row totals, column
+totals, grand total — the sub-total semantics of Gray et al.'s
+``ALL``).  The first read of a node group-reduces it from the cube's
+columnar image; every later read is a lookup.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ class OlapService:
         """The lattice serving ``name`` — live, or pinned at a run.
 
         Live lattices follow the store head: a stale one is refreshed
-        incrementally (dirty groups only) before answering.  Pinned
-        lattices are built once from the versions recorded by run
-        ``as_of`` and cached.
+        incrementally (dirty groups of its materialized nodes only)
+        before answering.  Pinned lattices are bound once to the
+        versions recorded by run ``as_of`` and cached.  Either way the
+        nodes themselves reduce when a query first reads them.
         """
         self._check_queryable(name)
         store = self.catalog.store
@@ -155,24 +158,15 @@ class OlapService:
     def on_commit(self, record, committed: Optional[Dict[str, int]] = None) -> None:
         """Engine hook: bring every live lattice to the run's versions.
 
-        Called after a run commits; ``committed`` (cube -> version, from
-        the dispatcher) marks cubes the run wrote.  A cube the run did
-        not write can still be stale here — ``engine.load()`` puts
-        revised elementary data straight into the store — so a live
-        lattice is only skipped when it already sits at the store head.
-        Unbuilt lattices are built eagerly so the first query after a
-        run never pays the group-by.
+        Called after a run commits.  Staleness is judged against the
+        store head alone, not ``committed`` (cube -> version, the cubes
+        the run wrote): ``engine.load()`` puts revised elementary data
+        straight into the store, so a cube the run did not write can be
+        stale too.  Only lattices a query has already asked for are
+        live: cubes nobody has queried get no lattice here, and a live
+        lattice splices the delta through its materialized nodes only.
         """
-        store = self.catalog.store
-        for name in self.queryable_names():
-            live = self._live.get(name)
-            if (
-                live is not None
-                and committed is not None
-                and name not in committed
-                and live.version == store.latest_version(name)
-            ):
-                continue
+        for name in self._live:
             self.lattice(name)
 
     # -- queries ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for cube CSV I/O and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,23 @@ class TestCli:
         path.write_text(json.dumps(spec))
         project = load_project(str(path))
         assert project.program_source == "A := S * 2"
+
+    def test_inline_program_longer_than_a_file_name(self, tmp_path):
+        # probing "base_dir / program" as a path raises ENAMETOOLONG
+        # once the source outgrows NAME_MAX: still an inline program
+        source = "\n".join(f"A{i} := S * {i + 2}" for i in range(40))
+        assert len(source) > 255
+        spec = {
+            "elementary": [
+                {"name": "S", "dimensions": [["q", "time:Q"]], "measure": "v"}
+            ],
+            "program": source,
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        project = load_project(str(path))
+        assert project.program_source == source
+        assert main(["show", str(path)]) == 0
 
     def test_show_prints_mapping(self, project_dir, capsys):
         code = main(["show", str(project_dir / "project.json")])
@@ -359,3 +377,137 @@ class TestCorruptStateFiles:
             ]
         )
         assert code == 4
+
+    def test_query_missing_csv_of_queried_cube(self, project_dir, capsys):
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        capsys.readouterr()
+        missing = out / "baseline" / "B.csv"
+        missing.unlink()
+        assert main(["query", project, "B", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "corrupt baseline CSV" in err
+        assert str(missing) in err
+        assert "exl recover" in err
+        # unreadable is reported the same way as missing
+        missing.write_text("q,wrong\n2020Q1,1.0\n")
+        assert main(["query", project, "B", "--out", str(out)]) == 4
+        assert str(missing) in capsys.readouterr().err
+
+    def test_query_missing_csv_of_other_cube(self, project_dir, capsys):
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        (out / "baseline" / "A.csv").unlink()
+        capsys.readouterr()
+        code = main(
+            ["query", project, "B", "--out", str(out), "--levels", "q=year"]
+        )
+        assert code == 0
+        assert "20" in capsys.readouterr().out  # 2 + 6 + 12 + 20
+
+
+def _tree(root):
+    """Every file under ``root``: relative path -> (mtime_ns, bytes)."""
+    return {
+        str(path.relative_to(root)): (path.stat().st_mtime_ns, path.read_bytes())
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestQueryReadBudget:
+    """``exl query CUBE`` reads one cube: the project file, the program,
+    ``baseline.json``, ``CUBE.csv`` and ``columnar/CUBE.json`` — and
+    writes nothing."""
+
+    QUERIES = (
+        [],
+        ["--levels", "q=year"],
+        ["--point", "q=2020Q3"],
+        ["--agg", "avg", "--levels", "q=year"],
+        ["--agg", "sum", "--levels", "q=year"],
+        ["--levels", "q=year", "--drilldown", "q"],
+        ["--dice", "q=2020Q1|2020Q4"],
+    )
+
+    def _answers(self, project, out, capsys):
+        answers = []
+        for query in self.QUERIES:
+            argv = ["query", project, "A", "--out", str(out), *query]
+            assert main(argv) == 0, query
+            answers.append(capsys.readouterr().out)
+        return answers
+
+    def test_other_cubes_files_are_never_needed(self, project_dir, capsys):
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        capsys.readouterr()
+        intact = self._answers(project, out, capsys)
+        baseline = out / "baseline"
+        (project_dir / "s.csv").unlink()
+        (baseline / "S.csv").unlink()
+        (baseline / "B.csv").write_text("torn,")
+        # (a forced tuple view writes no columnar sidecars to damage)
+        (baseline / "columnar" / "S.json").unlink(missing_ok=True)
+        (baseline / "columnar").mkdir(exist_ok=True)
+        (baseline / "columnar" / "B.json").write_text('{"format": 2, "di')
+        before = _tree(out)
+        assert self._answers(project, out, capsys) == intact
+        assert _tree(out) == before  # nothing created, nothing rewritten
+
+    def test_only_the_queried_cubes_files_are_opened(
+        self, project_dir, capsys, monkeypatch
+    ):
+        import builtins
+        import io
+
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        capsys.readouterr()
+        opened = set()
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            try:
+                path = Path(file).resolve()
+            except TypeError:  # a file descriptor
+                path = None
+            if path is not None and path.is_relative_to(project_dir):
+                opened.add(str(path.relative_to(project_dir)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        self._answers(project, out, capsys)
+        assert opened == {
+            "project.json",
+            "program.exl",
+            "results/baseline/baseline.json",
+            "results/baseline/A.csv",
+            "results/baseline/columnar/A.json",
+        }
+
+    def test_elementary_cube_falls_back_to_the_project_csv(
+        self, project_dir, capsys
+    ):
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        argv = ["query", project, "S", "--out", str(out), "--levels", "q=year"]
+        # no baseline at all: the project CSV is the only copy
+        assert main(argv) == 0
+        from_project = capsys.readouterr().out
+        assert "10" in from_project  # 1 + 2 + 3 + 4
+        assert not out.exists()
+        # a baseline that lacks S (and only then) falls back the same way
+        assert main(["run", project, "--out", str(out)]) == 0
+        index = out / "baseline" / "baseline.json"
+        state = json.loads(index.read_text())
+        del state["cubes"]["S"]
+        index.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_project

@@ -428,6 +428,7 @@ PASSING_REPORT = {
     "olap_query": {
         "warm_rollup_vs_csv": {"speedup": 150.0, "floor": 100.0},
         "dirty_group_refresh": {"value": 0.05, "ceiling": 0.25},
+        "first_touch_node": {"speedup": 5.0, "floor": 3.0},
     },
     "sharded_chase": {
         "panel_scaling": {"speedup": 2.6, "floor": 2.5},

@@ -176,6 +176,54 @@ class TestLatticeBuild:
         # (m, quarter, year, all) x (r, zone, all)
         assert len(lattice.nodes) == 12
 
+    def test_build_reduces_nothing(self):
+        from repro.obs import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        lattice = CubeLattice(
+            "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
+        )
+        lattice.build(panel_cube(), version=3)
+        assert lattice.version == 3
+        assert lattice.materialized_nodes() == []
+        assert lattice.total_groups() == 0  # and counting forced none
+        assert lattice.materialized_nodes() == []
+        assert metrics.value("olap.lattice.groups") == 0
+        node = lattice.node({"m": "year", "r": "zone"})
+        assert len(node.groups) == 4  # 2019, 2020 x cold, warm
+        assert lattice.materialized_nodes() == [node]
+        assert lattice.total_groups() == 4
+        assert metrics.value("olap.lattice.groups") == 4
+        assert node.groups is node.groups  # reduced once
+        lattice.build(panel_cube(n_months=2))
+        assert lattice.materialized_nodes() == []
+        assert len(node.groups) == 2  # re-reduced from the new base
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("tuple_view", [False, True])
+    def test_nodes_in_any_order_match_oracle(
+        self, seed, tuple_view, monkeypatch
+    ):
+        """Each node reduces alone, whatever was reduced before it (the
+        per-(dimension, level) transforms are shared across nodes)."""
+        import random
+
+        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", tuple_view)
+        rng = random.Random(4100 + seed)
+        agg = rng.choice(["sum", "avg", "median", "count"])
+        cube = panel_cube(n_months=rng.randrange(1, 20))
+        lattice = CubeLattice(
+            "S", hierarchies_for(fresh_catalog(), "S"), aggregate=agg
+        )
+        lattice.build(cube)
+        keys = list(lattice.nodes)
+        rng.shuffle(keys)
+        for count, key in enumerate(keys, start=1):
+            node = lattice.nodes[key]
+            assert not node.materialized
+            assert node.groups == oracle_groups(cube, node.levels, agg), key
+            assert len(lattice.materialized_nodes()) == count
+
     @pytest.mark.parametrize("agg", ["sum", "avg", "median", "count"])
     def test_columnar_build_matches_oracle(self, agg):
         cube = panel_cube()
@@ -244,6 +292,7 @@ class TestLatticeRefresh:
             "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
         )
         lattice.build(old)
+        lattice.materialize_all()
         rereduced = lattice.refresh(new)
         assert rereduced > 0
         assert metrics.value("olap.lattice.groups.rereduced") == rereduced
@@ -258,6 +307,7 @@ class TestLatticeRefresh:
             new._data.pop((month(2019, 1) + i, "north"))
         lattice = CubeLattice("S", hierarchies_for(fresh_catalog(), "S"))
         lattice.build(old)
+        lattice.materialize_all()
         lattice.refresh(new)
         assert_lattice_matches_oracle(lattice, new)
         base_r = lattice.nodes[("all", "r")].groups
@@ -272,6 +322,7 @@ class TestLatticeRefresh:
             "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
         )
         lattice.build(old)
+        lattice.materialize_all()
         lattice.refresh(new)
         builds = metrics.value("olap.lattice.index.builds")
         assert builds == len(lattice.nodes)
@@ -290,8 +341,39 @@ class TestLatticeRefresh:
             "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
         )
         lattice.build(old)
+        lattice.materialize_all()
         assert lattice.refresh(old.copy()) == 0
         assert metrics.value("olap.lattice.index.builds") == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_refresh_touches_materialized_nodes_only(self, seed):
+        import random
+
+        from repro.obs import MetricsRegistry
+
+        rng = random.Random(5200 + seed)
+        old, new = self._delta_pair()
+        hierarchies = hierarchies_for(fresh_catalog(), "S")
+        metrics = MetricsRegistry()
+        lattice = CubeLattice("S", hierarchies, metrics=metrics)
+        lattice.build(old)
+        keys = list(lattice.nodes)
+        touched = rng.sample(keys, rng.randrange(len(keys) + 1))
+        for key in touched:
+            lattice.nodes[key].groups
+        # the re-reduced count is the sum of what each touched node
+        # costs on its own: the untouched ones add nothing
+        expected = 0
+        for key in touched:
+            alone = CubeLattice("S", hierarchies)
+            alone.build(old)
+            alone.nodes[key].groups
+            expected += alone.refresh(new)
+        assert lattice.refresh(new) == expected
+        assert metrics.value("olap.lattice.groups.rereduced") == expected
+        assert metrics.value("olap.lattice.index.builds") == len(touched)
+        assert {n.key for n in lattice.materialized_nodes()} == set(touched)
+        assert_lattice_matches_oracle(lattice, new)
 
     def test_refresh_without_baseline_falls_back(self):
         from repro.obs import MetricsRegistry
@@ -438,7 +520,10 @@ class TestOlapService:
         engine = build_engine()
         service = engine.enable_olap()
         engine.run()
-        service.rollup("S")  # materialize the live lattice
+        # a lattice is live once a query has asked for its cube
+        assert service._live == {}
+        service.rollup("S")
+        service.rollup("G", {"q": "year"})
         before = engine.metrics.value("olap.lattice.groups.rereduced")
         builds_before = engine.metrics.value("olap.lattice.builds")
         revised = engine.data("S").copy()
@@ -452,9 +537,15 @@ class TestOlapService:
         store = engine.catalog.store
         assert service._live["S"].version == store.latest_version("S")
         assert service._live["G"].version == store.latest_version("G")
-        # both lattices were built eagerly after the first run; the
-        # update refreshed them without a single rebuild
+        # the update refreshed both without a single rebuild, and left
+        # the nodes no query had read unreduced
         assert engine.metrics.value("olap.lattice.builds") == builds_before
+        assert [n.key for n in service._live["S"].materialized_nodes()] == [
+            ("m", "r")
+        ]
+        assert [n.key for n in service._live["G"].materialized_nodes()] == [
+            ("year", "r")
+        ]
         assert_lattice_matches_oracle(service._live["S"], engine.data("S"))
         assert_lattice_matches_oracle(service._live["G"], engine.data("G"))
 
@@ -553,13 +644,21 @@ class TestLatticeSidecar:
         built = CubeLattice("S", hierarchies, aggregate="sum")
         built.build(cube, version=7)
         csv_path, sidecar = self._written(tmp_path, built, cube)
-        restored = CubeLattice("S", hierarchies, aggregate="sum")
+        from repro.obs import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        restored = CubeLattice(
+            "S", hierarchies, aggregate="sum", metrics=metrics
+        )
         assert attach_lattice_sidecar(
             restored, cube, csv_path, sidecar, version=7
         )
         assert restored.version == 7
+        # every node came from the file: reading them reduces nothing
+        assert len(restored.materialized_nodes()) == len(restored.nodes)
         for key, node in built.nodes.items():
             assert restored.nodes[key].groups == node.groups
+        assert metrics.value("olap.lattice.groups") == 0
         # refreshes work immediately after attach
         revised = cube.patched(_one_row_delta(cube))
         restored.refresh(revised)
@@ -658,7 +757,8 @@ class TestQueryCli:
         assert self._main(args) == 0
         described = capsys.readouterr().out
         assert "q: q, year, all" in described
-        assert (project / "out" / "baseline" / "olap" / "G.json").exists()
+        assert "lattice nodes: 9" in described  # (q, year, all) x (r, zone, all)
+        assert not (project / "out" / "baseline" / "olap").exists()
 
         assert self._main(args + ["--levels", "q=year,r=all"]) == 0
         rolled = capsys.readouterr().out
@@ -714,10 +814,9 @@ class TestQueryCli:
             == 2
         )
 
-    def test_sidecar_served_queries_survive_update(self, project, capsys):
-        """A second process attaches the persisted lattice, and a later
-        ``exl update`` invalidates it (CSV hash moves) so queries keep
-        matching the refreshed data."""
+    def test_queries_survive_update(self, project, capsys):
+        """Each query reads the baseline the last run or update left,
+        so answers follow an ``exl update``."""
         out = str(project / "out")
         proj = str(project / "project.json")
         assert self._main(["run", proj, "--out", out]) == 0

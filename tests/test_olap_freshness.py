@@ -5,7 +5,10 @@ revision storms (random overwrite/insert/delete mixes) through
 ``engine.update()``.  After every storm, every node of every live
 lattice must be tuple-for-tuple equal to a lattice rebuilt from
 scratch off the current store head — i.e. the incremental dirty-group
-refresh path is indistinguishable from full recompute.
+refresh path is indistinguishable from full recompute.  Nodes reduce
+on demand, so the first storm hits lattices holding a random subset of
+their nodes (the refresh must splice through those and force no other)
+and the second hits lattices holding all of them.
 
 The engine is built with the suite's ``--jobs`` / ``--shards``
 options, so the CI matrix composes this sweep with parallel dispatch,
@@ -107,8 +110,23 @@ def test_lattice_survives_revision_storms(seed, chase_jobs, chase_shards):
     engine.load(_panel(rng))
     service = engine.enable_olap()
     engine.run()
+    held = {}
+    for name in service.queryable_names():
+        keys = list(service.lattice(name).nodes)
+        held[name] = set(rng.sample(keys, rng.randrange(len(keys) + 1)))
+        for key in held[name]:
+            service.lattice(name).nodes[key].groups
+    rereduced = engine.metrics.value("olap.lattice.groups.rereduced")
+    engine.load(_storm(engine.data("S"), rng))
+    engine.update()
+    for name, keys in held.items():
+        live = service._live[name]
+        assert {n.key for n in live.materialized_nodes()} == keys
+    if not any(held.values()):
+        assert (
+            engine.metrics.value("olap.lattice.groups.rereduced") == rereduced
+        )
+    _assert_fresh(engine, service)  # reads, hence holds, every node
+    engine.load(_storm(engine.data("S"), rng))
+    engine.update()
     _assert_fresh(engine, service)
-    for _ in range(2):
-        engine.load(_storm(engine.data("S"), rng))
-        engine.update()
-        _assert_fresh(engine, service)
