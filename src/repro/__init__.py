@@ -35,74 +35,48 @@ Quickstart::
     print(engine.data("PCHNG").to_rows())
 """
 
-from .backends import (
-    ChaseBackend,
-    EtlBackend,
-    MatlabBackend,
-    RBackend,
-    SqlBackend,
-    all_backends,
-)
-from .chase import (
-    ChaseCache,
-    ParallelStratifiedChase,
-    StratifiedChase,
-    cubes_from_instance,
-    instance_from_cubes,
-)
-from .engine import EXLEngine
-from .errors import ReproError
-from .exl import Program, default_registry, normalize_program, parse_program
-from .mappings import SchemaMapping, generate_mapping, simplify_mapping
-from .model import (
-    Cube,
-    CubeSchema,
-    Dimension,
-    Frequency,
-    MetadataCatalog,
-    Schema,
-    TimePoint,
-    day,
-    month,
-    quarter,
-    week,
-    year,
-)
+from ._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "Cube",
-    "CubeSchema",
-    "Dimension",
-    "Schema",
-    "Frequency",
-    "TimePoint",
-    "day",
-    "week",
-    "month",
-    "quarter",
-    "year",
-    "MetadataCatalog",
-    "Program",
-    "parse_program",
-    "normalize_program",
-    "default_registry",
-    "SchemaMapping",
-    "generate_mapping",
-    "simplify_mapping",
-    "StratifiedChase",
-    "ParallelStratifiedChase",
-    "ChaseCache",
-    "instance_from_cubes",
-    "cubes_from_instance",
-    "SqlBackend",
-    "RBackend",
-    "MatlabBackend",
-    "EtlBackend",
-    "ChaseBackend",
-    "all_backends",
-    "EXLEngine",
-]
+#: public name -> defining subpackage.  Nothing here is imported until
+#: it is read off the package: each ``exl`` subcommand, and each library
+#: user, loads the layers it runs
+_EXPORTS = {
+    "ReproError": "errors",
+    "Cube": "model",
+    "CubeSchema": "model",
+    "Dimension": "model",
+    "Schema": "model",
+    "Frequency": "model",
+    "TimePoint": "model",
+    "day": "model",
+    "week": "model",
+    "month": "model",
+    "quarter": "model",
+    "year": "model",
+    "MetadataCatalog": "model",
+    "Program": "exl",
+    "parse_program": "exl",
+    "normalize_program": "exl",
+    "default_registry": "exl",
+    "SchemaMapping": "mappings",
+    "generate_mapping": "mappings",
+    "simplify_mapping": "mappings",
+    "StratifiedChase": "chase",
+    "ParallelStratifiedChase": "chase",
+    "ChaseCache": "chase",
+    "instance_from_cubes": "chase",
+    "cubes_from_instance": "chase",
+    "SqlBackend": "backends",
+    "RBackend": "backends",
+    "MatlabBackend": "backends",
+    "EtlBackend": "backends",
+    "ChaseBackend": "backends",
+    "all_backends": "backends",
+    "EXLEngine": "engine",
+}
+
+__getattr__, __dir__, _lazy_names = lazy_surface(__name__, _EXPORTS)
+
+__all__ = ["__version__", *_lazy_names]

@@ -3,81 +3,100 @@
 One :class:`Backend` per target system — SQL (mini relational engine),
 R (frame engine), Matlab (matrix engine), ETL (flow engine) — plus the
 chase reference executor.  :func:`all_backends` returns one instance of
-each, keyed by technical-metadata name.
+each, keyed by technical-metadata name; :class:`LazyBackends` is the
+same mapping with each target imported and constructed when it is first
+looked up, so a run loads only the engines its partition selected.
 """
 
-from typing import Dict
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Dict, Iterator
 
-from .base import Backend, CompiledTgd
-from .chasebackend import ChaseBackend
-from .etlbackend import EtlBackend, flow_metadata_for_tgd
-from .ir import (
-    BinExpr,
-    CallExpr,
-    ColExpr,
-    ColRef,
-    ComputeOp,
-    ConstExpr,
-    DropOp,
-    GroupAggOp,
-    IrProgram,
-    LoadOp,
-    MergeOp,
-    RenameOp,
-    StoreOp,
-    TableFuncOp,
-)
-from .ircompile import compile_tgd_to_ir
-from .irexec import FrameIrExecutor, MatrixIrExecutor, eval_colexpr
-from .matlab import MatlabBackend, MScriptBackend, render_matlab
-from .rlang import RBackend, RScriptBackend, render_r
-from .sql import SqlBackend
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from .base import Backend
+
+#: public name -> defining submodule
+_EXPORTS = {
+    "Backend": "base",
+    "CompiledTgd": "base",
+    "SqlBackend": "sql",
+    "RBackend": "rlang",
+    "RScriptBackend": "rlang",
+    "MatlabBackend": "matlab",
+    "MScriptBackend": "matlab",
+    "EtlBackend": "etlbackend",
+    "ChaseBackend": "chasebackend",
+    "flow_metadata_for_tgd": "etlbackend",
+    "compile_tgd_to_ir": "ircompile",
+    "render_r": "rlang",
+    "render_matlab": "matlab",
+    "FrameIrExecutor": "irexec",
+    "MatrixIrExecutor": "irexec",
+    "eval_colexpr": "irexec",
+    "IrProgram": "ir",
+    "LoadOp": "ir",
+    "MergeOp": "ir",
+    "ComputeOp": "ir",
+    "DropOp": "ir",
+    "RenameOp": "ir",
+    "GroupAggOp": "ir",
+    "TableFuncOp": "ir",
+    "StoreOp": "ir",
+    "ColExpr": "ir",
+    "ColRef": "ir",
+    "ConstExpr": "ir",
+    "BinExpr": "ir",
+    "CallExpr": "ir",
+}
+
+__getattr__, __dir__, _lazy_names = lazy_surface(__name__, _EXPORTS)
+
+__all__ = [*_lazy_names, "all_backends"]
+
+#: technical-metadata name -> backend class, by its name above
+_BACKEND_CLASSES = {
+    "sql": "SqlBackend",
+    "r": "RBackend",
+    "rscript": "RScriptBackend",
+    "matlab": "MatlabBackend",
+    "mscript": "MScriptBackend",
+    "etl": "EtlBackend",
+    "chase": "ChaseBackend",
+}
 
 
-def all_backends() -> Dict[str, Backend]:
+class LazyBackends(Mapping):
+    """Every backend by name, each built on first lookup.
+
+    Iteration, ``len`` and ``in`` answer from the names alone;
+    ``backends[name]`` (and ``get``) imports the target's module and
+    constructs its one instance.
+    """
+
+    def __init__(self):
+        self._instances: Dict[str, "Backend"] = {}
+
+    def __getitem__(self, name: str) -> "Backend":
+        backend = self._instances.get(name)
+        if backend is None:
+            # setdefault: two dispatcher threads asking at once share
+            # whichever instance landed first
+            backend = self._instances.setdefault(
+                name, __getattr__(_BACKEND_CLASSES[name])()
+            )
+        return backend
+
+    def __contains__(self, name) -> bool:
+        return name in _BACKEND_CLASSES
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_BACKEND_CLASSES)
+
+    def __len__(self) -> int:
+        return len(_BACKEND_CLASSES)
+
+
+def all_backends() -> Dict[str, "Backend"]:
     """One instance of every backend, keyed by name."""
-    backends = [
-        SqlBackend(),
-        RBackend(),
-        RScriptBackend(),
-        MatlabBackend(),
-        MScriptBackend(),
-        EtlBackend(),
-        ChaseBackend(),
-    ]
-    return {b.name: b for b in backends}
-
-
-__all__ = [
-    "Backend",
-    "CompiledTgd",
-    "SqlBackend",
-    "RBackend",
-    "RScriptBackend",
-    "MatlabBackend",
-    "MScriptBackend",
-    "EtlBackend",
-    "ChaseBackend",
-    "all_backends",
-    "flow_metadata_for_tgd",
-    "compile_tgd_to_ir",
-    "render_r",
-    "render_matlab",
-    "FrameIrExecutor",
-    "MatrixIrExecutor",
-    "eval_colexpr",
-    "IrProgram",
-    "LoadOp",
-    "MergeOp",
-    "ComputeOp",
-    "DropOp",
-    "RenameOp",
-    "GroupAggOp",
-    "TableFuncOp",
-    "StoreOp",
-    "ColExpr",
-    "ColRef",
-    "ConstExpr",
-    "BinExpr",
-    "CallExpr",
-]
+    return dict(LazyBackends())

@@ -23,7 +23,6 @@ from ..chase.delta import (
 from ..chase.engine import StratifiedChase
 from ..chase.instance import RelationalInstance, store_for_cube
 from ..chase.scheduler import ChaseCache, ParallelStratifiedChase
-from ..chase.shard import ShardedStratifiedChase, resolve_shards
 from ..errors import BackendError
 from ..mappings.dependencies import Tgd
 from ..mappings.mapping import SchemaMapping
@@ -180,7 +179,13 @@ class ChaseBackend(Backend):
         wanted: Optional[Iterable[str]] = None,
         check: Optional[Callable[[], None]] = None,
     ) -> Dict[str, Cube]:
-        shards = resolve_shards(self.shards)
+        shards = self.shards
+        if shards != 1:
+            # the shard pool (and multiprocessing under it) loads only
+            # for a run that asked for shards
+            from ..chase.shard import ShardedStratifiedChase, resolve_shards
+
+            shards = resolve_shards(shards)
         if (
             not self.parallel
             and self.cache is None

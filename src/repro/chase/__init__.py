@@ -10,39 +10,32 @@ kernels (``vectorized=True``, the default); ``vectorized=False`` keeps
 the tuple-at-a-time path as the bit-exact ablation baseline.
 """
 
-from .columnar import ColumnarRelation, EncodedColumn, FallbackUnsupported
-from .engine import DEFAULT_VECTORIZED, ChaseResult, ChaseStats, StratifiedChase
-from .instance import RelationalInstance, cubes_from_instance, instance_from_cubes
-from .scheduler import (
-    ChaseCache,
-    ParallelStratifiedChase,
-    schedule_waves,
-    stratum_dag,
-)
-from .shard import ShardedStratifiedChase, ShardPlan, resolve_shards, shard_of
-from .verify import check_egds, check_tgd, is_solution, violations
+from .._lazy import lazy_surface
 
-__all__ = [
-    "ColumnarRelation",
-    "EncodedColumn",
-    "FallbackUnsupported",
-    "DEFAULT_VECTORIZED",
-    "RelationalInstance",
-    "instance_from_cubes",
-    "cubes_from_instance",
-    "StratifiedChase",
-    "ParallelStratifiedChase",
-    "ShardedStratifiedChase",
-    "ShardPlan",
-    "resolve_shards",
-    "shard_of",
-    "ChaseCache",
-    "ChaseResult",
-    "ChaseStats",
-    "schedule_waves",
-    "stratum_dag",
-    "check_egds",
-    "check_tgd",
-    "is_solution",
-    "violations",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "ColumnarRelation": "columnar",
+    "EncodedColumn": "columnar",
+    "FallbackUnsupported": "columnar",
+    "DEFAULT_VECTORIZED": "engine",
+    "RelationalInstance": "instance",
+    "instance_from_cubes": "instance",
+    "cubes_from_instance": "instance",
+    "StratifiedChase": "engine",
+    "ParallelStratifiedChase": "scheduler",
+    "ShardedStratifiedChase": "shard",
+    "ShardPlan": "shard",
+    "resolve_shards": "shard",
+    "shard_of": "shard",
+    "ChaseCache": "scheduler",
+    "ChaseResult": "engine",
+    "ChaseStats": "engine",
+    "schedule_waves": "scheduler",
+    "stratum_dag": "scheduler",
+    "check_egds": "verify",
+    "check_tgd": "verify",
+    "is_solution": "verify",
+    "violations": "verify",
+}
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, _EXPORTS)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import MappingError
@@ -304,6 +303,9 @@ class ParallelStratifiedChase(StratifiedChase):
             "chase", category="chase", scheduler="parallel",
             jobs=self.max_workers,
         ) as chase_span:
+            # imported where the pool is made: a serial run never pays
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 # wave 0: the source-to-target copies are mutually
                 # independent

@@ -66,13 +66,8 @@ only process death and timeouts are retried.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -131,6 +126,8 @@ def shard_of(value: Any, shards: int) -> int:
 
 
 def _fork_available() -> bool:
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -655,6 +652,8 @@ class ShardedStratifiedChase(ParallelStratifiedChase):
             shards=self.shards, jobs=self.max_workers,
         ) as chase_span:
             results = self._run_shards(source, stats)
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 self._run_wave(
                     pool,
@@ -755,6 +754,12 @@ class ShardedStratifiedChase(ParallelStratifiedChase):
         scheduler via :class:`_ShardFallback`.
         """
         global _WORKER_STATE
+        # the pool machinery is imported where the pool is made
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
         context = multiprocessing.get_context("fork")
         results: List[Optional[Dict[str, Any]]] = [None] * shards
         pending = list(range(shards))

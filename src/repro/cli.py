@@ -34,6 +34,9 @@ Commands:
   cross-tab) over one cube of a finished run: reads that cube's
   baseline CSV and columnar sidecar, nothing else, and writes nothing.
 
+``--version`` prints the package version.  Each command imports only
+the layers it executes (see the note above the imports).
+
 Fault tolerance: ``run`` accepts ``--retries`` / ``--deadline`` /
 ``--on-error fail|continue|degrade`` and a deterministic fault-injection
 spec (``--inject-faults``, see :mod:`repro.engine.faults`).  When a run
@@ -58,36 +61,24 @@ file (quarantine or ``exl recover`` advised).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .backends import all_backends
-from .chase.atomic import atomic_write
-from .chase.persist import (
-    attach_store_sidecar,
-    sidecar_path_for,
-    write_store_sidecar,
-)
-from .engine import EXLEngine, RunJournal
-from .engine import recover as recover_out_dir
-from .engine.history import COMMITTED_OUTCOMES
 from .errors import ReproError
-from .exl import Program
-from .mappings import generate_mapping, simplify_mapping
-from .model import Cube, CubeSchema, Dimension, Schema
-from .model.io import (
-    cube_from_csv_text,
-    cube_to_csv_text,
-    parse_dim_value,
-    parse_dimtype,
-    read_cube_csv,
-)
-from .obs import MetricsRegistry, Tracer
-from .olap import format_measure
+
+# Every other layer is imported inside the command that runs it, so a
+# call loads only what it executes (DESIGN.md, "Start-up and the import
+# graph").  Those imports name the defining module, never a cached
+# module global: an outside tracer that rebinds an entry point there
+# before ``main()`` runs is then the function every command calls.
+if TYPE_CHECKING:
+    from .engine.exlengine import EXLEngine
+    from .engine.journal import RunJournal
+    from .model.catalog import MetadataCatalog
+    from .model.cube import Cube, CubeSchema
+    from .model.schema import Schema
 
 __all__ = ["main", "load_project"]
 
@@ -97,10 +88,18 @@ __all__ = ["main", "load_project"]
 EXIT_CORRUPT_STATE = 4
 
 
+def _unreadable(path, exc: OSError) -> ReproError:
+    """``<path>: <reason>`` for a file of the user's that cannot be read."""
+    return ReproError(f"{path}: {exc.strerror or exc}")
+
+
 class Project:
     """A parsed project file plus its base directory."""
 
     def __init__(self, spec: Dict[str, Any], base_dir: Path):
+        from .model.cube import CubeSchema, Dimension
+        from .model.io import parse_dimtype
+
         self.base_dir = base_dir
         self.schemas: List[CubeSchema] = []
         self.csv_paths: Dict[str, Optional[Path]] = {}
@@ -127,7 +126,13 @@ class Project:
             # an inline program longer than NAME_MAX is no file name
             is_file = False
         if is_file:
-            self.program_source = program_path.read_text()
+            try:
+                self.program_source = program_path.read_text()
+            except OSError as exc:
+                raise _unreadable(program_path, exc) from None
+        elif ":=" not in program_spec and len(program_spec.split()) == 1:
+            # one token and no assignment: a file name, not inline EXL
+            raise ReproError(f"program file not found: {program_path}")
         else:
             # allow inline programs: "program": "C := A * 2"
             self.program_source = program_spec
@@ -141,6 +146,8 @@ class Project:
 
     @property
     def schema(self) -> Schema:
+        from .model.schema import Schema
+
         return Schema(self.schemas, "project")
 
     def load_data(self) -> Dict[str, Cube]:
@@ -149,21 +156,44 @@ class Project:
             path = self.csv_paths[schema.name]
             if path is None:
                 continue
-            data[schema.name] = read_cube_csv(schema, path)
+            data[schema.name] = _read_input_csv(schema, path)
         return data
+
+
+def _read_input_csv(schema: CubeSchema, path: Path) -> Cube:
+    """Read one of the project's input CSVs; a file that cannot be
+    opened is the user's error to fix, reported with its path."""
+    from .model.io import read_cube_csv
+
+    try:
+        return read_cube_csv(schema, path)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
 
 
 def load_project(path: str) -> Project:
     """Parse a project file."""
     project_path = Path(path)
-    spec = json.loads(project_path.read_text())
+    try:
+        spec = json.loads(project_path.read_text())
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+    except ValueError as exc:
+        raise ReproError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(spec, dict):
+        raise ReproError(f"{path}: not a JSON object")
     return Project(spec, project_path.parent)
 
 
 def _mapping_for(project: Project, simplify: bool):
+    from .exl.program import Program
+    from .mappings.generator import generate_mapping
+
     program = Program.compile(project.program_source, project.schema)
     mapping = generate_mapping(program)
     if simplify:
+        from .mappings.simplify import simplify_mapping
+
         mapping = simplify_mapping(mapping)
     return mapping
 
@@ -176,6 +206,8 @@ def cmd_show(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .backends import all_backends
+
     project = load_project(args.project)
     mapping = _mapping_for(project, args.simplify)
     backends = all_backends()
@@ -199,13 +231,14 @@ def _build_engine(
     journal=None,
     adaptive: bool = False,
     out_dir: Optional[Path] = None,
-    load_data: bool = True,
 ) -> EXLEngine:
+    from .engine.exlengine import EXLEngine
+
     # adaptive runs learn across processes: the cost history lives next
     # to the run's other durable state, under <out>/costs/
     cost_model = None
     if adaptive:
-        from .engine import CostModel
+        from .engine.costmodel import CostModel
 
         cost_model = CostModel(out_dir / "costs" if out_dir else None)
     engine = EXLEngine(
@@ -224,13 +257,23 @@ def _build_engine(
     for schema in project.schemas:
         engine.declare_elementary(schema)
     engine.add_program(project.program_source, project.preferred_targets)
+    _declare_groupings(engine.catalog, project)
+    for cube in project.load_data().values():
+        engine.load(cube)
+    return engine
+
+
+def _declare_groupings(catalog: MetadataCatalog, project: Project) -> None:
+    """The project's attribute groupings, as catalog metadata."""
+    from .model.io import parse_dim_value
+
     for cube_name, dims in project.groupings.items():
         for dim_name, levels in dims.items():
-            dtype = engine.catalog.schema_of(cube_name).dimension(dim_name).dtype
+            dtype = catalog.schema_of(cube_name).dimension(dim_name).dtype
             for level_name, mapping in levels.items():
                 # JSON object keys are strings; parse them back through
                 # the dimension type so integer dims group on integers
-                engine.catalog.declare_grouping(
+                catalog.declare_grouping(
                     cube_name,
                     dim_name,
                     level_name,
@@ -239,10 +282,6 @@ def _build_engine(
                         for key, value in mapping.items()
                     },
                 )
-    if load_data:
-        for cube in project.load_data().values():
-            engine.load(cube)
-    return engine
 
 
 def cmd_explain(args) -> int:
@@ -271,6 +310,8 @@ def _journal_for(args, out_dir: Path) -> Optional[RunJournal]:
     """The run's write-ahead journal, unless ``--no-journal``."""
     if getattr(args, "no_journal", False):
         return None
+    from .engine.journal import RunJournal
+
     return RunJournal(out_dir)
 
 
@@ -329,6 +370,10 @@ def _persist_state(engine, state_record: Dict[str, Any], out_dir: Path,
     ``resume`` would misread — at worst the state file simply does not
     exist yet and the journal is still authoritative.
     """
+    from .chase.atomic import atomic_write
+    from .engine.history import COMMITTED_OUTCOMES
+    from .model.io import cube_to_csv_text
+
     committed_dir = out_dir / ".committed"
     committed: Dict[str, str] = {}
     for sub in state_record["subgraphs"]:
@@ -345,6 +390,11 @@ def _persist_state(engine, state_record: Dict[str, Any], out_dir: Path,
 
 
 def _write_outputs(engine, project, record, out_dir: Path, journal=None) -> None:
+    import hashlib
+
+    from .chase.atomic import atomic_write
+    from .model.io import cube_to_csv_text
+
     names = project.outputs or list(
         dict.fromkeys(
             cube for sub in record["subgraphs"] for cube in sub["cubes"]
@@ -377,6 +427,8 @@ def _finish_run(engine, project, record, previous_state, args,
     baseline is durably persisted, so a crash anywhere in the epilogue
     stays recoverable.
     """
+    from .engine.history import COMMITTED_OUTCOMES
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state_record = _merged_state_record(
@@ -416,6 +468,8 @@ def _finalize_success(out_dir: Path, state_path: Path, journal=None) -> None:
         state_path.unlink()
     committed_dir = out_dir / ".committed"
     if committed_dir.is_dir():
+        import shutil
+
         shutil.rmtree(committed_dir)
     if journal is not None:
         journal.discard()
@@ -441,6 +495,12 @@ def _persist_baseline(engine, record, out_dir: Path, journal=None) -> None:
     *last* — a crash mid-baseline leaves no ``baseline.json``, which
     ``update`` already treats as "no baseline", never a torn one.
     """
+    import hashlib
+
+    from .chase.atomic import atomic_write
+    from .chase.persist import sidecar_path_for, write_store_sidecar
+    from .model.io import cube_to_csv_text
+
     baseline_dir, baseline_file = _baseline_paths(out_dir)
     baseline_dir.mkdir(parents=True, exist_ok=True)
     cubes: Dict[str, str] = {}
@@ -471,6 +531,9 @@ def _persist_baseline(engine, record, out_dir: Path, journal=None) -> None:
 
 
 def cmd_update(args) -> int:
+    from .chase.persist import attach_store_sidecar, sidecar_path_for
+    from .model.io import read_cube_csv
+
     project = load_project(args.project)
     out_dir = Path(args.out)
     baseline_dir, baseline_file = _baseline_paths(out_dir)
@@ -580,8 +643,12 @@ def cmd_update(args) -> int:
 def cmd_run(args) -> int:
     project = load_project(args.project)
     out_dir = Path(args.out)
-    tracer = Tracer() if args.trace else None
-    metrics = MetricsRegistry() if (args.trace or args.metrics) else None
+    tracer = metrics = None
+    if args.trace or args.metrics:
+        from .obs import MetricsRegistry, Tracer
+
+        tracer = Tracer() if args.trace else None
+        metrics = MetricsRegistry()
     journal = _journal_for(args, out_dir)
     engine = _build_engine(
         project,
@@ -641,6 +708,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
+    from .engine.history import COMMITTED_OUTCOMES
+    from .model.io import cube_from_csv_text
+
     project = load_project(args.project)
     out_dir = Path(args.out)
     state_path = _state_path(args, out_dir)
@@ -730,13 +800,15 @@ def cmd_recover(args) -> int:
     ``run-state.json`` from the rest, so ``exl resume`` can finish the
     run no matter where the process died.
     """
+    from .engine.journal import recover
+
     out_dir = Path(args.out)
     if not out_dir.exists():
         print(f"no output directory at {out_dir}: nothing to recover",
               file=sys.stderr)
         return 2
     state_path = Path(args.state) if args.state else None
-    report = recover_out_dir(out_dir, state_path=state_path)
+    report = recover(out_dir, state_path=state_path)
     print(report.summary())
     if report.status == "resumable":
         print(
@@ -766,14 +838,37 @@ def _level_value(lattice, dim: str, level_name: str, text: str):
     """
     lvl = lattice.hierarchy(dim).level(level_name)
     if lvl.dtype is not None:
+        from .model.io import parse_dim_value
+
         return parse_dim_value(lvl.dtype, text)
     return text
 
 
+def _query_catalog(project: Project) -> MetadataCatalog:
+    """The project's metadata with no data and no engine around it.
+
+    A query needs the compiled program's schemas and the groupings; it
+    dispatches nothing, so determination, translation, the dispatcher
+    and every backend stay unimported.
+    """
+    from .exl.program import Program
+    from .model.catalog import MetadataCatalog
+
+    catalog = MetadataCatalog()
+    for schema in project.schemas:
+        catalog.declare_elementary(schema)
+    catalog.declare_program(
+        Program.compile(project.program_source, catalog.as_schema()),
+        project.preferred_targets,
+    )
+    _declare_groupings(catalog, project)
+    return catalog
+
+
 def _load_queried_cube(
-    engine, project: Project, name: str, out_dir: Path
+    catalog: MetadataCatalog, project: Project, name: str, out_dir: Path
 ) -> int:
-    """Put the one cube a query reads into the engine's store.
+    """Put the one cube a query reads into the catalog's store.
 
     The cube comes from ``<out>/baseline/<name>.csv`` with its columnar
     sidecar attached (every trust check of
@@ -782,8 +877,11 @@ def _load_queried_cube(
     opened.  Returns 0 — with the store left empty when neither file
     is there to read — or :data:`EXIT_CORRUPT_STATE`.
     """
+    from .chase.persist import attach_store_sidecar, sidecar_path_for
+    from .model.io import read_cube_csv
+
     baseline_dir, baseline_file = _baseline_paths(out_dir)
-    schema = engine.catalog.schema_of(name)
+    schema = catalog.schema_of(name)
     rel_path = None
     if baseline_file.exists():
         state = _load_state_json(baseline_file, "baseline", out_dir)
@@ -797,43 +895,43 @@ def _load_queried_cube(
         except (OSError, ValueError, ReproError) as exc:
             _report_corrupt("baseline CSV", path, exc, out_dir)
             return EXIT_CORRUPT_STATE
-        attach_store_sidecar(
-            cube, path, sidecar_path_for(baseline_dir, name),
-            metrics=engine.metrics,
-        )
-        engine.catalog.store.put(cube)
+        attach_store_sidecar(cube, path, sidecar_path_for(baseline_dir, name))
+        catalog.store.put(cube)
         return 0
     csv_path = project.csv_paths.get(name)
     if csv_path is not None:
-        engine.load(read_cube_csv(schema, csv_path))
+        catalog.load(_read_input_csv(schema, csv_path))
     return 0
 
 
 def cmd_query(args) -> int:
+    from .model.io import parse_dim_value
+    from .olap.query import OlapService, format_measure
+
     project = load_project(args.project)
     out_dir = Path(args.out)
     # the program is compiled for schemas and groupings only: a query
     # reads one cube, so no project or baseline data is loaded up front
-    engine = _build_engine(project, load_data=False)
+    catalog = _query_catalog(project)
     name = args.cube
-    if name not in engine.catalog:
+    if name not in catalog:
         print(f"unknown cube {name!r}", file=sys.stderr)
         return 2
-    code = _load_queried_cube(engine, project, name, out_dir)
+    code = _load_queried_cube(catalog, project, name, out_dir)
     if code:
         return code
-    if not engine.catalog.has_data(name):
+    if not catalog.has_data(name):
         print(
             f"cube {name!r} has no data; run the project first: "
             f"exl run {args.project} --out {out_dir}",
             file=sys.stderr,
         )
         return 2
-    service = engine.enable_olap(aggregate=args.agg)
+    service = OlapService(catalog, aggregate=args.agg)
     lattice = service.lattice(name)
     levels = _parse_assignments(args.levels, "level assignment")
     if args.point:
-        schema = engine.catalog.schema_of(name)
+        schema = catalog.schema_of(name)
         coords = {}
         for dim, text in _parse_assignments(args.point, "coordinate").items():
             coords[dim] = parse_dim_value(
@@ -882,10 +980,13 @@ def cmd_query(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from . import __version__
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="EXLEngine reproduction: compile and run EXL statistical programs",
     )
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser("show", help="print the generated schema mapping")

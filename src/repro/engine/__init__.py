@@ -7,52 +7,37 @@ dispatcher (per-target execution, waves, data movement), historicity
 :class:`EXLEngine` facade tying them together.
 """
 
-from .costmodel import (
-    ADAPTIVE_TARGETS,
-    CostDecision,
-    CostModel,
-    card_bucket,
-    subgraph_signature,
-)
-from .determination import (
-    DEFAULT_TARGET_PRIORITY,
-    DependencyGraph,
-    Subgraph,
-    choose_target,
-)
-from .dispatcher import ON_ERROR_MODES, Dispatcher, default_fallback_chains
-from .exlengine import EXLEngine
-from .faults import FaultPlan, FaultRule, FaultyBackend, parse_fault_spec
-from .history import COMMITTED_OUTCOMES, RunLog, RunRecord, SubgraphRecord
-from .journal import RecoveryReport, RunJournal, recover, replay_journal
-from .translation import TranslatedSubgraph, TranslationEngine
+from .._lazy import lazy_surface
 
-__all__ = [
-    "DependencyGraph",
-    "Subgraph",
-    "choose_target",
-    "DEFAULT_TARGET_PRIORITY",
-    "TranslationEngine",
-    "TranslatedSubgraph",
-    "Dispatcher",
-    "ON_ERROR_MODES",
-    "default_fallback_chains",
-    "CostModel",
-    "CostDecision",
-    "ADAPTIVE_TARGETS",
-    "card_bucket",
-    "subgraph_signature",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyBackend",
-    "parse_fault_spec",
-    "RunRecord",
-    "RunLog",
-    "SubgraphRecord",
-    "COMMITTED_OUTCOMES",
-    "RunJournal",
-    "RecoveryReport",
-    "recover",
-    "replay_journal",
-    "EXLEngine",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "DependencyGraph": "determination",
+    "Subgraph": "determination",
+    "choose_target": "determination",
+    "DEFAULT_TARGET_PRIORITY": "determination",
+    "TranslationEngine": "translation",
+    "TranslatedSubgraph": "translation",
+    "Dispatcher": "dispatcher",
+    "ON_ERROR_MODES": "dispatcher",
+    "default_fallback_chains": "dispatcher",
+    "CostModel": "costmodel",
+    "CostDecision": "costmodel",
+    "ADAPTIVE_TARGETS": "costmodel",
+    "card_bucket": "costmodel",
+    "subgraph_signature": "costmodel",
+    "FaultPlan": "faults",
+    "FaultRule": "faults",
+    "FaultyBackend": "faults",
+    "parse_fault_spec": "faults",
+    "RunRecord": "history",
+    "RunLog": "history",
+    "SubgraphRecord": "history",
+    "COMMITTED_OUTCOMES": "history",
+    "RunJournal": "journal",
+    "RecoveryReport": "journal",
+    "recover": "journal",
+    "replay_journal": "journal",
+    "EXLEngine": "exlengine",
+}
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, _EXPORTS)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -214,11 +213,11 @@ class Dispatcher:
         record.max_wave_width = max((len(w) for w in waves), default=0)
         record.on_error = self.on_error
         # one pool for the whole dispatch, not one per wave
-        pool = (
-            ThreadPoolExecutor(max_workers=self.max_workers)
-            if self.parallel
-            else None
-        )
+        pool = None
+        if self.parallel:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             for index, wave in enumerate(waves):
                 started = time.perf_counter()

@@ -18,9 +18,11 @@ Subsequent ``engine.load`` of new elementary data followed by
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..backends import Backend, ChaseBackend, all_backends
+from ..backends import LazyBackends
+from ..backends.base import Backend
+from ..backends.chasebackend import ChaseBackend
 from ..chase.scheduler import ChaseCache
 from ..errors import EngineError
 from ..exl.operators import OperatorRegistry, default_registry
@@ -44,7 +46,7 @@ class EXLEngine:
     def __init__(
         self,
         registry: Optional[OperatorRegistry] = None,
-        backends: Optional[Dict[str, Backend]] = None,
+        backends: Optional[Mapping[str, Backend]] = None,
         target_priority: Sequence[str] = DEFAULT_TARGET_PRIORITY,
         parallel: bool = False,
         jobs: int = 4,
@@ -64,7 +66,9 @@ class EXLEngine:
         cost_model: Optional[CostModel] = None,
     ):
         self.registry = registry or default_registry()
-        self.backends = backends or all_backends()
+        #: target name -> backend; the default builds each target the
+        #: first time the partition selects it
+        self.backends = backends or LazyBackends()
         self.target_priority = tuple(target_priority)
         self.parallel = parallel
         # -- failure policy defaults, overridable per run()/resume();
@@ -161,18 +165,10 @@ class EXLEngine:
         """
         from ..exl.program import Program
 
-        preferred_targets = preferred_targets or {}
-        base = self.catalog.as_schema()
-        program = Program.compile(source, base, self.registry)
-        added = []
-        for validated in program.statements:
-            statement_text = str(validated.ast)
-            self.catalog.declare_derived(
-                validated.schema,
-                statement_text,
-                preferred_targets.get(validated.target),
-            )
-            added.append(validated.target)
+        program = Program.compile(
+            source, self.catalog.as_schema(), self.registry
+        )
+        added = self.catalog.declare_program(program, preferred_targets)
         self._invalidate()
         return added
 

@@ -11,9 +11,10 @@ can be performed off-line, decoupled from calculation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..backends import Backend, CompiledTgd, all_backends
+from ..backends import LazyBackends
+from ..backends.base import Backend, CompiledTgd
 from ..errors import EngineError
 from ..exl.operators import OperatorRegistry
 from ..exl.program import Program
@@ -52,12 +53,12 @@ class TranslationEngine:
         catalog: MetadataCatalog,
         graph: DependencyGraph,
         registry: Optional[OperatorRegistry] = None,
-        backends: Optional[Dict[str, Backend]] = None,
+        backends: Optional[Mapping[str, Backend]] = None,
     ):
         self.catalog = catalog
         self.graph = graph
         self.registry = registry or graph.registry
-        self.backends = backends or all_backends()
+        self.backends = backends or LazyBackends()
         self._cache: Dict[Tuple[Tuple[str, ...], str], TranslatedSubgraph] = {}
 
     def translate(self, subgraph: Subgraph) -> TranslatedSubgraph:

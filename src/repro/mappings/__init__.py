@@ -10,32 +10,30 @@ The resulting mapping drives the chase (Section 4.2) and every backend
 translation (Section 5).
 """
 
-from .dependencies import Atom, Egd, Tgd, TgdKind
-from .generator import MappingGenerator, generate_mapping
-from .mapping import SchemaMapping
-from .pretty import render_egd, render_mapping, render_tgd
-from .simplify import TEMP_PREFIX, simplify_mapping
-from .terms import AggTerm, Const, FuncApp, Term, Var, evaluate, substitute, term_vars
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Term",
-    "Var",
-    "Const",
-    "FuncApp",
-    "AggTerm",
-    "evaluate",
-    "substitute",
-    "term_vars",
-    "Atom",
-    "Tgd",
-    "TgdKind",
-    "Egd",
-    "SchemaMapping",
-    "MappingGenerator",
-    "generate_mapping",
-    "simplify_mapping",
-    "TEMP_PREFIX",
-    "render_tgd",
-    "render_egd",
-    "render_mapping",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "Term": "terms",
+    "Var": "terms",
+    "Const": "terms",
+    "FuncApp": "terms",
+    "AggTerm": "terms",
+    "evaluate": "terms",
+    "substitute": "terms",
+    "term_vars": "terms",
+    "Atom": "dependencies",
+    "Tgd": "dependencies",
+    "TgdKind": "dependencies",
+    "Egd": "dependencies",
+    "SchemaMapping": "mapping",
+    "MappingGenerator": "generator",
+    "generate_mapping": "generator",
+    "simplify_mapping": "simplify",
+    "TEMP_PREFIX": "simplify",
+    "render_tgd": "pretty",
+    "render_egd": "pretty",
+    "render_mapping": "pretty",
+}
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, _EXPORTS)

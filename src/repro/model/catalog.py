@@ -113,6 +113,26 @@ class MetadataCatalog:
         """Declare a derived cube, defined by an EXL statement."""
         self._declare(CubeEntry(schema, DERIVED, statement_text, preferred_target))
 
+    def declare_program(
+        self, program, preferred_targets: Optional[Dict[str, str]] = None
+    ) -> List[str]:
+        """Declare each statement of a compiled
+        :class:`~repro.exl.program.Program` as a derived cube.
+
+        ``preferred_targets`` optionally pins cubes to target systems
+        (technical metadata).  Returns the derived cubes' names.
+        """
+        preferred_targets = preferred_targets or {}
+        added = []
+        for validated in program.statements:
+            self.declare_derived(
+                validated.schema,
+                str(validated.ast),
+                preferred_targets.get(validated.target),
+            )
+            added.append(validated.target)
+        return added
+
     def _declare(self, entry: CubeEntry) -> None:
         if entry.schema.name in self._entries:
             raise CatalogError(f"cube {entry.schema.name} already declared")

@@ -25,8 +25,8 @@ Three properties keep the lattice honest:
 * **Refreshing is incremental**: each *materialized* node keeps a
   per-group contribution index (built lazily from the previous base
   version) and splices a :class:`CubeDelta` through it with
-  :func:`repro.chase.delta.rereduce_groups`, re-reducing only dirty
-  groups — the count lands on ``olap.lattice.groups.rereduced``.
+  :func:`repro.chase.groupreduce.rereduce_groups`, re-reducing only
+  dirty groups — the count lands on ``olap.lattice.groups.rereduced``.
   Nodes nobody has read stay unreduced and cost a refresh nothing.
   Unregistered (callable) aggregates cannot be named in sidecars or
   trusted to be bag functions, so they rebuild from scratch instead,
@@ -47,7 +47,7 @@ from ..chase.columnar import (
     mix_codes,
     transform_encoded,
 )
-from ..chase.delta import rereduce_groups
+from ..chase.groupreduce import rereduce_groups
 from ..chase.instance import store_for_cube
 from ..model.cube import Cube, CubeDelta
 from ..stats.aggregates import AGGREGATES, get_aggregate
@@ -116,7 +116,7 @@ class LatticeNode:
 
     def classify(self, fact: Tuple) -> Tuple[Tuple, Any]:
         """``(group key, contribution)`` of one base fact — the shape
-        :func:`repro.chase.delta.rereduce_groups` expects."""
+        :func:`repro.chase.groupreduce.rereduce_groups` expects."""
         return self.group_key(fact[:-1]), fact[-1]
 
     def as_store(self) -> ColumnStore:

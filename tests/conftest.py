@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.backends import all_backends
 from repro.exl import Program, default_registry
 from repro.mappings import generate_mapping, simplify_mapping
@@ -145,6 +151,26 @@ def gdp_simplified(gdp_mapping):
 def gdp_workload():
     """A small but realistic instance of the GDP example (session-cached)."""
     return gdp_example(n_quarters=10, regions=("north", "south"), seed=3)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``fresh_python(*args)`` runs ``python *args`` in a new interpreter
+    that imports this checkout's ``repro``; returns the completed
+    process with text output captured."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+
+    return run
 
 
 @pytest.fixture

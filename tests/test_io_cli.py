@@ -230,6 +230,71 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_version(self, capsys):
+        import repro
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.strip() == repro.__version__
+
+
+class TestCliInputErrors:
+    """Bad paths and bad project files are one ``error: <path>: <reason>``
+    line and exit 1, never a traceback."""
+
+    def _fails(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    def test_missing_project_file(self, tmp_path, capsys):
+        path = tmp_path / "nowhere.json"
+        for command in ("show", "run", "query"):
+            argv = [command, str(path)] + (["A"] if command == "query" else [])
+            err = self._fails(argv, capsys)
+            assert err == f"error: {path}: No such file or directory\n"
+
+    def test_malformed_project_json(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"elementary": [')
+        err = self._fails(["show", str(path)], capsys)
+        assert err.startswith(f"error: {path}: not valid JSON")
+        path.write_text("[1, 2]")
+        err = self._fails(["show", str(path)], capsys)
+        assert err == f"error: {path}: not a JSON object\n"
+
+    def test_missing_input_csv(self, project_dir, capsys):
+        project = str(project_dir / "project.json")
+        csv_path = project_dir / "s.csv"
+        csv_path.unlink()
+        expected = f"error: {csv_path}: No such file or directory\n"
+        out = str(project_dir / "results")
+        assert self._fails(["run", project, "--out", out], capsys) == expected
+        assert self._fails(["update", project, "--out", out], capsys) == expected
+        # a query of an elementary cube with no baseline reads the same file
+        argv = ["query", project, "S", "--out", out]
+        assert self._fails(argv, capsys) == expected
+
+    def test_program_file_not_found(self, project_dir, capsys):
+        spec = json.loads((project_dir / "project.json").read_text())
+        spec["program"] = "missing.exl"
+        (project_dir / "project.json").write_text(json.dumps(spec))
+        err = self._fails(["show", str(project_dir / "project.json")], capsys)
+        assert err == (
+            f"error: program file not found: {project_dir / 'missing.exl'}\n"
+        )
+
+    def test_inline_program_is_not_mistaken_for_a_path(self, project_dir):
+        # an assignment, or more than one token, is EXL source
+        for source in ("A:=S*2", "A := S.v"):
+            spec = json.loads((project_dir / "project.json").read_text())
+            spec["program"] = source
+            (project_dir / "project.json").write_text(json.dumps(spec))
+            project = load_project(str(project_dir / "project.json"))
+            assert project.program_source == source
+
 
 class TestCliUpdate:
     """``exl update``: baseline persistence and incremental reruns."""
