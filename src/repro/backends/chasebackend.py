@@ -261,14 +261,20 @@ class ChaseBackend(Backend):
             ]
         outputs: Dict[str, Cube] = {}
         for name in wanted:
-            cube = Cube.from_rows(
-                mapping.target[name], result.instance.facts(name)
-            )
+            schema = mapping.target[name]
             store = result.instance.export_store(name)
+            cube = None
+            if store is not None:
+                # validated per distinct value, not per cell
+                cube = Cube.from_columns(
+                    schema, store.dicts, store.codes, store.measures
+                )
+            if cube is None:
+                cube = Cube.from_rows(schema, result.instance.facts(name))
             if store is not None and store.n_rows == len(cube):
-                # from_rows accepted every row, so the dimension tuples
-                # are distinct; carry the encoded columns on the cube
-                # for the next run to adopt
+                # every row was accepted, so the dimension tuples are
+                # distinct; carry the encoded columns on the cube for
+                # the next run to adopt
                 store.dims_distinct = True
                 cube._colstore = store
             outputs[name] = cube

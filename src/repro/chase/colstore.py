@@ -93,6 +93,26 @@ class ColumnStore:
         self._fp: Optional[int] = None
         self._fp_rows = -1
 
+    @classmethod
+    def from_distinct_rows(cls, arity: int, rows: List[Fact]) -> "ColumnStore":
+        """A store of ``rows``, in order: facts of this arity with
+        ``float`` measures and pairwise distinct dimension tuples — a
+        cube's rows.  Column at a time, so none of the per-row
+        membership probing :meth:`add` needs to catch duplicates."""
+        store = cls(arity)
+        if rows:
+            *dims, measures = zip(*rows)
+            for j, column in enumerate(dims):
+                vmap: Dict[Any, int] = {}
+                store.codes[j] = [
+                    vmap.setdefault(value, len(vmap)) for value in column
+                ]
+                store.vmaps[j] = vmap
+                store.dicts[j] = list(vmap)
+            store.measures = list(measures)
+        store.dims_distinct = True
+        return store
+
     @property
     def n_rows(self) -> int:
         return len(self.measures)

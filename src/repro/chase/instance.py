@@ -330,22 +330,16 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     share it; ``set``/``patched`` invalidate it), so a warm run adopts
     the encoded columns instead of re-encoding ``to_rows()`` — the
     cross-run half of killing the encode tax.  Returns None in forced
-    tuple-view mode or when the cube's rows do not fit the columnar
-    shape.
+    tuple-view mode.
     """
     if FORCE_TUPLE_VIEW:
         return None
     store = getattr(cube, "_colstore", None)
     if isinstance(store, ColumnStore) and store.n_rows == len(cube):
         return store
-    arity = cube.schema.arity + 1
-    store = ColumnStore(arity)
-    for row in cube.to_rows():
-        if not store.can_store(row):
-            return None
-        store.add(row)
-    # a cube is functional by construction: dimension tuples distinct
-    store.dims_distinct = True
+    # a cube is functional by construction — dimension tuples distinct —
+    # and holds its measures as exact floats
+    store = ColumnStore.from_distinct_rows(cube.schema.arity + 1, cube.to_rows())
     cube._colstore = store
     return store
 

@@ -1,13 +1,22 @@
 """Columnar sidecar persistence: dictionaries and key codes on disk.
 
+Library functions only: no CLI command writes or attaches a sidecar.
+``exl update`` used to parse every baseline CSV back and attach these to
+skip the re-encode; it now reads the baseline by demand
+(:mod:`repro.engine.baseline`), which left the cache without a reader it
+pays for — attaching cost 25 ms per 8 640-row cube against 36 ms to
+re-encode it, writing cost more than the difference, and the files were
+a third of the run directory.  The next persisted baseline removes a
+``baseline/columnar/`` or ``baseline/olap/`` directory an older version
+left behind.
+
 Warm-process runs keep the encode tax at zero because every cube carries
 its :class:`~repro.chase.colstore.ColumnStore` through the versioned
-store (``Cube.copy`` shares the cached store).  Across *processes* —
-``exl run`` followed by ``exl update`` — that cache is gone, and the
-first chase would have to rebuild every store from the tuple rows.  This
-module persists the columnar representation next to the baseline CSVs
-(``<out>/baseline/columnar/<name>.json``) so a fresh process re-attaches
-the encoded columns instead of re-encoding.
+store (``Cube.copy`` shares the cached store).  Across *processes* that
+cache is gone, and the first chase rebuilds every store from the tuple
+rows.  This module can persist the columnar representation next to a
+CSV (``<dir>/columnar/<name>.json``) so a fresh process re-attaches the
+encoded columns instead of re-encoding.
 
 The sidecar is a plain-JSON struct-of-arrays dump::
 
@@ -279,9 +288,9 @@ def attach_store_sidecar(
 
 # -- OLAP lattice sidecars ----------------------------------------------------
 #
-# Library functions only: no CLI command writes or attaches these since
-# ``exl query`` became demand-driven (decoding a whole lattice cost more
-# than reducing the one node a query reads).
+# Library functions too, since ``exl query`` became demand-driven
+# (decoding a whole lattice cost more than reducing the one node a query
+# reads).
 #
 # The same trust model as the columnar sidecars, applied to the roll-up
 # lattice (repro.olap.lattice): ``csv_sha256`` ties the sidecar to the

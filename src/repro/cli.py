@@ -24,15 +24,16 @@ Commands:
 * ``explain`` — print the determination plan (subgraphs and targets);
 * ``run``     — execute the program, writing derived cubes as CSVs;
 * ``resume``  — finish a partially-failed ``run`` from its state file;
-* ``update``  — incremental run: diff the input CSVs against the last
-  run's persisted baseline (``<out>/baseline/``) and recompute only
-  the affected subgraphs, skipping clean ones;
+* ``update``  — incremental run: compare the input CSVs with the last
+  run's persisted baseline (``<out>/baseline/``) by content digest and
+  recompute only the affected subgraphs; a baseline cube is parsed only
+  when a recomputed statement reads it, and untouched files stay put;
 * ``recover`` — replay the write-ahead journal after a hard crash
   (SIGKILL, OOM, power loss), roll back torn writes, and synthesize a
   resumable state file from the checksummed committed subgraphs;
 * ``query``   — OLAP queries (point, roll-up, slice/dice, drill-down,
   cross-tab) over one cube of a finished run: reads that cube's
-  baseline CSV and columnar sidecar, nothing else, and writes nothing.
+  baseline CSV, nothing else, and writes nothing.
 
 ``--version`` prints the package version.  Each command imports only
 the layers it executes (see the note above the imports).
@@ -46,7 +47,7 @@ the committed cubes are persisted next to the outputs
 them and re-dispatches only the unfinished subgraphs.
 
 Durability: every durable artifact (run state, outputs, baseline CSVs
-and JSON, sidecars, committed snapshots) is written atomically
+and JSON, committed snapshots) is written atomically
 (tmp-file + rename, :mod:`repro.chase.atomic`), and — unless
 ``--no-journal`` — every ``run``/``update``/``resume`` keeps a fsynced
 write-ahead journal (``<out>/journal/*.wal``) of its plan and commits,
@@ -372,15 +373,19 @@ def _persist_state(engine, state_record: Dict[str, Any], out_dir: Path,
     """
     from .chase.atomic import atomic_write
     from .engine.history import COMMITTED_OUTCOMES
-    from .model.io import cube_to_csv_text
+    from .model.io import canonical_text
 
     committed_dir = out_dir / ".committed"
     committed: Dict[str, str] = {}
     for sub in state_record["subgraphs"]:
         if sub["outcome"] in COMMITTED_OUTCOMES:
             for name in sub["cubes"]:
+                if engine.catalog.store.digest(name) is not None:
+                    # replayed clean and never read: the baseline still
+                    # holds it, and the resume defers it from there
+                    continue
                 destination = committed_dir / f"{name}.csv"
-                atomic_write(destination, cube_to_csv_text(engine.data(name)))
+                atomic_write(destination, canonical_text(engine.data(name)))
                 committed[name] = str(destination.relative_to(out_dir))
     atomic_write(
         state_path,
@@ -389,44 +394,47 @@ def _persist_state(engine, state_record: Dict[str, Any], out_dir: Path,
     )
 
 
-def _write_outputs(engine, project, record, out_dir: Path, journal=None) -> None:
-    import hashlib
-
+def _write_outputs(engine, project, record, fresh: Dict[str, str],
+                   unfinished, out_dir: Path, journal=None) -> None:
+    """Write the output CSVs this run has new bytes for (``fresh``); a
+    cube an update replayed clean or never planned keeps its file, one
+    of an ``unfinished`` subgraph is reported."""
     from .chase.atomic import atomic_write
-    from .model.io import cube_to_csv_text
+    from .model.io import text_sha256
 
+    skipped = {cube for sub in unfinished for cube in sub["cubes"]}
     names = project.outputs or list(
         dict.fromkeys(
             cube for sub in record["subgraphs"] for cube in sub["cubes"]
         )
     )
     for name in names:
-        if not engine.catalog.has_data(name):
+        if name in skipped:
             print(f"skipped {name}: not computed (see run state)", file=sys.stderr)
             continue
-        cube = engine.data(name)
+        if name not in fresh:
+            continue
         destination = out_dir / f"{name}.csv"
-        text = journal.snapshot_text(name) if journal is not None else None
-        if text is None:
-            text = cube_to_csv_text(cube)
-        atomic_write(destination, text)
+        atomic_write(destination, fresh[name])
         if journal is not None:
             journal.sidecar_write(
-                "output", destination,
-                hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "output", destination, text_sha256(fresh[name])
             )
-        print(f"wrote {destination} ({len(cube)} tuples)")
+        print(f"wrote {destination} ({len(engine.data(name))} tuples)")
 
 
 def _finish_run(engine, project, record, previous_state, args,
-                journal=None) -> int:
-    """Shared run/resume epilogue: outputs, state file, exit code.
+                journal=None, baseline=None) -> int:
+    """Shared run/update/resume epilogue: outputs, then either the
+    state file (exit 3) or the baseline (exit 0).
 
-    Success (0) leaves the state file, committed snapshots, and journal
-    in place — :func:`_finalize_success` removes them only after the
-    baseline is durably persisted, so a crash anywhere in the epilogue
-    stays recoverable.
+    ``baseline`` is the index the run started from, when it was an
+    update of one: what that index already records, byte for byte, is
+    not written again.  On success the state file, committed snapshots,
+    and journal stay in place until the new ``baseline.json`` is
+    durable, so a crash anywhere in the epilogue stays recoverable.
     """
+    from .engine import baseline as baseline_store
     from .engine.history import COMMITTED_OUTCOMES
 
     out_dir = Path(args.out)
@@ -439,7 +447,16 @@ def _finish_run(engine, project, record, previous_state, args,
         s for s in state_record["subgraphs"]
         if s["outcome"] not in COMMITTED_OUTCOMES
     ]
-    _write_outputs(engine, project, state_record, out_dir, journal=journal)
+    computed = {
+        cube
+        for sub in state_record["subgraphs"]
+        if sub["outcome"] in COMMITTED_OUTCOMES and sub["outcome"] != "clean"
+        for cube in sub["cubes"]
+    }
+    fresh = baseline_store.fresh_texts(engine, computed, baseline)
+    _write_outputs(
+        engine, project, state_record, fresh, unfinished, out_dir, journal
+    )
     if unfinished:
         _persist_state(engine, state_record, out_dir, state_path)
         if journal is not None:
@@ -452,6 +469,11 @@ def _finish_run(engine, project, record, previous_state, args,
             file=sys.stderr,
         )
         return 3
+    baseline_dir, _ = _baseline_paths(out_dir)
+    baseline_store.persist(
+        engine, record.to_json(), fresh, baseline_dir, journal, previous=baseline
+    )
+    _finalize_success(out_dir, state_path, journal)
     return 0
 
 
@@ -480,63 +502,25 @@ def _baseline_paths(out_dir: Path):
     return baseline_dir, baseline_dir / "baseline.json"
 
 
-def _persist_baseline(engine, record, out_dir: Path, journal=None) -> None:
-    """Snapshot the finished run for a later ``exl update``.
-
-    Writes every cube with data (elementary and derived) as a CSV under
-    ``<out>/baseline/`` plus the run record; ``update`` diffs fresh
-    input CSVs against these to decide what is dirty, and re-admits the
-    derived ones so unchanged subgraphs keep their results.  Each CSV
-    gets a columnar sidecar (``baseline/columnar/<name>.json``) holding
-    the cube's dictionaries and key codes, so the next process attaches
-    the encoded columns instead of re-encoding unchanged relations.
-
-    All files are written atomically, and ``baseline.json`` is written
-    *last* — a crash mid-baseline leaves no ``baseline.json``, which
-    ``update`` already treats as "no baseline", never a torn one.
-    """
-    import hashlib
-
-    from .chase.atomic import atomic_write
-    from .chase.persist import sidecar_path_for, write_store_sidecar
-    from .model.io import cube_to_csv_text
-
-    baseline_dir, baseline_file = _baseline_paths(out_dir)
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    cubes: Dict[str, str] = {}
-    for name in engine.catalog.store.names():
-        if not engine.catalog.has_data(name):
-            continue
-        destination = baseline_dir / f"{name}.csv"
-        text = journal.snapshot_text(name) if journal is not None else None
-        if text is None:
-            text = cube_to_csv_text(engine.data(name))
-        atomic_write(destination, text)
-        if journal is not None:
-            journal.sidecar_write(
-                "baseline", destination,
-                hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            )
-        write_store_sidecar(
-            engine.data(name), destination, sidecar_path_for(baseline_dir, name)
-        )
-        cubes[name] = destination.name
-    atomic_write(
-        baseline_file,
-        json.dumps({"record": record.to_json(), "cubes": cubes}, indent=2)
-        + "\n",
-    )
-    if journal is not None:
-        journal.sidecar_write("baseline-index", baseline_file)
-
-
 def cmd_update(args) -> int:
-    from .chase.persist import attach_store_sidecar, sidecar_path_for
-    from .model.io import read_cube_csv
+    from .engine import baseline as baseline_store
 
     project = load_project(args.project)
     out_dir = Path(args.out)
     baseline_dir, baseline_file = _baseline_paths(out_dir)
+    state = None
+    if baseline_file.exists():
+        state = _load_state_json(baseline_file, "baseline", out_dir)
+        if state is None:
+            return EXIT_CORRUPT_STATE
+        baseline_run_id = state["record"].get("run_id")
+        if args.against is not None and args.against != baseline_run_id:
+            print(
+                f"baseline at {baseline_file} is run {baseline_run_id}, "
+                f"not {args.against}",
+                file=sys.stderr,
+            )
+            return 2
     journal = _journal_for(args, out_dir)
     engine = _build_engine(
         project,
@@ -550,94 +534,43 @@ def cmd_update(args) -> int:
         adaptive=args.adaptive,
         out_dir=out_dir,
     )
-    if not baseline_file.exists():
-        print(
-            f"no baseline at {baseline_file}: running in full",
-            file=sys.stderr,
-        )
-        record = engine.run(
-            retries=args.retries,
-            deadline_s=args.deadline,
-            on_error=args.on_error,
-            fault_plan=_fault_plan_from(args),
-        )
-        print(record.summary())
-        code = _finish_run(engine, project, record, None, args, journal=journal)
-        if code == 0:
-            _persist_baseline(engine, record, out_dir, journal=journal)
-            _finalize_success(out_dir, _state_path(args, out_dir), journal)
-        return code
-    state = _load_state_json(baseline_file, "baseline", out_dir)
-    if state is None:
-        return EXIT_CORRUPT_STATE
-    baseline_run_id = state["record"].get("run_id")
-    if args.against is not None and args.against != baseline_run_id:
-        print(
-            f"baseline at {baseline_file} is run {baseline_run_id}, "
-            f"not {args.against}",
-            file=sys.stderr,
-        )
-        return 2
-    # which inputs actually changed: diff the freshly-loaded CSVs
-    # against the baseline snapshots (version counters mean nothing
-    # across processes, content is the only signal)
-    changed: List[str] = []
-    for name in engine.catalog.elementary_names:
-        if not engine.catalog.has_data(name):
-            continue
-        rel_path = state.get("cubes", {}).get(name)
-        if rel_path is None:
-            changed.append(name)
-            continue
-        previous = read_cube_csv(
-            engine.catalog.schema_of(name), baseline_dir / rel_path
-        )
-        if not previous.delta(engine.data(name)).is_empty:
-            changed.append(name)
-        else:
-            # content-identical to the baseline: re-attach the persisted
-            # columnar store so the chase adopts it without re-encoding
-            attach_store_sidecar(
-                engine.data(name),
-                baseline_dir / rel_path,
-                sidecar_path_for(baseline_dir, name),
-                metrics=engine.metrics,
-            )
-    # re-admit the baseline's derived cubes: unchanged subgraphs then
-    # keep these versions (skipped with outcome "clean") instead of
-    # being recomputed
-    for name, rel_path in state.get("cubes", {}).items():
-        if engine.catalog.is_derived(name):
-            cube = read_cube_csv(
-                engine.catalog.schema_of(name), baseline_dir / rel_path
-            )
-            attach_store_sidecar(
-                cube,
-                baseline_dir / rel_path,
-                sidecar_path_for(baseline_dir, name),
-                metrics=engine.metrics,
-            )
-            engine.catalog.store.put(cube)
-    restored = engine.runs.restore(state["record"])
-    restored.baseline_versions = {
-        name: engine.catalog.store.latest_version(name)
-        for name in engine.catalog.store.names()
-        if engine.catalog.has_data(name)
-    }
-    record = engine.update(
-        changed=changed,
-        against=restored.run_id,
+    policy = dict(
         retries=args.retries,
         deadline_s=args.deadline,
         on_error=args.on_error,
         fault_plan=_fault_plan_from(args),
     )
+    if state is None:
+        print(
+            f"no baseline at {baseline_file}: running in full",
+            file=sys.stderr,
+        )
+        record = engine.run(**policy)
+    else:
+        # version counters mean nothing across processes, content is the
+        # only signal: inputs are compared with the baseline by digest,
+        # and the baseline's cubes come back deferred — parsed when a
+        # recomputed statement reads one, otherwise not even opened
+        changed, fallbacks = baseline_store.admit_for_update(
+            engine, state, baseline_dir
+        )
+        for name, path, why in fallbacks:
+            print(
+                f"baseline cube {path} unusable ({why}): recomputing {name}",
+                file=sys.stderr,
+            )
+        restored = engine.runs.restore(state["record"])
+        restored.baseline_versions = {
+            name: engine.catalog.store.latest_version(name)
+            for name in engine.catalog.store.names()
+        }
+        record = engine.update(
+            changed=changed, against=restored.run_id, **policy
+        )
     print(record.summary())
-    code = _finish_run(engine, project, record, None, args, journal=journal)
-    if code == 0:
-        _persist_baseline(engine, record, out_dir, journal=journal)
-        _finalize_success(out_dir, _state_path(args, out_dir), journal)
-    return code
+    return _finish_run(
+        engine, project, record, None, args, journal=journal, baseline=state
+    )
 
 
 def cmd_run(args) -> int:
@@ -700,16 +633,13 @@ def cmd_run(args) -> int:
     if args.metrics:
         print("\nmetrics:")
         print(engine.metrics.render())
-    code = _finish_run(engine, project, record, None, args, journal=journal)
-    if code == 0:
-        _persist_baseline(engine, record, out_dir=out_dir, journal=journal)
-        _finalize_success(out_dir, _state_path(args, out_dir), journal)
-    return code
+    return _finish_run(engine, project, record, None, args, journal=journal)
 
 
 def cmd_resume(args) -> int:
+    from .engine import baseline as baseline_store
     from .engine.history import COMMITTED_OUTCOMES
-    from .model.io import cube_from_csv_text
+    from .model.io import cube_from_canonical_text
 
     project = load_project(args.project)
     out_dir = Path(args.out)
@@ -733,16 +663,31 @@ def cmd_resume(args) -> int:
         adaptive=args.adaptive,
         out_dir=out_dir,
     )
+    # an interrupted *update* planned only part of the program: what it
+    # left alone (or replayed clean) is still the baseline's, deferred
+    baseline_dir, baseline_file = _baseline_paths(out_dir)
+    baseline = None
+    if baseline_file.exists():
+        baseline = _load_state_json(baseline_file, "baseline", out_dir)
+    if baseline is not None:
+        baseline_store.admit_for_resume(
+            engine, baseline, baseline_dir,
+            {
+                cube
+                for sub in state["record"].get("subgraphs", [])
+                if sub.get("outcome") != "clean"
+                for cube in sub["cubes"]
+            },
+        )
     # re-admit the committed cubes of the interrupted run, then its
     # record; resume() re-dispatches only the failed/skipped subgraphs
     for name, rel_path in state.get("committed", {}).items():
+        # a snapshot is the cube's canonical text: the epilogue reuses
+        # it instead of serializing the re-admitted cube again
         text = (out_dir / rel_path).read_bytes().decode("utf-8")
-        cube = cube_from_csv_text(engine.catalog.schema_of(name), text)
-        engine.catalog.store.put(cube)
-        if journal is not None:
-            # the snapshot text is in hand; let the epilogue reuse it
-            # instead of re-serializing the re-admitted cube
-            journal.adopt_snapshot(name, text)
+        engine.catalog.store.put(
+            cube_from_canonical_text(engine.catalog.schema_of(name), text)
+        )
     restored = engine.runs.restore(state["record"])
     todo = [
         s for s in state["record"].get("subgraphs", [])
@@ -756,13 +701,10 @@ def cmd_resume(args) -> int:
             f"run {restored.run_id}: all subgraphs already committed; "
             f"finalizing outputs"
         )
-        code = _finish_run(
-            engine, project, restored, state, args, journal=journal
+        return _finish_run(
+            engine, project, restored, state, args,
+            journal=journal, baseline=baseline,
         )
-        if code == 0:
-            _persist_baseline(engine, restored, out_dir=out_dir, journal=journal)
-            _finalize_success(out_dir, state_path, journal)
-        return code
     before = {
         name: len(engine.catalog.store.versions(name))
         for name in engine.catalog.store.names()
@@ -785,11 +727,9 @@ def cmd_resume(args) -> int:
     if recomputed:  # pragma: no cover - guarded by the dispatcher
         print(f"warning: recomputed already-committed cubes {recomputed}",
               file=sys.stderr)
-    code = _finish_run(engine, project, record, state, args, journal=journal)
-    if code == 0:
-        _persist_baseline(engine, record, out_dir=out_dir, journal=journal)
-        _finalize_success(out_dir, state_path, journal)
-    return code
+    return _finish_run(
+        engine, project, record, state, args, journal=journal, baseline=baseline
+    )
 
 
 def cmd_recover(args) -> int:
@@ -870,14 +810,11 @@ def _load_queried_cube(
 ) -> int:
     """Put the one cube a query reads into the catalog's store.
 
-    The cube comes from ``<out>/baseline/<name>.csv`` with its columnar
-    sidecar attached (every trust check of
-    :func:`attach_store_sidecar` applies); an elementary cube the
-    baseline lacks comes from its project CSV.  No other cube's file is
-    opened.  Returns 0 — with the store left empty when neither file
-    is there to read — or :data:`EXIT_CORRUPT_STATE`.
+    The cube comes from ``<out>/baseline/<name>.csv``; an elementary
+    cube the baseline lacks comes from its project CSV.  No other
+    cube's file is opened.  Returns 0 — with the store left empty when
+    neither file is there to read — or :data:`EXIT_CORRUPT_STATE`.
     """
-    from .chase.persist import attach_store_sidecar, sidecar_path_for
     from .model.io import read_cube_csv
 
     baseline_dir, baseline_file = _baseline_paths(out_dir)
@@ -895,7 +832,6 @@ def _load_queried_cube(
         except (OSError, ValueError, ReproError) as exc:
             _report_corrupt("baseline CSV", path, exc, out_dir)
             return EXIT_CORRUPT_STATE
-        attach_store_sidecar(cube, path, sidecar_path_for(baseline_dir, name))
         catalog.store.put(cube)
         return 0
     csv_path = project.csv_paths.get(name)
@@ -1145,9 +1081,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     update = sub.add_parser(
         "update",
-        help="incremental run: diff the input CSVs against the "
-        "persisted baseline (<out>/baseline/) and recompute only the "
-        "affected subgraphs; without a baseline, runs in full",
+        help="incremental run: compare the input CSVs with the "
+        "persisted baseline (<out>/baseline/) by content digest and "
+        "recompute only the affected subgraphs, parsing a baseline cube "
+        "only when a recomputed statement reads it; without a "
+        "baseline, runs in full",
     )
     update.add_argument("project")
     add_execution_flags(update)
@@ -1184,8 +1122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="OLAP queries over the computed cubes: point lookups, "
         "roll-ups along derived hierarchies, slice/dice, and cross-tabs "
         "with sub-totals — each call loads the queried cube alone "
-        "(<out>/baseline/CUBE.csv + its columnar sidecar), reduces the "
-        "one roll-up lattice node the query names, and writes nothing",
+        "(<out>/baseline/CUBE.csv), reduces the one roll-up lattice "
+        "node the query names, and writes nothing",
     )
     query.add_argument("project")
     query.add_argument("cube", help="cube to query (elementary or derived)")

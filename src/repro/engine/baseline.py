@@ -1,0 +1,248 @@
+"""The persisted baseline of a run directory: ``<out>/baseline/``.
+
+A finished ``exl run`` / ``update`` / ``resume`` leaves every cube with
+data as canonical CSV text (:func:`repro.model.io.canonical_text`) under
+``<out>/baseline/`` and one index beside them::
+
+    {"record": <RunRecord JSON>,
+     "cubes":  {"GDP": "GDP.csv", ...},
+     "sha256": {"GDP": "<digest of GDP.csv's text>", ...}}
+
+``baseline.json`` is written last and atomically: it is the commit
+point.  A cube file is trusted when its bytes hash to the digest the
+index records, so a crash between two CSV rewrites leaves files the old
+index disowns, and the next ``exl update`` recomputes them.
+
+The baseline is *bytes until someone needs tuples*.  ``exl update``
+asks "did this input change?" and "is this recomputed cube the stored
+one?" by comparing digests of canonical text — equal text means equal
+cubes, and ``-0.0`` against ``0.0`` or an index written before digests
+were recorded only ever errs toward recomputing.  The previous run's
+cubes enter the store deferred (:meth:`VersionedStore.defer`): one is
+parsed when a recomputed statement reads it as an operand, never
+otherwise, and a cube the update does not touch is not even opened.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
+
+from ..chase.atomic import atomic_write
+from ..errors import ModelError, ReproError
+from ..model.cube import Cube, CubeSchema
+from ..model.io import canonical_text, cube_from_canonical_text, text_sha256
+
+__all__ = [
+    "BaselineCube",
+    "INDEX_NAME",
+    "admit_for_update",
+    "admit_for_resume",
+    "fresh_texts",
+    "persist",
+]
+
+#: caches older versions kept under ``baseline/`` (columnar and lattice
+#: sidecars); nothing reads them, the next persisted baseline drops them
+STALE_CACHE_DIRS = ("columnar", "olap")
+
+
+#: the index file, inside the baseline directory
+INDEX_NAME = "baseline.json"
+
+
+class BaselineCube:
+    """One cube file of the baseline and the digest its index records."""
+
+    def __init__(self, schema: CubeSchema, path: Path, digest: str):
+        self.schema = schema
+        self.path = path
+        self.digest = digest
+        self._text: Optional[str] = None
+
+    def problem(self) -> Optional[str]:
+        """Why the file cannot stand for the cube, or None when its
+        bytes hash to the recorded digest.  Reads the file once."""
+        if self._text is not None:
+            return None
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return "missing"
+        except OSError:
+            return "unreadable"
+        if hashlib.sha256(raw).hexdigest() != self.digest:
+            return "digest-mismatch"
+        self._text = raw.decode("utf-8")
+        return None
+
+    def load(self) -> Cube:
+        """Parse the cube; its text is the canonical text by digest."""
+        problem = self.problem()
+        if problem is None:
+            text, self._text = self._text, None
+            try:
+                return cube_from_canonical_text(self.schema, text)
+            except ModelError as exc:
+                problem = str(exc)
+        raise ReproError(
+            f"baseline cube {self.path} cannot be read ({problem}); "
+            f"rebuild it with a full 'exl run'"
+        )
+
+
+def _entry(engine, state, baseline_dir: Path, name: str) -> Optional[BaselineCube]:
+    rel_path = state.get("cubes", {}).get(name)
+    digest = state.get("sha256", {}).get(name)
+    if rel_path is None or digest is None or name not in engine.catalog:
+        return None
+    return BaselineCube(
+        engine.catalog.schema_of(name), baseline_dir / rel_path, digest
+    )
+
+
+def admit_for_update(
+    engine, state: Dict[str, Any], baseline_dir: Path
+) -> Tuple[List[str], List[Tuple[str, Path, str]]]:
+    """Decide what an update recomputes and defer what it may read.
+
+    Returns ``(dirty, fallbacks)``.  ``dirty`` names the elementary
+    cubes whose canonical text no longer has the recorded digest,
+    followed by the derived cubes that must be recomputed although no
+    input of theirs changed: an operand of a recomputed statement whose
+    baseline file is missing, unreadable or not the recorded bytes
+    (``fallbacks`` lists each as ``(cube, path, why)``, also counted as
+    ``update.baseline.fallback.reason:<why>``).  Every other such
+    operand is verified and deferred with its bytes in hand; the cubes
+    to recompute are deferred unopened, for the dispatcher's digest
+    comparisons and clean short-circuit.  Nothing else is touched.
+    """
+    catalog, graph, store = engine.catalog, engine.graph, engine.catalog.store
+    recorded = state.get("sha256", {})
+    dirty = [
+        name
+        for name in catalog.elementary_names
+        if catalog.has_data(name)
+        and recorded.get(name) != text_sha256(canonical_text(catalog.data(name)))
+    ]
+    fallbacks: List[Tuple[str, Path, str]] = []
+    while True:
+        stale = [name for name, _, _ in fallbacks]
+        affected = set(graph.affected_by(dirty + stale)) | set(stale)
+        operands = {
+            operand
+            for cube in affected
+            for operand in graph.operands[cube]
+            if operand not in affected
+            and catalog.is_derived(operand)
+            and not catalog.has_data(operand)
+        }
+        before = len(fallbacks)
+        for name in sorted(operands):
+            entry = _entry(engine, state, baseline_dir, name)
+            why = "not-recorded" if entry is None else entry.problem()
+            if why is None:
+                store.defer(name, entry.digest, entry.load)
+            else:
+                path = baseline_dir / state.get("cubes", {}).get(name, f"{name}.csv")
+                fallbacks.append((name, path, why))
+                engine.metrics.inc(f"update.baseline.fallback.reason:{why}")
+        if len(fallbacks) == before:
+            break
+    for name in affected - set(stale):
+        entry = _entry(engine, state, baseline_dir, name)
+        if entry is not None and not catalog.has_data(name):
+            store.defer(name, entry.digest, entry.load)
+    return dirty + stale, fallbacks
+
+
+def admit_for_resume(
+    engine, state: Dict[str, Any], baseline_dir: Path, recomputed: set
+) -> None:
+    """Defer the baseline's derived cubes an interrupted update left
+    alone — unplanned, or replayed clean — so the resumed subgraphs can
+    read them; ``recomputed`` names the cubes the run did or must
+    execute, whose baseline is the superseded one."""
+    for name in state.get("cubes", {}):
+        entry = _entry(engine, state, baseline_dir, name)
+        if (
+            entry is not None
+            and name not in recomputed
+            and engine.catalog.is_derived(name)
+        ):
+            engine.catalog.store.defer(name, entry.digest, entry.load)
+
+
+def fresh_texts(
+    engine, computed: set, previous: Optional[Dict[str, Any]]
+) -> Dict[str, str]:
+    """Canonical text of every cube whose files the epilogue writes.
+
+    A cube needs writing when it holds tuples in memory and was either
+    computed by this run (``computed``) or no longer has the digest the
+    ``previous`` index records — a revised input, or anything at all
+    when there is no previous index.  Deferred versions nobody read,
+    operands parsed back from the baseline and unchanged inputs already
+    have the right bytes on disk.
+    """
+    recorded = (previous or {}).get("sha256", {})
+    store = engine.catalog.store
+    fresh: Dict[str, str] = {}
+    for name in store.names():
+        if store.digest(name) is not None:
+            continue
+        text = canonical_text(engine.catalog.data(name))
+        if name in computed or recorded.get(name) != text_sha256(text):
+            fresh[name] = text
+    return fresh
+
+
+def persist(
+    engine,
+    record_json: Dict[str, Any],
+    fresh: Dict[str, str],
+    baseline_dir: Path,
+    journal=None,
+    previous: Optional[Dict[str, Any]] = None,
+) -> None:
+    """Snapshot the finished run for a later ``exl update``.
+
+    Writes the ``fresh`` cubes' CSVs, then the index: the previous
+    index's entries carried forward for every catalogued cube this run
+    left alone, the fresh ones on top.  All files are written
+    atomically and ``baseline.json`` last — a crash mid-baseline leaves
+    the old index (or none), which disowns the rewritten files, never a
+    torn one.  Cache directories of older versions go once it is
+    durable.
+    """
+    index_path = baseline_dir / INDEX_NAME
+    cubes: Dict[str, str] = {}
+    digests: Dict[str, str] = {}
+    if previous is not None:
+        recorded = previous.get("sha256", {})
+        for name, rel_path in previous.get("cubes", {}).items():
+            if name in engine.catalog:
+                cubes[name] = rel_path
+                if name in recorded:
+                    digests[name] = recorded[name]
+    for name, text in fresh.items():
+        destination = baseline_dir / f"{name}.csv"
+        digests[name] = text_sha256(text)
+        atomic_write(destination, text)
+        if journal is not None:
+            journal.sidecar_write("baseline", destination, digests[name])
+        cubes[name] = destination.name
+    atomic_write(
+        index_path,
+        json.dumps(
+            {"record": record_json, "cubes": cubes, "sha256": digests}, indent=2
+        )
+        + "\n",
+    )
+    if journal is not None:
+        journal.sidecar_write("baseline-index", index_path)
+    for stale in STALE_CACHE_DIRS:
+        shutil.rmtree(baseline_dir / stale, ignore_errors=True)

@@ -47,6 +47,7 @@ from ..errors import (
 )
 from ..model.catalog import MetadataCatalog
 from ..model.cube import Cube
+from ..model.io import canonical_text, text_sha256
 from ..obs import NULL_TRACER, MetricsRegistry
 from . import faults as faults_mod
 from .costmodel import ADAPTIVE_TARGETS, CostModel, subgraph_signature
@@ -80,7 +81,7 @@ def _store_matches_rows(store, cube: Cube) -> bool:
     every consumer that adopts it — chase relation views, baseline CSV
     writing — so attaching a content-equal store with a *different* row
     order would make warm runs emit differently-ordered baselines than
-    cold runs (CSV churn, sidecar invalidation noise).
+    cold runs (CSV churn).
     """
     if store.n_rows != len(cube):
         return False
@@ -348,7 +349,8 @@ class Dispatcher:
             ):
                 # every input is content-identical to the baseline and
                 # the previous outputs are in the store: replay them by
-                # reference instead of re-executing anything
+                # reference instead of re-executing anything (a version
+                # deferred by ``exl update`` stays unread)
                 versions = {
                     n: self.catalog.store.latest_version(n) for n in cubes
                 }
@@ -364,10 +366,15 @@ class Dispatcher:
                 )
                 if self.journal is not None:
                     # a clean replay is still a commit the resume path
-                    # must be able to re-admit after a crash
+                    # must be able to re-admit after a crash; deferred
+                    # versions need no snapshot, the baseline holds them
                     self.journal.commit_subgraph(
                         clean_record,
-                        {n: self.catalog.data(n) for n in cubes},
+                        {
+                            n: self.catalog.data(n)
+                            for n in cubes
+                            if self.catalog.store.digest(n) is None
+                        },
                     )
                 return clean_record
 
@@ -484,23 +491,28 @@ class Dispatcher:
                 )
                 if unchanged:
                     versions[name] = self.catalog.store.latest_version(name)
-                    # a clean recompute keeps the stored version; carry
-                    # the fresh cube's columnar store onto it when the
-                    # stored one has none (e.g. a CSV re-admitted
-                    # baseline), so later runs adopt instead of
-                    # re-encoding — but only when the store's insertion
-                    # order matches the stored cube's rows exactly:
-                    # content is delta-identical, yet a different row
-                    # order would leak into everything that enumerates
-                    # the adopted store (baseline CSVs, relation views)
-                    # and make warm and cold runs diverge
-                    stored = self.catalog.data(name)
-                    if getattr(stored, "_colstore", None) is None:
-                        fresh = getattr(cube, "_colstore", None)
-                        if fresh is not None and _store_matches_rows(
-                            fresh, stored
-                        ):
-                            stored._colstore = fresh
+                    if self.catalog.store.digest(name) is not None:
+                        # the stored version was never read: the fresh
+                        # cube *is* its content, tuples and columns both
+                        self.catalog.store.fulfil(cube)
+                    else:
+                        # a clean recompute keeps the stored version;
+                        # carry the fresh cube's columnar store onto it
+                        # when the stored one has none, so later runs
+                        # adopt instead of re-encoding — but only when
+                        # the store's insertion order matches the stored
+                        # cube's rows exactly: content is
+                        # delta-identical, yet a different row order
+                        # would leak into everything that enumerates the
+                        # adopted store (baseline CSVs, relation views)
+                        # and make warm and cold runs diverge
+                        stored = self.catalog.data(name)
+                        if getattr(stored, "_colstore", None) is None:
+                            fresh = getattr(cube, "_colstore", None)
+                            if fresh is not None and _store_matches_rows(
+                                fresh, stored
+                            ):
+                                stored._colstore = fresh
                 else:
                     versions[name] = self.catalog.store.put(cube)
                     self.committed_versions[name] = versions[name]
@@ -530,8 +542,12 @@ class Dispatcher:
         if self.journal is not None:
             # snapshot-then-log: the cubes hit disk atomically before
             # the staged-commit record vouches for them, so recovery
-            # never re-admits bytes the crash tore
-            self.journal.commit_subgraph(sub_record, dict(staged))
+            # never re-admits bytes the crash tore.  The stored cubes,
+            # not the staged ones, so the text serialized here is the
+            # text the run's epilogue finds on them
+            self.journal.commit_subgraph(
+                sub_record, {name: self.catalog.data(name) for name in cubes}
+            )
         return sub_record
 
     def _note_delta(self, stats) -> None:
@@ -549,12 +565,21 @@ class Dispatcher:
         self, cubes: Tuple[str, ...], outputs: Dict[str, Cube]
     ) -> Dict[str, bool]:
         """Changed flags for outputs of a non-incremental execution,
-        by diffing against the latest stored version (NaN-consistent,
-        so a bit-identical recompute registers as clean)."""
+        against the latest stored version: by digest of the canonical
+        text when that version is deferred (equal text means equal
+        cubes; ``-0.0`` against ``0.0`` errs toward "changed"), else by
+        tuple diff (NaN-consistent, so a bit-identical recompute
+        registers as clean)."""
         changed: Dict[str, bool] = {}
         for name in cubes:
             if not self.catalog.has_data(name):
                 changed[name] = True
+                continue
+            digest = self.catalog.store.digest(name)
+            if digest is not None:
+                changed[name] = (
+                    text_sha256(canonical_text(outputs[name])) != digest
+                )
                 continue
             previous = self.catalog.data(name)
             changed[name] = not previous.delta(outputs[name]).is_empty

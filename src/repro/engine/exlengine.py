@@ -344,8 +344,11 @@ class EXLEngine:
             changed: elementary cubes to treat as dirty, bypassing the
                 version/content check (an actually-unchanged name is
                 harmless: its delta is empty and everything downstream
-                comes out clean).  Defaults to auto-detection against
-                the baseline.
+                comes out clean).  A derived name means its stored
+                content cannot be used (``exl update`` found its
+                baseline file damaged): it is recomputed along with
+                everything downstream.  Defaults to auto-detection
+                against the baseline.
             against: run id of the baseline; defaults to the last
                 finished run.  Without any usable baseline, update()
                 degrades to a full :meth:`run`.
@@ -394,6 +397,11 @@ class EXLEngine:
             t0 = time.perf_counter()
             with self.tracer.span("determination", category="engine"):
                 affected = self.graph.affected_by(dirty) if dirty else []
+                stale = [n for n in dirty if self.catalog.is_derived(n)]
+                if stale:
+                    affected = self.graph.topological_order(
+                        set(affected) | set(stale)
+                    )
                 subgraphs = (
                     self.graph.partition(affected, self.target_priority)
                     if affected

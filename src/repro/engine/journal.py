@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..chase.atomic import atomic_write, remove_stray_tmp
-from ..model.io import cube_to_csv_text
+from ..model.io import canonical_text, text_sha256
 
 __all__ = [
     "RunJournal",
@@ -82,10 +82,6 @@ def _record_sha256(seq: int, rtype: str, payload: Dict[str, Any]) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _file_sha256(path: Path) -> Optional[str]:
@@ -119,10 +115,6 @@ class RunJournal:
         self._lock = threading.Lock()
         self._handle = None
         self._seq = 0
-        #: committed CSV text by cube name — cube data is immutable once
-        #: committed, so the epilogue (outputs, baseline) reuses these
-        #: instead of re-serializing every cube a second time
-        self._texts: Dict[str, str] = {}
 
     # -- low-level append ------------------------------------------------------
     def append(self, rtype: str, payload: Dict[str, Any]) -> None:
@@ -179,47 +171,29 @@ class RunJournal:
         record, so the journal never vouches for bytes that are not on
         disk.  The record carries each snapshot's content hash; recovery
         re-admits the subgraph only when every file still verifies.
+        The text is the cube's :func:`~repro.model.io.canonical_text`,
+        so the epilogue's output and baseline files reuse it instead of
+        serializing the cube again.
         """
         committed_dir = self.out_dir / COMMITTED_DIRNAME
         files: Dict[str, Dict[str, str]] = {}
         for name, cube in cubes.items():
-            text = cube_to_csv_text(cube)
+            text = canonical_text(cube)
             destination = committed_dir / f"{name}.csv"
             atomic_write(destination, text, fsync=self.fsync)
-            with self._lock:
-                self._texts[name] = text
             files[name] = {
                 "path": str(destination.relative_to(self.out_dir)),
-                "sha256": _text_sha256(text),
+                "sha256": text_sha256(text),
             }
         self.append(
             STAGED_COMMIT,
             {"subgraph": sub_record.to_json(), "files": files},
         )
 
-    def snapshot_text(self, name: str) -> Optional[str]:
-        """The committed CSV text of ``name``, if this run committed it.
-
-        Lets the persistence epilogue skip a second serialization of
-        the same immutable cube data (measured at ~20% of a journaled
-        run on 120k-tuple workloads)."""
-        with self._lock:
-            return self._texts.get(name)
-
-    def adopt_snapshot(self, name: str, text: str) -> None:
-        """Prime the snapshot cache with already-serialized CSV text.
-
-        Used on resume: the committed snapshots of the interrupted run
-        are read back from ``.committed/`` anyway, so handing their text
-        to the journal lets the epilogue reuse it instead of serializing
-        the re-admitted cubes a second time."""
-        with self._lock:
-            self._texts[name] = text
-
     def sidecar_write(self, kind: str, path: Union[str, Path],
                       sha256: Optional[str] = None) -> None:
         """Log one durable artifact written outside the commit path
-        (baseline CSVs/JSON, output CSVs, columnar/lattice sidecars)."""
+        (baseline CSVs/JSON, output CSVs)."""
         path = Path(path)
         try:
             rel = str(path.relative_to(self.out_dir))

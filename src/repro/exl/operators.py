@@ -209,8 +209,8 @@ file, `"groupings": {"G": {"r": {"zone": {"north": "cold", "south":
 `--dice r=cold` keeps only the cold rows. `--point "q=2020Q1,r=north"`
 prints the single base cell, and `--drilldown q` steps one level finer
 from wherever `--levels` put the time axis. Each call loads
-`out/baseline/G.csv` (with its columnar sidecar) and no other cube,
-and reduces only the lattice node the query names.
+`out/baseline/G.csv` and no other cube, and reduces only the lattice
+node the query names.
 """
 
 

@@ -11,8 +11,9 @@ every write produces a new version rather than destroying the past.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import CatalogError
 from .cube import Cube, CubeSchema
@@ -35,16 +36,33 @@ class CubeEntry:
     preferred_target: Optional[str] = None  # technical metadata
 
 
+@dataclass(frozen=True)
+class _Deferred:
+    """A version admitted by digest: bytes somewhere until read."""
+
+    digest: str
+    load: Callable[[], Cube]
+
+
 class VersionedStore:
     """Versioned cube storage: every put appends, never overwrites.
 
     Versions are monotonically increasing integers assigned by the
     store; ``get`` with no version returns the latest instance.
+
+    A version can also be *deferred*: admitted with the sha256 of its
+    canonical CSV text (:func:`repro.model.io.canonical_text`) and a
+    loader, it has a number and answers :meth:`has` like any other, but
+    no tuples exist until someone reads it.  That is how ``exl update``
+    re-admits the previous run's cubes — most are never read, and "is
+    the recomputed cube the one already stored?" is a digest comparison.
     """
 
     def __init__(self):
-        self._history: Dict[str, List[Tuple[int, Cube]]] = {}
+        self._history: Dict[str, List[Tuple[int, Union[Cube, _Deferred]]]] = {}
         self._clock = 0
+        # two dispatcher threads may read one deferred operand at once
+        self._load_lock = threading.Lock()
 
     def put(self, cube: Cube) -> int:
         """Store a new version of the cube; returns the version number."""
@@ -52,17 +70,52 @@ class VersionedStore:
         self._history.setdefault(cube.schema.name, []).append((self._clock, cube.copy()))
         return self._clock
 
+    def defer(self, name: str, digest: str, load: Callable[[], Cube]) -> int:
+        """Admit a version of ``name`` known by ``digest``; ``load()``
+        yields the cube the first time the version is read."""
+        self._clock += 1
+        self._history.setdefault(name, []).append(
+            (self._clock, _Deferred(digest, load))
+        )
+        return self._clock
+
+    def digest(self, name: str) -> Optional[str]:
+        """The digest the latest version was deferred under — None once
+        it has been read or fulfilled, or when it was :meth:`put`."""
+        history = self._history.get(name)
+        if history and isinstance(history[-1][1], _Deferred):
+            return history[-1][1].digest
+        return None
+
+    def fulfil(self, cube: Cube) -> None:
+        """Hand the latest, still deferred version its content: the
+        caller holds a cube whose text has exactly that digest."""
+        history = self._history[cube.schema.name]
+        with self._load_lock:
+            if isinstance(history[-1][1], _Deferred):
+                history[-1] = (history[-1][0], cube.copy())
+
+    def _read(self, history, index: int) -> Cube:
+        held = history[index][1]
+        if isinstance(held, _Deferred):
+            with self._load_lock:
+                version, held = history[index]
+                if isinstance(held, _Deferred):
+                    held = held.load()
+                    history[index] = (version, held)
+        return held
+
     def get(self, name: str, version: Optional[int] = None) -> Cube:
         """Latest instance, or the newest one at or before ``version``."""
         history = self._history.get(name)
         if not history:
             raise CatalogError(f"no stored data for cube {name!r}")
         if version is None:
-            return history[-1][1]
-        candidates = [cube for v, cube in history if v <= version]
+            return self._read(history, len(history) - 1)
+        candidates = [i for i, (v, _) in enumerate(history) if v <= version]
         if not candidates:
             raise CatalogError(f"cube {name!r} has no version at or before {version}")
-        return candidates[-1]
+        return self._read(history, candidates[-1])
 
     def has(self, name: str) -> bool:
         return bool(self._history.get(name))

@@ -190,6 +190,9 @@ class Cube:
         # chase.instance.store_for_cube); shared by copy(), dropped on
         # mutation — warm chase runs adopt it instead of re-encoding
         self._colstore = None
+        # the canonical CSV text of these rows, serialized at most once
+        # (see model.io.canonical_text); same sharing rules as the store
+        self._csv_text = None
         if data:
             for key, value in data.items():
                 self.set(key, value)
@@ -207,6 +210,47 @@ class Cube:
                     f"expects {schema.arity + 1}"
                 )
             cube.set(row[:-1], row[-1])
+        return cube
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: CubeSchema,
+        dictionaries: Sequence[Sequence[Any]],
+        codes: Sequence[Sequence[int]],
+        measures: Sequence[float],
+    ) -> Optional["Cube"]:
+        """Build a cube from dictionary-encoded columns, or None.
+
+        Row ``i`` is ``(dictionaries[0][codes[0][i]], …, measures[i])``
+        — the layout of a chase output's column store.  What
+        :meth:`from_rows` checks per cell is checked here per *distinct*
+        value: every dictionary entry against its dimension type, the
+        measure column for being all ``float``, and functionality by the
+        key count.  None means the columns are not plainly a cube of
+        this schema; the caller then goes through :meth:`from_rows`,
+        which builds it or raises the precise error.
+        """
+        if len(dictionaries) != schema.arity or len(codes) != schema.arity:
+            return None
+        for dim, values in zip(schema.dimensions, dictionaries):
+            if not all(map(dim.dtype.accepts, values)):
+                return None
+        if not all(type(value) is float for value in measures):
+            return None
+        try:
+            columns = [
+                [values[code] for code in column]
+                for values, column in zip(dictionaries, codes)
+            ]
+        except IndexError:
+            return None
+        keys = zip(*columns) if columns else [()] * len(measures)
+        data = dict(zip(keys, measures))
+        if len(data) != len(measures):
+            return None
+        cube = cls(schema)
+        cube._data = data
         return cube
 
     @classmethod
@@ -243,6 +287,7 @@ class Cube:
             )
         self._data[key] = float(value)
         self._colstore = None
+        self._csv_text = None
 
     def get(self, key: Sequence[Any], default: Any = None) -> Any:
         return self._data.get(tuple(key), default)
@@ -278,7 +323,16 @@ class Cube:
     # -- relational view --------------------------------------------------
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """The cube as sorted relational rows ``(x1, …, xn, y)``."""
-        return [key + (value,) for key, value in sorted(self._data.items(), key=_row_key)]
+        # dimension values repeat on every row: one sort key per
+        # distinct value, looked up per cell
+        order = _ComponentKeys()
+        return [
+            key + (value,)
+            for key, value in sorted(
+                self._data.items(),
+                key=lambda item: [order[component] for component in item[0]],
+            )
+        ]
 
     def to_series(self) -> Tuple[List[TimePoint], List[float]]:
         """Time-ordered (points, values) lists; only for time series."""
@@ -349,8 +403,9 @@ class Cube:
         without rebuilding (and re-validating) every unchanged row.
         """
         clone = self.copy()
-        # the pops below bypass set(), so drop the shared store here
+        # the pops below bypass set(), so drop the shared caches here
         clone._colstore = None
+        clone._csv_text = None
         for row in delta.deleted:
             clone._data.pop(row[:-1], None)
         for _, new in delta.updated:
@@ -372,20 +427,26 @@ class Cube:
         # and sharing it through the versioned store is what keeps warm
         # runs encode-free
         clone._colstore = self._colstore
+        clone._csv_text = self._csv_text
         return clone
 
     def __repr__(self) -> str:
         return f"Cube({self.schema.name}, {len(self)} tuples)"
 
 
+def _component_key(component: Any):
+    if isinstance(component, TimePoint):
+        return (0, component.freq.value, component.ordinal)
+    return (1, str(component), 0)
+
+
 def _sort_key(key: DimTuple):
-    return tuple(
-        (0, component.freq.value, component.ordinal)
-        if isinstance(component, TimePoint)
-        else (1, str(component), 0)
-        for component in key
-    )
+    return tuple(_component_key(component) for component in key)
 
 
-def _row_key(item):
-    return _sort_key(item[0])
+class _ComponentKeys(dict):
+    """``component -> _component_key(component)``, filled on first use."""
+
+    def __missing__(self, component):
+        key = self[component] = _component_key(component)
+        return key

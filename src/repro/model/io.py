@@ -13,6 +13,7 @@ and the CLI: ``time:D`` / ``time:W`` / ``time:M`` / ``time:Q`` /
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from pathlib import Path
 from typing import Any, TextIO, Union
@@ -30,6 +31,9 @@ __all__ = [
     "read_cube_csv",
     "cube_to_csv_text",
     "cube_from_csv_text",
+    "canonical_text",
+    "cube_from_canonical_text",
+    "text_sha256",
 ]
 
 
@@ -163,3 +167,33 @@ def cube_to_csv_text(cube: Cube) -> str:
 def cube_from_csv_text(schema: CubeSchema, text: str) -> Cube:
     """Parse a cube from CSV text."""
     return read_cube_csv(schema, io.StringIO(text))
+
+
+def canonical_text(cube: Cube) -> str:
+    """The cube's CSV serialization, produced once per cube.
+
+    Rows are sorted and values written by ``repr``, so equal text means
+    equal cubes: the text's digest stands for the cube wherever "did it
+    change?" is asked across processes, and the same string is what the
+    journal snapshot, the output file and the baseline file hold.  The
+    text rides on the cube like its column store does — shared by
+    ``copy()``, dropped by any mutation.
+    """
+    text = cube._csv_text
+    if text is None:
+        text = cube._csv_text = cube_to_csv_text(cube)
+    return text
+
+
+def cube_from_canonical_text(schema: CubeSchema, text: str) -> Cube:
+    """Parse text that *is* some cube's :func:`canonical_text` — a
+    snapshot or baseline file this package wrote, verified by digest —
+    and keep it as the parsed cube's text."""
+    cube = cube_from_csv_text(schema, text)
+    cube._csv_text = text
+    return cube
+
+
+def text_sha256(text: str) -> str:
+    """The content digest every on-disk format here records for text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -15,6 +15,7 @@ Three layers, bottom up:
   run's outputs, byte for byte, across >= 20 seeds.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -418,3 +419,161 @@ class TestCliJournalLifecycle:
             ["resume", str(crash_project), "--out", str(out)]
         ) == 0
         assert not (out / "run-state.json").exists()
+
+
+# -- SIGKILL inside ``exl update`` ---------------------------------------------
+
+#: runs ``repro.cli.main(argv)`` and SIGKILLs itself at one durable-write
+#: boundary: ``after:<suffix>`` / ``before:<suffix>`` of the atomic write
+#: whose destination ends with ``<suffix>``, or ``discard`` — inside the
+#: journal's removal, after ``run-complete`` and the state clean-up.
+#: Nothing under ``src/`` knows: the entry points are wrapped from here,
+#: before the lazily imported layers bind them.
+KILLING_CHILD = """
+import os, signal, sys
+from repro.chase import atomic
+when, _, suffix = sys.argv[1].partition(":")
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+real_write = atomic.atomic_write
+def killing_write(path, data, *args, **kwargs):
+    hit = str(path).endswith(suffix)
+    if hit and when == "before":
+        die()
+    result = real_write(path, data, *args, **kwargs)
+    if hit and when == "after":
+        die()
+    return result
+atomic.atomic_write = killing_write
+import repro.cli
+if when == "discard":
+    from repro.engine.journal import RunJournal
+    def killing_discard(self):
+        self.close()
+        die()
+    RunJournal.discard = killing_discard
+sys.exit(repro.cli.main(sys.argv[2:]))
+"""
+
+QUARTER_LABELS = ["2020Q1", "2020Q2", "2020Q3", "2020Q4"]
+
+
+def _series(path, values):
+    path.write_text(
+        "q,v\n" + "".join(f"{q},{v}\n" for q, v in zip(QUARTER_LABELS, values))
+    )
+
+
+@pytest.fixture
+def update_project(tmp_path):
+    """Two inputs, four statements, three subgraphs.  A revision of
+    ``Y`` recomputes W then Z (two kill points between commits), reads U
+    back from the baseline, and leaves U, V and X alone."""
+    root = tmp_path / "project"
+    root.mkdir()
+    _series(root / "x.csv", [1.0, 2.0, 3.0, 4.0])
+    _series(root / "y.csv", [10.0, 20.0, 30.0, 40.0])
+    spec = {
+        "elementary": [
+            {"name": name, "dimensions": [["q", "time:Q"]], "measure": "v",
+             "csv": f"{name.lower()}.csv"}
+            for name in ("X", "Y")
+        ],
+        "program": "U := X * 2\nV := U + 1\nW := Y * 3\nZ := W + U",
+        "preferred_targets": {"W": "r", "Z": "etl"},
+    }
+    (root / "project.json").write_text(json.dumps(spec))
+    return root / "project.json"
+
+
+def _cube_files(out):
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*.csv"))
+    }
+
+
+class TestKillDuringUpdate:
+    """SIGKILL an ``exl update`` of a partially affected project inside
+    its dispatch and at every kind of boundary of its epilogue;
+    ``exl recover`` then either re-running ``exl update`` or ``exl
+    resume`` must converge to the bytes of a clean full run, with the
+    untouched cubes' files still matching the digests the index holds."""
+
+    KILL_POINTS = [
+        "after:/.committed/W.csv",          # between the two commits
+        "after:/out/W.csv",                 # between output rewrites
+        "before:/baseline/Z.csv",           # outputs done, baseline untouched
+        "after:/baseline/Z.csv",            # between baseline CSV rewrites
+        "before:/baseline/baseline.json",   # last CSV written, index stale
+        "after:/baseline/baseline.json",    # committed, run-complete not logged
+        "discard",                          # during journal discard
+    ]
+
+    def _killed_update(self, fresh_python, project, out, kill):
+        child = fresh_python(
+            "-c", KILLING_CHILD, kill, "update", str(project), "--out", str(out)
+        )
+        assert child.returncode == -signal.SIGKILL, (
+            f"{kill}: rc={child.returncode}\n{child.stderr}"
+        )
+
+    @pytest.mark.parametrize("finish", ["update", "resume"])
+    @pytest.mark.parametrize("kill", KILL_POINTS)
+    def test_recover_converges(
+        self, update_project, tmp_path, fresh_python, capsys, kill, finish
+    ):
+        out = tmp_path / "out"
+        assert cli_main(["run", str(update_project), "--out", str(out)]) == 0
+        _series(update_project.parent / "y.csv", [10.0, 20.0, 35.0, 40.0])
+        reference = tmp_path / "reference"
+        assert cli_main(
+            ["run", str(update_project), "--out", str(reference)]
+        ) == 0
+        self._killed_update(fresh_python, update_project, out, kill)
+        code = cli_main(["recover", str(update_project), "--out", str(out)])
+        assert code in (0, 3), f"{kill}: recover rc={code}"
+        if finish == "resume" and code == 3:
+            assert cli_main(
+                ["resume", str(update_project), "--out", str(out)]
+            ) == 0, kill
+        else:
+            assert cli_main(
+                ["update", str(update_project), "--out", str(out)]
+            ) == 0, kill
+        assert _cube_files(out) == _cube_files(reference), kill
+        index = json.loads((out / "baseline" / "baseline.json").read_text())
+        assert set(index["cubes"]) == set("XYUVWZ")
+        for name, rel_path in index["cubes"].items():
+            blob = (out / "baseline" / rel_path).read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == index["sha256"][name], (
+                f"{kill}: baseline/{rel_path} does not verify"
+            )
+        # every crash artifact consumed
+        assert not (out / "run-state.json").exists(), kill
+        assert not (out / ".committed").exists(), kill
+        assert list((out / "journal").glob("*.wal")) == [], kill
+
+    def test_stale_cache_directories_are_inert_then_dropped(
+        self, update_project, tmp_path, fresh_python, capsys
+    ):
+        # a run directory an older version wrote keeps its columnar and
+        # lattice caches: recovery leaves them alone, nothing reads
+        # them, and the next finished update removes them
+        out = tmp_path / "out"
+        assert cli_main(["run", str(update_project), "--out", str(out)]) == 0
+        for cache in ("columnar", "olap"):
+            (out / "baseline" / cache).mkdir()
+            (out / "baseline" / cache / "U.json").write_text('{"format": 2, "di')
+        _series(update_project.parent / "y.csv", [10.0, 20.0, 35.0, 40.0])
+        self._killed_update(
+            fresh_python, update_project, out, "before:/baseline/baseline.json"
+        )
+        assert cli_main(
+            ["recover", str(update_project), "--out", str(out)]
+        ) == 3
+        assert (out / "baseline" / "columnar" / "U.json").exists()
+        assert (out / "baseline" / "olap" / "U.json").exists()
+        assert cli_main(["update", str(update_project), "--out", str(out)]) == 0
+        assert not (out / "baseline" / "columnar").exists()
+        assert not (out / "baseline" / "olap").exists()

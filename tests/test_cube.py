@@ -373,3 +373,102 @@ class TestCubeDelta:
         b = Cube(ts_schema)
         with pytest.raises(CubeError):
             a.delta(b)
+
+
+class TestFromColumns:
+    """``Cube.from_columns`` builds the cube ``from_rows`` would from
+    dictionary-encoded columns, validating per distinct value; whatever
+    it cannot vouch for it declines (None), leaving the error to
+    ``from_rows``."""
+
+    Q = [quarter(2020, 1), quarter(2020, 2)]
+    R = ["north", "south"]
+
+    def _rows(self, dictionaries, codes, measures):
+        columns = [[d[c] for c in col] for d, col in zip(dictionaries, codes)]
+        return list(zip(*columns, measures))
+
+    def test_equals_from_rows(self, panel_schema):
+        dictionaries = [self.Q, self.R]
+        codes = [[0, 0, 1], [0, 1, 0]]
+        measures = [1.5, float("nan"), -2.0]
+        cube = Cube.from_columns(panel_schema, dictionaries, codes, measures)
+        expected = Cube.from_rows(
+            panel_schema, self._rows(dictionaries, codes, measures)
+        )
+        assert cube.delta(expected).is_empty and len(cube) == 3
+        assert list(cube) == list(expected)  # same insertion order
+        # measures are the very objects handed in (NaN identity)
+        assert cube[(self.Q[0], "south")] is measures[1]
+
+    def test_empty_and_zero_arity(self, panel_schema):
+        assert len(Cube.from_columns(panel_schema, [[], []], [[], []], [])) == 0
+        scalar = CubeSchema("K", [], "v")
+        assert Cube.from_columns(scalar, [], [], [3.0])[()] == 3.0
+        assert Cube.from_columns(scalar, [], [], [3.0, 4.0]) is None
+
+    @pytest.mark.parametrize(
+        "dictionaries, codes, measures",
+        [
+            ([Q, ["north", 7]], [[0], [1]], [1.0]),         # wrong value type
+            ([Q, R], [[0, 0], [1, 1]], [1.0, 2.0]),         # functional violation
+            ([Q, R], [[0], [0]], [1]),                      # int measure
+            ([Q, R], [[0], [0]], [True]),                   # bool measure
+            ([Q, R], [[0], [5]], [1.0]),                    # code out of range
+            ([Q], [[0]], [1.0]),                            # wrong arity
+        ],
+    )
+    def test_declines_what_from_rows_must_judge(
+        self, panel_schema, dictionaries, codes, measures
+    ):
+        assert (
+            Cube.from_columns(panel_schema, dictionaries, codes, measures)
+            is None
+        )
+
+    def test_duplicate_rows_are_left_to_from_rows(self, panel_schema):
+        # the same row twice is no violation, but not "plainly a cube"
+        dictionaries, codes = [self.Q, self.R], [[0, 0], [1, 1]]
+        assert Cube.from_columns(panel_schema, dictionaries, codes, [1.0, 1.0]) is None
+        rows = self._rows(dictionaries, codes, [1.0, 1.0])
+        assert len(Cube.from_rows(panel_schema, rows)) == 1
+
+
+class TestCanonicalText:
+    def test_text_is_memoised_shared_by_copy_dropped_by_mutation(
+        self, panel_schema, monkeypatch
+    ):
+        from repro.model import io as model_io
+
+        calls = []
+        real = model_io.cube_to_csv_text
+        monkeypatch.setattr(
+            model_io, "cube_to_csv_text",
+            lambda cube: calls.append(1) or real(cube),
+        )
+        cube = Cube(panel_schema)
+        cube.set((quarter(2020, 1), "north"), 1.5)
+        text = model_io.canonical_text(cube)
+        assert model_io.canonical_text(cube) is text
+        clone = cube.copy()
+        assert model_io.canonical_text(clone) is text
+        assert len(calls) == 1
+        clone.set((quarter(2020, 2), "north"), 2.5)
+        assert model_io.canonical_text(clone) != text
+        assert model_io.canonical_text(cube) is text  # the original keeps its own
+        patched = cube.patched(cube.delta(clone))
+        assert model_io.canonical_text(patched) == model_io.canonical_text(clone)
+
+    def test_equal_text_iff_equal_cubes_modulo_signed_zero(self, panel_schema):
+        from repro.model.io import canonical_text, text_sha256
+
+        def build(rows):
+            return Cube.from_rows(panel_schema, rows)
+
+        a = build([(quarter(2020, 2), "s", 2.0), (quarter(2020, 1), "n", float("nan"))])
+        b = build([(quarter(2020, 1), "n", float("nan")), (quarter(2020, 2), "s", 2.0)])
+        assert text_sha256(canonical_text(a)) == text_sha256(canonical_text(b))
+        c = build([(quarter(2020, 1), "n", 0.0)])
+        d = build([(quarter(2020, 1), "n", -0.0)])
+        assert c.delta(d).is_empty  # equal cubes ...
+        assert canonical_text(c) != canonical_text(d)  # ... errs toward "changed"

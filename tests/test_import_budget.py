@@ -25,8 +25,8 @@ with open(sys.argv[1], "w") as handle:
 """
 
 #: everything ``exl query`` may load: the CLI, the model, the language
-#: (for the derived schemas), the OLAP layer, and the columnar store +
-#: sidecar reader under it — no engine, no backend, no chase executor
+#: (for the derived schemas), the OLAP layer, and the columnar store
+#: under it — no engine, no backend, no chase executor, no persistence
 QUERY_PACKAGES = ("model", "exl", "stats", "obs", "olap")
 QUERY_MODULES = {
     "repro",
@@ -38,14 +38,12 @@ QUERY_MODULES = {
     "repro.mappings.terms",
     "repro.mappings.mapping",
     "repro.chase",
-    "repro.chase.atomic",
-    "repro.chase.persist",
     "repro.chase.colstore",
     "repro.chase.columnar",
     "repro.chase.instance",
     "repro.chase.groupreduce",
 }
-QUERY_MODULE_LIMIT = 45
+QUERY_MODULE_LIMIT = 43
 
 TARGET_ENGINES = ("sqlengine", "etl", "frames", "matrixengine", "rscript", "mscript")
 

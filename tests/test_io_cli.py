@@ -482,10 +482,45 @@ def _tree(root):
     }
 
 
+@pytest.fixture
+def record_opens(monkeypatch):
+    """``record_opens(root)`` starts recording every ``open()`` of a
+    file under ``root``: returns ``{relative path: [mode, ...]}``, one
+    mode per call, filled in as the code under test runs."""
+    import builtins
+    import io
+
+    def start(root):
+        opened = {}
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            try:
+                path = Path(file).resolve()
+            except TypeError:  # a file descriptor
+                path = None
+            if path is not None and path.is_relative_to(root):
+                opened.setdefault(str(path.relative_to(root)), []).append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        return opened
+
+    return start
+
+
+def _reads(opened):
+    """The recorded files that were opened for reading."""
+    return {
+        path for path, modes in opened.items()
+        if any(not set(mode) & set("wax+") for mode in modes)
+    }
+
+
 class TestQueryReadBudget:
     """``exl query CUBE`` reads one cube: the project file, the program,
-    ``baseline.json``, ``CUBE.csv`` and ``columnar/CUBE.json`` — and
-    writes nothing."""
+    ``baseline.json`` and ``CUBE.csv`` — and writes nothing."""
 
     QUERIES = (
         [],
@@ -515,45 +550,33 @@ class TestQueryReadBudget:
         (project_dir / "s.csv").unlink()
         (baseline / "S.csv").unlink()
         (baseline / "B.csv").write_text("torn,")
-        # (a forced tuple view writes no columnar sidecars to damage)
-        (baseline / "columnar" / "S.json").unlink(missing_ok=True)
-        (baseline / "columnar").mkdir(exist_ok=True)
-        (baseline / "columnar" / "B.json").write_text('{"format": 2, "di')
+        # no run writes a columnar cache; one an older version left
+        # behind (here a torn one) is inert
+        assert not (baseline / "columnar").exists()
+        (baseline / "columnar").mkdir()
+        (baseline / "columnar" / "A.json").write_text('{"format": 2, "di')
         before = _tree(out)
         assert self._answers(project, out, capsys) == intact
         assert _tree(out) == before  # nothing created, nothing rewritten
 
     def test_only_the_queried_cubes_files_are_opened(
-        self, project_dir, capsys, monkeypatch
+        self, project_dir, capsys, record_opens
     ):
-        import builtins
-        import io
-
         project = str(project_dir / "project.json")
         out = project_dir / "results"
         assert main(["run", project, "--out", str(out)]) == 0
         capsys.readouterr()
-        opened = set()
-        real_open = io.open
-
-        def recording_open(file, *args, **kwargs):
-            try:
-                path = Path(file).resolve()
-            except TypeError:  # a file descriptor
-                path = None
-            if path is not None and path.is_relative_to(project_dir):
-                opened.add(str(path.relative_to(project_dir)))
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(io, "open", recording_open)
-        monkeypatch.setattr(builtins, "open", recording_open)
+        # a columnar cache of the queried cube, as an older version
+        # wrote it: never opened
+        (out / "baseline" / "columnar").mkdir()
+        (out / "baseline" / "columnar" / "A.json").write_text("{}")
+        opened = record_opens(project_dir)
         self._answers(project, out, capsys)
-        assert opened == {
+        assert set(opened) == {
             "project.json",
             "program.exl",
             "results/baseline/baseline.json",
             "results/baseline/A.csv",
-            "results/baseline/columnar/A.json",
         }
 
     def test_elementary_cube_falls_back_to_the_project_csv(
@@ -576,3 +599,254 @@ class TestQueryReadBudget:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == from_project
+
+
+QUARTERS = ["2020Q1", "2020Q2", "2020Q3", "2020Q4"]
+
+
+def _write_series(path, values):
+    path.write_text(
+        "q,v\n" + "".join(f"{q},{v}\n" for q, v in zip(QUARTERS, values))
+    )
+
+
+@pytest.fixture
+def two_input_dir(tmp_path):
+    """Two series; ``Y`` feeds W and Z, ``X`` feeds U, V and (through U)
+    Z — so a revision of ``Y`` leaves U and V alone but reads U."""
+    _write_series(tmp_path / "x.csv", [1.0, 2.0, 3.0, 4.0])
+    _write_series(tmp_path / "y.csv", [10.0, 20.0, 30.0, 40.0])
+    (tmp_path / "program.exl").write_text(
+        "U := X * 2\nV := U + 1\nW := Y * 3\nZ := W + U\n"
+    )
+    spec = {
+        "elementary": [
+            {"name": name, "dimensions": [["q", "time:Q"]], "measure": "v",
+             "csv": f"{name.lower()}.csv"}
+            for name in ("X", "Y")
+        ],
+        "program": "program.exl",
+    }
+    (tmp_path / "project.json").write_text(json.dumps(spec))
+    return tmp_path
+
+
+def _cube_files(out):
+    """``{relative path: bytes}`` of every cube CSV under a run dir."""
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*.csv"))
+        if ".committed" not in path.parts
+    }
+
+
+def _identity(path):
+    status = path.stat()
+    return status.st_ino, status.st_mtime_ns
+
+
+class TestUpdateReadBudget:
+    """``exl update`` reads the baseline by demand: inputs and recomputed
+    cubes are compared by digest (``baseline.json`` records them), a
+    baseline CSV is opened only when a recomputed statement reads it as
+    an operand, and only files with new bytes are written."""
+
+    def test_fully_affected_update_opens_no_baseline_cube(
+        self, project_dir, capsys, record_opens
+    ):
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        _write_series(project_dir / "s.csv", [1.0, 2.0, 10.0, 4.0])
+        opened = record_opens(project_dir)
+        assert main(["update", project, "--out", str(out)]) == 0
+        assert _reads(opened) == {
+            "project.json",
+            "program.exl",
+            "s.csv",
+            "results/baseline/baseline.json",
+        }
+        assert not (out / "baseline" / "columnar").exists()
+        fresh = project_dir / "fresh"
+        assert main(["run", project, "--out", str(fresh)]) == 0
+        assert _cube_files(out) == _cube_files(fresh)
+
+    def test_unaffected_cubes_are_left_alone(
+        self, two_input_dir, capsys, record_opens, monkeypatch
+    ):
+        import repro.engine.baseline as baseline_store
+
+        project = str(two_input_dir / "project.json")
+        out = two_input_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        untouched = [
+            out / "U.csv", out / "V.csv", out / "baseline" / "U.csv",
+            out / "baseline" / "V.csv", out / "baseline" / "X.csv",
+        ]
+        before = {path: _identity(path) for path in untouched}
+        _write_series(two_input_dir / "y.csv", [10.0, 20.0, 35.0, 40.0])
+        parsed = []
+        real_parse = baseline_store.cube_from_canonical_text
+
+        def counting_parse(schema, text):
+            parsed.append(schema.name)
+            return real_parse(schema, text)
+
+        monkeypatch.setattr(
+            baseline_store, "cube_from_canonical_text", counting_parse
+        )
+        opened = record_opens(two_input_dir)
+        assert main(["update", project, "--out", str(out)]) == 0
+        out_text = capsys.readouterr().out
+        assert "affected=2 cubes" in out_text  # W and Z
+        # U is an operand of Z: read once, as bytes, and parsed once;
+        # V, X and the affected W and Z are never opened
+        assert _reads(opened) == {
+            "project.json", "program.exl", "x.csv", "y.csv",
+            "results/baseline/baseline.json", "results/baseline/U.csv",
+        }
+        assert opened["results/baseline/U.csv"] == ["rb"]
+        assert parsed == ["U"]
+        assert {path: _identity(path) for path in untouched} == before
+        fresh = two_input_dir / "fresh"
+        assert main(["run", project, "--out", str(fresh)]) == 0
+        assert _cube_files(out) == _cube_files(fresh)
+        index = json.loads((out / "baseline" / "baseline.json").read_text())
+        assert set(index["cubes"]) == set(index["sha256"]) == set("XYUVWZ")
+
+    def test_noop_update_writes_no_cube_file(self, two_input_dir, capsys):
+        project = str(two_input_dir / "project.json")
+        out = two_input_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        before = {path: _identity(path) for path in out.rglob("*.csv")}
+        assert main(["update", project, "--out", str(out)]) == 0
+        assert "affected=0 cubes" in capsys.readouterr().out
+        assert {path: _identity(path) for path in out.rglob("*.csv")} == before
+
+    def test_unchanged_recompute_short_circuits_downstream(
+        self, tmp_path, capsys, record_opens
+    ):
+        # K := Y * 0 is recomputed but comes out byte-identical, so L
+        # (its only consumer besides N) replays clean without being
+        # opened; N also reads the revised Y, so it runs and parses L —
+        # an affected cube — back from the baseline, once
+        _write_series(tmp_path / "x.csv", [1.0, 2.0, 3.0, 4.0])
+        _write_series(tmp_path / "y.csv", [10.0, 20.0, 30.0, 40.0])
+        spec = {
+            "elementary": [
+                {"name": name, "dimensions": [["q", "time:Q"]],
+                 "measure": "v", "csv": f"{name.lower()}.csv"}
+                for name in ("X", "Y")
+            ],
+            "program": "K := Y * 0\nL := K + X\nN := L + Y",
+            "preferred_targets": {"K": "sql", "L": "r", "N": "etl"},
+        }
+        (tmp_path / "project.json").write_text(json.dumps(spec))
+        project = str(tmp_path / "project.json")
+        out = tmp_path / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        kept = {
+            path: _identity(path)
+            for path in (out / "L.csv", out / "baseline" / "L.csv")
+        }
+        _write_series(tmp_path / "y.csv", [10.0, 20.0, 35.0, 40.0])
+        capsys.readouterr()
+        opened = record_opens(tmp_path)
+        assert main(["update", project, "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert "[r] L: 0 tuples in 0.000s [clean" in summary
+        assert _reads(opened) == {
+            "project.json", "x.csv", "y.csv",
+            "results/baseline/baseline.json", "results/baseline/L.csv",
+        }
+        assert {path: _identity(path) for path in kept} == kept
+        fresh = tmp_path / "fresh"
+        assert main(["run", project, "--out", str(fresh)]) == 0
+        assert _cube_files(out) == _cube_files(fresh)
+
+
+class TestUpdateDamagedBaseline:
+    """A missing or torn baseline CSV never tracebacks and never yields
+    a stale answer: an affected cube's file is not opened at all, a
+    needed operand's is a counted, reported fallback to recomputing."""
+
+    def _revise_and_update(self, directory, capsys):
+        _write_series(directory / "y.csv", [10.0, 20.0, 35.0, 40.0])
+        capsys.readouterr()
+        code = main(
+            ["update", str(directory / "project.json"),
+             "--out", str(directory / "results")]
+        )
+        return code, capsys.readouterr().err
+
+    def _matches_fresh_run(self, directory):
+        fresh = directory / "fresh"
+        assert main(
+            ["run", str(directory / "project.json"), "--out", str(fresh)]
+        ) == 0
+        return _cube_files(directory / "results") == _cube_files(fresh)
+
+    @pytest.mark.parametrize("damage", ["missing", "torn"])
+    def test_affected_cube(self, two_input_dir, capsys, damage):
+        project = str(two_input_dir / "project.json")
+        out = two_input_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        victim = out / "baseline" / "W.csv"
+        victim.unlink() if damage == "missing" else victim.write_text("q,")
+        code, err = self._revise_and_update(two_input_dir, capsys)
+        assert code == 0 and "unusable" not in err
+        assert self._matches_fresh_run(two_input_dir)
+
+    @pytest.mark.parametrize(
+        "damage, why",
+        [("missing", "missing"), ("torn", "digest-mismatch")],
+    )
+    def test_needed_operand(self, two_input_dir, capsys, damage, why):
+        project = str(two_input_dir / "project.json")
+        out = two_input_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        victim = out / "baseline" / "U.csv"
+        victim.unlink() if damage == "missing" else victim.write_text("q,")
+        code, err = self._revise_and_update(two_input_dir, capsys)
+        assert code == 0
+        assert f"baseline cube {victim} unusable ({why}): recomputing U" in err
+        assert "Traceback" not in err
+        assert self._matches_fresh_run(two_input_dir)
+
+    def test_fallback_is_counted(self, two_input_dir, capsys):
+        from repro.cli import _build_engine
+        from repro.engine.baseline import admit_for_update
+
+        project = str(two_input_dir / "project.json")
+        out = two_input_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        (out / "baseline" / "U.csv").unlink()
+        _write_series(two_input_dir / "y.csv", [10.0, 20.0, 35.0, 40.0])
+        engine = _build_engine(load_project(project))
+        state = json.loads((out / "baseline" / "baseline.json").read_text())
+        dirty, fallbacks = admit_for_update(engine, state, out / "baseline")
+        # U joins the dirty set, so V — downstream of it — is recomputed too
+        assert dirty == ["Y", "U"]
+        assert fallbacks == [("U", out / "baseline" / "U.csv", "missing")]
+        assert engine.metrics.value(
+            "update.baseline.fallback.reason:missing"
+        ) == 1
+
+    def test_index_without_digests_recomputes_everything(
+        self, two_input_dir, capsys
+    ):
+        # a run directory written before digests were recorded
+        project = str(two_input_dir / "project.json")
+        out = two_input_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        index = out / "baseline" / "baseline.json"
+        state = json.loads(index.read_text())
+        del state["sha256"]
+        index.write_text(json.dumps(state))
+        (out / "baseline" / "olap").mkdir()
+        (out / "baseline" / "olap" / "X.json").write_text("{}")
+        capsys.readouterr()
+        assert main(["update", project, "--out", str(out)]) == 0
+        assert "affected=4 cubes" in capsys.readouterr().out
+        assert set(json.loads(index.read_text())["sha256"]) == set("XYUVWZ")
+        assert not (out / "baseline" / "olap").exists()

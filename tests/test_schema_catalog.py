@@ -106,6 +106,68 @@ class TestVersionedStore:
         assert len(store.get("S")) == 1
 
 
+class TestDeferredVersions:
+    """A version admitted by digest has a number and counts as data,
+    but its loader runs only when — and only the first time — it is
+    read."""
+
+    def _deferred(self, store, values=(1.0,)):
+        loads = []
+
+        def load():
+            loads.append(1)
+            return Cube.from_series(_series(), quarter(2020, 1), list(values))
+
+        return store.defer("S", "abc", load), loads
+
+    def test_deferred_version_is_data_without_loading(self):
+        store = VersionedStore()
+        version, loads = self._deferred(store)
+        assert store.has("S") and store.names() == ["S"]
+        assert store.latest_version("S") == version
+        assert store.versions("S") == [version]
+        assert store.digest("S") == "abc"
+        assert loads == []
+
+    def test_first_read_loads_once(self):
+        store = VersionedStore()
+        _, loads = self._deferred(store)
+        assert store.get("S")[(quarter(2020, 1),)] == 1.0
+        assert store.get("S") is store.get("S")
+        assert loads == [1]
+        assert store.digest("S") is None  # tuples now, not a digest
+
+    def test_fulfil_replaces_the_load(self):
+        store = VersionedStore()
+        version, loads = self._deferred(store)
+        store.fulfil(Cube.from_series(_series(), quarter(2020, 1), [1.0]))
+        assert store.latest_version("S") == version
+        assert store.get("S")[(quarter(2020, 1),)] == 1.0
+        assert loads == [] and store.digest("S") is None
+
+    def test_put_supersedes_a_deferred_version(self):
+        store = VersionedStore()
+        first, loads = self._deferred(store)
+        store.put(Cube.from_series(_series(), quarter(2020, 1), [2.0]))
+        assert store.digest("S") is None
+        assert store.get("S")[(quarter(2020, 1),)] == 2.0
+        assert loads == []
+        # the historical read is what loads the superseded version
+        assert store.get("S", first)[(quarter(2020, 1),)] == 1.0
+        assert loads == [1]
+
+    def test_failed_load_stays_deferred(self):
+        store = VersionedStore()
+
+        def load():
+            raise CatalogError("unreadable")
+
+        store.defer("S", "abc", load)
+        with pytest.raises(CatalogError):
+            store.get("S")
+        assert store.digest("S") == "abc"
+
+
 class TestMetadataCatalog:
     def test_declare_and_classify(self):
         catalog = MetadataCatalog()
