@@ -27,13 +27,26 @@ import os
 from pathlib import Path
 from typing import List, Union
 
-__all__ = ["atomic_write", "fsync_dir", "remove_stray_tmp", "TMP_SUFFIX"]
+__all__ = [
+    "atomic_write",
+    "fsync_dir",
+    "remove_stray_tmp",
+    "staging_path",
+    "TMP_SUFFIX",
+]
 
 #: suffix of the temporary files :func:`atomic_write` stages; recovery
 #: sweeps leftovers matching ``.*<TMP_SUFFIX>``
 TMP_SUFFIX = ".tmp"
 
 _counter = itertools.count()
+
+
+def staging_path(path: Path) -> Path:
+    """A fresh ``.<name>.<pid>-<n>.tmp`` sibling of ``path``: where new
+    content is staged before ``os.replace`` puts it under its name.
+    Whatever a crash strands under such a name, recovery sweeps."""
+    return path.parent / f".{path.name}.{os.getpid()}-{next(_counter)}{TMP_SUFFIX}"
 
 
 def fsync_dir(directory: Union[str, Path]) -> None:
@@ -71,7 +84,7 @@ def atomic_write(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}-{next(_counter)}{TMP_SUFFIX}"
+    tmp = staging_path(path)
     binary = isinstance(data, bytes)
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", newline="") as handle:

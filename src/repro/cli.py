@@ -47,12 +47,13 @@ the committed cubes are persisted next to the outputs
 them and re-dispatches only the unfinished subgraphs.
 
 Durability: every durable artifact (run state, outputs, baseline CSVs
-and JSON, committed snapshots) is written atomically
-(tmp-file + rename, :mod:`repro.chase.atomic`), and — unless
+and JSON, committed snapshots) appears under its name atomically
+(tmp-file + rename, :mod:`repro.chase.atomic`), in the order and behind
+the flushes :mod:`repro.engine.rundir` owns, and — unless
 ``--no-journal`` — every ``run``/``update``/``resume`` keeps a fsynced
-write-ahead journal (``<out>/journal/*.wal``) of its plan and commits,
-so ``exl recover`` + ``exl resume`` reproduce an uninterrupted run
-after a kill at any byte offset.
+write-ahead journal (``<out>/journal/*.wal``) of its plan and of each
+committed subgraph's cubes, so ``exl recover`` + ``exl resume``
+reproduce an uninterrupted run after a kill at any byte offset.
 
 Exit codes: 0 success, 1 error, 2 usage/nothing-to-do, 3 partial
 failure (state file written), 4 corrupt or truncated state/baseline
@@ -345,156 +346,41 @@ def _load_state_json(
     return data
 
 
-def _merged_state_record(previous: Optional[Dict[str, Any]], record) -> Dict[str, Any]:
-    """Fold a (possibly resumed) run into the persisted record.
-
-    Subgraphs re-dispatched by the new run replace their old outcomes;
-    everything the earlier run already committed is kept.
-    """
-    merged = record.to_json()
-    if previous is not None:
-        by_cubes = {tuple(s["cubes"]): s for s in merged["subgraphs"]}
-        folded = []
-        for sub in previous["subgraphs"]:
-            folded.append(by_cubes.pop(tuple(sub["cubes"]), sub))
-        folded.extend(by_cubes.values())
-        merged["subgraphs"] = folded
-    return merged
-
-
-def _persist_state(engine, state_record: Dict[str, Any], out_dir: Path,
-                   state_path: Path) -> None:
-    """Write the resumable state: outcomes + committed cube snapshots.
-
-    Both the snapshots and the state file are written atomically, so a
-    crash during persistence can never leave a torn file that a later
-    ``resume`` would misread — at worst the state file simply does not
-    exist yet and the journal is still authoritative.
-    """
-    from .chase.atomic import atomic_write
-    from .engine.history import COMMITTED_OUTCOMES
-    from .model.io import canonical_text
-
-    committed_dir = out_dir / ".committed"
-    committed: Dict[str, str] = {}
-    for sub in state_record["subgraphs"]:
-        if sub["outcome"] in COMMITTED_OUTCOMES:
-            for name in sub["cubes"]:
-                if engine.catalog.store.digest(name) is not None:
-                    # replayed clean and never read: the baseline still
-                    # holds it, and the resume defers it from there
-                    continue
-                destination = committed_dir / f"{name}.csv"
-                atomic_write(destination, canonical_text(engine.data(name)))
-                committed[name] = str(destination.relative_to(out_dir))
-    atomic_write(
-        state_path,
-        json.dumps({"record": state_record, "committed": committed}, indent=2)
-        + "\n",
-    )
-
-
-def _write_outputs(engine, project, record, fresh: Dict[str, str],
-                   unfinished, out_dir: Path, journal=None) -> None:
-    """Write the output CSVs this run has new bytes for (``fresh``); a
-    cube an update replayed clean or never planned keeps its file, one
-    of an ``unfinished`` subgraph is reported."""
-    from .chase.atomic import atomic_write
-    from .model.io import text_sha256
-
-    skipped = {cube for sub in unfinished for cube in sub["cubes"]}
-    names = project.outputs or list(
-        dict.fromkeys(
-            cube for sub in record["subgraphs"] for cube in sub["cubes"]
-        )
-    )
-    for name in names:
-        if name in skipped:
-            print(f"skipped {name}: not computed (see run state)", file=sys.stderr)
-            continue
-        if name not in fresh:
-            continue
-        destination = out_dir / f"{name}.csv"
-        atomic_write(destination, fresh[name])
-        if journal is not None:
-            journal.sidecar_write(
-                "output", destination, text_sha256(fresh[name])
-            )
-        print(f"wrote {destination} ({len(engine.data(name))} tuples)")
-
-
 def _finish_run(engine, project, record, previous_state, args,
                 journal=None, baseline=None) -> int:
-    """Shared run/update/resume epilogue: outputs, then either the
-    state file (exit 3) or the baseline (exit 0).
+    """Shared run/update/resume epilogue: the run directory writes what
+    has new bytes and ends the run with either the state file (exit 3)
+    or the baseline (exit 0); what it did is reported here.
 
     ``baseline`` is the index the run started from, when it was an
-    update of one: what that index already records, byte for byte, is
-    not written again.  On success the state file, committed snapshots,
-    and journal stay in place until the new ``baseline.json`` is
-    durable, so a crash anywhere in the epilogue stays recoverable.
+    update of one.
     """
-    from .engine import baseline as baseline_store
-    from .engine.history import COMMITTED_OUTCOMES
+    from .engine.rundir import RunDirectory
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    state_record = _merged_state_record(
-        previous_state["record"] if previous_state else None, record
+    rundir = RunDirectory(out_dir, args.state, journal)
+    done = rundir.finish(
+        engine,
+        record,
+        previous_state["record"] if previous_state else None,
+        project.outputs,
+        baseline,
     )
-    state_path = _state_path(args, out_dir)
-    unfinished = [
-        s for s in state_record["subgraphs"]
-        if s["outcome"] not in COMMITTED_OUTCOMES
-    ]
-    computed = {
-        cube
-        for sub in state_record["subgraphs"]
-        if sub["outcome"] in COMMITTED_OUTCOMES and sub["outcome"] != "clean"
-        for cube in sub["cubes"]
-    }
-    fresh = baseline_store.fresh_texts(engine, computed, baseline)
-    _write_outputs(
-        engine, project, state_record, fresh, unfinished, out_dir, journal
-    )
-    if unfinished:
-        _persist_state(engine, state_record, out_dir, state_path)
-        if journal is not None:
-            # the durably-written state file now supersedes the journal
-            journal.discard()
+    for name in done.skipped:
+        print(f"skipped {name}: not computed (see run state)", file=sys.stderr)
+    for name in done.wrote:
         print(
-            f"partial failure: {len(unfinished)} subgraph(s) unfinished; "
-            f"state written to {state_path} — finish with: "
+            f"wrote {out_dir / f'{name}.csv'} ({len(engine.data(name))} tuples)"
+        )
+    if done.unfinished:
+        print(
+            f"partial failure: {done.unfinished} subgraph(s) unfinished; "
+            f"state written to {rundir.state_path} — finish with: "
             f"exl resume {args.project} --out {out_dir}",
             file=sys.stderr,
         )
         return 3
-    baseline_dir, _ = _baseline_paths(out_dir)
-    baseline_store.persist(
-        engine, record.to_json(), fresh, baseline_dir, journal, previous=baseline
-    )
-    _finalize_success(out_dir, state_path, journal)
     return 0
-
-
-def _finalize_success(out_dir: Path, state_path: Path, journal=None) -> None:
-    """Drop crash artifacts once the baseline fully supersedes them.
-
-    ``run-complete`` goes into the journal *first*: if the process dies
-    mid-cleanup, ``exl recover`` sees the marker and finishes the
-    removal instead of resurrecting a stale state file.
-    """
-    if journal is not None:
-        journal.run_complete()
-    if state_path.exists():
-        state_path.unlink()
-    committed_dir = out_dir / ".committed"
-    if committed_dir.is_dir():
-        import shutil
-
-        shutil.rmtree(committed_dir)
-    if journal is not None:
-        journal.discard()
 
 
 def _baseline_paths(out_dir: Path):
@@ -609,14 +495,12 @@ def cmd_run(args) -> int:
         # outcomes, so persist the resumable state before surfacing it
         record = engine.runs.last()
         if record is not None and record.subgraphs:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            _persist_state(
-                engine, record.to_json(), out_dir, _state_path(args, out_dir)
-            )
-            if journal is not None:
-                journal.discard()
+            from .engine.rundir import RunDirectory
+
+            rundir = RunDirectory(out_dir, args.state, journal)
+            rundir.suspend(engine.catalog, record.to_json())
             print(
-                f"run aborted; state written to {_state_path(args, out_dir)}",
+                f"run aborted; state written to {rundir.state_path}",
                 file=sys.stderr,
             )
         raise

@@ -37,6 +37,7 @@ _EXPORTS = {
     "RecoveryReport": "journal",
     "recover": "journal",
     "replay_journal": "journal",
+    "RunDirectory": "rundir",
     "EXLEngine": "exlengine",
 }
 

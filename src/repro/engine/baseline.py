@@ -8,10 +8,13 @@ data as canonical CSV text (:func:`repro.model.io.canonical_text`) under
      "cubes":  {"GDP": "GDP.csv", ...},
      "sha256": {"GDP": "<digest of GDP.csv's text>", ...}}
 
-``baseline.json`` is written last and atomically: it is the commit
+``baseline.json`` is written last and atomically
+(:meth:`repro.engine.rundir.RunDirectory.publish`): it is the commit
 point.  A cube file is trusted when its bytes hash to the digest the
 index records, so a crash between two CSV rewrites leaves files the old
-index disowns, and the next ``exl update`` recomputes them.
+index disowns, and the next ``exl update`` recomputes them.  So does an
+edit of ``<out>/X.csv`` in place: the output and the baseline file are
+two names of one inode.
 
 The baseline is *bytes until someone needs tuples*.  ``exl update``
 asks "did this input change?" and "is this recomputed cube the stored
@@ -27,11 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..chase.atomic import atomic_write
 from ..errors import ModelError, ReproError
 from ..model.cube import Cube, CubeSchema
 from ..model.io import canonical_text, cube_from_canonical_text, text_sha256
@@ -42,13 +43,8 @@ __all__ = [
     "admit_for_update",
     "admit_for_resume",
     "fresh_texts",
-    "persist",
+    "index_text",
 ]
-
-#: caches older versions kept under ``baseline/`` (columnar and lattice
-#: sidecars); nothing reads them, the next persisted baseline drops them
-STALE_CACHE_DIRS = ("columnar", "olap")
-
 
 #: the index file, inside the baseline directory
 INDEX_NAME = "baseline.json"
@@ -200,49 +196,32 @@ def fresh_texts(
     return fresh
 
 
-def persist(
-    engine,
+def index_text(
+    catalog,
     record_json: Dict[str, Any],
-    fresh: Dict[str, str],
-    baseline_dir: Path,
-    journal=None,
+    digests: Dict[str, str],
     previous: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Snapshot the finished run for a later ``exl update``.
-
-    Writes the ``fresh`` cubes' CSVs, then the index: the previous
-    index's entries carried forward for every catalogued cube this run
-    left alone, the fresh ones on top.  All files are written
-    atomically and ``baseline.json`` last — a crash mid-baseline leaves
-    the old index (or none), which disowns the rewritten files, never a
-    torn one.  Cache directories of older versions go once it is
-    durable.
-    """
-    index_path = baseline_dir / INDEX_NAME
+) -> str:
+    """The ``baseline.json`` of a finished run, for a later ``exl
+    update``: the ``previous`` index's entries carried forward for
+    every catalogued cube this run left alone, and on top the cubes
+    whose files it wrote — ``digests`` maps each to the digest of the
+    text now in ``<name>.csv``."""
     cubes: Dict[str, str] = {}
-    digests: Dict[str, str] = {}
+    recorded: Dict[str, str] = {}
     if previous is not None:
-        recorded = previous.get("sha256", {})
+        kept = previous.get("sha256", {})
         for name, rel_path in previous.get("cubes", {}).items():
-            if name in engine.catalog:
+            if name in catalog:
                 cubes[name] = rel_path
-                if name in recorded:
-                    digests[name] = recorded[name]
-    for name, text in fresh.items():
-        destination = baseline_dir / f"{name}.csv"
-        digests[name] = text_sha256(text)
-        atomic_write(destination, text)
-        if journal is not None:
-            journal.sidecar_write("baseline", destination, digests[name])
-        cubes[name] = destination.name
-    atomic_write(
-        index_path,
+                if name in kept:
+                    recorded[name] = kept[name]
+    for name, digest in digests.items():
+        cubes[name] = f"{name}.csv"
+        recorded[name] = digest
+    return (
         json.dumps(
-            {"record": record_json, "cubes": cubes, "sha256": digests}, indent=2
+            {"record": record_json, "cubes": cubes, "sha256": recorded}, indent=2
         )
-        + "\n",
+        + "\n"
     )
-    if journal is not None:
-        journal.sidecar_write("baseline-index", index_path)
-    for stale in STALE_CACHE_DIRS:
-        shutil.rmtree(baseline_dir / stale, ignore_errors=True)

@@ -30,7 +30,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["SubgraphRecord", "RunRecord", "RunLog", "COMMITTED_OUTCOMES"]
+__all__ = [
+    "SubgraphRecord",
+    "RunRecord",
+    "RunLog",
+    "COMMITTED_OUTCOMES",
+    "fold_subgraphs",
+]
 
 _run_counter = itertools.count(1)
 
@@ -38,6 +44,19 @@ _run_counter = itertools.count(1)
 #: ("clean" means an incremental update proved the stored versions are
 #: still current and re-published them without executing anything)
 COMMITTED_OUTCOMES = ("ok", "retried", "degraded", "clean")
+
+
+def fold_subgraphs(
+    previous: List[Dict[str, Any]], current: List[Dict[str, Any]]
+) -> List[Dict[str, Any]]:
+    """Subgraph records (JSON) of a run that was resumed: ``current``
+    replaces the outcome of every subgraph it dispatched again, in
+    ``previous``'s order, and what only it planned follows; everything
+    the earlier run already committed is kept."""
+    by_cubes = {tuple(sub["cubes"]): sub for sub in current}
+    folded = [by_cubes.pop(tuple(sub["cubes"]), sub) for sub in previous]
+    folded.extend(by_cubes.values())
+    return folded
 
 
 @dataclass

@@ -4,40 +4,49 @@ ARIES in miniature: before a run mutates durable state it logs its
 *intent*, and after every atomic state change it logs the *outcome*, so
 a hard crash (SIGKILL, OOM, power loss) at any byte offset leaves enough
 on disk to roll the run forward or back.  The journal is a per-run
-append-only file of line-oriented JSON records
-(``<out>/journal/<token>.wal``), each fsynced and carrying a checksum
-over its own content — a torn tail fails the checksum and is dropped on
-replay, never misread.
+append-only file (``<out>/journal/<token>.wal``) of records that each
+carry a checksum over their own content — a torn tail fails the
+checksum and is dropped on replay, never misread.
 
-Record grammar (one JSON object per line)::
+Record grammar::
 
-    {"seq": N, "type": TYPE, "payload": {...}, "sha256": HEX}
+    RECORD := HEADER "\n" [ FRAME ... "\n" ]
+    HEADER := {"seq": N, "type": TYPE, "payload": {...}, "sha256": HEX}
+              (one JSON object on one line)
+    FRAME  := the raw bytes of one cube's canonical CSV text
 
     TYPE := "run-start"         payload: run_id, trigger, affected,
                                          planned [{cubes, target}]
           | "subgraph-dispatch" payload: cubes, target
           | "staged-commit"     payload: subgraph (SubgraphRecord JSON),
-                                         files {cube: {path, sha256}}
+                                         files {cube: {sha256, bytes}}
+                                followed by one FRAME per ``files``
+                                entry, in order, ``bytes`` long each
           | "sidecar-write"     payload: kind, path, sha256
           | "run-end"           payload: run_id, error
           | "run-complete"      payload: {}  (all persistence finished)
 
 ``sha256`` hashes the canonical serialization of ``{seq, type,
 payload}``; ``seq`` is contiguous from 0, so replay also detects a
-journal truncated *between* lines.
+journal truncated *between* records.  The header vouches for the frame
+lengths, each frame is vouched for by its own ``sha256`` in ``files``.
 
-The crucial commit rule: :meth:`RunJournal.commit_subgraph` first makes
-the subgraph's cubes durable (atomic CSV snapshots under
-``<out>/.committed/``), *then* appends the ``staged-commit`` record with
-each file's content hash.  Recovery therefore trusts a journaled commit
-only when the snapshot bytes still hash to the journaled value — a kill
-between the CSV write and the journal append simply leaves an
-unjournaled file that recovery rolls back and the resume recomputes.
+The commit rule: a ``staged-commit`` record *is* the snapshot.
+:meth:`RunJournal.commit_subgraph` appends the subgraph's outcome and
+the canonical text of each cube it produced in one write and one fsync,
+so a journaled commit has its bytes on disk by construction — the cube
+is written once here and once more under its final name by the run's
+epilogue (:mod:`repro.engine.rundir`), nowhere else.  Only
+``run-start``, ``staged-commit`` and ``run-complete`` are flushed:
+recovery reads nothing else, and the intents between them sit in the
+same append-only file, covered by the next commit's flush.
 
 :func:`recover` replays the newest journal of an output directory and
 synthesizes the standard ``run-state.json`` the CLI's ``resume`` path
-already understands: verified commits are re-admitted, everything else
-is marked failed, and ``exl resume`` finishes the run exactly.
+already understands: commits whose frames still hash to their recorded
+digests are written out under ``<out>/.committed/`` and re-admitted,
+everything else is marked failed, and ``exl resume`` finishes the run
+exactly.
 """
 
 from __future__ import annotations
@@ -50,10 +59,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chase.atomic import atomic_write, remove_stray_tmp
-from ..model.io import canonical_text, text_sha256
+from ..model.io import canonical_text
+from .history import fold_subgraphs
 
 __all__ = [
     "RunJournal",
@@ -84,22 +94,15 @@ def _record_sha256(seq: int, rtype: str, payload: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _file_sha256(path: Path) -> Optional[str]:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None
-
-
 class RunJournal:
-    """Append-only, fsynced write-ahead journal for one CLI run.
+    """Append-only write-ahead journal for one CLI run.
 
     Lazily creates ``<out>/journal/<token>.wal`` on the first append, so
     constructing a journal for a run that fails before dispatch leaves
     no artifact.  Appends are serialized under a lock (the dispatcher
-    commits from worker threads).  ``fsync=False`` skips the per-record
-    and per-snapshot fsyncs — same crash atomicity against process
-    death, no power-loss guarantee — for the overhead ablation.
+    commits from worker threads).  ``fsync=False`` skips the fsyncs —
+    same crash atomicity against process death, no power-loss guarantee
+    — for the overhead ablation.
     """
 
     def __init__(
@@ -117,15 +120,24 @@ class RunJournal:
         self._seq = 0
 
     # -- low-level append ------------------------------------------------------
-    def append(self, rtype: str, payload: Dict[str, Any]) -> None:
-        """Append one checksummed record and force it to disk."""
+    def append(
+        self,
+        rtype: str,
+        payload: Dict[str, Any],
+        frames: Sequence[bytes] = (),
+        flush: bool = True,
+    ) -> None:
+        """Append one checksummed record, ``frames`` raw after its
+        header line, and force the file to disk.  ``flush=False`` leaves
+        the record to the next flushed append: for records recovery
+        never reads, which need no durability of their own."""
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a")
+                self._handle = open(self.path, "ab")
             seq = self._seq
             self._seq += 1
-            line = json.dumps(
+            header = json.dumps(
                 {
                     "seq": seq,
                     "type": rtype,
@@ -134,10 +146,14 @@ class RunJournal:
                 },
                 separators=(",", ":"),
             )
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            self._handle.write(header.encode("utf-8") + b"\n")
+            if frames:
+                self._handle.writelines(frames)
+                self._handle.write(b"\n")
+            if flush:
+                self._handle.flush()
+                if self.fsync:
+                    os.fsync(self._handle.fileno())
 
     # -- record constructors ---------------------------------------------------
     def run_start(self, record, translated) -> None:
@@ -160,49 +176,58 @@ class RunJournal:
 
     def subgraph_dispatch(self, cubes, target: str) -> None:
         self.append(
-            SUBGRAPH_DISPATCH, {"cubes": list(cubes), "target": target}
+            SUBGRAPH_DISPATCH,
+            {"cubes": list(cubes), "target": target},
+            flush=False,
         )
 
     def commit_subgraph(self, sub_record, cubes: Dict[str, Any]) -> None:
-        """Make one committed subgraph durable, then journal it.
+        """Journal one committed subgraph together with its cubes.
 
-        Writes each output cube as an atomic CSV snapshot under
-        ``<out>/.committed/`` *before* appending the ``staged-commit``
-        record, so the journal never vouches for bytes that are not on
-        disk.  The record carries each snapshot's content hash; recovery
-        re-admits the subgraph only when every file still verifies.
-        The text is the cube's :func:`~repro.model.io.canonical_text`,
-        so the epilogue's output and baseline files reuse it instead of
-        serializing the cube again.
+        The ``staged-commit`` record carries each output cube's
+        :func:`~repro.model.io.canonical_text` as a raw frame and its
+        content hash in the header: one write, one fsync, and the
+        journal cannot vouch for bytes that are not on disk.  Recovery
+        re-admits the subgraph only when every frame still verifies.
+        The run's epilogue writes the same text under the cube's final
+        names instead of serializing the cube again.
         """
-        committed_dir = self.out_dir / COMMITTED_DIRNAME
-        files: Dict[str, Dict[str, str]] = {}
+        files: Dict[str, Dict[str, Any]] = {}
+        frames: List[bytes] = []
         for name, cube in cubes.items():
-            text = canonical_text(cube)
-            destination = committed_dir / f"{name}.csv"
-            atomic_write(destination, text, fsync=self.fsync)
+            raw = canonical_text(cube).encode("utf-8")
             files[name] = {
-                "path": str(destination.relative_to(self.out_dir)),
-                "sha256": text_sha256(text),
+                "sha256": hashlib.sha256(raw).hexdigest(),
+                "bytes": len(raw),
             }
+            frames.append(raw)
         self.append(
             STAGED_COMMIT,
             {"subgraph": sub_record.to_json(), "files": files},
+            frames,
         )
 
     def sidecar_write(self, kind: str, path: Union[str, Path],
                       sha256: Optional[str] = None) -> None:
-        """Log one durable artifact written outside the commit path
-        (baseline CSVs/JSON, output CSVs)."""
+        """Log one durable artifact written outside the commit path.
+
+        Nothing in the engine calls this any more — recovery never read
+        these records, and a finished epilogue is marked by
+        ``run-complete`` alone — but it stays part of the journal's
+        surface for callers that want an audit line per file."""
         path = Path(path)
         try:
             rel = str(path.relative_to(self.out_dir))
         except ValueError:
             rel = str(path)
-        self.append(SIDECAR_WRITE, {"kind": kind, "path": rel, "sha256": sha256})
+        self.append(
+            SIDECAR_WRITE,
+            {"kind": kind, "path": rel, "sha256": sha256},
+            flush=False,
+        )
 
     def run_end(self, run_id: int, error: Optional[str]) -> None:
-        self.append(RUN_END, {"run_id": run_id, "error": error})
+        self.append(RUN_END, {"run_id": run_id, "error": error}, flush=False)
 
     def run_complete(self) -> None:
         """All persistence (outputs + baseline) finished — the journal
@@ -227,42 +252,100 @@ class RunJournal:
             pass
 
 
+#: how a record header starts, whoever serialized it; cube text never
+#: does (a CSV field holding a quote is itself quoted)
+_HEADER_PREFIX = b'{"seq":'
+
+
+def _parse_header(line: bytes, seq: int) -> Optional[Dict[str, Any]]:
+    """The record a header line holds, or None when it is not the
+    intact record number ``seq``."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # includes undecodable bytes
+        return None
+    if not isinstance(record, dict):
+        return None
+    rtype = record.get("type")
+    payload = record.get("payload")
+    if (
+        record.get("seq") != seq
+        or not isinstance(rtype, str)
+        or not isinstance(payload, dict)
+        or record.get("sha256") != _record_sha256(seq, rtype, payload)
+    ):
+        return None
+    return {"seq": seq, "type": rtype, "payload": payload}
+
+
+def _frame_sizes(record: Dict[str, Any]) -> Optional[Dict[str, int]]:
+    """``{cube: frame length}`` for the frames that follow a record's
+    header — none unless it is a ``staged-commit`` whose ``files``
+    entries say so (one an older version wrote names snapshot paths
+    instead) — or None when the lengths make no sense."""
+    if record["type"] != STAGED_COMMIT:
+        return {}
+    files = record["payload"].get("files")
+    if not isinstance(files, dict):
+        return None
+    sizes: Dict[str, int] = {}
+    for name, entry in files.items():
+        size = entry.get("bytes") if isinstance(entry, dict) else None
+        if size is None:
+            continue
+        if not isinstance(size, int) or size < 0:
+            return None
+        sizes[name] = size
+    return sizes
+
+
 def replay_journal(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int]:
     """Parse a journal, dropping the torn tail.
 
-    Returns ``(records, torn)``: the verified records in order, and how
-    many trailing lines were dropped because they failed to parse,
-    failed their checksum, or broke the contiguous ``seq`` sequence.
-    Everything after the first bad line is untrusted (appends are
-    ordered), so replay stops there.
+    Returns ``(records, torn)``: the verified records in order — a
+    ``staged-commit`` one with its frames under ``"frames"`` as
+    ``{cube: bytes}``, present in full but not yet checked against
+    their digests — and how many trailing records were dropped because
+    their header failed to parse, failed its checksum, broke the
+    contiguous ``seq`` sequence, or was followed by fewer bytes than it
+    announces.  Everything after the first bad record is untrusted
+    (appends are ordered), so replay stops there.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        data = Path(path).read_bytes()
     except OSError:
         return [], 0
     records: List[Dict[str, Any]] = []
-    for index, line in enumerate(lines):
-        line = line.strip()
+    position = 0
+    while position < len(data):
+        end = data.find(b"\n", position)
+        if end < 0:
+            end = len(data)
+        line = data[position:end].strip()
         if not line:
+            position = end + 1
             continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return records, len(lines) - index
-        if not isinstance(record, dict):
-            return records, len(lines) - index
-        seq = record.get("seq")
-        rtype = record.get("type")
-        payload = record.get("payload")
-        if (
-            seq != len(records)
-            or not isinstance(rtype, str)
-            or not isinstance(payload, dict)
-            or record.get("sha256") != _record_sha256(seq, rtype, payload)
-        ):
-            return records, len(lines) - index
-        records.append({"seq": seq, "type": rtype, "payload": payload})
-    return records, 0
+        record = _parse_header(line, len(records))
+        sizes = _frame_sizes(record) if record is not None else None
+        if sizes is None:
+            break
+        cursor = end + 1
+        if sizes:
+            frames = {}
+            for name, size in sizes.items():
+                frames[name] = data[cursor:cursor + size]
+                cursor += size
+            if data[cursor:cursor + 1] != b"\n":
+                break  # torn inside the frames
+            cursor += 1
+            record["frames"] = frames
+        records.append(record)
+        position = cursor
+    else:
+        return records, 0
+    tail = data[position:]
+    dropped = tail.startswith(_HEADER_PREFIX) + tail.count(b"\n" + _HEADER_PREFIX)
+    return records, max(1, dropped)
 
 
 @dataclass
@@ -279,10 +362,12 @@ class RecoveryReport:
     records: int = 0
     torn_records: int = 0
     tmp_removed: List[str] = field(default_factory=list)
-    #: committed snapshots whose bytes no longer hash to the journaled
-    #: value — deleted, their subgraphs handed back to resume
+    #: journaled commits whose cube bytes no longer hash to the recorded
+    #: digest, or that carry none (a journal an older version left) —
+    #: not trusted, their subgraphs handed back to resume (cube lists
+    #: joined +)
     rolled_back: List[str] = field(default_factory=list)
-    #: subgraphs re-admitted from verified snapshots (cube lists joined +)
+    #: subgraphs re-admitted from verified commits (cube lists joined +)
     committed: List[str] = field(default_factory=list)
     #: subgraphs left for ``exl resume`` to re-dispatch
     unfinished: List[str] = field(default_factory=list)
@@ -312,8 +397,8 @@ class RecoveryReport:
             lines.append(
                 f"  swept {len(self.tmp_removed)} stray tmp file(s)"
             )
-        for path in self.rolled_back:
-            lines.append(f"  rolled back torn commit {path}")
+        for label in self.rolled_back:
+            lines.append(f"  rolled back torn commit {label}")
         if self.committed:
             lines.append(
                 f"  re-admitted {len(self.committed)} committed "
@@ -357,6 +442,37 @@ def _without_journal(
     return report
 
 
+def _journal_age(path: Path) -> int:
+    """When a journal was started, in ns since the epoch: the
+    ``time_ns`` its token begins with — a copied or restored run
+    directory has arbitrary mtimes — and the mtime only for a name that
+    does not say."""
+    head = path.stem.partition("-")[0]
+    return int(head) if head.isdigit() else path.stat().st_mtime_ns
+
+
+def _drop_journals(journal_dir: Path) -> None:
+    """Delete the journals and their directory, as
+    :meth:`RunJournal.discard` does for a run that finished."""
+    for wal in journal_dir.glob("*.wal"):
+        wal.unlink(missing_ok=True)
+    try:
+        journal_dir.rmdir()
+    except OSError:
+        pass
+
+
+def _commit_verifies(payload: Dict[str, Any], frames: Dict[str, bytes]) -> bool:
+    """Whether every cube a ``staged-commit`` names came with bytes
+    that hash to the digest its header records."""
+    files = payload.get("files", {})
+    return all(
+        name in frames
+        and hashlib.sha256(frames[name]).hexdigest() == entry.get("sha256")
+        for name, entry in files.items()
+    )
+
+
 def recover(
     out_dir: Union[str, Path],
     state_path: Optional[Union[str, Path]] = None,
@@ -370,14 +486,17 @@ def recover(
        older journals are superseded and deleted.
     3. ``run-complete`` present -> the run persisted everything before
        dying (or the journal outlived a finished run): delete it, done.
-    4. Otherwise verify every journaled ``staged-commit`` snapshot by
-       content hash — mismatching or missing files are rolled back —
-       and synthesize ``run-state.json``: verified subgraphs keep their
-       recorded outcomes, every other *planned* subgraph is marked
-       failed.  ``exl resume`` then re-dispatches exactly the work the
-       crash destroyed.
+    4. Otherwise verify every journaled ``staged-commit`` from the cube
+       bytes it carries — one whose bytes fail their digest, or that
+       carries none, is not trusted — write the verified cubes to
+       ``<out>/.committed/`` and synthesize ``run-state.json``:
+       verified subgraphs keep their recorded outcomes, every other
+       *planned* subgraph is marked failed.  ``exl resume`` then
+       re-dispatches exactly the work the crash destroyed.
     5. With no journal at all, a parseable ``run-state.json`` is already
        resumable; a torn one is quarantined as ``*.corrupt``.
+
+    Whichever way it ends, the journal and its directory are gone.
     """
     out_dir = Path(out_dir)
     state_path = (
@@ -387,12 +506,11 @@ def recover(
     report.tmp_removed = [str(p) for p in remove_stray_tmp(out_dir)]
 
     journal_dir = out_dir / JOURNAL_DIRNAME
-    wals = sorted(
-        journal_dir.glob("*.wal"), key=lambda p: p.stat().st_mtime
-    ) if journal_dir.is_dir() else []
+    wals = sorted(journal_dir.glob("*.wal"), key=_journal_age)
     for stale in wals[:-1]:
         stale.unlink(missing_ok=True)
     if not wals:
+        _drop_journals(journal_dir)
         return _without_journal(out_dir, state_path, report)
 
     journal_path = wals[-1]
@@ -401,7 +519,7 @@ def recover(
     report.records = len(records)
     report.torn_records = torn
     if not records:
-        journal_path.unlink(missing_ok=True)
+        _drop_journals(journal_dir)
         return _without_journal(out_dir, state_path, report)
 
     if any(r["type"] == RUN_COMPLETE for r in records):
@@ -413,7 +531,7 @@ def recover(
         committed_dir = out_dir / COMMITTED_DIRNAME
         if committed_dir.is_dir():
             shutil.rmtree(committed_dir, ignore_errors=True)
-        journal_path.unlink(missing_ok=True)
+        _drop_journals(journal_dir)
         report.status = "complete"
         return report
 
@@ -424,42 +542,36 @@ def recover(
     )
     if start_index is None:
         # dispatch never began; whatever state exists already rules
-        journal_path.unlink(missing_ok=True)
+        _drop_journals(journal_dir)
         return _without_journal(out_dir, state_path, report)
     start = records[start_index]["payload"]
-    run_records = records[start_index:]
 
-    # verify journaled commits against the bytes actually on disk
+    # trust a journaled commit only on the evidence of its own bytes
     verified: Dict[Tuple[str, ...], Dict[str, Any]] = {}
-    committed_files: Dict[str, str] = {}
-    for record in run_records:
+    for record in records[start_index:]:
         if record["type"] != STAGED_COMMIT:
             continue
-        payload = record["payload"]
-        sub = payload.get("subgraph", {})
-        files = payload.get("files", {})
-        ok = True
-        for name, entry in files.items():
-            path = out_dir / entry.get("path", "")
-            if _file_sha256(path) != entry.get("sha256"):
-                ok = False
-                if path.exists():
-                    path.unlink(missing_ok=True)
-                    report.rolled_back.append(entry.get("path", str(path)))
-        if ok:
-            verified[tuple(sub.get("cubes", ()))] = payload
-        # a later commit of the same cubes (resume within one journal)
-        # supersedes: dict assignment keeps the newest
+        cubes = tuple(record["payload"].get("subgraph", {}).get("cubes", ()))
+        if _commit_verifies(record["payload"], record.get("frames", {})):
+            # a later commit of the same cubes (resume within one
+            # journal) supersedes: dict assignment keeps the newest
+            verified[cubes] = record
+        else:
+            verified.pop(cubes, None)
+            report.rolled_back.append("+".join(cubes))
 
     subgraphs: List[Dict[str, Any]] = []
+    committed_files: Dict[str, str] = {}
     for planned in start.get("planned", []):
         cubes = tuple(planned.get("cubes", ()))
         hit = verified.get(cubes)
         if hit is not None:
-            subgraphs.append(hit["subgraph"])
+            subgraphs.append(hit["payload"]["subgraph"])
             report.committed.append("+".join(cubes))
-            for name, entry in hit["files"].items():
-                committed_files[name] = entry["path"]
+            for name, raw in hit.get("frames", {}).items():
+                snapshot = out_dir / COMMITTED_DIRNAME / f"{name}.csv"
+                atomic_write(snapshot, raw)
+                committed_files[name] = str(snapshot.relative_to(out_dir))
         else:
             label = "+".join(cubes)
             report.unfinished.append(label)
@@ -498,21 +610,17 @@ def recover(
     if previous is not None and isinstance(previous.get("record"), dict):
         prev_record = previous["record"]
         if prev_record.get("run_id") == record["run_id"]:
-            by_cubes = {tuple(s["cubes"]): s for s in subgraphs}
-            folded = [
-                by_cubes.pop(tuple(s["cubes"]), s)
-                for s in prev_record.get("subgraphs", [])
-            ]
-            folded.extend(by_cubes.values())
             record = dict(prev_record)
-            record["subgraphs"] = folded
+            record["subgraphs"] = fold_subgraphs(
+                prev_record.get("subgraphs", []), subgraphs
+            )
             record["on_error"] = "continue"
             record["error"] = crash_error
             merged_committed = dict(previous.get("committed", {}))
             merged_committed.update(committed_files)
     state = {"record": record, "committed": merged_committed}
     atomic_write(state_path, json.dumps(state, indent=2) + "\n")
-    journal_path.unlink(missing_ok=True)
+    _drop_journals(journal_dir)
     report.status = "resumable"
     report.state_path = state_path
     return report

@@ -6,13 +6,15 @@ Three layers, bottom up:
 - ``repro.chase.atomic``: tmp-write + rename atomicity and the stray
   tmp sweep;
 - ``repro.engine.journal``: checksummed replay (torn tails dropped,
-  never misread) and the ``recover`` algorithm (verify commits by
-  content hash, roll back torn snapshots, synthesize a resumable
-  ``run-state.json``);
+  never misread) and the ``recover`` algorithm (verify each commit by
+  the content hash of the cube bytes its record carries, distrust the
+  rest, synthesize a resumable ``run-state.json``);
 - the end-to-end harness: ``exl run`` in a subprocess, SIGKILLed at
   seeded-random dispatch points via the ``kill`` fault kind, then
   ``exl recover`` + ``exl resume`` must converge to the uninterrupted
-  run's outputs, byte for byte, across >= 20 seeds.
+  run's outputs, byte for byte, across >= 20 seeds; and ``exl run`` /
+  ``exl update`` SIGKILLed at each kind of boundary of the run
+  directory's write protocol (DESIGN.md section 12).
 """
 
 import hashlib
@@ -34,6 +36,7 @@ from repro.engine.journal import (
     replay_journal,
 )
 from repro.model import STRING, Cube, CubeSchema, Dimension
+from repro.model.io import cube_to_csv_text
 
 
 def _cube(name="A", values=(1.5, -2.0, 3.25)):
@@ -159,6 +162,64 @@ class TestJournalReplay:
         assert len(records) == 1  # everything after the forgery untrusted
         assert torn == 4
 
+    def test_commit_record_carries_the_cube_bytes(self, tmp_path):
+        journal = self._journal(tmp_path, n_commits=1)
+        commit = replay_journal(journal.path)[0][-1]
+        raw = cube_to_csv_text(_cube("A")).encode("utf-8")
+        assert commit["frames"] == {"A": raw}
+        assert commit["payload"]["files"] == {
+            "A": {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
+        }
+        # framed raw after the header line, not JSON-escaped into it
+        assert raw in journal.path.read_bytes()
+        assert not (tmp_path / ".committed").exists()
+
+    def test_truncated_inside_cube_bytes(self, tmp_path):
+        journal = self._journal(tmp_path)
+        blob = journal.path.read_bytes()
+        cut = blob.rindex(b"r1,")  # inside the last commit's frame
+        journal.path.write_bytes(blob[:cut])
+        records, torn = replay_journal(journal.path)
+        assert [r["type"] for r in records][-1] == "subgraph-dispatch"
+        assert len(records) == 4 and torn == 1
+        report = recover(tmp_path)
+        assert report.committed == ["A"] and report.unfinished == ["B"]
+
+    def test_cube_bytes_failing_their_digest(self, tmp_path):
+        journal = self._journal(tmp_path)
+        blob = journal.path.read_bytes()
+        at = blob.index(b"r1,-2.0")  # inside the first commit's frame
+        journal.path.write_bytes(blob[:at] + b"r1,-9.0" + blob[at + 7:])
+        # the framing is intact, so replay reads on: the header vouches
+        # for the lengths, only recovery weighs the bytes
+        records, torn = replay_journal(journal.path)
+        assert len(records) == 5 and torn == 0
+        report = recover(tmp_path)
+        assert report.rolled_back == ["A"]
+        assert report.committed == ["B"] and report.unfinished == ["A"]
+        assert not (tmp_path / ".committed" / "A.csv").exists()
+        state = json.loads((tmp_path / "run-state.json").read_text())
+        assert state["committed"] == {"B": ".committed/B.csv"}
+
+    def test_unflushed_intents_ride_on_the_next_commit(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
+        )
+        journal = self._journal(tmp_path)
+        journal.run_end(1, None)
+        journal.run_complete()
+        journal.close()
+        # run-start, two commits, run-complete; never a dispatch or run-end
+        assert len(synced) == 4
+        assert [r["type"] for r in replay_journal(journal.path)[0]] == [
+            "run-start",
+            "subgraph-dispatch", "staged-commit",
+            "subgraph-dispatch", "staged-commit",
+            "run-end", "run-complete",
+        ]
+
     def test_missing_journal_is_empty(self, tmp_path):
         assert replay_journal(tmp_path / "nope.wal") == ([], 0)
 
@@ -206,7 +267,7 @@ class TestRecover:
         assert report.status == "complete" and report.exit_code == 0
         assert not (tmp_path / "run-state.json").exists()
         assert not (tmp_path / ".committed").exists()
-        assert not journal.path.exists()
+        assert not (tmp_path / "journal").exists()
 
     def test_synthesizes_resumable_state(self, tmp_path):
         journal = RunJournal(tmp_path)
@@ -229,21 +290,87 @@ class TestRecover:
         }
         assert outcomes == {("A",): "ok", ("B",): "failed"}
         assert state["committed"] == {"A": ".committed/A.csv"}
-        assert (tmp_path / ".committed" / "A.csv").exists()
-        assert not journal.path.exists()  # superseded by the state file
+        # the snapshot resume reads is materialised here, from the record
+        assert (tmp_path / ".committed" / "A.csv").read_bytes() == (
+            cube_to_csv_text(_cube("A")).encode("utf-8")
+        )
+        # superseded by the state file, directory and all
+        assert not (tmp_path / "journal").exists()
 
     def test_torn_commit_rolled_back(self, tmp_path):
         journal = RunJournal(tmp_path)
         journal.run_start(_run_record(), [_planned(("A",))])
         journal.commit_subgraph(_sub_record(("A",)), {"A": _cube("A")})
         journal.close()
-        # simulate a torn snapshot: bytes no longer match the journal
-        snapshot = tmp_path / ".committed" / "A.csv"
-        snapshot.write_text("r,v\r\ntorn")
+        # simulate rot inside the record: bytes no longer match its digest
+        blob = journal.path.read_bytes()
+        journal.path.write_bytes(blob.replace(b"r0,1.5", b"r0,7.5"))
         report = recover(tmp_path)
-        assert report.rolled_back == [".committed/A.csv"]
+        assert report.rolled_back == ["A"]
         assert report.committed == [] and report.unfinished == ["A"]
-        assert not snapshot.exists()
+        assert not (tmp_path / ".committed").exists()
+
+    def test_commit_without_inline_bytes_is_not_trusted(self, tmp_path):
+        # a journal an older version left: the record names a snapshot
+        # file and its digest; the file may even verify, the record's
+        # own bytes are the only evidence recovery takes
+        snapshot = tmp_path / ".committed" / "A.csv"
+        text = cube_to_csv_text(_cube("A"))
+        atomic_write(snapshot, text)
+        journal = RunJournal(tmp_path)
+        journal.run_start(_run_record(), [_planned(("A",))])
+        journal.append(
+            "staged-commit",
+            {
+                "subgraph": _sub_record(("A",)).to_json(),
+                "files": {
+                    "A": {
+                        "path": ".committed/A.csv",
+                        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                    }
+                },
+            },
+        )
+        journal.close()
+        report = recover(tmp_path)
+        assert report.status == "resumable"
+        assert report.committed == [] and report.unfinished == ["A"]
+        state = json.loads((tmp_path / "run-state.json").read_text())
+        assert state["committed"] == {}
+
+    def test_newest_journal_is_chosen_by_token_not_mtime(self, tmp_path):
+        # a copied or restored run directory has arbitrary mtimes
+        old = RunJournal(tmp_path, token="1000-1")
+        old.run_start(_run_record(run_id=1), [_planned(("A",))])
+        old.close()
+        new = RunJournal(tmp_path, token="2000-1")
+        new.run_start(_run_record(run_id=2), [_planned(("B",))])
+        new.close()
+        os.utime(new.path, ns=(10**9, 10**9))
+        os.utime(old.path, ns=(3 * 10**9, 3 * 10**9))
+        report = recover(tmp_path)
+        assert report.journal == new.path
+        assert report.unfinished == ["B"]
+        state = json.loads((tmp_path / "run-state.json").read_text())
+        assert state["record"]["run_id"] == 2
+        assert not (tmp_path / "journal").exists()
+
+    def test_unparseable_journal_name_falls_back_to_mtime(self, tmp_path):
+        named = RunJournal(tmp_path, token="restored")
+        named.run_start(_run_record(run_id=7), [_planned(("A",))])
+        named.close()
+        os.utime(named.path, ns=(5000, 5000))
+        stamped = RunJournal(tmp_path, token="4000-1")
+        stamped.run_start(_run_record(run_id=8), [_planned(("B",))])
+        stamped.close()
+        assert recover(tmp_path).journal == named.path
+
+    def test_journal_without_records_leaves_no_directory(self, tmp_path):
+        (tmp_path / "journal").mkdir()
+        (tmp_path / "journal" / "1-1.wal").write_bytes(b'{"seq": 0, "type": "ru')
+        report = recover(tmp_path)
+        assert report.status == "clean" and report.torn_records == 1
+        assert not (tmp_path / "journal").exists()
 
     def test_resume_crash_keeps_prior_commits(self, tmp_path):
         # a crashed *resume* journals only its todo subgraphs; the
@@ -374,7 +501,7 @@ class TestKillMinusNineHarness:
             # every crash artifact consumed: the out dir is clean
             assert not (out / "run-state.json").exists(), f"seed {seed}"
             assert not (out / ".committed").exists(), f"seed {seed}"
-            assert list((out / "journal").glob("*.wal")) == [], f"seed {seed}"
+            assert not (out / "journal").exists(), f"seed {seed}"
         # the harness is vacuous unless the kill actually lands often
         assert killed >= 5, f"only {killed}/20 seeds were killed"
 
@@ -423,31 +550,49 @@ class TestCliJournalLifecycle:
 
 # -- SIGKILL inside ``exl update`` ---------------------------------------------
 
-#: runs ``repro.cli.main(argv)`` and SIGKILLs itself at one durable-write
-#: boundary: ``after:<suffix>`` / ``before:<suffix>`` of the atomic write
-#: whose destination ends with ``<suffix>``, or ``discard`` — inside the
-#: journal's removal, after ``run-complete`` and the state clean-up.
-#: Nothing under ``src/`` knows: the entry points are wrapped from here,
-#: before the lazily imported layers bind them.
+#: runs ``repro.cli.main(argv)`` and SIGKILLs itself at one boundary of
+#: the write protocol:
+#:
+#: - ``before:<suffix>`` / ``after:<suffix>`` — around the rename
+#:   (``os.replace``) onto the path ending with ``<suffix>``, whether it
+#:   brings written bytes or a hard link;
+#: - ``commit:<k>`` — once the k-th ``staged-commit`` record is flushed;
+#: - ``barrier:<k>`` — once the run directory's k-th barrier returned;
+#: - ``discard`` — inside the journal's removal, after ``run-complete``
+#:   and the state clean-up.
+#:
+#: Nothing under ``src/`` knows: the entry points are wrapped from here.
 KILLING_CHILD = """
 import os, signal, sys
-from repro.chase import atomic
-when, _, suffix = sys.argv[1].partition(":")
+when, _, what = sys.argv[1].partition(":")
 def die():
     os.kill(os.getpid(), signal.SIGKILL)
-real_write = atomic.atomic_write
-def killing_write(path, data, *args, **kwargs):
-    hit = str(path).endswith(suffix)
+real_replace = os.replace
+def killing_replace(src, dst, **kwargs):
+    hit = when in ("before", "after") and str(dst).endswith(what)
     if hit and when == "before":
         die()
-    result = real_write(path, data, *args, **kwargs)
+    real_replace(src, dst, **kwargs)
     if hit and when == "after":
         die()
-    return result
-atomic.atomic_write = killing_write
+os.replace = killing_replace
+def die_after(cls, attr):
+    real, calls = getattr(cls, attr), []
+    def wrapper(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == int(what):
+            die()
+        return result
+    setattr(cls, attr, wrapper)
 import repro.cli
+from repro.engine.journal import RunJournal
+from repro.engine.rundir import RunDirectory
+if when == "commit":
+    die_after(RunJournal, "commit_subgraph")
+if when == "barrier":
+    die_after(RunDirectory, "barrier")
 if when == "discard":
-    from repro.engine.journal import RunJournal
     def killing_discard(self):
         self.close()
         die()
@@ -493,19 +638,72 @@ def _cube_files(out):
     }
 
 
+class TestKillDuringRun:
+    """SIGKILL a first ``exl run`` (three subgraphs, no previous index
+    to fall back on) at each boundary of the write protocol; ``exl
+    recover`` + ``exl resume`` must reach a clean run's directory: same
+    bytes, each cube stored once, nothing else left."""
+
+    #: in the order they are crossed
+    KILL_POINTS = [
+        "commit:1", "commit:2", "commit:3",
+        "after:/out/U.csv", "after:/out/Z.csv", "barrier:1",
+        "after:/baseline/X.csv", "before:/baseline/W.csv", "barrier:2",
+        "before:/baseline/baseline.json", "after:/baseline/baseline.json",
+        "discard",
+    ]
+
+    @pytest.mark.parametrize("kill", KILL_POINTS)
+    def test_recover_resume_converges(
+        self, update_project, tmp_path, fresh_python, capsys, kill
+    ):
+        reference = tmp_path / "reference"
+        assert cli_main(
+            ["run", str(update_project), "--out", str(reference)]
+        ) == 0
+        out = tmp_path / "out"
+        child = fresh_python(
+            "-c", KILLING_CHILD, kill, "run", str(update_project), "--out", str(out)
+        )
+        assert child.returncode == -signal.SIGKILL, (
+            f"{kill}: rc={child.returncode}\n{child.stderr}"
+        )
+        code = cli_main(["recover", str(update_project), "--out", str(out)])
+        assert code in (0, 3), f"{kill}: recover rc={code}"
+        # only run-complete tells recovery the epilogue finished; short
+        # of it resume repeats the epilogue, over whatever is there
+        assert (code == 0) == (kill == "discard"), kill
+        if code == 3:
+            assert cli_main(
+                ["resume", str(update_project), "--out", str(out)]
+            ) == 0, kill
+        assert _cube_files(out) == _cube_files(reference), kill
+        for name in "UVWZ":
+            assert os.path.samefile(
+                out / f"{name}.csv", out / "baseline" / f"{name}.csv"
+            ), f"{kill}: {name} stored twice"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "U.csv", "V.csv", "W.csv", "Z.csv", "baseline"
+        ], kill
+        assert remove_stray_tmp(out) == [], kill
+
+
 class TestKillDuringUpdate:
-    """SIGKILL an ``exl update`` of a partially affected project inside
-    its dispatch and at every kind of boundary of its epilogue;
+    """SIGKILL an ``exl update`` of a partially affected project after
+    each commit record and at every kind of boundary of its epilogue;
     ``exl recover`` then either re-running ``exl update`` or ``exl
     resume`` must converge to the bytes of a clean full run, with the
     untouched cubes' files still matching the digests the index holds."""
 
     KILL_POINTS = [
-        "after:/.committed/W.csv",          # between the two commits
-        "after:/out/W.csv",                 # between output rewrites
-        "before:/baseline/Z.csv",           # outputs done, baseline untouched
-        "after:/baseline/Z.csv",            # between baseline CSV rewrites
-        "before:/baseline/baseline.json",   # last CSV written, index stale
+        "commit:1",                         # between the two commits
+        "commit:2",                         # all committed, nothing placed
+        "after:/out/W.csv",                 # between places, before barrier 1
+        "barrier:1",                        # outputs durable, baseline untouched
+        "before:/baseline/Z.csv",           # between the two barriers
+        "after:/baseline/Z.csv",            # between the two barriers
+        "barrier:2",                        # all files durable, index stale
+        "before:/baseline/baseline.json",   # index staged, not renamed
         "after:/baseline/baseline.json",    # committed, run-complete not logged
         "discard",                          # during journal discard
     ]
@@ -552,7 +750,8 @@ class TestKillDuringUpdate:
         # every crash artifact consumed
         assert not (out / "run-state.json").exists(), kill
         assert not (out / ".committed").exists(), kill
-        assert list((out / "journal").glob("*.wal")) == [], kill
+        assert not (out / "journal").exists(), kill
+        assert remove_stray_tmp(out) == [], kill
 
     def test_stale_cache_directories_are_inert_then_dropped(
         self, update_project, tmp_path, fresh_python, capsys
