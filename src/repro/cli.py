@@ -99,20 +99,13 @@ class Project:
     """A parsed project file plus its base directory."""
 
     def __init__(self, spec: Dict[str, Any], base_dir: Path):
-        from .model.cube import CubeSchema, Dimension
-        from .model.io import parse_dimtype
+        from .model.io import schema_from_spec
 
         self.base_dir = base_dir
         self.schemas: List[CubeSchema] = []
         self.csv_paths: Dict[str, Optional[Path]] = {}
         for entry in spec.get("elementary", []):
-            dimensions = [
-                Dimension(name, parse_dimtype(type_spec))
-                for name, type_spec in entry["dimensions"]
-            ]
-            schema = CubeSchema(
-                entry["name"], dimensions, entry.get("measure", "value")
-            )
+            schema = schema_from_spec(entry["name"], entry)
             self.schemas.append(schema)
             csv_name = entry.get("csv")
             self.csv_paths[schema.name] = (
@@ -362,6 +355,7 @@ def _finish_run(engine, project, record, previous_state, args,
     done = rundir.finish(
         engine,
         record,
+        project.program_source,
         previous_state["record"] if previous_state else None,
         project.outputs,
         baseline,
@@ -668,51 +662,53 @@ def _level_value(lattice, dim: str, level_name: str, text: str):
     return text
 
 
-def _query_catalog(project: Project) -> MetadataCatalog:
+def _query_catalog(project: Project, state: Optional[dict]) -> MetadataCatalog:
     """The project's metadata with no data and no engine around it.
 
-    A query needs the compiled program's schemas and the groupings; it
-    dispatches nothing, so determination, translation, the dispatcher
-    and every backend stay unimported.
+    A query needs the cube schemas and the groupings, no data.  The
+    run directory's index records the schemas its run compiled, so
+    while the program is the one it names nothing is compiled; an index
+    without them, or a program edited since, compiles as ``exl run``
+    would — the same catalog, just slower.
     """
-    from .exl.program import Program
-    from .model.catalog import MetadataCatalog
+    from .engine.baseline import catalog_from_index
 
-    catalog = MetadataCatalog()
-    for schema in project.schemas:
-        catalog.declare_elementary(schema)
-    catalog.declare_program(
-        Program.compile(project.program_source, catalog.as_schema()),
-        project.preferred_targets,
-    )
+    catalog = catalog_from_index(state, project.schemas, project.program_source)
+    if catalog is None:
+        from .exl.program import Program
+        from .model.catalog import MetadataCatalog
+
+        catalog = MetadataCatalog()
+        for schema in project.schemas:
+            catalog.declare_elementary(schema)
+        catalog.declare_program(
+            Program.compile(project.program_source, catalog.as_schema()),
+            project.preferred_targets,
+        )
     _declare_groupings(catalog, project)
     return catalog
 
 
 def _load_queried_cube(
-    catalog: MetadataCatalog, project: Project, name: str, out_dir: Path
+    catalog: MetadataCatalog, project: Project, name: str, out_dir: Path,
+    state: Optional[dict],
 ) -> int:
     """Put the one cube a query reads into the catalog's store.
 
-    The cube comes from ``<out>/baseline/<name>.csv``; an elementary
-    cube the baseline lacks comes from its project CSV.  No other
-    cube's file is opened.  Returns 0 — with the store left empty when
-    neither file is there to read — or :data:`EXIT_CORRUPT_STATE`.
+    The cube comes from ``<out>/baseline/<name>.csv``, checked against
+    the digest the index ``state`` records; an elementary cube the
+    baseline lacks comes from its project CSV.  No other cube's file is
+    opened.  Returns 0 — with the store left empty when neither file is
+    there to read — or :data:`EXIT_CORRUPT_STATE`.
     """
-    from .model.io import read_cube_csv
+    from .engine.baseline import read_indexed_cube
 
-    baseline_dir, baseline_file = _baseline_paths(out_dir)
     schema = catalog.schema_of(name)
-    rel_path = None
-    if baseline_file.exists():
-        state = _load_state_json(baseline_file, "baseline", out_dir)
-        if state is None:
-            return EXIT_CORRUPT_STATE
-        rel_path = state.get("cubes", {}).get(name)
+    rel_path = (state or {}).get("cubes", {}).get(name)
     if rel_path is not None:
-        path = baseline_dir / rel_path
+        path = _baseline_paths(out_dir)[0] / rel_path
         try:
-            cube = read_cube_csv(schema, path)
+            cube = read_indexed_cube(schema, path, state.get("sha256", {}).get(name))
         except (OSError, ValueError, ReproError) as exc:
             _report_corrupt("baseline CSV", path, exc, out_dir)
             return EXIT_CORRUPT_STATE
@@ -730,14 +726,18 @@ def cmd_query(args) -> int:
 
     project = load_project(args.project)
     out_dir = Path(args.out)
-    # the program is compiled for schemas and groupings only: a query
-    # reads one cube, so no project or baseline data is loaded up front
-    catalog = _query_catalog(project)
+    baseline_file = _baseline_paths(out_dir)[1]
+    state = None
+    if baseline_file.exists():
+        state = _load_state_json(baseline_file, "baseline", out_dir)
+        if state is None:
+            return EXIT_CORRUPT_STATE
+    catalog = _query_catalog(project, state)
     name = args.cube
     if name not in catalog:
         print(f"unknown cube {name!r}", file=sys.stderr)
         return 2
-    code = _load_queried_cube(catalog, project, name, out_dir)
+    code = _load_queried_cube(catalog, project, name, out_dir, state)
     if code:
         return code
     if not catalog.has_data(name):

@@ -6,7 +6,17 @@ data as canonical CSV text (:func:`repro.model.io.canonical_text`) under
 
     {"record": <RunRecord JSON>,
      "cubes":  {"GDP": "GDP.csv", ...},
-     "sha256": {"GDP": "<digest of GDP.csv's text>", ...}}
+     "sha256": {"GDP": "<digest of GDP.csv's text>", ...},
+     "schemas": {"GDP": {"dimensions": [["q", "time:Q"], ["r", "string"]],
+                         "measure": "g", "kind": "derived"}, ...},
+     "program_sha256": "<digest of the EXL program's text>"}
+
+``schemas`` is the catalog the run compiled — every cube, elementary or
+derived, in declaration order — and ``program_sha256`` names the
+program text it was compiled from: a reader holding the same text
+(``exl query``) takes the schemas from here instead of compiling
+(:func:`catalog_from_index`).  The index is read by programs only and
+is written without whitespace.
 
 ``baseline.json`` is written last and atomically
 (:meth:`repro.engine.rundir.RunDirectory.publish`): it is the commit
@@ -34,16 +44,26 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ModelError, ReproError
+from ..model.catalog import ELEMENTARY, MetadataCatalog
 from ..model.cube import Cube, CubeSchema
-from ..model.io import canonical_text, cube_from_canonical_text, text_sha256
+from ..model.io import (
+    canonical_text,
+    cube_from_canonical_text,
+    read_cube_csv,
+    schema_from_spec,
+    schema_to_spec,
+    text_sha256,
+)
 
 __all__ = [
     "BaselineCube",
     "INDEX_NAME",
     "admit_for_update",
     "admit_for_resume",
+    "catalog_from_index",
     "fresh_texts",
     "index_text",
+    "read_indexed_cube",
 ]
 
 #: the index file, inside the baseline directory
@@ -88,6 +108,19 @@ class BaselineCube:
             f"baseline cube {self.path} cannot be read ({problem}); "
             f"rebuild it with a full 'exl run'"
         )
+
+
+def read_indexed_cube(
+    schema: CubeSchema, path: Path, digest: Optional[str]
+) -> Cube:
+    """Read one cube file for a reader that takes it or leaves it (``exl
+    query``): its bytes must hash to ``digest``, hashed once and parsed
+    from the same bytes; None — an index written before digests were
+    recorded — reads the file on trust.  Raises for a file that cannot
+    stand for the cube."""
+    if digest is None:
+        return read_cube_csv(schema, path)
+    return BaselineCube(schema, path, digest).load()
 
 
 def _entry(engine, state, baseline_dir: Path, name: str) -> Optional[BaselineCube]:
@@ -200,13 +233,16 @@ def index_text(
     catalog,
     record_json: Dict[str, Any],
     digests: Dict[str, str],
+    program_source: str,
     previous: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The ``baseline.json`` of a finished run, for a later ``exl
-    update``: the ``previous`` index's entries carried forward for
-    every catalogued cube this run left alone, and on top the cubes
-    whose files it wrote — ``digests`` maps each to the digest of the
-    text now in ``<name>.csv``."""
+    update`` or ``exl query``: the ``previous`` index's entries carried
+    forward for every catalogued cube this run left alone, and on top
+    the cubes whose files it wrote — ``digests`` maps each to the digest
+    of the text now in ``<name>.csv``.  The schemas are the finishing
+    run's own catalog, compiled from ``program_source``: an update after
+    a program edit records the edited program's."""
     cubes: Dict[str, str] = {}
     recorded: Dict[str, str] = {}
     if previous is not None:
@@ -219,9 +255,52 @@ def index_text(
     for name, digest in digests.items():
         cubes[name] = f"{name}.csv"
         recorded[name] = digest
-    return (
-        json.dumps(
-            {"record": record_json, "cubes": cubes, "sha256": recorded}, indent=2
-        )
-        + "\n"
-    )
+    schemas = {
+        name: {
+            **schema_to_spec(catalog.schema_of(name)),
+            "kind": catalog.entry(name).kind,
+        }
+        for name in catalog.names()
+    }
+    index = {
+        "record": record_json,
+        "cubes": cubes,
+        "sha256": recorded,
+        "schemas": schemas,
+        "program_sha256": text_sha256(program_source),
+    }
+    return json.dumps(index, separators=(",", ":")) + "\n"
+
+
+def catalog_from_index(
+    state: Optional[Dict[str, Any]],
+    elementary: List[CubeSchema],
+    program_source: str,
+) -> Optional[MetadataCatalog]:
+    """The catalog a compile of ``program_source`` over the
+    ``elementary`` schemas would declare, read off the index instead.
+
+    None — compile it — when there is no index, it records no schemas
+    (an older run directory), the program text is not the recorded one,
+    the project's elementary schemas are not the recorded ones, or the
+    block does not parse.  Derived entries carry schemas only: no
+    statement text, no preferred target.
+    """
+    state = state or {}
+    block = state.get("schemas")
+    if not isinstance(block, dict) or state.get("program_sha256") != text_sha256(
+        program_source
+    ):
+        return None
+    catalog = MetadataCatalog()
+    try:
+        for name, spec in block.items():
+            schema = schema_from_spec(name, spec)
+            if spec["kind"] == ELEMENTARY:
+                catalog.declare_elementary(schema)
+            else:
+                catalog.declare_derived(schema, None)
+    except (LookupError, TypeError, ValueError, AttributeError, ReproError):
+        return None
+    recorded = [catalog.schema_of(name) for name in catalog.elementary_names]
+    return catalog if recorded == list(elementary) else None

@@ -5,7 +5,8 @@ Layout::
 
     <out>/X.csv                  an output cube
     <out>/baseline/X.csv         every cube with data, for ``exl update``
-    <out>/baseline/baseline.json the index: the commit point
+    <out>/baseline/baseline.json the index: the commit point; files,
+                                 digests, cube schemas, program digest
     <out>/run-state.json         only after a partial failure (exit 3)
     <out>/.committed/X.csv       only beside a run-state.json
     <out>/journal/<token>.wal    only while a run is in flight
@@ -154,6 +155,7 @@ class RunDirectory:
         self,
         engine,
         record,
+        program_source: str,
         previous_record: Optional[Dict[str, Any]] = None,
         outputs: Optional[List[str]] = None,
         previous_index: Optional[Dict[str, Any]] = None,
@@ -162,9 +164,11 @@ class RunDirectory:
         has new bytes, then :meth:`publish` when every subgraph
         committed or :meth:`suspend` when one did not.
 
-        ``record`` is the run that just ended and ``previous_record``
-        the state an ``exl resume`` started from, whose committed
-        subgraphs count as this run's.  ``outputs`` names the project's
+        ``record`` is the run that just ended, ``program_source`` the
+        EXL text its catalog was compiled from (the index records its
+        digest beside the schemas) and ``previous_record`` the state an
+        ``exl resume`` started from, whose committed subgraphs count as
+        this run's.  ``outputs`` names the project's
         output cubes (default: every cube of the run).
         ``previous_index`` is the ``baseline.json`` the run started
         from, when it was an update or the resume of one: what that
@@ -194,7 +198,10 @@ class RunDirectory:
         if unfinished:
             self.suspend(engine.catalog, state_record, fresh, wrote)
         else:
-            self.publish(engine.catalog, record_json, fresh, wrote, previous_index)
+            self.publish(
+                engine.catalog, record_json, fresh, wrote, program_source,
+                previous_index,
+            )
         return Finished(
             wrote, [name for name in names if name in missing], len(unfinished)
         )
@@ -205,14 +212,16 @@ class RunDirectory:
         record_json: Dict[str, Any],
         fresh: Dict[str, str],
         outputs: Iterable[str],
+        program_source: str,
         previous: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Every subgraph committed: outputs, baseline, clean-up.
 
         ``fresh`` maps each cube this run has new bytes for to its
         canonical text (:func:`repro.engine.baseline.fresh_texts`),
-        ``outputs`` names those of them that are output files, and
-        ``previous`` is the index the run started from, whose other
+        ``outputs`` names those of them that are output files,
+        ``program_source`` is the text ``catalog`` was compiled from,
+        and ``previous`` is the index the run started from, whose other
         entries are carried forward with their files left alone.  The
         state file, committed snapshots and journal stay until the new
         ``baseline.json`` is durable, and ``run-complete`` is journaled
@@ -229,7 +238,9 @@ class RunDirectory:
         self.barrier()
         atomic_write(
             self.baseline_dir / baseline.INDEX_NAME,
-            baseline.index_text(catalog, record_json, digests, previous),
+            baseline.index_text(
+                catalog, record_json, digests, program_source, previous
+            ),
         )
         for stale in STALE_CACHE_DIRS:
             shutil.rmtree(self.baseline_dir / stale, ignore_errors=True)

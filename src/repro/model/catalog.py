@@ -160,10 +160,12 @@ class MetadataCatalog:
     def declare_derived(
         self,
         schema: CubeSchema,
-        statement_text: str,
+        statement_text: Optional[str],
         preferred_target: Optional[str] = None,
     ) -> None:
-        """Declare a derived cube, defined by an EXL statement."""
+        """Declare a derived cube, defined by an EXL statement (None
+        when only its schema is known: a catalog read back from a run
+        directory's index)."""
         self._declare(CubeEntry(schema, DERIVED, statement_text, preferred_target))
 
     def declare_program(

@@ -7,7 +7,10 @@ canonical :class:`TimePoint` string forms (``2020-03-15``, ``2020M03``,
 
 Dimension types also have a compact textual spec used by project files
 and the CLI: ``time:D`` / ``time:W`` / ``time:M`` / ``time:Q`` /
-``time:A`` for time axes, ``string`` and ``integer`` for the rest.
+``time:A`` for time axes, ``string`` and ``integer`` for the rest.  A
+cube schema in JSON is ``{"dimensions": [[name, spec], ...], "measure":
+name}`` — a project file's elementary entries and a run directory's
+index (:mod:`repro.engine.baseline`) spell it the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import csv
 import hashlib
 import io
 from pathlib import Path
-from typing import Any, TextIO, Union
+from typing import Any, Dict, TextIO, Union
 
 from ..errors import ModelError
 from .cube import Cube, CubeSchema, Dimension
@@ -27,6 +30,8 @@ __all__ = [
     "parse_dimtype",
     "format_dimtype",
     "parse_dim_value",
+    "schema_to_spec",
+    "schema_from_spec",
     "write_cube_csv",
     "read_cube_csv",
     "cube_to_csv_text",
@@ -60,6 +65,26 @@ def format_dimtype(dtype: DimType) -> str:
     if dtype.kind is DimKind.TIME:
         return f"time:{dtype.freq.value}"
     return dtype.kind.value
+
+
+def schema_to_spec(schema: CubeSchema) -> Dict[str, Any]:
+    """The JSON form of a cube schema (its name is the caller's key)."""
+    return {
+        "dimensions": [
+            [dim.name, format_dimtype(dim.dtype)] for dim in schema.dimensions
+        ],
+        "measure": schema.measure,
+    }
+
+
+def schema_from_spec(name: str, spec: Dict[str, Any]) -> CubeSchema:
+    """Inverse of :func:`schema_to_spec`; the measure defaults to
+    ``value`` as in project files."""
+    dimensions = [
+        Dimension(dim_name, parse_dimtype(type_spec))
+        for dim_name, type_spec in spec["dimensions"]
+    ]
+    return CubeSchema(name, dimensions, spec.get("measure", "value"))
 
 
 def _parse_value(dtype: DimType, text: str) -> Any:

@@ -14,14 +14,21 @@ Three properties keep the lattice honest:
   with measures folded in :func:`repro.stats.aggregates.canonical_bag`
   order.  A lattice-served aggregate is therefore bit-identical to a
   recompute-from-scratch oracle, whichever path built it.
-* **Reducing is columnar**: the bound cube's :class:`ColumnStore` image
-  is grouped with the same primitives as the aggregation kernel —
-  per-distinct-value level transforms (:func:`transform_encoded`,
-  cached per (dimension, level) and shared by every node using that
-  level), mixed-radix composite group codes (:func:`mix_codes`), one
-  stable argsort per node.  Tuple mode (``EXL_FORCE_TUPLE_VIEW=1``)
-  and composite-code overflow fall back to a plain dict group-by with
-  identical results.
+* **Reducing uses the representation the cube is already in.**  A
+  bound cube that carries a :class:`ColumnStore` image (chase outputs
+  and engine-held cubes do) is grouped with the same primitives as the
+  aggregation kernel — per-distinct-value level transforms
+  (:func:`transform_encoded`, cached per (dimension, level) and shared
+  by every node using that level), mixed-radix composite group codes
+  (:func:`mix_codes`), one stable argsort per node.  A cube that is
+  only rows — one just parsed from CSV — answers its first request
+  with a plain dict group-by, which beats encode + columnar for one
+  node; the image is built when a second request comes, and serves
+  every node from then on (DESIGN.md §11 has the measurements).
+  Tuple mode (``EXL_FORCE_TUPLE_VIEW=1``) and composite-code overflow
+  take the dict group-by throughout, with identical results.  numpy and
+  the columnar modules are imported when an image is first used, never
+  before.
 * **Refreshing is incremental**: each *materialized* node keeps a
   per-group contribution index (built lazily from the previous base
   version) and splices a :class:`CubeDelta` through it with
@@ -36,26 +43,30 @@ Three properties keep the lattice honest:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from ..chase.colstore import ColumnStore
-from ..chase.columnar import (
-    EncodedColumn,
-    FallbackUnsupported,
-    mix_codes,
-    transform_encoded,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
 )
-from ..chase.groupreduce import rereduce_groups
-from ..chase.instance import store_for_cube
+
 from ..model.cube import Cube, CubeDelta
 from ..stats.aggregates import AGGREGATES, get_aggregate
-from .hierarchy import ALL, DimHierarchy, Level, OlapError
+from .hierarchy import DimHierarchy, Level, OlapError
+
+# numpy, ``chase.colstore``, ``chase.columnar`` and ``chase.instance``
+# are imported by the functions that group an image, and
+# ``chase.groupreduce`` by ``refresh``: a lattice that reduces from rows
+# and is never refreshed (``exl query``) loads none of them
+if TYPE_CHECKING:
+    from ..chase.colstore import ColumnStore
+    from ..chase.columnar import EncodedColumn
 
 __all__ = ["LatticeNode", "CubeLattice"]
-
-_INT = np.int64
 
 
 class LatticeNode:
@@ -89,7 +100,7 @@ class LatticeNode:
     @property
     def groups(self) -> Dict[Tuple, float]:
         if self._groups is None:
-            self._groups = self._lattice._reduce(self)
+            self._lattice.materialize([self])
         return self._groups
 
     @groups.setter
@@ -127,6 +138,8 @@ class LatticeNode:
         """
         store = self._store
         if store is None:
+            from ..chase.colstore import ColumnStore
+
             groups = self.groups
             store = ColumnStore(self.arity + 1)
             for key in sorted(groups, key=_group_sort_key):
@@ -181,6 +194,8 @@ class CubeLattice:
         # tuple path
         self._columns: Dict[Tuple[int, str], EncodedColumn] = {}
         self._value_maps: Dict[Tuple[int, str], Dict[Any, Any]] = {}
+        # requests the bound cube has answered (see materialize)
+        self._requests = 0
         if metrics is not None:
             metrics.inc("olap.lattice.nodes", len(self.nodes))
 
@@ -221,6 +236,26 @@ class CubeLattice:
         for node in self.nodes.values():
             node.groups
 
+    def base_node(self) -> LatticeNode:
+        """The finest node: every dimension at its base level."""
+        return self.nodes[tuple(h.levels[0].name for h in self.hierarchies)]
+
+    def cell(self, key: Tuple) -> float:
+        """The base node's value at one dimension tuple; ``KeyError``
+        where the cube is undefined.
+
+        A base group is one row, so an unmaterialized base node is not
+        reduced for it: the aggregate of that row's measure alone is
+        the value the node would hold.
+        """
+        base = self.base_node()
+        if base.materialized:
+            return base.groups[key]
+        measure = None if self._base is None else self._base.get(key)
+        if measure is None:
+            raise KeyError(key)
+        return self.aggregate([measure])
+
     # -- binding and on-demand reduction -------------------------------------
     def build(self, cube: Cube, version: Optional[int] = None) -> None:
         """Bind the lattice to a base cube and drop every reduced node.
@@ -239,32 +274,58 @@ class CubeLattice:
         self.version = version
         self._columns = {}
         self._value_maps = {}
+        self._requests = 0
 
-    def _reduce(self, node: LatticeNode) -> Dict[Tuple, float]:
-        """Group-reduce one node from the bound cube.
+    def materialize(self, nodes: Iterable[LatticeNode]) -> None:
+        """Reduce the not yet materialized ``nodes`` from the bound
+        cube, as one request: what a query that assembles several nodes
+        (a cross-tab) asks for together.
 
-        Uses the columnar kernels when the cube carries (or can build)
-        a :class:`ColumnStore`; forced tuple view, non-columnar rows or
-        composite-code overflow take the scalar group-by.  Both fold in
-        canonical bag order.
+        Which representation they reduce from is decided once per
+        request.  A cube that carries a :class:`ColumnStore` image is
+        grouped by the columnar kernels.  One that does not answers the
+        first request of the binding with the dict group-by — encoding
+        it would cost more than the request saves — and gets its image
+        when a second request shows the binding is being reused.
+        Forced tuple view and composite-code overflow take the dict
+        group-by either way.  Both fold in canonical bag order.
         """
+        pending = [node for node in nodes if not node.materialized]
+        if not pending:
+            return
         cube = self._base
+        image = None
+        if cube is not None and cube.schema.arity and (
+            cube._colstore is not None or self._requests
+        ):
+            from ..chase.instance import store_for_cube
+
+            store = store_for_cube(cube)
+            if store is not None and store.n_rows:
+                image = store.image()
+        self._requests += 1
+        for node in pending:
+            node.groups = self._reduce(node, cube, image)
+            if self.metrics is not None:
+                self.metrics.inc("olap.lattice.groups", len(node.groups))
+
+    def _reduce(
+        self, node: LatticeNode, cube: Optional[Cube], image
+    ) -> Dict[Tuple, float]:
         if cube is None:
             return {}
-        store = None if cube.schema.arity == 0 else store_for_cube(cube)
-        groups = None
-        if store is not None and store.n_rows:
+        if image is not None:
+            from ..chase.columnar import FallbackUnsupported
+
             try:
-                groups = self._reduce_columnar(node, store.image())
+                return self._reduce_columnar(node, image)
             except FallbackUnsupported:
                 pass
-        if groups is None:
-            groups = self._reduce_tuple(node, cube)
-        if self.metrics is not None:
-            self.metrics.inc("olap.lattice.groups", len(groups))
-        return groups
+        return self._reduce_tuple(node, cube)
 
     def _reduce_columnar(self, node: LatticeNode, image) -> Dict[Tuple, float]:
+        from ..chase.columnar import transform_encoded
+
         cols = []
         for j, lvl in enumerate(node.levels):
             if lvl.is_all:
@@ -322,6 +383,8 @@ class CubeLattice:
             return self._fallback(cube, version, "no-baseline")
         if self.agg_name is None or self.agg_name not in AGGREGATES:
             return self._fallback(cube, version, "unregistered-aggregate")
+        from ..chase.groupreduce import rereduce_groups
+
         rereduced = 0
         nodes = self.materialized_nodes()
         if nodes:
@@ -382,9 +445,13 @@ def _level_product(
 
 
 def _group_reduce(
-    cols: List[EncodedColumn], measures: np.ndarray, n: int, aggregate
+    cols: List[EncodedColumn], measures, n: int, aggregate
 ) -> Dict[Tuple, float]:
     """One node's group-by via composite codes + one stable argsort."""
+    import numpy as np
+
+    from ..chase.columnar import mix_codes
+
     if not cols:
         # the all-all node: a single group keyed by the empty tuple
         if not n:

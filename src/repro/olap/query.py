@@ -8,11 +8,12 @@ any past run's data stays queryable at the exact versions that run left
 behind (``RunRecord.baseline_versions``).
 
 A query pays for the lattice nodes it names and no others: a point
-lookup is a dict probe on the base node, a roll-up reads one node's
-groups, and a cross-tab assembles four nodes (cells, row totals, column
-totals, grand total — the sub-total semantics of Gray et al.'s
-``ALL``).  The first read of a node group-reduces it from the cube's
-columnar image; every later read is a lookup.
+lookup is one cell of the base node (a dict probe once that node is
+materialized, the aggregate of the one row before), a roll-up reads one
+node's groups, and a cross-tab assembles four nodes (cells, row totals,
+column totals, grand total — the sub-total semantics of Gray et al.'s
+``ALL``).  The first read of a node group-reduces it from the bound
+cube; every later read is a lookup.
 """
 
 from __future__ import annotations
@@ -189,11 +190,8 @@ class OlapService:
                 f"cube {name!r} has no dimension {extra[0]!r}"
             )
         key = tuple(coords[d] for d in schema.dim_names)
-        base = lattice.nodes[
-            tuple(h.levels[0].name for h in lattice.hierarchies)
-        ]
         try:
-            value = base.groups[key]
+            value = lattice.cell(key)
         except KeyError:
             raise OlapError(
                 f"cube {name!r} is undefined at {key!r}"
@@ -339,6 +337,7 @@ class OlapService:
         row_totals = lattice.node({**base_choice, col_dim: ALL_LEVEL})
         col_totals = lattice.node({**base_choice, row_dim: ALL_LEVEL})
         grand = lattice.node({**collapse, row_dim: ALL_LEVEL, col_dim: ALL_LEVEL})
+        lattice.materialize([cells, row_totals, col_totals, grand])
         # group keys order by schema dimension position
         row_first = schema.dim_index(row_dim) < schema.dim_index(col_dim)
         table: Dict[Any, Dict[Any, float]] = {}

@@ -5,45 +5,31 @@ from R and Matlab (seasonal decomposition, regression, smoothing,
 aggregations), per the substitution rule in DESIGN.md §7.
 """
 
-from .aggregates import AGGREGATES, aggregate_names, get_aggregate
-from .decomposition import (
-    Decomposition,
-    classical_decompose,
-    stl_decompose,
-    stl_remainder,
-    stl_seasonal,
-    stl_trend,
-)
-from .regression import LinearFit, fitted_line, ols, residuals
-from .series_ops import (
-    cumsum,
-    first_difference,
-    index_to_base,
-    interpolate_gaps,
-    standardize,
-)
-from .smoothing import centered_moving_average, loess, moving_average
+from .._lazy import lazy_surface
 
-__all__ = [
-    "AGGREGATES",
-    "get_aggregate",
-    "aggregate_names",
-    "Decomposition",
-    "classical_decompose",
-    "stl_decompose",
-    "stl_trend",
-    "stl_seasonal",
-    "stl_remainder",
-    "LinearFit",
-    "ols",
-    "fitted_line",
-    "residuals",
-    "cumsum",
-    "standardize",
-    "first_difference",
-    "interpolate_gaps",
-    "index_to_base",
-    "moving_average",
-    "centered_moving_average",
-    "loess",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "AGGREGATES": "aggregates",
+    "get_aggregate": "aggregates",
+    "aggregate_names": "aggregates",
+    "Decomposition": "decomposition",
+    "classical_decompose": "decomposition",
+    "stl_decompose": "decomposition",
+    "stl_trend": "decomposition",
+    "stl_seasonal": "decomposition",
+    "stl_remainder": "decomposition",
+    "LinearFit": "regression",
+    "ols": "regression",
+    "fitted_line": "regression",
+    "residuals": "regression",
+    "cumsum": "series_ops",
+    "standardize": "series_ops",
+    "first_difference": "series_ops",
+    "interpolate_gaps": "series_ops",
+    "index_to_base": "series_ops",
+    "moving_average": "smoothing",
+    "centered_moving_average": "smoothing",
+    "loess": "smoothing",
+}
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, _EXPORTS)

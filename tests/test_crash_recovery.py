@@ -638,6 +638,12 @@ def _cube_files(out):
     }
 
 
+def _recorded_schemas(out):
+    """What ``exl query`` builds its catalog from."""
+    index = json.loads((out / "baseline" / "baseline.json").read_text())
+    return list(index["schemas"].items()), index["program_sha256"]
+
+
 class TestKillDuringRun:
     """SIGKILL a first ``exl run`` (three subgraphs, no previous index
     to fall back on) at each boundary of the write protocol; ``exl
@@ -678,6 +684,7 @@ class TestKillDuringRun:
                 ["resume", str(update_project), "--out", str(out)]
             ) == 0, kill
         assert _cube_files(out) == _cube_files(reference), kill
+        assert _recorded_schemas(out) == _recorded_schemas(reference), kill
         for name in "UVWZ":
             assert os.path.samefile(
                 out / f"{name}.csv", out / "baseline" / f"{name}.csv"
@@ -740,6 +747,7 @@ class TestKillDuringUpdate:
                 ["update", str(update_project), "--out", str(out)]
             ) == 0, kill
         assert _cube_files(out) == _cube_files(reference), kill
+        assert _recorded_schemas(out) == _recorded_schemas(reference), kill
         index = json.loads((out / "baseline" / "baseline.json").read_text())
         assert set(index["cubes"]) == set("XYUVWZ")
         for name, rel_path in index["cubes"].items():

@@ -24,26 +24,27 @@ with open(sys.argv[1], "w") as handle:
     json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
 """
 
-#: everything ``exl query`` may load: the CLI, the model, the language
-#: (for the derived schemas), the OLAP layer, and the columnar store
-#: under it — no engine, no backend, no chase executor, no persistence
-QUERY_PACKAGES = ("model", "exl", "stats", "obs", "olap")
+#: everything ``exl query`` may load: the CLI, the model, the OLAP layer,
+#: the one pure-Python aggregate module, the run directory's index
+#: reader, and the refresh kernel the lattice names — no language, no
+#: mapping layer, no columnar store, no numpy
+QUERY_PACKAGES = ("model", "olap")
 QUERY_MODULES = {
     "repro",
     "repro._lazy",
     "repro.cli",
     "repro.errors",
-    "repro.mappings",
-    "repro.mappings.dependencies",
-    "repro.mappings.terms",
-    "repro.mappings.mapping",
+    "repro.stats",
+    "repro.stats.aggregates",
     "repro.chase",
-    "repro.chase.colstore",
-    "repro.chase.columnar",
-    "repro.chase.instance",
     "repro.chase.groupreduce",
+    "repro.engine",
+    "repro.engine.baseline",
 }
-QUERY_MODULE_LIMIT = 43
+QUERY_MODULE_LIMIT = 20
+#: what the compile fallback adds: the language and the operator
+#: library under it (numpy with it)
+FALLBACK_PACKAGES = ("exl", "stats")
 
 TARGET_ENGINES = ("sqlengine", "etl", "frames", "matrixengine", "rscript", "mscript")
 
@@ -98,6 +99,48 @@ def chase_project(tmp_path):
     return write_project(tmp_path, "chase")
 
 
+def write_panel_project(directory):
+    """Two dimensions, so every query kind — cross-tab included — has
+    something to ask; ``T`` is derived on the chase."""
+    rows = [
+        f"2020Q{q},{r},{float(q * 10 + i)}"
+        for q in range(1, 5) for i, r in enumerate(("north", "south", "west"))
+    ]
+    (directory / "p.csv").write_text("q,r,v\n" + "\n".join(rows) + "\n")
+    (directory / "program.exl").write_text("T := P * 2\n")
+    spec = {
+        "elementary": [
+            {"name": "P", "dimensions": [["q", "time:Q"], ["r", "string"]],
+             "measure": "v", "csv": "p.csv"}
+        ],
+        "program": "program.exl",
+        "preferred_targets": {"T": "chase"},
+        "groupings": {"T": {"r": {"zone": {"north": "N", "south": "S", "west": "S"}}}},
+    }
+    (directory / "project.json").write_text(json.dumps(spec))
+    return str(directory / "project.json")
+
+
+QUERY_KINDS = {
+    "describe": [],
+    "point": ["--point", "q=2020Q3,r=south"],
+    "rollup": ["--levels", "q=year,r=zone"],
+    "slice": ["--levels", "r=zone", "--slice", "r=S"],
+    "dice": ["--dice", "q=2020Q1|2020Q4"],
+    "drilldown": ["--levels", "q=year,r=zone", "--drilldown", "q"],
+    "crosstab": ["--crosstab", "q,r", "--levels", "q=year"],
+}
+
+
+def assert_query_budget(modules):
+    """Only the allowlisted modules, at most the cap, and no numpy."""
+    loaded = repro_modules(modules)
+    stray = loaded - QUERY_MODULES - under(loaded, *QUERY_PACKAGES)
+    assert not stray, sorted(stray)
+    assert len(loaded) <= QUERY_MODULE_LIMIT, sorted(loaded)
+    assert "numpy" not in modules
+
+
 class TestQueryBudget:
     @pytest.mark.parametrize(
         "query",
@@ -114,12 +157,69 @@ class TestQueryBudget:
         out = str(tmp_path / "out")
         assert main(["run", chase_project, "--out", out]) == 0
         modules = loaded_by(["query", chase_project, "B", "--out", out, *query])
-        loaded = repro_modules(modules)
-        stray = loaded - QUERY_MODULES - under(loaded, *QUERY_PACKAGES)
-        assert not stray, sorted(stray)
-        assert len(loaded) <= QUERY_MODULE_LIMIT, sorted(loaded)
+        assert_query_budget(modules)
         assert "multiprocessing" not in modules
         assert "concurrent.futures" not in modules
+
+    @pytest.mark.parametrize("agg", ["sum", "avg", "median"])
+    @pytest.mark.parametrize("kind", sorted(QUERY_KINDS))
+    def test_no_query_kind_loads_numpy_or_the_compiler(
+        self, tmp_path, loaded_by, kind, agg
+    ):
+        project = write_panel_project(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["run", project, "--out", out]) == 0
+        modules = loaded_by(
+            ["query", project, "T", "--out", out, "--agg", agg, *QUERY_KINDS[kind]]
+        )
+        assert_query_budget(modules)
+
+
+class TestQueryCompileFallback:
+    """An index without ``schemas``, or a program edited since the run,
+    is answered by compiling — the parent's path, the parent's answer."""
+
+    QUERY = ["--levels", "q=year,r=zone"]
+
+    def _answer(self, fresh_python, project, out):
+        child = fresh_python(
+            "-m", "repro", "query", project, "T", "--out", out, *self.QUERY
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    def _ran(self, tmp_path):
+        project = write_panel_project(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["run", project, "--out", out]) == 0
+        return project, out
+
+    def test_index_without_schemas(self, tmp_path, loaded_by, fresh_python):
+        project, out = self._ran(tmp_path)
+        from_index = self._answer(fresh_python, project, out)
+        index = tmp_path / "out" / "baseline" / "baseline.json"
+        state = json.loads(index.read_text())
+        del state["schemas"], state["program_sha256"]
+        index.write_text(json.dumps(state, indent=2))
+        modules = loaded_by(["query", project, "T", "--out", out, *self.QUERY])
+        assert "repro.exl.program" in modules
+        stray = repro_modules(modules) - QUERY_MODULES - under(
+            modules, *QUERY_PACKAGES, *FALLBACK_PACKAGES
+        )
+        assert not stray, sorted(stray)
+        assert self._answer(fresh_python, project, out) == from_index
+
+    def test_program_edited_after_the_run(self, tmp_path, loaded_by, fresh_python):
+        project, out = self._ran(tmp_path)
+        from_index = self._answer(fresh_python, project, out)
+        with open(tmp_path / "program.exl", "a") as handle:
+            handle.write("U := T + 1\n")
+        modules = loaded_by(["query", project, "T", "--out", out, *self.QUERY])
+        assert "repro.exl.program" in modules
+        assert self._answer(fresh_python, project, out) == from_index
+        # the statement the index has never heard of is catalogued too
+        child = fresh_python("-m", "repro", "query", project, "U", "--out", out)
+        assert child.returncode == 2 and "has no data" in child.stderr
 
 
 class TestRunBudget:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import load_project, main
+from repro.cli import EXIT_CORRUPT_STATE, load_project, main
 from repro.errors import ModelError
 from repro.model import (
     STRING,
@@ -460,6 +460,60 @@ class TestCorruptStateFiles:
         assert main(["query", project, "B", "--out", str(out)]) == 4
         assert str(missing) in capsys.readouterr().err
 
+    def test_query_refuses_an_output_edited_in_place(self, project_dir, capsys):
+        """``<out>/B.csv`` and ``baseline/B.csv`` are one inode: an edit
+        of the output is an edit of what a query would answer from."""
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        argv = ["query", project, "B", "--out", str(out), "--levels", "q=year"]
+        assert main(["run", project, "--out", str(out)]) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        stored = out / "baseline" / "B.csv"
+        assert (out / "B.csv").samefile(stored)
+        with open(out / "B.csv", "a") as handle:
+            handle.write("2021Q1,1000.0\n")
+        assert main(argv) == EXIT_CORRUPT_STATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(stored) in captured.err and "digest-mismatch" in captured.err
+        assert "exl run" in captured.err and "exl recover" in captured.err
+        # the advice holds: a full run rewrites the file
+        assert main(["run", project, "--out", str(out)]) == 0
+        assert main(argv) == 0
+
+    def test_query_refuses_a_torn_csv(self, project_dir, capsys):
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        assert main(["run", project, "--out", str(out)]) == 0
+        capsys.readouterr()
+        stored = out / "baseline" / "B.csv"
+        stored.write_bytes(stored.read_bytes()[:-7])  # parses, two rows short
+        code = main(["query", project, "B", "--out", str(out)])
+        assert code == EXIT_CORRUPT_STATE
+        assert str(stored) in capsys.readouterr().err
+
+    def test_query_reads_an_index_without_digests_on_trust(
+        self, project_dir, capsys
+    ):
+        """A run directory older than the recorded digests is answered
+        as it always was, edited file and all."""
+        project = str(project_dir / "project.json")
+        out = project_dir / "results"
+        argv = ["query", project, "B", "--out", str(out), "--levels", "q=year"]
+        assert main(["run", project, "--out", str(out)]) == 0
+        index = out / "baseline" / "baseline.json"
+        state = json.loads(index.read_text())
+        del state["sha256"]
+        index.write_text(json.dumps(state, indent=2))
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "20" in capsys.readouterr().out  # 2 + 6 + 12 + 20
+        with open(out / "baseline" / "B.csv", "a") as handle:
+            handle.write("2021Q1,1000.0\n")
+        assert main(argv) == 0
+        assert "1000" in capsys.readouterr().out
+
     def test_query_missing_csv_of_other_cube(self, project_dir, capsys):
         project = str(project_dir / "project.json")
         out = project_dir / "results"
@@ -519,8 +573,9 @@ def _reads(opened):
 
 
 class TestQueryReadBudget:
-    """``exl query CUBE`` reads one cube: the project file, the program,
-    ``baseline.json`` and ``CUBE.csv`` — and writes nothing."""
+    """``exl query CUBE`` reads one cube: the project file, the program
+    (for its digest: the schemas come from the index), ``baseline.json``
+    and ``CUBE.csv`` — and writes nothing."""
 
     QUERIES = (
         [],

@@ -20,6 +20,7 @@ LAZY_PACKAGES = [
     "repro.chase",
     "repro.engine",
     "repro.mappings",
+    "repro.stats",
 ]
 
 
@@ -55,6 +56,18 @@ class TestFreshInterpreter:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "['repro', 'repro._lazy']"
 
+    def test_an_aggregate_costs_one_pure_python_module(self, fresh_python):
+        done = fresh_python(
+            "-c",
+            "from repro.stats.aggregates import get_aggregate; import sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.stats')), "
+            "'numpy' in sys.modules)",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == (
+            "['repro.stats', 'repro.stats.aggregates'] False"
+        )
+
     def test_model_io_does_not_run_the_sql_engine(self, fresh_python):
         done = fresh_python(
             "-c",
@@ -64,7 +77,7 @@ class TestFreshInterpreter:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("package", ["repro", "repro.backends"])
+    @pytest.mark.parametrize("package", ["repro", "repro.backends", "repro.stats"])
     def test_star_import(self, fresh_python, package):
         done = fresh_python(
             "-c",

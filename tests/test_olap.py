@@ -224,6 +224,84 @@ class TestLatticeBuild:
             assert node.groups == oracle_groups(cube, node.levels, agg), key
             assert len(lattice.materialized_nodes()) == count
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("start", ["rows", "image", "forced-tuple"])
+    def test_nodes_reduce_from_what_the_cube_is_held_as(
+        self, seed, start, monkeypatch
+    ):
+        """A cube that is only rows answers its first node by the dict
+        group-by and is encoded for the second; one that carries an
+        image is grouped columnar from the first; forced tuple view
+        never leaves the dict.  Every node equals the oracle."""
+        import random
+
+        rng = random.Random(5200 + seed)
+        agg = rng.choice(["sum", "avg", "median", "count"])
+        cube = panel_cube(n_months=rng.randrange(1, 20))
+        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", start == "forced-tuple")
+        if start == "image":
+            instance_mod.store_for_cube(cube)
+        took = []
+        for path in ("_reduce_tuple", "_reduce_columnar"):
+            def recording(lattice, node, source, _real=getattr(CubeLattice, path), _path=path):
+                took.append(_path)
+                return _real(lattice, node, source)
+
+            monkeypatch.setattr(CubeLattice, path, recording)
+        lattice = CubeLattice(
+            "S", hierarchies_for(fresh_catalog(), "S"), aggregate=agg
+        )
+        lattice.build(cube)
+        keys = list(lattice.nodes)
+        rng.shuffle(keys)
+        for key in keys:
+            node = lattice.nodes[key]
+            assert node.groups == oracle_groups(cube, node.levels, agg), key
+        rest = len(keys) - 1
+        assert took == {
+            "rows": ["_reduce_tuple"] + ["_reduce_columnar"] * rest,
+            "image": ["_reduce_columnar"] * len(keys),
+            "forced-tuple": ["_reduce_tuple"] * len(keys),
+        }[start]
+
+    def test_first_node_of_a_row_cube_needs_no_numpy(self, fresh_python):
+        """In a fresh interpreter: the first node of a cube without an
+        image is reduced with numpy unimported; the second builds the
+        image.  Both equal a plain dict group-by."""
+        done = fresh_python(
+            "-c",
+            "import sys\n"
+            "from repro.model.catalog import MetadataCatalog\n"
+            "from repro.model.cube import Cube, CubeSchema, Dimension\n"
+            "from repro.model.time import Frequency, month\n"
+            "from repro.model.types import STRING, TIME\n"
+            "from repro.olap.hierarchy import hierarchies_for\n"
+            "from repro.olap.lattice import CubeLattice\n"
+            "schema = CubeSchema('S', [Dimension('m', TIME(Frequency.MONTH)),\n"
+            "                          Dimension('r', STRING)], 'v')\n"
+            "cube = Cube.from_rows(schema, [(month(2019, 1) + i, r, float(i * 10 + j))\n"
+            "    for i in range(18) for j, r in enumerate(('north', 'south'))])\n"
+            "catalog = MetadataCatalog()\n"
+            "catalog.declare_elementary(schema)\n"
+            "lattice = CubeLattice('S', hierarchies_for(catalog, 'S'), aggregate='avg')\n"
+            "lattice.build(cube)\n"
+            "def oracle(node):\n"
+            "    bags = {}\n"
+            "    for dims, value in cube.items():\n"
+            "        bags.setdefault(node.group_key(dims), []).append(value)\n"
+            "    return {k: lattice.aggregate(v) for k, v in bags.items()}\n"
+            "first = lattice.node({'m': 'quarter'})\n"
+            "assert first.groups == oracle(first)\n"
+            "assert 'numpy' not in sys.modules and cube._colstore is None\n"
+            "assert not any(m.startswith('repro.chase.col') for m in sys.modules)\n"
+            "second = lattice.node({'m': 'year', 'r': 'all'})\n"
+            "assert second.groups == oracle(second)\n"
+            "from repro.chase.instance import FORCE_TUPLE_VIEW\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert FORCE_TUPLE_VIEW or cube._colstore is not None\n",
+        )
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize("agg", ["sum", "avg", "median", "count"])
     def test_columnar_build_matches_oracle(self, agg):
         cube = panel_cube()
@@ -501,6 +579,53 @@ class TestOlapService:
             service.rollup("NOPE")
         with pytest.raises(OlapError, match="no stored data"):
             build_engine().enable_olap().rollup("G")
+
+    @pytest.mark.parametrize("agg", ["sum", "avg", "median", "count", "stddev"])
+    def test_point_reduces_no_other_group(self, agg):
+        """A point on a base node nobody has read is the aggregate of
+        that one row — what the node would hold — and reduces nothing;
+        once the node is materialized it is a lookup of the same value."""
+        from repro.obs import MetricsRegistry
+        from repro.olap import OlapService
+
+        cube = panel_cube()
+        metrics = MetricsRegistry()
+        service = OlapService(fresh_catalog(cube), aggregate=agg, metrics=metrics)
+        coords = {"m": month(2019, 7), "r": "south"}
+        value = service.point("S", coords)
+        assert metrics.value("olap.lattice.groups") == 0
+        assert metrics.value("olap.query.point") == 1
+        lattice = service.lattice("S")
+        assert lattice.materialized_nodes() == []
+        base = lattice.base_node()
+        held = base.groups[(month(2019, 7), "south")]
+        assert value == held or (math.isnan(value) and math.isnan(held))
+        assert metrics.value("olap.lattice.groups") == len(cube)
+        again = service.point("S", coords)
+        assert again == held or (math.isnan(again) and math.isnan(held))
+        for materialized in (False, True):
+            if not materialized:
+                lattice.build(cube)
+            with pytest.raises(OlapError, match="undefined"):
+                service.point("S", {"m": month(1800, 1), "r": "south"})
+
+    def test_crosstab_is_one_request(self):
+        """The four nodes of a cross-tab are asked for together: as the
+        first query over a cube without an image they all reduce from
+        rows; the next query is what builds the image."""
+        from repro.olap import OlapService
+
+        cube = panel_cube()
+        service = OlapService(fresh_catalog(cube))
+        held = service.catalog.data("S")
+        assert held._colstore is None
+        text = service.crosstab("S", "m", "r", levels={"m": "year"})
+        assert held._colstore is None
+        assert len(service.lattice("S").materialized_nodes()) == 4
+        assert float(text.splitlines()[-1].split()[-1]) == sum(cube.values())
+        service.rollup("S", {"m": "quarter"})
+        if not instance_mod.FORCE_TUPLE_VIEW:
+            assert held._colstore is not None
 
     def test_crosstab_subtotals_are_maintained_aggregates(self):
         engine = build_engine()

@@ -10,22 +10,33 @@ the scenario corpus, on the default target, pinned to the chase, and
 spread round-robin over the targets (one subgraph per target switch).
 The children inherit the environment, so the ``EXL_FORCE_TUPLE_VIEW=1``
 legs of CI run the sweep on the tuple representation too.
+
+The index is held to its contract as well: after the run and after the
+update it records the schemas a fresh compile of the program declares,
+and a query answered from them prints what a compiling query prints.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from repro.cli import main
-from repro.model import Cube
+from repro.exl.program import Program
+from repro.model import Cube, MetadataCatalog
 from repro.model.io import format_dimtype, write_cube_csv
 from repro.workloads.randprog import random_workload
 from repro.workloads.scenarios import scenario_corpus
 
 RANDOM_SEEDS = range(9)
 MODES = ("mixed", "chase", "default")
+RANDOM_PROGRAMS = [
+    random_workload(seed, n_statements=6, n_periods=14, n_regions=2)
+    for seed in RANDOM_SEEDS
+]
 CORPUS = scenario_corpus(seed=3, size=4)
+PROGRAMS = RANDOM_PROGRAMS + list(CORPUS)
 
 
 TARGETS = ("sql", "r", "etl", "matlab", "chase")
@@ -112,7 +123,54 @@ def _cube_files(out):
     }
 
 
-def _sweep(workload, seed, tmp_path, fresh_python, mode):
+def _compiled_schemas(workload):
+    """``(schemas in catalog order, program digest)`` as an index must
+    record them."""
+    catalog = MetadataCatalog()
+    for schema in workload.schema:
+        catalog.declare_elementary(schema)
+    catalog.declare_program(Program.compile(workload.source, catalog.as_schema()))
+    schemas = {
+        name: {
+            "dimensions": [
+                [d.name, format_dimtype(d.dtype)]
+                for d in catalog.schema_of(name).dimensions
+            ],
+            "measure": catalog.schema_of(name).measure,
+            "kind": "derived" if catalog.is_derived(name) else "elementary",
+        }
+        for name in catalog.names()
+    }
+    digest = hashlib.sha256(workload.source.encode("utf-8")).hexdigest()
+    return list(schemas.items()), digest
+
+
+def _recorded_schemas(out):
+    index = json.loads((out / "baseline" / "baseline.json").read_text())
+    return list(index["schemas"].items()), index["program_sha256"]
+
+
+def _assert_query_matches_compile(project, out, fresh_python, monkeypatch, capsys):
+    """The last statement's cube, described and collapsed to one total:
+    answered from the index in a fresh process, and in this one with
+    the index's schemas withheld."""
+    from repro.engine import baseline
+
+    name, spec = _recorded_schemas(out)[0][-1]
+    everything = ",".join(f"{dim}=all" for dim, _ in spec["dimensions"])
+    for query in ([], ["--levels", everything] if everything else ["--rollup"]):
+        argv = ["query", project, name, "--out", str(out), *query]
+        from_index = fresh_python("-m", "repro", *argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(baseline, "catalog_from_index", lambda *args: None)
+            capsys.readouterr()
+            code = main(argv)
+        compiled = capsys.readouterr()
+        assert from_index.returncode == code, from_index.stderr
+        assert from_index.stdout == compiled.out
+
+
+def _sweep(workload, seed, tmp_path, fresh_python, mode, monkeypatch, capsys):
     rng = random.Random(f"two-process-{seed}")
     project_dir = tmp_path / "project"
     project = _write_project(
@@ -138,14 +196,45 @@ def _sweep(workload, seed, tmp_path, fresh_python, mode):
     assert "update-of=" in updated.stdout
     assert _cube_files(out) == _cube_files(reference)
     assert not (out / "baseline" / "columnar").exists()
+    assert _recorded_schemas(out) == _recorded_schemas(reference)
+    assert _recorded_schemas(out) == _compiled_schemas(workload)
+    _assert_query_matches_compile(project, out, fresh_python, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
-def test_random_program(seed, tmp_path, fresh_python, capsys):
-    workload = random_workload(seed, n_statements=6, n_periods=14, n_regions=2)
-    _sweep(workload, seed, tmp_path, fresh_python, MODES[seed % 3])
+def test_random_program(seed, tmp_path, fresh_python, monkeypatch, capsys):
+    _sweep(
+        RANDOM_PROGRAMS[seed], seed, tmp_path, fresh_python, MODES[seed % 3],
+        monkeypatch, capsys,
+    )
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
-def test_scenario(index, tmp_path, fresh_python, capsys):
-    _sweep(CORPUS[index], 100 + index, tmp_path, fresh_python, MODES[index % 3])
+def test_scenario(index, tmp_path, fresh_python, monkeypatch, capsys):
+    _sweep(
+        CORPUS[index], 100 + index, tmp_path, fresh_python, MODES[index % 3],
+        monkeypatch, capsys,
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("index", range(len(PROGRAMS)))
+def test_index_records_the_compiled_schemas(index, mode, tmp_path, capsys):
+    """Every program on every target mix, in process: the index a run
+    writes, and the one an update after a revision writes over it,
+    record what a fresh compile declares."""
+    workload = PROGRAMS[index]
+    rng = random.Random(f"schemas-{index}")
+    project_dir = tmp_path / "project"
+    project = _write_project(
+        project_dir, workload, _first_vintage(workload.data, rng), mode
+    )
+    out = tmp_path / "out"
+    if main(["run", project, "--out", str(out)]) != 0:
+        return  # a degenerate first vintage, as in _sweep
+    assert _recorded_schemas(out) == _compiled_schemas(workload)
+    for name, cube in _revision(workload.data, rng).items():
+        if cube is not None:
+            write_cube_csv(cube, project_dir / f"{name.lower()}.csv")
+    if main(["update", project, "--out", str(out)]) == 0:
+        assert _recorded_schemas(out) == _compiled_schemas(workload)
