@@ -1,6 +1,5 @@
 """EXP-ABL — ablations of design choices called out in DESIGN.md §5.
 
-* hash-join indexes in the chase's lhs matching vs naive nested loops;
 * tgd simplification on vs off, end to end (chase executor);
 * IR execution vs text interpretation of generated R scripts (the
   rscript backend parses + interprets the rendered code each run).
@@ -9,59 +8,7 @@
 import pytest
 
 from repro.chase import StratifiedChase, instance_from_cubes
-from repro.exl import Program
-from repro.mappings import generate_mapping, simplify_mapping
-from repro.model import CubeSchema, Dimension, Frequency, Schema, STRING, TIME, month
-from repro.workloads.datagen import random_cube
-
-
-def _join_workload(n_periods: int, n_regions: int = 4):
-    schema_a = CubeSchema(
-        "A", [Dimension("m", TIME(Frequency.MONTH)), Dimension("r", STRING)], "v"
-    )
-    schema_b = CubeSchema(
-        "B", [Dimension("m", TIME(Frequency.MONTH)), Dimension("r", STRING)], "w"
-    )
-    domains = {
-        "m": [month(2000, 1) + i for i in range(n_periods)],
-        "r": [f"r{i}" for i in range(n_regions)],
-    }
-    data = {
-        "A": random_cube(schema_a, domains, seed=1),
-        "B": random_cube(schema_b, domains, seed=2),
-    }
-    mapping = generate_mapping(
-        Program.compile("C := A * B\nD := C + A", Schema([schema_a, schema_b]))
-    )
-    return mapping, instance_from_cubes(data)
-
-
-@pytest.mark.parametrize("use_indexes", (True, False), ids=("hash", "nested_loop"))
-def test_chase_join_strategy(benchmark, use_indexes):
-    """Ablation 1: hash-join indexes in multi-atom lhs matching."""
-    mapping, source = _join_workload(120)
-    chase = StratifiedChase(mapping, use_indexes=use_indexes)
-    result = benchmark(chase.run, source)
-    assert result.stats.tuples_generated > 0
-
-
-def test_hash_join_wins_at_scale():
-    """The index should clearly win on larger joins."""
-    import time
-
-    mapping, source = _join_workload(250)
-
-    def timed(use_indexes: bool) -> float:
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            StratifiedChase(mapping, use_indexes=use_indexes).run(source)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    hashed = timed(True)
-    scanned = timed(False)
-    assert hashed < scanned, (hashed, scanned)
+from repro.mappings import simplify_mapping
 
 
 @pytest.mark.parametrize("simplify", (False, True), ids=("plain", "simplified"))

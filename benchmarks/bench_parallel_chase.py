@@ -1,6 +1,6 @@
 """EXP-PARALLEL-CHASE — stratum-parallel scheduling and cube caching.
 
-Validates the two claims of the parallel chase scheduler:
+Validates the two claims of the chase executor's thread waves (``jobs``):
 
 1. *Wave overlap*: on a wide stratum DAG whose strata spend most of
    their time waiting on a target engine, executing each wave on a
@@ -27,7 +27,6 @@ import pytest
 
 from repro.chase import (
     ChaseCache,
-    ParallelStratifiedChase,
     StratifiedChase,
     instance_from_cubes,
 )
@@ -106,7 +105,7 @@ def wide():
 def test_schedule_is_wide(wide):
     """The generated DAG yields DEPTH waves of CHAINS independent strata."""
     mapping, _ = wide
-    chase = ParallelStratifiedChase(mapping, max_workers=4)
+    chase = StratifiedChase(mapping, jobs=4)
     widths = [len(wave) for wave in chase.waves]
     print(f"\nwave widths: {widths}")
     assert len(widths) == DEPTH
@@ -117,7 +116,7 @@ def test_schedule_is_wide(wide):
 def _traced_wave_ms(mapping, source):
     """Per-wave wall durations (ms) from one traced parallel run."""
     tracer = Tracer()
-    ParallelStratifiedChase(mapping, max_workers=4, tracer=tracer).run(source)
+    StratifiedChase(mapping, jobs=4, tracer=tracer).run(source)
     waves = [
         (span.name, round(span.duration * 1000, 2))
         for span in tracer.spans
@@ -131,7 +130,7 @@ def test_parallel_speedup_over_sequential(wide, bench_report):
     """≥1.5× wall-time speedup with 4 workers, identical solution."""
     mapping, source = wide
     sequential_chase = StratifiedChase(mapping)
-    parallel_chase = ParallelStratifiedChase(mapping, max_workers=4)
+    parallel_chase = StratifiedChase(mapping, jobs=4)
 
     sequential = sequential_chase.run(source)
     parallel = parallel_chase.run(source)
@@ -173,7 +172,7 @@ def test_single_worker_matches_sequential_shape(wide):
     """jobs=1 degrades gracefully: same solution, no pool overhead blowup."""
     mapping, source = wide
     sequential = StratifiedChase(mapping).run(source)
-    one_worker = ParallelStratifiedChase(mapping, max_workers=1).run(source)
+    one_worker = StratifiedChase(mapping, jobs=1).run(source)
     for relation in sequential.instance.relations():
         assert sequential.instance.facts(relation) == one_worker.instance.facts(
             relation
@@ -185,7 +184,7 @@ def test_cache_skips_unchanged_strata(wide):
     hits and the blocking table functions never fire."""
     mapping, source = wide
     cache = ChaseCache()
-    chase = ParallelStratifiedChase(mapping, max_workers=4, cache=cache)
+    chase = StratifiedChase(mapping, jobs=4, cache=cache)
     cold_s = _wall(lambda: chase.run(source), repeats=1)
     warm = chase.run(source)
     warm_s = _wall(lambda: chase.run(source))
@@ -255,9 +254,7 @@ def test_gil_ceiling_on_cpu_bound_chase(bench_report):
     """
     mapping, source = _cpu_bound_workload()
     sequential_chase = StratifiedChase(mapping, vectorized=False)
-    parallel_chase = ParallelStratifiedChase(
-        mapping, max_workers=4, vectorized=False
-    )
+    parallel_chase = StratifiedChase(mapping, jobs=4, vectorized=False)
     sequential = sequential_chase.run(source)
     parallel = parallel_chase.run(source)
     for relation in sequential.instance.relations():
@@ -291,7 +288,7 @@ def test_gil_ceiling_on_cpu_bound_chase(bench_report):
 def test_parallel_chase_scaling_report(benchmark, wide):
     """pytest-benchmark record of the parallel configuration."""
     mapping, source = wide
-    chase = ParallelStratifiedChase(mapping, max_workers=4)
+    chase = StratifiedChase(mapping, jobs=4)
     result = benchmark.pedantic(
         chase.run, args=(source,), rounds=3, iterations=1
     )

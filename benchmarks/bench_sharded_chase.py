@@ -33,7 +33,6 @@ import time
 import pytest
 
 from repro.chase import (
-    ShardedStratifiedChase,
     ShardPlan,
     instance_from_cubes,
 )
@@ -153,8 +152,8 @@ def test_sharded_speedup_over_single_shard(panel, bench_report):
     shard-balance check, so the bench pays for each chase exactly once.
     """
     mapping, source = panel
-    single = ShardedStratifiedChase(mapping, shards=1, vectorized=False)
-    sharded = ShardedStratifiedChase(mapping, shards=SHARDS, vectorized=False)
+    single = StratifiedChase(mapping, jobs=4, shards=1, vectorized=False)
+    sharded = StratifiedChase(mapping, jobs=4, shards=SHARDS, vectorized=False)
 
     start = time.perf_counter()
     baseline = single.run(source)

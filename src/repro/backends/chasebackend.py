@@ -22,7 +22,7 @@ from ..chase.delta import (
 )
 from ..chase.engine import StratifiedChase
 from ..chase.instance import RelationalInstance, store_for_cube
-from ..chase.scheduler import ChaseCache, ParallelStratifiedChase
+from ..chase.scheduler import ChaseCache
 from ..errors import BackendError
 from ..mappings.dependencies import Tgd
 from ..mappings.mapping import SchemaMapping
@@ -30,12 +30,6 @@ from ..model.cube import Cube, CubeSchema
 from .base import Backend, CompiledTgd
 
 __all__ = ["ChaseBackend"]
-
-#: fault kinds the parent-side shard hook may deliver — mirrors
-#: ``repro.engine.faults.ERROR_KINDS`` (importing it here would cycle
-#: through the engine package); process-level kinds (kill/hang) are
-#: delivered only *inside* forked shard workers via ``fault_context``
-_PARENT_SAFE_KINDS = ("transient", "permanent", "delay")
 
 
 class _ChaseStore:
@@ -63,10 +57,10 @@ class _ChaseStore:
 class ChaseBackend(Backend):
     """Reference executor: applies the tgds directly.
 
-    ``parallel=True`` routes whole-mapping runs through the
-    stratum-parallel scheduler; ``cache`` attaches a cube-level
-    materialization cache shared across runs (incremental updates skip
-    unchanged strata).  Per-tgd compilation (``compile_tgd``) is
+    ``parallel=True`` runs whole-mapping chases on ``max_workers``
+    thread waves, ``shards`` on forked workers; ``cache`` attaches a
+    cube-level materialization cache shared across runs (incremental
+    updates skip unchanged strata).  Per-tgd compilation (``compile_tgd``) is
     unaffected — it stays statement-ordered for the script targets.
     """
 
@@ -154,24 +148,6 @@ class ChaseBackend(Backend):
         finally:
             self._fault_ctx.value = None
 
-    def _shard_fault_hook(self):
-        context = getattr(self._fault_ctx, "value", None)
-        if context is None:
-            return None
-        plan, target, cubes, attempt = context
-        metrics = self.metrics
-
-        def hook(shard_index: int) -> None:
-            plan.apply(
-                target,
-                cubes + (f"shard:{shard_index}",),
-                attempt,
-                metrics=metrics,
-                kinds=_PARENT_SAFE_KINDS,
-            )
-
-        return hook
-
     def run_mapping(
         self,
         mapping: SchemaMapping,
@@ -179,18 +155,11 @@ class ChaseBackend(Backend):
         wanted: Optional[Iterable[str]] = None,
         check: Optional[Callable[[], None]] = None,
     ) -> Dict[str, Cube]:
-        shards = self.shards
-        if shards != 1:
-            # the shard pool (and multiprocessing under it) loads only
-            # for a run that asked for shards
-            from ..chase.shard import ShardedStratifiedChase, resolve_shards
-
-            shards = resolve_shards(shards)
         if (
             not self.parallel
             and self.cache is None
             and not self.capture_deltas
-            and shards <= 1
+            and self.shards == 1
         ):
             return super().run_mapping(mapping, inputs, wanted, check=check)
         # the scheduler path runs whole strata at once; the cooperative
@@ -210,40 +179,19 @@ class ChaseBackend(Backend):
             if store is not None and source.adopt(name, store) is not None:
                 continue
             source.add_all(name, inputs[name].to_rows())
-        if shards > 1:
-            chase = ShardedStratifiedChase(
-                mapping,
-                max_workers=self.max_workers if self.parallel else 1,
-                shards=shards,
-                cache=self.cache,
-                vectorized=self.vectorized,
-                kernel_hook=self._on_kernel,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                fault_hook=self._shard_fault_hook(),
-                fault_context=getattr(self._fault_ctx, "value", None),
-                shard_retries=self.shard_retries,
-                shard_timeout_s=self.shard_timeout_s,
-            )
-        elif self.parallel:
-            chase = ParallelStratifiedChase(
-                mapping,
-                max_workers=self.max_workers,
-                cache=self.cache,
-                vectorized=self.vectorized,
-                kernel_hook=self._on_kernel,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-        else:
-            chase = StratifiedChase(
-                mapping,
-                cache=self.cache,
-                vectorized=self.vectorized,
-                kernel_hook=self._on_kernel,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
+        chase = StratifiedChase(
+            mapping,
+            jobs=self.max_workers if self.parallel else None,
+            shards=self.shards,
+            cache=self.cache,
+            vectorized=self.vectorized,
+            kernel_hook=self._on_kernel,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            fault_context=getattr(self._fault_ctx, "value", None),
+            shard_retries=self.shard_retries,
+            shard_timeout_s=self.shard_timeout_s,
+        )
         result = chase.run(source)
         if result.stats.shards:
             with self._kernel_lock:
@@ -408,7 +356,7 @@ class ChaseBackend(Backend):
 
     def load_cube(self, store: _ChaseStore, cube: Cube) -> None:
         for row in cube.to_rows():
-            store.engine._insert(
+            store.engine.insert(
                 store.instance, store.functional, cube.schema.name, row
             )
 
@@ -419,6 +367,6 @@ class ChaseBackend(Backend):
 
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
         def runner(store: _ChaseStore, _tgd=tgd):
-            store.engine._apply(_tgd, store.instance, store.functional)
+            store.engine.apply(_tgd, store.instance, store.functional)
 
         return CompiledTgd(tgd.label, str(tgd), runner)

@@ -2,10 +2,13 @@
 
 The chase is the reference executor: it applies the generated
 dependencies directly and is the yardstick every backend is tested
-against (the paper's equivalence theorem).  The scheduler module adds
-the stratum-parallel variant and the cube-level materialization cache;
-``ParallelStratifiedChase`` is solution-equivalent to the sequential
-``StratifiedChase``.  The columnar module holds the vectorized tgd
+against (the paper's equivalence theorem).  ``StratifiedChase`` is the
+one executor: statement order by default, thread waves given ``jobs``,
+forked shard workers given ``shards`` — the same solution every way.
+The scheduler module holds the wave schedule and the cube-level
+materialization cache, the shard module the partition plan and the
+workers, groupreduce the one collect / reduce / rereduce every
+aggregate goes through.  The columnar module holds the vectorized tgd
 kernels (``vectorized=True``, the default); ``vectorized=False`` keeps
 the tuple-at-a-time path as the bit-exact ablation baseline.
 """
@@ -22,8 +25,6 @@ _EXPORTS = {
     "instance_from_cubes": "instance",
     "cubes_from_instance": "instance",
     "StratifiedChase": "engine",
-    "ParallelStratifiedChase": "scheduler",
-    "ShardedStratifiedChase": "shard",
     "ShardPlan": "shard",
     "resolve_shards": "shard",
     "shard_of": "shard",

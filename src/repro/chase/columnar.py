@@ -15,8 +15,9 @@ kernel over whole columns:
 * time shifts — both the rhs ``q + 1`` transform and the simplified
   lhs ``q - 1`` join atom of the paper's tgd (5) — become key-code
   remaps evaluated once per *distinct* dictionary value;
-* aggregations group by composite key codes (stable argsort) and apply
-  the registered aggregate to each group's bag;
+* aggregations group by composite key codes (the sorted-slices kernel
+  of :mod:`repro.chase.groupreduce`) and apply the registered aggregate
+  to each group's bag;
 * the functionality egd is checked per batch (duplicate key-code
   detection) instead of per insert.
 
@@ -68,6 +69,7 @@ from ..mappings.terms import (
 from ..errors import OperatorError
 from ..obs import NULL_TRACER
 from ..stats.aggregates import get_aggregate
+from .groupreduce import sorted_slices
 
 __all__ = [
     "ColumnarRelation",
@@ -742,42 +744,20 @@ def _apply_aggregation(
             elif isinstance(col, np.ndarray):
                 raise FallbackUnsupported("non-encoded group key")
             # broadcast scalar keys are constant across the relation
-        composite = _mix(parts, bases, n) if parts else np.zeros(n, _INT)
-
-        # stable argsort keeps each group's rows in original order, so
-        # the per-group bag is value-for-value the scalar path's bag
-        order = np.argsort(composite, kind="stable")
-        ordered = composite[order]
-        boundary = np.empty(n, bool)
-        boundary[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-        starts = np.nonzero(boundary)[0]
-        ends = np.append(starts[1:], n)
-        representatives = order[starts]
-        # emit groups in first-occurrence order (dict insertion order of
-        # the scalar path's grouping)
-        emission = np.argsort(representatives, kind="stable")
-
-        # reorder the value column by the stable sort once: every
-        # group's bag is then a contiguous slice, holding the same
-        # elements the scalar path accumulates; both paths reduce the
-        # bag in canonical order (see stats.aggregates.canonical_bag)
-        sorted_values = values[order].tolist()
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-        reps_list = representatives.tolist()
+        composite = _mix(parts, bases, n)
 
         def key_value(col, row: int):
             if isinstance(col, EncodedColumn):
                 return col.dictionary[int(col.codes[row])]
             return col[1]
 
-        facts = []
-        for group in emission.tolist():
-            bag = sorted_values[starts_list[group] : ends_list[group]]
-            row = reps_list[group]
-            key = tuple(key_value(col, row) for col in key_cols)
-            facts.append(key + (aggregate(bag),))
+        # each bag holds the elements the scalar path accumulates for
+        # the group, and groups come in its first-occurrence order; both
+        # paths reduce the bag in canonical order
+        facts = [
+            tuple(key_value(col, row) for col in key_cols) + (aggregate(bag),)
+            for row, bag in sorted_slices(composite, values)
+        ]
         dims = [fact[:-1] for fact in facts]
         measures = [fact[-1] for fact in facts]
     with tracer.span("kernel:insert", category="kernel", rows=len(facts)):

@@ -50,8 +50,8 @@ from ..model.cube import Cube, CubeDelta, _same_measure
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..stats.aggregates import get_aggregate
 from . import columnar
-from .engine import DEFAULT_VECTORIZED, StratifiedChase
-from .groupreduce import rereduce_groups  # re-exported: its pre-move path
+from .engine import StratifiedChase
+from .groupreduce import contribution_index, rereduce_groups
 from .instance import RelationalInstance
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "DeltaStats",
     "DeltaUnsupported",
     "EMPTY_DELTA",
-    "rereduce_groups",
 ]
 
 _MISSING = object()
@@ -368,9 +367,6 @@ class DeltaChase:
         self.snapshot = snapshot
         self.mapping = snapshot.mapping
         self.registry = self.mapping.registry
-        self.vectorized = (
-            DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
-        )
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = MetricsRegistry() if metrics is None else metrics
         # the applier runs fallback strata (and the kernel-mini path)
@@ -378,6 +374,7 @@ class DeltaChase:
         self._applier = StratifiedChase(
             self.mapping, vectorized=vectorized, tracer=tracer, metrics=self.metrics
         )
+        self.vectorized = self._applier.vectorized
         # delta plans per target tgd: _TuplePlan | _AggPlan | (None, reason)
         self._plans: Dict[int, Any] = {}
         writers: Dict[str, int] = {}
@@ -513,7 +510,7 @@ class DeltaChase:
         scratch = RelationalInstance()
         columnar.apply_vectorized(
             tgd, operand, scratch, {}, self.registry, collect,
-            self._applier._kernel_plans, tracer=self.tracer,
+            self._applier.kernel_plans, tracer=self.tracer,
         )
         return rows
 
@@ -574,52 +571,38 @@ class DeltaChase:
     def _agg_delta(self, tgd: Tgd, plan: _AggPlan, delta: CubeDelta) -> CubeDelta:
         """Recompute only the group keys the operand delta touches,
         maintaining a per-group contribution index in the snapshot."""
+
+        def classify(fact):
+            return plan.classify(fact, self.registry)
+
         index = self.snapshot.group_index.get(id(tgd))
-        affected: Dict[Tuple, None] = {}
         if index is None:
-            # first update: build from the (already spliced) operand,
-            # then just mark the groups the delta touches
-            index = {}
-            for fact in self.snapshot.instance.facts(plan.atom.relation):
-                entry = plan.classify(fact, self.registry)
-                if entry is not None:
-                    index.setdefault(entry[0], {})[fact[:-1]] = entry[1]
+            # first update: built from the (already spliced) operand,
+            # through which re-splicing the delta below changes nothing
+            index = contribution_index(
+                self.snapshot.instance.facts(plan.atom.relation), classify
+            )
             self.snapshot.group_index[id(tgd)] = index
-            for fact in delta.old_facts() + delta.new_facts():
-                entry = plan.classify(fact, self.registry)
-                if entry is not None:
-                    affected[entry[0]] = None
-        else:
-            for fact in delta.old_facts():
-                entry = plan.classify(fact, self.registry)
-                if entry is None:
-                    continue
-                affected[entry[0]] = None
-                bucket = index.get(entry[0])
-                if bucket is not None:
-                    bucket.pop(fact[:-1], None)
-            for fact in delta.new_facts():
-                entry = plan.classify(fact, self.registry)
-                if entry is None:
-                    continue
-                affected[entry[0]] = None
-                index.setdefault(entry[0], {})[fact[:-1]] = entry[1]
+        # the snapshot's own relation is spliced by the caller, so the
+        # re-reduced values land in a scratch map and are diffed here
+        current: Dict[Tuple, Any] = {}
+        touched = rereduce_groups(
+            index,
+            delta.old_facts(),
+            delta.new_facts(),
+            classify,
+            get_aggregate(plan.func),
+            current,
+        )
         previous = self.snapshot.index(tgd.target_relation)
-        aggregate = get_aggregate(plan.func)
         out = CubeDelta()
-        for key in affected:
-            bucket = index.get(key)
-            if not bucket:
-                index.pop(key, None)
-                old = previous.get(key, _MISSING)
+        for key in touched:
+            old = previous.get(key, _MISSING)
+            value = current.get(key, _MISSING)
+            if value is _MISSING:
                 if old is not _MISSING:
                     out.deleted.append(key + (old,))
-                continue
-            # the aggregate canonicalizes fold order internally, so the
-            # bucket's dict order cannot leak into the value
-            value = aggregate(list(bucket.values()))
-            old = previous.get(key, _MISSING)
-            if old is _MISSING:
+            elif old is _MISSING:
                 out.inserted.append(key + (value,))
             elif not _same_measure(old, value):
                 out.updated.append((key + (old,), key + (value,)))
@@ -637,7 +620,7 @@ class DeltaChase:
         view = self.snapshot.instance.view(set(tgd.source_relations))
         view.ensure(relation)
         functional: Dict[str, Dict[Tuple, Any]] = {}
-        self._applier._apply(tgd, view, functional)
+        self._applier.apply(tgd, view, functional)
         old = self.snapshot.index(relation)
         out = CubeDelta()
         new_dims = set()

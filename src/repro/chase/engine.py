@@ -15,9 +15,22 @@ invariant (and is exercised by tests with hand-built broken mappings).
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import ChaseError, ChaseSourceError
 from ..mappings.dependencies import Atom, Tgd, TgdKind
@@ -26,8 +39,9 @@ from ..mappings.terms import AggTerm, Const, FuncApp, Term, Var, evaluate
 from ..model.time import TimePoint
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..stats.aggregates import get_aggregate
-from . import columnar
+from . import columnar, groupreduce
 from .instance import RelationalInstance
+from .scheduler import ChaseCache, schedule_waves
 
 __all__ = ["ChaseStats", "ChaseResult", "StratifiedChase", "DEFAULT_VECTORIZED"]
 
@@ -64,7 +78,7 @@ class ChaseStats:
     # sharded execution (chase.shard): worker-process count, tuples
     # generated per shard, wall time spent merging/re-reducing shard
     # outputs, and why individual tgds ran in the parent instead of a
-    # shard.  All stay zero/empty outside ShardedStratifiedChase runs.
+    # shard.  All stay zero/empty unless shard workers ran.
     shards: int = 0
     shard_tuples: List[int] = field(default_factory=list)
     shard_merge_s: float = 0.0
@@ -91,26 +105,45 @@ class ChaseResult:
 class StratifiedChase:
     """Chases a source instance through a generated schema mapping.
 
-    ``use_indexes=False`` disables the hash-join indexes built while
-    matching multi-atom lhs conjunctions, falling back to nested-loop
-    matching — kept as an ablation knob (see bench_chase_ablation).
+    One executor, three ways to run it, chosen by two constructor
+    values that are resolved here into data — a *schedule* of waves, an
+    optional thread *pool* and a per-tgd *apply* function:
+
+    * ``jobs=None`` walks the target tgds in statement order, one tgd
+      per wave (the paper's procedure; hand-built mappings with several
+      writers of one relation are accepted);
+    * ``jobs=N`` groups them into waves of mutually independent strata
+      (:func:`~repro.chase.scheduler.schedule_waves`; a cyclic or
+      doubly-defined cube is a :class:`MappingError` here, not a
+      deadlock mid-run) and runs each wave on ``N`` threads;
+    * ``shards=S`` (``0`` = one per core) additionally chases the
+      partitionable tgds in ``S`` forked workers over hash partitions
+      of the sources (:mod:`repro.chase.shard`) and merges their
+      outputs through the egd-checking insert, wave by wave.  A mapping
+      with nothing to partition, a platform without ``fork`` and an
+      exhausted worker-retry budget all run the same loop without shard
+      results, each under a counted ``chase.shard.fallback.reason:*``.
+
+    Every way computes the same solution, tuple for tuple.
     """
 
     def __init__(
         self,
         mapping: SchemaMapping,
-        use_indexes: bool = True,
-        cache: Optional["ChaseCacheProtocol"] = None,
+        jobs: Optional[int] = None,
+        shards: int = 1,
+        cache: Optional[ChaseCache] = None,
         vectorized: Optional[bool] = None,
         kernel_hook=None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
+        fault_context: Optional[Tuple[Any, str, Tuple[str, ...], int]] = None,
+        shard_retries: int = 2,
+        shard_timeout_s: Optional[float] = None,
     ):
         self.mapping = mapping
         self.registry = mapping.registry
-        self.use_indexes = use_indexes
-        #: cube-level materialization cache (see chase.scheduler.ChaseCache);
-        #: duck-typed so the engine stays import-free of the scheduler.
+        #: cube-level materialization cache (see chase.scheduler.ChaseCache)
         self.cache = cache
         #: columnar kernels on/off; ``None`` defers to the module default
         self.vectorized = (
@@ -124,8 +157,42 @@ class StratifiedChase:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: named counter/histogram sink (one per chase unless shared)
         self.metrics = MetricsRegistry() if metrics is None else metrics
+        #: the dispatcher's fault plan for this attempt, ``(plan, target,
+        #: cubes, attempt)``: a sharded run draws one decision per shard
+        #: from it (see chase.shard.run_shards)
+        self.fault_context = fault_context
+        #: pool-rebuild rounds allowed after the first before quarantine
+        self.shard_retries = max(0, int(shard_retries))
+        #: per-shard result wait; None trusts workers not to wedge
+        self.shard_timeout_s = shard_timeout_s
+        #: worker processes; the partition plan exists only when > 1
+        self.shards = 1
+        self.plan = None
+        if shards != 1:
+            # chase.shard (numpy, and multiprocessing under it) loads
+            # only for a chase that asked for shards
+            from . import shard
+
+            self._shard = shard
+            self.shards = shard.resolve_shards(shards)
+            if self.shards > 1:
+                self.plan = shard.ShardPlan.analyze(mapping)
+                # shard outputs merge on the wave schedule
+                jobs = jobs or 1
+        #: worker threads; ``None`` is statement order
+        self.jobs = jobs
+        if jobs is None:
+            self.waves = [[i] for i in range(len(mapping.target_tgds))]
+        else:
+            self.waves = schedule_waves(
+                mapping.target_tgds,
+                reserved=[t.target_relation for t in mapping.st_tgds],
+            )
+        self._tgd_index = {id(t): i for i, t in enumerate(mapping.target_tgds)}
+        # stats and kernel_hook are shared by the tasks of a wave
+        self._stats_lock = threading.Lock()
         # compiled kernel plans, keyed by tgd identity
-        self._kernel_plans: Dict[int, Tuple[Tgd, Any]] = {}
+        self.kernel_plans: Dict[int, Tuple[Tgd, Any]] = {}
         # relations written by exactly one tgd: the functional index is
         # only ever *read* by a later tgd writing the same relation, so
         # a single-writer batch whose keys are proven distinct can skip
@@ -139,41 +206,136 @@ class StratifiedChase:
     def run(self, source: RelationalInstance) -> ChaseResult:
         """Compute the data exchange solution for ``source``."""
         self._check_source(source)
+        if self.plan is not None:
+            reason = self.plan.fallback_reason or self._shard.unavailable()
+            if reason is None:
+                try:
+                    return self._run(source, sharded=True)
+                except self._shard.ShardFallback as fallback:
+                    reason = fallback.reason
+            self.metrics.inc(f"chase.shard.fallback.reason:{reason}")
+        return self._run(source)
+
+    def _run(self, source: RelationalInstance, sharded=False) -> ChaseResult:
+        """The chase loop: the copy wave, then each wave of the schedule.
+
+        A ``sharded`` run first fans the partitionable tgds out to
+        worker processes; their outputs are then merged by the same
+        loop, in wave order.
+        """
         stats = ChaseStats()
         target = RelationalInstance()
         # functional index: relation -> {dims: measure}, for egd checking
         functional: Dict[str, Dict[Tuple, Any]] = {}
+        mapping = self.mapping
+        span_args: Dict[str, Any] = {}
+        pool = None
+        if self.jobs is not None:
+            span_args = {"scheduler": "parallel", "jobs": self.jobs}
+            # pre-create every relation slot, lock, and functional index
+            # so pool threads never mutate the shared outer dicts
+            for tgd in list(mapping.st_tgds) + list(mapping.target_tgds):
+                target.ensure(tgd.target_relation)
+                functional.setdefault(tgd.target_relation, {})
+            if self.jobs > 1:
+                # imported where the pool is made: a serial run never pays
+                from concurrent.futures import ThreadPoolExecutor
 
-        with self.tracer.span("chase", category="chase") as chase_span:
-            with self.tracer.span("wave:copy", category="wave",
-                                  width=len(self.mapping.st_tgds)):
-                for tgd in self.mapping.st_tgds:
-                    reads = source.size(tgd.lhs[0].relation)
-                    with self._tgd_span(tgd):
-                        produced = self._apply_copy(
-                            tgd, source, target, functional
-                        )
-                    self._record(stats, tgd, produced, reads=reads)
-            # statement order: each target tgd is its own wave, so the
-            # wave metrics stay comparable with the parallel scheduler
-            for index, tgd in enumerate(self.mapping.target_tgds):
+                pool = ThreadPoolExecutor(max_workers=self.jobs)
+        copy, apply = self.copy, self._apply_cached
+        if sharded:
+            span_args.update(scheduler="sharded", shards=self.shards)
+            stats.shards = self.shards
+            for index in self.plan.parent:
+                reason = self.plan.reasons.get(index, "parent")
+                self.metrics.inc(f"chase.shard.fallback.reason:{reason}")
+                stats.shard_fallback_reasons[reason] = (
+                    stats.shard_fallback_reasons.get(reason, 0) + 1
+                )
+        widest = max((len(wave) for wave in self.waves), default=0)
+        with self.tracer.span(
+            "chase", category="chase", **span_args
+        ) as chase_span, (pool or nullcontext()):
+            if sharded:
+                results = self._shard.run_shards(self, source, stats)
+                apply = partial(self._apply_merged, results)
+            if pool is not None:
+                copy, apply = _locking(copy, target), _locking(apply, target)
+            self.run_wave(
+                mapping.st_tgds,
+                lambda tgd: copy(tgd, source, target, functional),
+                stats, source, "wave:copy", pool,
+            )
+            for number, wave in enumerate(self.waves, 1):
                 started = time.perf_counter()
-                with self.tracer.span(f"wave:{index + 1}", category="wave",
-                                      width=1):
-                    reads = self._operand_rows(tgd, target)
-                    with self._tgd_span(tgd):
-                        produced = self._apply_cached(
-                            tgd, target, functional, stats
-                        )
-                self._record(stats, tgd, produced, reads=reads)
-                self._note_wave(1, time.perf_counter() - started)
+                self.run_wave(
+                    [mapping.target_tgds[i] for i in wave],
+                    lambda tgd: apply(tgd, target, functional, stats),
+                    stats, target, f"wave:{number}", pool,
+                )
+                self.metrics.inc("chase.waves")
+                self.metrics.observe("chase.wave.width", len(wave))
+                self.metrics.observe(
+                    "chase.wave.duration_s", time.perf_counter() - started
+                )
             chase_span.note(
                 tuples_generated=stats.tuples_generated,
-                waves=len(self.mapping.target_tgds),
+                waves=len(self.waves),
+                max_wave_width=widest,
             )
-        stats.waves = len(self.mapping.target_tgds)
-        stats.max_wave_width = 1 if self.mapping.target_tgds else 0
+            if sharded:
+                chase_span.note(shard_tuples=list(stats.shard_tuples))
+        stats.waves = len(self.waves)
+        stats.max_wave_width = widest
         return ChaseResult(target, stats, metrics=self.metrics, functional=functional)
+
+    def run_wave(
+        self,
+        tgds: Sequence[Tgd],
+        apply_one,
+        stats: ChaseStats,
+        operands: RelationalInstance,
+        label: Optional[str] = None,
+        pool=None,
+    ) -> None:
+        """Apply ``tgds`` — in order, or concurrently on ``pool`` when
+        they are mutually independent — and record each in ``stats``.
+
+        ``apply_one(tgd)`` returns the tuples the tgd produced;
+        ``operands`` is the instance its lhs reads.  ``label`` names the
+        wave span (none is opened without it: a shard worker's tgd
+        spans hang off its shard span).
+        """
+
+        def task(tgd):
+            reads = sum(operands.size(atom.relation) for atom in tgd.lhs)
+            # the parent is explicit: pool threads start with an empty
+            # span stack
+            with self.tracer.span(
+                f"tgd:{tgd.label or tgd.target_relation}",
+                category="tgd",
+                parent=wave_span,
+                kind=tgd.kind.value,
+            ):
+                return apply_one(tgd), reads
+
+        wave = (
+            self.tracer.span(label, category="wave", width=len(tgds))
+            if label
+            else nullcontext()
+        )
+        with wave as wave_span:
+            if pool is None or len(tgds) == 1:
+                outcomes = [task(tgd) for tgd in tgds]
+            else:
+                outcomes = list(pool.map(task, tgds))
+        for tgd, (produced, reads) in zip(tgds, outcomes):
+            stats.rule_applications += 1
+            stats.tuples_generated += produced
+            stats.per_tgd[tgd.label or tgd.target_relation] = produced
+            self.metrics.inc("chase.rule_applications")
+            self.metrics.inc("chase.tuples.inserted", produced)
+            self.metrics.inc("chase.tuples.read", reads)
 
     def _check_source(self, source: RelationalInstance) -> None:
         """Every copy tgd's operand must exist in the source instance.
@@ -191,37 +353,7 @@ class StratifiedChase:
                     f"instance (known relations: {sorted(source.relations())})"
                 )
 
-    # -- observability hooks -------------------------------------------------
-    def _tgd_span(self, tgd: Tgd, parent=None):
-        """The span of one rule application (a no-op unless tracing)."""
-        return self.tracer.span(
-            f"tgd:{tgd.label or tgd.target_relation}",
-            category="tgd",
-            parent=parent,
-            kind=tgd.kind.value,
-        )
-
-    @staticmethod
-    def _operand_rows(tgd: Tgd, instance: RelationalInstance) -> int:
-        """Tuples the tgd's lhs reads (relation sizes at apply time)."""
-        return sum(instance.size(atom.relation) for atom in tgd.lhs)
-
-    def _note_wave(self, width: int, duration_s: float) -> None:
-        self.metrics.inc("chase.waves")
-        self.metrics.observe("chase.wave.width", width)
-        self.metrics.observe("chase.wave.duration_s", duration_s)
-
     # -- rule application --------------------------------------------------
-    def _record(
-        self, stats: ChaseStats, tgd: Tgd, produced: int, reads: int = 0
-    ) -> None:
-        stats.rule_applications += 1
-        stats.tuples_generated += produced
-        stats.per_tgd[tgd.label or tgd.target_relation] = produced
-        self.metrics.inc("chase.rule_applications")
-        self.metrics.inc("chase.tuples.inserted", produced)
-        self.metrics.inc("chase.tuples.read", reads)
-
     def _apply_cached(
         self,
         tgd: Tgd,
@@ -236,31 +368,23 @@ class StratifiedChase:
         contributed by other strata.
         """
         if self.cache is None:
-            return self._apply(tgd, target, functional, stats)
+            return self.apply(tgd, target, functional, stats)
         key = self.cache.key_for(tgd, target)
         cached = self.cache.get(key)
+        with self._stats_lock:
+            if cached is None:
+                stats.cache_misses += 1
+            else:
+                stats.cache_hits += 1
         if cached is not None:
-            self._note_cache(stats, hit=True)
-            self.metrics.inc("chase.egd.checks", len(cached))
-            produced = 0
-            for fact in cached:
-                produced += self._insert(
-                    target, functional, tgd.target_relation, fact
-                )
-            return produced
-        self._note_cache(stats, hit=False)
-        produced = self._apply(tgd, target, functional, stats)
+            self.metrics.inc("chase.cache.hits")
+            return self._insert_each(
+                target, functional, tgd.target_relation, cached
+            )
+        self.metrics.inc("chase.cache.misses")
+        produced = self.apply(tgd, target, functional, stats)
         self.cache.put(key, target.facts(tgd.target_relation))
         return produced
-
-    def _note_cache(self, stats: ChaseStats, hit: bool) -> None:
-        """Stat-counter hook; the parallel scheduler serializes it."""
-        if hit:
-            stats.cache_hits += 1
-            self.metrics.inc("chase.cache.hits")
-        else:
-            stats.cache_misses += 1
-            self.metrics.inc("chase.cache.misses")
 
     def _note_kernel(
         self,
@@ -268,16 +392,17 @@ class StratifiedChase:
         used: bool,
         reason: Optional[str] = None,
     ) -> None:
-        """Record one kernel decision; the parallel scheduler serializes it."""
+        """Record one kernel decision (the tasks of a wave share ``stats``)."""
         if stats is not None:
-            if used:
-                stats.vectorized_tgds += 1
-            else:
-                stats.fallback_tgds += 1
-                if reason:
-                    stats.fallback_reasons[reason] = (
-                        stats.fallback_reasons.get(reason, 0) + 1
-                    )
+            with self._stats_lock:
+                if used:
+                    stats.vectorized_tgds += 1
+                else:
+                    stats.fallback_tgds += 1
+                    if reason:
+                        stats.fallback_reasons[reason] = (
+                            stats.fallback_reasons.get(reason, 0) + 1
+                        )
         if used:
             self.metrics.inc("chase.kernel.vectorized")
         else:
@@ -287,16 +412,24 @@ class StratifiedChase:
         if self.kernel_hook is not None:
             self.kernel_hook(used, reason)
 
-    def _apply(
+    def apply(
         self,
         tgd: Tgd,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
         stats: Optional[ChaseStats] = None,
     ) -> int:
+        """Apply one target tgd to saturation against ``target`` — on a
+        columnar kernel when one covers it, tuple-at-a-time otherwise —
+        and return the tuples it produced."""
         if self.vectorized:
             if tgd.kind is TgdKind.COPY:
-                produced = self._copy_columnar(tgd, target, target, functional)
+                produced = self._adopt(
+                    tgd.target_relation,
+                    target.export_store(tgd.lhs[0].relation),
+                    target,
+                    functional,
+                )
                 if produced is not None:
                     self._note_kernel(stats, used=True)
                     return produced
@@ -308,7 +441,7 @@ class StratifiedChase:
                     functional,
                     self.registry,
                     self._insert_batch,
-                    self._kernel_plans,
+                    self.kernel_plans,
                     tracer=self.tracer,
                     metrics=self.metrics,
                 )
@@ -325,28 +458,56 @@ class StratifiedChase:
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
     ) -> int:
+        """Tuple at a time: the rule enumerates the facts it derives,
+        each goes through the egd-checking insert."""
         if tgd.kind is TgdKind.COPY:
-            return self._apply_copy(tgd, target, target, functional)
+            return self.copy(tgd, target, target, functional)
         if tgd.kind is TgdKind.TUPLE_LEVEL:
-            return self._apply_tuple_level(tgd, target, functional)
-        if tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
-            return self._apply_outer_tuple_level(tgd, target, functional)
-        if tgd.kind is TgdKind.AGGREGATION:
-            return self._apply_aggregation(tgd, target, functional)
-        return self._apply_table_function(tgd, target, functional)
+            facts = self._tuple_level_facts(tgd, target)
+        elif tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
+            facts = self._outer_tuple_level_facts(tgd, target)
+        elif tgd.kind is TgdKind.AGGREGATION:
+            facts = self._reduced_facts(tgd, self.collect(tgd, target))
+        else:
+            facts = self._table_function_facts(tgd, target)
+        return self._insert_each(target, functional, tgd.rhs.relation, facts)
 
-    def _apply_copy(
+    def _insert_each(
+        self,
+        target: RelationalInstance,
+        functional: Dict[str, Dict[Tuple, Any]],
+        relation: str,
+        facts: Iterable[Tuple],
+    ) -> int:
+        produced = checks = 0
+        for fact in facts:
+            produced += self.insert(target, functional, relation, fact)
+            checks += 1
+        self.metrics.inc("chase.egd.checks", checks)
+        return produced
+
+    def copy(
         self,
         tgd: Tgd,
         source: RelationalInstance,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
     ) -> int:
+        """Apply one copy tgd reading ``source`` and writing ``target``."""
         relation = tgd.lhs[0].relation
-        if self.vectorized:
-            adopted = self._copy_columnar(tgd, source, target, functional)
+        # a chase with shard workers adopts even on scalar kernels: data
+        # movement is merge machinery, not a kernel choice, and a per-fact
+        # rebuild of data the workers already chased would be all cost
+        if self.vectorized or self.plan is not None:
+            adopted = self._adopt(
+                tgd.target_relation,
+                source.export_store(relation),
+                target,
+                functional,
+            )
             if adopted is not None:
                 return adopted
+        if self.vectorized:
             # materialized as a list on purpose: the batch must flow
             # element-wise into the target store so the insertion
             # sequence matches what per-fact inserts build
@@ -356,64 +517,83 @@ class StratifiedChase:
                 tgd.target_relation,
                 list(source.facts(relation)),
             )
-        produced = 0
-        for fact in source.facts(relation):
-            produced += self._insert(target, functional, tgd.target_relation, fact)
-        self.metrics.inc("chase.egd.checks", source.size(relation))
-        return produced
+        return self._insert_each(
+            target, functional, tgd.target_relation, source.facts(relation)
+        )
 
-    def _copy_columnar(
+    def _adopt(
         self,
-        tgd: Tgd,
-        source: RelationalInstance,
+        relation: str,
+        store,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
     ) -> Optional[int]:
-        """Copy-tgd adoption: share the operand's column buffers.
+        """Adopt a columnar store as ``relation``'s content, sharing its
+        buffers copy-on-write — no per-fact insert, no re-encode.
 
-        When the operand relation is columnar with provably distinct
-        dimension tuples and the (single-writer, still empty) target
-        relation will never consult the functional index, the copy is
-        O(1): the store is adopted copy-on-write — no per-fact insert,
-        no re-encode.  Returns None when the preconditions fail and the
-        caller must run the element-wise path.
+        Sound when the store's dimension tuples are provably distinct
+        and the (single-writer, still empty) relation will never consult
+        the functional index: a copy tgd whose operand qualifies is
+        O(1), and so is the merge of disjoint shard outputs.  Returns
+        None when a precondition fails and the caller must run the
+        element-wise path.
         """
-        relation = tgd.target_relation
-        if relation not in self._single_writer or functional.get(relation):
+        if (
+            store is None
+            or not store.dims_distinct
+            or relation not in self._single_writer
+            or functional.get(relation)
+        ):
             return None
-        store = source.export_store(tgd.lhs[0].relation)
-        if store is None or not store.dims_distinct:
-            return None
-        with target.lock(relation):
-            adopted = target.adopt(relation, store)
-        if adopted is None:
-            return None
-        self.metrics.inc("chase.egd.checks", adopted)
+        adopted = target.adopt(relation, store)
+        if adopted is not None:
+            self.metrics.inc("chase.egd.checks", adopted)
         return adopted
 
-    def _apply_tuple_level(
+    def _apply_merged(
         self,
+        results: List[Dict[str, Any]],
         tgd: Tgd,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
+        stats: ChaseStats,
     ) -> int:
-        produced = 0
-        checks = 0
-        for env in self._matches(tgd.lhs, target):
-            fact = tuple(
-                evaluate(term, env, self.registry) for term in tgd.rhs.terms
+        """A target tgd of a sharded run: insert what the workers
+        computed — disjoint stores verbatim, contribution bags through
+        the one reduce — or apply it here when it ran in no worker."""
+        if self.plan.klass[self._tgd_index[id(tgd)]] == self._shard.PARENT:
+            return self._apply_cached(tgd, target, functional, stats)
+        started = time.perf_counter()
+        relation = tgd.target_relation
+        merged = self._shard.merge_outputs(relation, results)
+        if isinstance(merged, dict):
+            produced = self._insert_each(
+                target, functional, relation, self._reduced_facts(tgd, merged)
             )
-            produced += self._insert(target, functional, tgd.rhs.relation, fact)
-            checks += 1
-        self.metrics.inc("chase.egd.checks", checks)
+        elif isinstance(merged, list):
+            produced = self._insert_batch(target, functional, relation, merged)
+        else:
+            produced = self._adopt(relation, merged, target, functional)
+            if produced is None:
+                # defensive: element-wise through the egd-checking insert
+                produced = self._insert_batch(
+                    target, functional, relation, list(merged.rows())
+                )
+        with self._stats_lock:
+            stats.shard_merge_s += time.perf_counter() - started
         return produced
 
-    def _apply_outer_tuple_level(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-    ) -> int:
+    def _tuple_level_facts(
+        self, tgd: Tgd, target: RelationalInstance
+    ) -> Iterator[Tuple]:
+        for env in self.matches(tgd.lhs, target):
+            yield tuple(
+                evaluate(term, env, self.registry) for term in tgd.rhs.terms
+            )
+
+    def _outer_tuple_level_facts(
+        self, tgd: Tgd, target: RelationalInstance
+    ) -> Iterator[Tuple]:
         """Vectorial rule with a default for missing tuples: the result
         is defined on the union of the two operands' dimension tuples,
         padding the absent side with the tgd's default value."""
@@ -421,13 +601,10 @@ class StratifiedChase:
         left = {f[:-1]: f[-1] for f in target.facts(left_atom.relation)}
         right = {f[:-1]: f[-1] for f in target.facts(right_atom.relation)}
         default = tgd.outer_default
-        produced = 0
         left_measure = left_atom.terms[-1]
         right_measure = right_atom.terms[-1]
         dim_terms = left_atom.terms[:-1]
-        keys = left.keys() | right.keys()
-        self.metrics.inc("chase.egd.checks", len(keys))
-        for dims in keys:
+        for dims in left.keys() | right.keys():
             env = {
                 term.name: value
                 for term, value in zip(dim_terms, dims)
@@ -435,62 +612,47 @@ class StratifiedChase:
             }
             env[left_measure.name] = left.get(dims, default)
             env[right_measure.name] = right.get(dims, default)
-            fact = tuple(
+            yield tuple(
                 evaluate(term, env, self.registry) for term in tgd.rhs.terms
             )
-            produced += self._insert(target, functional, tgd.rhs.relation, fact)
-        return produced
 
-    def _apply_aggregation(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-    ) -> int:
-        atom = tgd.lhs[0]
+    def collect(
+        self, tgd: Tgd, instance: RelationalInstance
+    ) -> Dict[Tuple, List[Any]]:
+        """The contribution bag of every group of one aggregation tgd
+        over ``instance`` — the aggregation minus its reduce, which is
+        all a shard worker runs of a group-by that is not shard-aligned."""
         group_terms = tgd.rhs.terms[: tgd.group_arity]
         agg_term = tgd.rhs.terms[-1]
         if not isinstance(agg_term, AggTerm):
             raise ChaseError("aggregation tgd without an aggregate term")
-        aggregate = get_aggregate(agg_term.func)
-        groups: Dict[Tuple, List[float]] = {}
-        for env in self._matches([atom], target):
-            key = tuple(evaluate(t, env, self.registry) for t in group_terms)
-            value = evaluate(agg_term.operand, env, self.registry)
-            groups.setdefault(key, []).append(value)
-        produced = 0
-        self.metrics.inc("chase.egd.checks", len(groups))
-        for key, bag in groups.items():
-            # fold-sensitive aggregates reduce the bag in canonical
-            # order internally (stats.aggregates.canonical_bag), so the
-            # result is independent of operand enumeration order
-            fact = key + (aggregate(bag),)
-            produced += self._insert(target, functional, tgd.rhs.relation, fact)
-        return produced
-
-    def _apply_table_function(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-    ) -> int:
-        spec = self.registry.get(tgd.table_function)
-        operand = tgd.lhs[0].relation
-        rows = sorted(target.facts(operand), key=_time_key)
-        series = [(fact[0], fact[-1]) for fact in rows]
-        result = spec.impl(series, tgd.params_dict())
-        produced = 0
-        checks = 0
-        for point, value in result:
-            produced += self._insert(
-                target, functional, tgd.rhs.relation, (point, float(value))
+        registry = self.registry
+        return groupreduce.collect(
+            (
+                tuple(evaluate(t, env, registry) for t in group_terms),
+                evaluate(agg_term.operand, env, registry),
             )
-            checks += 1
-        self.metrics.inc("chase.egd.checks", checks)
-        return produced
+            for env in self.matches([tgd.lhs[0]], instance)
+        )
+
+    @staticmethod
+    def _reduced_facts(tgd: Tgd, bags: Dict[Tuple, List[Any]]) -> List[Tuple]:
+        """One fact per group: its key and its bag's aggregate."""
+        aggregate = get_aggregate(tgd.rhs.terms[-1].func)
+        reduced = groupreduce.reduce_bags(bags, aggregate)
+        return [key + (value,) for key, value in reduced.items()]
+
+    def _table_function_facts(
+        self, tgd: Tgd, target: RelationalInstance
+    ) -> Iterator[Tuple]:
+        spec = self.registry.get(tgd.table_function)
+        rows = sorted(target.facts(tgd.lhs[0].relation), key=_time_key)
+        series = [(fact[0], fact[-1]) for fact in rows]
+        for point, value in spec.impl(series, tgd.params_dict()):
+            yield (point, float(value))
 
     # -- matching ----------------------------------------------------------
-    def _matches(
+    def matches(
         self, atoms: Sequence[Atom], instance: RelationalInstance
     ) -> Iterator[Dict[str, Any]]:
         """Enumerate variable assignments satisfying the conjunction.
@@ -519,7 +681,7 @@ class StratifiedChase:
         key_positions = [
             i for i, term in enumerate(atom.terms) if _determined(term, bound)
         ]
-        if key_positions and index > 0 and self.use_indexes:
+        if key_positions and index > 0:
             cache_key = (index, atom.relation, tuple(key_positions))
             if cache_key not in index_cache:
                 built: Dict[Tuple, List[Tuple]] = {}
@@ -600,7 +762,7 @@ class StratifiedChase:
         )
 
     # -- insertion with incremental egd check --------------------------------
-    def _insert(
+    def insert(
         self,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
@@ -686,8 +848,19 @@ class StratifiedChase:
                 return target.add_batch(relation, facts)
         produced = 0
         for fact in facts:
-            produced += self._insert(target, functional, relation, fact)
+            produced += self.insert(target, functional, relation, fact)
         return produced
+
+
+def _locking(apply_one, target: RelationalInstance):
+    """``apply_one`` holding the insert lock of the one relation its tgd
+    writes — how the tasks of a pooled wave share ``target``."""
+
+    def locked(tgd, *args):
+        with target.lock(tgd.target_relation):
+            return apply_one(tgd, *args)
+
+    return locked
 
 
 def _determined(term: Term, bound: set) -> bool:

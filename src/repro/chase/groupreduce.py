@@ -1,50 +1,140 @@
-"""Incremental group re-reduce: the maintenance kernel of aggregates.
+"""Group-reduce: the one place bags are built, folded and maintained.
 
-The step the OLAP roll-up lattice refreshes its nodes with, and the one
-the delta chase's aggregation rule performs inline.  It lives apart from
-:mod:`repro.chase.delta` so the query path can maintain a lattice
-without importing the chase executor.
+Every aggregate in the system is the same three steps — *collect* the
+contributions of each group into a bag, *reduce* each bag through a
+registered aggregate, and (for maintained results) *rereduce* only the
+groups a row-level change touches.  The scalar chase, the shard worker
+and parent, the delta chase, the columnar kernel and the OLAP roll-up
+lattice all call the functions below and own no group-by loop of their
+own, so a bag is folded identically — in
+:func:`repro.stats.aggregates.canonical_bag` order, inside the
+aggregate — whichever path built it.
+
+The module imports nothing at load time (numpy only inside
+:func:`sorted_slices`), so the query path can reduce and maintain a
+lattice without the chase executor or numpy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["rereduce_groups"]
+__all__ = [
+    "collect",
+    "concatenate",
+    "contribution_index",
+    "reduce_bags",
+    "rereduce_groups",
+    "sorted_slices",
+]
+
+Bags = Dict[Tuple, List[Any]]
+
+
+def collect(entries: Iterable[Tuple[Tuple, Any]]) -> Bags:
+    """``(group key, contribution)`` pairs → ``{key: bag}``.
+
+    Keys appear in first-occurrence order and each bag holds its
+    contributions in enumeration order.
+    """
+    bags: Bags = {}
+    for key, value in entries:
+        bags.setdefault(key, []).append(value)
+    return bags
+
+
+def concatenate(parts: Iterable[Bags]) -> Bags:
+    """Merge per-shard bag maps into one: bags of the same key are
+    concatenated.  The aggregates fold in canonical order, so the order
+    the parts arrive in cannot change a result."""
+    merged: Bags = {}
+    for bags in parts:
+        for key, bag in bags.items():
+            merged.setdefault(key, []).extend(bag)
+    return merged
+
+
+def reduce_bags(bags: Bags, aggregate: Callable) -> Dict[Tuple, Any]:
+    """``{key: bag}`` → ``{key: aggregate(bag)}``, keys in bag order."""
+    return {key: aggregate(bag) for key, bag in bags.items()}
+
+
+def sorted_slices(composite, values) -> Iterator[Tuple[int, List[Any]]]:
+    """The columnar collect: one stable argsort over composite group
+    codes turns every group's bag into a contiguous slice.
+
+    ``composite`` is an integer array with one code per row (equal
+    codes ⇔ same group) and ``values`` the aligned contribution array.
+    Yields ``(first row of the group, bag)`` per group, groups in
+    first-occurrence order and each bag in row order — value for value
+    what :func:`collect` builds from the same rows.
+    """
+    import numpy as np
+
+    n = len(composite)
+    if n == 0:
+        return
+    order = np.argsort(composite, kind="stable")
+    ordered = composite[order]
+    boundary = np.empty(n, bool)
+    boundary[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.nonzero(boundary)[0]
+    ends = np.append(starts[1:], n).tolist()
+    # the stable sort puts each group's earliest row first
+    first_rows = order[starts]
+    emission = np.argsort(first_rows, kind="stable").tolist()
+    first_rows = first_rows.tolist()
+    starts = starts.tolist()
+    sorted_values = values[order].tolist()
+    for g in emission:
+        yield first_rows[g], sorted_values[starts[g] : ends[g]]
+
+
+def contribution_index(
+    facts: Iterable[Tuple], classify: Callable
+) -> Dict[Tuple, Dict[Tuple, Any]]:
+    """The state :func:`rereduce_groups` maintains, built from scratch:
+    ``{group key: {operand dims: contribution}}``."""
+    index: Dict[Tuple, Dict[Tuple, Any]] = {}
+    for fact in facts:
+        entry = classify(fact)
+        if entry is not None:
+            index.setdefault(entry[0], {})[fact[:-1]] = entry[1]
+    return index
 
 
 def rereduce_groups(
     index: Dict[Tuple, Dict[Tuple, Any]],
     old_facts: Iterable[Tuple],
     new_facts: Iterable[Tuple],
-    classify,
-    aggregate,
-    groups: Dict[Tuple, float],
-) -> int:
+    classify: Callable[[Tuple], Optional[Tuple[Tuple, Any]]],
+    aggregate: Callable,
+    groups: Dict[Tuple, Any],
+) -> List[Tuple]:
     """Splice row-level changes through a per-group contribution index
     and re-reduce only the touched groups.
 
-    The maintenance step of the OLAP roll-up lattice (and, inline, of
-    the delta chase's aggregation rule, ``DeltaChase._agg_delta``):
-    ``index`` maps ``group_key -> {operand_dims: contribution}``,
-    ``classify(fact)`` returns ``(group_key, contribution)`` (or None
-    to ignore the fact), and ``groups`` — the materialized
-    ``group_key -> value`` results — is updated in place.  Old facts
-    are retracted from their buckets first, new facts asserted, and
-    each touched group re-reduced over its full bucket; the registered
-    aggregates canonicalize fold order internally (``canonical_bag``),
-    so a group re-reduced here is bit-identical to a recompute from
-    scratch.  Groups whose bucket empties are deleted from both maps.
+    ``index`` is a :func:`contribution_index`, ``classify(fact)``
+    returns ``(group_key, contribution)`` (or None to ignore the fact),
+    and ``groups`` — ``group_key -> value`` — is updated in place.  Old
+    facts are retracted from their buckets first, new facts asserted,
+    and each touched group re-reduced over its full bucket; the
+    registered aggregates canonicalize fold order internally, so a
+    group re-reduced here is bit-identical to a recompute from scratch.
+    Groups whose bucket empties are deleted from both maps.
 
-    Returns the number of groups re-reduced (the dirty-group count an
-    incremental refresh is judged by — ``olap.lattice.groups.rereduced``).
+    Returns the touched group keys: their count is what an incremental
+    refresh is judged by (``olap.lattice.groups.rereduced``), and a
+    caller that keeps its results elsewhere (the delta chase) passes an
+    empty ``groups`` and diffs exactly these keys.
     """
-    affected: Dict[Tuple, None] = {}
+    touched: Dict[Tuple, None] = {}
     for fact in old_facts:
         entry = classify(fact)
         if entry is None:
             continue
-        affected[entry[0]] = None
+        touched[entry[0]] = None
         bucket = index.get(entry[0])
         if bucket is not None:
             bucket.pop(fact[:-1], None)
@@ -52,13 +142,13 @@ def rereduce_groups(
         entry = classify(fact)
         if entry is None:
             continue
-        affected[entry[0]] = None
+        touched[entry[0]] = None
         index.setdefault(entry[0], {})[fact[:-1]] = entry[1]
-    for key in affected:
+    for key in touched:
         bucket = index.get(key)
         if not bucket:
             index.pop(key, None)
             groups.pop(key, None)
         else:
             groups[key] = aggregate(list(bucket.values()))
-    return len(affected)
+    return list(touched)

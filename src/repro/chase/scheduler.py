@@ -1,4 +1,4 @@
-"""Stratum-parallel chase scheduling with cube-level result caching.
+"""The stratum schedule and the cube-level result cache.
 
 The paper's stratified chase (Section 4.2) applies the target tgds in
 *statement order*, each to saturation.  Statement order is sufficient
@@ -8,15 +8,15 @@ the same observation OLAP engines use to schedule independent nodes of
 the aggregation lattice.
 
 This module derives the *stratum DAG* from a mapping (edge A → B when
-tgd B consumes the cube tgd A defines), groups the tgds into
-topological *waves* of mutually independent strata, and executes each
-wave on a thread pool.  Because every cube is defined by exactly one
-tgd and a wave barrier separates producers from consumers, no fact is
-ever read while it is being written; per-relation locks on
-:class:`RelationalInstance` inserts protect the egd-checking insert
-path itself.  ``ParallelStratifiedChase`` is solution-equivalent to the
-sequential :class:`StratifiedChase` — the property pinned tuple-for-
-tuple by ``tests/test_parallel_chase.py``.
+tgd B consumes the cube tgd A defines) and groups the tgds into
+topological *waves* of mutually independent strata;
+:class:`~repro.chase.engine.StratifiedChase` walks that schedule on a
+thread pool when given ``jobs``.  Because every cube is defined by
+exactly one tgd and a wave barrier separates producers from consumers,
+no fact is ever read while it is being written, and each task holds the
+insert lock of the one relation it writes.  The schedule changes no
+solution — the property pinned tuple-for-tuple by
+``tests/test_parallel_chase.py``.
 
 The :class:`ChaseCache` memoizes each stratum's result keyed by the tgd
 and a content fingerprint of its operand relations, so re-running a
@@ -28,23 +28,15 @@ insert, so a cached stratum can never mask a functionality violation.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import MappingError
 from ..mappings.dependencies import Tgd
-from ..mappings.mapping import SchemaMapping
 from ..obs import MetricsRegistry
-from .engine import ChaseResult, ChaseStats, StratifiedChase
 from .instance import RelationalInstance
 
-__all__ = [
-    "ChaseCache",
-    "ParallelStratifiedChase",
-    "schedule_waves",
-    "stratum_dag",
-]
+__all__ = ["ChaseCache", "schedule_waves", "stratum_dag"]
 
 
 # -- stratum DAG ------------------------------------------------------------
@@ -244,179 +236,3 @@ class ChaseCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-# -- the parallel engine -----------------------------------------------------
-class ParallelStratifiedChase(StratifiedChase):
-    """Wave-parallel stratified chase.
-
-    Executes the copy stratum, then each wave of independent target
-    tgds, on a :class:`ThreadPoolExecutor`.  ``max_workers=1`` degrades
-    to wave-ordered sequential execution; ``StratifiedChase`` itself
-    remains the bit-exact statement-order ablation baseline.
-    """
-
-    def __init__(
-        self,
-        mapping: SchemaMapping,
-        use_indexes: bool = True,
-        max_workers: int = 4,
-        cache: Optional[ChaseCache] = None,
-        vectorized: Optional[bool] = None,
-        kernel_hook=None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        super().__init__(
-            mapping,
-            use_indexes,
-            cache=cache,
-            vectorized=vectorized,
-            kernel_hook=kernel_hook,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        self.max_workers = max(1, int(max_workers))
-        self._stats_lock = threading.Lock()
-        # validate the schedule eagerly: a cyclic or racy mapping should
-        # fail at construction, not deadlock mid-run
-        self.waves = schedule_waves(
-            mapping.target_tgds,
-            reserved=[t.target_relation for t in mapping.st_tgds],
-        )
-
-    def run(self, source: RelationalInstance) -> ChaseResult:
-        self._check_source(source)
-        stats = ChaseStats()
-        target = RelationalInstance()
-        functional: Dict[str, Dict[Tuple, Any]] = {}
-        # pre-create every relation slot, lock, and functional index so
-        # workers never mutate the shared outer dicts
-        for tgd in self.mapping.st_tgds:
-            target.ensure(tgd.target_relation)
-            functional.setdefault(tgd.target_relation, {})
-        for tgd in self.mapping.target_tgds:
-            target.ensure(tgd.target_relation)
-            functional.setdefault(tgd.target_relation, {})
-
-        with self.tracer.span(
-            "chase", category="chase", scheduler="parallel",
-            jobs=self.max_workers,
-        ) as chase_span:
-            # imported where the pool is made: a serial run never pays
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                # wave 0: the source-to-target copies are mutually
-                # independent
-                self._run_wave(
-                    pool,
-                    self.mapping.st_tgds,
-                    lambda tgd: self._apply_copy(
-                        tgd, source, target, functional
-                    ),
-                    stats,
-                    label="wave:copy",
-                    source=source,
-                )
-                for index, wave in enumerate(self.waves):
-                    tgds = [self.mapping.target_tgds[i] for i in wave]
-                    self._run_wave(
-                        pool,
-                        tgds,
-                        lambda tgd: self._apply_cached(
-                            tgd, target, functional, stats
-                        ),
-                        stats,
-                        label=f"wave:{index + 1}",
-                        source=target,
-                        timed=True,
-                    )
-            chase_span.note(
-                tuples_generated=stats.tuples_generated,
-                waves=len(self.waves),
-                max_wave_width=max(
-                    (len(w) for w in self.waves), default=0
-                ),
-            )
-        stats.waves = len(self.waves)
-        stats.max_wave_width = max((len(w) for w in self.waves), default=0)
-        return ChaseResult(target, stats, metrics=self.metrics, functional=functional)
-
-    def _run_wave(
-        self,
-        pool,
-        tgds,
-        apply_one,
-        stats: ChaseStats,
-        label: str = "wave",
-        source: Optional[RelationalInstance] = None,
-        timed: bool = False,
-    ) -> None:
-        if not tgds:
-            return
-        started = time.perf_counter()
-        with self.tracer.span(
-            label, category="wave", width=len(tgds)
-        ) as wave_span:
-            # each task opens its tgd span against the wave span
-            # explicitly: workers run on pool threads, where the
-            # tracer's thread-local stack is empty
-            def traced(tgd):
-                with self._tgd_span(tgd, parent=wave_span):
-                    return apply_one(tgd)
-
-            if self.max_workers == 1 or len(tgds) == 1:
-                produced = [traced(tgd) for tgd in tgds]
-            else:
-                produced = list(pool.map(traced, tgds))
-        if timed:
-            self._note_wave(len(tgds), time.perf_counter() - started)
-        for tgd, count in zip(tgds, produced):
-            reads = 0 if source is None else self._operand_rows(tgd, source)
-            self._record(stats, tgd, count, reads=reads)
-
-    # -- thread safety --------------------------------------------------------
-    def _note_cache(self, stats: ChaseStats, hit: bool) -> None:
-        with self._stats_lock:
-            super()._note_cache(stats, hit)
-
-    def _note_kernel(self, stats, used: bool, reason: Optional[str] = None) -> None:
-        with self._stats_lock:
-            super()._note_kernel(stats, used, reason)
-
-    def _insert(
-        self,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        relation: str,
-        fact: Tuple,
-    ) -> int:
-        with target.lock(relation):
-            return super()._insert(target, functional, relation, fact)
-
-    def _insert_batch(
-        self,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        relation: str,
-        facts,
-        dims=None,
-        measures=None,
-        assume_unique: bool = False,
-        columns=None,
-        n: int = 0,
-    ) -> int:
-        with target.lock(relation):
-            return StratifiedChase._insert_batch(
-                self,
-                target,
-                functional,
-                relation,
-                facts,
-                dims=dims,
-                measures=measures,
-                assume_unique=assume_unique,
-                columns=columns,
-                n=n,
-            )

@@ -1,8 +1,9 @@
-"""Multi-process sharded chase: shared-nothing scale-out over columnar partitions.
+"""Shard workers for the chase: shared-nothing scale-out over columnar partitions.
 
-The stratum-parallel scheduler (:mod:`repro.chase.scheduler`) overlaps
-waves on *threads*, so pure-Python tgd work is GIL-bound.  This module
-converts that wave parallelism into real multi-core speedup:
+:class:`~repro.chase.engine.StratifiedChase` overlaps the tgds of a
+wave on *threads*, so pure-Python tgd work is GIL-bound.  Given
+``shards``, it calls the functions of this module (imported only then)
+to turn that into real multi-core speedup:
 
 1. **Partition.**  Each elementary relation feeding shard-friendly
    tgds is hash-partitioned on one dimension (time slices via
@@ -18,13 +19,14 @@ converts that wave parallelism into real multi-core speedup:
    buffers (codes/dicts/measures round-trip; NaN identity inside a
    payload survives via pickle memoization).
 
-3. **Merge.**  Shard outputs are merged through the existing
-   egd-checking insert.  The hot path concatenates columnar shard
-   stores (:meth:`ColumnStore.extend_from`) and proves global key
-   distinctness with one mixed-radix ``np.unique`` pass; any
-   precondition failure drops to the defensive element-wise
-   ``_insert_batch`` path, which raises :class:`ChaseError` on true
-   functionality violations exactly like an unsharded run.
+3. **Merge.**  :func:`merge_outputs` hands the executor each tgd's
+   shard outputs to insert, in wave order.  The hot path concatenates
+   columnar shard stores (:meth:`ColumnStore.extend_from`) and proves
+   global key distinctness with one mixed-radix ``np.unique`` pass, so
+   the executor adopts the result whole; anything else arrives as a
+   list of facts for the element-wise egd-checking insert, which raises
+   :class:`ChaseError` on true functionality violations exactly like an
+   unsharded run.
 
 Classification (the fallback taxonomy surfaced as
 ``chase.shard.fallback.reason:*`` metrics):
@@ -34,8 +36,8 @@ Classification (the fallback taxonomy surfaced as
   aggregations whose group-by keys include it: shard outputs are
   disjoint and merge verbatim.
 * **rereduce** — aggregations whose group-by keys are *not*
-  shard-aligned: workers return per-group contribution bags (the delta
-  layer's per-group contribution approach) and the parent re-reduces
+  shard-aligned: workers return per-group contribution bags (the
+  *collect* of :mod:`repro.chase.groupreduce`) and the parent reduces
   the concatenated bags; ``stats.aggregates.canonical_bag`` makes the
   fold order-insensitive, so the result is bit-exact.
 * **parent** — everything else (cross-shard joins with no shared key,
@@ -44,8 +46,8 @@ Classification (the fallback taxonomy surfaced as
   already-merged relations.
 
 A mapping with no local/rereduce tgds or a platform without ``fork``
-falls back to the thread scheduler wholesale — same result, no
-scale-out, one counted reason.
+runs the executor's loop without shards — same result, no scale-out,
+one counted reason.
 
 **Supervision.**  Worker death no longer abandons the run: the parent
 supervises the fork pool, keeps every shard result that completed, and
@@ -54,7 +56,7 @@ OOM-killed worker breaks the whole ``ProcessPoolExecutor``, so the pool
 is disposable per round).  Each retry round counts
 ``chase.shard.retries`` per retried shard; after ``shard_retries``
 rounds the survivors are quarantined (``chase.shard.quarantined``) and
-the run falls back to the thread scheduler with reason
+the executor reruns its loop without shards under reason
 ``shard-retries-exhausted`` — still correct, just not scaled out.  With
 ``shard_timeout_s`` set, a wedged worker (the ``hang`` fault kind) trips
 a per-shard timeout (``chase.shard.timeouts``), its process is
@@ -73,24 +75,24 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..errors import ChaseError
 from ..mappings.dependencies import Atom, Tgd, TgdKind
 from ..mappings.mapping import SchemaMapping
-from ..mappings.terms import AggTerm, Var, evaluate
+from ..mappings.terms import Var
 from ..model.time import TimePoint
 from ..obs import MetricsRegistry, Tracer
-from ..stats.aggregates import get_aggregate
-from . import instance as instance_mod
 from .colstore import ColumnStore, TupleStore
-from .engine import ChaseResult, ChaseStats, StratifiedChase
+from .engine import ChaseStats, StratifiedChase
+from .groupreduce import concatenate
 from .instance import RelationalInstance
-from .scheduler import ParallelStratifiedChase
 
 __all__ = [
+    "ShardFallback",
     "ShardPlan",
-    "ShardedStratifiedChase",
+    "merge_outputs",
     "resolve_shards",
+    "run_shards",
     "shard_of",
+    "unavailable",
 ]
 
 _INT = np.int64
@@ -125,10 +127,13 @@ def shard_of(value: Any, shards: int) -> int:
     return int.from_bytes(digest, "big") % shards
 
 
-def _fork_available() -> bool:
+def unavailable() -> Optional[str]:
+    """Why this platform cannot run shard workers, or None when it can."""
     import multiprocessing
 
-    return "fork" in multiprocessing.get_all_start_methods()
+    if "fork" in multiprocessing.get_all_start_methods():
+        return None
+    return "no-fork"
 
 
 def _var_column(atom: Atom, name: str) -> Optional[int]:
@@ -142,6 +147,12 @@ def _var_column(atom: Atom, name: str) -> Optional[int]:
 LOCAL = "local"
 REREDUCE = "rereduce"
 PARENT = "parent"
+
+#: which injected fault kinds fire where (``repro.engine.faults``): the
+#: error kinds in the parent, the process-level ones only inside an
+#: expendable worker
+_PARENT_KINDS = ("transient", "permanent", "delay")
+_WORKER_KINDS = ("kill", "hang")
 
 
 @dataclass
@@ -370,49 +381,11 @@ def _partition_store(store, col: int, shards: int) -> List[Optional[Any]]:
 
 # -- worker side ----------------------------------------------------------------
 
-#: staged by the parent immediately before the fork pool spins up;
-#: workers inherit it copy-on-write, so the mapping (with its operator
-#: registry closures) and the shard payloads never cross pickle
-_WORKER_STATE: Optional["_WorkerState"] = None
-
-
-@dataclass
-class _WorkerState:
-    mapping: SchemaMapping
-    plan: ShardPlan
-    payloads: List[Dict[str, Any]]
-    use_indexes: bool
-    vectorized: bool
-    trace: bool
-    #: (fault_plan, target, cubes, base_attempt) from the dispatcher, or
-    #: None — workers consult it for process-level fault kinds only
-    fault: Optional[Tuple[Any, str, Tuple[str, ...], int]] = None
-    #: which supervision round staged this state; folded into the fault
-    #: attempt index so "fail the first N attempts" rules see retries
-    pool_round: int = 0
-
-
-def _collect_contributions(
-    chase: StratifiedChase, tgd: Tgd, target: RelationalInstance
-) -> Dict[Tuple, List[Any]]:
-    """Per-group contribution bags of one non-aligned aggregation.
-
-    Mirrors ``StratifiedChase._apply_aggregation`` exactly, minus the
-    reduce: the parent concatenates the bags across shards and folds
-    once, through the same canonical-order aggregate.
-    """
-    atom = tgd.lhs[0]
-    group_terms = tgd.rhs.terms[: tgd.group_arity]
-    agg_term = tgd.rhs.terms[-1]
-    if not isinstance(agg_term, AggTerm):
-        raise ChaseError("aggregation tgd without an aggregate term")
-    registry = chase.registry
-    groups: Dict[Tuple, List[Any]] = {}
-    for env in chase._matches([atom], target):
-        key = tuple(evaluate(t, env, registry) for t in group_terms)
-        value = evaluate(agg_term.operand, env, registry)
-        groups.setdefault(key, []).append(value)
-    return groups
+#: ``(parent chase, per-shard payloads, supervision round)``, staged by
+#: the parent immediately before the fork pool spins up; workers inherit
+#: it copy-on-write, so the mapping (with its operator registry
+#: closures) and the shard payloads never cross pickle
+_WORKER_STATE: Optional[Tuple[StratifiedChase, List[Dict[str, Any]], int]] = None
 
 
 def _export_spans(tracer: Optional[Tracer]) -> Optional[List[Dict]]:
@@ -434,48 +407,36 @@ def _export_spans(tracer: Optional[Tracer]) -> Optional[List[Dict]]:
 
 def _run_shard(index: int) -> Dict[str, Any]:
     """One worker: chase the shard slice, return plain-data results."""
-    state = _WORKER_STATE
-    if state is None:  # pragma: no cover - defensive
+    if _WORKER_STATE is None:  # pragma: no cover - defensive
         raise RuntimeError("shard worker started without staged state")
-    if state.fault is not None:
+    parent, payloads, pool_round = _WORKER_STATE
+    if parent.fault_context is not None:
         # deliver process-level faults *inside* the expendable worker:
         # "kill" SIGKILLs this forked process (breaking the pool so the
         # supervisor retries the shard), "hang" wedges it until the
         # supervisor's timeout fires; the in-process kinds already fired
-        # on the parent's pre-pool hook and are excluded here
-        plan, fault_target, fault_cubes, base_attempt = state.fault
-        plan.apply(
+        # in the parent (run_shards) and are excluded here; the round
+        # is folded into the attempt so "fail the first N attempts" rules
+        # see the supervisor's retries
+        faults, fault_target, fault_cubes, base_attempt = parent.fault_context
+        faults.apply(
             fault_target,
             tuple(fault_cubes) + (f"shard:{index}",),
-            base_attempt + state.pool_round,
-            kinds=("kill", "hang"),
+            base_attempt + pool_round,
+            kinds=_WORKER_KINDS,
         )
-    mapping = state.mapping
-    plan = state.plan
-    tracer = Tracer() if state.trace else None
+    mapping = parent.mapping
+    plan = parent.plan
+    tracer = Tracer() if parent.tracer.enabled else None
     metrics = MetricsRegistry()
     chase = StratifiedChase(
-        mapping,
-        use_indexes=state.use_indexes,
-        vectorized=state.vectorized,
-        tracer=tracer,
-        metrics=metrics,
+        mapping, vectorized=parent.vectorized, tracer=tracer, metrics=metrics
     )
     stats = ChaseStats()
     source = RelationalInstance()
     target = RelationalInstance()
     functional: Dict[str, Dict[Tuple, Any]] = {}
-    sharded_st = [mapping.st_tgds[i] for i in plan.sharded_st]
-    for tgd in sharded_st:
-        source.ensure(tgd.lhs[0].relation)
-        target.ensure(tgd.target_relation)
-        functional.setdefault(tgd.target_relation, {})
-    for i in plan.local + plan.rereduce:
-        tgd = mapping.target_tgds[i]
-        target.ensure(tgd.target_relation)
-        functional.setdefault(tgd.target_relation, {})
-    payload = state.payloads[index]
-    for relation, store in payload.items():
+    for relation, store in payloads[index].items():
         if (
             isinstance(store, ColumnStore)
             and source.adopt(relation, store) is not None
@@ -483,33 +444,33 @@ def _run_shard(index: int) -> Dict[str, Any]:
             continue
         source.add_batch(relation, store.rows())
 
-    span = (
-        tracer.span(f"shard:{index}", category="shard", shard=index)
-        if tracer is not None
-        else _NULL_CTX
-    )
-    contribs: Dict[int, Dict[Tuple, List[Any]]] = {}
-    with span:
-        for tgd in sharded_st:
-            with chase._tgd_span(tgd):
-                produced = chase._apply_copy(tgd, source, target, functional)
-            chase._record(
-                stats, tgd, produced,
-                reads=source.size(tgd.lhs[0].relation),
-            )
-        for i in plan.local:
-            tgd = mapping.target_tgds[i]
-            reads = chase._operand_rows(tgd, target)
-            with chase._tgd_span(tgd):
-                produced = chase._apply(tgd, target, functional, stats)
-            chase._record(stats, tgd, produced, reads=reads)
-        for i in plan.rereduce:
-            tgd = mapping.target_tgds[i]
-            with chase._tgd_span(tgd):
-                contribs[i] = _collect_contributions(chase, tgd, target)
-            chase._record(
-                stats, tgd, 0, reads=chase._operand_rows(tgd, target)
-            )
+    #: re-reduced relation -> this shard's per-group contribution bags;
+    #: the parent concatenates them across shards and reduces once
+    contribs: Dict[str, Dict[Tuple, List[Any]]] = {}
+
+    def gather(tgd: Tgd) -> int:
+        contribs[tgd.target_relation] = chase.collect(tgd, target)
+        return 0
+
+    with chase.tracer.span(f"shard:{index}", category="shard", shard=index):
+        chase.run_wave(
+            [mapping.st_tgds[i] for i in plan.sharded_st],
+            lambda tgd: chase.copy(tgd, source, target, functional),
+            stats,
+            source,
+        )
+        chase.run_wave(
+            [mapping.target_tgds[i] for i in plan.local],
+            lambda tgd: chase.apply(tgd, target, functional, stats),
+            stats,
+            target,
+        )
+        chase.run_wave(
+            [mapping.target_tgds[i] for i in plan.rereduce],
+            gather,
+            stats,
+            target,
+        )
     stores: Dict[str, Any] = {}
     for i in plan.local:
         relation = mapping.target_tgds[i].target_relation
@@ -519,32 +480,14 @@ def _run_shard(index: int) -> Dict[str, Any]:
     return {
         "stores": stores,
         "contribs": contribs,
-        "stats": {
-            "tuples_generated": stats.tuples_generated,
-            "rule_applications": stats.rule_applications,
-            "per_tgd": stats.per_tgd,
-            "vectorized_tgds": stats.vectorized_tgds,
-            "fallback_tgds": stats.fallback_tgds,
-            "fallback_reasons": stats.fallback_reasons,
-        },
+        "tuples": stats.tuples_generated,
         "metrics": metrics.snapshot(),
         "spans": _export_spans(tracer),
     }
 
 
-class _NullCtx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CTX = _NullCtx()
-
-
-class _ShardFallback(Exception):
-    """Internal: abandon sharding, rerun on the thread scheduler."""
+class ShardFallback(Exception):
+    """Abandon sharding: the executor reruns its loop without shards."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -554,389 +497,142 @@ class _ShardFallback(Exception):
 # -- parent side ----------------------------------------------------------------
 
 
-class ShardedStratifiedChase(ParallelStratifiedChase):
-    """Shared-nothing sharded chase over columnar partitions.
+def run_shards(
+    chase: StratifiedChase, source: RelationalInstance, stats: ChaseStats
+) -> List[Dict[str, Any]]:
+    """Partition ``source``, fan out to the fork pool, absorb the
+    workers' metrics and spans; one result per shard."""
+    plan = chase.plan
+    mapping = chase.mapping
+    shards = chase.shards
+    tracer = chase.tracer
+    with tracer.span("wave:shard", category="wave", width=shards) as shard_span:
+        payloads: List[Dict[str, Any]] = [dict() for _ in range(shards)]
+        for i in plan.sharded_st:
+            tgd = mapping.st_tgds[i]
+            relation = tgd.lhs[0].relation
+            store = source._relations.get(relation)
+            if store is None or store.n_rows == 0:
+                continue
+            col = plan.column_for(tgd.target_relation, store)
+            for s, piece in enumerate(_partition_store(store, col, shards)):
+                if piece is not None:
+                    payloads[s][relation] = piece
+        if chase.fault_context is not None:
+            # one deterministic draw per shard, before any worker forks:
+            # an injected error aborts the run like a backend fault and
+            # the dispatcher's retry/degradation machinery takes over
+            faults, fault_target, cubes, attempt = chase.fault_context
+            for s in range(shards):
+                faults.apply(
+                    fault_target,
+                    tuple(cubes) + (f"shard:{s}",),
+                    attempt,
+                    metrics=chase.metrics,
+                    kinds=_PARENT_KINDS,
+                )
+        phase_started = time.perf_counter()
+        results = _supervise(chase, payloads)
+        for s, result in enumerate(results):
+            stats.shard_tuples.append(result["tuples"])
+            chase.metrics.absorb(result["metrics"], prefix=f"chase.shard:{s}.")
+            if tracer.enabled and result["spans"]:
+                tracer.absorb(
+                    result["spans"],
+                    parent=shard_span,
+                    offset=phase_started - tracer.epoch,
+                )
+    return results
 
-    Degrades to the thread-parallel scheduler for ``shards <= 1``, for
-    mappings with nothing to partition, and on platforms without
-    ``fork`` — always with a counted ``chase.shard.fallback.reason:*``
-    metric, never silently.
 
-    ``fault_hook(shard_index)`` — when supplied by the backend — is
-    consulted once per shard before workers launch (in-process kinds
-    only), so the deterministic fault-injection plan composes with
-    sharding: an injected fault aborts the run exactly like a backend
-    fault and the dispatcher's retry/degradation machinery takes over.
-    ``fault_context`` — ``(plan, target, cubes, attempt)`` — is staged
-    into the workers instead, where the process-level ``kill``/``hang``
-    kinds are delivered and the supervisor (see module docstring)
-    proves it can outlive them.
+def _supervise(
+    chase: StratifiedChase, payloads: List[Dict[str, Any]]
+) -> List[Dict[str, Any]]:
+    """Run the fork pool under supervision, retrying dead shards.
+
+    A worker that dies (SIGKILL, OOM) breaks the entire
+    ``ProcessPoolExecutor``, so each round uses a disposable pool
+    over only the still-pending shards; results gathered before the
+    breakage are kept.  A shard whose result does not arrive within
+    ``shard_timeout_s`` is presumed wedged — its processes are
+    terminated and it retries like a crash.  Exceptions *raised* by
+    a live worker (real chase errors) propagate unchanged.  After
+    ``shard_retries`` rebuild rounds the still-failing shards are
+    quarantined and the whole run falls back via :class:`ShardFallback`.
     """
+    global _WORKER_STATE
+    # the pool machinery is imported where the pool is made
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FuturesTimeout
+    from concurrent.futures.process import BrokenProcessPool
 
-    def __init__(
-        self,
-        mapping: SchemaMapping,
-        use_indexes: bool = True,
-        max_workers: int = 4,
-        shards: int = 0,
-        cache=None,
-        vectorized: Optional[bool] = None,
-        kernel_hook=None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        fault_hook=None,
-        fault_context: Optional[Tuple[Any, str, Tuple[str, ...], int]] = None,
-        shard_retries: int = 2,
-        shard_timeout_s: Optional[float] = None,
-    ):
-        super().__init__(
-            mapping,
-            use_indexes,
-            max_workers=max_workers,
-            cache=cache,
-            vectorized=vectorized,
-            kernel_hook=kernel_hook,
-            tracer=tracer,
-            metrics=metrics,
+    context = multiprocessing.get_context("fork")
+    metrics = chase.metrics
+    results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
+    pending = list(range(len(payloads)))
+    rounds = 0
+    while True:
+        _WORKER_STATE = (chase, payloads, rounds)
+        # no `with`: a wedged worker must be terminable mid-round,
+        # and shutdown timing differs between the outcomes below
+        pool = ProcessPoolExecutor(
+            max_workers=len(pending), mp_context=context
         )
-        self.shards = resolve_shards(shards)
-        self.fault_hook = fault_hook
-        self.fault_context = fault_context
-        #: pool-rebuild rounds allowed after the first before quarantine
-        self.shard_retries = max(0, int(shard_retries))
-        #: per-shard result wait; None trusts workers not to wedge
-        self.shard_timeout_s = shard_timeout_s
-        self.plan = ShardPlan.analyze(mapping)
-
-    # -- orchestration --------------------------------------------------------
-    def run(self, source: RelationalInstance) -> ChaseResult:
-        if self.shards <= 1:
-            return super().run(source)
-        reason = self.plan.fallback_reason
-        if reason is None and not _fork_available():
-            reason = "no-fork"
-        if reason is not None:
-            self.metrics.inc(f"chase.shard.fallback.reason:{reason}")
-            return super().run(source)
+        failed: List[int] = []
         try:
-            return self._run_sharded(source)
-        except _ShardFallback as fallback:
-            self.metrics.inc(
-                f"chase.shard.fallback.reason:{fallback.reason}"
-            )
-            return super().run(source)
+            futures = {s: pool.submit(_run_shard, s) for s in pending}
+            for s, future in futures.items():
+                try:
+                    results[s] = future.result(timeout=chase.shard_timeout_s)
+                except BrokenProcessPool:
+                    failed.append(s)
+                except FuturesTimeout:
+                    metrics.inc("chase.shard.timeouts")
+                    failed.append(s)
+                    for process in list(pool._processes.values()):
+                        process.terminate()
+        except BrokenProcessPool:
+            # the pool can break at submit time too (prior round's
+            # kill racing pool start) — everything unfinished retries
+            failed = [s for s in pending if results[s] is None]
+        finally:
+            pool.shutdown(wait=True)
+            _WORKER_STATE = None
+        if not failed:
+            return results
+        pending = sorted(failed)
+        rounds += 1
+        if rounds > chase.shard_retries:
+            metrics.inc("chase.shard.quarantined", len(pending))
+            raise ShardFallback("shard-retries-exhausted")
+        metrics.inc("chase.shard.retries", len(pending))
 
-    def _run_sharded(self, source: RelationalInstance) -> ChaseResult:
-        self._check_source(source)
-        plan = self.plan
-        mapping = self.mapping
-        stats = ChaseStats()
-        stats.shards = self.shards
-        for index in plan.parent:
-            reason = plan.reasons.get(index, "parent")
-            self.metrics.inc(f"chase.shard.fallback.reason:{reason}")
-            stats.shard_fallback_reasons[reason] = (
-                stats.shard_fallback_reasons.get(reason, 0) + 1
-            )
-        target = RelationalInstance()
-        functional: Dict[str, Dict[Tuple, Any]] = {}
-        for tgd in mapping.st_tgds:
-            target.ensure(tgd.target_relation)
-            functional.setdefault(tgd.target_relation, {})
-        for tgd in mapping.target_tgds:
-            target.ensure(tgd.target_relation)
-            functional.setdefault(tgd.target_relation, {})
 
-        with self.tracer.span(
-            "chase", category="chase", scheduler="sharded",
-            shards=self.shards, jobs=self.max_workers,
-        ) as chase_span:
-            results = self._run_shards(source, stats)
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                self._run_wave(
-                    pool,
-                    mapping.st_tgds,
-                    lambda tgd: self._apply_copy_sharded(
-                        tgd, source, target, functional
-                    ),
-                    stats,
-                    label="wave:copy",
-                    source=source,
-                )
-                for index, wave in enumerate(self.waves):
-                    tgds = [mapping.target_tgds[i] for i in wave]
-                    self._run_wave(
-                        pool,
-                        tgds,
-                        lambda tgd: self._apply_sharded(
-                            tgd, target, functional, stats, results
-                        ),
-                        stats,
-                        label=f"wave:{index + 1}",
-                        source=target,
-                        timed=True,
-                    )
-            chase_span.note(
-                tuples_generated=stats.tuples_generated,
-                waves=len(self.waves),
-                max_wave_width=max((len(w) for w in self.waves), default=0),
-                shard_tuples=list(stats.shard_tuples),
-            )
-        stats.waves = len(self.waves)
-        stats.max_wave_width = max((len(w) for w in self.waves), default=0)
-        return ChaseResult(
-            target, stats, metrics=self.metrics, functional=functional
+def merge_outputs(relation: str, results: List[Dict[str, Any]]):
+    """What the shards computed for the tgd defining ``relation``, for
+    the executor to insert: the concatenated contribution bags of a
+    re-reduced aggregation (a dict), or the disjoint outputs of a local
+    tgd — one :class:`ColumnStore` with proven-distinct keys when every
+    shard answered columnar, their facts as a list otherwise."""
+    if relation in results[0]["contribs"]:
+        return concatenate(
+            result["contribs"].get(relation, {}) for result in results
         )
-
-    def _run_shards(
-        self, source: RelationalInstance, stats: ChaseStats
-    ) -> List[Dict[str, Any]]:
-        """Partition, fan out to the fork pool, absorb worker results."""
-        global _WORKER_STATE
-        plan = self.plan
-        mapping = self.mapping
-        shards = self.shards
-        with self.tracer.span(
-            "wave:shard", category="wave", width=shards
-        ) as shard_span:
-            payloads: List[Dict[str, Any]] = [dict() for _ in range(shards)]
-            for i in plan.sharded_st:
-                tgd = mapping.st_tgds[i]
-                relation = tgd.lhs[0].relation
-                store = source._relations.get(relation)
-                if store is None or store.n_rows == 0:
-                    continue
-                col = plan.column_for(tgd.target_relation, store)
-                for s, piece in enumerate(
-                    _partition_store(store, col, shards)
-                ):
-                    if piece is not None:
-                        payloads[s][relation] = piece
-            if self.fault_hook is not None:
-                for s in range(shards):
-                    self.fault_hook(s)
-            phase_started = time.perf_counter()
-            results = self._supervise(mapping, plan, payloads, shards)
-            for s, result in enumerate(results):
-                worker = result["stats"]
-                stats.shard_tuples.append(worker["tuples_generated"])
-                self.metrics.absorb(
-                    result["metrics"], prefix=f"chase.shard:{s}."
-                )
-                if self.tracer.enabled and result["spans"]:
-                    self.tracer.absorb(
-                        result["spans"],
-                        parent=shard_span,
-                        offset=phase_started - self.tracer.epoch,
-                    )
-        return results
-
-    def _supervise(
-        self,
-        mapping: SchemaMapping,
-        plan: "ShardPlan",
-        payloads: List[Dict[str, Any]],
-        shards: int,
-    ) -> List[Dict[str, Any]]:
-        """Run the fork pool under supervision, retrying dead shards.
-
-        A worker that dies (SIGKILL, OOM) breaks the entire
-        ``ProcessPoolExecutor``, so each round uses a disposable pool
-        over only the still-pending shards; results gathered before the
-        breakage are kept.  A shard whose result does not arrive within
-        ``shard_timeout_s`` is presumed wedged — its processes are
-        terminated and it retries like a crash.  Exceptions *raised* by
-        a live worker (real chase errors) propagate unchanged.  After
-        ``shard_retries`` rebuild rounds the still-failing shards are
-        quarantined and the whole run falls back to the thread
-        scheduler via :class:`_ShardFallback`.
-        """
-        global _WORKER_STATE
-        # the pool machinery is imported where the pool is made
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        context = multiprocessing.get_context("fork")
-        results: List[Optional[Dict[str, Any]]] = [None] * shards
-        pending = list(range(shards))
-        rounds = 0
-        while True:
-            _WORKER_STATE = _WorkerState(
-                mapping=mapping,
-                plan=plan,
-                payloads=payloads,
-                use_indexes=self.use_indexes,
-                vectorized=self.vectorized,
-                trace=self.tracer.enabled,
-                fault=self.fault_context,
-                pool_round=rounds,
-            )
-            # no `with`: a wedged worker must be terminable mid-round,
-            # and shutdown timing differs between the outcomes below
-            pool = ProcessPoolExecutor(
-                max_workers=len(pending), mp_context=context
-            )
-            failed: List[int] = []
-            try:
-                futures = {s: pool.submit(_run_shard, s) for s in pending}
-                for s, future in futures.items():
-                    try:
-                        results[s] = future.result(
-                            timeout=self.shard_timeout_s
-                        )
-                    except BrokenProcessPool:
-                        failed.append(s)
-                    except FuturesTimeout:
-                        self.metrics.inc("chase.shard.timeouts")
-                        failed.append(s)
-                        for process in list(pool._processes.values()):
-                            process.terminate()
-            except BrokenProcessPool:
-                # the pool can break at submit time too (prior round's
-                # kill racing pool start) — everything unfinished retries
-                failed = [s for s in pending if results[s] is None]
-            finally:
-                pool.shutdown(wait=True)
-                _WORKER_STATE = None
-            if not failed:
-                return results
-            pending = sorted(failed)
-            rounds += 1
-            if rounds > self.shard_retries:
-                self.metrics.inc("chase.shard.quarantined", len(pending))
-                raise _ShardFallback("shard-retries-exhausted")
-            self.metrics.inc("chase.shard.retries", len(pending))
-
-    def _apply_copy_sharded(
-        self,
-        tgd: Tgd,
-        source: RelationalInstance,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-    ) -> int:
-        """St copies on the sharded parent: O(1) columnar adoption.
-
-        Data movement is merge machinery, not a kernel choice: even in
-        scalar-kernel mode the parent seeds single-writer copy targets
-        by adopting the source store copy-on-write instead of paying a
-        per-fact rebuild of data the workers already chased.  Falls
-        back to the engine's element-wise path when the adoption
-        preconditions fail (shared writers, pending egd state, tuple
-        layout) — producing the identical store contents either way.
-        """
-        adopted = self._copy_columnar(tgd, source, target, functional)
-        if adopted is not None:
-            return adopted
-        return self._apply_copy(tgd, source, target, functional)
-
-    # -- merge ----------------------------------------------------------------
-    def _apply_sharded(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        stats: ChaseStats,
-        results: List[Dict[str, Any]],
-    ) -> int:
-        index = self._tgd_index[id(tgd)]
-        klass = self.plan.klass[index]
-        if klass == LOCAL:
-            started = time.perf_counter()
-            produced = self._merge_local(tgd, target, functional, results)
-            with self._stats_lock:
-                stats.shard_merge_s += time.perf_counter() - started
-            return produced
-        if klass == REREDUCE:
-            started = time.perf_counter()
-            produced = self._apply_rereduce(
-                tgd, index, target, functional, results
-            )
-            with self._stats_lock:
-                stats.shard_merge_s += time.perf_counter() - started
-            return produced
-        return self._apply_cached(tgd, target, functional, stats)
-
-    def _merge_local(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        results: List[Dict[str, Any]],
-    ) -> int:
-        relation = tgd.target_relation
-        stores = [
-            result["stores"].get(relation)
-            for result in results
-        ]
-        present = [s for s in stores if s is not None and s.n_rows]
-        if not present:
-            return 0
-        if (
-            relation in self._single_writer
-            and not functional.get(relation)
-            and not target.size(relation)
-            and not instance_mod.FORCE_TUPLE_VIEW
-            and all(isinstance(s, ColumnStore) for s in present)
-        ):
-            # concatenate into a fresh store so the shard outputs stay
-            # pristine for the element-wise path if a precondition of
-            # the bulk adoption fails after the splice
-            merged = ColumnStore(present[0].arity)
-            for other in present:
-                merged.extend_from(other)
-            if _dims_distinct(merged):
-                merged.dims_distinct = True
-                with target.lock(relation):
-                    adopted = target.adopt(relation, merged)
-                if adopted is not None:
-                    self.metrics.inc("chase.egd.checks", adopted)
-                    return adopted
-        # defensive path: element-wise through the egd-checking insert
-        facts = [fact for store in present for fact in store.rows()]
-        return self._insert_batch(target, functional, relation, facts)
-
-    def _apply_rereduce(
-        self,
-        tgd: Tgd,
-        index: int,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        results: List[Dict[str, Any]],
-    ) -> int:
-        agg_term = tgd.rhs.terms[-1]
-        aggregate = get_aggregate(agg_term.func)
-        groups: Dict[Tuple, List[Any]] = {}
-        for result in results:
-            for key, bag in result["contribs"].get(index, {}).items():
-                existing = groups.get(key)
-                if existing is None:
-                    groups[key] = list(bag)
-                else:
-                    existing.extend(bag)
-        produced = 0
-        self.metrics.inc("chase.egd.checks", len(groups))
-        for key, bag in groups.items():
-            # canonical_bag inside the aggregate makes the fold
-            # order-insensitive, so concatenation order across shards
-            # cannot change the result
-            fact = key + (aggregate(bag),)
-            produced += self._insert(target, functional, tgd.rhs.relation, fact)
-        return produced
-
-    @property
-    def _tgd_index(self) -> Dict[int, int]:
-        cached = getattr(self, "_tgd_index_cache", None)
-        if cached is None:
-            cached = {
-                id(tgd): i
-                for i, tgd in enumerate(self.mapping.target_tgds)
-            }
-            self._tgd_index_cache = cached
-        return cached
+    present = [
+        store
+        for store in (result["stores"].get(relation) for result in results)
+        if store is not None and store.n_rows
+    ]
+    if present and all(isinstance(s, ColumnStore) for s in present):
+        # a fresh store: the shard outputs stay pristine
+        merged = ColumnStore(present[0].arity)
+        for other in present:
+            merged.extend_from(other)
+        if _dims_distinct(merged):
+            merged.dims_distinct = True
+            return merged
+    return [fact for store in present for fact in store.rows()]
 
 
 def _dims_distinct(store: ColumnStore) -> bool:

@@ -12,9 +12,10 @@ from typing import Any, Dict, List, Tuple
 
 from ..mappings.dependencies import Egd, Tgd, TgdKind
 from ..mappings.mapping import SchemaMapping
-from ..mappings.terms import AggTerm, evaluate
+from ..mappings.terms import evaluate
 from ..stats.aggregates import get_aggregate
 from .engine import StratifiedChase, _time_key
+from .groupreduce import reduce_bags
 from .instance import RelationalInstance
 
 __all__ = ["check_egds", "check_tgd", "is_solution", "violations"]
@@ -43,7 +44,7 @@ def check_tgd(
     problems: List[str] = []
     target_facts = instance.facts(tgd.target_relation)
     if tgd.kind in (TgdKind.COPY, TgdKind.TUPLE_LEVEL):
-        for env in chase._matches(tgd.lhs, instance):
+        for env in chase.matches(tgd.lhs, instance):
             expected = tuple(
                 evaluate(term, env, mapping.registry) for term in tgd.rhs.terms
             )
@@ -67,20 +68,10 @@ def check_tgd(
             if expected not in target_facts:
                 problems.append(f"{tgd.label}: missing outer fact {expected!r}")
     elif tgd.kind is TgdKind.AGGREGATION:
-        agg_term = tgd.rhs.terms[-1]
-        assert isinstance(agg_term, AggTerm)
-        aggregate = get_aggregate(agg_term.func)
-        groups: Dict[Tuple, List[float]] = {}
-        for env in chase._matches(list(tgd.lhs), instance):
-            key = tuple(
-                evaluate(t, env, mapping.registry)
-                for t in tgd.rhs.terms[: tgd.group_arity]
-            )
-            groups.setdefault(key, []).append(
-                evaluate(agg_term.operand, env, mapping.registry)
-            )
-        for key, bag in groups.items():
-            expected = key + (aggregate(bag),)
+        aggregate = get_aggregate(tgd.rhs.terms[-1].func)
+        reduced = reduce_bags(chase.collect(tgd, instance), aggregate)
+        for key, value in reduced.items():
+            expected = key + (value,)
             if expected not in target_facts:
                 problems.append(f"{tgd.label}: missing aggregated fact {expected!r}")
     else:  # TABLE_FUNCTION

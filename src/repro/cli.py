@@ -799,6 +799,19 @@ def cmd_query(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    parse.__name__ = "int"  # argparse words a ValueError with it
+    return parse
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from . import __version__
 
@@ -838,14 +851,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         command.add_argument(
             "--jobs",
-            type=int,
+            type=_int_at_least(1),
             default=4,
             metavar="N",
             help="worker threads for parallel waves (default: 4)",
         )
         command.add_argument(
             "--shards",
-            type=int,
+            type=_int_at_least(0),
             default=1,
             metavar="N",
             help="worker processes for sharded chase execution: "

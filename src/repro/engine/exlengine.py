@@ -88,11 +88,17 @@ class EXLEngine:
         #: :meth:`recover` can roll a hard crash forward (the CLI wires
         #: this for every ``exl run``/``update``/``resume``)
         self.journal = journal
-        #: worker threads for parallel waves (dispatcher and chase scheduler)
-        self.jobs = max(1, int(jobs))
+        if jobs < 1:
+            raise EngineError(f"jobs must be at least 1, got {jobs!r}")
+        if shards < 0:
+            raise EngineError(
+                f"shards must be 0 (one per core) or more, got {shards!r}"
+            )
+        #: worker threads for parallel waves (dispatcher and chase waves)
+        self.jobs = int(jobs)
         #: worker processes for sharded chase runs (0 = one per core,
         #: 1 = sharding off); see repro.chase.shard
-        self.shards = max(0, int(shards))
+        self.shards = int(shards)
         #: columnar chase kernels on/off (None = engine default, i.e. on)
         self.vectorize = vectorize
         #: span sink shared by the engine, dispatcher, and chase layers

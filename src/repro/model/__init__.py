@@ -6,44 +6,34 @@ as the 1-dimensional time-indexed special case — plus the metadata
 catalog with historicity described in Section 6.
 """
 
-from .catalog import CubeEntry, MetadataCatalog, VersionedStore
-from .cube import Cube, CubeDelta, CubeSchema, Dimension
-from .schema import Schema
-from .time import (
-    Frequency,
-    TimePoint,
-    convert,
-    day,
-    month,
-    parse_timepoint,
-    quarter,
-    week,
-    year,
-)
-from .types import INTEGER, STRING, TIME, DimKind, DimType, validate_value
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Cube",
-    "CubeDelta",
-    "CubeSchema",
-    "Dimension",
-    "Schema",
-    "Frequency",
-    "TimePoint",
-    "convert",
-    "day",
-    "week",
-    "month",
-    "quarter",
-    "year",
-    "parse_timepoint",
-    "DimKind",
-    "DimType",
-    "TIME",
-    "STRING",
-    "INTEGER",
-    "validate_value",
-    "MetadataCatalog",
-    "VersionedStore",
-    "CubeEntry",
-]
+#: public name -> defining submodule (``exl query`` never builds a
+#: ``Schema``, so it never loads that module)
+_EXPORTS = {
+    "Cube": "cube",
+    "CubeDelta": "cube",
+    "CubeSchema": "cube",
+    "Dimension": "cube",
+    "Schema": "schema",
+    "Frequency": "time",
+    "TimePoint": "time",
+    "convert": "time",
+    "day": "time",
+    "week": "time",
+    "month": "time",
+    "quarter": "time",
+    "year": "time",
+    "parse_timepoint": "time",
+    "DimKind": "types",
+    "DimType": "types",
+    "TIME": "types",
+    "STRING": "types",
+    "INTEGER": "types",
+    "validate_value": "types",
+    "MetadataCatalog": "catalog",
+    "VersionedStore": "catalog",
+    "CubeEntry": "catalog",
+}
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, _EXPORTS)

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import CatalogError
 from .cube import Cube, CubeSchema
-from .schema import Schema
+
+if TYPE_CHECKING:
+    from .schema import Schema
 
 __all__ = ["CubeKind", "CubeEntry", "VersionedStore", "MetadataCatalog"]
 
@@ -261,6 +263,8 @@ class MetadataCatalog:
 
     def as_schema(self, name: str = "catalog") -> Schema:
         """All declared cube schemas, as a :class:`Schema`."""
+        from .schema import Schema
+
         return Schema((e.schema for e in self._entries.values()), name)
 
     # -- data ------------------------------------------------------------------

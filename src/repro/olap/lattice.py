@@ -20,7 +20,7 @@ Three properties keep the lattice honest:
   aggregation kernel — per-distinct-value level transforms
   (:func:`transform_encoded`, cached per (dimension, level) and shared
   by every node using that level), mixed-radix composite group codes
-  (:func:`mix_codes`), one stable argsort per node.  A cube that is
+  (:func:`mix_codes`), one :func:`sorted_slices` pass per node.  A cube that is
   only rows — one just parsed from CSV — answers its first request
   with a plain dict group-by, which beats encode + columnar for one
   node; the image is built when a second request comes, and serves
@@ -54,14 +54,21 @@ from typing import (
     Tuple,
 )
 
+from ..chase.groupreduce import (
+    collect,
+    contribution_index,
+    reduce_bags,
+    rereduce_groups,
+    sorted_slices,
+)
 from ..model.cube import Cube, CubeDelta
 from ..stats.aggregates import AGGREGATES, get_aggregate
 from .hierarchy import DimHierarchy, Level, OlapError
 
 # numpy, ``chase.colstore``, ``chase.columnar`` and ``chase.instance``
-# are imported by the functions that group an image, and
-# ``chase.groupreduce`` by ``refresh``: a lattice that reduces from rows
-# and is never refreshed (``exl query``) loads none of them
+# are imported by the functions that group an image: a lattice that
+# reduces from rows (``exl query``) loads none of them.
+# ``chase.groupreduce`` imports nothing itself
 if TYPE_CHECKING:
     from ..chase.colstore import ColumnStore
     from ..chase.columnar import EncodedColumn
@@ -324,7 +331,7 @@ class CubeLattice:
         return self._reduce_tuple(node, cube)
 
     def _reduce_columnar(self, node: LatticeNode, image) -> Dict[Tuple, float]:
-        from ..chase.columnar import transform_encoded
+        from ..chase.columnar import mix_codes, transform_encoded
 
         cols = []
         for j, lvl in enumerate(node.levels):
@@ -337,7 +344,17 @@ class CubeLattice:
                     col = transform_encoded(col, lvl.fn)
                 self._columns[(j, lvl.name)] = col
             cols.append(col)
-        return _group_reduce(cols, image.measures, image.n_rows, self.aggregate)
+        # the all-all node has no columns: one group, the empty key
+        composite = mix_codes(
+            [col.codes for col in cols],
+            [max(len(col.dictionary), 1) for col in cols],
+            image.n_rows,
+        )
+        return {
+            tuple(col.dictionary[col.codes[row]] for col in cols):
+                self.aggregate(bag)
+            for row, bag in sorted_slices(composite, image.measures)
+        }
 
     def _reduce_tuple(self, node: LatticeNode, cube: Cube) -> Dict[Tuple, float]:
         # level values are computed once per distinct base value,
@@ -354,11 +371,11 @@ class CubeLattice:
                         mapping[dims[j]] = lvl.fn(dims[j])
                 self._value_maps[(j, lvl.name)] = mapping
             maps.append((j, mapping))
-        bags: Dict[Tuple, List[float]] = {}
-        for dims, measure in cube.items():
-            key = tuple(mapping[dims[j]] for j, mapping in maps)
-            bags.setdefault(key, []).append(measure)
-        return {key: self.aggregate(values) for key, values in bags.items()}
+        bags = collect(
+            (tuple(mapping[dims[j]] for j, mapping in maps), measure)
+            for dims, measure in cube.items()
+        )
+        return reduce_bags(bags, self.aggregate)
 
     # -- incremental refresh -----------------------------------------------
     def refresh(
@@ -383,8 +400,6 @@ class CubeLattice:
             return self._fallback(cube, version, "no-baseline")
         if self.agg_name is None or self.agg_name not in AGGREGATES:
             return self._fallback(cube, version, "unregistered-aggregate")
-        from ..chase.groupreduce import rereduce_groups
-
         rereduced = 0
         nodes = self.materialized_nodes()
         if nodes:
@@ -395,13 +410,15 @@ class CubeLattice:
             for node in nodes if old_facts or new_facts else ():
                 if node._index is None:
                     node._index = self._build_index(node)
-                rereduced += rereduce_groups(
-                    node._index,
-                    old_facts,
-                    new_facts,
-                    node.classify,
-                    self.aggregate,
-                    node.groups,
+                rereduced += len(
+                    rereduce_groups(
+                        node._index,
+                        old_facts,
+                        new_facts,
+                        node.classify,
+                        self.aggregate,
+                        node.groups,
+                    )
                 )
                 node._store = None
         self._bind(cube, version)
@@ -411,9 +428,7 @@ class CubeLattice:
         return rereduced
 
     def _build_index(self, node: LatticeNode) -> Dict[Tuple, Dict[Tuple, Any]]:
-        index: Dict[Tuple, Dict[Tuple, Any]] = {}
-        for dims, measure in self._base.items():
-            index.setdefault(node.group_key(dims), {})[dims] = measure
+        index = contribution_index(self._base.to_rows(), node.classify)
         if self.metrics is not None:
             self.metrics.inc("olap.lattice.index.builds")
         return index
@@ -442,33 +457,3 @@ def _level_product(
             for lvl in hierarchy.levels
         ]
     return combos
-
-
-def _group_reduce(
-    cols: List[EncodedColumn], measures, n: int, aggregate
-) -> Dict[Tuple, float]:
-    """One node's group-by via composite codes + one stable argsort."""
-    import numpy as np
-
-    from ..chase.columnar import mix_codes
-
-    if not cols:
-        # the all-all node: a single group keyed by the empty tuple
-        if not n:
-            return {}
-        return {(): aggregate(measures.tolist())}
-    bases = [max(len(col.dictionary), 1) for col in cols]
-    composite = mix_codes([col.codes for col in cols], bases, n)
-    order = np.argsort(composite, kind="stable")
-    sorted_codes = composite[order]
-    sorted_measures = measures[order].tolist()
-    boundaries = np.nonzero(np.diff(sorted_codes))[0] + 1
-    starts = [0, *boundaries.tolist()]
-    ends = [*boundaries.tolist(), n]
-    groups: Dict[Tuple, float] = {}
-    order_list = order.tolist()
-    for start, end in zip(starts, ends):
-        row = order_list[start]
-        key = tuple(col.dictionary[col.codes[row]] for col in cols)
-        groups[key] = aggregate(sorted_measures[start:end])
-    return groups

@@ -38,6 +38,21 @@ def canonical_bag(values: Sequence[float]) -> List[float]:
     return sorted(values, key=lambda v: (v == v, v if v == v else 0.0))
 
 
+def _selection_order(values: Sequence[float]) -> List[float]:
+    """:func:`canonical_bag` with ``-0.0`` before ``0.0``.
+
+    min, max, median and range *return* elements of the bag, so for them
+    even values that compare equal must come in one order — and a NaN,
+    which Python's ``min``/``max``/``sorted`` place wherever enumeration
+    order left it, always leads (min and max of a bag holding one are
+    NaN).
+    """
+    return sorted(
+        values,
+        key=lambda v: (v == v, v if v == v else 0.0, math.copysign(1.0, v)),
+    )
+
+
 def agg_sum(values: Sequence[float]) -> float:
     """Sum of the bag; the paper's tgd (3) aggregation."""
     _require_nonempty(values, "sum")
@@ -52,12 +67,12 @@ def agg_avg(values: Sequence[float]) -> float:
 
 def agg_min(values: Sequence[float]) -> float:
     _require_nonempty(values, "min")
-    return float(min(values))
+    return float(min(_selection_order(values)))
 
 
 def agg_max(values: Sequence[float]) -> float:
     _require_nonempty(values, "max")
-    return float(max(values))
+    return float(max(_selection_order(values)))
 
 
 def agg_count(values: Sequence[float]) -> float:
@@ -67,7 +82,7 @@ def agg_count(values: Sequence[float]) -> float:
 def agg_median(values: Sequence[float]) -> float:
     """Median with midpoint interpolation for even-sized bags."""
     _require_nonempty(values, "median")
-    ordered = sorted(values)
+    ordered = _selection_order(values)
     n = len(ordered)
     mid = n // 2
     if n % 2:
@@ -98,7 +113,8 @@ def agg_product(values: Sequence[float]) -> float:
 def agg_range(values: Sequence[float]) -> float:
     """max - min of the bag."""
     _require_nonempty(values, "range")
-    return float(max(values) - min(values))
+    ordered = _selection_order(values)
+    return float(max(ordered) - min(ordered))
 
 
 def agg_geomean(values: Sequence[float]) -> float:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.chase import (
-    ParallelStratifiedChase,
     RelationalInstance,
     StratifiedChase,
     check_egds,
@@ -246,7 +245,7 @@ class TestAdversarialDagShapes:
         mapping = generate_mapping(program)
         source = self._series_data(series_schema)
         sequential = StratifiedChase(mapping).run(source)
-        parallel = ParallelStratifiedChase(mapping, max_workers=4).run(source)
+        parallel = StratifiedChase(mapping, jobs=4).run(source)
         for relation in sequential.instance.relations():
             assert sequential.instance.facts(relation) == parallel.instance.facts(
                 relation
@@ -307,7 +306,7 @@ class TestAdversarialDagShapes:
             series_schema, schema, [copy], [loop], [Egd("X", 1)], registry
         )
         with pytest.raises(MappingError, match="self-referential"):
-            ParallelStratifiedChase(mapping, max_workers=4)
+            StratifiedChase(mapping, jobs=4)
 
     def test_mutual_recursion_raises_not_deadlocks(self, series_schema):
         a_from_b = Tgd(

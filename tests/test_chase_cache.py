@@ -12,7 +12,6 @@ import pytest
 
 from repro.chase import (
     ChaseCache,
-    ParallelStratifiedChase,
     StratifiedChase,
     instance_from_cubes,
 )
@@ -68,7 +67,7 @@ class TestAccounting:
         cache = ChaseCache()
         source = instance_from_cubes(data)
         warm = StratifiedChase(mapping, cache=cache).run(source)
-        replay = ParallelStratifiedChase(mapping, cache=cache).run(source)
+        replay = StratifiedChase(mapping, jobs=4, cache=cache).run(source)
         assert replay.stats.cache_hits == len(mapping.target_tgds)
         for relation in warm.instance.relations():
             assert warm.instance.facts(relation) == replay.instance.facts(relation)
@@ -182,7 +181,7 @@ class TestEgdSafetyRegression:
             StratifiedChase(mapping, cache=cache).run(dirty)
         # and the parallel scheduler behaves identically
         with pytest.raises(ChaseError, match="egd violation"):
-            ParallelStratifiedChase(mapping, cache=cache).run(dirty)
+            StratifiedChase(mapping, jobs=4, cache=cache).run(dirty)
 
     def test_cache_replay_goes_through_egd_check(self):
         """Even a poisoned cache entry cannot smuggle conflicting facts

@@ -19,7 +19,6 @@ from repro.chase import (
     ChaseCache,
     ColumnarRelation,
     FallbackUnsupported,
-    ParallelStratifiedChase,
     RelationalInstance,
     StratifiedChase,
     instance_from_cubes,
@@ -124,8 +123,8 @@ class TestComposition:
         mapping = generate_mapping(program)
         source = instance_from_cubes(workload.data)
         scalar = StratifiedChase(mapping, vectorized=False).run(source)
-        parallel = ParallelStratifiedChase(
-            mapping, max_workers=chase_jobs, vectorized=True
+        parallel = StratifiedChase(
+            mapping, jobs=chase_jobs, vectorized=True
         ).run(source)
         _assert_identical(scalar, parallel)
 

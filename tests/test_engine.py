@@ -243,6 +243,12 @@ class TestEXLEngineFacade:
         with pytest.raises(EngineError):
             engine.run()
 
+    @pytest.mark.parametrize("counts", [{"jobs": 0}, {"jobs": -2}, {"shards": -1}])
+    def test_worker_counts_out_of_range_rejected(self, counts):
+        with pytest.raises(EngineError, match=f"{next(iter(counts))} must be"):
+            EXLEngine(**counts)
+        assert EXLEngine(shards=0).shards == 0  # 0 is "one per core"
+
     def test_load_derived_rejected(self):
         engine = _build_engine()
         with pytest.raises(EngineError):

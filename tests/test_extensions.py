@@ -1,10 +1,9 @@
 """Tests for the extension features: vintage replay (as_of runs),
-paper-style rendering, the chase index ablation knob, and the SQL
-engine's UPDATE / IN / BETWEEN / derived-table support."""
+paper-style rendering, and the SQL engine's UPDATE / IN / BETWEEN /
+derived-table support."""
 
 import pytest
 
-from repro.chase import StratifiedChase, instance_from_cubes
 from repro.engine import EXLEngine
 from repro.errors import SqlExecutionError, SqlSyntaxError
 from repro.exl import Program
@@ -79,24 +78,6 @@ class TestPaperRendering:
         schema = Schema([_series("A"), _series("B").renamed("B")])
         mapping = generate_mapping(Program.compile("C := osum(A, B)", schema))
         assert "[outer +" in render_tgd(mapping.tgd_for("C"))
-
-
-class TestChaseAblation:
-    def test_no_index_chase_produces_same_solution(self, gdp_workload):
-        program = Program.compile(gdp_workload.source, gdp_workload.schema)
-        mapping = generate_mapping(program)
-        source = instance_from_cubes(gdp_workload.data)
-        indexed = StratifiedChase(mapping, use_indexes=True).run(source)
-        scanned = StratifiedChase(mapping, use_indexes=False).run(source)
-        for relation in indexed.instance.relations():
-            assert indexed.instance.facts(relation) == scanned.instance.facts(
-                relation
-            )
-
-    def test_flag_recorded(self):
-        schema = Schema([_series()])
-        mapping = generate_mapping(Program.compile("A := E * 2", schema))
-        assert StratifiedChase(mapping, use_indexes=False).use_indexes is False
 
 
 class TestSqlExtensions:

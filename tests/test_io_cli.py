@@ -286,6 +286,25 @@ class TestCliInputErrors:
             f"error: program file not found: {project_dir / 'missing.exl'}\n"
         )
 
+    @pytest.mark.parametrize("command", ["run", "update", "resume"])
+    @pytest.mark.parametrize(
+        "flags", [["--shards", "-1"], ["--parallel", "--jobs", "0"]]
+    )
+    def test_worker_counts_out_of_range_are_usage_errors(
+        self, command, flags, project_dir, capsys
+    ):
+        # --shards -1 once forked a worker per core, --jobs 0 ran one thread
+        argv = [command, str(project_dir / "project.json"), *flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flags[-2]}: must be at least" in capsys.readouterr().err
+
+    def test_shards_zero_is_one_per_core(self, project_dir, capsys):
+        out = str(project_dir / "results")
+        argv = ["run", str(project_dir / "project.json"), "--out", out]
+        assert main(argv + ["--shards", "0"]) == 0
+
     def test_inline_program_is_not_mistaken_for_a_path(self, project_dir):
         # an assignment, or more than one token, is EXL source
         for source in ("A:=S*2", "A := S.v"):

@@ -20,6 +20,7 @@ LAZY_PACKAGES = [
     "repro.chase",
     "repro.engine",
     "repro.mappings",
+    "repro.model",
     "repro.stats",
 ]
 

@@ -26,7 +26,6 @@ import pytest
 
 from repro.chase import (
     ChaseCache,
-    ParallelStratifiedChase,
     StratifiedChase,
     instance_from_cubes,
 )
@@ -77,7 +76,7 @@ class TestNullTracer:
     def test_default_tracer_is_the_shared_null_tracer(self):
         mapping, _ = _series_workload()
         assert StratifiedChase(mapping).tracer is NULL_TRACER
-        assert ParallelStratifiedChase(mapping).tracer is NULL_TRACER
+        assert StratifiedChase(mapping, jobs=4).tracer is NULL_TRACER
 
     def test_span_is_one_shared_noop_object(self):
         first = NULL_TRACER.span("anything", category="x", rows=1)
@@ -118,8 +117,8 @@ class TestSpanTree:
     def _run(self, jobs):
         mapping, source = _series_workload()
         tracer = Tracer()
-        chase = ParallelStratifiedChase(
-            mapping, max_workers=jobs, tracer=tracer
+        chase = StratifiedChase(
+            mapping, jobs=jobs, tracer=tracer
         )
         result = chase.run(source)
         return chase, tracer, result
@@ -187,12 +186,9 @@ class TestMetricsParity:
     def test_counters_match_stats(self, parallel):
         mapping, source = _series_workload()
         metrics = MetricsRegistry()
-        if parallel:
-            chase = ParallelStratifiedChase(
-                mapping, max_workers=4, metrics=metrics
-            )
-        else:
-            chase = StratifiedChase(mapping, metrics=metrics)
+        chase = StratifiedChase(
+            mapping, jobs=4 if parallel else None, metrics=metrics
+        )
         stats = chase.run(source).stats
         assert metrics.value("chase.rule_applications") == stats.rule_applications
         assert metrics.value("chase.tuples.inserted") == stats.tuples_generated
@@ -206,8 +202,8 @@ class TestMetricsParity:
         mapping, source = _series_workload()
         metrics = MetricsRegistry()
         cache = ChaseCache(metrics=metrics)
-        chase = ParallelStratifiedChase(
-            mapping, max_workers=2, cache=cache, metrics=metrics
+        chase = StratifiedChase(
+            mapping, jobs=2, cache=cache, metrics=metrics
         )
         cold = chase.run(source).stats
         warm = chase.run(source).stats
@@ -282,8 +278,8 @@ class TestChromeTrace:
     def _traced_run(self, tmp_path, jobs=4):
         mapping, source = _series_workload()
         tracer = Tracer()
-        ParallelStratifiedChase(
-            mapping, max_workers=jobs, tracer=tracer
+        StratifiedChase(
+            mapping, jobs=jobs, tracer=tracer
         ).run(source)
         out = tmp_path / "trace.json"
         tracer.write_chrome_trace(out)

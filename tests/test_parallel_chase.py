@@ -1,11 +1,14 @@
-"""Equivalence suite for the stratum-parallel chase scheduler.
+"""Equivalence suite for the chase executor's ways of running.
 
-The load-bearing guarantee: ``ParallelStratifiedChase`` computes the
-*same solution instance* as the paper's sequential ``StratifiedChase``,
-tuple for tuple, for every valid EXL program.  The suite checks this
-property over ≥50 seeded-random programs (aggregations, time shifts,
-outer vectorials and table functions included) plus hand-picked DAG
-shapes, and pins the schedule statistics the benchmark relies on.
+The load-bearing guarantee: ``StratifiedChase`` computes the *same
+solution instance* whether it walks statement order, thread waves
+(``jobs``) or forked shard workers (``shards``), on columnar kernels or
+tuple at a time, for every valid EXL program.  ``TestPolicyMatrix``
+states that once over the whole policy grid; the rest of the suite
+sweeps ≥50 seeded-random programs (aggregations, time shifts, outer
+vectorials and table functions included) through the thread waves,
+adds hand-picked DAG shapes, and pins the schedule statistics the
+benchmark relies on.
 
 Run with ``--jobs N`` to choose the worker count (CI runs 1 and 4).
 """
@@ -13,7 +16,6 @@ Run with ``--jobs N`` to choose the worker count (CI runs 1 and 4).
 import pytest
 
 from repro.chase import (
-    ParallelStratifiedChase,
     StratifiedChase,
     instance_from_cubes,
     is_solution,
@@ -35,7 +37,7 @@ def _both_runs(workload, jobs, simplify=False):
         mapping = simplify_mapping(mapping)
     source = instance_from_cubes(workload.data)
     sequential = StratifiedChase(mapping).run(source)
-    parallel = ParallelStratifiedChase(mapping, max_workers=jobs).run(source)
+    parallel = StratifiedChase(mapping, jobs=jobs).run(source)
     return mapping, source, sequential, parallel
 
 
@@ -48,6 +50,35 @@ def _assert_identical(sequential, parallel):
         assert sequential.instance.facts(relation) == parallel.instance.facts(
             relation
         ), f"relation {relation} differs between sequential and parallel chase"
+
+
+class TestPolicyMatrix:
+    """How to run is two constructor values (and the kernel switch);
+    none of them may change the solution or the per-tgd ledger."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("jobs", [None, 1, 4])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_every_policy_computes_the_same_solution(
+        self, seed, jobs, shards, vectorized
+    ):
+        workload = random_workload(seed, n_statements=6, n_periods=10)
+        mapping = generate_mapping(
+            Program.compile(workload.source, workload.schema)
+        )
+        source = instance_from_cubes(workload.data)
+        reference = StratifiedChase(mapping, vectorized=False).run(source)
+        chase = StratifiedChase(
+            mapping, jobs=jobs, shards=shards, vectorized=vectorized
+        )
+        result = chase.run(source)
+        _assert_identical(reference, result)
+        assert result.stats.per_tgd == reference.stats.per_tgd
+        assert is_solution(mapping, source, result.instance)
+        # shard workers ran exactly when asked for and partitionable
+        sharded = shards > 1 and chase.plan.fallback_reason is None
+        assert result.stats.shards == (shards if sharded else 0)
 
 
 class TestRandomProgramEquivalence:
@@ -96,7 +127,7 @@ class TestScheduleShape:
         mapping, schema = self._mapping(
             "A := S * 2\nB := S * 3\nC := S * 4\nD := S * 5"
         )
-        chase = ParallelStratifiedChase(mapping, max_workers=chase_jobs)
+        chase = StratifiedChase(mapping, jobs=chase_jobs)
         assert chase.waves == [[0, 1, 2, 3]]
         data = {
             "S": random_cube(
@@ -109,14 +140,14 @@ class TestScheduleShape:
 
     def test_chain_is_one_stratum_per_wave(self, chase_jobs):
         mapping, _ = self._mapping("A := S * 2\nB := A * 3\nC := B * 4")
-        chase = ParallelStratifiedChase(mapping, max_workers=chase_jobs)
+        chase = StratifiedChase(mapping, jobs=chase_jobs)
         assert chase.waves == [[0], [1], [2]]
 
     def test_diamond_schedules_two_waves_wide_middle(self, chase_jobs):
         mapping, _ = self._mapping(
             "A := S * 2\nL := A + 1\nR := A * 3\nJ := L + R"
         )
-        chase = ParallelStratifiedChase(mapping, max_workers=chase_jobs)
+        chase = StratifiedChase(mapping, jobs=chase_jobs)
         assert chase.waves == [[0], [1, 2], [3]]
 
     def test_sequential_stats_one_tgd_per_wave(self):
@@ -135,7 +166,7 @@ class TestSchedulerGuards:
     def test_missing_source_relation_raises_chase_source_error(self, chase_jobs):
         mapping, _ = self._mapping_one()
         with pytest.raises(ChaseSourceError, match="absent from the source"):
-            ParallelStratifiedChase(mapping, max_workers=chase_jobs).run(
+            StratifiedChase(mapping, jobs=chase_jobs).run(
                 instance_from_cubes({})
             )
 

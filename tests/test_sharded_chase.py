@@ -1,19 +1,20 @@
-"""Equivalence suite for the multi-process sharded chase.
+"""Equivalence suite for the chase executor's shard workers.
 
-The load-bearing guarantee mirrors the parallel scheduler's:
-``ShardedStratifiedChase`` computes the *same solution instance* as the
-paper's sequential ``StratifiedChase``, tuple for tuple, for every
-valid EXL program — whatever mix of shard-local tgds, re-reduced
-aggregations, and parent-side fallbacks the partition analysis chose.
-The suite checks this over ≥50 seeded-random programs, composes the
-shard axis with every other execution axis (thread jobs, chase cache,
-tuple-at-a-time kernels, forced tuple layout, incremental updates,
-fault injection), and pins the observability contract: merged worker
-metrics and spans must agree with ``ChaseStats``.
+The load-bearing guarantee mirrors the thread waves': with ``shards``
+``StratifiedChase`` computes the *same solution instance* as in
+statement order, tuple for tuple, for every valid EXL program —
+whatever mix of shard-local tgds, re-reduced aggregations, and
+parent-side fallbacks the partition analysis chose.  The suite checks
+this over ≥50 seeded-random programs, composes the shard axis with the
+other execution axes (chase cache, tuple-at-a-time kernels, forced
+tuple layout, incremental updates, fault injection; thread jobs ×
+shards × kernels is ``test_parallel_chase.TestPolicyMatrix``), and pins
+the observability contract: merged worker metrics and spans must agree
+with ``ChaseStats``.
 
 Run with ``--shards N`` to choose the worker-process count (CI runs
-1 and 4; at 1 the class degrades to the thread scheduler, so the suite
-doubles as a regression net for the degraded path).
+1 and 4; at 1 no worker is forked and the thread waves run alone, so
+the suite doubles as a regression net for that path).
 """
 
 import random
@@ -23,7 +24,6 @@ import pytest
 import repro.chase.instance as instance_mod
 from repro.chase import (
     ChaseCache,
-    ShardedStratifiedChase,
     ShardPlan,
     StratifiedChase,
     instance_from_cubes,
@@ -54,9 +54,9 @@ def _both_runs(workload, shards, **kwargs):
     mapping = generate_mapping(program)
     source = instance_from_cubes(workload.data)
     sequential = StratifiedChase(mapping).run(source)
-    sharded = ShardedStratifiedChase(mapping, shards=shards, **kwargs).run(
-        source
-    )
+    sharded = StratifiedChase(
+        mapping, jobs=4, shards=shards, **kwargs
+    ).run(source)
     return mapping, source, sequential, sharded
 
 
@@ -126,14 +126,6 @@ class TestRandomProgramEquivalence:
 
 class TestCompositionAxes:
     """--shards composes with every other execution axis bit-exactly."""
-
-    @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_with_thread_jobs(self, seed, chase_shards, chase_jobs):
-        workload = random_workload(seed, n_statements=6, n_periods=10)
-        _, _, sequential, sharded = _both_runs(
-            workload, chase_shards, max_workers=chase_jobs
-        )
-        _assert_identical(sequential, sharded)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_with_chase_cache(self, seed, chase_shards):
@@ -270,7 +262,7 @@ class TestFaultComposition:
 
 
 class TestFallbackTaxonomy:
-    """Non-partitionable programs degrade to the thread scheduler with a
+    """Non-partitionable programs run without shard workers, under a
     counted reason — never silently, never incorrectly."""
 
     def test_table_function_only_program_falls_back(self):
@@ -290,7 +282,7 @@ class TestFallbackTaxonomy:
             )
         }
         metrics = MetricsRegistry()
-        chase = ShardedStratifiedChase(mapping, shards=4, metrics=metrics)
+        chase = StratifiedChase(mapping, shards=4, metrics=metrics)
         sequential = StratifiedChase(mapping).run(instance_from_cubes(data))
         sharded = chase.run(instance_from_cubes(data))
         _assert_identical(sequential, sharded)
@@ -311,7 +303,7 @@ class TestFallbackTaxonomy:
         program = Program.compile(workload.source, workload.schema)
         mapping = generate_mapping(program)
         metrics = MetricsRegistry()
-        chase = ShardedStratifiedChase(
+        chase = StratifiedChase(
             mapping, shards=chase_shards, metrics=metrics
         )
         result = chase.run(instance_from_cubes(workload.data))
@@ -337,7 +329,7 @@ class TestObservabilityParity:
         mapping = generate_mapping(program)
         metrics = MetricsRegistry()
         tracer = Tracer()
-        chase = ShardedStratifiedChase(
+        chase = StratifiedChase(
             mapping, shards=shards, metrics=metrics, tracer=tracer
         )
         result = chase.run(instance_from_cubes(workload.data))
@@ -390,7 +382,7 @@ class TestShardSupervision:
     supervisor: dead workers get a rebuilt pool with only the
     unfinished shards retried; wedged workers trip the per-shard
     timeout; an exhausted retry budget quarantines the shards and
-    degrades to the thread scheduler — never a wrong answer."""
+    reruns the chase without shard workers — never a wrong answer."""
 
     def _fixture(self, seed=5):
         workload = gdp_example(
@@ -405,7 +397,7 @@ class TestShardSupervision:
 
     def _sharded(self, mapping, plan, **kwargs):
         metrics = MetricsRegistry()
-        chase = ShardedStratifiedChase(
+        chase = StratifiedChase(
             mapping,
             shards=2,
             metrics=metrics,
@@ -430,7 +422,7 @@ class TestShardSupervision:
         plan = FaultPlan([FaultRule(kind="kill", cubes=("shard:0",))])
         chase, metrics = self._sharded(mapping, plan, shard_retries=1)
         sharded = chase.run(source)
-        _assert_identical(sequential, sharded)  # thread fallback reran it
+        _assert_identical(sequential, sharded)  # the unsharded rerun
         assert metrics.value("chase.shard.quarantined") >= 1
         assert (
             metrics.value(
