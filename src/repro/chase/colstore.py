@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..model.cube import column_order
 from .columnar import ColumnarRelation, EncodedColumn
 
 __all__ = ["ColumnStore", "TupleStore"]
@@ -110,6 +111,30 @@ class ColumnStore:
                 store.vmaps[j] = vmap
                 store.dicts[j] = list(vmap)
             store.measures = list(measures)
+        store.dims_distinct = True
+        return store
+
+    @classmethod
+    def from_cube_columns(
+        cls,
+        dictionaries: List[List[Any]],
+        codes: List[List[int]],
+        measures: List[float],
+    ) -> "ColumnStore":
+        """The store :meth:`from_distinct_rows` builds from a cube's
+        ``to_rows()`` — same row order, same codes — from the encoded
+        columns its CSV reader left on it (rows in file order): the
+        codes are permuted and renumbered by first occurrence, no value
+        is hashed and no row tuple built."""
+        store = cls(len(codes) + 1)
+        order = column_order(dictionaries, codes, len(measures))
+        for j, (values, column) in enumerate(zip(dictionaries, codes)):
+            ordered = np.asarray(column, dtype=_INT)[order].tolist()
+            renumber = {old: new for new, old in enumerate(dict.fromkeys(ordered))}
+            store.codes[j] = [renumber[old] for old in ordered]
+            store.dicts[j] = [values[old] for old in renumber]
+            store.vmaps[j] = {value: new for new, value in enumerate(store.dicts[j])}
+        store.measures = [measures[i] for i in order.tolist()]
         store.dims_distinct = True
         return store
 

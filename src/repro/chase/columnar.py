@@ -69,7 +69,7 @@ from ..mappings.terms import (
 from ..errors import OperatorError
 from ..obs import NULL_TRACER
 from ..stats.aggregates import get_aggregate
-from .groupreduce import sorted_slices
+from .groupreduce import distinct, sorted_slices
 
 __all__ = [
     "ColumnarRelation",
@@ -380,7 +380,7 @@ def _transform_encoded(col: EncodedColumn, fn: Callable[[Any], Any]) -> EncodedC
     order, matching the scalar path's row enumeration, so any evaluation
     error surfaces for the same value on both paths.
     """
-    used = np.unique(col.codes)
+    used = distinct(col.codes)
     out_vmap: Dict[Any, int] = {}
     assign = out_vmap.setdefault
     lut = np.full(max(len(col.dictionary), 1), -1, _INT)
@@ -627,7 +627,7 @@ def _column_list(col, n: int) -> list:
 def _dims_unique(dim_cols, n: int) -> bool:
     """Vectorized duplicate-key detection over the output dimensions.
 
-    May over-report duplicates (e.g. NaN collapse in ``np.unique``) but
+    May over-report duplicates (e.g. NaN collapse in ``distinct``) but
     never under-reports — a ``False`` only routes the batch through the
     slower exact check.
     """
@@ -637,7 +637,7 @@ def _dims_unique(dim_cols, n: int) -> bool:
             parts.append(col.codes)
             bases.append(max(len(col.dictionary), 1))
         elif isinstance(col, np.ndarray):
-            uniques, inverse = np.unique(col, return_inverse=True)
+            uniques, inverse = distinct(col, return_inverse=True)
             parts.append(inverse.astype(_INT))
             bases.append(max(len(uniques), 1))
         # broadcast scalars contribute nothing
@@ -647,7 +647,7 @@ def _dims_unique(dim_cols, n: int) -> bool:
         composite = _mix(parts, bases, n)
     except FallbackUnsupported:
         return False
-    return np.unique(composite).size == n
+    return distinct(composite).size == n
 
 
 def _emit(tgd, out_cols, n, target, functional, insert_batch,

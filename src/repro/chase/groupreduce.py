@@ -10,9 +10,10 @@ own, so a bag is folded identically — in
 :func:`repro.stats.aggregates.canonical_bag` order, inside the
 aggregate — whichever path built it.
 
-The module imports nothing at load time (numpy only inside
-:func:`sorted_slices`), so the query path can reduce and maintain a
-lattice without the chase executor or numpy.
+The module imports nothing at load time (numpy only inside the two
+sort-and-compare kernels, :func:`sorted_slices` and :func:`distinct`),
+so the query path can reduce and maintain a lattice without the chase
+executor or numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "collect",
     "concatenate",
     "contribution_index",
+    "distinct",
     "reduce_bags",
     "rereduce_groups",
     "sorted_slices",
@@ -59,6 +61,38 @@ def reduce_bags(bags: Bags, aggregate: Callable) -> Dict[Tuple, Any]:
     return {key: aggregate(bag) for key, bag in bags.items()}
 
 
+def _run_starts(ordered):
+    """Mask over a sorted array: true where a run of equal values
+    starts (NaNs are one run, as ``numpy.unique`` counts them)."""
+    import numpy as np
+
+    boundary = np.empty(len(ordered), bool)
+    boundary[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    if ordered.dtype.kind == "f":
+        nan = ordered != ordered
+        boundary[1:] &= ~(nan[1:] & nan[:-1])
+    return boundary
+
+
+def distinct(values, return_inverse: bool = False):
+    """The sorted distinct values of a 1-d array and, on request, each
+    element's index among them: what ``numpy.unique`` returns, by one
+    sort and one compare — ``numpy.unique`` itself imports ``numpy.ma``
+    on first use, which every ``exl`` call that chases would pay."""
+    import numpy as np
+
+    if not return_inverse:
+        ordered = np.sort(values)
+        return ordered[_run_starts(ordered)]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    boundary = _run_starts(ordered)
+    inverse = np.empty(len(values), np.intp)
+    inverse[order] = np.cumsum(boundary) - 1
+    return ordered[boundary], inverse
+
+
 def sorted_slices(composite, values) -> Iterator[Tuple[int, List[Any]]]:
     """The columnar collect: one stable argsort over composite group
     codes turns every group's bag into a contiguous slice.
@@ -75,11 +109,7 @@ def sorted_slices(composite, values) -> Iterator[Tuple[int, List[Any]]]:
     if n == 0:
         return
     order = np.argsort(composite, kind="stable")
-    ordered = composite[order]
-    boundary = np.empty(n, bool)
-    boundary[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
+    starts = np.nonzero(_run_starts(composite[order]))[0]
     ends = np.append(starts[1:], n).tolist()
     # the stable sort puts each group's earliest row first
     first_rows = order[starts]

@@ -329,8 +329,10 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     A cube carries its store across the versioned store (``put`` copies
     share it; ``set``/``patched`` invalidate it), so a warm run adopts
     the encoded columns instead of re-encoding ``to_rows()`` — the
-    cross-run half of killing the encode tax.  Returns None in forced
-    tuple-view mode.
+    cross-run half of killing the encode tax.  A cube fresh from
+    :func:`~repro.model.io.read_cube_csv` has its reader's columns,
+    which are sorted into the same store without building a row.
+    Returns None in forced tuple-view mode.
     """
     if FORCE_TUPLE_VIEW:
         return None
@@ -339,7 +341,10 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
         return store
     # a cube is functional by construction — dimension tuples distinct —
     # and holds its measures as exact floats
-    store = ColumnStore.from_distinct_rows(cube.schema.arity + 1, cube.to_rows())
+    if cube._columns is not None:
+        store = ColumnStore.from_cube_columns(*cube._columns)
+    else:
+        store = ColumnStore.from_distinct_rows(cube.schema.arity + 1, cube.to_rows())
     cube._colstore = store
     return store
 

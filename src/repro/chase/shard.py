@@ -22,7 +22,7 @@ to turn that into real multi-core speedup:
 3. **Merge.**  :func:`merge_outputs` hands the executor each tgd's
    shard outputs to insert, in wave order.  The hot path concatenates
    columnar shard stores (:meth:`ColumnStore.extend_from`) and proves
-   global key distinctness with one mixed-radix ``np.unique`` pass, so
+   global key distinctness with one mixed-radix sort-and-compare pass, so
    the executor adopts the result whole; anything else arrives as a
    list of facts for the element-wise egd-checking insert, which raises
    :class:`ChaseError` on true functionality violations exactly like an
@@ -82,7 +82,7 @@ from ..model.time import TimePoint
 from ..obs import MetricsRegistry, Tracer
 from .colstore import ColumnStore, TupleStore
 from .engine import ChaseStats, StratifiedChase
-from .groupreduce import concatenate
+from .groupreduce import concatenate, distinct
 from .instance import RelationalInstance
 
 __all__ = [
@@ -650,4 +650,4 @@ def _dims_distinct(store: ColumnStore) -> bool:
         key = key * _INT(max(len(store.dicts[j]), 1)) + np.asarray(
             store.codes[j], dtype=_INT
         )
-    return int(np.unique(key).size) == n
+    return int(distinct(key).size) == n

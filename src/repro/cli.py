@@ -68,7 +68,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .errors import ReproError
+from .errors import ModelError, ReproError
 
 # Every other layer is imported inside the command that runs it, so a
 # call loads only what it executes (DESIGN.md, "Start-up and the import
@@ -157,13 +157,18 @@ class Project:
 
 def _read_input_csv(schema: CubeSchema, path: Path) -> Cube:
     """Read one of the project's input CSVs; a file that cannot be
-    opened is the user's error to fix, reported with its path."""
+    opened, or a row that cannot be a cube's, is the user's error to
+    fix, reported with its path."""
     from .model.io import read_cube_csv
 
     try:
         return read_cube_csv(schema, path)
     except OSError as exc:
         raise _unreadable(path, exc) from None
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"{path}: not UTF-8 text ({exc})") from None
+    except ModelError as exc:
+        raise ReproError(f"{path}: {exc}") from None
 
 
 def load_project(path: str) -> Project:
@@ -218,7 +223,6 @@ def _build_engine(
     parallel: bool = False,
     jobs: int = 4,
     shards: int = 1,
-    chase_cache: bool = True,
     vectorize: bool = True,
     tracer=None,
     metrics=None,
@@ -240,7 +244,9 @@ def _build_engine(
         parallel=parallel,
         jobs=jobs,
         shards=shards,
-        chase_cache=chase_cache,
+        # a ChaseCache pays off across the runs of one long-lived
+        # engine; an exl call applies each tgd once and exits
+        chase_cache=False,
         vectorize=vectorize,
         tracer=tracer,
         metrics=metrics,
@@ -407,7 +413,6 @@ def cmd_update(args) -> int:
         parallel=args.parallel,
         jobs=args.jobs,
         shards=args.shards,
-        chase_cache=not args.no_chase_cache,
         vectorize=not args.no_vectorize,
         backoff_s=args.backoff,
         journal=journal,
@@ -468,7 +473,6 @@ def cmd_run(args) -> int:
         parallel=args.parallel,
         jobs=args.jobs,
         shards=args.shards,
-        chase_cache=not args.no_chase_cache,
         vectorize=not args.no_vectorize,
         tracer=tracer,
         metrics=metrics,
@@ -534,7 +538,6 @@ def cmd_resume(args) -> int:
         parallel=args.parallel,
         jobs=args.jobs,
         shards=args.shards,
-        chase_cache=not args.no_chase_cache,
         vectorize=not args.no_vectorize,
         backoff_s=args.backoff,
         journal=journal,
@@ -866,11 +869,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "chased per shard, and merged through the egd-checking "
             "insert (0 = one shard per CPU core, 1 = off; tuple-for-"
             "tuple equivalent to unsharded runs)",
-        )
-        command.add_argument(
-            "--no-chase-cache",
-            action="store_true",
-            help="disable the cube-level chase materialization cache",
         )
         command.add_argument(
             "--no-vectorize",

@@ -74,8 +74,8 @@ def default_fallback_chains() -> Dict[str, Tuple[str, ...]]:
 
 def _store_matches_rows(store, cube: Cube) -> bool:
     """True when ``store``'s insertion order is exactly ``cube``'s
-    ``to_rows()`` order (measures pairwise equal, NaN matching NaN by
-    identity so retraction semantics survive the attach).
+    ``to_rows()`` order (measures pairwise equal and spelled alike, NaN
+    matching NaN by identity so retraction semantics survive the attach).
 
     A columnar store's insertion order becomes the enumeration order of
     every consumer that adopts it — chase relation views, baseline CSV
@@ -89,7 +89,9 @@ def _store_matches_rows(store, cube: Cube) -> bool:
         if fact[:-1] != row[:-1]:
             return False
         a, b = fact[-1], row[-1]
-        if a is not b and a != b:
+        # the cube's text is written from its store: 0.0 and -0.0 are
+        # equal and spelled differently
+        if a is not b and (a != b or (a == 0 and repr(a) != repr(b))):
             return False
     return True
 

@@ -18,7 +18,7 @@ from ..errors import CubeError, SchemaError
 from .time import TimePoint
 from .types import DimType, validate_value
 
-__all__ = ["Dimension", "CubeSchema", "Cube", "CubeDelta"]
+__all__ = ["Dimension", "CubeSchema", "Cube", "CubeDelta", "column_order"]
 
 DimTuple = Tuple[Any, ...]
 
@@ -193,6 +193,10 @@ class Cube:
         # the canonical CSV text of these rows, serialized at most once
         # (see model.io.canonical_text); same sharing rules as the store
         self._csv_text = None
+        # (dictionaries, codes, measures) the CSV reader parsed these
+        # rows into, in file order (see model.io.read_cube_csv); same
+        # sharing rules again — store_for_cube adopts them
+        self._columns = None
         if data:
             for key, value in data.items():
                 self.set(key, value)
@@ -288,6 +292,7 @@ class Cube:
         self._data[key] = float(value)
         self._colstore = None
         self._csv_text = None
+        self._columns = None
 
     def get(self, key: Sequence[Any], default: Any = None) -> Any:
         return self._data.get(tuple(key), default)
@@ -406,6 +411,7 @@ class Cube:
         # the pops below bypass set(), so drop the shared caches here
         clone._colstore = None
         clone._csv_text = None
+        clone._columns = None
         for row in delta.deleted:
             clone._data.pop(row[:-1], None)
         for _, new in delta.updated:
@@ -428,6 +434,7 @@ class Cube:
         # runs encode-free
         clone._colstore = self._colstore
         clone._csv_text = self._csv_text
+        clone._columns = self._columns
         return clone
 
     def __repr__(self) -> str:
@@ -450,3 +457,30 @@ class _ComponentKeys(dict):
     def __missing__(self, component):
         key = self[component] = _component_key(component)
         return key
+
+
+def column_order(
+    dictionaries: Sequence[Sequence[Any]], codes: Sequence[Sequence[int]], n_rows: int
+):
+    """The permutation that puts dictionary-encoded rows in
+    :meth:`Cube.to_rows` order, as a NumPy index array: row
+    ``order[i]`` of the columns is the ``i``-th sorted row.
+
+    A cube's order is a sort over its dimension keys; over encoded
+    columns that is one ``lexsort`` on per-dictionary ranks.  Each
+    dictionary is ranked once by :func:`_component_key` — equal keys
+    share a rank, so a tie falls to the next dimension and then to the
+    incoming row order, exactly as in ``to_rows``' stable sort.
+    """
+    import numpy as np
+
+    keys = []
+    for values, column in zip(dictionaries, codes):
+        component_keys = [_component_key(value) for value in values]
+        rank_of = {key: rank for rank, key in enumerate(sorted(set(component_keys)))}
+        ranks = np.array([rank_of[key] for key in component_keys], dtype=np.intp)
+        keys.append(ranks[np.asarray(column, dtype=np.intp)])
+    if not keys:
+        return np.arange(n_rows)
+    keys.reverse()  # lexsort's last key is the primary one
+    return np.lexsort(keys)

@@ -18,11 +18,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 from pathlib import Path
-from typing import Any, Dict, TextIO, Union
+from typing import Any, Dict, Optional, TextIO, Union
 
 from ..errors import ModelError
-from .cube import Cube, CubeSchema, Dimension
+from .cube import Cube, CubeSchema, Dimension, column_order
 from .time import Frequency, parse_timepoint
 from .types import INTEGER, STRING, TIME, DimKind, DimType
 
@@ -107,16 +108,36 @@ def parse_dim_value(dtype: DimType, text: str) -> Any:
 
 def write_cube_csv(cube: Cube, destination: Union[str, Path, TextIO]) -> None:
     """Write a cube to CSV (header = dimensions then measure)."""
+    text = cube_to_csv_text(cube)
     if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            _write(cube, handle)
+        with open(destination, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
     else:
-        _write(cube, destination)
+        destination.write(text)
 
 
-def _write(cube: Cube, handle: TextIO) -> None:
-    writer = csv.writer(handle)
+def cube_to_csv_text(cube: Cube) -> str:
+    """The cube's CSV serialization as a string.
+
+    A cube that carries its rows as dictionary-encoded columns — a
+    chase output's store, or what :func:`read_cube_csv` parsed it from
+    — is ordered and formatted by column; any other goes row by row
+    through ``to_rows()``.  The text is the same either way.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
     writer.writerow(cube.schema.columns)
+    store = cube._colstore
+    if store is not None and store.dims_distinct and store.n_rows == len(cube):
+        _write_columns(buffer, store.dicts, store.codes, store.measures)
+    elif cube._columns is not None:
+        _write_columns(buffer, *cube._columns)
+    else:
+        _write_rows(writer, cube)
+    return buffer.getvalue()
+
+
+def _write_rows(writer, cube: Cube) -> None:
     # Dimension values repeat heavily across rows (a 600-quarter x
     # 200-region cube has 800 distinct values over 240k cells), so
     # memoize their str() form per call.
@@ -135,63 +156,127 @@ def _write(cube: Cube, handle: TextIO) -> None:
         writer.writerow(cells)
 
 
+#: what makes ``csv``'s minimal quoting quote a field
+_QUOTED = re.compile('[,"\r\n]').search
+
+
+def _write_columns(buffer: TextIO, dictionaries, codes, measures) -> None:
+    """``_write_rows`` over dictionary-encoded columns: one sort on
+    per-dictionary ranks, one formatted cell per distinct value."""
+    order = column_order(dictionaries, codes, len(measures)).tolist()
+    columns = []
+    for values, column in zip(dictionaries, codes):
+        cells = []
+        for value in values:
+            text = repr(value) if isinstance(value, float) else str(value)
+            if _QUOTED(text):
+                text = '"' + text.replace('"', '""') + '"'
+            cells.append(text)
+        columns.append(map(cells.__getitem__, map(column.__getitem__, order)))
+    columns.append(map(repr, map(measures.__getitem__, order)))
+    buffer.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
+
+
 def read_cube_csv(schema: CubeSchema, source: Union[str, Path, TextIO]) -> Cube:
-    """Read a cube from CSV; the header must match the schema's columns."""
+    """Read a cube from a CSV someone else wrote: the header must match
+    the schema's columns, cells are trimmed, blank rows skipped, and a
+    file is decoded as UTF-8 with or without a byte-order mark."""
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
-            return _read(schema, handle)
-    return _read(schema, source)
+        with open(source, newline="", encoding="utf-8-sig") as handle:
+            return _read(schema, handle, strip=True)
+    return _read(schema, source, strip=True)
 
 
-def _read(schema: CubeSchema, handle: TextIO) -> Cube:
+def cube_from_csv_text(schema: CubeSchema, text: str) -> Cube:
+    """Parse a cube from the text :func:`cube_to_csv_text` gave for it:
+    every dimension value is taken verbatim, so a label with
+    surrounding whitespace comes back as written."""
+    return _read(schema, io.StringIO(text), strip=False)
+
+
+def _read(schema: CubeSchema, handle: TextIO, strip: bool) -> Cube:
     reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
         raise ModelError(f"empty CSV for cube {schema.name}") from None
     expected = list(schema.columns)
-    if [h.strip() for h in header] != expected:
+    if ([h.strip() for h in header] if strip else header) != expected:
         raise ModelError(
             f"CSV header {header} does not match cube columns {expected}"
         )
+    rows = list(reader)
+    cube = _cube_from_columns(schema, rows, strip)
+    if cube is None:
+        # something is irregular: row by row, to accept it or to name
+        # the line it is on
+        cube = _cube_from_rows(schema, rows, strip)
+    return cube
+
+
+def _cube_from_columns(schema: CubeSchema, rows: list, strip: bool) -> Optional[Cube]:
+    """The cube of well-formed ``rows``, parsed a column at a time and
+    validated per distinct value, with the encoded columns left on it;
+    None for anything else (ragged or blank rows, a cell that does not
+    parse, a repeated key)."""
+    if not rows or set(map(len, rows)) != {schema.arity + 1}:
+        return None
+    *columns, measure_texts = zip(*rows)
+    dictionaries, codes = [], []
+    try:
+        measures = list(map(float, measure_texts))
+        for dim, column in zip(schema.dimensions, columns):
+            texts: dict = {}
+            column_codes = [texts.setdefault(text, len(texts)) for text in column]
+            # two spellings of one value ("01" and "1", " a" and "a"
+            # when trimmed) share a code
+            code_of: dict = {}
+            recode = [
+                code_of.setdefault(
+                    _parse_value(dim.dtype, text.strip() if strip else text),
+                    len(code_of),
+                )
+                for text in texts
+            ]
+            if len(code_of) != len(texts):
+                column_codes = [recode[code] for code in column_codes]
+            dictionaries.append(list(code_of))
+            codes.append(column_codes)
+    except (ValueError, ModelError):
+        return None
+    cube = Cube.from_columns(schema, dictionaries, codes, measures)
+    if cube is not None:
+        cube._columns = (dictionaries, codes, measures)
+    return cube
+
+
+def _cube_from_rows(schema: CubeSchema, rows: list, strip: bool) -> Cube:
     cube = Cube(schema)
+    width = schema.arity + 1
     # Memoize parsed dimension values per column: the same time points
     # and labels recur on every row, and parse_timepoint dominates the
     # read cost when re-parsed per cell.
     dtypes = [dim.dtype for dim in schema.dimensions]
     caches: list = [{} for _ in dtypes]
-    for line_number, row in enumerate(reader, start=2):
+    for line_number, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(expected):
+        if len(row) != width:
             raise ModelError(
-                f"line {line_number}: {len(row)} fields for {len(expected)} columns"
+                f"line {line_number}: {len(row)} fields for {width} columns"
             )
         try:
             key = []
             for dtype, cache, cell in zip(dtypes, caches, row):
-                text = cell.strip()
+                text = cell.strip() if strip else cell
                 parsed = cache.get(text)
                 if parsed is None:
                     parsed = cache[text] = _parse_value(dtype, text)
                 key.append(parsed)
-            value = float(row[-1])
+            cube.set(tuple(key), float(row[-1]))
         except (ValueError, ModelError) as exc:
             raise ModelError(f"line {line_number}: {exc}") from exc
-        cube.set(tuple(key), value)
     return cube
-
-
-def cube_to_csv_text(cube: Cube) -> str:
-    """The cube's CSV serialization as a string."""
-    buffer = io.StringIO()
-    write_cube_csv(cube, buffer)
-    return buffer.getvalue()
-
-
-def cube_from_csv_text(schema: CubeSchema, text: str) -> Cube:
-    """Parse a cube from CSV text."""
-    return read_cube_csv(schema, io.StringIO(text))
 
 
 def canonical_text(cube: Cube) -> str:
@@ -213,7 +298,7 @@ def canonical_text(cube: Cube) -> str:
 def cube_from_canonical_text(schema: CubeSchema, text: str) -> Cube:
     """Parse text that *is* some cube's :func:`canonical_text` — a
     snapshot or baseline file this package wrote, verified by digest —
-    and keep it as the parsed cube's text."""
+    verbatim, and keep it as the parsed cube's text."""
     cube = cube_from_csv_text(schema, text)
     cube._csv_text = text
     return cube

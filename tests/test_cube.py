@@ -472,3 +472,101 @@ class TestCanonicalText:
         d = build([(quarter(2020, 1), "n", -0.0)])
         assert c.delta(d).is_empty  # equal cubes ...
         assert canonical_text(c) != canonical_text(d)  # ... errs toward "changed"
+
+    def test_surrounding_whitespace_round_trips(self):
+        # " a" and "a" are two labels; the trimming reader merged them,
+        # so the baseline a run wrote could not be read back
+        from repro.model.io import canonical_text, cube_from_canonical_text
+
+        schema = CubeSchema("X", [Dimension("s", STRING)], "v")
+        rows = [(" a", 1.0), ("a", 2.0), ("a ", 3.0), ("\t", 4.0)]
+        cube = Cube.from_rows(schema, rows)
+        back = cube_from_canonical_text(schema, canonical_text(cube))
+        assert back == cube
+        assert canonical_text(back) == canonical_text(cube)
+
+    def test_reader_columns_are_shared_by_copy_dropped_by_mutation(self, panel_schema):
+        from repro.model.io import cube_from_csv_text
+
+        text = "q,r,v\r\n2020Q1,n,1.0\r\n2020Q2,n,2.0\r\n"
+        cube = cube_from_csv_text(panel_schema, text)
+        assert cube._columns is not None
+        clone = cube.copy()
+        assert clone._columns is cube._columns
+        clone.set((quarter(2020, 3), "n"), 3.0)
+        assert clone._columns is None and cube._columns is not None
+        assert cube.patched(cube.delta(clone))._columns is None
+
+
+#: a cube with every value the CSV dialect treats specially; its
+#: canonical text and that of ``A := G * 2`` are pinned below
+GOLDEN_ROWS = [
+    ((2020, 1), "a,b", 10, 1.0),
+    ((2020, 1), 'say "hi"', 2, -0.0),
+    ((2020, 2), "line\r\nbreak", -3, float("nan")),
+    ((2020, 2), "", 7, float("inf")),
+    ((2019, 12), " padded ", 10, float("-inf")),
+    ((2020, 3), "é", 0, 0.1 + 0.2),
+    ((2020, 3), "1.0", 1, 5e-324),
+    ((2020, 3), "1", 1, 12345678.9),
+]
+
+
+class TestGoldenDigest:
+    """The canonical text is an on-disk format: every ``baseline.json``
+    records its sha256 per cube, so a drift in ordering, quoting or
+    float spelling orphans users' run directories.  These digests were
+    taken before the column-wise writer existed."""
+
+    G = "cca2aee9d9d848e1acb14a30929c9d80423ac361afed31351c64893690b0b1b9"
+    A = "2ce3ed418da8ea03b618d919602ebd28a67842f20b3d41710be5660fa5b993d8"
+
+    @pytest.fixture
+    def golden(self):
+        from repro.model import month
+
+        schema = CubeSchema(
+            "G",
+            [
+                Dimension("t", TIME(Frequency.MONTH)),
+                Dimension("s", STRING),
+                Dimension("n", INTEGER),
+            ],
+            "v",
+        )
+        rows = [(month(*ym), s, n, v) for ym, s, n, v in GOLDEN_ROWS]
+        return Cube.from_rows(schema, rows)
+
+    def test_row_path_column_path_and_reader_agree_on_the_digest(self, golden):
+        from repro.chase.colstore import ColumnStore
+        from repro.model.io import (
+            cube_from_canonical_text,
+            cube_to_csv_text,
+            text_sha256,
+        )
+
+        assert golden._colstore is None and golden._columns is None
+        text = cube_to_csv_text(golden)  # row by row
+        assert text_sha256(text) == self.G
+        held = golden.copy()
+        held._colstore = ColumnStore.from_distinct_rows(4, golden.to_rows()[::-1])
+        assert cube_to_csv_text(held) == text  # from a store, in another order
+        back = cube_from_canonical_text(golden.schema, text)
+        assert back._columns is not None
+        assert cube_to_csv_text(back) == text  # from the reader's columns
+
+    def test_chase_output_has_the_digest_with_or_without_a_store(self, golden):
+        # the EXL_FORCE_TUPLE_VIEW=1 CI leg is what runs the row-path
+        # writer on chase outputs
+        from repro.chase import instance as instance_mod
+        from repro.engine.exlengine import EXLEngine
+        from repro.model.io import canonical_text, text_sha256
+
+        engine = EXLEngine(target_priority=("chase",))
+        engine.declare_elementary(golden.schema)
+        engine.add_program("A := G * 2")
+        engine.load(golden)
+        engine.run()
+        output = engine.catalog.data("A")
+        assert (output._colstore is None) == instance_mod.FORCE_TUPLE_VIEW
+        assert text_sha256(canonical_text(output)) == self.A

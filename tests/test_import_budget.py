@@ -240,6 +240,20 @@ class TestRunBudget:
             assert not forbidden, (command, sorted(forbidden))
             assert "multiprocessing" not in modules, command
 
+    def test_chase_run_does_not_import_numpy_ma(self, tmp_path, loaded_by):
+        # numpy.unique imports numpy.ma (14 modules) on first use; the
+        # kernels find distinct codes by chase.groupreduce.distinct
+        project = write_panel_project(tmp_path)
+        (tmp_path / "program.exl").write_text(
+            "T := P * 2\nY := sum(T, group by year(q) as y, r)\n"
+        )
+        spec = json.loads((tmp_path / "project.json").read_text())
+        spec["preferred_targets"]["Y"] = "chase"
+        (tmp_path / "project.json").write_text(json.dumps(spec))
+        modules = loaded_by(["run", project, "--out", str(tmp_path / "out")])
+        assert "numpy" in modules and "repro.chase.columnar" in modules
+        assert "numpy.ma" not in modules
+
     def test_sql_run_loads_the_sql_engine_alone(self, tmp_path, loaded_by):
         project = write_project(tmp_path, "sql")
         modules = loaded_by(["run", project, "--out", str(tmp_path / "out")])

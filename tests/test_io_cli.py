@@ -1,5 +1,6 @@
 """Tests for cube CSV I/O and the command-line interface."""
 
+import io
 import json
 from pathlib import Path
 
@@ -116,6 +117,30 @@ class TestCsvRoundtrip:
     def test_blank_lines_skipped(self, panel_schema):
         cube = cube_from_csv_text(panel_schema, "q,r,v\n\n2020Q1,north,1.0\n\n")
         assert len(cube) == 1
+
+    def test_conflicting_duplicate_key_reports_line(self, panel_schema):
+        # used to surface as a bare CubeError with no line number
+        text = "q,r,v\n2020Q1,north,1.0\n2020Q2,north,2.0\n2020Q1, north,3.0\n"
+        with pytest.raises(ModelError, match=r"^line 4: functional violation on P\("):
+            read_cube_csv(panel_schema, io.StringIO(text))
+        # the same row twice is one tuple, as it always was
+        again = read_cube_csv(panel_schema, io.StringIO(text.replace("3.0", "1.0")))
+        assert len(again) == 2
+
+    def test_input_cells_are_trimmed_canonical_text_is_not(self, panel_schema):
+        text = "q , r,v\n 2020Q1 , north ,1.0\n"
+        cube = read_cube_csv(panel_schema, io.StringIO(text))
+        assert cube[(quarter(2020, 1), "north")] == 1.0
+        with pytest.raises(ModelError, match="header"):
+            cube_from_csv_text(panel_schema, text)
+        kept = cube_from_csv_text(panel_schema, "q,r,v\n2020Q1, north ,1.0\n")
+        assert kept[(quarter(2020, 1), " north ")] == 1.0
+
+    def test_utf8_byte_order_mark_is_skipped(self, panel_schema, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM
+        path = tmp_path / "panel.csv"
+        path.write_bytes("q,r,v\r\n2020Q1,nörd,1.0\r\n".encode("utf-8-sig"))
+        assert read_cube_csv(panel_schema, path)[(quarter(2020, 1), "nörd")] == 1.0
 
     def test_float_precision_preserved(self, panel_schema):
         cube = Cube(panel_schema)
@@ -277,6 +302,25 @@ class TestCliInputErrors:
         argv = ["query", project, "S", "--out", out]
         assert self._fails(argv, capsys) == expected
 
+    def test_malformed_input_csv_names_file_and_line(self, project_dir, capsys):
+        project = str(project_dir / "project.json")
+        csv_path = project_dir / "s.csv"
+        out = str(project_dir / "results")
+        csv_path.write_text("q,v\n2020Q1,1.0\n2020Q2,2.0\n2020Q1,5.0\n")
+        err = self._fails(["run", project, "--out", out], capsys)
+        assert err == (
+            f"error: {csv_path}: line 4: functional violation on "
+            f"S(TimePoint(QUARTER, 2020Q1),): 1.0 vs 5.0\n"
+        )
+        csv_path.write_text("q,v\n2020Q1,1.0\n2020Q2,oops\n")
+        err = self._fails(["update", project, "--out", out], capsys)
+        assert err == (
+            f"error: {csv_path}: line 3: could not convert string to float: 'oops'\n"
+        )
+        csv_path.write_bytes(b"q,v\n2020Q1,1.0\n\xff\xfe,2.0\n")
+        err = self._fails(["run", project, "--out", out], capsys)
+        assert err.startswith(f"error: {csv_path}: not UTF-8 text")
+
     def test_program_file_not_found(self, project_dir, capsys):
         spec = json.loads((project_dir / "project.json").read_text())
         spec["program"] = "missing.exl"
@@ -299,6 +343,17 @@ class TestCliInputErrors:
             main(argv)
         assert exit_info.value.code == 2
         assert f"argument {flags[-2]}: must be at least" in capsys.readouterr().err
+
+    def test_one_shot_commands_build_no_chase_cache(self, project_dir, capsys):
+        # each tgd is applied once per process: nothing to hit, no knob
+        from repro.cli import _build_engine
+
+        project = str(project_dir / "project.json")
+        assert _build_engine(load_project(project)).chase_cache is None
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", project, "--no-chase-cache"])
+        assert exit_info.value.code == 2
+        assert "--no-chase-cache" in capsys.readouterr().err
 
     def test_shards_zero_is_one_per_core(self, project_dir, capsys):
         out = str(project_dir / "results")

@@ -8,6 +8,7 @@ from repro.backends import all_backends
 from repro.chase.groupreduce import (
     collect,
     contribution_index,
+    distinct,
     reduce_bags,
     rereduce_groups,
     sorted_slices,
@@ -218,6 +219,31 @@ class TestGroupReduceProperty:
             assert _bits(lattice.node({"i": "all"}).groups) == expected
 
 
+class TestDistinctProperty:
+    @given(
+        st.one_of(
+            st.lists(st.integers(-5, 5), max_size=30),
+            st.lists(
+                st.one_of(
+                    st.sampled_from([float("nan"), -0.0, 0.0, 1.5]), finite_floats
+                ),
+                max_size=30,
+            ),
+        )
+    )
+    def test_distinct_is_numpy_unique(self, values):
+        import numpy as np
+
+        is_float = any(type(v) is float for v in values)
+        array = np.array(values, dtype=float if is_float else np.int64)
+        uniques, inverse = distinct(array, return_inverse=True)
+        expected, expected_inverse = np.unique(array, return_inverse=True)
+        # equal as values: which of -0.0 / 0.0 stands for both is the sort's
+        assert np.array_equal(uniques, expected, equal_nan=True)
+        assert inverse.tolist() == expected_inverse.tolist()
+        assert np.array_equal(distinct(array), expected, equal_nan=True)
+
+
 class TestSeriesProperties:
     @given(value_lists)
     def test_cumsum_last_is_total(self, values):
@@ -296,6 +322,161 @@ class TestCubeProperties:
         cube = Cube.from_rows(schema, rows)
         assert len(cube) == len(rows)
         assert set(cube.to_rows()) == set(rows)
+
+
+# -- the cube boundary: CSV text in, CSV text out ---------------------------
+
+_LABELS = st.one_of(
+    st.sampled_from(["", "1", "1.0", "a", " a", "a ", "\t", "A", "é"]),
+    st.text(alphabet=list('ab,"\r\n 1.'), max_size=4),
+)
+_DIM_VALUES = {
+    STRING: _LABELS,
+    INTEGER: st.integers(min_value=-12, max_value=12),
+    TIME(Frequency.MONTH): st.integers(2019 * 12, 2021 * 12).map(
+        lambda o: TimePoint(Frequency.MONTH, o)
+    ),
+    TIME(Frequency.DAY): st.integers(737_000, 737_040).map(
+        lambda o: TimePoint(Frequency.DAY, o)
+    ),
+}
+_MEASURES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1, 1.0, 5e-324, 0.1 + 0.2]),
+)
+
+
+@st.composite
+def boundary_cubes(draw):
+    """A cube of arity 0–3 over string / integer / time dimensions, its
+    rows in a drawn order (possibly none)."""
+    dtypes = draw(st.lists(st.sampled_from(list(_DIM_VALUES)), max_size=3))
+    schema = CubeSchema(
+        "B", [Dimension(f"d{i}", dtype) for i, dtype in enumerate(dtypes)], "v"
+    )
+    keys = draw(
+        st.lists(
+            st.tuples(*(_DIM_VALUES[dtype] for dtype in dtypes)),
+            unique=True,
+            max_size=1 if not dtypes else 12,
+        )
+    )
+    return Cube.from_rows(schema, [key + (draw(_MEASURES),) for key in keys])
+
+
+def _relation(store):
+    """A store's content with measures compared bit for bit."""
+    return store.dicts, store.codes, list(map(repr, store.measures)), store.vmaps
+
+
+class TestCubeBoundaryProperty:
+    """A cube is read, ordered and written by column when it has
+    columns and row by row when it has none; the two must be
+    indistinguishable from outside."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_cubes(), st.randoms(use_true_random=False))
+    def test_column_path_and_row_path_are_one_format(self, cube, rng):
+        import csv
+        import io as stdio
+
+        from repro.chase.colstore import ColumnStore
+        from repro.model.io import (
+            canonical_text,
+            cube_from_canonical_text,
+            cube_from_csv_text,
+            cube_to_csv_text,
+            text_sha256,
+        )
+
+        schema, width = cube.schema, cube.schema.arity + 1
+        assert cube._colstore is None and cube._columns is None
+        text = cube_to_csv_text(cube)  # row by row
+
+        # (a) written from a store holding the rows in any order
+        shuffled = cube.to_rows()
+        rng.shuffle(shuffled)
+        held = cube.copy()
+        held._colstore = ColumnStore.from_distinct_rows(width, shuffled)
+        assert cube_to_csv_text(held) == text
+
+        # (b) read back: the same cube, the same text, the same digest
+        back = cube_from_canonical_text(schema, canonical_text(cube))
+        assert _bits(back) == _bits(cube)
+        assert list(back) == [row[:-1] for row in cube.to_rows()]
+        assert canonical_text(back) is canonical_text(cube)
+        assert text_sha256(cube_to_csv_text(back)) == text_sha256(text)
+
+        # ... and from the same rows in any file order, through the
+        # reader's columns
+        buffer = stdio.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(schema.columns)
+        writer.writerows([*map(str, row[:-1]), repr(row[-1])] for row in shuffled)
+        unordered = cube_from_csv_text(schema, buffer.getvalue())
+        assert (unordered._columns is not None) == bool(shuffled)
+        assert cube_to_csv_text(unordered) == text
+
+        # (c) the store adopted from the reader's columns is the one
+        # built from the sorted rows, code for code
+        if shuffled:
+            adopted = ColumnStore.from_cube_columns(*unordered._columns)
+            encoded = ColumnStore.from_distinct_rows(width, cube.to_rows())
+            assert _relation(adopted) == _relation(encoded)
+            assert adopted.dims_distinct
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from("abc")),
+            unique=True,
+            max_size=10,
+        ),
+        st.data(),
+    )
+    def test_malformed_rows_are_reported_as_the_row_loop_reports_them(self, keys, data):
+        """(d) the cases of ``tests/test_io_cli.py``, at any line of an
+        otherwise well-formed file: the column reader steps aside and the
+        message is the row loop's, line number included."""
+        import io as stdio
+
+        from repro.errors import ModelError
+        from repro.model.io import read_cube_csv
+
+        schema = CubeSchema(
+            "P", [Dimension("q", TIME(Frequency.QUARTER)), Dimension("r", STRING)], "v"
+        )
+        good = [f"{quarter(2020, 1) + o},{r},{float(o)}" for o, r in keys]
+        at = data.draw(st.integers(0, len(good)))
+        line = at + 2
+
+        def read(bad_rows):
+            lines = ["q,r,v", *good[:at], *bad_rows, *good[at:]]
+            return read_cube_csv(schema, stdio.StringIO("\n".join(lines) + "\n"))
+
+        def message(bad_row):
+            with pytest.raises(ModelError) as caught:
+                read([bad_row])
+            return str(caught.value)
+
+        assert message("2020Q1,north") == f"line {line}: 2 fields for 3 columns"
+        assert message("2099Q1,south,oops") == (
+            f"line {line}: could not convert string to float: 'oops'"
+        )
+        assert message("20-20,south,1.0") == (
+            f"line {line}: unrecognized time point literal: '20-20'"
+        )
+        if at:
+            o, r = keys[at - 1]
+            assert message(f"{quarter(2020, 1) + o}, {r} ,-1.0") == (
+                f"line {line}: functional violation on "
+                f"P({quarter(2020, 1) + o!r}, {r!r}): {float(o)!r} vs -1.0"
+            )
+        assert len(read(["", " , ,"])) == len(good)  # blank rows are skipped
+        with pytest.raises(ModelError, match="^CSV header .* does not match"):
+            read_cube_csv(schema, stdio.StringIO("a,b,c\n"))
+        with pytest.raises(ModelError, match="^empty CSV for cube P$"):
+            read_cube_csv(schema, stdio.StringIO(""))
 
 
 class TestProgramEquivalenceProperty:
