@@ -86,6 +86,7 @@ class Backend(abc.ABC):
         inputs: Dict[str, Cube],
         wanted: Optional[Iterable[str]] = None,
         check: Optional[Callable[[], None]] = None,
+        units: Optional[List[CompiledTgd]] = None,
     ) -> Dict[str, Cube]:
         """Execute a whole mapping: the backend-side chase equivalent.
 
@@ -98,11 +99,15 @@ class Backend(abc.ABC):
                 units; the dispatcher passes a wall-clock deadline
                 checker that raises
                 :class:`~repro.errors.DeadlineExceededError`.
+            units: what :meth:`compile_mapping` returned for
+                ``mapping``, when the caller already holds it (the
+                translation engine compiles each subgraph once).
 
         Returns:
             The computed cubes, keyed by name.
         """
-        units = self.compile_mapping(mapping)
+        if units is None:
+            units = self.compile_mapping(mapping)
         store = self.new_store(mapping)
         for tgd in mapping.st_tgds:
             source = tgd.lhs[0].relation

@@ -10,24 +10,22 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..chase.delta import (
-    DeltaChase,
-    DeltaRunResult,
-    DeltaSnapshot,
-    DeltaStats,
-    DeltaUnsupported,
-    input_deltas_for,
-)
-from ..chase.engine import StratifiedChase
+from ..chase.engine import DeltaRunResult, DeltaStats, StratifiedChase
 from ..chase.instance import RelationalInstance, store_for_cube
-from ..chase.scheduler import ChaseCache
 from ..errors import BackendError
 from ..mappings.dependencies import Tgd
 from ..mappings.mapping import SchemaMapping
 from ..model.cube import Cube, CubeSchema
 from .base import Backend, CompiledTgd
+
+# chase.delta loads for the first incremental replay, chase.scheduler
+# for a chase with waves or a cache: a one-shot ``exl run`` / ``update``
+# has neither (DESIGN.md, "Start-up and the import graph")
+if TYPE_CHECKING:
+    from ..chase.delta import DeltaSnapshot
+    from ..chase.scheduler import ChaseCache
 
 __all__ = ["ChaseBackend"]
 
@@ -95,9 +93,10 @@ class ChaseBackend(Backend):
         #: constructs (``None`` = untraced / per-chase registry)
         self.tracer = tracer
         self.metrics = metrics
-        #: keep a :class:`DeltaSnapshot` of every whole-mapping run so
-        #: :meth:`run_mapping_delta` can replay it incrementally.
-        #: Capture is cheap (references only, no copies); the engine
+        #: keep what a :class:`DeltaSnapshot` of every whole-mapping
+        #: run is made of, so :meth:`run_mapping_delta` can replay it
+        #: incrementally.  Capture is references only — no copies, and
+        #: no snapshot object until a replay asks for one; the engine
         #: turns it on so ``EXLEngine.update`` gets tuple-level deltas
         self.capture_deltas = capture_deltas
         # kernel decisions aggregated across every chase this backend
@@ -114,11 +113,12 @@ class ChaseBackend(Backend):
         # the dispatcher's fault plan for the in-flight attempt, scoped
         # per dispatcher thread so shard workers can honor `--inject-faults`
         self._fault_ctx = threading.local()
-        # snapshots keyed by mapping identity — sound because the
+        # snapshots — or the constructor arguments of one not yet asked
+        # for — keyed by mapping identity: sound because the
         # translation engine caches TranslatedSubgraph per (cubes,
         # target), so the same subgraph reuses one mapping object (and
-        # the snapshot keeps the mapping alive, pinning its id)
-        self._snapshots: Dict[int, DeltaSnapshot] = {}
+        # the entry keeps the mapping alive, pinning its id)
+        self._snapshots: Dict[int, object] = {}
         self._snap_lock = threading.Lock()
 
     def _on_kernel(self, used: bool, reason: Optional[str] = None) -> None:
@@ -154,6 +154,7 @@ class ChaseBackend(Backend):
         inputs: Dict[str, Cube],
         wanted: Optional[Iterable[str]] = None,
         check: Optional[Callable[[], None]] = None,
+        units: Optional[List[CompiledTgd]] = None,
     ) -> Dict[str, Cube]:
         if (
             not self.parallel
@@ -161,7 +162,9 @@ class ChaseBackend(Backend):
             and not self.capture_deltas
             and self.shards == 1
         ):
-            return super().run_mapping(mapping, inputs, wanted, check=check)
+            return super().run_mapping(
+                mapping, inputs, wanted, check=check, units=units
+            )
         # the scheduler path runs whole strata at once; the cooperative
         # deadline check fires once up front (coarser than per-unit,
         # but the wall-clock deadline still bounds the attempt)
@@ -215,7 +218,8 @@ class ChaseBackend(Backend):
             if store is not None:
                 # validated per distinct value, not per cell
                 cube = Cube.from_columns(
-                    schema, store.dicts, store.codes, store.measures
+                    schema, store.dicts, store.codes, store.measures,
+                    keys_distinct=store.dims_distinct,
                 )
             if cube is None:
                 cube = Cube.from_rows(schema, result.instance.facts(name))
@@ -227,12 +231,11 @@ class ChaseBackend(Backend):
                 cube._colstore = store
             outputs[name] = cube
         if self.capture_deltas:
-            snapshot = DeltaSnapshot(
-                mapping, result.instance, result.functional,
-                cubes={**dict(inputs), **outputs},
-            )
             with self._snap_lock:
-                self._snapshots[id(mapping)] = snapshot
+                self._snapshots[id(mapping)] = (
+                    mapping, result.instance, result.functional,
+                    {**dict(inputs), **outputs},
+                )
         return outputs
 
     # -- incremental execution ------------------------------------------------
@@ -242,6 +245,7 @@ class ChaseBackend(Backend):
         inputs: Dict[str, Cube],
         wanted: Optional[Iterable[str]] = None,
         check: Optional[Callable[[], None]] = None,
+        units: Optional[List[CompiledTgd]] = None,
     ) -> DeltaRunResult:
         """Re-run a mapping incrementally against its previous snapshot.
 
@@ -259,8 +263,10 @@ class ChaseBackend(Backend):
         snapshot = self._snapshot_for(mapping)
         if snapshot is None:
             return self._full_run_delta(
-                mapping, inputs, wanted, check, reason="no-snapshot"
+                mapping, inputs, wanted, check, units, reason="no-snapshot"
             )
+        from ..chase.delta import DeltaChase, DeltaUnsupported, input_deltas_for
+
         if check is not None:
             check()
         with snapshot.lock:
@@ -280,7 +286,7 @@ class ChaseBackend(Backend):
                 with self._snap_lock:
                     self._snapshots.pop(id(mapping), None)
                 return self._full_run_delta(
-                    mapping, inputs, wanted, check, reason=str(unsupported)
+                    mapping, inputs, wanted, check, units, reason=str(unsupported)
                 )
             except Exception:
                 with self._snap_lock:
@@ -322,7 +328,12 @@ class ChaseBackend(Backend):
 
     def _snapshot_for(self, mapping: SchemaMapping) -> Optional[DeltaSnapshot]:
         with self._snap_lock:
-            return self._snapshots.get(id(mapping))
+            held = self._snapshots.get(id(mapping))
+            if isinstance(held, tuple):
+                from ..chase.delta import DeltaSnapshot
+
+                held = self._snapshots[id(mapping)] = DeltaSnapshot(*held)
+            return held
 
     def _full_run_delta(
         self,
@@ -330,12 +341,13 @@ class ChaseBackend(Backend):
         inputs: Dict[str, Cube],
         wanted: Optional[Iterable[str]],
         check: Optional[Callable[[], None]],
+        units: Optional[List[CompiledTgd]],
         reason: str,
     ) -> DeltaRunResult:
         """Full run in delta clothing: every stratum counts as a
         fallback and every output is reported changed (the dispatcher
         refines that by diffing against the stored versions)."""
-        cubes = self.run_mapping(mapping, inputs, wanted, check=check)
+        cubes = self.run_mapping(mapping, inputs, wanted, check=check, units=units)
         stats = DeltaStats()
         stats.note_fallback(reason, count=len(mapping.target_tgds))
         if self.metrics is not None:

@@ -39,7 +39,7 @@ it (the chase backend does) and fall back to a full run.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ChaseError
@@ -50,7 +50,7 @@ from ..model.cube import Cube, CubeDelta, _same_measure
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..stats.aggregates import get_aggregate
 from . import columnar
-from .engine import StratifiedChase
+from .engine import DeltaRunResult, DeltaStats, StratifiedChase
 from .groupreduce import contribution_index, rereduce_groups
 from .instance import RelationalInstance
 
@@ -79,42 +79,10 @@ class DeltaUnsupported(Exception):
 
 
 @dataclass
-class DeltaStats:
-    """Counters describing one incremental update."""
-
-    #: target tgds re-fired incrementally (changed operands, delta rules)
-    dirty_tgds: int = 0
-    #: target tgds skipped because every operand delta was empty
-    clean_tgds: int = 0
-    #: target tgds recomputed in full (table functions, unsupported shapes)
-    fallback_tgds: int = 0
-    fallback_reasons: Dict[str, int] = field(default_factory=dict)
-    tuples_retracted: int = 0
-    tuples_asserted: int = 0
-
-    def note_fallback(self, reason: str, count: int = 1) -> None:
-        self.fallback_tgds += count
-        self.fallback_reasons[reason] = (
-            self.fallback_reasons.get(reason, 0) + count
-        )
-
-
-@dataclass
 class DeltaChaseResult:
     """Per-relation deltas plus update statistics."""
 
     deltas: Dict[str, CubeDelta]
-    stats: DeltaStats
-
-
-@dataclass
-class DeltaRunResult:
-    """What an incremental backend run returns to the dispatcher:
-    the (full) output cubes, which of them actually changed, and the
-    update statistics."""
-
-    cubes: Dict[str, Cube]
-    changed: Dict[str, bool]
     stats: DeltaStats
 
 

@@ -21,6 +21,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
+    TYPE_CHECKING,
     Any,
     Collection,
     Dict,
@@ -41,9 +42,19 @@ from ..obs import NULL_TRACER, MetricsRegistry
 from ..stats.aggregates import get_aggregate
 from . import columnar, groupreduce
 from .instance import RelationalInstance
-from .scheduler import ChaseCache, schedule_waves
 
-__all__ = ["ChaseStats", "ChaseResult", "StratifiedChase", "DEFAULT_VECTORIZED"]
+if TYPE_CHECKING:
+    from ..model.cube import Cube
+    from .scheduler import ChaseCache
+
+__all__ = [
+    "ChaseStats",
+    "ChaseResult",
+    "DeltaStats",
+    "DeltaRunResult",
+    "StratifiedChase",
+    "DEFAULT_VECTORIZED",
+]
 
 #: Default for ``StratifiedChase(vectorized=None)``.  Read at
 #: construction time, so the test harness can flip it process-wide
@@ -100,6 +111,39 @@ class ChaseResult:
     #: distinctness without populating it); the delta chase snapshot
     #: completes missing relations lazily from the instance.
     functional: Dict[str, Dict[Tuple, Any]] = field(default_factory=dict)
+
+
+@dataclass
+class DeltaStats:
+    """Counters describing one incremental update (:mod:`.delta`), or a
+    full run standing in for one."""
+
+    #: target tgds re-fired incrementally (changed operands, delta rules)
+    dirty_tgds: int = 0
+    #: target tgds skipped because every operand delta was empty
+    clean_tgds: int = 0
+    #: target tgds recomputed in full (table functions, unsupported shapes)
+    fallback_tgds: int = 0
+    fallback_reasons: Dict[str, int] = field(default_factory=dict)
+    tuples_retracted: int = 0
+    tuples_asserted: int = 0
+
+    def note_fallback(self, reason: str, count: int = 1) -> None:
+        self.fallback_tgds += count
+        self.fallback_reasons[reason] = (
+            self.fallback_reasons.get(reason, 0) + count
+        )
+
+
+@dataclass
+class DeltaRunResult:
+    """What an incremental backend run returns to the dispatcher:
+    the (full) output cubes, which of them actually changed, and the
+    update statistics."""
+
+    cubes: Dict[str, Cube]
+    changed: Dict[str, bool]
+    stats: DeltaStats
 
 
 class StratifiedChase:
@@ -184,6 +228,10 @@ class StratifiedChase:
         if jobs is None:
             self.waves = [[i] for i in range(len(mapping.target_tgds))]
         else:
+            # the wave schedule (and the cache beside it) loads only
+            # for a chase that asked for one
+            from .scheduler import schedule_waves
+
             self.waves = schedule_waves(
                 mapping.target_tgds,
                 reserved=[t.target_relation for t in mapping.st_tgds],

@@ -65,8 +65,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from .errors import ModelError, ReproError
 
@@ -307,13 +308,23 @@ def _state_path(args, out_dir: Path) -> Path:
     return Path(args.state) if args.state else out_dir / "run-state.json"
 
 
-def _journal_for(args, out_dir: Path) -> Optional[RunJournal]:
-    """The run's write-ahead journal, unless ``--no-journal``."""
+@contextmanager
+def _journal_for(args, out_dir: Path) -> Iterator[Optional[RunJournal]]:
+    """The run's write-ahead journal, unless ``--no-journal``, closed
+    on the way out: a journal the command leaves behind (an aborted
+    update, a failed resume) has its unflushed tail — ``run-end``,
+    ``subgraph-dispatch`` — written by the command, not by whichever
+    finaliser happens to run at interpreter exit."""
     if getattr(args, "no_journal", False):
-        return None
+        yield None
+        return
     from .engine.journal import RunJournal
 
-    return RunJournal(out_dir)
+    journal = RunJournal(out_dir)
+    try:
+        yield journal
+    finally:
+        journal.close()
 
 
 def _report_corrupt(kind: str, path: Path, detail, out_dir: Path) -> None:
@@ -407,55 +418,55 @@ def cmd_update(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    journal = _journal_for(args, out_dir)
-    engine = _build_engine(
-        project,
-        parallel=args.parallel,
-        jobs=args.jobs,
-        shards=args.shards,
-        vectorize=not args.no_vectorize,
-        backoff_s=args.backoff,
-        journal=journal,
-        adaptive=args.adaptive,
-        out_dir=out_dir,
-    )
-    policy = dict(
-        retries=args.retries,
-        deadline_s=args.deadline,
-        on_error=args.on_error,
-        fault_plan=_fault_plan_from(args),
-    )
-    if state is None:
-        print(
-            f"no baseline at {baseline_file}: running in full",
-            file=sys.stderr,
+    with _journal_for(args, out_dir) as journal:
+        engine = _build_engine(
+            project,
+            parallel=args.parallel,
+            jobs=args.jobs,
+            shards=args.shards,
+            vectorize=not args.no_vectorize,
+            backoff_s=args.backoff,
+            journal=journal,
+            adaptive=args.adaptive,
+            out_dir=out_dir,
         )
-        record = engine.run(**policy)
-    else:
-        # version counters mean nothing across processes, content is the
-        # only signal: inputs are compared with the baseline by digest,
-        # and the baseline's cubes come back deferred — parsed when a
-        # recomputed statement reads one, otherwise not even opened
-        changed, fallbacks = baseline_store.admit_for_update(
-            engine, state, baseline_dir
+        policy = dict(
+            retries=args.retries,
+            deadline_s=args.deadline,
+            on_error=args.on_error,
+            fault_plan=_fault_plan_from(args),
         )
-        for name, path, why in fallbacks:
+        if state is None:
             print(
-                f"baseline cube {path} unusable ({why}): recomputing {name}",
+                f"no baseline at {baseline_file}: running in full",
                 file=sys.stderr,
             )
-        restored = engine.runs.restore(state["record"])
-        restored.baseline_versions = {
-            name: engine.catalog.store.latest_version(name)
-            for name in engine.catalog.store.names()
-        }
-        record = engine.update(
-            changed=changed, against=restored.run_id, **policy
+            record = engine.run(**policy)
+        else:
+            # version counters mean nothing across processes, content is the
+            # only signal: inputs are compared with the baseline by digest,
+            # and the baseline's cubes come back deferred — parsed when a
+            # recomputed statement reads one, otherwise not even opened
+            changed, fallbacks = baseline_store.admit_for_update(
+                engine, state, baseline_dir
+            )
+            for name, path, why in fallbacks:
+                print(
+                    f"baseline cube {path} unusable ({why}): recomputing {name}",
+                    file=sys.stderr,
+                )
+            restored = engine.runs.restore(state["record"])
+            restored.baseline_versions = {
+                name: engine.catalog.store.latest_version(name)
+                for name in engine.catalog.store.names()
+            }
+            record = engine.update(
+                changed=changed, against=restored.run_id, **policy
+            )
+        print(record.summary())
+        return _finish_run(
+            engine, project, record, None, args, journal=journal, baseline=state
         )
-    print(record.summary())
-    return _finish_run(
-        engine, project, record, None, args, journal=journal, baseline=state
-    )
 
 
 def cmd_run(args) -> int:
@@ -467,55 +478,55 @@ def cmd_run(args) -> int:
 
         tracer = Tracer() if args.trace else None
         metrics = MetricsRegistry()
-    journal = _journal_for(args, out_dir)
-    engine = _build_engine(
-        project,
-        parallel=args.parallel,
-        jobs=args.jobs,
-        shards=args.shards,
-        vectorize=not args.no_vectorize,
-        tracer=tracer,
-        metrics=metrics,
-        backoff_s=args.backoff,
-        journal=journal,
-        adaptive=args.adaptive,
-        out_dir=out_dir,
-    )
-    try:
-        record = engine.run(
-            retries=args.retries,
-            deadline_s=args.deadline,
-            on_error=args.on_error,
-            fault_plan=_fault_plan_from(args),
+    with _journal_for(args, out_dir) as journal:
+        engine = _build_engine(
+            project,
+            parallel=args.parallel,
+            jobs=args.jobs,
+            shards=args.shards,
+            vectorize=not args.no_vectorize,
+            tracer=tracer,
+            metrics=metrics,
+            backoff_s=args.backoff,
+            journal=journal,
+            adaptive=args.adaptive,
+            out_dir=out_dir,
         )
-    except ReproError:
-        # fail-fast abort: the closed record still carries per-subgraph
-        # outcomes, so persist the resumable state before surfacing it
-        record = engine.runs.last()
-        if record is not None and record.subgraphs:
-            from .engine.rundir import RunDirectory
-
-            rundir = RunDirectory(out_dir, args.state, journal)
-            rundir.suspend(engine.catalog, record.to_json())
-            print(
-                f"run aborted; state written to {rundir.state_path}",
-                file=sys.stderr,
+        try:
+            record = engine.run(
+                retries=args.retries,
+                deadline_s=args.deadline,
+                on_error=args.on_error,
+                fault_plan=_fault_plan_from(args),
             )
-        raise
-    finally:
-        # the trace is most valuable when the run failed mid-chase
+        except ReproError:
+            # fail-fast abort: the closed record still carries per-subgraph
+            # outcomes, so persist the resumable state before surfacing it
+            record = engine.runs.last()
+            if record is not None and record.subgraphs:
+                from .engine.rundir import RunDirectory
+
+                rundir = RunDirectory(out_dir, args.state, journal)
+                rundir.suspend(engine.catalog, record.to_json())
+                print(
+                    f"run aborted; state written to {rundir.state_path}",
+                    file=sys.stderr,
+                )
+            raise
+        finally:
+            # the trace is most valuable when the run failed mid-chase
+            if tracer is not None:
+                tracer.write_chrome_trace(args.trace)
+                print(f"wrote trace {args.trace} ({len(tracer.spans)} spans)",
+                      file=sys.stderr)
+        print(record.summary())
         if tracer is not None:
-            tracer.write_chrome_trace(args.trace)
-            print(f"wrote trace {args.trace} ({len(tracer.spans)} spans)",
-                  file=sys.stderr)
-    print(record.summary())
-    if tracer is not None:
-        print("\ntrace summary:")
-        print(tracer.summary())
-    if args.metrics:
-        print("\nmetrics:")
-        print(engine.metrics.render())
-    return _finish_run(engine, project, record, None, args, journal=journal)
+            print("\ntrace summary:")
+            print(tracer.summary())
+        if args.metrics:
+            print("\nmetrics:")
+            print(engine.metrics.render())
+        return _finish_run(engine, project, record, None, args, journal=journal)
 
 
 def cmd_resume(args) -> int:
@@ -532,85 +543,85 @@ def cmd_resume(args) -> int:
     state = _load_state_json(state_path, "run state", out_dir)
     if state is None:
         return EXIT_CORRUPT_STATE
-    journal = _journal_for(args, out_dir)
-    engine = _build_engine(
-        project,
-        parallel=args.parallel,
-        jobs=args.jobs,
-        shards=args.shards,
-        vectorize=not args.no_vectorize,
-        backoff_s=args.backoff,
-        journal=journal,
-        adaptive=args.adaptive,
-        out_dir=out_dir,
-    )
-    # an interrupted *update* planned only part of the program: what it
-    # left alone (or replayed clean) is still the baseline's, deferred
-    baseline_dir, baseline_file = _baseline_paths(out_dir)
-    baseline = None
-    if baseline_file.exists():
-        baseline = _load_state_json(baseline_file, "baseline", out_dir)
-    if baseline is not None:
-        baseline_store.admit_for_resume(
-            engine, baseline, baseline_dir,
-            {
-                cube
-                for sub in state["record"].get("subgraphs", [])
-                if sub.get("outcome") != "clean"
-                for cube in sub["cubes"]
-            },
+    with _journal_for(args, out_dir) as journal:
+        engine = _build_engine(
+            project,
+            parallel=args.parallel,
+            jobs=args.jobs,
+            shards=args.shards,
+            vectorize=not args.no_vectorize,
+            backoff_s=args.backoff,
+            journal=journal,
+            adaptive=args.adaptive,
+            out_dir=out_dir,
         )
-    # re-admit the committed cubes of the interrupted run, then its
-    # record; resume() re-dispatches only the failed/skipped subgraphs
-    for name, rel_path in state.get("committed", {}).items():
-        # a snapshot is the cube's canonical text: the epilogue reuses
-        # it instead of serializing the re-admitted cube again
-        text = (out_dir / rel_path).read_bytes().decode("utf-8")
-        engine.catalog.store.put(
-            cube_from_canonical_text(engine.catalog.schema_of(name), text)
+        # an interrupted *update* planned only part of the program: what it
+        # left alone (or replayed clean) is still the baseline's, deferred
+        baseline_dir, baseline_file = _baseline_paths(out_dir)
+        baseline = None
+        if baseline_file.exists():
+            baseline = _load_state_json(baseline_file, "baseline", out_dir)
+        if baseline is not None:
+            baseline_store.admit_for_resume(
+                engine, baseline, baseline_dir,
+                {
+                    cube
+                    for sub in state["record"].get("subgraphs", [])
+                    if sub.get("outcome") != "clean"
+                    for cube in sub["cubes"]
+                },
+            )
+        # re-admit the committed cubes of the interrupted run, then its
+        # record; resume() re-dispatches only the failed/skipped subgraphs
+        for name, rel_path in state.get("committed", {}).items():
+            # a snapshot is the cube's canonical text: the epilogue reuses
+            # it instead of serializing the re-admitted cube again
+            text = (out_dir / rel_path).read_bytes().decode("utf-8")
+            engine.catalog.store.put(
+                cube_from_canonical_text(engine.catalog.schema_of(name), text)
+            )
+        restored = engine.runs.restore(state["record"])
+        todo = [
+            s for s in state["record"].get("subgraphs", [])
+            if s.get("outcome") not in COMMITTED_OUTCOMES
+        ]
+        if not todo:
+            # every subgraph already committed (e.g. the crash hit after the
+            # last commit but before cleanup): skip the dispatch entirely
+            # and just re-run the durable epilogue
+            print(
+                f"run {restored.run_id}: all subgraphs already committed; "
+                f"finalizing outputs"
+            )
+            return _finish_run(
+                engine, project, restored, state, args,
+                journal=journal, baseline=baseline,
+            )
+        before = {
+            name: len(engine.catalog.store.versions(name))
+            for name in engine.catalog.store.names()
+        }
+        record = engine.resume(
+            run_id=restored.run_id,
+            retries=args.retries,
+            deadline_s=args.deadline,
+            on_error=args.on_error,
+            fault_plan=_fault_plan_from(args),
         )
-    restored = engine.runs.restore(state["record"])
-    todo = [
-        s for s in state["record"].get("subgraphs", [])
-        if s.get("outcome") not in COMMITTED_OUTCOMES
-    ]
-    if not todo:
-        # every subgraph already committed (e.g. the crash hit after the
-        # last commit but before cleanup): skip the dispatch entirely
-        # and just re-run the durable epilogue
-        print(
-            f"run {restored.run_id}: all subgraphs already committed; "
-            f"finalizing outputs"
-        )
+        print(record.summary())
+        recomputed = [
+            name
+            for name, count in before.items()
+            if engine.catalog.is_derived(name)
+            and len(engine.catalog.store.versions(name)) > count
+            and name not in record.affected
+        ]
+        if recomputed:  # pragma: no cover - guarded by the dispatcher
+            print(f"warning: recomputed already-committed cubes {recomputed}",
+                  file=sys.stderr)
         return _finish_run(
-            engine, project, restored, state, args,
-            journal=journal, baseline=baseline,
+            engine, project, record, state, args, journal=journal, baseline=baseline
         )
-    before = {
-        name: len(engine.catalog.store.versions(name))
-        for name in engine.catalog.store.names()
-    }
-    record = engine.resume(
-        run_id=restored.run_id,
-        retries=args.retries,
-        deadline_s=args.deadline,
-        on_error=args.on_error,
-        fault_plan=_fault_plan_from(args),
-    )
-    print(record.summary())
-    recomputed = [
-        name
-        for name, count in before.items()
-        if engine.catalog.is_derived(name)
-        and len(engine.catalog.store.versions(name)) > count
-        and name not in record.affected
-    ]
-    if recomputed:  # pragma: no cover - guarded by the dispatcher
-        print(f"warning: recomputed already-committed cubes {recomputed}",
-              file=sys.stderr)
-    return _finish_run(
-        engine, project, record, state, args, journal=journal, baseline=baseline
-    )
 
 
 def cmd_recover(args) -> int:

@@ -37,9 +37,9 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..chase.delta import DeltaRunResult
+from ..chase.engine import DeltaRunResult
 from ..errors import (
     DeadlineExceededError,
     EngineError,
@@ -50,11 +50,14 @@ from ..model.cube import Cube
 from ..model.io import canonical_text, text_sha256
 from ..obs import NULL_TRACER, MetricsRegistry
 from . import faults as faults_mod
-from .costmodel import ADAPTIVE_TARGETS, CostModel, subgraph_signature
 from .determination import DependencyGraph
 from .faults import FaultPlan, _stable_unit
 from .history import RunRecord, SubgraphRecord
 from .translation import TranslatedSubgraph
+
+# only an adaptive dispatch loads the cost model
+if TYPE_CHECKING:
+    from .costmodel import CostModel
 
 __all__ = ["Dispatcher", "ON_ERROR_MODES", "default_fallback_chains"]
 
@@ -590,6 +593,8 @@ class Dispatcher:
     # -- adaptive target choice ----------------------------------------------
     def _signature_of(self, item: TranslatedSubgraph) -> str:
         """Workload signature: tgd kinds × log2-bucketed input sizes."""
+        from .costmodel import subgraph_signature
+
         cards = [
             len(self.catalog.data(name))
             if self.catalog.has_data(name)
@@ -601,6 +606,8 @@ class Dispatcher:
     def _candidate_targets(self, item: TranslatedSubgraph) -> List[str]:
         """Targets every cube of the subgraph supports, in the stable
         ``ADAPTIVE_TARGETS`` order (determinism of exploration)."""
+        from .costmodel import ADAPTIVE_TARGETS
+
         supported: Optional[Set[str]] = None
         for cube in item.subgraph.cubes:
             targets = self.graph.supported_targets(cube)
@@ -746,12 +753,16 @@ class Dispatcher:
             else:
                 context = _NULL_SCOPE
             with context:
-                if self.delta and hasattr(item.backend, "run_mapping_delta"):
-                    return item.backend.run_mapping_delta(
-                        item.mapping, inputs, wanted=list(cubes), check=check
-                    )
-                return item.backend.run_mapping(
-                    item.mapping, inputs, wanted=list(cubes), check=check
+                # the translation compiled item.mapping once: its units
+                # ride along instead of being compiled again per attempt
+                run = (
+                    item.backend.run_mapping_delta
+                    if self.delta and hasattr(item.backend, "run_mapping_delta")
+                    else item.backend.run_mapping
+                )
+                return run(
+                    item.mapping, inputs, wanted=list(cubes), check=check,
+                    units=item.units,
                 )
 
     def _degradation_enabled(self, item: TranslatedSubgraph) -> bool:

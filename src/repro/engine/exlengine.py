@@ -18,23 +18,26 @@ Subsequent ``engine.load`` of new elementary data followed by
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..backends import LazyBackends
 from ..backends.base import Backend
 from ..backends.chasebackend import ChaseBackend
-from ..chase.scheduler import ChaseCache
 from ..errors import EngineError
 from ..exl.operators import OperatorRegistry, default_registry
 from ..model.catalog import MetadataCatalog
 from ..model.cube import Cube, CubeSchema
 from ..obs import NULL_TRACER, MetricsRegistry
-from .costmodel import CostModel
 from .determination import DEFAULT_TARGET_PRIORITY, DependencyGraph, Subgraph
 from .dispatcher import ON_ERROR_MODES, Dispatcher
 from .faults import FaultPlan
 from .history import RunLog, RunRecord
 from .translation import TranslationEngine
+
+# loaded by the engines that use them: ``chase_cache=True``, ``adaptive``
+if TYPE_CHECKING:
+    from ..chase.scheduler import ChaseCache
+    from .costmodel import CostModel
 
 __all__ = ["EXLEngine"]
 
@@ -116,6 +119,8 @@ class EXLEngine:
         #: every dispatch.
         self.adaptive = bool(adaptive)
         if cost_model is None and self.adaptive:
+            from .costmodel import CostModel
+
             cost_model = CostModel()
         if cost_model is not None:
             if cost_model.metrics is None:
@@ -124,9 +129,11 @@ class EXLEngine:
         self.cost_model = cost_model
         #: cube-level chase materialization cache, shared across runs so
         #: incremental updates skip unchanged strata (None = disabled)
-        self.chase_cache: Optional[ChaseCache] = (
-            ChaseCache(metrics=self.metrics) if chase_cache else None
-        )
+        self.chase_cache: Optional[ChaseCache] = None
+        if chase_cache:
+            from ..chase.scheduler import ChaseCache
+
+            self.chase_cache = ChaseCache(metrics=self.metrics)
         chase_backend = self.backends.get("chase")
         if isinstance(chase_backend, ChaseBackend):
             chase_backend.parallel = parallel
@@ -520,6 +527,8 @@ class EXLEngine:
         if adaptive and cost_model is None:
             # adaptive requested per-run on an engine built without a
             # model: learn in-memory for the life of this engine
+            from .costmodel import CostModel
+
             cost_model = self.cost_model = CostModel(metrics=self.metrics)
         record.adaptive = bool(adaptive)
         chase_backend = self.backends.get("chase")

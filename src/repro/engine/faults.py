@@ -230,14 +230,16 @@ class FaultyBackend:
         self._calls: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self._calls_lock = threading.Lock()
 
-    def run_mapping(self, mapping, inputs, wanted=None, check=None):
+    def run_mapping(self, mapping, inputs, wanted=None, check=None, units=None):
         cubes = tuple(wanted) if wanted is not None else ()
         key = (self.name, cubes)
         with self._calls_lock:
             attempt = self._calls.get(key, 0)
             self._calls[key] = attempt + 1
         self.plan.apply(self.name, cubes, attempt)
-        return self.inner.run_mapping(mapping, inputs, wanted=wanted, check=check)
+        return self.inner.run_mapping(
+            mapping, inputs, wanted=wanted, check=check, units=units
+        )
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

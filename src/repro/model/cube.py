@@ -185,7 +185,9 @@ class Cube:
 
     def __init__(self, schema: CubeSchema, data: Optional[Dict[DimTuple, float]] = None):
         self.schema = schema
-        self._data: Dict[DimTuple, float] = {}
+        # dimension tuple -> measure; None on a cube built from columns
+        # until something looks a key up (see _data)
+        self._dict: Optional[Dict[DimTuple, float]] = {}
         # cached columnar store of this cube's rows (see
         # chase.instance.store_for_cube); shared by copy(), dropped on
         # mutation — warm chase runs adopt it instead of re-encoding
@@ -193,9 +195,9 @@ class Cube:
         # the canonical CSV text of these rows, serialized at most once
         # (see model.io.canonical_text); same sharing rules as the store
         self._csv_text = None
-        # (dictionaries, codes, measures) the CSV reader parsed these
-        # rows into, in file order (see model.io.read_cube_csv); same
-        # sharing rules again — store_for_cube adopts them
+        # (dictionaries, codes, measures) this cube was built from (see
+        # from_columns): its rows, in the builder's order; same sharing
+        # rules again — store_for_cube and the CSV writer work on them
         self._columns = None
         if data:
             for key, value in data.items():
@@ -223,38 +225,43 @@ class Cube:
         dictionaries: Sequence[Sequence[Any]],
         codes: Sequence[Sequence[int]],
         measures: Sequence[float],
+        keys_distinct: bool = False,
     ) -> Optional["Cube"]:
         """Build a cube from dictionary-encoded columns, or None.
 
         Row ``i`` is ``(dictionaries[0][codes[0][i]], …, measures[i])``
-        — the layout of a chase output's column store.  What
-        :meth:`from_rows` checks per cell is checked here per *distinct*
-        value: every dictionary entry against its dimension type, the
-        measure column for being all ``float``, and functionality by the
-        key count.  None means the columns are not plainly a cube of
-        this schema; the caller then goes through :meth:`from_rows`,
-        which builds it or raises the precise error.
+        — the layout of a chase output's column store.  The columns
+        *are* the cube: they are kept as given (the caller must not
+        change them afterwards) and no dimension tuple is built until
+        a key is looked up.  What :meth:`from_rows` checks per cell is
+        checked here per *distinct* value: every dictionary entry
+        against its dimension type, the measure column for being all
+        ``float``, and functionality by counting distinct code tuples
+        over dictionaries of distinct values — skipped when the caller
+        already knows the rows' keys distinct (``keys_distinct``, a
+        column store's ``dims_distinct``).  None means the columns are
+        not plainly a cube of this schema; the caller then goes through
+        :meth:`from_rows`, which builds it or raises the precise error.
         """
         if len(dictionaries) != schema.arity or len(codes) != schema.arity:
             return None
-        for dim, values in zip(schema.dimensions, dictionaries):
-            if not all(map(dim.dtype.accepts, values)):
+        n_rows = len(measures)
+        for dim, values, column in zip(schema.dimensions, dictionaries, codes):
+            if len(column) != n_rows or not all(map(dim.dtype.accepts, values)):
+                return None
+            if column and not 0 <= min(column) <= max(column) < len(values):
                 return None
         if not all(type(value) is float for value in measures):
             return None
-        try:
-            columns = [
-                [values[code] for code in column]
-                for values, column in zip(dictionaries, codes)
-            ]
-        except IndexError:
-            return None
-        keys = zip(*columns) if columns else [()] * len(measures)
-        data = dict(zip(keys, measures))
-        if len(data) != len(measures):
-            return None
+        if not keys_distinct:
+            if any(len(set(values)) != len(values) for values in dictionaries):
+                return None
+            distinct = len(set(zip(*codes))) if codes else min(n_rows, 1)
+            if distinct != n_rows:
+                return None
         cube = cls(schema)
-        cube._data = data
+        cube._dict = None
+        cube._columns = (dictionaries, codes, measures)
         return cube
 
     @classmethod
@@ -270,6 +277,26 @@ class Cube:
         return cube
 
     # -- mapping protocol ------------------------------------------------
+    @property
+    def _data(self) -> Dict[DimTuple, float]:
+        """The keyed view of the rows.  A cube built from columns
+        decodes it on the first keyed lookup, iteration or mutation;
+        ``len``, ``copy``, the column store and the CSV writer work on
+        the columns and never ask for it."""
+        data = self._dict
+        if data is None:
+            data = self._dict = self._decode()
+        return data
+
+    def _decode(self) -> Dict[DimTuple, float]:
+        dictionaries, codes, measures = self._columns
+        columns = [
+            map(values.__getitem__, column)
+            for values, column in zip(dictionaries, codes)
+        ]
+        keys = zip(*columns) if columns else [()] * len(measures)
+        return dict(zip(keys, measures))
+
     def set(self, key: Sequence[Any], value: float, overwrite: bool = False) -> None:
         """Associate measure ``value`` with dimension tuple ``key``."""
         key = tuple(key)
@@ -284,12 +311,13 @@ class Cube:
             raise CubeError(
                 f"measure for {self.schema.name}{key!r} must be numeric, got {value!r}"
             )
-        if not overwrite and key in self._data and self._data[key] != value:
+        data = self._data
+        if not overwrite and key in data and data[key] != value:
             raise CubeError(
                 f"functional violation on {self.schema.name}{key!r}: "
-                f"{self._data[key]!r} vs {value!r}"
+                f"{data[key]!r} vs {value!r}"
             )
-        self._data[key] = float(value)
+        data[key] = float(value)
         self._colstore = None
         self._csv_text = None
         self._columns = None
@@ -311,7 +339,9 @@ class Cube:
         return key in self._data
 
     def __len__(self) -> int:
-        return len(self._data)
+        if self._dict is None:
+            return len(self._columns[2])
+        return len(self._dict)
 
     def __iter__(self) -> Iterator[DimTuple]:
         return iter(self._data)
@@ -408,12 +438,13 @@ class Cube:
         without rebuilding (and re-validating) every unchanged row.
         """
         clone = self.copy()
+        data = clone._data
         # the pops below bypass set(), so drop the shared caches here
         clone._colstore = None
         clone._csv_text = None
         clone._columns = None
         for row in delta.deleted:
-            clone._data.pop(row[:-1], None)
+            data.pop(row[:-1], None)
         for _, new in delta.updated:
             clone.set(new[:-1], new[-1], overwrite=True)
         for row in delta.inserted:
@@ -427,7 +458,8 @@ class Cube:
 
     def copy(self) -> "Cube":
         clone = Cube(self.schema)
-        clone._data = dict(self._data)
+        # a cube that still has its columns is copied by sharing them
+        clone._dict = None if self._columns is not None else dict(self._dict)
         # intentionally shared: the store is immutable from the cube's
         # point of view (any mutation of either copy drops its pointer),
         # and sharing it through the versioned store is what keeps warm

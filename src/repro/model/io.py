@@ -215,8 +215,8 @@ def _read(schema: CubeSchema, handle: TextIO, strip: bool) -> Cube:
 
 
 def _cube_from_columns(schema: CubeSchema, rows: list, strip: bool) -> Optional[Cube]:
-    """The cube of well-formed ``rows``, parsed a column at a time and
-    validated per distinct value, with the encoded columns left on it;
+    """The cube of well-formed ``rows``, parsed a column at a time into
+    the encoded columns :meth:`Cube.from_columns` validates and keeps;
     None for anything else (ragged or blank rows, a cell that does not
     parse, a repeated key)."""
     if not rows or set(map(len, rows)) != {schema.arity + 1}:
@@ -244,10 +244,7 @@ def _cube_from_columns(schema: CubeSchema, rows: list, strip: bool) -> Optional[
             codes.append(column_codes)
     except (ValueError, ModelError):
         return None
-    cube = Cube.from_columns(schema, dictionaries, codes, measures)
-    if cube is not None:
-        cube._columns = (dictionaries, codes, measures)
-    return cube
+    return Cube.from_columns(schema, dictionaries, codes, measures)
 
 
 def _cube_from_rows(schema: CubeSchema, rows: list, strip: bool) -> Cube:

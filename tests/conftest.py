@@ -154,19 +154,26 @@ def gdp_workload():
 
 
 @pytest.fixture(scope="session")
-def fresh_python():
-    """``fresh_python(*args)`` runs ``python *args`` in a new interpreter
-    that imports this checkout's ``repro``; returns the completed
-    process with text output captured."""
+def child_env():
+    """The environment of a child interpreter that imports this
+    checkout's ``repro``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p]
     )
+    return env
+
+
+@pytest.fixture(scope="session")
+def fresh_python(child_env):
+    """``fresh_python(*args)`` runs ``python *args`` in a new interpreter
+    that imports this checkout's ``repro``; returns the completed
+    process with text output captured."""
 
     def run(*args):
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True,
+            [sys.executable, *args], env=child_env, capture_output=True,
             text=True, timeout=120,
         )
 

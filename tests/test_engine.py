@@ -197,6 +197,35 @@ def _build_engine(parallel=False):
 
 
 class TestEXLEngineFacade:
+    def test_each_subgraph_is_compiled_once(self, monkeypatch):
+        # the translation's units ride through the dispatcher: the
+        # backend does not compile the mapping again to run it, on the
+        # first run or on a later one of the same engine
+        from repro.backends.base import Backend
+
+        compiled = []
+        real = Backend.compile_mapping
+        monkeypatch.setattr(
+            Backend, "compile_mapping",
+            lambda self, mapping: compiled.append(self.name) or real(self, mapping),
+        )
+        engine = EXLEngine()
+        engine.declare_elementary(_series("E1"))
+        engine.add_program(
+            "A := E1 * 2\nB := A + 1\nC := B - E1", {"A": "sql", "B": "r", "C": "etl"}
+        )
+        engine.load(
+            Cube.from_series(_series("E1"), quarter(2018, 1), [1.0] * 12)
+        )
+        record = engine.run()
+        assert len(record.subgraphs) == 3
+        assert compiled == ["sql", "r", "etl"]
+        engine.load(
+            Cube.from_series(_series("E1"), quarter(2018, 1), [2.0] * 12)
+        )
+        assert len(engine.run().subgraphs) == 3
+        assert compiled == ["sql", "r", "etl"]
+
     def test_full_run(self):
         engine = _build_engine()
         record = engine.run()

@@ -240,6 +240,33 @@ class TestRunBudget:
             assert not forbidden, (command, sorted(forbidden))
             assert "multiprocessing" not in modules, command
 
+    @pytest.mark.parametrize("target", ["chase", "sql"])
+    def test_plain_run_and_update_load_no_cold_module(
+        self, tmp_path, loaded_by, target
+    ):
+        # the delta chase replays a snapshot no one-shot call can hold,
+        # the cost model serves --adaptive, the wave scheduler (and the
+        # chase cache beside it) --parallel and in-process engines
+        project = write_project(tmp_path, target)
+        out = str(tmp_path / "out")
+        for command in ("run", "update"):
+            modules = loaded_by([command, project, "--out", out])
+            cold = modules & {
+                "repro.chase.delta",
+                "repro.engine.costmodel",
+                "repro.chase.scheduler",
+            }
+            assert not cold, (command, sorted(cold))
+            # an update that has something to recompute
+            (tmp_path / "s.csv").write_text("q,v\n2020Q1,1.0\n2020Q2,2.5\n")
+        if target == "chase":
+            assert "repro.chase.scheduler" in loaded_by(
+                ["run", project, "--out", out, "--parallel"]
+            )
+        assert "repro.engine.costmodel" in loaded_by(
+            ["run", project, "--out", out, "--adaptive"]
+        )
+
     def test_chase_run_does_not_import_numpy_ma(self, tmp_path, loaded_by):
         # numpy.unique imports numpy.ma (14 modules) on first use; the
         # kernels find distinct codes by chase.groupreduce.distinct

@@ -457,6 +457,52 @@ class TestCliUpdate:
         assert "is run" in capsys.readouterr().err
 
 
+class TestChasePinnedRunBuildsNoKeyedView:
+    """Pinned to the chase, a cube goes reader's columns → column store
+    → kernels → column store → writer: nothing looks a key up, so no
+    ``Cube._data`` dict is ever decoded (DESIGN.md §9)."""
+
+    def _project(self, directory, bump=0.0):
+        rows = [
+            f"2020Q{q},{r},{float(q * 10 + i) + bump * (q == 2)}"
+            for q in range(1, 5) for i, r in enumerate(("north", "south", "west"))
+        ]
+        (directory / "p.csv").write_text("q,r,v\n" + "\n".join(rows) + "\n")
+        spec = {
+            "elementary": [
+                {"name": "P", "dimensions": [["q", "time:Q"], ["r", "string"]],
+                 "measure": "v", "csv": "p.csv"}
+            ],
+            "program": "T := P * 2\nY := sum(T, group by r)\nD := T - P\n",
+            "preferred_targets": {"T": "chase", "Y": "chase", "D": "chase"},
+        }
+        (directory / "project.json").write_text(json.dumps(spec))
+        return str(directory / "project.json")
+
+    def test_run_and_update_decode_nothing(self, tmp_path, capsys, monkeypatch):
+        from repro.chase.instance import FORCE_TUPLE_VIEW
+
+        decoded = []
+        real = Cube._decode
+        monkeypatch.setattr(
+            Cube, "_decode", lambda cube: decoded.append(cube.schema.name) or real(cube)
+        )
+        project = self._project(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", project, "--out", str(out)]) == 0
+        self._project(tmp_path, bump=0.5)
+        assert main(["update", project, "--out", str(out)]) == 0
+        assert "update-of=" in capsys.readouterr().out
+        # the tuple view loads rows, so there the input cubes may decode
+        assert decoded == [] or FORCE_TUPLE_VIEW, decoded
+        fresh = tmp_path / "fresh"
+        assert main(["run", project, "--out", str(fresh)]) == 0
+        for name in ("T", "Y", "D"):
+            assert (out / f"{name}.csv").read_bytes() == (
+                fresh / f"{name}.csv"
+            ).read_bytes()
+
+
 class TestCorruptStateFiles:
     """Torn, truncated, or empty state/baseline JSON — the debris a
     hard crash leaves without atomic writes — must be reported with the

@@ -479,6 +479,160 @@ class TestCubeBoundaryProperty:
             read_cube_csv(schema, stdio.StringIO(""))
 
 
+def _encode(rows, arity):
+    """``rows`` as the ``(dictionaries, codes, measures)`` of
+    :meth:`Cube.from_columns`, codes numbered by first occurrence."""
+    vmaps = [{} for _ in range(arity)]
+    codes = [
+        [vmap.setdefault(row[j], len(vmap)) for row in rows]
+        for j, vmap in enumerate(vmaps)
+    ]
+    return [list(vmap) for vmap in vmaps], codes, [row[-1] for row in rows]
+
+
+def _cells(pairs):
+    """``(key, measure)`` pairs in order, measures compared bit for bit."""
+    return [(key, repr(value)) for key, value in pairs]
+
+
+def _row_cells(rows):
+    """The same for relational rows ``(x1, …, xn, y)``."""
+    return _cells((row[:-1], row[-1]) for row in rows)
+
+
+class TestLazyCubeProperty:
+    """A cube built from columns keeps the columns and decodes its keyed
+    view on first use; from outside it is the cube ``from_rows`` builds
+    from the same rows in the same order, whichever method touches it
+    first."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(boundary_cubes(), st.randoms(use_true_random=False), st.data())
+    def test_every_method_matches_the_cube_of_its_rows(self, cube, rng, data):
+        schema, arity = cube.schema, cube.schema.arity
+        rows = cube.to_rows()
+        rng.shuffle(rows)
+        eager = Cube.from_rows(schema, rows)
+
+        def lazy():
+            built = Cube.from_columns(schema, *_encode(rows, arity))
+            assert built is not None and built._dict is None
+            return built
+
+        absent = tuple(
+            data.draw(_DIM_VALUES[dim.dtype]) for dim in schema.dimensions
+        )
+        for key in [row[:-1] for row in rows] + [absent]:
+            assert repr(lazy().get(key, "none")) == repr(eager.get(key, "none"))
+            assert (key in lazy()) == (key in eager)
+            if key in eager:
+                assert repr(lazy()[key]) == repr(eager[key])
+            else:
+                with pytest.raises(Exception, match="undefined on"):
+                    lazy()[key]
+        untouched = lazy()
+        assert len(untouched) == len(eager) and untouched._dict is None
+        assert repr(untouched) == repr(eager) and untouched._dict is None
+        assert list(lazy()) == list(eager)
+        assert list(lazy().keys()) == list(eager.keys())
+        assert _cells(lazy().items()) == _cells(eager.items())
+        assert list(map(repr, lazy().values())) == list(map(repr, eager.values()))
+        assert _row_cells(lazy().to_rows()) == _row_cells(eager.to_rows())
+        if schema.is_time_series:
+            points, values = lazy().to_series()
+            assert (points, list(map(repr, values))) == (
+                eager.to_series()[0], list(map(repr, eager.to_series()[1]))
+            )
+        assert lazy() == eager and eager == lazy() and lazy() == lazy()
+        assert lazy().approx_equals(eager) and not lazy().diff(eager)
+        assert lazy().delta(eager).is_empty and eager.delta(lazy()).is_empty
+
+        # a copy shares the columns and stays undecoded; it is the same cube
+        clone = lazy().copy()
+        assert clone._dict is None and len(clone) == len(eager)
+        assert _cells(clone.items()) == _cells(eager.items())
+
+        # set after construction, on the cube and on a copy of it
+        value = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+        for target in (lazy(), lazy().copy()):
+            expected = eager.copy()
+            target.set(absent, value, overwrite=True)
+            expected.set(absent, value, overwrite=True)
+            assert _cells(target.items()) == _cells(expected.items())
+            assert target._columns is None and target._colstore is None
+            assert len(target) == len(expected)
+
+        # delta / patched against a revision of the same rows
+        revised = eager.copy()
+        revised.set(absent, value, overwrite=True)
+        if rows:
+            revised._data.pop(rows[0][:-1], None)
+        delta, expected = lazy().delta(revised), eager.delta(revised)
+        assert _row_cells(delta.new_facts()) == _row_cells(expected.new_facts())
+        assert _row_cells(delta.old_facts()) == _row_cells(expected.old_facts())
+        patched = lazy().patched(delta)
+        assert patched == revised and patched._columns is None
+        assert _cells(lazy().items()) == _cells(eager.items())  # source untouched
+
+        # the column store and the writer work on the columns alone
+        from repro.chase.instance import FORCE_TUPLE_VIEW
+        from repro.model.io import cube_to_csv_text
+
+        written = lazy()
+        assert cube_to_csv_text(written) == cube_to_csv_text(eager)
+        if rows:
+            assert written._dict is None
+        if rows and not FORCE_TUPLE_VIEW:
+            adopted = lazy()
+            assert _relation(store_for_cube(adopted)) == _relation(
+                store_for_cube(eager)
+            )
+            assert adopted._dict is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_cubes(), st.data())
+    def test_columns_that_are_not_plainly_a_cube_are_declined(self, cube, data):
+        schema, arity = cube.schema, cube.schema.arity
+        rows = cube.to_rows()
+        if not rows:
+            return
+        dictionaries, codes, measures = _encode(rows, arity)
+        again = data.draw(st.integers(0, len(rows) - 1))
+
+        def built(dictionaries=dictionaries, codes=codes, measures=measures, **kw):
+            return Cube.from_columns(schema, dictionaries, codes, measures, **kw)
+
+        assert built() is not None
+        # a repeated key, with the same measure or another
+        repeated = [column + [column[again]] for column in codes]
+        assert built(codes=repeated, measures=measures + [measures[again]]) is None
+        assert built(codes=repeated, measures=measures + [1.25]) is None
+        # ... unless the caller vouches for the keys (a column store does)
+        assert built(keys_distinct=True) is not None
+        assert built(measures=[int(m == m) for m in measures]) is None
+        if arity:
+            assert built(measures=measures[:-1]) is None  # ragged columns
+            j = data.draw(st.integers(0, arity - 1))
+            for bad in (len(dictionaries[j]), -1):
+                broken = [list(column) for column in codes]
+                broken[j][again] = bad
+                assert built(codes=broken) is None
+                assert built(codes=broken, keys_distinct=True) is None
+            wrong = [list(values) for values in dictionaries]
+            wrong[j][codes[j][again]] = 1.5  # no dimension type accepts a float
+            assert built(dictionaries=wrong) is None
+            # one value under two codes: distinct codes, repeated key
+            twice = [list(values) for values in dictionaries]
+            twice[j].append(twice[j][codes[j][again]])
+            split = [column + [column[again]] for column in codes]
+            split[j][-1] = len(twice[j]) - 1
+            assert (
+                built(dictionaries=twice, codes=split,
+                      measures=measures + [measures[again]])
+                is None
+            )
+
+
 class TestProgramEquivalenceProperty:
     """The headline property: arbitrary valid programs run identically on
     every executor.  Kept small so the suite stays fast."""
