@@ -3,9 +3,9 @@ console scripts.
 
 :func:`run` is what a one-shot process adds around :func:`repro.cli.main`
 (DESIGN.md, "Process lifecycle"): fewer collector passes while the
-modules load, and no interpreter teardown after a clean return.  Code
-that calls ``cli.main`` in-process — tests, profilers, ``atexit``-based
-tools — gets neither.
+modules load, no native worker pool started by numpy's BLAS, and no
+interpreter teardown after a clean return.  Code that calls ``cli.main``
+in-process — tests, profilers, ``atexit``-based tools — gets none of it.
 """
 
 import gc
@@ -21,6 +21,21 @@ import sys
 #: The collector stays on, so a large input's cyclic garbage is still
 #: bounded; peak RSS moves by < 1.5 % (EXPERIMENTS.md, EXP-LIFECYCLE).
 GC_THRESHOLD = 100_000
+
+#: What tells numpy's BLAS (OpenBLAS in the wheels; OpenMP / MKL in
+#: other builds) how many worker threads to start when it is loaded.
+#: Unset, ``import numpy`` starts one per extra core, each spinning
+#: before it sleeps — on two cores 0.064 s of a 0.139 s import is the
+#: main thread waiting — though no chase kernel, reader or writer calls
+#: BLAS, and the two modules that do (``stats.regression``,
+#: ``stats.smoothing``) work on series of a few hundred points.  The
+#: engine's parallelism is its own: ``--jobs`` threads, ``--shards``
+#: processes (EXPERIMENTS.md, EXP-BLASPOOL).
+NATIVE_POOL_VARIABLES = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
 
 
 def _flushed() -> bool:
@@ -45,8 +60,15 @@ def run(argv=None):
     finalising the modules and freeing each object one by one is work
     for nobody.  An exception, a failed flush or a live thread takes
     the ordinary ``sys.exit`` path.
+
+    Before ``repro.cli`` — hence numpy — is imported, each of
+    :data:`NATIVE_POOL_VARIABLES` the user has not exported is set to
+    one thread: an exported value wins, and ``--shards`` workers
+    inherit the setting over the fork.
     """
     gc.set_threshold(GC_THRESHOLD)
+    for name in NATIVE_POOL_VARIABLES:
+        os.environ.setdefault(name, "1")
     from .cli import main
 
     try:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import BackendError
 from ..exl.operators import OperatorRegistry, OpKind
 from ..frames import DataFrame
-from ..matrixengine import Matrix
 from ..model.schema import Schema
 from ..model.time import TimePoint
 from ..stats.aggregates import get_aggregate
@@ -28,6 +27,11 @@ from .ir import (
     StoreOp,
     TableFuncOp,
 )
+
+if TYPE_CHECKING:
+    # the matrix engine (numpy) loads with the first matrix program run,
+    # not with the frame executor that shares this module
+    from ..matrixengine import Matrix
 
 __all__ = ["eval_colexpr", "combine_fn", "FrameIrExecutor", "MatrixIrExecutor"]
 
@@ -201,6 +205,8 @@ class MatrixIrExecutor:
             raise BackendError(f"matrix has no column {name!r} (has {names})") from None
 
     def _step(self, op, env, store) -> None:
+        from ..matrixengine import Matrix
+
         if isinstance(op, LoadOp):
             if op.table not in store:
                 raise BackendError(f"matrix store has no table {op.table!r}")

@@ -745,28 +745,26 @@ def _apply_aggregation(
                 raise FallbackUnsupported("non-encoded group key")
             # broadcast scalar keys are constant across the relation
         composite = _mix(parts, bases, n)
-
-        def key_value(col, row: int):
-            if isinstance(col, EncodedColumn):
-                return col.dictionary[int(col.codes[row])]
-            return col[1]
-
         # each bag holds the elements the scalar path accumulates for
         # the group, and groups come in its first-occurrence order; both
         # paths reduce the bag in canonical order
-        facts = [
-            tuple(key_value(col, row) for col in key_cols) + (aggregate(bag),)
-            for row, bag in sorted_slices(composite, values)
+        first_rows, measures = [], []
+        for row, bag in sorted_slices(composite, values):
+            first_rows.append(row)
+            measures.append(aggregate(bag))
+        groups = len(first_rows)
+        if set(map(type, measures)) != {float}:
+            raise FallbackUnsupported("non-float aggregate result")
+        # a group-by's result is a relation: its key columns are the
+        # operand's at each group's first row, one key per group
+        index = np.array(first_rows, dtype=_INT)
+        out_cols = [
+            col.take(index) if isinstance(col, EncodedColumn) else col
+            for col in key_cols
         ]
-        dims = [fact[:-1] for fact in facts]
-        measures = [fact[-1] for fact in facts]
-    with tracer.span("kernel:insert", category="kernel", rows=len(facts)):
+        out_cols.append(np.array(measures, dtype=np.float64))
+    with tracer.span("kernel:insert", category="kernel", rows=groups):
         return insert_batch(
-            target,
-            functional,
-            tgd.target_relation,
-            facts,
-            dims=dims,
-            measures=measures,
-            assume_unique=True,
+            target, functional, tgd.target_relation, None,
+            assume_unique=True, columns=out_cols, n=groups,
         )

@@ -207,11 +207,12 @@ def cmd_show(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .backends import all_backends
+    from .backends import LazyBackends
 
     project = load_project(args.project)
     mapping = _mapping_for(project, args.simplify)
-    backends = all_backends()
+    # only the asked target is imported and built: its script is text
+    backends = LazyBackends()
     if args.target not in backends:
         print(f"unknown target {args.target!r}; known: {sorted(backends)}", file=sys.stderr)
         return 2
@@ -302,6 +303,18 @@ def _fault_plan_from(args):
     from .engine.faults import parse_fault_spec
 
     return parse_fault_spec(args.inject_faults, seed=args.fault_seed)
+
+
+def _out_dir(args) -> Path:
+    """``--out`` of a command that writes there; refused, before
+    anything is written, when it (or a parent) is a file."""
+    out_dir = Path(args.out)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ReproError(f"--out {args.out}: not a directory")
+            break
+    return out_dir
 
 
 def _state_path(args, out_dir: Path) -> Path:
@@ -403,7 +416,7 @@ def cmd_update(args) -> int:
     from .engine import baseline as baseline_store
 
     project = load_project(args.project)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args)
     baseline_dir, baseline_file = _baseline_paths(out_dir)
     state = None
     if baseline_file.exists():
@@ -471,7 +484,7 @@ def cmd_update(args) -> int:
 
 def cmd_run(args) -> int:
     project = load_project(args.project)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args)
     tracer = metrics = None
     if args.trace or args.metrics:
         from .obs import MetricsRegistry, Tracer
@@ -535,7 +548,7 @@ def cmd_resume(args) -> int:
     from .model.io import cube_from_canonical_text
 
     project = load_project(args.project)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args)
     state_path = _state_path(args, out_dir)
     if not state_path.exists():
         print(f"no run state at {state_path}: nothing to resume", file=sys.stderr)

@@ -17,12 +17,14 @@ remainder == series`` (additive model) guaranteed by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..errors import StatsError
 from .smoothing import centered_moving_average, loess
+
+if TYPE_CHECKING:
+    # annotations only: imported where an array is built (see ``smoothing``)
+    import numpy as np
 
 __all__ = [
     "Decomposition",
@@ -47,6 +49,8 @@ class Decomposition:
 
 
 def _validate(values: Sequence[float], period: int) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if period < 2:
         raise StatsError(f"period must be >= 2, got {period}")
@@ -60,6 +64,8 @@ def _validate(values: Sequence[float], period: int) -> np.ndarray:
 
 def _seasonal_means(detrended: np.ndarray, period: int) -> np.ndarray:
     """Per-phase means of the detrended series, centred to sum to zero."""
+    import numpy as np
+
     phases = np.empty(period)
     for p in range(period):
         phases[p] = detrended[p::period].mean()
@@ -69,6 +75,8 @@ def _seasonal_means(detrended: np.ndarray, period: int) -> np.ndarray:
 
 def classical_decompose(values: Sequence[float], period: int) -> Decomposition:
     """Classical additive decomposition via centered moving average."""
+    import numpy as np
+
     arr = _validate(values, period)
     trend = np.asarray(centered_moving_average(arr, period))
     detrended = arr - trend
@@ -103,6 +111,8 @@ def stl_decompose(
             corresponds to averaging the subseries, which a wide span
             approximates.
     """
+    import numpy as np
+
     arr = _validate(values, period)
     n = len(arr)
     if trend_frac is None:

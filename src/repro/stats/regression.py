@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from ..errors import StatsError
+
+# numpy is imported where an array is built (see ``smoothing``)
 
 __all__ = ["LinearFit", "ols", "fitted_line", "residuals"]
 
@@ -27,11 +27,15 @@ class LinearFit:
     r_squared: float
 
     def predict(self, x: Sequence[float]) -> List[float]:
+        import numpy as np
+
         return [self.intercept + self.slope * xi for xi in np.asarray(x, dtype=float)]
 
 
 def ols(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     """Fit ``y ≈ a + b x`` by ordinary least squares."""
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     if len(xs) != len(ys):

@@ -8,11 +8,16 @@ Cleveland's STL procedure — so the reproduction does not depend on R.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..errors import StatsError
+
+if TYPE_CHECKING:
+    # for the annotations; at run time numpy is imported by the
+    # functions that build an array — ``exl show`` and ``exl compile``
+    # load this module (through ``exl.operators``) for the operator
+    # table alone
+    import numpy as np
 
 __all__ = ["moving_average", "centered_moving_average", "loess"]
 
@@ -21,6 +26,8 @@ def moving_average(values: Sequence[float], window: int) -> List[float]:
     """Trailing moving average; the first ``window - 1`` outputs average
     whatever prefix is available (expanding window).
     """
+    import numpy as np
+
     if window < 1:
         raise StatsError(f"window must be >= 1, got {window}")
     arr = np.asarray(values, dtype=float)
@@ -41,6 +48,8 @@ def centered_moving_average(values: Sequence[float], window: int) -> List[float]
     span with half weights at the ends), so the result stays centered.
     Endpoints where the full window does not fit shrink symmetrically.
     """
+    import numpy as np
+
     if window < 1:
         raise StatsError(f"window must be >= 1, got {window}")
     arr = np.asarray(values, dtype=float)
@@ -65,7 +74,7 @@ def centered_moving_average(values: Sequence[float], window: int) -> List[float]
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:
-    clipped = np.clip(np.abs(u), 0.0, 1.0)
+    clipped = abs(u).clip(0.0, 1.0)
     return (1.0 - clipped**3) ** 3
 
 
@@ -90,6 +99,8 @@ def loess(
     Returns:
         The smoothed series, same length as ``values``.
     """
+    import numpy as np
+
     if not 0.0 < frac <= 1.0:
         raise StatsError(f"frac must be in (0, 1], got {frac}")
     if degree not in (0, 1, 2):

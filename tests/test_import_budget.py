@@ -289,6 +289,30 @@ class TestRunBudget:
         assert not others, sorted(others)
 
 
+class TestTextBudget:
+    """``show`` and ``compile`` print text: the operator table they
+    compile against names the array kernels of ``repro.stats`` without
+    loading numpy, and ``compile`` builds the one target it was asked
+    for."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("show", [])] + [("compile", ["--target", t]) for t in ("sql", "r", "etl")],
+        ids=["show", "sql", "r", "etl"],
+    )
+    def test_no_numpy(self, chase_project, loaded_by, command, flags):
+        modules = loaded_by([command, chase_project, *flags])
+        assert "numpy" not in modules
+        assert "repro.stats.smoothing" in modules
+        assert not under(modules, "matrixengine", "chase.columnar")
+
+    def test_compile_loads_the_asked_target_alone(self, chase_project, loaded_by):
+        modules = loaded_by(["compile", chase_project, "--target", "sql"])
+        assert "repro.backends.sql" in modules
+        others = under(modules, *(e for e in TARGET_ENGINES if e != "sqlengine"))
+        assert not others, sorted(others)
+
+
 class TestNoWorkBudget:
     @pytest.mark.parametrize("flag", ["--version", "--help"])
     def test_version_and_help_load_no_layer(self, loaded_by, flag):

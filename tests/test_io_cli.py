@@ -331,6 +331,27 @@ class TestCliInputErrors:
         )
 
     @pytest.mark.parametrize("command", ["run", "update", "resume"])
+    @pytest.mark.parametrize("flags", [[], ["--no-journal"]])
+    @pytest.mark.parametrize("below", ["", "/sub"])
+    def test_out_naming_a_file(
+        self, command, flags, below, project_dir, fresh_python
+    ):
+        # was NotADirectoryError from RunJournal's mkdir, 20 lines of
+        # stack; through the process entry, so os._exit is on the path
+        taken = project_dir / "somefile"
+        taken.write_text("mine\n")
+        before = _tree(project_dir)
+        out = f"{taken}{below}"
+        child = fresh_python(
+            "-m", "repro", command, str(project_dir / "project.json"),
+            "--out", out, *flags,
+        )
+        assert child.returncode == 1
+        assert child.stderr == f"error: --out {out}: not a directory\n"
+        assert child.stdout == ""
+        assert _tree(project_dir) == before
+
+    @pytest.mark.parametrize("command", ["run", "update", "resume"])
     @pytest.mark.parametrize(
         "flags", [["--shards", "-1"], ["--parallel", "--jobs", "0"]]
     )

@@ -22,9 +22,10 @@ from repro.chase import (
     schedule_waves,
     stratum_dag,
 )
+from repro.chase.instance import FORCE_TUPLE_VIEW
 from repro.errors import ChaseSourceError, MappingError
 from repro.exl import Program
-from repro.mappings import generate_mapping, simplify_mapping
+from repro.mappings import TgdKind, generate_mapping, simplify_mapping
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, month
 from repro.workloads import gdp_example, random_workload
 from repro.workloads.datagen import random_cube
@@ -79,6 +80,37 @@ class TestPolicyMatrix:
         # shard workers ran exactly when asked for and partitionable
         sharded = shards > 1 and chase.plan.fallback_reason is None
         assert result.stats.shards == (shards if sharded else 0)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("jobs", [None, 1, 4])
+    def test_a_group_by_is_handed_over_as_columns_under_every_policy(
+        self, jobs, shards
+    ):
+        # avg by quarter(d) as q, r; sum by q — among joins and a shift
+        workload = gdp_example(
+            n_quarters=8, regions=("north", "south", "west"), seed=5
+        )
+        mapping = generate_mapping(
+            Program.compile(workload.source, workload.schema)
+        )
+        source = instance_from_cubes(workload.data)
+        reference = StratifiedChase(mapping, vectorized=False).run(source)
+        result = StratifiedChase(mapping, jobs=jobs, shards=shards).run(source)
+        aggregates = [
+            tgd.target_relation for tgd in mapping.target_tgds
+            if tgd.kind is TgdKind.AGGREGATION
+        ]
+        assert len(aggregates) >= 2
+        _assert_identical(reference, result)
+        if result.stats.shards:
+            return  # merged from the workers' bags, in the merge's order
+        for relation in aggregates:
+            # list equality: the same facts in the same insertion order
+            expected = list(reference.instance.facts(relation))
+            assert list(result.instance.facts(relation)) == expected, relation
+            if not FORCE_TUPLE_VIEW:  # else the same columns, decoded on the way in
+                store = result.instance.export_store(relation)
+                assert store.dims_distinct and store.n_rows == len(expected), relation
 
 
 class TestRandomProgramEquivalence:

@@ -1,7 +1,7 @@
 """The process entry ``repro.__main__:run`` (DESIGN.md, "Process
 lifecycle"): what it adds around ``cli.main`` — a higher collector
-threshold, ``os._exit`` after a clean return — and what must not depend
-on the teardown it skips: exit codes, complete output through a pipe, a
+threshold, one-thread native pools, ``os._exit`` after a clean return —
+and what must not depend on the teardown it skips: exit codes, complete output through a pipe, a
 quiet exit when the reader goes away, and a run directory byte for byte
 the one an in-process ``cli.main`` followed by an ordinary exit leaves.
 """
@@ -34,12 +34,14 @@ class Exited(Exception):
 @pytest.fixture
 def hard_exit(monkeypatch):
     """``os._exit`` raises :class:`Exited` with the code; the collector
-    threshold is put back afterwards."""
+    threshold and the native-pool variables are put back afterwards."""
 
     def fake(code):
         raise Exited(code)
 
     monkeypatch.setattr(os, "_exit", fake)
+    for name in entry.NATIVE_POOL_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
     yield
     gc.set_threshold(*DEFAULT_THRESHOLD)
 
@@ -125,6 +127,29 @@ class TestRun:
         capsys.readouterr()
         assert gc.isenabled() and gc.get_threshold() == DEFAULT_THRESHOLD
 
+    def test_run_pins_the_native_pools_it_was_not_told_about(
+        self, monkeypatch, hard_exit
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        _main_returning(monkeypatch, 0)
+        with pytest.raises(Exited):
+            entry.run([])
+        pinned = {name: os.environ[name] for name in entry.NATIVE_POOL_VARIABLES}
+        assert pinned == {
+            "OPENBLAS_NUM_THREADS": "2",  # exported: the user's value wins
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+
+    def test_calling_main_in_process_changes_no_environment_variable(
+        self, tmp_path, capsys
+    ):
+        project = write_chase_project(tmp_path)
+        before = dict(os.environ)
+        assert cli.main(["run", project, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert dict(os.environ) == before
+
 
 # -- the real process ----------------------------------------------------------
 
@@ -149,6 +174,122 @@ def write_project(directory, statements=3):
     }
     (directory / "project.json").write_text(json.dumps(spec))
     return str(directory / "project.json")
+
+
+def write_chase_project(directory):
+    """A panel doubled and summed by year on the chase: the run loads
+    numpy and goes through a tuple-level and an aggregation kernel."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = [
+        f"{2019 + q // 4}Q{q % 4 + 1},{r},{float(q * 10 + i)}"
+        for q in range(8) for i, r in enumerate(("north", "south", "west"))
+    ]
+    (directory / "p.csv").write_text("q,r,v\n" + "\n".join(rows) + "\n")
+    spec = {
+        "elementary": [
+            {"name": "P", "dimensions": [["q", "time:Q"], ["r", "string"]],
+             "measure": "v", "csv": "p.csv"}
+        ],
+        "program": "T := P * 2\nY := sum(T, group by year(q) as y, r)",
+        "preferred_targets": {"T": "chase", "Y": "chase"},
+    }
+    (directory / "project.json").write_text(json.dumps(spec))
+    return str(directory / "project.json")
+
+
+#: ``repro.__main__.run(argv)`` in a child that, where the process would
+#: end, first reports on itself: native threads, the pool variables
+REPORTING = """
+import json, os, sys
+import repro.__main__ as entry
+
+leave = os._exit
+
+def report(code):
+    with open(sys.argv[1], "w") as handle:
+        json.dump({
+            "code": code,
+            "threads": len(os.listdir("/proc/self/task")),
+            "numpy": "numpy" in sys.modules,
+            "env": {n: os.environ.get(n) for n in entry.NATIVE_POOL_VARIABLES},
+        }, handle)
+    leave(code)
+
+os._exit = report
+entry.run(sys.argv[2:])
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="counts /proc/self/task"
+)
+class TestNativeThreads:
+    """DESIGN.md, "Native thread pools": a one-shot process starts no
+    BLAS worker pool, and never overrides a value the user exported."""
+
+    @pytest.fixture
+    def reported(self, tmp_path, child_env):
+        def run(argv, **exported):
+            env = {
+                name: value for name, value in child_env.items()
+                if name not in entry.NATIVE_POOL_VARIABLES
+            }
+            env.update(exported)
+            dump = tmp_path / "report.json"
+            child = subprocess.run(
+                [sys.executable, "-c", REPORTING, str(dump), *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            return {**json.loads(dump.read_text()), "stdout": child.stdout}
+
+        return run
+
+    @pytest.mark.skipif(os.cpu_count() == 1, reason="one core: no pool to start")
+    @pytest.mark.parametrize("command", ["run", "update"])
+    def test_a_chase_run_ends_with_one_native_thread(
+        self, tmp_path, reported, command
+    ):
+        project = write_chase_project(tmp_path)
+        report = reported([command, project, "--out", str(tmp_path / "out")])
+        assert report["code"] == 0 and report["numpy"]
+        assert report["threads"] == 1
+        assert set(report["env"].values()) == {"1"}
+
+    def test_an_exported_value_is_never_overwritten(self, tmp_path, reported):
+        project = write_chase_project(tmp_path)
+        report = reported(
+            ["run", project, "--out", str(tmp_path / "out")],
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert report["env"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert report["env"]["OMP_NUM_THREADS"] == "1"
+
+    def test_importing_the_package_sets_nothing(self, fresh_python):
+        child = fresh_python(
+            "-c",
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import repro, repro.cli, repro.__main__\n"
+            "from repro import EXLEngine\n"
+            "assert dict(os.environ) == before\n",
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_sharded_workers_write_the_same_bytes(self, tmp_path, reported):
+        texts = {}
+        for side, flags in (("serial", []), ("sharded", ["--shards", "2"])):
+            project = write_chase_project(tmp_path / side)
+            out = tmp_path / side / "out"
+            report = reported(["run", project, "--out", str(out), *flags])
+            assert report["code"] == 0
+            assert ("sharded chase: 2 shards" in report["stdout"]) == bool(flags)
+            texts[side] = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*.csv"))
+            }
+        assert {"T.csv", "Y.csv"} <= set(texts["serial"])
+        assert texts["sharded"] == texts["serial"]
 
 
 class TestExitCodes:

@@ -1,10 +1,15 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import functools
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import all_backends
+from repro.chase import StratifiedChase, columnar, instance, instance_from_cubes
+from repro.chase.colstore import ColumnStore
 from repro.chase.groupreduce import (
     collect,
     contribution_index,
@@ -15,7 +20,20 @@ from repro.chase.groupreduce import (
 )
 from repro.chase.instance import store_for_cube
 from repro.exl import Program
-from repro.mappings import Const, FuncApp, Var, evaluate, generate_mapping, substitute, term_vars
+from repro.mappings import (
+    AggTerm,
+    Atom,
+    Const,
+    FuncApp,
+    SchemaMapping,
+    Tgd,
+    TgdKind,
+    Var,
+    evaluate,
+    generate_mapping,
+    substitute,
+    term_vars,
+)
 from repro.model import (
     Cube,
     CubeSchema,
@@ -24,8 +42,10 @@ from repro.model import (
     INTEGER,
     STRING,
     TIME,
+    Schema,
     TimePoint,
     convert,
+    month,
     parse_timepoint,
     quarter,
 )
@@ -147,6 +167,65 @@ def _bits(groups):
     return {key: repr(float(value)) for key, value in groups.items()}
 
 
+#: a functional relation ``(g, i, m) -> v`` with ±inf among the measures
+panel_rows = st.dictionaries(
+    st.tuples(
+        st.sampled_from("abc"),
+        st.integers(0, 3),
+        st.integers(0, 7).map(lambda k: month(2020, 1) + k),
+    ),
+    st.one_of(awkward_floats, st.sampled_from([float("inf"), float("-inf")])),
+    min_size=1,
+    max_size=12,
+)
+PANEL = CubeSchema(
+    "C",
+    [
+        Dimension("g", STRING),
+        Dimension("i", INTEGER),
+        Dimension("m", TIME(Frequency.MONTH)),
+    ],
+    "v",
+)
+#: the group-by clause of ``Y := agg(C, ...)`` per key shape
+GROUP_KEYS = {
+    "string": ", group by g",
+    "integer": ", group by i",
+    "time": ", group by m",
+    "transform": ", group by quarter(m) as q, g",
+    "one group": "",
+    "groups of one": ", group by g, i, m",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _aggregation_mappings(name):
+    """``{key shape: mapping}`` for ``Y := name(C, <group-by>)``, plus a
+    hand-written tgd whose first key is a constant."""
+    schema = Schema([PANEL])
+    mappings = {
+        shape: generate_mapping(Program.compile(f"Y := {name}(C{clause})", schema))
+        for shape, clause in GROUP_KEYS.items()
+    }
+    by_g = mappings["string"]
+    (tgd,) = by_g.target_tgds
+    constant = Tgd(
+        tgd.lhs,
+        Atom("Y", (Const("all"), Var("g"), AggTerm(name, Var("v")))),
+        TgdKind.AGGREGATION,
+        group_arity=2,
+        label="Y",
+    )
+    target = Schema([
+        PANEL,
+        CubeSchema("Y", [Dimension("k", STRING), Dimension("g", STRING)], "v"),
+    ])
+    mappings["constant"] = SchemaMapping(
+        by_g.source, target, by_g.st_tgds, [constant], by_g.egds, by_g.registry
+    )
+    return mappings
+
+
 class TestGroupReduceProperty:
     """``chase/groupreduce.py`` is the only group-reduce: the dict
     collect, the sorted-slices kernel, the incremental rereduce and a
@@ -217,6 +296,55 @@ class TestGroupReduceProperty:
             )
             lattice.build(cube)
             assert _bits(lattice.node({"i": "all"}).groups) == expected
+
+
+    @settings(max_examples=15, deadline=None)
+    @given(panel_rows)
+    @pytest.mark.parametrize("forced_tuple_view", [False, True])
+    @pytest.mark.parametrize("name", aggregate_names())
+    def test_the_aggregation_kernel_hands_over_the_scalar_paths_relation(
+        self, name, forced_tuple_view, rows
+    ):
+        if name == "geomean":
+            rows = {k: abs(v) + 1.0 for k, v in rows.items()}
+        cube = Cube.from_rows(PANEL, [dims + (v,) for dims, v in rows.items()])
+        with mock.patch.object(instance, "FORCE_TUPLE_VIEW", forced_tuple_view):
+            source = instance_from_cubes({"C": cube})
+            for shape, mapping in _aggregation_mappings(name).items():
+                self._check_handover(mapping, source, forced_tuple_view, shape)
+
+    def _check_handover(self, mapping, source, forced_tuple_view, shape):
+        scalar = StratifiedChase(mapping, vectorized=False).run(source)
+        expected = [
+            fact[:-1] + (repr(fact[-1]),) for fact in scalar.instance.facts("Y")
+        ]
+        real_add, real_decode = ColumnStore.add, columnar.decode_facts
+        adds, decodes = [], []
+
+        def counted_add(store, fact):
+            adds.append(fact)
+            return real_add(store, fact)
+
+        def counted_decode(out_cols, n):
+            decodes.append(n)
+            return real_decode(out_cols, n)
+
+        with mock.patch.object(ColumnStore, "add", counted_add), mock.patch.object(
+            columnar, "decode_facts", counted_decode
+        ):
+            vector = StratifiedChase(mapping, vectorized=True).run(source)
+        assert vector.stats.fallback_reasons == {}, shape
+        # fact for fact, in insertion order, bit for bit
+        assert [
+            fact[:-1] + (repr(fact[-1]),) for fact in vector.instance.facts("Y")
+        ] == expected, shape
+        if forced_tuple_view:
+            # same kernel, same columns: rebuilt as facts on the way in
+            assert decodes == [len(expected)], shape
+        else:
+            store = vector.instance.export_store("Y")
+            assert adds == [] and decodes == [], shape
+            assert store.dims_distinct and store.n_rows == len(expected), shape
 
 
 class TestDistinctProperty:
