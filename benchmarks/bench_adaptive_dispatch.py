@@ -67,8 +67,9 @@ def _delay_plan():
 
 def _build_engine(chain_targets, **kwargs):
     """WIDTH independent depth-2 chains over one elementary series,
-    chain i pinned to ``chain_targets[i % len(chain_targets)]``."""
-    engine = EXLEngine(fault_plan=_delay_plan(), **kwargs)
+    chain i pinned to ``chain_targets[i % len(chain_targets)]``; each
+    run passes ``fault_plan=_delay_plan()``."""
+    engine = EXLEngine(**kwargs)
     engine.declare_elementary(_series("E"))
     lines = []
     targets = {}
@@ -106,21 +107,23 @@ def test_adaptive_beats_worst_and_tracks_oracle(bench_report):
         engine = _build_engine(
             MIXED_TARGETS, adaptive=True, cost_model=cost_model
         )
-        record = engine.run()
+        record = engine.run(fault_plan=_delay_plan())
         assert record.complete and len(record.subgraphs) == WIDTH
 
     def adaptive_run():
         engine = _build_engine(
             MIXED_TARGETS, adaptive=True, cost_model=cost_model
         )
-        return engine, engine.run()
+        return engine, engine.run(fault_plan=_delay_plan())
 
     adaptive_s, (adaptive_engine, adaptive_record) = _wall(adaptive_run)
     worst_s, (_, worst_record) = _wall(
-        lambda: (None, _build_engine(SLOW_TARGETS).run())
+        lambda: (None, _build_engine(SLOW_TARGETS).run(fault_plan=_delay_plan()))
     )
     oracle_s, (oracle_engine, oracle_record) = _wall(
-        lambda: (e := _build_engine(FAST_TARGETS), e.run())
+        lambda: (
+            e := _build_engine(FAST_TARGETS), e.run(fault_plan=_delay_plan())
+        )
     )
 
     # all three plans really dispatched the same 8-subgraph structure

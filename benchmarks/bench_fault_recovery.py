@@ -45,7 +45,7 @@ def _build_engine(**kwargs):
     Each chain is pinned to one target (cycling sql/r/etl/chase), so the
     partitioner yields WIDTH mutually independent subgraphs in one wave
     — a quarter of them on the "r" backend the resume benchmark kills."""
-    engine = EXLEngine(parallel=True, jobs=4, backoff_s=BACKOFF_S, **kwargs)
+    engine = EXLEngine(jobs=4, backoff_s=BACKOFF_S, **kwargs)
     engine.declare_elementary(_series("E"))
     lines = []
     targets = {}

@@ -28,7 +28,9 @@ class CompiledTgd:
 
     label: str
     text: str
-    runner: Callable[[Any], None]  # executes against the backend's store
+    # executes against the backend's store; None for the chase, which
+    # runs whole mappings
+    runner: Optional[Callable[[Any], None]]
 
 
 class Backend(abc.ABC):
@@ -37,18 +39,19 @@ class Backend(abc.ABC):
     #: the technical-metadata name used in operator ``targets`` sets
     name: str = "abstract"
 
-    # -- per-backend engine plumbing ---------------------------------------
-    @abc.abstractmethod
+    # -- per-backend engine plumbing, used by :meth:`run_mapping` only
+    # (a backend that overrides it need not define the three hooks) --------
     def new_store(self, mapping: SchemaMapping) -> Any:
         """Create the engine-side storage for one mapping run."""
+        raise NotImplementedError
 
-    @abc.abstractmethod
     def load_cube(self, store: Any, cube: Cube) -> None:
         """Load an input cube into the store."""
+        raise NotImplementedError
 
-    @abc.abstractmethod
     def extract_cube(self, store: Any, schema: CubeSchema) -> Cube:
         """Read a computed cube back out of the store."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..chase.engine import DeltaRunResult, DeltaStats, StratifiedChase
 from ..chase.instance import RelationalInstance, store_for_cube
 from ..errors import BackendError
 from ..mappings.dependencies import Tgd
 from ..mappings.mapping import SchemaMapping
-from ..model.cube import Cube, CubeSchema
+from ..model.cube import Cube
 from .base import Backend, CompiledTgd
 
 # chase.delta loads for the first incremental replay, chase.scheduler
@@ -30,44 +30,22 @@ if TYPE_CHECKING:
 __all__ = ["ChaseBackend"]
 
 
-class _ChaseStore:
-    """Running chase state: the target instance plus the functional index."""
-
-    def __init__(
-        self,
-        mapping: SchemaMapping,
-        vectorized: Optional[bool] = None,
-        kernel_hook=None,
-        tracer=None,
-        metrics=None,
-    ):
-        self.engine = StratifiedChase(
-            mapping,
-            vectorized=vectorized,
-            kernel_hook=kernel_hook,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        self.instance = RelationalInstance()
-        self.functional: Dict[str, Dict[Tuple, float]] = {}
-
-
 class ChaseBackend(Backend):
-    """Reference executor: applies the tgds directly.
+    """Reference executor: every mapping run is one
+    :class:`StratifiedChase` run.
 
-    ``parallel=True`` runs whole-mapping chases on ``max_workers``
-    thread waves, ``shards`` on forked workers; ``cache`` attaches a
-    cube-level materialization cache shared across runs (incremental
-    updates skip unchanged strata).  Per-tgd compilation (``compile_tgd``) is
-    unaffected — it stays statement-ordered for the script targets.
+    ``jobs > 1`` runs its waves on that many threads, ``shards`` on
+    forked workers; ``cache`` attaches a cube-level materialization
+    cache shared across runs (incremental updates skip unchanged
+    strata).  ``compile_tgd`` gives each tgd's text for ``exl compile
+    --target chase``; its runner is never called.
     """
 
     name = "chase"
 
     def __init__(
         self,
-        parallel: bool = False,
-        max_workers: int = 4,
+        jobs: int = 1,
         cache: Optional[ChaseCache] = None,
         vectorized: Optional[bool] = None,
         tracer=None,
@@ -77,8 +55,8 @@ class ChaseBackend(Backend):
         shard_retries: int = 2,
         shard_timeout_s: Optional[float] = None,
     ):
-        self.parallel = parallel
-        self.max_workers = max_workers
+        #: worker threads for chase waves (1 = statement order)
+        self.jobs = jobs
         self.cache = cache
         #: worker-process count for whole-mapping runs (0 = one per
         #: core, 1 = no sharding); see chase.shard
@@ -156,20 +134,8 @@ class ChaseBackend(Backend):
         check: Optional[Callable[[], None]] = None,
         units: Optional[List[CompiledTgd]] = None,
     ) -> Dict[str, Cube]:
-        if (
-            not self.parallel
-            and self.cache is None
-            and not self.capture_deltas
-            and self.shards == 1
-        ):
-            return super().run_mapping(
-                mapping, inputs, wanted, check=check, units=units
-            )
-        # the scheduler path runs whole strata at once; the cooperative
-        # deadline check fires once up front (coarser than per-unit,
-        # but the wall-clock deadline still bounds the attempt)
-        if check is not None:
-            check()
+        """One :class:`StratifiedChase` run over ``inputs``; ``check``
+        is called before each of its waves, ``units`` is unused."""
         source = RelationalInstance()
         for tgd in mapping.st_tgds:
             name = tgd.lhs[0].relation
@@ -184,7 +150,7 @@ class ChaseBackend(Backend):
             source.add_all(name, inputs[name].to_rows())
         chase = StratifiedChase(
             mapping,
-            jobs=self.max_workers if self.parallel else None,
+            jobs=self.jobs if self.jobs > 1 else None,
             shards=self.shards,
             cache=self.cache,
             vectorized=self.vectorized,
@@ -195,7 +161,7 @@ class ChaseBackend(Backend):
             shard_retries=self.shard_retries,
             shard_timeout_s=self.shard_timeout_s,
         )
-        result = chase.run(source)
+        result = chase.run(source, check=check)
         if result.stats.shards:
             with self._kernel_lock:
                 self.shard_runs += 1
@@ -357,28 +323,5 @@ class ChaseBackend(Backend):
             )
         return DeltaRunResult(cubes, {name: True for name in cubes}, stats)
 
-    def new_store(self, mapping: SchemaMapping) -> _ChaseStore:
-        return _ChaseStore(
-            mapping,
-            vectorized=self.vectorized,
-            kernel_hook=self._on_kernel,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-
-    def load_cube(self, store: _ChaseStore, cube: Cube) -> None:
-        for row in cube.to_rows():
-            store.engine.insert(
-                store.instance, store.functional, cube.schema.name, row
-            )
-
-    def extract_cube(self, store: _ChaseStore, schema: CubeSchema) -> Cube:
-        if schema.name not in store.instance:
-            raise BackendError(f"chase instance has no relation {schema.name!r}")
-        return Cube.from_rows(schema, store.instance.facts(schema.name))
-
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
-        def runner(store: _ChaseStore, _tgd=tgd):
-            store.engine.apply(_tgd, store.instance, store.functional)
-
-        return CompiledTgd(tgd.label, str(tgd), runner)
+        return CompiledTgd(tgd.label, str(tgd), None)

@@ -23,6 +23,7 @@ from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -251,20 +252,31 @@ class StratifiedChase:
             writers[tgd.target_relation] = writers.get(tgd.target_relation, 0) + 1
         self._single_writer = {r for r, count in writers.items() if count == 1}
 
-    def run(self, source: RelationalInstance) -> ChaseResult:
-        """Compute the data exchange solution for ``source``."""
+    def run(
+        self,
+        source: RelationalInstance,
+        check: Optional[Callable[[], None]] = None,
+    ) -> ChaseResult:
+        """Compute the data exchange solution for ``source``.
+
+        ``check`` — the dispatcher's cooperative deadline — is called
+        before each wave, the copy wave included; what it raises ends
+        the run.
+        """
         self._check_source(source)
         if self.plan is not None:
             reason = self.plan.fallback_reason or self._shard.unavailable()
             if reason is None:
                 try:
-                    return self._run(source, sharded=True)
+                    return self._run(source, check, sharded=True)
                 except self._shard.ShardFallback as fallback:
                     reason = fallback.reason
             self.metrics.inc(f"chase.shard.fallback.reason:{reason}")
-        return self._run(source)
+        return self._run(source, check)
 
-    def _run(self, source: RelationalInstance, sharded=False) -> ChaseResult:
+    def _run(
+        self, source: RelationalInstance, check, sharded=False
+    ) -> ChaseResult:
         """The chase loop: the copy wave, then each wave of the schedule.
 
         A ``sharded`` run first fans the partitionable tgds out to
@@ -304,6 +316,8 @@ class StratifiedChase:
         with self.tracer.span(
             "chase", category="chase", **span_args
         ) as chase_span, (pool or nullcontext()):
+            if check is not None:
+                check()
             if sharded:
                 results = self._shard.run_shards(self, source, stats)
                 apply = partial(self._apply_merged, results)
@@ -315,6 +329,8 @@ class StratifiedChase:
                 stats, source, "wave:copy", pool,
             )
             for number, wave in enumerate(self.waves, 1):
+                if check is not None:
+                    check()
                 started = time.perf_counter()
                 self.run_wave(
                     [mapping.target_tgds[i] for i in wave],

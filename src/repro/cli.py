@@ -222,10 +222,8 @@ def cmd_compile(args) -> int:
 
 def _build_engine(
     project: Project,
-    parallel: bool = False,
-    jobs: int = 4,
+    jobs: int = 1,
     shards: int = 1,
-    vectorize: bool = True,
     tracer=None,
     metrics=None,
     backoff_s=None,
@@ -243,13 +241,11 @@ def _build_engine(
 
         cost_model = CostModel(out_dir / "costs" if out_dir else None)
     engine = EXLEngine(
-        parallel=parallel,
         jobs=jobs,
         shards=shards,
         # a ChaseCache pays off across the runs of one long-lived
         # engine; an exl call applies each tgd once and exits
         chase_cache=False,
-        vectorize=vectorize,
         tracer=tracer,
         metrics=metrics,
         backoff_s=backoff_s,
@@ -434,10 +430,8 @@ def cmd_update(args) -> int:
     with _journal_for(args, out_dir) as journal:
         engine = _build_engine(
             project,
-            parallel=args.parallel,
             jobs=args.jobs,
             shards=args.shards,
-            vectorize=not args.no_vectorize,
             backoff_s=args.backoff,
             journal=journal,
             adaptive=args.adaptive,
@@ -494,10 +488,8 @@ def cmd_run(args) -> int:
     with _journal_for(args, out_dir) as journal:
         engine = _build_engine(
             project,
-            parallel=args.parallel,
             jobs=args.jobs,
             shards=args.shards,
-            vectorize=not args.no_vectorize,
             tracer=tracer,
             metrics=metrics,
             backoff_s=args.backoff,
@@ -559,10 +551,8 @@ def cmd_resume(args) -> int:
     with _journal_for(args, out_dir) as journal:
         engine = _build_engine(
             project,
-            parallel=args.parallel,
             jobs=args.jobs,
             shards=args.shards,
-            vectorize=not args.no_vectorize,
             backoff_s=args.backoff,
             journal=journal,
             adaptive=args.adaptive,
@@ -826,16 +816,18 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+def _at_least(kind, minimum, strict: bool = False):
+    """An argparse ``type=``: an ``int`` or ``float`` no smaller than
+    ``minimum`` (greater than it when ``strict``; NaN is neither)."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+    def parse(text: str):
+        value = kind(text)
+        if not (value > minimum if strict else value >= minimum):
+            bound = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(f"must be {bound} {minimum}")
         return value
 
-    parse.__name__ = "int"  # argparse words a ValueError with it
+    parse.__name__ = kind.__name__  # argparse words a ValueError with it
     return parse
 
 
@@ -871,21 +863,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--out", default="out", help="output directory for CSVs"
         )
         command.add_argument(
-            "--parallel",
-            action="store_true",
-            help="execute independent strata/subgraphs concurrently "
-            "(solution-equivalent to the sequential stratified chase)",
-        )
-        command.add_argument(
             "--jobs",
-            type=_int_at_least(1),
-            default=4,
+            type=_at_least(int, 1),
+            default=1,
             metavar="N",
-            help="worker threads for parallel waves (default: 4)",
+            help="worker threads that execute independent subgraphs and "
+            "chase strata concurrently (default: 1, sequential; "
+            "solution-equivalent either way)",
         )
         command.add_argument(
             "--shards",
-            type=_int_at_least(0),
+            type=_at_least(int, 0),
             default=1,
             metavar="N",
             help="worker processes for sharded chase execution: "
@@ -893,12 +881,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "chased per shard, and merged through the egd-checking "
             "insert (0 = one shard per CPU core, 1 = off; tuple-for-"
             "tuple equivalent to unsharded runs)",
-        )
-        command.add_argument(
-            "--no-vectorize",
-            action="store_true",
-            help="disable the columnar chase kernels and run the "
-            "tuple-at-a-time chase (bit-exact ablation baseline)",
         )
         command.add_argument(
             "--adaptive",
@@ -911,7 +893,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         command.add_argument(
             "--retries",
-            type=int,
+            type=_at_least(int, 0),
             default=None,
             metavar="N",
             help="retry transient backend failures up to N times per "
@@ -919,7 +901,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         command.add_argument(
             "--deadline",
-            type=float,
+            type=_at_least(float, 0, strict=True),
             default=None,
             metavar="SECONDS",
             help="wall-clock deadline per subgraph execution (including "
@@ -937,7 +919,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         command.add_argument(
             "--backoff",
-            type=float,
+            type=_at_least(float, 0),
             default=None,
             metavar="SECONDS",
             help="base retry backoff (default: 0.05s, doubling per retry)",

@@ -3,8 +3,8 @@
 Assigns each translated subgraph to its target engine and executes them
 in dependency order.  Subgraphs with no mutual dependencies form a
 *wave* and can run concurrently (the paper's "parallelization and
-optimization patterns"); ``parallel=True`` executes every wave on one
-shared thread pool.  Data moves between engines through the catalog's
+optimization patterns"); ``jobs > 1`` executes every wave on one
+shared pool of that many threads.  Data moves between engines through the catalog's
 versioned store: inputs are read from it, results written back — all
 cubes of a subgraph are staged first and committed atomically under the
 dispatcher lock, so a crash mid-subgraph never publishes half of it.
@@ -17,7 +17,8 @@ do):
   jitter; every other exception is treated as permanent.
 * **Deadlines** — ``deadline_s`` bounds each subgraph execution
   (including its retries) in wall-clock time; backends are checked
-  cooperatively between tgd units and overruns raise
+  cooperatively between tgd units (the chase: between waves) and
+  overruns raise
   :class:`~repro.errors.DeadlineExceededError`.
 * **Degradation** — under ``on_error="degrade"``, a subgraph whose
   native backend failed permanently is re-translated for each target in
@@ -63,6 +64,9 @@ __all__ = ["Dispatcher", "ON_ERROR_MODES", "default_fallback_chains"]
 
 ON_ERROR_MODES = ("fail", "continue", "degrade")
 
+#: each retry's backoff is this many times the previous one's
+BACKOFF_FACTOR = 2.0
+
 # stateless, so one shared instance serves every dispatcher thread
 _NULL_SCOPE = nullcontext()
 
@@ -106,8 +110,7 @@ class Dispatcher:
         self,
         catalog: MetadataCatalog,
         graph: DependencyGraph,
-        parallel: bool = False,
-        max_workers: int = 4,
+        jobs: int = 1,
         as_of: Optional[int] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -115,7 +118,6 @@ class Dispatcher:
         deadline_s: Optional[float] = None,
         on_error: Optional[str] = None,
         backoff_s: Optional[float] = None,
-        backoff_factor: float = 2.0,
         fallback: Optional[Mapping[str, Sequence[str]]] = None,
         fault_plan: Optional[FaultPlan] = None,
         retranslate=None,
@@ -146,8 +148,8 @@ class Dispatcher:
         self.delta_clean_tgds = 0
         self.delta_fallback_tgds = 0
         self.delta_fallback_reasons: Dict[str, int] = {}
-        self.parallel = parallel
-        self.max_workers = max_workers
+        #: worker threads for waves of several subgraphs (1 = in order)
+        self.jobs = jobs
         #: read *elementary* inputs at this historical version (vintage
         #: replay); derived intermediates always come from the current run
         self.as_of = as_of
@@ -158,7 +160,13 @@ class Dispatcher:
         # the fail-fast zero-retry behaviour of the plain dispatcher
         if retries is None:
             retries = faults_mod.chaos_retries() or 0
-        self.retries = max(0, int(retries))
+        if not retries >= 0:
+            raise EngineError(f"retries must be at least 0, got {retries!r}")
+        self.retries = int(retries)
+        if deadline_s is not None and not deadline_s > 0:
+            raise EngineError(
+                f"deadline_s must be greater than 0, got {deadline_s!r}"
+            )
         self.deadline_s = deadline_s
         if on_error is None:
             on_error = "fail"
@@ -171,8 +179,9 @@ class Dispatcher:
             backoff_s = faults_mod.chaos_backoff_s()
             if backoff_s is None:
                 backoff_s = 0.05
+        if not backoff_s >= 0:
+            raise EngineError(f"backoff_s must be at least 0, got {backoff_s!r}")
         self.backoff_s = backoff_s
-        self.backoff_factor = backoff_factor
         self.fallback: Dict[str, Tuple[str, ...]] = {
             target: tuple(chain)
             for target, chain in (
@@ -220,10 +229,10 @@ class Dispatcher:
         record.on_error = self.on_error
         # one pool for the whole dispatch, not one per wave
         pool = None
-        if self.parallel:
+        if self.jobs > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=self.max_workers)
+            pool = ThreadPoolExecutor(max_workers=self.jobs)
         try:
             for index, wave in enumerate(waves):
                 started = time.perf_counter()
@@ -699,7 +708,7 @@ class Dispatcher:
         hot-loop through the remaining retries.  A zero delay with
         budget to spare (``backoff_s=0``) stays a legal immediate retry.
         """
-        delay = self.backoff_s * (self.backoff_factor ** (attempt - 1))
+        delay = self.backoff_s * (BACKOFF_FACTOR ** (attempt - 1))
         jitter = _stable_unit(0, "backoff", "+".join(cubes), attempt)
         delay *= 0.5 + jitter  # in [0.5x, 1.5x)
         if deadline is not None and deadline - time.monotonic() <= delay:

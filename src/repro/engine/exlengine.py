@@ -29,7 +29,7 @@ from ..model.catalog import MetadataCatalog
 from ..model.cube import Cube, CubeSchema
 from ..obs import NULL_TRACER, MetricsRegistry
 from .determination import DEFAULT_TARGET_PRIORITY, DependencyGraph, Subgraph
-from .dispatcher import ON_ERROR_MODES, Dispatcher
+from .dispatcher import Dispatcher
 from .faults import FaultPlan
 from .history import RunLog, RunRecord
 from .translation import TranslationEngine
@@ -51,19 +51,14 @@ class EXLEngine:
         registry: Optional[OperatorRegistry] = None,
         backends: Optional[Mapping[str, Backend]] = None,
         target_priority: Sequence[str] = DEFAULT_TARGET_PRIORITY,
-        parallel: bool = False,
-        jobs: int = 4,
+        jobs: int = 1,
         shards: int = 1,
         chase_cache: bool = True,
         vectorize: Optional[bool] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        retries: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-        on_error: Optional[str] = None,
         backoff_s: Optional[float] = None,
         fallback: Optional[Dict[str, Sequence[str]]] = None,
-        fault_plan: Optional[FaultPlan] = None,
         journal=None,
         adaptive: bool = False,
         cost_model: Optional[CostModel] = None,
@@ -73,19 +68,11 @@ class EXLEngine:
         #: first time the partition selects it
         self.backends = backends or LazyBackends()
         self.target_priority = tuple(target_priority)
-        self.parallel = parallel
-        # -- failure policy defaults, overridable per run()/resume();
+        # -- what the failure policy of every run shares (retries,
+        # deadline, on_error and faults are arguments of each run);
         # None lets the dispatcher resolve chaos-mode / built-in defaults
-        if on_error is not None and on_error not in ON_ERROR_MODES:
-            raise EngineError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
-        self.retries = retries
-        self.deadline_s = deadline_s
-        self.on_error = on_error
         self.backoff_s = backoff_s
         self.fallback = fallback
-        self.fault_plan = fault_plan
         #: optional :class:`repro.engine.journal.RunJournal`; when set,
         #: every dispatch write-ahead-logs its plan and commits so
         #: :meth:`recover` can roll a hard crash forward (the CLI wires
@@ -97,7 +84,7 @@ class EXLEngine:
             raise EngineError(
                 f"shards must be 0 (one per core) or more, got {shards!r}"
             )
-        #: worker threads for parallel waves (dispatcher and chase waves)
+        #: worker threads for dispatcher and chase waves (1 = sequential)
         self.jobs = int(jobs)
         #: worker processes for sharded chase runs (0 = one per core,
         #: 1 = sharding off); see repro.chase.shard
@@ -109,12 +96,11 @@ class EXLEngine:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: accumulating counters/histograms across this engine's runs
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        #: cost-model-driven per-subgraph target choice.  ``adaptive``
-        #: is the engine default, overridable per run()/update(); the
-        #: model itself always learns from every dispatch once present
-        #: (an in-memory one is created when adaptive is requested
-        #: without an explicit model).  A model built with a ``path``
-        #: loads its persisted history here — a damaged file is a
+        #: cost-model-driven per-subgraph target choice, for every run
+        #: of this engine; the model itself always learns from every
+        #: dispatch once present (an in-memory one is created when
+        #: adaptive is requested without an explicit model).  A model
+        #: built with a ``path`` loads its persisted history here — a damaged file is a
         #: counted cold start, never an error — and is re-saved after
         #: every dispatch.
         self.adaptive = bool(adaptive)
@@ -136,8 +122,7 @@ class EXLEngine:
             self.chase_cache = ChaseCache(metrics=self.metrics)
         chase_backend = self.backends.get("chase")
         if isinstance(chase_backend, ChaseBackend):
-            chase_backend.parallel = parallel
-            chase_backend.max_workers = self.jobs
+            chase_backend.jobs = self.jobs
             chase_backend.shards = self.shards
             chase_backend.cache = self.chase_cache
             chase_backend.vectorized = vectorize
@@ -264,7 +249,6 @@ class EXLEngine:
         deadline_s: Optional[float] = None,
         on_error: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
-        adaptive: Optional[bool] = None,
     ) -> RunRecord:
         """One determination → translation → dispatch cycle.
 
@@ -276,17 +260,16 @@ class EXLEngine:
                 this historical version (derived intermediates are
                 recomputed, not read historically).  Results are stored
                 as new versions, so the replay itself is versioned.
-            retries / deadline_s / on_error / fault_plan: per-run
-                overrides of the engine's failure policy (see
+            retries / deadline_s / on_error / fault_plan: this run's
+                failure policy (see
                 :class:`~repro.engine.dispatcher.Dispatcher`).  Under
                 ``on_error="continue"`` or ``"degrade"`` the run
                 finishes even when subgraphs fail; the returned record
                 then carries a partial-failure ``error`` and per-
                 subgraph outcomes, and :meth:`resume` can finish it.
-            adaptive: per-run override of cost-model-driven target
-                choice (None = engine default).  Each subgraph record
-                carries the decision (``chosen_target``,
-                ``predicted_s``, ``observed_s``).
+
+        Under ``adaptive`` each subgraph record carries the target
+        decision (``chosen_target``, ``predicted_s``, ``observed_s``).
         """
         if changed is None:
             changed = self._loaded_since_last_run or [
@@ -321,11 +304,10 @@ class EXLEngine:
                 translated,
                 record,
                 as_of=as_of,
-                retries=self.retries if retries is None else retries,
-                deadline_s=self.deadline_s if deadline_s is None else deadline_s,
-                on_error=self.on_error if on_error is None else on_error,
-                fault_plan=self.fault_plan if fault_plan is None else fault_plan,
-                adaptive=self.adaptive if adaptive is None else adaptive,
+                retries=retries,
+                deadline_s=deadline_s,
+                on_error=on_error,
+                fault_plan=fault_plan,
             )
         self._loaded_since_last_run = []
         return record
@@ -338,7 +320,6 @@ class EXLEngine:
         deadline_s: Optional[float] = None,
         on_error: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
-        adaptive: Optional[bool] = None,
     ) -> RunRecord:
         """Incremental run: recompute only what changed since a baseline.
 
@@ -385,7 +366,6 @@ class EXLEngine:
                 return self.run(
                     changed=changed, retries=retries, deadline_s=deadline_s,
                     on_error=on_error, fault_plan=fault_plan,
-                    adaptive=adaptive,
                 )
         if changed is not None:
             dirty = list(dict.fromkeys(changed))
@@ -441,13 +421,12 @@ class EXLEngine:
             self._dispatch(
                 translated,
                 record,
-                retries=self.retries if retries is None else retries,
-                deadline_s=self.deadline_s if deadline_s is None else deadline_s,
-                on_error=self.on_error if on_error is None else on_error,
-                fault_plan=self.fault_plan if fault_plan is None else fault_plan,
+                retries=retries,
+                deadline_s=deadline_s,
+                on_error=on_error,
+                fault_plan=fault_plan,
                 delta=True,
                 dirty=dirty,
-                adaptive=self.adaptive if adaptive is None else adaptive,
             )
         self._loaded_since_last_run = []
         return record
@@ -465,9 +444,10 @@ class EXLEngine:
 
         Cubes the original run committed are *not* recomputed — the
         resumed subgraphs read them straight from the versioned store.
-        Defaults to the most recent resumable run; the engine's
-        ``fault_plan`` is deliberately **not** inherited (resume exists
-        to recover from faults), pass one explicitly to keep injecting.
+        Defaults to the most recent resumable run; the failure policy is
+        this call's — the original run's ``fault_plan`` is not inherited
+        (resume exists to recover from faults), pass one to keep
+        injecting.
 
         Returns the new run's record (``resumed_from`` links back).
         """
@@ -502,9 +482,9 @@ class EXLEngine:
             self._dispatch(
                 translated,
                 record,
-                retries=self.retries if retries is None else retries,
-                deadline_s=self.deadline_s if deadline_s is None else deadline_s,
-                on_error=self.on_error if on_error is None else on_error,
+                retries=retries,
+                deadline_s=deadline_s,
+                on_error=on_error,
                 fault_plan=fault_plan,
             )
         return record
@@ -520,17 +500,9 @@ class EXLEngine:
         fault_plan: Optional[FaultPlan] = None,
         delta: bool = False,
         dirty: Optional[Iterable[str]] = None,
-        adaptive: bool = False,
     ) -> RunRecord:
         """Dispatch + record bookkeeping shared by run/resume/update."""
-        cost_model = self.cost_model
-        if adaptive and cost_model is None:
-            # adaptive requested per-run on an engine built without a
-            # model: learn in-memory for the life of this engine
-            from .costmodel import CostModel
-
-            cost_model = self.cost_model = CostModel(metrics=self.metrics)
-        record.adaptive = bool(adaptive)
+        record.adaptive = self.adaptive
         chase_backend = self.backends.get("chase")
         count_kernels = isinstance(chase_backend, ChaseBackend)
         if count_kernels:
@@ -547,8 +519,7 @@ class EXLEngine:
         dispatcher = Dispatcher(
             self.catalog,
             self.graph,
-            self.parallel,
-            max_workers=self.jobs,
+            self.jobs,
             as_of=as_of,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -562,8 +533,8 @@ class EXLEngine:
             delta=delta,
             dirty=dirty,
             journal=self.journal,
-            cost_model=cost_model,
-            adaptive=adaptive,
+            cost_model=self.cost_model,
+            adaptive=self.adaptive,
         )
         if self.journal is not None:
             # write-ahead: the full plan is durable before any subgraph
@@ -580,9 +551,9 @@ class EXLEngine:
             self.metrics.inc("engine.runs.failed")
             self._record_baselines(record)
             self.runs.close(record)
-            if cost_model is not None:
+            if self.cost_model is not None:
                 # whatever this run managed to measure is still signal
-                cost_model.save()
+                self.cost_model.save()
             if self.journal is not None:
                 self.journal.run_end(record.run_id, record.error)
             raise
@@ -620,8 +591,8 @@ class EXLEngine:
             self.metrics.inc("engine.runs.partial")
         self._record_baselines(record)
         self.runs.close(record)
-        if cost_model is not None:
-            cost_model.save()
+        if self.cost_model is not None:
+            self.cost_model.save()
         if self.olap is not None:
             with self.tracer.span("olap-refresh", category="engine"):
                 self.olap.on_commit(record, dispatcher.committed_versions)

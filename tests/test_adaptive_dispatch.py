@@ -226,12 +226,10 @@ class TestCleanAttemptTimings:
         engine = _build_engine(
             workload,
             target_priority=("chase",),
-            retries=2,
             backoff_s=self.BACKOFF,
-            fault_plan=plan,
             **engine_kwargs,
         )
-        return engine, engine.run()
+        return engine, engine.run(retries=2, fault_plan=plan)
 
     def test_observed_excludes_backoff_and_failed_attempts(self):
         engine, record = self._run_with_transient()
@@ -304,14 +302,11 @@ class TestBackoffDeadlineAbort:
         engine = _build_engine(
             deep_chain_workload(1, depth=2),
             target_priority=("chase",),
-            retries=5,
             backoff_s=30.0,
-            deadline_s=0.2,
-            fault_plan=plan,
         )
         started = time.perf_counter()
         with pytest.raises(DeadlineExceededError):
-            engine.run()
+            engine.run(retries=5, deadline_s=0.2, fault_plan=plan)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, "dispatcher slept into the deadline"
         assert (
@@ -412,16 +407,13 @@ class TestAdaptiveEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_adaptive_matches_static(self, seed, chase_jobs, chase_shards):
         faulty = seed % 5 == 0
-        kwargs = dict(
-            parallel=chase_jobs > 1,
-            jobs=chase_jobs,
-            shards=chase_shards,
-        )
+        kwargs = dict(jobs=chase_jobs, shards=chase_shards)
+        policy = {}
         if faulty:
-            kwargs.update(
+            kwargs.update(backoff_s=0.001)
+            policy = dict(
                 retries=3,
                 on_error="degrade",
-                backoff_s=0.001,
                 fault_plan=parse_fault_spec(
                     "*:transient:p=0.3:n=2", seed=seed
                 ),
@@ -435,8 +427,8 @@ class TestAdaptiveEquivalence:
             workload, adaptive=True, cost_model=cm, **kwargs
         )
 
-        first_static = static.run()
-        first_adaptive = adaptive.run()
+        first_static = static.run(**policy)
+        first_adaptive = adaptive.run(**policy)
         assert first_static.complete and first_adaptive.complete
         assert _store_state(static) == _store_state(adaptive), (
             f"seed {seed}: cold-start adaptive run diverged"
@@ -453,11 +445,11 @@ class TestAdaptiveEquivalence:
                 for cube in storm.values():
                     engine.load(cube)
             if index == len(storms) - 1:
-                static_rec = static.update()
-                adaptive_rec = adaptive.update()
+                static_rec = static.update(**policy)
+                adaptive_rec = adaptive.update(**policy)
             else:
-                static_rec = static.run()
-                adaptive_rec = adaptive.run()
+                static_rec = static.run(**policy)
+                adaptive_rec = adaptive.run(**policy)
             assert static_rec.complete and adaptive_rec.complete
             assert _store_state(static) == _store_state(adaptive), (
                 f"seed {seed}: storm {index} diverged "

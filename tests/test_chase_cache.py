@@ -225,7 +225,7 @@ class TestEngineIntegration:
         return engine, schema, domains
 
     def test_incremental_rerun_hits_the_chase_cache(self):
-        engine, schema, domains = self._engine(parallel=True, jobs=2)
+        engine, schema, domains = self._engine(jobs=2)
         engine.run()
         assert engine.chase_cache is not None
         assert engine.chase_cache.misses > 0
@@ -235,7 +235,7 @@ class TestEngineIntegration:
         assert engine.data("C").approx_equals(engine.data("C"))
 
     def test_changed_data_recomputes_through_engine(self):
-        engine, schema, domains = self._engine(parallel=True, jobs=2)
+        engine, schema, domains = self._engine(jobs=2)
         engine.run()
         revised = random_cube(schema, domains, seed=12)
         engine.load(revised)
@@ -244,7 +244,7 @@ class TestEngineIntegration:
         assert set(engine.data("A").to_rows()) == expected
 
     def test_cache_can_be_disabled(self):
-        engine, _, _ = self._engine(parallel=False, chase_cache=False)
+        engine, _, _ = self._engine(chase_cache=False)
         assert engine.chase_cache is None
         engine.run()
         assert set(engine.data("A").to_rows())

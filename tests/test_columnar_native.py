@@ -70,10 +70,8 @@ def _tuple_view(forced):
         instance_mod.FORCE_TUPLE_VIEW = previous
 
 
-def _build_engine(workload, *, parallel=False, jobs=1, chase_cache=True,
-                  vectorize=True):
+def _build_engine(workload, *, jobs=1, chase_cache=True, vectorize=True):
     engine = EXLEngine(
-        parallel=parallel,
         jobs=jobs,
         chase_cache=chase_cache,
         vectorize=vectorize,
@@ -186,7 +184,7 @@ class TestEngineEquivalence:
         )
         baseline = _truncate(workload.data, seed)
         revised = _perturb(workload.data, seed)
-        parallel = seed % 3 == 0 and chase_jobs > 1
+        jobs = chase_jobs if seed % 3 == 0 else 1
         chase_cache = seed % 2 == 0
         vectorize = seed % 5 != 0
         engines = {}
@@ -195,8 +193,7 @@ class TestEngineEquivalence:
             with _tuple_view(forced):
                 engine = _build_engine(
                     workload,
-                    parallel=parallel,
-                    jobs=chase_jobs,
+                    jobs=jobs,
                     chase_cache=chase_cache,
                     vectorize=vectorize,
                 )

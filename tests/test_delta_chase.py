@@ -26,10 +26,9 @@ from repro.workloads import gdp_example, random_workload
 SEEDS = range(50)
 
 
-def _build_engine(workload, *, parallel=False, jobs=1, chase_cache=True,
+def _build_engine(workload, *, jobs=1, chase_cache=True,
                   preferred_targets=None):
     engine = EXLEngine(
-        parallel=parallel,
         jobs=jobs,
         chase_cache=chase_cache,
         target_priority=("chase",),
@@ -107,14 +106,13 @@ class TestUpdateEquivalence:
         baseline_data = _truncate(workload.data, seed)
         revised_data = _perturb(workload.data, seed)
         chase_cache = seed % 2 == 0  # compose the cache axis over the sweep
-        parallel = chase_jobs > 1
 
         updated = _build_engine(
-            workload, parallel=parallel, jobs=chase_jobs,
+            workload, jobs=chase_jobs,
             chase_cache=chase_cache,
         )
         fresh = _build_engine(
-            workload, parallel=parallel, jobs=chase_jobs,
+            workload, jobs=chase_jobs,
             chase_cache=chase_cache,
         )
         for cube in baseline_data.values():

@@ -22,8 +22,8 @@ FAULT_SPEC = "*:transient:p=0.5:n=2;sql:permanent:p=0.15"
 SEEDS = range(20)
 
 
-def _engine_for(workload, parallel, jobs):
-    engine = EXLEngine(parallel=parallel, jobs=jobs, backoff_s=0.001)
+def _engine_for(workload, jobs):
+    engine = EXLEngine(jobs=jobs, backoff_s=0.001)
     for schema in workload.schema:
         engine.declare_elementary(schema)
     derived = [
@@ -62,13 +62,13 @@ def test_jobs1_and_jobs4_commit_identical_state(seed):
     plan_spec = FAULT_SPEC
     workload = random_workload(seed=seed, n_statements=6)
 
-    sequential = _engine_for(workload, parallel=False, jobs=1)
+    sequential = _engine_for(workload, jobs=1)
     seq_record = sequential.run(
         retries=3,
         on_error="continue",
         fault_plan=parse_fault_spec(plan_spec, seed=seed),
     )
-    parallel = _engine_for(workload, parallel=True, jobs=4)
+    parallel = _engine_for(workload, jobs=4)
     par_record = parallel.run(
         retries=3,
         on_error="continue",
@@ -90,7 +90,7 @@ def test_some_seed_actually_exercises_faults():
     fired = failed = 0
     for seed in SEEDS:
         workload = random_workload(seed=seed, n_statements=6)
-        engine = _engine_for(workload, parallel=False, jobs=1)
+        engine = _engine_for(workload, jobs=1)
         plan = parse_fault_spec(FAULT_SPEC, seed=seed)
         record = engine.run(retries=3, on_error="continue", fault_plan=plan)
         fired += plan.total_injected

@@ -182,8 +182,8 @@ class TestDispatcherWaves:
         assert flat.index("D") > flat.index("B")
 
 
-def _build_engine(parallel=False):
-    engine = EXLEngine(parallel=parallel)
+def _build_engine(jobs=1):
+    engine = EXLEngine(jobs=jobs)
     engine.declare_elementary(_series("E1"))
     engine.declare_elementary(_series("E2"))
     engine.add_program("A := E1 + E2\nB := A * 2\nC := stl_t(E2)\nD := B + C")
@@ -295,8 +295,8 @@ class TestEXLEngineFacade:
         assert any("INSERT INTO" in s for s in scripts.values())
 
     def test_parallel_run_matches_sequential(self):
-        sequential = _build_engine(parallel=False)
-        parallel = _build_engine(parallel=True)
+        sequential = _build_engine()
+        parallel = _build_engine(jobs=4)
         # force a split so at least one wave has two subgraphs
         for engine in (sequential, parallel):
             engine.catalog.entry("C").preferred_target = "r"

@@ -42,10 +42,10 @@ def _series(name):
     return CubeSchema(name, [Dimension("q", TIME(Frequency.QUARTER))], "v")
 
 
-def _diamond_engine(parallel=False, jobs=4, **kwargs):
+def _diamond_engine(jobs=1, **kwargs):
     """E1,E2 -> A(sql) -> B(sql); C(r); D(sql) <- B,C: three subgraphs,
     the first wave holding the independent [sql A,B] and [r C]."""
-    engine = EXLEngine(parallel=parallel, jobs=jobs, backoff_s=BACKOFF, **kwargs)
+    engine = EXLEngine(jobs=jobs, backoff_s=BACKOFF, **kwargs)
     engine.declare_elementary(_series("E1"))
     engine.declare_elementary(_series("E2"))
     engine.add_program(
@@ -63,10 +63,10 @@ def _diamond_engine(parallel=False, jobs=4, **kwargs):
     return engine
 
 
-def _wide_engine(width=12, parallel=True, jobs=8, **kwargs):
+def _wide_engine(width=12, jobs=8, **kwargs):
     """One wave of ``width`` single-cube subgraphs (alternating targets
     force the partitioner to split) — the thread-safety hammer."""
-    engine = EXLEngine(parallel=parallel, jobs=jobs, backoff_s=BACKOFF, **kwargs)
+    engine = EXLEngine(jobs=jobs, backoff_s=BACKOFF, **kwargs)
     engine.declare_elementary(_series("E1"))
     lines = [f"W{i} := E1 * {i + 1}" for i in range(width)]
     targets = {f"W{i}": ("sql" if i % 2 else "r") for i in range(width)}
@@ -238,13 +238,22 @@ class TestRetries:
         assert failed[0].attempts == 1
         assert engine.metrics.value("dispatch.retries") == 0
 
+    @pytest.mark.parametrize(
+        "policy",
+        [{"retries": -1}, {"backoff_s": -1}, {"deadline_s": 0}, {"deadline_s": -1}],
+    )
+    def test_policy_out_of_range_rejected(self, policy):
+        from repro.engine.dispatcher import Dispatcher
+
+        engine = _diamond_engine()
+        with pytest.raises(EngineError, match=next(iter(policy))):
+            Dispatcher(engine.catalog, engine.graph, **policy)
+
     def test_backoff_is_deterministic_and_bounded(self):
         from repro.engine.dispatcher import Dispatcher
 
         engine = _diamond_engine()
-        dispatcher = Dispatcher(
-            engine.catalog, engine.graph, backoff_s=0.1, backoff_factor=2.0
-        )
+        dispatcher = Dispatcher(engine.catalog, engine.graph, backoff_s=0.1)
         first = dispatcher._backoff_delay(("A",), 1, None)
         assert first == dispatcher._backoff_delay(("A",), 1, None)
         assert 0.05 <= first < 0.15
@@ -293,6 +302,45 @@ class TestDeadline:
         with pytest.raises(DeadlineExceededError):
             backends["sql"].run_mapping(mapping, gdp_workload.data, check=check)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("runner", ["statement-order", "waves", "backend"])
+    def test_deadline_checked_before_each_chase_wave(
+        self, runner, k, gdp_workload
+    ):
+        from repro.backends.chasebackend import ChaseBackend
+        from repro.chase import StratifiedChase, instance_from_cubes
+        from repro.exl import Program
+        from repro.mappings import generate_mapping
+        from repro.obs import Tracer
+
+        program = Program.compile(gdp_workload.source, gdp_workload.schema)
+        mapping = generate_mapping(program)
+        assert len(mapping.target_tgds) >= k
+        tracer = Tracer()
+        calls = []
+
+        def check():
+            calls.append(1)
+            if len(calls) == k:
+                raise DeadlineExceededError("stop now")
+
+        with pytest.raises(DeadlineExceededError, match="stop now"):
+            if runner == "backend":
+                ChaseBackend(tracer=tracer).run_mapping(
+                    mapping, gdp_workload.data, check=check
+                )
+            else:
+                chase = StratifiedChase(
+                    mapping,
+                    jobs=2 if runner == "waves" else None,
+                    tracer=tracer,
+                )
+                chase.run(instance_from_cubes(gdp_workload.data), check=check)
+        # the copy wave is the first; the k-th check stops the k-th wave
+        waves = [span for span in tracer.spans if span.category == "wave"]
+        assert len(waves) == k - 1
+        assert len(calls) == k
 
 
 class TestDegradation:
@@ -417,10 +465,13 @@ class TestPartialFailure:
         assert not engine.catalog.has_data("B")
 
     def test_invalid_on_error_rejected(self):
+        from repro.engine.dispatcher import Dispatcher
+
+        engine = _diamond_engine()
         with pytest.raises(EngineError, match="on_error"):
-            _diamond_engine().run(on_error="explode")
+            engine.run(on_error="explode")
         with pytest.raises(EngineError, match="on_error"):
-            EXLEngine(on_error="explode")
+            Dispatcher(engine.catalog, engine.graph, on_error="explode")
 
 
 class TestResume:
@@ -454,8 +505,8 @@ class TestResume:
 
     def test_resume_does_not_inherit_fault_plan(self):
         plan = FaultPlan([FaultRule(kind="permanent", target="r")], seed=0)
-        engine = _diamond_engine(on_error="continue", fault_plan=plan)
-        engine.run()
+        engine = _diamond_engine()
+        engine.run(on_error="continue", fault_plan=plan)
         resumed = engine.resume()  # no faults: the plan is not inherited
         assert resumed.complete
 
@@ -519,7 +570,7 @@ class TestThreadSafety:
         by the dispatcher lock; a wide parallel wave must commit every
         cube exactly once with distinct versions."""
         for round_index in range(5):
-            engine = _wide_engine(width=12, parallel=True, jobs=8)
+            engine = _wide_engine(width=12, jobs=8)
             record = engine.run()
             assert record.complete
             assert record.max_wave_width == 12
@@ -538,10 +589,10 @@ class TestThreadSafety:
         plan = FaultPlan(
             [FaultRule(kind="transient", probability=0.7, first_n=2)], seed=11
         )
-        engine = _wide_engine(width=12, parallel=True, jobs=8)
+        engine = _wide_engine(width=12, jobs=8)
         record = engine.run(retries=3, fault_plan=plan)
         assert record.complete
-        baseline = _wide_engine(width=12, parallel=False)
+        baseline = _wide_engine(width=12, jobs=1)
         baseline.run()
         for i in range(12):
             assert engine.data(f"W{i}").approx_equals(baseline.data(f"W{i}"))
@@ -551,7 +602,7 @@ class TestThreadSafety:
         names stay within one pool's namespace across a 3-wave run."""
         from repro.engine.dispatcher import Dispatcher
 
-        engine = _diamond_engine(parallel=True)
+        engine = _diamond_engine(jobs=4)
         names = set()
         original = Dispatcher._run_subgraph
 
@@ -578,12 +629,12 @@ class TestAcceptance:
     to a fault-free run."""
 
     def test_thirty_percent_transient_faults_fully_recovered(self):
-        baseline = _diamond_engine(parallel=True, jobs=4)
+        baseline = _diamond_engine(jobs=4)
         baseline.run()
         plan = FaultPlan(
             [FaultRule(kind="transient", probability=0.3, first_n=3)], seed=7
         )
-        engine = _diamond_engine(parallel=True, jobs=4)
+        engine = _diamond_engine(jobs=4)
         record = engine.run(retries=3, on_error="continue", fault_plan=plan)
         assert record.complete and record.error is None
         assert plan.injected["transient"] > 0  # faults actually fired
@@ -593,12 +644,12 @@ class TestAcceptance:
             assert recovered.to_rows() == fault_free.to_rows()  # tuple-for-tuple
 
     def test_wide_workload_thirty_percent(self):
-        baseline = _wide_engine(width=10, parallel=False)
+        baseline = _wide_engine(width=10, jobs=1)
         baseline.run()
         plan = FaultPlan(
             [FaultRule(kind="transient", probability=0.3, first_n=3)], seed=3
         )
-        engine = _wide_engine(width=10, parallel=True, jobs=4)
+        engine = _wide_engine(width=10, jobs=4)
         record = engine.run(retries=3, on_error="continue", fault_plan=plan)
         assert record.complete
         for i in range(10):

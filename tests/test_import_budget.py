@@ -246,7 +246,7 @@ class TestRunBudget:
     ):
         # the delta chase replays a snapshot no one-shot call can hold,
         # the cost model serves --adaptive, the wave scheduler (and the
-        # chase cache beside it) --parallel and in-process engines
+        # chase cache beside it) --jobs N > 1 and in-process engines
         project = write_project(tmp_path, target)
         out = str(tmp_path / "out")
         for command in ("run", "update"):
@@ -261,7 +261,7 @@ class TestRunBudget:
             (tmp_path / "s.csv").write_text("q,v\n2020Q1,1.0\n2020Q2,2.5\n")
         if target == "chase":
             assert "repro.chase.scheduler" in loaded_by(
-                ["run", project, "--out", out, "--parallel"]
+                ["run", project, "--out", out, "--jobs", "2"]
             )
         assert "repro.engine.costmodel" in loaded_by(
             ["run", project, "--out", out, "--adaptive"]

@@ -353,7 +353,7 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("command", ["run", "update", "resume"])
     @pytest.mark.parametrize(
-        "flags", [["--shards", "-1"], ["--parallel", "--jobs", "0"]]
+        "flags", [["--shards", "-1"], ["--jobs", "0"]]
     )
     def test_worker_counts_out_of_range_are_usage_errors(
         self, command, flags, project_dir, capsys
@@ -364,6 +364,40 @@ class TestCliInputErrors:
             main(argv)
         assert exit_info.value.code == 2
         assert f"argument {flags[-2]}: must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "update", "resume"])
+    @pytest.mark.parametrize(
+        "flags, bound",
+        [
+            (["--retries", "-1"], "at least 0"),
+            (["--backoff", "-1"], "at least 0"),
+            (["--deadline", "0"], "greater than 0"),
+            (["--deadline", "-1"], "greater than 0"),
+        ],
+    )
+    def test_failure_policy_out_of_range_is_a_usage_error(
+        self, command, flags, bound, project_dir, capsys
+    ):
+        # --backoff -1 once died in time.sleep after journal/ existed,
+        # --retries -3 was read as 0 and --deadline 0 failed every subgraph
+        out = project_dir / "results"
+        argv = [
+            command, str(project_dir / "project.json"), "--out", str(out),
+            "--retries", "2", "--inject-faults", "*:transient:n=1", *flags,
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flags[0]}: must be {bound}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--parallel", "--no-vectorize"])
+    def test_removed_flags_are_usage_errors(self, flag, project_dir, capsys):
+        # --jobs N alone decides threads; the kernel oracle is pytest's
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(project_dir / "project.json"), flag])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_one_shot_commands_build_no_chase_cache(self, project_dir, capsys):
         # each tgd is applied once per process: nothing to hit, no knob
@@ -389,6 +423,39 @@ class TestCliInputErrors:
             (project_dir / "project.json").write_text(json.dumps(spec))
             project = load_project(str(project_dir / "project.json"))
             assert project.program_source == source
+
+
+class TestCliJobs:
+    def test_jobs_two_writes_what_jobs_one_writes(self, project_dir):
+        # three independent chase strata, then one that reads them all
+        (project_dir / "program.exl").write_text(
+            "A := S * 2\nB := S + 1\nC := cumsum(S)\nD := A + B + C\n"
+        )
+        spec = json.loads((project_dir / "project.json").read_text())
+        spec["preferred_targets"] = {name: "chase" for name in "ABCD"}
+        spec["outputs"] = list("ABCD")
+        (project_dir / "project.json").write_text(json.dumps(spec))
+        outputs, schedulers = {}, {}
+        for jobs in ("1", "2"):
+            out = project_dir / f"jobs{jobs}"
+            trace = project_dir / f"trace{jobs}.json"
+            argv = [
+                "run", str(project_dir / "project.json"), "--out", str(out),
+                "--jobs", jobs, "--trace", str(trace),
+            ]
+            assert main(argv) == 0
+            outputs[jobs] = {
+                path.name: path.read_bytes() for path in out.glob("*.csv")
+            }
+            events = json.loads(trace.read_text())["traceEvents"]
+            schedulers[jobs] = [
+                event["args"].get("scheduler")
+                for event in events
+                if event["name"] == "chase"
+            ]
+        assert sorted(outputs["1"]) == ["A.csv", "B.csv", "C.csv", "D.csv"]
+        assert outputs["2"] == outputs["1"]
+        assert schedulers == {"1": [None], "2": ["parallel"]}
 
 
 class TestCliUpdate:

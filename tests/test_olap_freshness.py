@@ -95,8 +95,9 @@ def _assert_fresh(engine, service):
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_lattice_survives_revision_storms(seed, chase_jobs, chase_shards):
     rng = random.Random(88_000 + seed)
+    # --jobs 1 is statement order here; the one-thread wave schedule
+    # stays covered by test_parallel_chase.py::TestPolicyMatrix
     engine = EXLEngine(
-        parallel=True,
         jobs=chase_jobs,
         shards=chase_shards,
         target_priority=("chase",),

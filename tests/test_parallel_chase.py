@@ -95,7 +95,9 @@ class TestPolicyMatrix:
         )
         source = instance_from_cubes(workload.data)
         reference = StratifiedChase(mapping, vectorized=False).run(source)
-        result = StratifiedChase(mapping, jobs=jobs, shards=shards).run(source)
+        result = StratifiedChase(
+            mapping, jobs=jobs, shards=shards, vectorized=True
+        ).run(source)
         aggregates = [
             tgd.target_relation for tgd in mapping.target_tgds
             if tgd.kind is TgdKind.AGGREGATION
