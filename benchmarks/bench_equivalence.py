@@ -12,7 +12,7 @@ import pytest
 
 from repro.chase import StratifiedChase, instance_from_cubes, is_solution
 
-EXECUTORS = ("chase", "sql", "r", "rscript", "matlab", "mscript", "etl")
+EXECUTORS = ("chase", "sql", "r", "matlab", "etl")
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def test_equivalence_scales_with_data(gdp_large, backends):
     """The agreement is not an artifact of small inputs."""
     workload, _program, mapping = gdp_large
     reference = backends["chase"].run_mapping(mapping, workload.data)
-    for executor in ("sql", "r", "rscript", "matlab", "mscript", "etl"):
+    for executor in ("sql", "r", "matlab", "etl"):
         result = backends[executor].run_mapping(mapping, workload.data)
         for name, expected in reference.items():
             assert expected.approx_equals(result[name], rel_tol=1e-8)

@@ -1,8 +1,9 @@
 """Backends: executable translations of schema mappings (Section 5).
 
 One :class:`Backend` per target system — SQL (mini relational engine),
-R (frame engine), Matlab (matrix engine), ETL (flow engine) — plus the
-chase reference executor.  :func:`all_backends` returns one instance of
+R (its script interpreted on the frame engine), Matlab (its script
+interpreted on the matrix engine), ETL (flow engine) — plus the chase
+reference executor.  :func:`all_backends` returns one instance of
 each, keyed by technical-metadata name; :class:`LazyBackends` is the
 same mapping with each target imported and constructed when it is first
 looked up, so a run loads only the engines its partition selected.
@@ -22,18 +23,13 @@ _EXPORTS = {
     "CompiledTgd": "base",
     "SqlBackend": "sql",
     "RBackend": "rlang",
-    "RScriptBackend": "rlang",
     "MatlabBackend": "matlab",
-    "MScriptBackend": "matlab",
     "EtlBackend": "etlbackend",
     "ChaseBackend": "chasebackend",
     "flow_metadata_for_tgd": "etlbackend",
     "compile_tgd_to_ir": "ircompile",
     "render_r": "rlang",
     "render_matlab": "matlab",
-    "FrameIrExecutor": "irexec",
-    "MatrixIrExecutor": "irexec",
-    "eval_colexpr": "irexec",
     "IrProgram": "ir",
     "LoadOp": "ir",
     "MergeOp": "ir",
@@ -58,9 +54,7 @@ __all__ = [*_lazy_names, "all_backends"]
 _BACKEND_CLASSES = {
     "sql": "SqlBackend",
     "r": "RBackend",
-    "rscript": "RScriptBackend",
     "matlab": "MatlabBackend",
-    "mscript": "MScriptBackend",
     "etl": "EtlBackend",
     "chase": "ChaseBackend",
 }

@@ -73,26 +73,43 @@ def _outer_combine(
     left = mapping.target[left_atom.relation]
     right = mapping.target[right_atom.relation]
     by = tuple(d.name for d in left.dimensions)
+    t1, t2, t3 = _frames(tgd, "t1", "t2", "t3")
     ops = [
-        LoadOp(left_atom.relation, "t1"),
-        LoadOp(right_atom.relation, "t2"),
+        LoadOp(left_atom.relation, t1),
+        LoadOp(right_atom.relation, t2),
         OuterCombineOp(
-            "t1",
-            "t2",
+            t1,
+            t2,
             by,
             left.measure,
             right.measure,
             tgd.outer_op,
             tgd.outer_default,
             target_schema.measure,
-            "t3",
+            t3,
         ),
-        StoreOp("t3", tgd.target_relation, by + (target_schema.measure,)),
+        StoreOp(t3, tgd.target_relation, by + (target_schema.measure,)),
     ]
     return IrProgram(tgd.label, ops)
 
 
 # -- helpers -----------------------------------------------------------------
+
+
+def _frames(tgd: Tgd, *names: str) -> List[str]:
+    """The tgd's frame variables, each renamed off its operands' names.
+
+    The R and Matlab scripts bind frames in the namespace that holds
+    the cubes: for ``C := A + t1`` a frame ``t1`` would be assigned
+    (``t1 <- A``) before cube ``t1`` is read.
+    """
+    operands = {atom.relation for atom in tgd.lhs}
+    out = []
+    for name in names:
+        while name in operands:
+            name += "_"
+        out.append(name)
+    return out
 
 
 def _var_columns(atom: Atom, schema: CubeSchema) -> Dict[str, str]:
@@ -151,9 +168,10 @@ def _project_and_store(
 def _copy(tgd: Tgd, mapping: SchemaMapping) -> IrProgram:
     source = tgd.lhs[0].relation
     source_schema = mapping.target[source]
+    (t1,) = _frames(tgd, "t1")
     ops = [
-        LoadOp(source, "t1"),
-        StoreOp("t1", tgd.target_relation, tuple(source_schema.columns)),
+        LoadOp(source, t1),
+        StoreOp(t1, tgd.target_relation, tuple(source_schema.columns)),
     ]
     return IrProgram(tgd.label, ops)
 
@@ -164,8 +182,9 @@ def _single_atom(
     atom = tgd.lhs[0]
     schema = mapping.target[atom.relation]
     varmap = _var_columns(atom, schema)
-    ops: List = [LoadOp(atom.relation, "t1")]
-    _project_and_store(ops, "t1", tgd, varmap, target_schema)
+    (t1,) = _frames(tgd, "t1")
+    ops: List = [LoadOp(atom.relation, t1)]
+    _project_and_store(ops, t1, tgd, varmap, target_schema)
     return IrProgram(tgd.label, ops)
 
 
@@ -190,9 +209,10 @@ def _vectorial(
                 f"tgd {tgd.label}: join keys must share column names "
                 f"({left_map[v]} vs {right_map[v]})"
             )
+    t1, t2, t1r, t2r, t3 = _frames(tgd, "t1", "t2", "t1r", "t2r", "t3")
     ops: List = [
-        LoadOp(left_atom.relation, "t1"),
-        LoadOp(right_atom.relation, "t2"),
+        LoadOp(left_atom.relation, t1),
+        LoadOp(right_atom.relation, t2),
     ]
     # rename colliding non-key columns before the merge, so every engine
     # (frames, matrices, ETL streams) sees collision-free field names
@@ -202,18 +222,18 @@ def _vectorial(
     collide = sorted(left_nonkey & right_nonkey)
     left_renames = {c: f"{c}__l" for c in collide}
     right_renames = {c: f"{c}__r" for c in collide}
-    left_frame, right_frame = "t1", "t2"
+    left_frame, right_frame = t1, t2
     if collide:
-        ops.append(RenameOp("t1", tuple(left_renames.items()), "t1r"))
-        ops.append(RenameOp("t2", tuple(right_renames.items()), "t2r"))
-        left_frame, right_frame = "t1r", "t2r"
-    ops.append(MergeOp(left_frame, right_frame, by, "t3"))
+        ops.append(RenameOp(t1, tuple(left_renames.items()), t1r))
+        ops.append(RenameOp(t2, tuple(right_renames.items()), t2r))
+        left_frame, right_frame = t1r, t2r
+    ops.append(MergeOp(left_frame, right_frame, by, t3))
     varmap: Dict[str, str] = {}
     for v, column in left_map.items():
         varmap[v] = left_renames.get(column, column)
     for v, column in right_map.items():
         varmap.setdefault(v, right_renames.get(column, column))
-    _project_and_store(ops, "t3", tgd, varmap, target_schema)
+    _project_and_store(ops, t3, tgd, varmap, target_schema)
     return IrProgram(tgd.label, ops)
 
 
@@ -244,18 +264,19 @@ def _aggregation(
             raise BackendError(
                 f"tgd {tgd.label}: unsupported group term {term}"
             )
+    t1, t2 = _frames(tgd, "t1", "t2")
     ops = [
-        LoadOp(atom.relation, "t1"),
+        LoadOp(atom.relation, t1),
         GroupAggOp(
-            "t1",
+            t1,
             keys,
             varmap[agg_term.operand.name],
             agg_term.func,
             target_schema.measure,
-            "t2",
+            t2,
         ),
         StoreOp(
-            "t2",
+            t2,
             tgd.target_relation,
             tuple(k[1] for k in keys) + (target_schema.measure,),
         ),
@@ -269,17 +290,18 @@ def _table_function(
     operand = tgd.lhs[0].relation
     schema = mapping.target[operand]
     time_column = schema.dimensions[0].name
+    t1, t2 = _frames(tgd, "t1", "t2")
     ops = [
-        LoadOp(operand, "t1"),
+        LoadOp(operand, t1),
         TableFuncOp(
-            "t1",
+            t1,
             tgd.table_function,
             time_column,
             schema.measure,
             target_schema.measure,
             tgd.tf_params,
-            "t2",
+            t2,
         ),
-        StoreOp("t2", tgd.target_relation, (time_column, target_schema.measure)),
+        StoreOp(t2, tgd.target_relation, (time_column, target_schema.measure)),
     ]
     return IrProgram(tgd.label, ops)

@@ -2,14 +2,15 @@
 
 Renders each tgd's IR as a Matlab script over positional matrices —
 ``join``, element-wise ``.*`` arithmetic and horizontal composition,
-as in the paper's listing — and executes the IR on the numpy matrix
-engine.  The renderer tracks column layouts exactly like the executor
-so emitted positions are correct.
+as in the paper's listing — and runs a tgd by interpreting that text
+(``repro.mscript``) on the numpy matrix engine.  The renderer tracks
+each variable's column layout so emitted positions are correct.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import re
+from typing import Any, Dict, List
 
 from ..errors import BackendError
 from ..mappings.dependencies import Tgd
@@ -35,9 +36,8 @@ from .ir import (
     TableFuncOp,
 )
 from .ircompile import compile_tgd_to_ir
-from .irexec import MatrixIrExecutor
 
-__all__ = ["MatlabBackend", "MScriptBackend"]
+__all__ = ["MatlabBackend"]
 
 _M_AGG = {
     "avg": "mean",
@@ -60,71 +60,38 @@ _M_TF = {
 
 
 class MatlabBackend(Backend):
-    """Generates Matlab scripts; executes their IR on the matrix engine."""
+    """Generates Matlab scripts and interprets them on the matrix engine."""
 
     name = "matlab"
 
-    def new_store(self, mapping: SchemaMapping) -> Dict[str, Tuple[Matrix, List[str]]]:
+    def new_store(self, mapping: SchemaMapping) -> Dict[str, Matrix]:
         return {}
 
-    def load_cube(self, store, cube: Cube) -> None:
-        store[cube.schema.name] = (
-            Matrix.from_rows(cube.to_rows())
-            if len(cube)
-            else Matrix([]),
-            list(cube.schema.columns),
-        )
+    def load_cube(self, store: Dict[str, Matrix], cube: Cube) -> None:
+        store[cube.schema.name] = Matrix.from_rows(cube.to_rows())
 
-    def extract_cube(self, store, schema: CubeSchema) -> Cube:
+    def extract_cube(self, store: Dict[str, Matrix], schema: CubeSchema) -> Cube:
         if schema.name not in store:
             raise BackendError(f"matrix store has no table {schema.name!r}")
-        matrix, _names = store[schema.name]
-        return Cube.from_rows(schema, matrix.rows())
+        return Cube.from_rows(schema, store[schema.name].rows())
 
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
-        ir = compile_tgd_to_ir(tgd, mapping)
-        text = render_matlab(ir, mapping)
-        executor = MatrixIrExecutor(mapping.registry, mapping.target)
-
-        def runner(store, _ir=ir, _executor=executor):
-            _executor.run(_ir, store)
-
-        return CompiledTgd(tgd.label, text, runner)
-
-
-class MScriptBackend(MatlabBackend):
-    """Executes the *rendered Matlab text* through the Matlab-subset
-    interpreter — the positional twin of the ``rscript`` backend."""
-
-    name = "mscript"
-
-    def supports(self, tgd: Tgd, mapping: SchemaMapping) -> bool:
-        from ..mappings.dependencies import TgdKind
-
-        if tgd.kind is TgdKind.TABLE_FUNCTION:
-            return "matlab" in mapping.registry.get(tgd.table_function).targets
-        return True
-
-    def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
-        from ..mscript import MInterpreter
-
-        ir = compile_tgd_to_ir(tgd, mapping)
-        text = render_matlab(ir, mapping)
+        text = render_matlab(compile_tgd_to_ir(tgd, mapping), mapping)
         target = tgd.target_relation
-        target_columns = list(mapping.target[target].columns)
+        operands = {atom.relation for atom in tgd.lhs}
 
         def runner(store, _text=text, _registry=mapping.registry, _target=target):
+            # imported here: ``exl show`` / ``exl compile`` render text only
+            from ..mscript import MInterpreter
+
             interpreter = MInterpreter(_registry)
-            interpreter.env.update(
-                {name: matrix for name, (matrix, _names) in store.items()}
-            )
-            result = interpreter.run_source(_text)
-            matrix = result.get(_target)
+            interpreter.env.update({name: store[name] for name in operands})
+            matrix = interpreter.run_source(_text).get(_target)
             if not isinstance(matrix, Matrix):
                 raise BackendError(
                     f"Matlab script for {_target} did not produce a matrix"
                 )
-            store[_target] = (matrix, target_columns)
+            store[_target] = matrix
 
         return CompiledTgd(tgd.label, text, runner)
 
@@ -135,11 +102,22 @@ def render_matlab(ir: IrProgram, mapping: SchemaMapping) -> str:
     lines: List[str] = []
     for op in ir:
         lines.extend(renderer.render(op))
+    # a Matlab variable hides the function of its name: a cube the
+    # script goes on to call (``join``) is cleared after the loads,
+    # which come first, one line each
+    tables = [op.table for op in ir if isinstance(op, LoadOp)]
+    called = [
+        table
+        for table in dict.fromkeys(tables)
+        if re.search(rf"(?<![\w.]){table}\(", "\n".join(lines))
+    ]
+    if called:
+        lines.insert(len(tables), f"clear {' '.join(called)};")
     return "\n".join(lines)
 
 
 class _MatlabRenderer:
-    """Tracks column layouts per variable, mirroring MatrixIrExecutor."""
+    """Tracks the column layout of each script variable."""
 
     def __init__(self, mapping: SchemaMapping):
         self.mapping = mapping

@@ -1,9 +1,10 @@
 """The R backend (Section 5.2).
 
-Each tgd is compiled to the dataframe IR, rendered as an R script
+Each tgd is compiled to the dataframe IR and rendered as an R script
 (``merge`` + column arithmetic on data frames, ``stl`` for seasonal
-decomposition — the exact idioms of the paper's listings), and
-executed on the from-scratch frame engine.
+decomposition — the exact idioms of the paper's listings); running a
+tgd interprets that text (``repro.rscript``) on the from-scratch frame
+engine, so ``exl compile --target r`` prints what ``exl run`` executes.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .ir import (
     TableFuncOp,
 )
 from .ircompile import compile_tgd_to_ir
-from .irexec import FrameIrExecutor
 
-__all__ = ["RBackend", "RScriptBackend"]
+__all__ = ["RBackend"]
 
-# R spellings of EXL aggregation functions
+# R spellings of EXL aggregation functions; R's var / sd divide by n - 1,
+# so EXL's population statistics (and the aggregates base R lacks) come
+# from the exl runtime library for R, like exl.<table function>
 _R_AGG = {
     "avg": "mean",
     "mean": "mean",
@@ -47,11 +49,11 @@ _R_AGG = {
     "max": "max",
     "count": "length",
     "median": "median",
-    "stddev": "sd",
-    "var": "var",
+    "stddev": "exl.stddev",
+    "var": "exl.var",
     "product": "prod",
-    "range": "function(v) max(v) - min(v)",
-    "geomean": "function(v) exp(mean(log(v)))",
+    "range": "exl.range",
+    "geomean": "exl.geomean",
 }
 
 # R spellings of EXL scalar functions; anything missing is assumed to be
@@ -70,7 +72,7 @@ _R_SCALAR = {
 
 
 class RBackend(Backend):
-    """Generates R scripts; executes their IR on the frame engine."""
+    """Generates R scripts and interprets them on the frame engine."""
 
     name = "r"
 
@@ -88,48 +90,17 @@ class RBackend(Backend):
         return Cube.from_rows(schema, store[schema.name].rows())
 
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
-        ir = compile_tgd_to_ir(tgd, mapping)
-        text = render_r(ir, mapping)
-        executor = FrameIrExecutor(mapping.registry, mapping.target)
-
-        def runner(store, _ir=ir, _executor=executor):
-            _executor.run(_ir, store)
-
-        return CompiledTgd(tgd.label, text, runner)
-
-
-class RScriptBackend(RBackend):
-    """Executes the *rendered R text* through the R-subset interpreter.
-
-    Where :class:`RBackend` runs each tgd's IR on the frame engine,
-    this backend parses and interprets the generated R script itself
-    (``repro.rscript``), demonstrating end-to-end that the emitted code
-    is executable — the strongest form of the Section 5 claim.
-    """
-
-    name = "rscript"
-
-    def supports(self, tgd: Tgd, mapping: SchemaMapping) -> bool:
-        # technical metadata is expressed for the "r" target
-        from ..mappings.dependencies import TgdKind
-
-        if tgd.kind is TgdKind.TABLE_FUNCTION:
-            return "r" in mapping.registry.get(tgd.table_function).targets
-        return True
-
-    def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
-        from ..rscript import RInterpreter
-
-        ir = compile_tgd_to_ir(tgd, mapping)
-        text = render_r(ir, mapping)
-
+        text = render_r(compile_tgd_to_ir(tgd, mapping), mapping)
         target = tgd.target_relation
+        operands = {atom.relation for atom in tgd.lhs}
 
         def runner(store, _text=text, _registry=mapping.registry, _target=target):
+            # imported here: ``exl show`` / ``exl compile`` render text only
+            from ..rscript import RInterpreter
+
             interpreter = RInterpreter(_registry)
-            interpreter.env.update(store)
-            result = interpreter.run_source(_text)
-            frame = result.get(_target)
+            interpreter.env.update({name: store[name] for name in operands})
+            frame = interpreter.run_source(_text).get(_target)
             if not isinstance(frame, DataFrame):
                 raise BackendError(
                     f"R script for {_target} did not produce a data.frame"

@@ -59,10 +59,7 @@ COST_HISTORY_FORMAT = 1
 #: file name of the history document inside the ``<out>/costs/`` dir
 COST_HISTORY_FILE = "cost-history.json"
 
-#: targets the adaptive dispatcher considers.  The script twins
-#: (``rscript``/``mscript``) execute the same generated code as their
-#: IR counterparts, so measuring them separately would only split the
-#: history; they stay reachable as static/preferred targets.
+#: targets the adaptive dispatcher considers
 ADAPTIVE_TARGETS: Tuple[str, ...] = ("sql", "r", "matlab", "etl", "chase")
 
 

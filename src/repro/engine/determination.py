@@ -150,22 +150,13 @@ class DependencyGraph:
         )
 
     def supported_targets(self, cube: str) -> Set[str]:
-        """Targets that natively support every operator of the cube.
-
-        The script-interpreting backends execute the same generated
-        code as their IR twins, so ``rscript`` inherits ``r``'s support
-        and ``mscript`` inherits ``matlab``'s.
-        """
+        """Targets that natively support every operator of the cube."""
         supported: Optional[Set[str]] = None
         for op_name in self.operators.get(cube, []):
             targets = set(self.registry.get(op_name).targets)
             supported = targets if supported is None else supported & targets
         if supported is None:  # pure arithmetic / copy: everywhere
             supported = {"sql", "r", "matlab", "etl", "chase"}
-        if "r" in supported:
-            supported = supported | {"rscript"}
-        if "matlab" in supported:
-            supported = supported | {"mscript"}
         return supported
 
     def partition(

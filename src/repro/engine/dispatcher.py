@@ -73,10 +73,7 @@ _NULL_SCOPE = nullcontext()
 
 def default_fallback_chains() -> Dict[str, Tuple[str, ...]]:
     """Every native target degrades to the reference chase backend."""
-    return {
-        target: ("chase",)
-        for target in ("sql", "r", "rscript", "matlab", "mscript", "etl")
-    }
+    return {target: ("chase",) for target in ("sql", "r", "matlab", "etl")}
 
 
 def _store_matches_rows(store, cube: Cube) -> bool:

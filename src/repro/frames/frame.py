@@ -182,36 +182,6 @@ class DataFrame:
                 )
         return DataFrame.from_rows(out_names, rows)
 
-    def outer_combine(
-        self,
-        other: "DataFrame",
-        by: Sequence[str],
-        left_value: str,
-        right_value: str,
-        combine: Callable[[float, float], float],
-        default: float,
-        out_name: str,
-    ) -> "DataFrame":
-        """Full-outer element-wise combine on key columns.
-
-        The result has the ``by`` columns plus ``out_name``; a key tuple
-        present on only one side contributes ``default`` for the other
-        (R idiom: ``merge(all=TRUE)`` + NA replacement).
-        """
-        left_map: Dict[Tuple, float] = {}
-        for i in range(self.nrow):
-            key = tuple(self.column(n)[i] for n in by)
-            left_map[key] = self.column(left_value)[i]
-        right_map: Dict[Tuple, float] = {}
-        for j in range(other.nrow):
-            key = tuple(other.column(n)[j] for n in by)
-            right_map[key] = other.column(right_value)[j]
-        rows = []
-        for key in left_map.keys() | right_map.keys():
-            value = combine(left_map.get(key, default), right_map.get(key, default))
-            rows.append(key + (value,))
-        return DataFrame.from_rows(list(by) + [out_name], rows)
-
     def group_aggregate(
         self,
         by: Sequence[str],

@@ -1,7 +1,7 @@
 """An interpreter for the Matlab subset the Matlab backend emits.
 
 Symmetric to :mod:`repro.rscript`: parses and executes the rendered
-Matlab text directly on the matrix engine (the ``mscript`` backend).
+Matlab text directly on the matrix engine (the ``matlab`` backend).
 """
 
 from .minterp import MInterpreter, MInterpreterError, run_m_script

@@ -27,6 +27,7 @@ from .mparser import (
     MApply,
     MAssign,
     MBinary,
+    MClear,
     MColon,
     MColumnAssign,
     MCompose,
@@ -124,6 +125,9 @@ class MInterpreter:
                 self.env[statement.target] = self.eval(statement.value)
             elif isinstance(statement, MColumnAssign):
                 self._column_assign(statement)
+            elif isinstance(statement, MClear):
+                for name in statement.names:
+                    self.env.pop(name, None)
             else:
                 raise MInterpreterError(f"unsupported statement {statement!r}")
         return self.env
@@ -192,7 +196,9 @@ class MInterpreter:
             return self._apply(expr)
         raise MInterpreterError(f"cannot evaluate {type(expr).__name__}")
 
-    def _compose(self, blocks: List[Any]) -> Matrix:
+    def _compose(self, blocks: List[Any]) -> Any:
+        if blocks and not any(isinstance(b, (list, Matrix)) for b in blocks):
+            return blocks  # [1 3]: a row vector, like 1:2
         columns: List[List[Any]] = []
         nrow = None
         for block in blocks:

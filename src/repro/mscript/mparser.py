@@ -3,7 +3,8 @@
 Covers: assignments (including column assignment ``m(:,k) = …``),
 element-wise operators (``.*``, ``./``, ``.^``), plain ``+``/``-``,
 ranges (``1:2``), the bare colon subscript, function handles (``@f``),
-string literals, and horizontal matrix composition ``[a b c]``.
+string literals, horizontal matrix composition ``[a b c]``, and
+``clear a b`` (command syntax).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "MCompose",
     "MAssign",
     "MColumnAssign",
+    "MClear",
     "MScript",
     "parse_m",
 ]
@@ -122,6 +124,16 @@ class MColumnAssign:
     target: str
     column: MExpr
     value: MExpr
+
+
+@dataclass(frozen=True)
+class MClear:
+    """``clear a b`` — unbind variables."""
+
+    names: Tuple[str, ...]
+
+    def __init__(self, names):
+        object.__setattr__(self, "names", tuple(names))
 
 
 @dataclass(frozen=True)
@@ -252,6 +264,11 @@ class _MParser:
         if token.type != "IDENT":
             raise MSyntaxError(f"expected an assignment, found {token.value!r}")
         name = self._advance().value
+        if name == "clear" and self._peek().type == "IDENT":
+            names = []
+            while self._peek().type == "IDENT":
+                names.append(self._advance().value)
+            return MClear(names)
         if self._accept("("):
             # m(:, k) = value
             if not self._accept(":"):

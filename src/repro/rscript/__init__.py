@@ -1,8 +1,8 @@
 """An interpreter for the R subset the R backend emits.
 
 The R backend renders each tgd as an R script; this package parses and
-executes those scripts directly on the frame engine, demonstrating that
-the generated text itself is executable (not just its IR).
+executes those scripts on the frame engine, so what the ``r`` backend
+runs is the generated text itself.
 """
 
 from .interp import (

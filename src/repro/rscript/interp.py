@@ -1,7 +1,7 @@
 """Interpreter for the R subset, over the frame engine.
 
-Executes the scripts the R backend renders — so the *generated text*
-itself is executable, not only its IR — using
+Executes the scripts the R backend renders — the ``r`` backend runs
+the *generated text* itself — using
 :class:`~repro.frames.DataFrame` as the data.frame implementation and
 the repro statistics library for ``stl`` and the ``exl.*`` runtime
 functions.
@@ -27,6 +27,7 @@ from ..exl.operators import OperatorRegistry, OpKind, default_registry
 from ..frames import DataFrame
 from ..model.time import TimePoint
 from ..stats import decomposition as _dec
+from ..stats.aggregates import get_aggregate
 from .rast import (
     RAssign,
     RBinary,
@@ -373,12 +374,12 @@ class RInterpreter:
             "ts": self._fn_ts,
             "stl": self._fn_stl,
             "length": lambda e: float(len(_as_vector(self.eval(e.args[0].value)))),
-            "mean": self._agg(lambda v: sum(v) / len(v)),
-            "sum": self._agg(sum),
-            "min": self._agg(min),
-            "max": self._agg(max),
-            "median": self._agg(_median),
-            "prod": self._agg(_product),
+            "mean": self._agg("mean"),
+            "sum": self._agg("sum"),
+            "min": self._agg("min"),
+            "max": self._agg("max"),
+            "median": self._agg("median"),
+            "prod": self._agg("prod"),
             "log": self._fn_log,
             "exp": self._vector_math(math.exp),
             "abs": self._vector_math(abs),
@@ -386,9 +387,9 @@ class RInterpreter:
             "sin": self._vector_math(math.sin),
             "cos": self._vector_math(math.cos),
             "round": self._fn_round,
-            "sd": self._agg(_stddev),
-            "var": self._agg(_variance),
             "head": self._fn_head,
+            # `^`(x, e): the rendering of EXL's pow()
+            "^": lambda e: self.eval(RBinary("^", e.args[0].value, e.args[1].value)),
         }
 
     def _eval1(self, expr: RCall, expected_type=None):
@@ -399,10 +400,12 @@ class RInterpreter:
             )
         return value
 
-    def _agg(self, fn):
+    def _agg(self, name: str):
+        fn = _aggregate(name)
+
         def wrapped(expr: RCall):
             values = _as_vector(self.eval(expr.args[0].value))
-            return float(fn([float(v) for v in values]))
+            return fn([float(v) for v in values])
 
         return wrapped
 
@@ -484,34 +487,18 @@ class RInterpreter:
             raise RInterpreterError("aggregate() by= must be a list(...)")
         fun_name = named["FUN"]
         if isinstance(fun_name, RName):
-            func = self._r_aggregate_function(fun_name.name)
+            func = _aggregate(fun_name.name)
         else:
-            func = self._r_aggregate_function(str(self.eval(fun_name)))
-        keys = list(groups.keys())
-        vectors = [_as_vector(groups[k]) for k in keys]
-        buckets: Dict[tuple, List[float]] = {}
-        for i, value in enumerate(values):
-            key = tuple(vector[i] for vector in vectors)
-            buckets.setdefault(key, []).append(float(value))
-        rows = [key + (func(bag),) for key, bag in buckets.items()]
-        return DataFrame.from_rows(keys + ["x"], rows)
-
-    def _r_aggregate_function(self, name: str):
-        table = {
-            "mean": lambda v: sum(v) / len(v),
-            "sum": sum,
-            "min": min,
-            "max": max,
-            "median": _median,
-            "length": len,
-            "sd": _stddev,
-            "var": _variance,
-            "prod": _product,
-        }
-        if name not in table:
-            raise RInterpreterError(f"unsupported aggregate FUN {name!r}")
-        fn = table[name]
-        return lambda bag: float(fn(bag))
+            func = _aggregate(str(self.eval(fun_name)))
+        keys = list(groups)
+        columns = {k: _as_vector(groups[k]) for k in keys}
+        # R names the value column x even beside a key x; a frame's
+        # names are unique, so that one takes a suffix
+        value_column = "x"
+        while value_column in columns:
+            value_column += "."
+        columns[value_column] = [float(v) for v in values]
+        return DataFrame(columns).group_aggregate(keys, value_column, func)
 
     def _fn_names(self, expr: RCall) -> List[str]:
         return list(self._eval1(expr, DataFrame).names)
@@ -604,29 +591,29 @@ def _outer_merge(left: DataFrame, right: DataFrame, by: List[str]) -> DataFrame:
     return DataFrame.from_rows(out_names, rows)
 
 
-def _median(values):
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
+#: R's names for the registry aggregates they mean
+_R_AGGREGATES = {
+    "mean": "avg",
+    "sum": "sum",
+    "min": "min",
+    "max": "max",
+    "median": "median",
+    "prod": "product",
+    "length": "count",
+}
 
 
-def _variance(values):
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / (len(values) - 1) if len(values) > 1 else 0.0
+def _aggregate(name: str) -> Callable[[List[float]], float]:
+    """The bag function an R aggregate name denotes.
 
-
-def _stddev(values):
-    return math.sqrt(_variance(values))
-
-
-def _product(values):
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
+    ``exl.<aggregate>`` (the exl runtime library for R) and R's own
+    spellings resolve in the shared registry.
+    """
+    if name.startswith("exl."):
+        return get_aggregate(name[len("exl."):])
+    if name not in _R_AGGREGATES:
+        raise RInterpreterError(f"unsupported aggregate FUN {name!r}")
+    return get_aggregate(_R_AGGREGATES[name])
 
 
 def run_r_script(

@@ -210,7 +210,7 @@ class TestEtlTranslation:
 
 class TestBackendInterface:
     def test_all_backends_names(self, backends):
-        assert set(backends) == {"sql", "r", "rscript", "matlab", "mscript", "etl", "chase"}
+        assert set(backends) == {"sql", "r", "matlab", "etl", "chase"}
 
     def test_missing_input_raises(self, gdp_mapping):
         from repro.errors import BackendError

@@ -7,7 +7,6 @@ from repro.chase import RelationalInstance, StratifiedChase
 from repro.errors import ChaseError
 from repro.etl import OuterCombine, RowStore
 from repro.exl import Program
-from repro.frames import DataFrame
 from repro.mappings import (
     Atom,
     Const,
@@ -84,24 +83,6 @@ class TestChaseEdgeCases:
         instance.add("S", (quarter(2020, 2), 2.0))
         with pytest.raises(ChaseError, match="not invertible"):
             StratifiedChase(mapping).run(instance)
-
-
-class TestFrameOuterCombine:
-    def test_union_with_default(self):
-        left = DataFrame({"k": [1, 2], "v": [1.0, 2.0]})
-        right = DataFrame({"k": [2, 3], "w": [20.0, 30.0]})
-        out = left.outer_combine(
-            right, ["k"], "v", "w", lambda a, b: a + b, 0.0, "s"
-        )
-        assert sorted(out.rows()) == [(1, 1.0), (2, 22.0), (3, 30.0)]
-
-    def test_multiplicative_default(self):
-        left = DataFrame({"k": [1], "v": [3.0]})
-        right = DataFrame({"k": [2], "w": [5.0]})
-        out = left.outer_combine(
-            right, ["k"], "v", "w", lambda a, b: a * b, 1.0, "p"
-        )
-        assert sorted(out.rows()) == [(1, 3.0), (2, 5.0)]
 
 
 class TestEtlOuterCombineStep:

@@ -20,6 +20,7 @@ from repro.model import (
     MetadataCatalog,
     quarter,
 )
+from repro.model.io import canonical_text
 
 
 def _series(name):
@@ -335,13 +336,13 @@ class TestEXLEngineFacade:
 
 class TestScriptBackendsAsTargets:
     def test_pin_cubes_to_interpreting_backends(self):
-        """The rscript/mscript backends are valid determination targets:
-        they inherit the technical metadata of their IR twins."""
+        """``r`` and ``matlab`` interpret their generated scripts; both
+        are determination targets, a table function included."""
         engine = EXLEngine()
         engine.declare_elementary(_series("E1"))
         engine.add_program(
             "A := E1 * 2\nB := stl_t(E1)\nC := A + B",
-            preferred_targets={"B": "rscript", "C": "mscript"},
+            preferred_targets={"B": "r", "C": "matlab"},
         )
         e1 = Cube.from_series(
             _series("E1"),
@@ -351,7 +352,7 @@ class TestScriptBackendsAsTargets:
         engine.load(e1)
         record = engine.run()
         targets = {s.target for s in record.subgraphs}
-        assert {"rscript", "mscript"} <= targets
+        assert {"r", "matlab"} <= targets
         assert len(engine.data("C")) == 16
 
     def test_interpreting_targets_match_default_run(self):
@@ -365,8 +366,15 @@ class TestScriptBackendsAsTargets:
             engine.run()
             return engine.data("B")
 
-        default = build(None)
-        via_rscript = build({"A": "rscript", "B": "rscript"})
-        via_mscript = build({"A": "mscript", "B": "mscript"})
-        assert default.approx_equals(via_rscript)
-        assert default.approx_equals(via_mscript)
+        default = canonical_text(build(None))
+        assert canonical_text(build({"A": "r", "B": "r"})) == default
+        assert canonical_text(build({"A": "matlab", "B": "matlab"})) == default
+
+    @pytest.mark.parametrize("name", ["rscript", "mscript"])
+    def test_no_second_name_per_script_language(self, name):
+        engine = EXLEngine()
+        engine.declare_elementary(_series("E1"))
+        engine.add_program("A := E1 * 2", {"A": name})
+        engine.load(Cube.from_series(_series("E1"), quarter(2020, 1), [1.0]))
+        with pytest.raises(EngineError, match=f"preferred target '{name}'"):
+            engine.run()

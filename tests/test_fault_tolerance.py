@@ -361,7 +361,7 @@ class TestDegradation:
 
     def test_default_chain_covers_every_native_target(self):
         chains = default_fallback_chains()
-        for target in ("sql", "r", "rscript", "matlab", "mscript", "etl"):
+        for target in ("sql", "r", "matlab", "etl"):
             assert chains[target] == ("chase",)
         assert "chase" not in chains  # the reference backend has no fallback
 

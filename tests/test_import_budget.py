@@ -232,8 +232,7 @@ class TestRunBudget:
             forbidden = under(modules, *TARGET_ENGINES) | under(
                 modules,
                 *(f"backends.{m}" for m in (
-                    "sql", "rlang", "matlab", "etlbackend",
-                    "ir", "ircompile", "irexec",
+                    "sql", "rlang", "matlab", "etlbackend", "ir", "ircompile",
                 )),
                 "chase.shard",
             )
@@ -281,6 +280,22 @@ class TestRunBudget:
         assert "numpy" in modules and "repro.chase.columnar" in modules
         assert "numpy.ma" not in modules
 
+    def test_every_target_run_loads_the_script_interpreters(
+        self, tmp_path, loaded_by
+    ):
+        # r and matlab interpret the text they render
+        project = write_project(tmp_path, "chase")
+        spec = json.loads((tmp_path / "project.json").read_text())
+        spec["program"] = "A := S * 2\nB := A + 1\nC := B * 3\nD := C - 1\nE := D + S"
+        targets = ("sql", "r", "matlab", "etl", "chase")
+        spec["preferred_targets"] = dict(zip("ABCDE", targets))
+        (tmp_path / "project.json").write_text(json.dumps(spec))
+        out = str(tmp_path / "out")
+        for command in ("run", "update"):
+            modules = loaded_by([command, project, "--out", out])
+            assert {"repro.rscript", "repro.mscript"} <= modules, command
+            (tmp_path / "s.csv").write_text("q,v\n2020Q1,1.0\n2020Q2,2.5\n")
+
     def test_sql_run_loads_the_sql_engine_alone(self, tmp_path, loaded_by):
         project = write_project(tmp_path, "sql")
         modules = loaded_by(["run", project, "--out", str(tmp_path / "out")])
@@ -305,6 +320,17 @@ class TestTextBudget:
         assert "numpy" not in modules
         assert "repro.stats.smoothing" in modules
         assert not under(modules, "matrixengine", "chase.columnar")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("show", [])] + [("compile", ["--target", t]) for t in ("r", "matlab")],
+        ids=["show", "r", "matlab"],
+    )
+    def test_printing_a_script_loads_no_interpreter(
+        self, chase_project, loaded_by, command, flags
+    ):
+        modules = loaded_by([command, chase_project, *flags])
+        assert not under(modules, "rscript", "mscript")
 
     def test_compile_loads_the_asked_target_alone(self, chase_project, loaded_by):
         modules = loaded_by(["compile", chase_project, "--target", "sql"])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,46 @@ class TestCli:
             main(["--version"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.strip() == repro.__version__
+
+
+class TestCompiledTextIsExecuted:
+    """``exl run`` on ``r`` / ``matlab`` interprets exactly the units
+    ``exl compile --target`` prints."""
+
+    PROGRAM = (
+        "A := pow(S, 2) * 2\nB := cumsum(A)\nC := A - shift(B, 1)\n"
+        "D := var(C, group by year(q) as y)\nE := range(S, group by year(q) as y)\n"
+    )
+
+    @pytest.mark.parametrize("target", ["r", "matlab"])
+    def test_run_interprets_the_printed_units(
+        self, target, project_dir, capsys, monkeypatch
+    ):
+        from repro.mscript import MInterpreter
+        from repro.rscript import RInterpreter
+
+        interpreter = RInterpreter if target == "r" else MInterpreter
+        executed = []
+        run_source = interpreter.run_source
+
+        def recording(self, source):
+            executed.append(source)
+            return run_source(self, source)
+
+        monkeypatch.setattr(interpreter, "run_source", recording)
+        (project_dir / "program.exl").write_text(self.PROGRAM)
+        path = project_dir / "project.json"
+        spec = json.loads(path.read_text())
+        spec["preferred_targets"] = {cube: target for cube in "ABCDE"}
+        path.write_text(json.dumps(spec))
+        project = str(path)
+        assert main(["run", project, "--out", str(project_dir / "out")]) == 0
+        assert "in 1 subgraphs" in capsys.readouterr().out
+        assert main(["compile", project, "--target", target]) == 0
+        printed = capsys.readouterr().out
+        units = re.split(r"^# tgd: .*\n", printed, flags=re.MULTILINE)
+        assert units[0] == ""
+        assert executed == [unit.removesuffix("\n") for unit in units[1:]]
 
 
 class TestCliInputErrors:

@@ -111,8 +111,8 @@ class TestLazyBackends:
             "from repro.backends import LazyBackends\n"
             "backends = LazyBackends()\n"
             "assert 'sql' in backends and 'cobol' not in backends\n"
-            "assert sorted(backends) == ['chase', 'etl', 'matlab', "
-            "'mscript', 'r', 'rscript', 'sql'] and len(backends) == 7\n"
+            "assert sorted(backends) == ['chase', 'etl', 'matlab', 'r', 'sql'] "
+            "and len(backends) == 5\n"
             "assert backends.get('cobol') is None\n"
             "built = lambda: sorted(m for m in sys.modules "
             "if m.startswith('repro.backends.'))\n"

@@ -1,4 +1,5 @@
-"""Tests for the Matlab-subset parser/interpreter and mscript backend."""
+"""Tests for the Matlab-subset parser and interpreter, which run the
+Matlab backend's generated text end to end."""
 
 import pytest
 
@@ -92,6 +93,19 @@ class TestInterpreter:
         env = run_m_script("J = join(A, 1, B, 1);", {"A": a, "B": b})
         assert env["J"].rows() == [(1, 10.0, 5.0)]
 
+    def test_exl_aggregate_keys_as_row_vector(self):
+        m = Matrix([[1, "a", 2.0], [1, "b", 4.0], [1, "a", 6.0]])
+        env = run_m_script("G = exl_aggregate(M, [2 1], 3, 'sum');", {"M": m})
+        assert sorted(env["G"].rows()) == [("a", 1, 8.0), ("b", 1, 4.0)]
+
+    def test_clear_unhides_a_function(self):
+        a = Matrix([[1, 10.0]])
+        env = run_m_script(
+            "t1 = join;\nclear join;\nJ = join(t1, 1, t1, 1);", {"join": a}
+        )
+        assert "join" not in env
+        assert env["J"].rows() == [(1, 10.0, 10.0)]
+
     def test_sortrows(self):
         m = Matrix([[2, 1.0], [1, 2.0]])
         env = run_m_script("S = sortrows(M, 1);", {"M": m})
@@ -155,30 +169,22 @@ class TestGeneratedScripts:
         )
         assert env["TGDP"].rows() == [(1, "n", 20.0), (2, "n", 60.0)]
 
-    def test_mscript_backend_matches_chase_on_gdp(self, gdp_workload, backends):
-        program = Program.compile(gdp_workload.source, gdp_workload.schema)
-        mapping = generate_mapping(program)
-        reference = backends["chase"].run_mapping(mapping, gdp_workload.data)
-        output = backends["mscript"].run_mapping(mapping, gdp_workload.data)
-        for name, expected in reference.items():
-            assert expected.approx_equals(output[name], rel_tol=1e-8), name
-
     @pytest.mark.parametrize("seed", range(6))
-    def test_mscript_backend_on_random_programs(self, seed, backends):
+    def test_matlab_backend_on_random_programs(self, seed, backends):
         from repro.workloads import random_workload
 
         workload = random_workload(seed + 80, n_statements=5, n_periods=10)
         program = Program.compile(workload.source, workload.schema)
         mapping = generate_mapping(program)
         reference = backends["chase"].run_mapping(mapping, workload.data)
-        output = backends["mscript"].run_mapping(mapping, workload.data)
+        output = backends["matlab"].run_mapping(mapping, workload.data)
         for name, expected in reference.items():
             assert expected.approx_equals(output[name], rel_tol=1e-8), name
 
     def test_every_generated_script_parses(self, gdp_mapping):
-        from repro.backends import MScriptBackend
+        from repro.backends import MatlabBackend
 
-        backend = MScriptBackend()
+        backend = MatlabBackend()
         for tgd in gdp_mapping.target_tgds:
             unit = backend.compile_tgd(tgd, gdp_mapping)
             parse_m(unit.text)

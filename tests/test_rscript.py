@@ -1,9 +1,9 @@
-"""Tests for the R-subset parser and interpreter, and for the rscript
-backend that executes generated R text end to end."""
+"""Tests for the R-subset parser and interpreter, which run the R
+backend's generated text end to end."""
 
 import pytest
 
-from repro.backends import RScriptBackend
+from repro.backends import RBackend
 from repro.exl import Program
 from repro.frames import DataFrame
 from repro.mappings import generate_mapping
@@ -194,6 +194,10 @@ class TestInterpreterBasics:
         env = self._run("x <- round(exp(log(c(1, 10))), 6)")
         assert env["x"] == [1.0, 10.0]
 
+    def test_operator_called_by_its_backtick_name(self):
+        env = self._run("x <- `^`(c(2, 3), 2)")
+        assert env["x"] == [4.0, 9.0]
+
     def test_unknown_function(self):
         with pytest.raises(RInterpreterError, match="could not find function"):
             self._run("x <- frobnicate(1)")
@@ -212,28 +216,20 @@ class TestGeneratedScripts:
         )
         assert env["TGDP"].rows() == [(1, "n", 20.0), (2, "n", 60.0)]
 
-    def test_rscript_backend_matches_chase_on_gdp(self, gdp_workload, backends):
-        program = Program.compile(gdp_workload.source, gdp_workload.schema)
-        mapping = generate_mapping(program)
-        reference = backends["chase"].run_mapping(mapping, gdp_workload.data)
-        output = backends["rscript"].run_mapping(mapping, gdp_workload.data)
-        for name, expected in reference.items():
-            assert expected.approx_equals(output[name], rel_tol=1e-8), name
-
     @pytest.mark.parametrize("seed", range(6))
-    def test_rscript_backend_on_random_programs(self, seed, backends):
+    def test_r_backend_on_random_programs(self, seed, backends):
         from repro.workloads import random_workload
 
         workload = random_workload(seed + 50, n_statements=5, n_periods=10)
         program = Program.compile(workload.source, workload.schema)
         mapping = generate_mapping(program)
         reference = backends["chase"].run_mapping(mapping, workload.data)
-        output = backends["rscript"].run_mapping(mapping, workload.data)
+        output = backends["r"].run_mapping(mapping, workload.data)
         for name, expected in reference.items():
             assert expected.approx_equals(output[name], rel_tol=1e-8), name
 
     def test_every_generated_script_parses(self, gdp_mapping):
-        backend = RScriptBackend()
+        backend = RBackend()
         for tgd in gdp_mapping.target_tgds:
             unit = backend.compile_tgd(tgd, gdp_mapping)
             parse_r(unit.text)  # must not raise
