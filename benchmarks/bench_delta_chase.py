@@ -58,7 +58,7 @@ def _panel():
 
 
 def _engine(schema):
-    engine = EXLEngine(target_priority=("chase",), chase_cache=False)
+    engine = EXLEngine(target_priority=("chase",))
     engine.declare_elementary(schema["S"])
     engine.add_program(PROGRAM)
     return engine

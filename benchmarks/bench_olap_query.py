@@ -109,7 +109,7 @@ def _median_query_s(fn, repeats=200):
 
 def test_warm_queries_beat_csv_aggregation(bench_report, tmp_path):
     schema, base = _panel()
-    engine = EXLEngine(target_priority=("chase",), chase_cache=False)
+    engine = EXLEngine(target_priority=("chase",))
     engine.declare_elementary(schema["S"])
     engine.add_program(PROGRAM)
     engine.load(base)
@@ -221,7 +221,7 @@ def test_first_touch_reduces_one_node(bench_report):
 
 def test_update_rereduces_only_dirty_groups(bench_report):
     schema, base = _panel()
-    engine = EXLEngine(target_priority=("chase",), chase_cache=False)
+    engine = EXLEngine(target_priority=("chase",))
     engine.declare_elementary(schema["S"])
     engine.add_program(PROGRAM)
     engine.load(base)

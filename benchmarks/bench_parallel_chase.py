@@ -1,13 +1,10 @@
-"""EXP-PARALLEL-CHASE — stratum-parallel scheduling and cube caching.
+"""EXP-PARALLEL-CHASE — stratum-parallel scheduling.
 
-Validates the two claims of the chase executor's thread waves (``jobs``):
-
-1. *Wave overlap*: on a wide stratum DAG whose strata spend most of
-   their time waiting on a target engine, executing each wave on a
-   thread pool cuts wall time by ≥1.5× versus the paper's sequential
-   statement-order chase, while producing the identical solution.
-2. *Cube caching*: re-running the program over unchanged sources hits
-   the materialization cache on every stratum and skips the chase work.
+Validates the claim of the chase executor's thread waves (``jobs``):
+on a wide stratum DAG whose strata spend most of their time waiting on
+a target engine, executing each wave on a thread pool cuts wall time by
+≥1.5× versus the paper's sequential statement-order chase, while
+producing the identical solution.
 
 In the paper's deployment each stratum is dispatched to an external
 target engine (DBMS, R, Matlab, ETL server) and the coordinator blocks
@@ -25,11 +22,7 @@ import time
 
 import pytest
 
-from repro.chase import (
-    ChaseCache,
-    StratifiedChase,
-    instance_from_cubes,
-)
+from repro.chase import StratifiedChase, instance_from_cubes
 from repro.exl import OperatorRegistry, OperatorSpec, OpKind, Program, default_registry
 from repro.mappings import generate_mapping
 from repro.model import TIME, CubeSchema, Dimension, Frequency, Schema, month
@@ -177,24 +170,6 @@ def test_single_worker_matches_sequential_shape(wide):
         assert sequential.instance.facts(relation) == one_worker.instance.facts(
             relation
         )
-
-
-def test_cache_skips_unchanged_strata(wide):
-    """A warm cache turns the re-run into pure replay: every stratum
-    hits and the blocking table functions never fire."""
-    mapping, source = wide
-    cache = ChaseCache()
-    chase = StratifiedChase(mapping, jobs=4, cache=cache)
-    cold_s = _wall(lambda: chase.run(source), repeats=1)
-    warm = chase.run(source)
-    warm_s = _wall(lambda: chase.run(source))
-    print(
-        f"\ncold {cold_s * 1000:.1f}ms  warm {warm_s * 1000:.1f}ms  "
-        f"hits={warm.stats.cache_hits} misses={warm.stats.cache_misses}"
-    )
-    assert warm.stats.cache_hits == CHAINS * DEPTH
-    assert warm.stats.cache_misses == 0
-    assert warm_s < cold_s
 
 
 def _cpu_bound_workload():

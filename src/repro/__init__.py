@@ -64,7 +64,6 @@ _EXPORTS = {
     "generate_mapping": "mappings",
     "simplify_mapping": "mappings",
     "StratifiedChase": "chase",
-    "ChaseCache": "chase",
     "instance_from_cubes": "chase",
     "cubes_from_instance": "chase",
     "SqlBackend": "backends",

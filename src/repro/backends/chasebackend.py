@@ -21,11 +21,10 @@ from ..model.cube import Cube
 from .base import Backend, CompiledTgd
 
 # chase.delta loads for the first incremental replay, chase.scheduler
-# for a chase with waves or a cache: a one-shot ``exl run`` / ``update``
-# has neither (DESIGN.md, "Start-up and the import graph")
+# for a chase with waves: a one-shot ``exl run`` / ``update`` has
+# neither (DESIGN.md, "Start-up and the import graph")
 if TYPE_CHECKING:
     from ..chase.delta import DeltaSnapshot
-    from ..chase.scheduler import ChaseCache
 
 __all__ = ["ChaseBackend"]
 
@@ -35,10 +34,8 @@ class ChaseBackend(Backend):
     :class:`StratifiedChase` run.
 
     ``jobs > 1`` runs its waves on that many threads, ``shards`` on
-    forked workers; ``cache`` attaches a cube-level materialization
-    cache shared across runs (incremental updates skip unchanged
-    strata).  ``compile_tgd`` gives each tgd's text for ``exl compile
-    --target chase``; its runner is never called.
+    forked workers.  ``compile_tgd`` gives each tgd's text for ``exl
+    compile --target chase``; its runner is never called.
     """
 
     name = "chase"
@@ -46,7 +43,6 @@ class ChaseBackend(Backend):
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[ChaseCache] = None,
         vectorized: Optional[bool] = None,
         tracer=None,
         metrics=None,
@@ -57,7 +53,6 @@ class ChaseBackend(Backend):
     ):
         #: worker threads for chase waves (1 = statement order)
         self.jobs = jobs
-        self.cache = cache
         #: worker-process count for whole-mapping runs (0 = one per
         #: core, 1 = no sharding); see chase.shard
         self.shards = shards
@@ -152,7 +147,6 @@ class ChaseBackend(Backend):
             mapping,
             jobs=self.jobs if self.jobs > 1 else None,
             shards=self.shards,
-            cache=self.cache,
             vectorized=self.vectorized,
             kernel_hook=self._on_kernel,
             tracer=self.tracer,

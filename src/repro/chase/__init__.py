@@ -5,9 +5,8 @@ dependencies directly and is the yardstick every backend is tested
 against (the paper's equivalence theorem).  ``StratifiedChase`` is the
 one executor: statement order by default, thread waves given ``jobs``,
 forked shard workers given ``shards`` — the same solution every way.
-The scheduler module holds the wave schedule and the cube-level
-materialization cache, the shard module the partition plan and the
-workers, groupreduce the one collect / reduce / rereduce every
+The scheduler module holds the wave schedule, the shard module the
+partition plan and the workers, groupreduce the one collect / reduce / rereduce every
 aggregate goes through.  The columnar module holds the vectorized tgd
 kernels (``vectorized=True``, the default); ``vectorized=False`` keeps
 the tuple-at-a-time path as the bit-exact ablation baseline.
@@ -28,7 +27,6 @@ _EXPORTS = {
     "ShardPlan": "shard",
     "resolve_shards": "shard",
     "shard_of": "shard",
-    "ChaseCache": "scheduler",
     "ChaseResult": "engine",
     "ChaseStats": "engine",
     "schedule_waves": "scheduler",

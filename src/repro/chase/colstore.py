@@ -64,8 +64,6 @@ class ColumnStore:
         "_view_rows",
         "_image",
         "_image_rows",
-        "_fp",
-        "_fp_rows",
     )
 
     def __init__(self, arity: int):
@@ -91,8 +89,6 @@ class ColumnStore:
         self._view_rows = 0
         self._image: Optional[ColumnarRelation] = None
         self._image_rows = -1
-        self._fp: Optional[int] = None
-        self._fp_rows = -1
 
     @classmethod
     def from_distinct_rows(cls, arity: int, rows: List[Fact]) -> "ColumnStore":
@@ -316,8 +312,6 @@ class ColumnStore:
         self._view_rows = 0
         self._image = None
         self._image_rows = -1
-        self._fp = None
-        self._fp_rows = -1
         return n
 
     # -- cross-process transport -------------------------------------------------
@@ -366,8 +360,6 @@ class ColumnStore:
         self._view_rows = 0
         self._image = None
         self._image_rows = -1
-        self._fp = None
-        self._fp_rows = -1
         return n
 
     def __getstate__(self):
@@ -423,18 +415,8 @@ class ColumnStore:
         self._view_rows = 0
         self._image = None
         self._image_rows = -1
-        self._fp = None
-        self._fp_rows = -1
 
     # -- bookkeeping -------------------------------------------------------------
-    def fingerprint(self) -> int:
-        """Order-independent content hash (cached per row count)."""
-        n = len(self.measures)
-        if self._fp is None or self._fp_rows != n:
-            self._fp = hash(frozenset(self.rows()))
-            self._fp_rows = n
-        return self._fp
-
     def fork(self) -> "ColumnStore":
         """An independent copy (copy-on-write fork for shared stores)."""
         clone = ColumnStore(self.arity)
@@ -451,8 +433,6 @@ class ColumnStore:
         # the image is immutable and content-tagged: safe to share
         clone._image = self._image
         clone._image_rows = self._image_rows
-        clone._fp = self._fp
-        clone._fp_rows = self._fp_rows
         return clone
 
 
@@ -471,7 +451,7 @@ class TupleStore:
     every add and every removal bumps.
     """
 
-    __slots__ = ("facts", "_mut", "_image", "_image_mut", "_fp", "_fp_mut")
+    __slots__ = ("facts", "_mut", "_image", "_image_mut")
 
     def __init__(self, facts: Optional[Dict[Fact, None]] = None):
         #: fact -> None, in insertion order
@@ -480,8 +460,6 @@ class TupleStore:
         self._mut = 0
         self._image: Optional[ColumnarRelation] = None
         self._image_mut = -1
-        self._fp: Optional[int] = None
-        self._fp_mut = -1
 
     @property
     def n_rows(self) -> int:
@@ -518,19 +496,11 @@ class TupleStore:
         self._image = image
         self._image_mut = self._mut
 
-    def fingerprint(self) -> int:
-        if self._fp is None or self._fp_mut != self._mut:
-            self._fp = hash(frozenset(self.facts))
-            self._fp_mut = self._mut
-        return self._fp
-
     def fork(self) -> "TupleStore":
         clone = TupleStore(dict(self.facts))
         clone._mut = self._mut
         clone._image = self._image
         clone._image_mut = self._image_mut
-        clone._fp = self._fp
-        clone._fp_mut = self._fp_mut
         return clone
 
     def __getstate__(self):
@@ -547,5 +517,3 @@ class TupleStore:
         self._mut = 0
         self._image = None
         self._image_mut = -1
-        self._fp = None
-        self._fp_mut = -1

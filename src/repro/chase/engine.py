@@ -46,7 +46,6 @@ from .instance import RelationalInstance
 
 if TYPE_CHECKING:
     from ..model.cube import Cube
-    from .scheduler import ChaseCache
 
 __all__ = [
     "ChaseStats",
@@ -68,9 +67,7 @@ class ChaseStats:
     """Counters describing one chase run.
 
     ``waves``/``max_wave_width`` describe the stratum DAG schedule of
-    the parallel scheduler (a sequential run is one tgd per wave);
-    ``cache_hits``/``cache_misses`` count cube-level materialization
-    cache lookups (both stay 0 when no cache is attached).
+    the parallel scheduler (a sequential run is one tgd per wave).
     """
 
     rule_applications: int = 0
@@ -78,8 +75,6 @@ class ChaseStats:
     per_tgd: Dict[str, int] = field(default_factory=dict)
     waves: int = 0
     max_wave_width: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     # target tgds that ran on a columnar kernel vs. the ones that fell
     # back to the tuple-at-a-time path (table functions, outer
     # vectorials, …).  Both stay 0 with ``vectorized=False``.
@@ -177,7 +172,6 @@ class StratifiedChase:
         mapping: SchemaMapping,
         jobs: Optional[int] = None,
         shards: int = 1,
-        cache: Optional[ChaseCache] = None,
         vectorized: Optional[bool] = None,
         kernel_hook=None,
         tracer=None,
@@ -188,8 +182,6 @@ class StratifiedChase:
     ):
         self.mapping = mapping
         self.registry = mapping.registry
-        #: cube-level materialization cache (see chase.scheduler.ChaseCache)
-        self.cache = cache
         #: columnar kernels on/off; ``None`` defers to the module default
         self.vectorized = (
             DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
@@ -229,8 +221,7 @@ class StratifiedChase:
         if jobs is None:
             self.waves = [[i] for i in range(len(mapping.target_tgds))]
         else:
-            # the wave schedule (and the cache beside it) loads only
-            # for a chase that asked for one
+            # the wave schedule loads only for a chase that asked for one
             from .scheduler import schedule_waves
 
             self.waves = schedule_waves(
@@ -302,7 +293,7 @@ class StratifiedChase:
                 from concurrent.futures import ThreadPoolExecutor
 
                 pool = ThreadPoolExecutor(max_workers=self.jobs)
-        copy, apply = self.copy, self._apply_cached
+        copy, apply = self.copy, self.apply
         if sharded:
             span_args.update(scheduler="sharded", shards=self.shards)
             stats.shards = self.shards
@@ -418,38 +409,6 @@ class StratifiedChase:
                 )
 
     # -- rule application --------------------------------------------------
-    def _apply_cached(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        stats: ChaseStats,
-    ) -> int:
-        """Apply one target tgd, consulting the materialization cache.
-
-        Cached facts are *replayed through the egd-checking insert*, so
-        a hit can never mask a functionality violation against facts
-        contributed by other strata.
-        """
-        if self.cache is None:
-            return self.apply(tgd, target, functional, stats)
-        key = self.cache.key_for(tgd, target)
-        cached = self.cache.get(key)
-        with self._stats_lock:
-            if cached is None:
-                stats.cache_misses += 1
-            else:
-                stats.cache_hits += 1
-        if cached is not None:
-            self.metrics.inc("chase.cache.hits")
-            return self._insert_each(
-                target, functional, tgd.target_relation, cached
-            )
-        self.metrics.inc("chase.cache.misses")
-        produced = self.apply(tgd, target, functional, stats)
-        self.cache.put(key, target.facts(tgd.target_relation))
-        return produced
-
     def _note_kernel(
         self,
         stats: Optional[ChaseStats],
@@ -626,7 +585,7 @@ class StratifiedChase:
         computed — disjoint stores verbatim, contribution bags through
         the one reduce — or apply it here when it ran in no worker."""
         if self.plan.klass[self._tgd_index[id(tgd)]] == self._shard.PARENT:
-            return self._apply_cached(tgd, target, functional, stats)
+            return self.apply(tgd, target, functional, stats)
         started = time.perf_counter()
         relation = tgd.target_relation
         merged = self._shard.merge_outputs(relation, results)

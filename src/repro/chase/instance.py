@@ -284,13 +284,6 @@ class RelationalInstance:
             store.set_image(image)
         return image
 
-    def fingerprint(self, relation: str) -> int:
-        """Order-independent content hash of one relation (cached)."""
-        store = self._relations.get(relation)
-        if store is None:
-            return hash(frozenset())
-        return store.fingerprint()
-
     def relations(self) -> List[str]:
         return list(self._relations)
 

@@ -243,9 +243,6 @@ def _build_engine(
     engine = EXLEngine(
         jobs=jobs,
         shards=shards,
-        # a ChaseCache pays off across the runs of one long-lived
-        # engine; an exl call applies each tgd once and exits
-        chase_cache=False,
         tracer=tracer,
         metrics=metrics,
         backoff_s=backoff_s,

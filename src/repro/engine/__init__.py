@@ -19,7 +19,6 @@ _EXPORTS = {
     "TranslatedSubgraph": "translation",
     "Dispatcher": "dispatcher",
     "ON_ERROR_MODES": "dispatcher",
-    "default_fallback_chains": "dispatcher",
     "CostModel": "costmodel",
     "CostDecision": "costmodel",
     "ADAPTIVE_TARGETS": "costmodel",

@@ -21,9 +21,9 @@ do):
   overruns raise
   :class:`~repro.errors.DeadlineExceededError`.
 * **Degradation** — under ``on_error="degrade"``, a subgraph whose
-  native backend failed permanently is re-translated for each target in
-  its fallback chain (default: the reference chase backend, which
-  supports every operator) and re-run there.
+  native backend failed permanently is re-translated for the reference
+  chase backend, which supports every operator, and re-run there; a
+  failed ``chase`` subgraph has nowhere to degrade to.
 * **Partial failure** — under ``on_error="continue"`` (or ``degrade``),
   a failed subgraph does not abort the run: independent subgraphs in
   the same and later waves keep executing, downstream dependents are
@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..chase.engine import DeltaRunResult
 from ..errors import (
@@ -60,7 +60,7 @@ from .translation import TranslatedSubgraph
 if TYPE_CHECKING:
     from .costmodel import CostModel
 
-__all__ = ["Dispatcher", "ON_ERROR_MODES", "default_fallback_chains"]
+__all__ = ["Dispatcher", "ON_ERROR_MODES"]
 
 ON_ERROR_MODES = ("fail", "continue", "degrade")
 
@@ -69,11 +69,6 @@ BACKOFF_FACTOR = 2.0
 
 # stateless, so one shared instance serves every dispatcher thread
 _NULL_SCOPE = nullcontext()
-
-
-def default_fallback_chains() -> Dict[str, Tuple[str, ...]]:
-    """Every native target degrades to the reference chase backend."""
-    return {target: ("chase",) for target in ("sql", "r", "matlab", "etl")}
 
 
 def _store_matches_rows(store, cube: Cube) -> bool:
@@ -115,7 +110,6 @@ class Dispatcher:
         deadline_s: Optional[float] = None,
         on_error: Optional[str] = None,
         backoff_s: Optional[float] = None,
-        fallback: Optional[Mapping[str, Sequence[str]]] = None,
         fault_plan: Optional[FaultPlan] = None,
         retranslate=None,
         delta: bool = False,
@@ -179,12 +173,6 @@ class Dispatcher:
         if not backoff_s >= 0:
             raise EngineError(f"backoff_s must be at least 0, got {backoff_s!r}")
         self.backoff_s = backoff_s
-        self.fallback: Dict[str, Tuple[str, ...]] = {
-            target: tuple(chain)
-            for target, chain in (
-                fallback if fallback is not None else default_fallback_chains()
-            ).items()
-        }
         if fault_plan is None:
             fault_plan = faults_mod.chaos_plan()
         self.fault_plan = fault_plan
@@ -775,33 +763,25 @@ class Dispatcher:
         return (
             self.on_error == "degrade"
             and self.retranslate is not None
-            and bool(self.fallback.get(item.subgraph.target))
+            and item.subgraph.target != "chase"
         )
 
     def _degrade(
         self, item: TranslatedSubgraph, wave_span=None
     ) -> Tuple[Optional[Dict[str, Cube]], int, str, float]:
-        """Re-translate and re-run on each fallback target in turn.
+        """Re-translate and re-run on the chase.
 
         Returns ``(outputs, attempts, executed_target, attempt_s)``;
-        ``outputs`` is None when the whole chain failed.
+        ``outputs`` is None when the chase failed too.
         """
-        native = item.subgraph.target
-        attempts = 0
-        for fallback_target in self.fallback.get(native, ()):
-            if fallback_target == native:
-                continue
-            try:
-                translated = self.retranslate(
-                    item.subgraph.cubes, fallback_target
-                )
-                outputs, fb_attempts, _, attempt_s = (
-                    self._attempt_with_retries(translated, wave_span)
-                )
-                return outputs, attempts + fb_attempts, fallback_target, attempt_s
-            except Exception as exc:
-                attempts += self._attempts_of(exc)
-        return None, attempts, native, 0.0
+        try:
+            translated = self.retranslate(item.subgraph.cubes, "chase")
+            outputs, attempts, _, attempt_s = (
+                self._attempt_with_retries(translated, wave_span)
+            )
+            return outputs, attempts, "chase", attempt_s
+        except Exception as exc:
+            return None, self._attempts_of(exc), item.subgraph.target, 0.0
 
     def _gather_inputs(self, item: TranslatedSubgraph) -> Dict[str, Cube]:
         inputs: Dict[str, Cube] = {}

@@ -34,9 +34,8 @@ from .faults import FaultPlan
 from .history import RunLog, RunRecord
 from .translation import TranslationEngine
 
-# loaded by the engines that use them: ``chase_cache=True``, ``adaptive``
+# loaded by the engines that use it: ``adaptive``
 if TYPE_CHECKING:
-    from ..chase.scheduler import ChaseCache
     from .costmodel import CostModel
 
 __all__ = ["EXLEngine"]
@@ -53,12 +52,10 @@ class EXLEngine:
         target_priority: Sequence[str] = DEFAULT_TARGET_PRIORITY,
         jobs: int = 1,
         shards: int = 1,
-        chase_cache: bool = True,
         vectorize: Optional[bool] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         backoff_s: Optional[float] = None,
-        fallback: Optional[Dict[str, Sequence[str]]] = None,
         journal=None,
         adaptive: bool = False,
         cost_model: Optional[CostModel] = None,
@@ -72,7 +69,6 @@ class EXLEngine:
         # deadline, on_error and faults are arguments of each run);
         # None lets the dispatcher resolve chaos-mode / built-in defaults
         self.backoff_s = backoff_s
-        self.fallback = fallback
         #: optional :class:`repro.engine.journal.RunJournal`; when set,
         #: every dispatch write-ahead-logs its plan and commits so
         #: :meth:`recover` can roll a hard crash forward (the CLI wires
@@ -113,18 +109,10 @@ class EXLEngine:
                 cost_model.metrics = self.metrics
             cost_model.load()
         self.cost_model = cost_model
-        #: cube-level chase materialization cache, shared across runs so
-        #: incremental updates skip unchanged strata (None = disabled)
-        self.chase_cache: Optional[ChaseCache] = None
-        if chase_cache:
-            from ..chase.scheduler import ChaseCache
-
-            self.chase_cache = ChaseCache(metrics=self.metrics)
         chase_backend = self.backends.get("chase")
         if isinstance(chase_backend, ChaseBackend):
             chase_backend.jobs = self.jobs
             chase_backend.shards = self.shards
-            chase_backend.cache = self.chase_cache
             chase_backend.vectorized = vectorize
             chase_backend.tracer = self.tracer
             chase_backend.metrics = self.metrics
@@ -411,13 +399,6 @@ class EXLEngine:
             record.determination_s = determination_s
             record.translation_s = translation_s
             self.metrics.inc("engine.updates")
-            if self.chase_cache is not None and dirty:
-                # cache entries keyed over stale operand content can
-                # never hit again; drop them so the counters (and the
-                # cache's memory) reflect reality
-                self.chase_cache.invalidate_relations(
-                    set(dirty) | set(affected)
-                )
             self._dispatch(
                 translated,
                 record,
@@ -527,7 +508,6 @@ class EXLEngine:
             deadline_s=deadline_s,
             on_error=on_error,
             backoff_s=self.backoff_s,
-            fallback=self.fallback,
             fault_plan=fault_plan,
             retranslate=self.translator.for_target,
             delta=delta,

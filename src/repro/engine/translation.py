@@ -76,9 +76,9 @@ class TranslationEngine:
         """Translate the same cube run for a different target backend.
 
         This is the degradation path: when a subgraph's native backend
-        fails permanently, the dispatcher re-translates it for each
-        target in the fallback chain (normally the reference chase
-        backend) and re-runs it there.  Cached like any translation, so
+        fails permanently, the dispatcher re-translates it for the
+        reference chase backend and re-runs it there.  Cached like any
+        translation, so
         repeated degradations of the same subgraph compile once.
         """
         return self.translate(Subgraph(tuple(cubes), target))

@@ -9,7 +9,7 @@ long-lived service would scrape).
 Conventions:
 
 * counters are monotone (``chase.tuples.inserted``,
-  ``chase.cache.hits``, ``chase.kernel.fallback``, …); per-reason
+  ``chase.egd.checks``, ``chase.kernel.fallback``, …); per-reason
   kernel fallbacks use the ``chase.kernel.fallback.reason:<reason>``
   namespace so the *why* of every de-vectorized tgd is visible;
 * histograms record distributions (``chase.wave.width``,

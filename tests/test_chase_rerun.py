@@ -1,0 +1,270 @@
+"""Re-running the chase: a re-run recomputes.
+
+No layer memoises a stratum's output between runs, so every
+``StratifiedChase.run`` builds a fresh solution instance from the
+source it is given, and ``EXLEngine.run`` re-runs every affected
+subgraph; ``EXLEngine.update`` is the one incremental path.  This suite
+pins what that buys: a re-run on unchanged sources reproduces the first
+run tuple for tuple, a re-run on changed sources or an edited statement
+reflects the change, an executor reused across runs agrees with a
+fresh one, and new source data that violates an egd always fails —
+whatever ran before on the same executor.
+"""
+
+import pytest
+
+from repro.backends import ChaseBackend
+import repro.chase
+from repro.chase import StratifiedChase, instance_from_cubes
+from repro.engine import EXLEngine
+from repro.errors import ChaseError
+from repro.exl import Program
+from repro.mappings import (
+    Atom,
+    Egd,
+    SchemaMapping,
+    Tgd,
+    TgdKind,
+    Var,
+    generate_mapping,
+)
+from repro.model import TIME, CubeSchema, Dimension, Frequency, Schema, month, quarter
+from repro.workloads.datagen import random_cube
+
+
+def _two_source_setup():
+    """Two independent elementary cubes, two independent strata."""
+    dims = [Dimension("m", TIME(Frequency.MONTH))]
+    schema = Schema(
+        [CubeSchema("S", dims, "v"), CubeSchema("T", dims, "w")]
+    )
+    program = Program.compile("A := S * 2\nB := T * 3", schema)
+    mapping = generate_mapping(program)
+    domains = {"m": [month(2021, 1) + i for i in range(8)]}
+    data = {
+        "S": random_cube(schema["S"], domains, seed=1),
+        "T": random_cube(schema["T"], domains, seed=2),
+    }
+    return schema, mapping, domains, data
+
+
+def _revised(schema, domains, data, name, seed):
+    changed = dict(data)
+    changed[name] = random_cube(schema[name], domains, seed=seed)
+    return changed
+
+
+def _assert_identical(left, right):
+    """Insertion-sequence equality of two solution instances."""
+    assert sorted(left.instance.relations()) == sorted(
+        right.instance.relations()
+    )
+    for relation in left.instance.relations():
+        assert list(left.instance.facts(relation)) == list(
+            right.instance.facts(relation)
+        ), f"relation {relation} differs"
+
+
+def _broken_projection_mapping():
+    """A tgd projecting away the time dimension without aggregating:
+    two source tuples with different measures violate OUT's egd."""
+    series = CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+    target = Schema([series, CubeSchema("OUT", (), "v")])
+    registry = generate_mapping(
+        Program.compile("C := S", Schema([series]))
+    ).registry
+    copy = Tgd(
+        [Atom("S", (Var("q"), Var("v")))],
+        Atom("S", (Var("q"), Var("v"))),
+        TgdKind.COPY,
+        label="S",
+    )
+    tgd = Tgd(
+        [Atom("S", (Var("q"), Var("v")))],
+        Atom("OUT", (Var("v"),)),
+        TgdKind.TUPLE_LEVEL,
+        label="OUT",
+    )
+    return SchemaMapping(
+        Schema([series]), target, [copy], [tgd], [Egd("OUT", 0)], registry
+    )
+
+
+def _one_fact_source():
+    source = instance_from_cubes({})
+    source.ensure("S")
+    source.add("S", (quarter(2020, 1), 1.0))
+    return source
+
+
+@pytest.mark.parametrize("jobs", [None, 4])
+class TestRerunOnOneExecutor:
+    """One ``StratifiedChase`` run several times, in statement order and
+    on thread waves."""
+
+    def test_second_run_equals_first(self, jobs):
+        _, mapping, _, data = _two_source_setup()
+        source = instance_from_cubes(data)
+        chase = StratifiedChase(mapping, jobs=jobs)
+        first, second = chase.run(source), chase.run(source)
+        _assert_identical(first, second)
+        # the second run applied every tgd again, on the same kernels
+        assert second.stats.rule_applications == first.stats.rule_applications
+        assert second.stats.tuples_generated == first.stats.tuples_generated
+        assert second.stats.per_tgd == first.stats.per_tgd
+        assert second.stats.vectorized_tgds == first.stats.vectorized_tgds
+
+    def test_recomputed_stratum_reflects_new_data(self, jobs):
+        schema, mapping, domains, data = _two_source_setup()
+        chase = StratifiedChase(mapping, jobs=jobs)
+        chase.run(instance_from_cubes(data))
+        changed = _revised(schema, domains, data, "T", seed=77)
+        result = chase.run(instance_from_cubes(changed))
+        expected = {
+            key + (value * 3,) for key, value in changed["T"].items()
+        }
+        assert result.instance.facts("B") == expected
+
+    def test_changed_source_leaves_other_strata_equal(self, jobs):
+        schema, mapping, domains, data = _two_source_setup()
+        chase = StratifiedChase(mapping, jobs=jobs)
+        before = chase.run(instance_from_cubes(data))
+        changed = _revised(schema, domains, data, "T", seed=99)
+        after = chase.run(instance_from_cubes(changed))
+        # A depends only on S (unchanged), B only on T (changed)
+        assert list(after.instance.facts("A")) == list(
+            before.instance.facts("A")
+        )
+        assert after.instance.facts("B") != before.instance.facts("B")
+        fresh = StratifiedChase(mapping, jobs=jobs).run(
+            instance_from_cubes(changed)
+        )
+        _assert_identical(fresh, after)
+
+    def test_earlier_result_is_untouched_by_a_rerun(self, jobs):
+        schema, mapping, domains, data = _two_source_setup()
+        chase = StratifiedChase(mapping, jobs=jobs)
+        first = chase.run(instance_from_cubes(data))
+        kept = {r: list(first.instance.facts(r)) for r in first.instance.relations()}
+        chase.run(instance_from_cubes(_revised(schema, domains, data, "S", seed=3)))
+        assert {
+            r: list(first.instance.facts(r)) for r in first.instance.relations()
+        } == kept
+
+    def test_revision_sequence_matches_fresh_executor(self, jobs):
+        schema, mapping, domains, data = _two_source_setup()
+        reused = StratifiedChase(mapping, jobs=jobs)
+        revised = data
+        for seed in range(5):
+            name = "ST"[seed % 2]
+            revised = _revised(schema, domains, revised, name, seed=seed + 10)
+            source = instance_from_cubes(revised)
+            _assert_identical(
+                StratifiedChase(mapping, jobs=jobs).run(source),
+                reused.run(source),
+            )
+
+    def test_rerun_never_masks_new_egd_violation(self, jobs):
+        mapping = _broken_projection_mapping()
+        chase = StratifiedChase(mapping, jobs=jobs)
+        clean = _one_fact_source()
+        # run 1: a single tuple cannot violate functionality
+        result = chase.run(clean)
+        assert result.instance.facts("OUT") == {(1.0,)}
+        # run 2: new source data introduces the violation
+        dirty = clean.copy()
+        dirty.add("S", (quarter(2020, 2), 2.0))
+        with pytest.raises(ChaseError, match="egd violation"):
+            chase.run(dirty)
+
+    def test_executor_recovers_after_an_egd_violation(self, jobs):
+        mapping = _broken_projection_mapping()
+        chase = StratifiedChase(mapping, jobs=jobs)
+        dirty = _one_fact_source()
+        dirty.add("S", (quarter(2020, 2), 2.0))
+        with pytest.raises(ChaseError, match="egd violation"):
+            chase.run(dirty)
+        # the failed run leaves nothing behind for the next one
+        assert chase.run(_one_fact_source()).instance.facts("OUT") == {(1.0,)}
+
+
+def test_editing_the_statement_recomputes():
+    dims = [Dimension("m", TIME(Frequency.MONTH))]
+    schema = Schema([CubeSchema("S", dims, "v")])
+    domains = {"m": [month(2021, 1) + i for i in range(6)]}
+    data = {"S": random_cube(schema["S"], domains, seed=5)}
+    doubled = generate_mapping(Program.compile("A := S * 2", schema))
+    tripled = generate_mapping(Program.compile("A := S * 3", schema))
+    StratifiedChase(doubled).run(instance_from_cubes(data))
+    result = StratifiedChase(tripled).run(instance_from_cubes(data))
+    assert result.instance.facts("A") == {
+        key + (value * 3,) for key, value in data["S"].items()
+    }
+
+
+def test_sequential_and_parallel_reruns_agree():
+    _, mapping, _, data = _two_source_setup()
+    source = instance_from_cubes(data)
+    sequential = StratifiedChase(mapping)
+    parallel = StratifiedChase(mapping, jobs=4)
+    warm = sequential.run(source)
+    for replay in (parallel.run(source), sequential.run(source), parallel.run(source)):
+        _assert_identical(warm, replay)
+
+
+def test_no_layer_takes_a_cache():
+    _, mapping, _, _ = _two_source_setup()
+    assert not hasattr(repro.chase, "ChaseCache")
+    with pytest.raises(TypeError):
+        StratifiedChase(mapping, cache=None)
+    with pytest.raises(TypeError):
+        ChaseBackend(cache=None)
+    with pytest.raises(TypeError):
+        EXLEngine(chase_cache=False)
+
+
+class TestEngineRerun:
+    def _engine(self, data=None, **kwargs):
+        dims = [Dimension("m", TIME(Frequency.MONTH))]
+        schema = CubeSchema("S", dims, "v")
+        engine = EXLEngine(**kwargs)
+        engine.declare_elementary(schema)
+        engine.add_program(
+            "A := S * 2\nB := S + 5\nC := A + B",
+            preferred_targets={"A": "chase", "B": "chase", "C": "chase"},
+        )
+        domains = {"m": [month(2022, 1) + i for i in range(8)]}
+        engine.load(data or random_cube(schema, domains, seed=11))
+        return engine, schema, domains
+
+    @staticmethod
+    def _rows(engine):
+        return {name: set(engine.data(name).to_rows()) for name in "ABC"}
+
+    def test_same_data_rerun_through_engine(self):
+        engine, _, _ = self._engine(jobs=2)
+        engine.run()
+        before = self._rows(engine)
+        record = engine.run(changed=["S"])  # same data: every stratum again
+        assert record.finished and not record.error
+        assert self._rows(engine) == before
+
+    def test_changed_data_recomputes_through_engine(self):
+        engine, schema, domains = self._engine(jobs=2)
+        engine.run()
+        revised = random_cube(schema, domains, seed=12)
+        engine.load(revised)
+        engine.run()
+        expected = {k + (v * 2,) for k, v in revised.items()}
+        assert set(engine.data("A").to_rows()) == expected
+
+    def test_rerun_after_update_matches_fresh_engine(self):
+        engine, schema, domains = self._engine(jobs=2)
+        engine.run()
+        revised = random_cube(schema, domains, seed=13)
+        engine.load(revised)
+        engine.update()
+        engine.run(changed=["S"])
+        fresh, _, _ = self._engine(data=revised)
+        fresh.run()
+        assert self._rows(engine) == self._rows(fresh)

@@ -9,8 +9,8 @@ a round trip is *behaviour-preserving*, not merely value-preserving:
 * the measure column keeps its original float objects — NaN-carrying
   facts compare equal through the tuple identity short-circuit, so
   membership, dedup, and retraction still work after the hop;
-* derived caches (members index, tuple view, columnar image,
-  fingerprint) are dropped at the boundary and rebuilt on demand.
+* derived caches (members index, tuple view, columnar image) are
+  dropped at the boundary and rebuilt on demand.
 
 The suite pins each property in-process first, then through an actual
 fork()ed worker, which is the transport the sharded chase uses.
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.chase.colstore import ColumnStore, TupleStore
-from repro.chase.columnar import EncodedColumn
+from repro.chase.columnar import ColumnarRelation, EncodedColumn
 from repro.model import month
 
 NAN = float("nan")
@@ -101,12 +101,15 @@ class TestColumnStoreRoundTrip:
     def test_derived_caches_dropped_not_leaked(self):
         store = _panel_store()
         store.rows()  # materialize the view
-        store.fingerprint()  # and the fingerprint
+        image = store.image()  # and the columnar image
         clone = pickle.loads(pickle.dumps(store))
         assert clone._view is None and clone._members is None
-        assert clone._fp is None
+        assert clone._image is None
         # rebuilt caches agree with the source's
-        assert clone.fingerprint() == store.fingerprint()
+        assert list(clone.rows()) == list(store.rows())
+        rebuilt = clone.image()
+        assert rebuilt.n_rows == image.n_rows
+        assert np.array_equal(rebuilt.measures, image.measures)
 
     def test_extend_from_remaps_codes(self):
         left, right = ColumnStore(2), ColumnStore(2)
@@ -171,10 +174,12 @@ class TestTupleStoreRoundTrip:
     def test_caches_reset_and_mutation_counter_rebased(self):
         store = TupleStore()
         store.add(("a", 1.0))
-        store.fingerprint()
+        store.set_image(ColumnarRelation.from_facts(list(store.rows()), 2))
         clone = pickle.loads(pickle.dumps(store))
-        assert clone._fp is None and clone._image is None
-        assert clone.fingerprint() == store.fingerprint()
+        assert clone._image is None and clone.cached_image() is None
+        assert clone._mut == 0
+        clone.set_image(ColumnarRelation.from_facts(list(clone.rows()), 2))
+        assert clone.cached_image() is not None
 
 
 def _worker_hop(store):

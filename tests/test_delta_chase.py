@@ -26,13 +26,8 @@ from repro.workloads import gdp_example, random_workload
 SEEDS = range(50)
 
 
-def _build_engine(workload, *, jobs=1, chase_cache=True,
-                  preferred_targets=None):
-    engine = EXLEngine(
-        jobs=jobs,
-        chase_cache=chase_cache,
-        target_priority=("chase",),
-    )
+def _build_engine(workload, *, jobs=1, preferred_targets=None):
+    engine = EXLEngine(jobs=jobs, target_priority=("chase",))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source, preferred_targets=preferred_targets)
@@ -105,16 +100,9 @@ class TestUpdateEquivalence:
         )
         baseline_data = _truncate(workload.data, seed)
         revised_data = _perturb(workload.data, seed)
-        chase_cache = seed % 2 == 0  # compose the cache axis over the sweep
 
-        updated = _build_engine(
-            workload, jobs=chase_jobs,
-            chase_cache=chase_cache,
-        )
-        fresh = _build_engine(
-            workload, jobs=chase_jobs,
-            chase_cache=chase_cache,
-        )
+        updated = _build_engine(workload, jobs=chase_jobs)
+        fresh = _build_engine(workload, jobs=chase_jobs)
         for cube in baseline_data.values():
             updated.load(cube)
         try:

@@ -21,7 +21,6 @@ from repro.engine import (
     FaultRule,
     RunLog,
     SubgraphRecord,
-    default_fallback_chains,
     parse_fault_spec,
 )
 from repro.engine.faults import FaultyBackend
@@ -59,6 +58,17 @@ def _diamond_engine(jobs=1, **kwargs):
         Cube.from_series(
             _series("E2"), quarter(2018, 1), [10.0 + (i % 4) for i in range(12)]
         )
+    )
+    return engine
+
+
+def _pinned_engine(target):
+    """E1 -> A, with A pinned to ``target``: one single-cube subgraph."""
+    engine = EXLEngine(backoff_s=BACKOFF)
+    engine.declare_elementary(_series("E1"))
+    engine.add_program("A := E1 * 2", preferred_targets={"A": target})
+    engine.load(
+        Cube.from_series(_series("E1"), quarter(2018, 1), [float(i) for i in range(8)])
     )
     return engine
 
@@ -360,17 +370,24 @@ class TestDegradation:
         assert engine.metrics.value("dispatch.degraded") == len(degraded)
 
     def test_default_chain_covers_every_native_target(self):
-        chains = default_fallback_chains()
         for target in ("sql", "r", "matlab", "etl"):
-            assert chains[target] == ("chase",)
-        assert "chase" not in chains  # the reference backend has no fallback
+            plan = FaultPlan([FaultRule(kind="permanent", target=target)], seed=0)
+            engine = _pinned_engine(target)
+            record = engine.run(on_error="degrade", fault_plan=plan)
+            assert record.complete, target
+            (subgraph,) = record.subgraphs
+            assert subgraph.target == target
+            assert subgraph.outcome == "degraded"
+            assert subgraph.executed_target == "chase"
 
     def test_degrade_without_chain_fails(self):
-        plan = FaultPlan([FaultRule(kind="permanent", target="sql")], seed=0)
-        engine = _diamond_engine(fallback={})
+        # the reference backend has no fallback
+        plan = FaultPlan([FaultRule(kind="permanent", target="chase")], seed=0)
+        engine = _pinned_engine("chase")
         record = engine.run(on_error="degrade", fault_plan=plan)
         assert record.failed
-        assert any(s.outcome == "failed" for s in record.subgraphs)
+        (subgraph,) = record.subgraphs
+        assert subgraph.outcome == "failed"
         assert engine.metrics.value("dispatch.degraded") == 0
 
     def test_degrade_when_fallback_also_fails(self):
@@ -379,19 +396,6 @@ class TestDegradation:
         record = engine.run(on_error="degrade", fault_plan=plan)
         assert record.failed
         assert all(s.outcome in ("failed", "skipped") for s in record.subgraphs)
-
-    def test_custom_fallback_chain_order(self):
-        plan = FaultPlan(
-            [FaultRule(kind="permanent", target="sql"),
-             FaultRule(kind="permanent", target="etl")],
-            seed=0,
-        )
-        engine = _diamond_engine(fallback={"sql": ("etl", "chase")})
-        record = engine.run(on_error="degrade", fault_plan=plan)
-        degraded = [s for s in record.subgraphs if s.outcome == "degraded"]
-        # etl tried first, also faulted, chase finally committed
-        assert all(s.executed_target == "chase" for s in degraded)
-        assert record.complete
 
     def test_transient_exhaustion_also_degrades(self):
         plan = FaultPlan([FaultRule(kind="transient", target="r")], seed=0)

@@ -46,6 +46,26 @@ QUERY_MODULE_LIMIT = 20
 #: library under it (numpy with it)
 FALLBACK_PACKAGES = ("exl", "stats")
 
+#: an in-process engine on the library defaults, run twice on the chase
+ENGINE_CHILD = """
+import json, sys
+from repro.engine import EXLEngine
+from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, quarter
+
+schema = CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+engine = EXLEngine()
+engine.declare_elementary(schema)
+engine.add_program("A := S * 2\\nB := cumsum(A)", {"A": "chase", "B": "chase"})
+engine.load(Cube.from_series(schema, quarter(2020, 1), [1.0, 2.0, 3.0, 4.0]))
+records = [engine.run(), engine.run()]
+with open(sys.argv[1], "w") as handle:
+    json.dump({
+        "targets": sorted({s.executed_target for r in records for s in r.subgraphs}),
+        "complete": all(r.complete for r in records),
+        "modules": sorted(sys.modules),
+    }, handle)
+"""
+
 TARGET_ENGINES = ("sqlengine", "etl", "frames", "matrixengine", "rscript", "mscript")
 
 
@@ -244,8 +264,7 @@ class TestRunBudget:
         self, tmp_path, loaded_by, target
     ):
         # the delta chase replays a snapshot no one-shot call can hold,
-        # the cost model serves --adaptive, the wave scheduler (and the
-        # chase cache beside it) --jobs N > 1 and in-process engines
+        # the cost model serves --adaptive, the wave scheduler --jobs N > 1
         project = write_project(tmp_path, target)
         out = str(tmp_path / "out")
         for command in ("run", "update"):
@@ -265,6 +284,18 @@ class TestRunBudget:
         assert "repro.engine.costmodel" in loaded_by(
             ["run", project, "--out", out, "--adaptive"]
         )
+
+    def test_library_engine_run_loads_no_wave_scheduler(
+        self, fresh_python, tmp_path
+    ):
+        # a serial chase walks statement order: a default EXLEngine()
+        # re-runs by recomputing, with no schedule and no memo to build
+        dump = tmp_path / "modules.json"
+        child = fresh_python("-c", ENGINE_CHILD, str(dump))
+        assert child.returncode == 0, child.stderr
+        report = json.loads(dump.read_text())
+        assert report["complete"] and report["targets"] == ["chase"]
+        assert "repro.chase.scheduler" not in report["modules"]
 
     def test_chase_run_does_not_import_numpy_ma(self, tmp_path, loaded_by):
         # numpy.unique imports numpy.ma (14 modules) on first use; the

@@ -432,24 +432,15 @@ class TestCliInputErrors:
         assert f"argument {flags[0]}: must be {bound}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--parallel", "--no-vectorize"])
+    @pytest.mark.parametrize(
+        "flag", ["--parallel", "--no-vectorize", "--no-chase-cache"]
+    )
     def test_removed_flags_are_usage_errors(self, flag, project_dir, capsys):
         # --jobs N alone decides threads; the kernel oracle is pytest's
         with pytest.raises(SystemExit) as exit_info:
             main(["run", str(project_dir / "project.json"), flag])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
-
-    def test_one_shot_commands_build_no_chase_cache(self, project_dir, capsys):
-        # each tgd is applied once per process: nothing to hit, no knob
-        from repro.cli import _build_engine
-
-        project = str(project_dir / "project.json")
-        assert _build_engine(load_project(project)).chase_cache is None
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", project, "--no-chase-cache"])
-        assert exit_info.value.code == 2
-        assert "--no-chase-cache" in capsys.readouterr().err
 
     def test_shards_zero_is_one_per_core(self, project_dir, capsys):
         out = str(project_dir / "results")

@@ -6,7 +6,7 @@ statement order, tuple for tuple, for every valid EXL program —
 whatever mix of shard-local tgds, re-reduced aggregations, and
 parent-side fallbacks the partition analysis chose.  The suite checks
 this over ≥50 seeded-random programs, composes the shard axis with the
-other execution axes (chase cache, tuple-at-a-time kernels, forced
+other execution axes (re-runs, tuple-at-a-time kernels, forced
 tuple layout, incremental updates, fault injection; thread jobs ×
 shards × kernels is ``test_parallel_chase.TestPolicyMatrix``), and pins
 the observability contract: merged worker metrics and spans must agree
@@ -23,7 +23,6 @@ import pytest
 
 import repro.chase.instance as instance_mod
 from repro.chase import (
-    ChaseCache,
     ShardPlan,
     StratifiedChase,
     instance_from_cubes,
@@ -128,12 +127,19 @@ class TestCompositionAxes:
     """--shards composes with every other execution axis bit-exactly."""
 
     @pytest.mark.parametrize("seed", [1, 4])
-    def test_with_chase_cache(self, seed, chase_shards):
+    def test_rerun_on_same_executor(self, seed, chase_shards):
+        # a second run forks its workers again and recomputes every
+        # stratum: both runs equal the statement-order chase
         workload = random_workload(seed, n_statements=6, n_periods=10)
-        _, _, sequential, sharded = _both_runs(
-            workload, chase_shards, cache=ChaseCache()
-        )
-        _assert_identical(sequential, sharded)
+        program = Program.compile(workload.source, workload.schema)
+        mapping = generate_mapping(program)
+        source = instance_from_cubes(workload.data)
+        sequential = StratifiedChase(mapping).run(source)
+        chase = StratifiedChase(mapping, jobs=4, shards=chase_shards)
+        first, second = chase.run(source), chase.run(source)
+        _assert_identical(sequential, first)
+        _assert_identical(sequential, second)
+        assert second.stats.per_tgd == first.stats.per_tgd
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_with_scalar_kernels(self, seed, chase_shards):
@@ -151,10 +157,8 @@ class TestCompositionAxes:
         _assert_identical(sequential, sharded)
 
 
-def _build_engine(workload, *, shards=1, chase_cache=True):
-    engine = EXLEngine(
-        shards=shards, chase_cache=chase_cache, target_priority=("chase",)
-    )
+def _build_engine(workload, *, shards=1):
+    engine = EXLEngine(shards=shards, target_priority=("chase",))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source)
