@@ -9,10 +9,11 @@ their encoded columns across runs, and the tuple view is derived lazily.
 
 The headline claim this bench gates: on the 120k-tuple scalar workload,
 cumulative ``kernel:encode`` span time on a *warm* engine run drops
-≥ 10× versus the forced-eager-tuple layout (``EXL_FORCE_TUPLE_VIEW``
-oracle).  In practice the native number is zero — no relation ever
-exists as a tuple set — so the measured ratio is effectively unbounded;
-the floor guards against the representation regressing to re-encoding.
+≥ 10× versus the forced-eager-tuple layout (the
+``instance.FORCE_TUPLE_VIEW`` oracle).  In practice the native number
+is zero — no relation ever exists as a tuple set — so the measured
+ratio is effectively unbounded; the floor guards against the
+representation regressing to re-encoding.
 
 Results land in ``benchmarks/results/`` (``COLUMNAR_NATIVE_BENCH_JSON``)
 and, with ``--bench-json``, in the unified report that
@@ -78,11 +79,7 @@ def _input_cube():
 
 
 def _engine(tracer):
-    engine = EXLEngine(
-        vectorize=True,
-        tracer=tracer,
-        target_priority=("chase",),
-    )
+    engine = EXLEngine(tracer=tracer, target_priority=("chase",))
     engine.declare_elementary(_schema())
     engine.add_program(SCALAR_PROGRAM)
     engine.load(_input_cube())

@@ -3,7 +3,9 @@
 Wrapping the stratified chase in the :class:`Backend` interface lets
 equivalence tests and benchmarks treat the reference executor uniformly
 with the translated targets — the paper's claim is precisely that every
-translation computes the same solution the chase does.
+translation computes the same solution the chase does.  Its arguments
+say how many threads and shard workers run the chase; none chooses its
+kernels, its storage or its snapshotting.
 """
 
 from __future__ import annotations
@@ -34,8 +36,12 @@ class ChaseBackend(Backend):
     :class:`StratifiedChase` run.
 
     ``jobs > 1`` runs its waves on that many threads, ``shards`` on
-    forked workers.  ``compile_tgd`` gives each tgd's text for ``exl
-    compile --target chase``; its runner is never called.
+    forked workers.  Every whole-mapping run keeps what a
+    :class:`DeltaSnapshot` of it is made of — references only, no
+    copies, and no snapshot object until :meth:`run_mapping_delta`
+    asks for one — so ``EXLEngine.update`` gets tuple-level deltas.
+    ``compile_tgd`` gives each tgd's text for ``exl compile --target
+    chase``; its runner is never called.
     """
 
     name = "chase"
@@ -43,35 +49,19 @@ class ChaseBackend(Backend):
     def __init__(
         self,
         jobs: int = 1,
-        vectorized: Optional[bool] = None,
         tracer=None,
         metrics=None,
-        capture_deltas: bool = False,
         shards: int = 1,
-        shard_retries: int = 2,
-        shard_timeout_s: Optional[float] = None,
     ):
         #: worker threads for chase waves (1 = statement order)
         self.jobs = jobs
         #: worker-process count for whole-mapping runs (0 = one per
         #: core, 1 = no sharding); see chase.shard
         self.shards = shards
-        #: shard-pool supervision knobs (see chase.shard): pool-rebuild
-        #: rounds after worker death, and the per-shard wedge timeout
-        self.shard_retries = shard_retries
-        self.shard_timeout_s = shard_timeout_s
-        #: columnar kernels on/off (``None`` = engine default, i.e. on)
-        self.vectorized = vectorized
         #: observability sinks threaded into every chase this backend
         #: constructs (``None`` = untraced / per-chase registry)
         self.tracer = tracer
         self.metrics = metrics
-        #: keep what a :class:`DeltaSnapshot` of every whole-mapping
-        #: run is made of, so :meth:`run_mapping_delta` can replay it
-        #: incrementally.  Capture is references only — no copies, and
-        #: no snapshot object until a replay asks for one; the engine
-        #: turns it on so ``EXLEngine.update`` gets tuple-level deltas
-        self.capture_deltas = capture_deltas
         # kernel decisions aggregated across every chase this backend
         # runs; the dispatcher may execute subgraphs concurrently
         self.vectorized_tgds = 0
@@ -147,13 +137,10 @@ class ChaseBackend(Backend):
             mapping,
             jobs=self.jobs if self.jobs > 1 else None,
             shards=self.shards,
-            vectorized=self.vectorized,
             kernel_hook=self._on_kernel,
             tracer=self.tracer,
             metrics=self.metrics,
             fault_context=getattr(self._fault_ctx, "value", None),
-            shard_retries=self.shard_retries,
-            shard_timeout_s=self.shard_timeout_s,
         )
         result = chase.run(source, check=check)
         if result.stats.shards:
@@ -190,12 +177,11 @@ class ChaseBackend(Backend):
                 store.dims_distinct = True
                 cube._colstore = store
             outputs[name] = cube
-        if self.capture_deltas:
-            with self._snap_lock:
-                self._snapshots[id(mapping)] = (
-                    mapping, result.instance, result.functional,
-                    {**dict(inputs), **outputs},
-                )
+        with self._snap_lock:
+            self._snapshots[id(mapping)] = (
+                mapping, result.instance, result.functional,
+                {**dict(inputs), **outputs},
+            )
         return outputs
 
     # -- incremental execution ------------------------------------------------
@@ -235,10 +221,7 @@ class ChaseBackend(Backend):
                 chase = snapshot.chaser
                 if chase is None:
                     chase = DeltaChase(
-                        snapshot,
-                        vectorized=self.vectorized,
-                        tracer=self.tracer,
-                        metrics=self.metrics,
+                        snapshot, tracer=self.tracer, metrics=self.metrics
                     )
                     snapshot.chaser = chase
                 result = chase.update(input_deltas)
@@ -285,6 +268,12 @@ class ChaseBackend(Backend):
                 cubes[name] = cube
                 changed[name] = True
         return DeltaRunResult(cubes, changed, result.stats)
+
+    def drop_snapshots(self) -> None:
+        """Forget every snapshot: their mappings are retired (a new
+        translator builds new mapping objects, which no entry is keyed by)."""
+        with self._snap_lock:
+            self._snapshots.clear()
 
     def _snapshot_for(self, mapping: SchemaMapping) -> Optional[DeltaSnapshot]:
         with self._snap_lock:

@@ -8,8 +8,9 @@ forked shard workers given ``shards`` — the same solution every way.
 The scheduler module holds the wave schedule, the shard module the
 partition plan and the workers, groupreduce the one collect / reduce / rereduce every
 aggregate goes through.  The columnar module holds the vectorized tgd
-kernels (``vectorized=True``, the default); ``vectorized=False`` keeps
-the tuple-at-a-time path as the bit-exact ablation baseline.
+kernels every chase runs; a tgd with no kernel falls back to the
+tuple-at-a-time path, which ``StratifiedChase(vectorized=False)`` runs
+for every tgd as the bit-exact oracle of the equivalence suites.
 """
 
 from .._lazy import lazy_surface
@@ -19,7 +20,6 @@ _EXPORTS = {
     "ColumnarRelation": "columnar",
     "EncodedColumn": "columnar",
     "FallbackUnsupported": "columnar",
-    "DEFAULT_VECTORIZED": "engine",
     "RelationalInstance": "instance",
     "instance_from_cubes": "instance",
     "cubes_from_instance": "instance",

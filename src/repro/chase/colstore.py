@@ -11,7 +11,7 @@ column holding the original ``float`` objects) and derives the tuple
 view lazily.  :class:`TupleStore` is the compatibility representation —
 a fact dict first, columnar image encoded on demand — used when a
 relation's facts do not fit the columnar shape (non-float measures,
-ragged arity) or when ``EXL_FORCE_TUPLE_VIEW=1`` forces the old layout.
+ragged arity) or when a test sets ``instance.FORCE_TUPLE_VIEW``.
 
 Representation invariants (pinned by ``tests/test_columnar_native.py``):
 
@@ -440,8 +440,8 @@ class TupleStore:
     """One relation as a fact dict (the compatibility representation).
 
     Used for relations whose facts do not fit the columnar shape and
-    for the ``EXL_FORCE_TUPLE_VIEW=1`` mode; the columnar image is
-    encoded on demand (the classic encode tax) and cached.
+    wherever a test sets ``instance.FORCE_TUPLE_VIEW``; the columnar
+    image is encoded on demand (the classic encode tax) and cached.
 
     Unlike :class:`ColumnStore`, this store supports removal, so the
     row count is NOT a valid staleness tag: the delta chase's splice

@@ -328,7 +328,6 @@ class DeltaChase:
     def __init__(
         self,
         snapshot: DeltaSnapshot,
-        vectorized: Optional[bool] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -340,9 +339,8 @@ class DeltaChase:
         # the applier runs fallback strata (and the kernel-mini path)
         # with the exact engine a full rerun would use
         self._applier = StratifiedChase(
-            self.mapping, vectorized=vectorized, tracer=tracer, metrics=self.metrics
+            self.mapping, tracer=tracer, metrics=self.metrics
         )
-        self.vectorized = self._applier.vectorized
         # delta plans per target tgd: _TuplePlan | _AggPlan | (None, reason)
         self._plans: Dict[int, Any] = {}
         writers: Dict[str, int] = {}
@@ -416,7 +414,7 @@ class DeltaChase:
             return self._agg_delta(tgd, plan, deltas.get(
                 tgd.lhs[0].relation, EMPTY_DELTA
             ))
-        if len(tgd.lhs) == 1 and self.vectorized:
+        if len(tgd.lhs) == 1:
             try:
                 return self._tuple_delta_kernel(
                     tgd, deltas.get(tgd.lhs[0].relation, EMPTY_DELTA)

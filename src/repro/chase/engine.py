@@ -53,13 +53,7 @@ __all__ = [
     "DeltaStats",
     "DeltaRunResult",
     "StratifiedChase",
-    "DEFAULT_VECTORIZED",
 ]
-
-#: Default for ``StratifiedChase(vectorized=None)``.  Read at
-#: construction time, so the test harness can flip it process-wide
-#: (``pytest --no-vectorize``) without threading a flag everywhere.
-DEFAULT_VECTORIZED = True
 
 
 @dataclass
@@ -172,7 +166,7 @@ class StratifiedChase:
         mapping: SchemaMapping,
         jobs: Optional[int] = None,
         shards: int = 1,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = True,
         kernel_hook=None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -182,10 +176,9 @@ class StratifiedChase:
     ):
         self.mapping = mapping
         self.registry = mapping.registry
-        #: columnar kernels on/off; ``None`` defers to the module default
-        self.vectorized = (
-            DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
-        )
+        #: columnar kernels on/off; ``False`` is the tuple-at-a-time
+        #: oracle the equivalence suites and ablation benches compare to
+        self.vectorized = bool(vectorized)
         #: optional ``hook(used: bool, reason: Optional[str])`` called per
         #: target-tgd kernel decision (ChaseBackend aggregates counters
         #: across runs here)

@@ -11,10 +11,9 @@ and the classic ``Set[Fact]`` tuple view is derived lazily — the
 inverse of the old design, where the fact set was primary and every
 chase paid an encode pass per relation.  Relations whose facts do not
 fit the columnar shape (non-float measures, mixed arity) transparently
-demote to a :class:`~repro.chase.colstore.TupleStore`; setting
-``EXL_FORCE_TUPLE_VIEW=1`` forces the tuple representation everywhere,
-keeping the compatibility path exercised (a CI matrix leg runs the
-whole suite this way).
+demote to a :class:`~repro.chase.colstore.TupleStore`.  Tests set the
+module attribute ``FORCE_TUPLE_VIEW`` per case to force the tuple
+representation everywhere, the storage oracle of the equivalence suites.
 
 Stores can be *shared* between instances — operand views, adopted cube
 stores, copy-tgd adoption — under copy-on-write: a shared store is
@@ -24,7 +23,6 @@ write through a view or clone can ever corrupt the owner's buffers.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -43,11 +41,10 @@ __all__ = [
 
 Fact = Tuple[Any, ...]
 
-#: ``EXL_FORCE_TUPLE_VIEW=1`` forces every relation onto the eager
-#: tuple representation (TupleStore): the pre-columnar-native layout,
-#: kept alive as a compatibility oracle.  Read at each store creation,
-#: so tests can flip the module attribute per-case.
-FORCE_TUPLE_VIEW = os.environ.get("EXL_FORCE_TUPLE_VIEW", "") not in ("", "0")
+#: ``True`` forces every relation onto the eager tuple representation
+#: (TupleStore), the pre-columnar-native layout.  Read at each store
+#: creation; tests flip it per case as the storage oracle.
+FORCE_TUPLE_VIEW = False
 
 # shared empty mapping backing ``facts()`` of absent relations; only
 # its (immutable) keys view ever escapes

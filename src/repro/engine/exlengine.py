@@ -52,7 +52,6 @@ class EXLEngine:
         target_priority: Sequence[str] = DEFAULT_TARGET_PRIORITY,
         jobs: int = 1,
         shards: int = 1,
-        vectorize: Optional[bool] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         backoff_s: Optional[float] = None,
@@ -85,8 +84,6 @@ class EXLEngine:
         #: worker processes for sharded chase runs (0 = one per core,
         #: 1 = sharding off); see repro.chase.shard
         self.shards = int(shards)
-        #: columnar chase kernels on/off (None = engine default, i.e. on)
-        self.vectorize = vectorize
         #: span sink shared by the engine, dispatcher, and chase layers
         #: (the no-op tracer unless the caller wants a trace)
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -113,13 +110,8 @@ class EXLEngine:
         if isinstance(chase_backend, ChaseBackend):
             chase_backend.jobs = self.jobs
             chase_backend.shards = self.shards
-            chase_backend.vectorized = vectorize
             chase_backend.tracer = self.tracer
             chase_backend.metrics = self.metrics
-            # keep per-mapping solution snapshots (references only) so
-            # update() can propagate tuple-level deltas instead of
-            # re-running unchanged strata
-            chase_backend.capture_deltas = True
         self.catalog = MetadataCatalog()
         self.runs = RunLog()
         #: the OLAP query service; None until enable_olap() is called
@@ -213,6 +205,12 @@ class EXLEngine:
     def _invalidate(self) -> None:
         self._graph = None
         self._translator = None
+        # the next translator builds new mapping objects, so no chase
+        # snapshot of the old ones can be replayed again (the
+        # constructor already built the chase backend, if there is one)
+        chase_backend = self.backends.get("chase")
+        if isinstance(chase_backend, ChaseBackend):
+            chase_backend.drop_snapshots()
 
     @property
     def graph(self) -> DependencyGraph:

@@ -25,7 +25,7 @@ Three properties keep the lattice honest:
   with a plain dict group-by, which beats encode + columnar for one
   node; the image is built when a second request comes, and serves
   every node from then on (DESIGN.md §11 has the measurements).
-  Tuple mode (``EXL_FORCE_TUPLE_VIEW=1``) and composite-code overflow
+  Tuple mode (``instance.FORCE_TUPLE_VIEW``) and composite-code overflow
   take the dict group-by throughout, with identical results.  numpy and
   the columnar modules are imported when an image is first used, never
   before.

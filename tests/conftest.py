@@ -42,13 +42,6 @@ def pytest_addoption(parser):
         "(CI runs the sharded suite with 1 and with 4)",
     )
     parser.addoption(
-        "--no-vectorize",
-        action="store_true",
-        default=False,
-        help="run every chase in the suite on the tuple-at-a-time path "
-        "(CI runs the suite both ways)",
-    )
-    parser.addoption(
         "--inject-faults",
         default=None,
         metavar="SPEC",
@@ -75,12 +68,6 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    # flip the process-wide default; StratifiedChase reads it at
-    # construction time, so every chase in the suite follows the flag
-    import repro.chase.engine as chase_engine
-
-    chase_engine.DEFAULT_VECTORIZED = not config.getoption("--no-vectorize")
-
     spec = config.getoption("--inject-faults")
     if spec:
         from repro.engine import faults

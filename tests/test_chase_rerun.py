@@ -11,11 +11,15 @@ fresh one, and new source data that violates an egd always fails —
 whatever ran before on the same executor.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.backends import ChaseBackend
 import repro.chase
 from repro.chase import StratifiedChase, instance_from_cubes
+from repro.chase.delta import DeltaChase
 from repro.engine import EXLEngine
 from repro.errors import ChaseError
 from repro.exl import Program
@@ -212,8 +216,10 @@ def test_sequential_and_parallel_reruns_agree():
         _assert_identical(warm, replay)
 
 
-def test_no_layer_takes_a_cache():
-    _, mapping, _, _ = _two_source_setup()
+def test_no_layer_takes_a_removed_setting(child_env):
+    """No cache, and above StratifiedChase nothing picks the kernels,
+    the storage or the snapshotting."""
+    _, mapping, _, data = _two_source_setup()
     assert not hasattr(repro.chase, "ChaseCache")
     with pytest.raises(TypeError):
         StratifiedChase(mapping, cache=None)
@@ -221,6 +227,37 @@ def test_no_layer_takes_a_cache():
         ChaseBackend(cache=None)
     with pytest.raises(TypeError):
         EXLEngine(chase_cache=False)
+    with pytest.raises(TypeError):
+        EXLEngine(vectorize=False)
+    for setting in (
+        "vectorized", "capture_deltas", "shard_retries", "shard_timeout_s"
+    ):
+        with pytest.raises(TypeError):
+            ChaseBackend(**{setting: None})
+    backend = ChaseBackend()
+    backend.run_mapping(mapping, data)
+    with pytest.raises(TypeError):
+        DeltaChase(backend._snapshot_for(mapping), vectorized=False)
+    # the tuple-storage oracle is a module attribute, not an env switch
+    script = (
+        "from repro.backends import ChaseBackend\n"
+        "from repro.chase.colstore import ColumnStore\n"
+        "from repro.exl import Program\n"
+        "from repro.mappings import generate_mapping\n"
+        "from repro.model import (\n"
+        "    TIME, Cube, CubeSchema, Dimension, Frequency, Schema, month)\n"
+        "s = CubeSchema('S', [Dimension('m', TIME(Frequency.MONTH))], 'v')\n"
+        "mapping = generate_mapping(Program.compile('A := S * 2', Schema([s])))\n"
+        "cube = Cube.from_rows(s, [(month(2021, 1) + i, float(i)) for i in range(4)])\n"
+        "out = ChaseBackend().run_mapping(mapping, {'S': cube})['A']\n"
+        "assert isinstance(out._colstore, ColumnStore), out._colstore\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**child_env, "EXL_FORCE_TUPLE_VIEW": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestEngineRerun:

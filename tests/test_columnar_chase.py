@@ -36,7 +36,13 @@ from repro.mappings import (
     simplify_mapping,
 )
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, quarter
-from repro.workloads import gdp_example, random_workload
+from repro.workloads import (
+    employment_example,
+    gdp_example,
+    price_index_example,
+    random_workload,
+    scenario_corpus,
+)
 
 
 def _both_modes(workload, simplify=False):
@@ -159,6 +165,39 @@ class TestComposition:
         # the scalar path never consults the kernels at all
         assert scalar.stats.vectorized_tgds == 0
         assert scalar.stats.fallback_tgds == 0
+
+    def test_fallback_census(self):
+        # the scalar path's only product traffic: the tgds no kernel
+        # covers.  A new fallback shape, or a kernel for an old one,
+        # changes this census
+        outer = "no kernel for outer_tuple_level tgds"
+        table = "no kernel for table_function tgds"
+        workload_sets = {
+            "random_workload seeds 0-49": [random_workload(s) for s in range(50)],
+            "scenario_corpus(0)": scenario_corpus(0),
+            "paper examples": [
+                gdp_example(), price_index_example(), employment_example()
+            ],
+        }
+        census = {}
+        for name, workloads in workload_sets.items():
+            tgds, reasons = 0, {}
+            for workload in workloads:
+                mapping = generate_mapping(
+                    Program.compile(workload.source, workload.schema)
+                )
+                stats = StratifiedChase(mapping).run(
+                    instance_from_cubes(workload.data)
+                ).stats
+                tgds += len(mapping.target_tgds)
+                for reason, count in stats.fallback_reasons.items():
+                    reasons[reason] = reasons.get(reason, 0) + count
+            census[name] = (tgds, reasons)
+        assert census == {
+            "random_workload seeds 0-49": (317, {outer: 44, table: 35}),
+            "scenario_corpus(0)": (54, {table: 15}),
+            "paper examples": (25, {table: 3}),
+        }
 
 
 class TestFailureIdentity:

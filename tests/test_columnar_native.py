@@ -2,13 +2,13 @@
 
 Columnar-native means :class:`RelationalInstance` keeps each relation as
 dictionary-encoded struct-of-arrays and derives the tuple view lazily;
-``EXL_FORCE_TUPLE_VIEW=1`` (here: monkeypatching the module flag) keeps
-the pre-refactor eager tuple representation as the oracle.  The contract
-this suite pins (DESIGN.md §9): the representation is *unobservable* —
-chase solutions, committed stores, failure behaviour, and run
-bookkeeping are bit-identical between the two layouts across 50
-seeded-random programs × perturbations, composed with the suite-wide
-``--jobs`` / ``--no-vectorize`` axes, the chase cache, ``update()``, and
+setting the module attribute ``instance.FORCE_TUPLE_VIEW`` per case
+keeps the pre-refactor eager tuple representation as the oracle.  The
+contract this suite pins (DESIGN.md §9): the representation is
+*unobservable* — chase solutions, committed stores, failure behaviour,
+and run bookkeeping are bit-identical between the two layouts across 50
+seeded-random programs × perturbations, composed with the scalar and
+columnar kernels, the suite-wide ``--jobs`` axis, ``update()``, and
 injected faults.
 
 Also here: the encode-tax regression (warm runs and no-op updates must
@@ -50,14 +50,6 @@ from repro.workloads import gdp_example, random_workload
 
 SEEDS = range(50)
 
-# the EXL_FORCE_TUPLE_VIEW=1 CI leg runs the whole suite on the eager
-# tuple layout; the zero-encode and sidecar guarantees only hold for the
-# columnar-native layout, so those pins step aside there
-requires_native = pytest.mark.skipif(
-    instance_mod.FORCE_TUPLE_VIEW,
-    reason="EXL_FORCE_TUPLE_VIEW=1 forces the eager tuple layout",
-)
-
 
 @contextmanager
 def _tuple_view(forced):
@@ -70,12 +62,8 @@ def _tuple_view(forced):
         instance_mod.FORCE_TUPLE_VIEW = previous
 
 
-def _build_engine(workload, *, jobs=1, vectorize=True):
-    engine = EXLEngine(
-        jobs=jobs,
-        vectorize=vectorize,
-        target_priority=("chase",),
-    )
+def _build_engine(workload, *, jobs=1):
+    engine = EXLEngine(jobs=jobs, target_priority=("chase",))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source)
@@ -184,14 +172,11 @@ class TestEngineEquivalence:
         baseline = _truncate(workload.data, seed)
         revised = _perturb(workload.data, seed)
         jobs = chase_jobs if seed % 3 == 0 else 1
-        vectorize = seed % 5 != 0
         engines = {}
         failures = {}
         for forced in (False, True):
             with _tuple_view(forced):
-                engine = _build_engine(
-                    workload, jobs=jobs, vectorize=vectorize
-                )
+                engine = _build_engine(workload, jobs=jobs)
                 for cube in baseline.values():
                     engine.load(cube)
                 try:
@@ -262,7 +247,6 @@ class TestEncodeTax:
         twice = {name: n for name, n in per_relation.items() if n > 1}
         assert not twice, f"relations encoded more than once: {twice}"
 
-    @requires_native
     def test_cold_and_warm_runs_never_encode(self):
         engine, _ = self._loaded_engine()
         engine.run()
@@ -272,7 +256,6 @@ class TestEncodeTax:
         assert record.encode_count == 0
         self._assert_no_relation_encoded_twice(engine)
 
-    @requires_native
     def test_noop_update_never_encodes(self):
         engine, workload = self._loaded_engine()
         engine.run()
@@ -283,7 +266,6 @@ class TestEncodeTax:
         assert record.encode_count == 0
         self._assert_no_relation_encoded_twice(engine)
 
-    @requires_native
     def test_dirty_update_never_encodes(self):
         engine, workload = self._loaded_engine()
         engine.run()
@@ -495,10 +477,10 @@ class TestMutationCacheInvalidation:
                 cube.set((key,), value)
             return {"A": cube}
 
-        backend = ChaseBackend(capture_deltas=True)
+        backend = ChaseBackend()
         backend.run_mapping(mapping, data({"a": 1.0, "b": 2.0, "c": 3.0}))
         snapshot = backend._snapshot_for(mapping)
-        chase = DeltaChase(snapshot, vectorized=True)
+        chase = DeltaChase(snapshot)
         (tgd,) = [t for t in mapping.target_tgds if t.target_relation == "Z"]
         chase._plans[id(tgd)] = (None, "forced-fallback-for-test")
         snapshot.chaser = chase
@@ -569,7 +551,6 @@ class TestSidecarPersistence:
         workload = gdp_example(n_quarters=6, regions=("north",), seed=2)
         return workload.data["PDR"]
 
-    @requires_native
     def test_roundtrip_restores_identical_store(self, tmp_path):
         cube = self._cube()
         csv_path = tmp_path / "PDR.csv"
@@ -582,7 +563,6 @@ class TestSidecarPersistence:
         original = instance_mod.store_for_cube(cube)
         assert list(store.rows()) == list(original.rows())
 
-    @requires_native
     def test_stale_csv_rejects_sidecar(self, tmp_path):
         cube = self._cube()
         csv_path = tmp_path / "PDR.csv"
@@ -593,7 +573,6 @@ class TestSidecarPersistence:
         assert read_store_sidecar(cube.schema, csv_path, sidecar) is None
         assert not attach_store_sidecar(cube.copy(), csv_path, sidecar)
 
-    @requires_native
     def test_tampered_sidecar_is_rejected(self, tmp_path):
         cube = self._cube()
         csv_path = tmp_path / "PDR.csv"
@@ -605,7 +584,6 @@ class TestSidecarPersistence:
         sidecar.write_text(json.dumps(payload))
         assert read_store_sidecar(cube.schema, csv_path, sidecar) is None
 
-    @requires_native
     def test_value_tampered_sidecar_fails_payload_hash(self, tmp_path):
         # editing a value while keeping csv_sha256 valid must be caught
         # by the sidecar's own content hash — the CSV hash only ties
@@ -620,7 +598,6 @@ class TestSidecarPersistence:
         sidecar.write_text(json.dumps(payload))
         assert read_store_sidecar(cube.schema, csv_path, sidecar) is None
 
-    @requires_native
     def test_divergent_measures_rejected_even_with_valid_hashes(
         self, tmp_path
     ):
@@ -639,7 +616,6 @@ class TestSidecarPersistence:
         assert read_store_sidecar(cube.schema, csv_path, sidecar) is not None
         assert not attach_store_sidecar(cube.copy(), csv_path, sidecar)
 
-    @requires_native
     def test_nonfinite_measures_stay_strict_json(self, tmp_path):
         schema = CubeSchema("NF", [Dimension("r", STRING)], "v")
         cube = Cube(schema)
@@ -666,7 +642,6 @@ class TestSidecarPersistence:
         assert values[2] == float("inf")
         assert values[3] == float("-inf")
 
-    @requires_native
     def test_attach_rebinds_measures_to_the_cubes_objects(self, tmp_path):
         # the store invariant: measures are the exact float objects the
         # cube holds, so NaN retraction matches by identity even on a

@@ -8,7 +8,7 @@ clean skips, and full-recompute fallbacks produced it.  The 50-seed
 sweep drives random programs (aggregations, shifts, outer joins, table
 functions) through random perturbations (measure edits, deletions,
 insertions, and the empty delta) and composes with the suite-wide
-``--jobs`` / ``--no-vectorize`` axes plus cache on/off.
+``--jobs`` axis.
 """
 
 import random
@@ -232,6 +232,36 @@ class TestUpdateSemantics:
         fresh.run()
         _assert_same_state(engine, fresh, "chained updates")
 
+    def test_add_program_releases_the_retired_snapshots(self, gdp_workload):
+        """A new program means a new translator, and every later
+        subgraph a new mapping object: no snapshot of an old one can be
+        replayed, so the chase backend keeps none of them alive."""
+        engine = self._gdp_engine(gdp_workload)
+        engine.run()
+        backend = engine.backends["chase"]
+        programs = [f"EXTRA{step} := GDP + {step}" for step in range(6)]
+        pdr = gdp_workload.data["PDR"]
+        for step, program in enumerate(programs[:-1]):
+            engine.add_program(program)
+            pdr = self._perturbed(pdr, delta=float(step + 1))
+            engine.load(pdr)
+            engine.run()
+            ran = [s for s in engine.plan() if s.target == "chase"]
+            assert len(backend._snapshots) == len(ran) == 1, step
+        # an update right after add_program has no snapshot to replay
+        engine.add_program(programs[-1])
+        pdr = self._perturbed(pdr, delta=9.0)
+        engine.load(pdr)
+        record = engine.update()
+        assert record.delta_of is not None
+        fresh = _build_engine(gdp_workload)
+        for program in programs:
+            fresh.add_program(program)
+        fresh.load(pdr)
+        fresh.load(gdp_workload.data["RGDPPC"])
+        fresh.run()
+        _assert_same_state(engine, fresh, "update after add_program")
+
 
 class TestSnapshotLifecycle:
     """Backend-level snapshot capture, fallback, and poisoning."""
@@ -242,7 +272,7 @@ class TestSnapshotLifecycle:
 
     def test_no_snapshot_falls_back_to_full_run(self, gdp_workload):
         mapping, data = self._mapping_and_data(gdp_workload)
-        backend = ChaseBackend(capture_deltas=True)
+        backend = ChaseBackend()
         result = backend.run_mapping_delta(mapping, data)
         assert result.stats.fallback_reasons.get("no-snapshot")
         assert all(result.changed.values())
@@ -253,7 +283,7 @@ class TestSnapshotLifecycle:
 
     def test_failed_update_poisons_the_snapshot(self, gdp_workload):
         mapping, data = self._mapping_and_data(gdp_workload)
-        backend = ChaseBackend(capture_deltas=True)
+        backend = ChaseBackend()
         backend.run_mapping(mapping, data)
         assert backend._snapshot_for(mapping) is not None
         broken = dict(data)
@@ -270,7 +300,7 @@ class TestSnapshotLifecycle:
 
     def test_delta_outputs_match_full_outputs(self, gdp_workload):
         mapping, data = self._mapping_and_data(gdp_workload)
-        backend = ChaseBackend(capture_deltas=True)
+        backend = ChaseBackend()
         full = backend.run_mapping(mapping, data)
         revised = dict(data)
         rows = data["RGDPPC"].to_rows()

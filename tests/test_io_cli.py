@@ -436,7 +436,7 @@ class TestCliInputErrors:
         "flag", ["--parallel", "--no-vectorize", "--no-chase-cache"]
     )
     def test_removed_flags_are_usage_errors(self, flag, project_dir, capsys):
-        # --jobs N alone decides threads; the kernel oracle is pytest's
+        # --jobs N alone decides threads; no flag picks the kernels
         with pytest.raises(SystemExit) as exit_info:
             main(["run", str(project_dir / "project.json"), flag])
         assert exit_info.value.code == 2
@@ -600,8 +600,6 @@ class TestChasePinnedRunBuildsNoKeyedView:
         return str(directory / "project.json")
 
     def test_run_and_update_decode_nothing(self, tmp_path, capsys, monkeypatch):
-        from repro.chase.instance import FORCE_TUPLE_VIEW
-
         decoded = []
         real = Cube._decode
         monkeypatch.setattr(
@@ -613,8 +611,7 @@ class TestChasePinnedRunBuildsNoKeyedView:
         self._project(tmp_path, bump=0.5)
         assert main(["update", project, "--out", str(out)]) == 0
         assert "update-of=" in capsys.readouterr().out
-        # the tuple view loads rows, so there the input cubes may decode
-        assert decoded == [] or FORCE_TUPLE_VIEW, decoded
+        assert decoded == [], decoded
         fresh = tmp_path / "fresh"
         assert main(["run", project, "--out", str(fresh)]) == 0
         for name in ("T", "Y", "D"):

@@ -110,11 +110,11 @@ def _tree(tracer):
 
 @pytest.mark.parametrize("jobs", [1, 4])
 class TestSpanTree:
-    def _run(self, jobs):
+    def _run(self, jobs, vectorized=True):
         mapping, source = _series_workload()
         tracer = Tracer()
         chase = StratifiedChase(
-            mapping, jobs=jobs, tracer=tracer
+            mapping, jobs=jobs, vectorized=vectorized, tracer=tracer
         )
         result = chase.run(source)
         return chase, tracer, result
@@ -147,11 +147,10 @@ class TestSpanTree:
             assert tgds[0].category == "tgd"
 
     def test_kernel_phases_nest_under_their_tgd(self, jobs):
-        chase, tracer, _ = self._run(jobs)
+        _, scalar, _ = self._run(jobs, vectorized=False)
+        assert [s for s in scalar.spans if s.category == "kernel"] == []
+        _, tracer, _ = self._run(jobs)
         kernel_spans = [s for s in tracer.spans if s.category == "kernel"]
-        if not chase.vectorized:
-            assert kernel_spans == []
-            return
         assert kernel_spans, "vectorized chase should emit kernel spans"
         by_id = {span.span_id: span for span in tracer.spans}
         for span in kernel_spans:

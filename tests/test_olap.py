@@ -296,9 +296,7 @@ class TestLatticeBuild:
             "assert not any(m.startswith('repro.chase.col') for m in sys.modules)\n"
             "second = lattice.node({'m': 'year', 'r': 'all'})\n"
             "assert second.groups == oracle(second)\n"
-            "from repro.chase.instance import FORCE_TUPLE_VIEW\n"
-            "assert 'numpy' in sys.modules\n"
-            "assert FORCE_TUPLE_VIEW or cube._colstore is not None\n",
+            "assert 'numpy' in sys.modules and cube._colstore is not None\n",
         )
         assert done.returncode == 0, done.stderr
 
@@ -624,8 +622,7 @@ class TestOlapService:
         assert len(service.lattice("S").materialized_nodes()) == 4
         assert float(text.splitlines()[-1].split()[-1]) == sum(cube.values())
         service.rollup("S", {"m": "quarter"})
-        if not instance_mod.FORCE_TUPLE_VIEW:
-            assert held._colstore is not None
+        assert held._colstore is not None
 
     def test_crosstab_subtotals_are_maintained_aggregates(self):
         engine = build_engine()

@@ -12,8 +12,10 @@ and the second hits lattices holding all of them.
 
 The engine is built with the suite's ``--jobs`` / ``--shards``
 options, so the CI matrix composes this sweep with parallel dispatch,
-sharded chase, ``--no-vectorize``, ``EXL_FORCE_TUPLE_VIEW=1`` and
-chaos-mode fault injection.
+sharded chase and chaos-mode fault injection.  The scalar kernels and
+the tuple representation are compared with the columnar ones inside
+the equivalence suites (tests/test_columnar_chase.py,
+tests/test_columnar_native.py, tests/test_olap.py).
 """
 
 import math

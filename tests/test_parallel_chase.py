@@ -22,7 +22,6 @@ from repro.chase import (
     schedule_waves,
     stratum_dag,
 )
-from repro.chase.instance import FORCE_TUPLE_VIEW
 from repro.errors import ChaseSourceError, MappingError
 from repro.exl import Program
 from repro.mappings import TgdKind, generate_mapping, simplify_mapping
@@ -110,9 +109,8 @@ class TestPolicyMatrix:
             # list equality: the same facts in the same insertion order
             expected = list(reference.instance.facts(relation))
             assert list(result.instance.facts(relation)) == expected, relation
-            if not FORCE_TUPLE_VIEW:  # else the same columns, decoded on the way in
-                store = result.instance.export_store(relation)
-                assert store.dims_distinct and store.n_rows == len(expected), relation
+            store = result.instance.export_store(relation)
+            assert store.dims_distinct and store.n_rows == len(expected), relation
 
 
 class TestRandomProgramEquivalence:

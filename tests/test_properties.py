@@ -703,14 +703,12 @@ class TestLazyCubeProperty:
         assert _cells(lazy().items()) == _cells(eager.items())  # source untouched
 
         # the column store and the writer work on the columns alone
-        from repro.chase.instance import FORCE_TUPLE_VIEW
         from repro.model.io import cube_to_csv_text
 
         written = lazy()
         assert cube_to_csv_text(written) == cube_to_csv_text(eager)
         if rows:
             assert written._dict is None
-        if rows and not FORCE_TUPLE_VIEW:
             adopted = lazy()
             assert _relation(store_for_cube(adopted)) == _relation(
                 store_for_cube(eager)

@@ -8,8 +8,6 @@ leave every ``<out>/*.csv`` and ``<out>/baseline/*.csv`` byte-identical
 to a fresh ``exl run`` on the revised inputs — over random programs and
 the scenario corpus, on the default target, pinned to the chase, and
 spread round-robin over the targets (one subgraph per target switch).
-The children inherit the environment, so the ``EXL_FORCE_TUPLE_VIEW=1``
-legs of CI run the sweep on the tuple representation too.
 
 The index is held to its contract as well: after the run and after the
 update it records the schemas a fresh compile of the program declares,
