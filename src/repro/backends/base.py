@@ -46,11 +46,12 @@ class Backend(abc.ABC):
         raise NotImplementedError
 
     def load_cube(self, store: Any, cube: Cube) -> None:
-        """Load an input cube into the store."""
+        """Load an input cube into the store, from ``cube.to_columns()``."""
         raise NotImplementedError
 
     def extract_cube(self, store: Any, schema: CubeSchema) -> Cube:
-        """Read a computed cube back out of the store."""
+        """Read a computed cube back out of the store, through
+        ``Cube.from_value_columns``."""
         raise NotImplementedError
 
     @abc.abstractmethod

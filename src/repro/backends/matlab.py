@@ -68,12 +68,13 @@ class MatlabBackend(Backend):
         return {}
 
     def load_cube(self, store: Dict[str, Matrix], cube: Cube) -> None:
-        store[cube.schema.name] = Matrix.from_rows(cube.to_rows())
+        store[cube.schema.name] = Matrix.from_columns(cube.to_columns())
 
     def extract_cube(self, store: Dict[str, Matrix], schema: CubeSchema) -> Cube:
         if schema.name not in store:
             raise BackendError(f"matrix store has no table {schema.name!r}")
-        return Cube.from_rows(schema, store[schema.name].rows())
+        matrix = store[schema.name]
+        return Cube.from_value_columns(schema, matrix.columns(), matrix.rows)
 
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
         text = render_matlab(compile_tgd_to_ir(tgd, mapping), mapping)

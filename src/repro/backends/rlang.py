@@ -80,14 +80,17 @@ class RBackend(Backend):
         return {}
 
     def load_cube(self, store: Dict[str, DataFrame], cube: Cube) -> None:
-        store[cube.schema.name] = DataFrame.from_rows(
-            cube.schema.columns, cube.to_rows()
+        store[cube.schema.name] = DataFrame(
+            dict(zip(cube.schema.columns, cube.to_columns()))
         )
 
     def extract_cube(self, store: Dict[str, DataFrame], schema: CubeSchema) -> Cube:
         if schema.name not in store:
             raise BackendError(f"frame store has no table {schema.name!r}")
-        return Cube.from_rows(schema, store[schema.name].rows())
+        frame = store[schema.name]
+        return Cube.from_value_columns(
+            schema, [frame.column(name) for name in frame.names], frame.rows
+        )
 
     def compile_tgd(self, tgd: Tgd, mapping: SchemaMapping) -> CompiledTgd:
         text = render_r(compile_tgd_to_ir(tgd, mapping), mapping)

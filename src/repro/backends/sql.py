@@ -61,10 +61,11 @@ class SqlBackend(Backend):
         return db
 
     def load_cube(self, store: Database, cube: Cube) -> None:
-        store.table(cube.schema.name).insert_many(cube.to_rows())
+        store.table(cube.schema.name).insert_columns(cube.to_columns())
 
     def extract_cube(self, store: Database, schema: CubeSchema) -> Cube:
-        return Cube.from_rows(schema, store.table(schema.name).rows)
+        rows = store.table(schema.name).rows
+        return Cube.from_value_columns(schema, list(zip(*rows)), lambda: rows)
 
     def _register_tabular_functions(
         self, db: Database, mapping: SchemaMapping

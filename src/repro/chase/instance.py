@@ -320,8 +320,9 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     share it; ``set``/``patched`` invalidate it), so a warm run adopts
     the encoded columns instead of re-encoding ``to_rows()`` — the
     cross-run half of killing the encode tax.  A cube fresh from
-    :func:`~repro.model.io.read_cube_csv` has its reader's columns,
-    which are sorted into the same store without building a row.
+    :func:`~repro.model.io.read_cube_csv` or from another target's
+    engine has the columns it was built from, which are sorted into
+    the same store without building a row.
     Returns None in forced tuple-view mode.
     """
     if FORCE_TUPLE_VIEW:

@@ -69,17 +69,12 @@ class RowStore:
 
     # -- cube bridging -----------------------------------------------------
     def load_cube(self, cube: Cube) -> None:
-        """Create (or replace) a table holding a cube's tuples."""
+        """Create (or replace) a table holding a cube's tuples, in
+        ``to_rows()`` order, read off the cube a column at a time."""
         name = cube.schema.name
         fields = list(cube.schema.columns)
-        if name in self._fields:
-            self._fields[name] = fields
-            self._rows[name] = []
-        else:
-            self.create(name, fields)
-        self.write(
-            name, ({f: v for f, v in zip(fields, row)} for row in cube.to_rows())
-        )
+        self._fields[name] = fields
+        self._rows[name] = [dict(zip(fields, row)) for row in zip(*cube.to_columns())]
 
     def to_cube(self, schema: CubeSchema) -> Cube:
         """Read a table back as a cube (fields must match the schema)."""
@@ -90,7 +85,8 @@ class RowStore:
                 f"table {schema.name} fields {fields} do not match cube "
                 f"columns {expected}"
             )
-        cube = Cube(schema)
-        for row in self.rows(schema.name):
-            cube.set(tuple(row[f] for f in fields[:-1]), row[fields[-1]])
-        return cube
+        rows = self.rows(schema.name)
+        columns = [[row[field] for row in rows] for field in fields]
+        return Cube.from_value_columns(
+            schema, columns, lambda: (tuple(map(row.__getitem__, fields)) for row in rows)
+        )

@@ -46,6 +46,25 @@ class Matrix:
     def from_rows(cls, rows: Iterable[Sequence[Any]]) -> "Matrix":
         return cls(list(rows))
 
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[Any]]) -> "Matrix":
+        """The matrix whose column ``j`` is ``columns[j]``, filled a
+        column at a time; no rows is the 0×0 matrix, as in
+        :meth:`from_rows`."""
+        n_rows = len(columns[0]) if columns else 0
+        if not n_rows:
+            return cls([])
+        if any(len(column) != n_rows for column in columns):
+            raise MatrixError("ragged columns in matrix")
+        array = np.empty((n_rows, len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            array[:, j] = column
+        return cls._wrap(array)
+
+    def columns(self) -> List[List[Any]]:
+        """Each column as a list of its values, first to last."""
+        return [self._array[:, j].tolist() for j in range(self.ncol)]
+
     # -- shape -------------------------------------------------------------
     @property
     def nrow(self) -> int:

@@ -12,11 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import CubeError, SchemaError
 from .time import TimePoint
-from .types import DimType, validate_value
+from .types import DimKind, DimType, validate_value
 
 __all__ = ["Dimension", "CubeSchema", "Cube", "CubeDelta", "column_order"]
 
@@ -265,6 +275,36 @@ class Cube:
         return cube
 
     @classmethod
+    def from_value_columns(
+        cls,
+        schema: CubeSchema,
+        columns: Sequence[Sequence[Any]],
+        rows: Callable[[], Iterable[Sequence[Any]]],
+    ) -> "Cube":
+        """Build a cube from plain value columns — one per dimension,
+        then the measure column, row ``i`` across them.
+
+        This is how a target engine hands its result back: each
+        dimension column is dictionary-encoded (one code per distinct
+        value) and the measures taken as ``float``, as :meth:`set`
+        takes them, for :meth:`from_columns` to validate and keep — so
+        the cube is written, journalled and loaded into the next target
+        by column.  A result with no rows is the empty cube, whatever
+        its width.  Anything that is not plainly a cube of ``schema`` —
+        and also a column count other than ``arity + 1``, an unhashable
+        dimension value, a measure that is not a number, an integer
+        dimension holding anything but ``int`` (``1`` and ``1.0`` would
+        share a code) — goes through :meth:`from_rows` over ``rows()``,
+        the same rows, which builds the cube or raises the precise
+        error.
+        """
+        if not any(map(len, columns)):
+            columns = [[] for _ in range(schema.arity + 1)]
+        encoded = _encode_values(schema, columns)
+        cube = None if encoded is None else cls.from_columns(schema, *encoded)
+        return cube if cube is not None else cls.from_rows(schema, rows())
+
+    @classmethod
     def from_series(
         cls, schema: CubeSchema, start: TimePoint, values: Sequence[float]
     ) -> "Cube":
@@ -368,6 +408,44 @@ class Cube:
                 key=lambda item: [order[component] for component in item[0]],
             )
         ]
+
+    def to_columns(self) -> List[List[Any]]:
+        """:meth:`to_rows` by column: one list per dimension, then the
+        measure list, rows in the same order.
+
+        A cube that carries encoded columns (:meth:`encoded`) is put in
+        that order by :func:`column_order` and decoded a column at a
+        time — no keyed view, no row tuple; any other transposes its
+        rows.  This is what a target engine loads an operand from.
+        """
+        encoded = self.encoded()
+        if encoded is None:
+            rows = self.to_rows()
+            if not rows:
+                return [[] for _ in range(self.schema.arity + 1)]
+            return [list(column) for column in zip(*rows)]
+        dictionaries, codes, measures = encoded
+        order = column_order(dictionaries, codes, len(measures)).tolist()
+        columns = [
+            list(map(values.__getitem__, map(column.__getitem__, order)))
+            for values, column in zip(dictionaries, codes)
+        ]
+        columns.append(list(map(measures.__getitem__, order)))
+        return columns
+
+    def encoded(self):
+        """The ``(dictionaries, codes, measures)`` this cube's rows are
+        held in, or None for a cube held only as its keyed view.
+
+        Its column store when that holds exactly these rows with
+        distinct keys (chase outputs, adopted inputs), else the columns
+        it was built from (:meth:`from_columns`).  Rows are in the
+        holder's order, not sorted.
+        """
+        store = self._colstore
+        if store is not None and store.dims_distinct and store.n_rows == len(self):
+            return store.dicts, store.codes, store.measures
+        return self._columns
 
     def to_series(self) -> Tuple[List[TimePoint], List[float]]:
         """Time-ordered (points, values) lists; only for time series."""
@@ -473,6 +551,33 @@ class Cube:
         return f"Cube({self.schema.name}, {len(self)} tuples)"
 
 
+def _encode_values(schema: CubeSchema, columns: Sequence[Sequence[Any]]):
+    """``(dictionaries, codes, measures)`` of plain value columns for
+    :meth:`Cube.from_columns`, codes numbered by first occurrence, or
+    None where :meth:`Cube.from_value_columns` needs the row path."""
+    if len(columns) != schema.arity + 1:
+        return None
+    *dimension_columns, measures = columns
+    if not all(type(value) is float for value in measures) and not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in measures
+    ):
+        return None
+    dictionaries, codes = [], []
+    for dim, column in zip(schema.dimensions, dimension_columns):
+        if dim.dtype.kind is DimKind.INTEGER and not all(
+            type(value) is int for value in column
+        ):
+            return None
+        code_of: Dict[Any, int] = {}
+        try:
+            codes.append([code_of.setdefault(value, len(code_of)) for value in column])
+        except TypeError:  # unhashable
+            return None
+        dictionaries.append(list(code_of))
+    return dictionaries, codes, list(map(float, measures))
+
+
 def _component_key(component: Any):
     if isinstance(component, TimePoint):
         return (0, component.freq.value, component.ordinal)
@@ -481,6 +586,20 @@ def _component_key(component: Any):
 
 def _sort_key(key: DimTuple):
     return tuple(_component_key(component) for component in key)
+
+
+def _dictionary_keys(values: Sequence[Any]) -> List[Any]:
+    """Sort keys ordering ``values`` as :func:`_component_key` does,
+    in the cheapest form: a dimension's dictionary holds points of one
+    frequency, which order by ordinal, or labels, which order as text."""
+    first = values[0] if values else None
+    if type(first) is TimePoint and all(
+        type(value) is TimePoint and value.freq is first.freq for value in values
+    ):
+        return [value.ordinal for value in values]
+    if all(type(value) is str for value in values):
+        return list(values)
+    return [_component_key(value) for value in values]
 
 
 class _ComponentKeys(dict):
@@ -500,15 +619,16 @@ def column_order(
 
     A cube's order is a sort over its dimension keys; over encoded
     columns that is one ``lexsort`` on per-dictionary ranks.  Each
-    dictionary is ranked once by :func:`_component_key` — equal keys
-    share a rank, so a tie falls to the next dimension and then to the
-    incoming row order, exactly as in ``to_rows``' stable sort.
+    dictionary is ranked once in :func:`_component_key` order
+    (:func:`_dictionary_keys`) — equal keys share a rank, so a tie
+    falls to the next dimension and then to the incoming row order,
+    exactly as in ``to_rows``' stable sort.
     """
     import numpy as np
 
     keys = []
     for values, column in zip(dictionaries, codes):
-        component_keys = [_component_key(value) for value in values]
+        component_keys = _dictionary_keys(values)
         rank_of = {key: rank for rank, key in enumerate(sorted(set(component_keys)))}
         ranks = np.array([rank_of[key] for key in component_keys], dtype=np.intp)
         keys.append(ranks[np.asarray(column, dtype=np.intp)])

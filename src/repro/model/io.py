@@ -119,19 +119,18 @@ def write_cube_csv(cube: Cube, destination: Union[str, Path, TextIO]) -> None:
 def cube_to_csv_text(cube: Cube) -> str:
     """The cube's CSV serialization as a string.
 
-    A cube that carries its rows as dictionary-encoded columns — a
-    chase output's store, or what :func:`read_cube_csv` parsed it from
-    — is ordered and formatted by column; any other goes row by row
-    through ``to_rows()``.  The text is the same either way.
+    A cube that carries its rows as dictionary-encoded columns
+    (:meth:`Cube.encoded`: a chase output's store, a target engine's
+    result, what :func:`read_cube_csv` parsed it from) is ordered and
+    formatted by column; any other goes row by row through
+    ``to_rows()``.  The text is the same either way.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(cube.schema.columns)
-    store = cube._colstore
-    if store is not None and store.dims_distinct and store.n_rows == len(cube):
-        _write_columns(buffer, store.dicts, store.codes, store.measures)
-    elif cube._columns is not None:
-        _write_columns(buffer, *cube._columns)
+    encoded = cube.encoded()
+    if encoded is not None:
+        _write_columns(buffer, *encoded)
     else:
         _write_rows(writer, cube)
     return buffer.getvalue()

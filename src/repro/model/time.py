@@ -172,6 +172,18 @@ class TimePoint:
 
     # -- rendering -----------------------------------------------------
     def __str__(self) -> str:
+        # a point is formatted far more often than it is built (every
+        # cube it is a key of is written, journalled and loaded into
+        # the next target), so the text is kept on the point, like its
+        # hash: one format per point, shared by every cube holding it
+        try:
+            return self._text
+        except AttributeError:
+            text = self._format()
+            object.__setattr__(self, "_text", text)
+            return text
+
+    def _format(self) -> str:
         if self.freq is Frequency.DAY:
             return self.to_date().isoformat()
         if self.freq is Frequency.WEEK:

@@ -184,9 +184,7 @@ class Database:
             for position, (column, expr) in zip(positions, update.assignments):
                 value = executor._eval(expr, env)
                 updated[position] = check_type(
-                    table.columns[position].sql_type,
-                    value,
-                    f"{table.name}.{column}",
+                    table.columns[position].sql_type, value, table.name, column
                 )
             new_rows.append(tuple(updated))
             changed += 1

@@ -49,7 +49,7 @@ class Table:
                 f"{len(row)}"
             )
         checked = tuple(
-            check_type(col.sql_type, value, f"{self.name}.{col.name}")
+            check_type(col.sql_type, value, self.name, col.name)
             for col, value in zip(self.columns, row)
         )
         self.rows.append(checked)
@@ -60,6 +60,25 @@ class Table:
             self.insert(row)
             count += 1
         return count
+
+    def insert_columns(self, columns: Sequence[Sequence[Any]]) -> int:
+        """Append the rows whose ``j``-th field is ``columns[j][i]``,
+        checked a column at a time — :meth:`insert_many` without a row
+        tuple built before the checked one."""
+        if len(columns) != len(self.columns):
+            raise SqlExecutionError(
+                f"table {self.name} has {len(self.columns)} columns, "
+                f"{len(columns)} columns given"
+            )
+        if len(set(map(len, columns))) > 1:
+            raise SqlExecutionError(f"columns for table {self.name} differ in length")
+        checked = [
+            [check_type(col.sql_type, value, self.name, col.name) for value in values]
+            for col, values in zip(self.columns, columns)
+        ]
+        rows = list(zip(*checked))
+        self.rows.extend(rows)
+        return len(rows)
 
     def truncate(self) -> None:
         self.rows.clear()

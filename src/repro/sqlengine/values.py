@@ -33,36 +33,42 @@ class SqlType(enum.Enum):
             raise SqlExecutionError(f"unknown column type {name!r}") from None
 
 
-def check_type(sql_type: SqlType, value: Any, context: str = "") -> Any:
+def check_type(sql_type: SqlType, value: Any, *context: str) -> Any:
     """Validate (and mildly coerce) a value against a column type.
 
-    INTEGER accepts whole floats; REAL accepts ints.  ``None`` (NULL)
-    is always accepted.
+    INTEGER accepts whole finite floats; REAL accepts ints.  ``None``
+    (NULL) is always accepted.  ``context`` names the column, as
+    ``table, column``; it is joined into the message only when the
+    value is refused.
     """
     if value is None:
         return None
-    where = f" in {context}" if context else ""
     if sql_type is SqlType.INTEGER:
         if isinstance(value, bool):
-            raise SqlExecutionError(f"boolean is not INTEGER{where}")
+            raise SqlExecutionError(f"boolean is not INTEGER{_where(context)}")
         if isinstance(value, int):
             return value
-        if isinstance(value, float) and value == int(value):
+        # NaN and ±inf are not whole: is_integer() is False for them
+        if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise SqlExecutionError(f"{value!r} is not INTEGER{where}")
+        raise SqlExecutionError(f"{value!r} is not INTEGER{_where(context)}")
     if sql_type is SqlType.REAL:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SqlExecutionError(f"{value!r} is not REAL{where}")
+            raise SqlExecutionError(f"{value!r} is not REAL{_where(context)}")
         return float(value)
     if sql_type is SqlType.TEXT:
         if not isinstance(value, str):
-            raise SqlExecutionError(f"{value!r} is not TEXT{where}")
+            raise SqlExecutionError(f"{value!r} is not TEXT{_where(context)}")
         return value
     if sql_type is SqlType.TIME:
         if not isinstance(value, TimePoint):
-            raise SqlExecutionError(f"{value!r} is not TIME{where}")
+            raise SqlExecutionError(f"{value!r} is not TIME{_where(context)}")
         return value
     raise SqlExecutionError(f"unhandled type {sql_type}")
+
+
+def _where(context) -> str:
+    return f" in {'.'.join(context)}" if context else ""
 
 
 def sql_repr(value: Any) -> str:

@@ -314,3 +314,69 @@ class TestSnapshotLifecycle:
         # PQR reads only PDR, which did not change
         assert result.changed["PQR"] is False
         assert full["PQR"] is result.cubes["PQR"]
+
+
+class TestFallbackCensus:
+    """Which tgds an update recomputes whole, and why — the delta
+    chase's side of the kernel census
+    (``test_columnar_chase.py::TestComposition::test_fallback_census``).
+    A new delta rule, or a shape that loses one, changes this census."""
+
+    @staticmethod
+    def _revised(data):
+        # a third of every elementary cube's measures move; no key
+        # comes or goes
+        return {
+            name: Cube.from_rows(
+                cube.schema,
+                [
+                    row[:-1] + (row[-1] + 1.0,) if i % 3 == 0 else row
+                    for i, row in enumerate(cube.to_rows())
+                ],
+            )
+            for name, cube in data.items()
+        }
+
+    def _census(self, workloads):
+        tgds = {"dirty": 0, "clean": 0, "fallback": 0}
+        reasons = {}
+        for workload in workloads:
+            engine = _build_engine(workload)
+            for cube in workload.data.values():
+                engine.load(cube)
+            engine.run()
+            for cube in self._revised(workload.data).values():
+                engine.load(cube)
+            record = engine.update()
+            tgds["dirty"] += record.delta_dirty_tgds
+            tgds["clean"] += record.delta_clean_tgds
+            tgds["fallback"] += record.delta_fallback_tgds
+            for name, count in engine.metrics.counters("delta.fallback.reason:").items():
+                reason = name.split(":", 1)[1]
+                reasons[reason] = reasons.get(reason, 0) + count
+        return tgds, reasons
+
+    def test_fallback_census(self):
+        from repro.workloads import scenario_corpus
+
+        census = {
+            "random_workload seeds 0-49": self._census(
+                [random_workload(seed) for seed in range(50)]
+            ),
+            "scenario_corpus(0)": self._census(scenario_corpus(0)),
+        }
+        assert census == {
+            "random_workload seeds 0-49": (
+                {"dirty": 266, "clean": 19, "fallback": 32},
+                {
+                    "table function cumsum": 5,
+                    "table function detrend": 8,
+                    "table function fitted": 11,
+                    "table function ma": 8,
+                },
+            ),
+            "scenario_corpus(0)": (
+                {"dirty": 39, "clean": 0, "fallback": 15},
+                {"table function cumsum": 8, "table function ma": 7},
+            ),
+        }

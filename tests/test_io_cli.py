@@ -577,12 +577,25 @@ class TestCliUpdate:
         assert "is run" in capsys.readouterr().err
 
 
-class TestChasePinnedRunBuildsNoKeyedView:
-    """Pinned to the chase, a cube goes reader's columns → column store
-    → kernels → column store → writer: nothing looks a key up, so no
-    ``Cube._data`` dict is ever decoded (DESIGN.md §9)."""
+_PINNED_CUBES = ("T", "Y", "D", "M", "Z")
 
-    def _project(self, directory, bump=0.0):
+
+class TestPinnedRunBuildsNoKeyedView:
+    """Whatever target a cube is pinned to, it crosses every boundary
+    as columns: reader's columns → column store or target engine, fed
+    a column at a time → columns encoded from the engine's result →
+    writer.  Nothing looks a key up, sorts rows or sets a cell, so no
+    ``Cube._data`` dict is ever decoded and no row is ever set
+    (DESIGN.md §9) — and every target writes the chase's bytes."""
+
+    PINS = {
+        target: dict.fromkeys(_PINNED_CUBES, target)
+        for target in ("chase", "sql", "r", "matlab", "etl")
+    }
+    PINS["mix"] = dict(zip(_PINNED_CUBES, ("sql", "r", "matlab", "etl", "chase")))
+
+    def _project(self, directory, targets, bump=0.0):
+        directory.mkdir(exist_ok=True)
         rows = [
             f"2020Q{q},{r},{float(q * 10 + i) + bump * (q == 2)}"
             for q in range(1, 5) for i, r in enumerate(("north", "south", "west"))
@@ -593,31 +606,51 @@ class TestChasePinnedRunBuildsNoKeyedView:
                 {"name": "P", "dimensions": [["q", "time:Q"], ["r", "string"]],
                  "measure": "v", "csv": "p.csv"}
             ],
-            "program": "T := P * 2\nY := sum(T, group by r)\nD := T - P\n",
-            "preferred_targets": {"T": "chase", "Y": "chase", "D": "chase"},
+            "program": (
+                "T := P * 2\nY := sum(T, group by r)\nD := T - P\n"
+                "M := D * 0.5 + T\nZ := avg(M, group by q)\n"
+            ),
+            "preferred_targets": targets,
         }
         (directory / "project.json").write_text(json.dumps(spec))
         return str(directory / "project.json")
 
-    def test_run_and_update_decode_nothing(self, tmp_path, capsys, monkeypatch):
-        decoded = []
-        real = Cube._decode
-        monkeypatch.setattr(
-            Cube, "_decode", lambda cube: decoded.append(cube.schema.name) or real(cube)
-        )
-        project = self._project(tmp_path)
-        out = tmp_path / "out"
-        assert main(["run", project, "--out", str(out)]) == 0
-        self._project(tmp_path, bump=0.5)
-        assert main(["update", project, "--out", str(out)]) == 0
+    def _chase_bytes(self, directory, bump):
+        project = self._project(directory, self.PINS["chase"], bump)
+        assert main(["run", project, "--out", str(directory / "out")]) == 0
+        return {
+            name: (directory / "out" / f"{name}.csv").read_bytes()
+            for name in _PINNED_CUBES
+        }
+
+    @pytest.mark.parametrize("pin", list(PINS))
+    def test_run_and_update_decode_and_set_nothing(
+        self, tmp_path, capsys, monkeypatch, pin
+    ):
+        expected = [
+            self._chase_bytes(tmp_path / f"chase{bump}", bump) for bump in (0.0, 0.5)
+        ]
+        calls = []
+        for attr in ("_decode", "set", "to_rows"):
+            real = getattr(Cube, attr)
+            monkeypatch.setattr(
+                Cube, attr,
+                lambda cube, *args, _real=real, _attr=attr, **kwargs: (
+                    calls.append((_attr, cube.schema.name))
+                    or _real(cube, *args, **kwargs)
+                ),
+            )
+        work, out = tmp_path / "work", tmp_path / "work" / "out"
+        written = []
+        for command, bump in (("run", 0.0), ("update", 0.5)):
+            project = self._project(work, self.PINS[pin], bump)
+            assert main([command, project, "--out", str(out)]) == 0
+            written.append(
+                {name: (out / f"{name}.csv").read_bytes() for name in _PINNED_CUBES}
+            )
         assert "update-of=" in capsys.readouterr().out
-        assert decoded == [], decoded
-        fresh = tmp_path / "fresh"
-        assert main(["run", project, "--out", str(fresh)]) == 0
-        for name in ("T", "Y", "D"):
-            assert (out / f"{name}.csv").read_bytes() == (
-                fresh / f"{name}.csv"
-            ).read_bytes()
+        assert calls == [], calls
+        assert written == expected
 
 
 class TestCorruptStateFiles:

@@ -157,6 +157,30 @@ class TestDdlDml:
         db.execute("INSERT INTO t VALUES (4.0, 1.0, 'z')")
         assert db.query("SELECT a FROM t WHERE c = 'z'").rows[0][0] == 4
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 4.5])
+    def test_integer_refuses_what_is_not_whole_naming_the_column(self, db, value):
+        # NaN and ±inf have no int(): they are refused like 4.5 is, by
+        # the engine's own error and with the column named
+        table = db.table("t")
+        with pytest.raises(SqlExecutionError) as caught:
+            table.insert((value, 1.0, "z"))
+        assert str(caught.value) == f"{value!r} is not INTEGER in t.a"
+        with pytest.raises(SqlExecutionError, match=r"is not INTEGER in t\.a$"):
+            table.insert_columns([[1, value], [1.0, 2.0], ["y", "z"]])
+        with pytest.raises(SqlExecutionError, match=r"^inf is not INTEGER in t\.A$"):
+            db.execute("UPDATE t SET A = b * 1e308 WHERE a = 1")
+        assert len(table) == 3
+
+    def test_insert_columns_is_insert_many_by_column(self, db):
+        table = db.table("t")
+        rows = [(7, 1.5, "p"), (8.0, 2, "q")]
+        assert table.insert_columns([list(c) for c in zip(*rows)]) == 2
+        assert table.rows[-2:] == [(7, 1.5, "p"), (8, 2.0, "q")]
+        with pytest.raises(SqlExecutionError, match="3 columns, 2 columns given"):
+            table.insert_columns([[1], [1.0]])
+        with pytest.raises(SqlExecutionError, match="differ in length"):
+            table.insert_columns([[1], [1.0, 2.0], ["x"]])
+
 
 class TestSelect:
     def test_star_expansion(self, db):
