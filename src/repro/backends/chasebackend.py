@@ -62,17 +62,8 @@ class ChaseBackend(Backend):
         #: constructs (``None`` = untraced / per-chase registry)
         self.tracer = tracer
         self.metrics = metrics
-        # kernel decisions aggregated across every chase this backend
-        # runs; the dispatcher may execute subgraphs concurrently
-        self.vectorized_tgds = 0
-        self.fallback_tgds = 0
-        self.fallback_reasons: Dict[str, int] = {}
-        # sharded-run accounting, accumulated like the kernel counters
-        # (the engine diffs before/after each dispatch for RunRecord)
-        self.shard_runs = 0
-        self.shard_tuples: List[int] = []
-        self.shard_merge_s = 0.0
         self._kernel_lock = threading.Lock()
+        self.reset_counts()
         # the dispatcher's fault plan for the in-flight attempt, scoped
         # per dispatcher thread so shard workers can honor `--inject-faults`
         self._fault_ctx = threading.local()
@@ -84,16 +75,24 @@ class ChaseBackend(Backend):
         self._snapshots: Dict[int, object] = {}
         self._snap_lock = threading.Lock()
 
+    def reset_counts(self) -> None:
+        """Zero the counters the engine copies into each run's record."""
+        with self._kernel_lock:
+            # kernel decisions aggregated across every chase this backend
+            # runs; the dispatcher may execute subgraphs concurrently
+            self.vectorized_tgds = 0
+            self.fallback_tgds = 0
+            # sharded-run accounting, accumulated like the kernel counters
+            self.shard_runs = 0
+            self.shard_tuples: List[int] = []
+            self.shard_merge_s = 0.0
+
     def _on_kernel(self, used: bool, reason: Optional[str] = None) -> None:
         with self._kernel_lock:
             if used:
                 self.vectorized_tgds += 1
             else:
                 self.fallback_tgds += 1
-                if reason:
-                    self.fallback_reasons[reason] = (
-                        self.fallback_reasons.get(reason, 0) + 1
-                    )
 
     # -- fault-injection plumbing ---------------------------------------------
     @contextmanager

@@ -38,13 +38,14 @@ Commands:
 ``--version`` prints the package version.  Each command imports only
 the layers it executes (see the note above the imports).
 
-Fault tolerance: ``run`` accepts ``--retries`` / ``--deadline`` /
-``--on-error fail|continue|degrade`` and a deterministic fault-injection
-spec (``--inject-faults``, see :mod:`repro.engine.faults`).  When a run
-ends with failed or skipped subgraphs, the per-subgraph outcomes and
-the committed cubes are persisted next to the outputs
-(``<out>/run-state.json`` + ``<out>/.committed/``); ``resume`` reloads
-them and re-dispatches only the unfinished subgraphs.
+Fault tolerance: ``run``, ``update`` and ``resume`` accept ``--retries``
+/ ``--deadline`` / ``--on-error fail|continue|degrade`` and a
+deterministic fault-injection spec (``--inject-faults``, see
+:mod:`repro.engine.faults`).  When a run ends with failed or skipped
+subgraphs, or aborts on one, the per-subgraph outcomes and the committed
+cubes are persisted next to the outputs (``<out>/run-state.json`` +
+``<out>/.committed/``); ``resume`` reloads them and re-dispatches only
+the unfinished subgraphs.  The three commands are one code path.
 
 Durability: every durable artifact (run state, outputs, baseline CSVs
 and JSON, committed snapshots) appears under its name atomically
@@ -221,31 +222,27 @@ def cmd_compile(args) -> int:
 
 
 def _build_engine(
-    project: Project,
-    jobs: int = 1,
-    shards: int = 1,
-    tracer=None,
-    metrics=None,
-    backoff_s=None,
-    journal=None,
-    adaptive: bool = False,
-    out_dir: Optional[Path] = None,
+    project: Project, args=None, journal=None, tracer=None, metrics=None
 ) -> EXLEngine:
+    """The engine of one command, its project declared and loaded;
+    ``args`` carries the execution flags of ``run`` / ``update`` /
+    ``resume`` (defaults without)."""
     from .engine.exlengine import EXLEngine
 
     # adaptive runs learn across processes: the cost history lives next
     # to the run's other durable state, under <out>/costs/
+    adaptive = getattr(args, "adaptive", False)
     cost_model = None
     if adaptive:
         from .engine.costmodel import CostModel
 
-        cost_model = CostModel(out_dir / "costs" if out_dir else None)
+        cost_model = CostModel(Path(args.out) / "costs")
     engine = EXLEngine(
-        jobs=jobs,
-        shards=shards,
+        jobs=getattr(args, "jobs", 1),
+        shards=getattr(args, "shards", 1),
         tracer=tracer,
         metrics=metrics,
-        backoff_s=backoff_s,
+        backoff_s=getattr(args, "backoff", None),
         journal=journal,
         adaptive=adaptive,
         cost_model=cost_model,
@@ -290,12 +287,18 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _fault_plan_from(args):
-    if not getattr(args, "inject_faults", None):
-        return None
-    from .engine.faults import parse_fault_spec
+def _policy_from(args) -> Dict[str, Any]:
+    """The failure policy the flags ask for, as keywords of
+    ``EXLEngine.run`` / ``update`` / ``resume``."""
+    fault_plan = None
+    if args.inject_faults:
+        from .engine.faults import parse_fault_spec
 
-    return parse_fault_spec(args.inject_faults, seed=args.fault_seed)
+        fault_plan = parse_fault_spec(args.inject_faults, seed=args.fault_seed)
+    return dict(
+        retries=args.retries, deadline_s=args.deadline, on_error=args.on_error,
+        fault_plan=fault_plan,
+    )
 
 
 def _out_dir(args) -> Path:
@@ -310,17 +313,13 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _state_path(args, out_dir: Path) -> Path:
-    return Path(args.state) if args.state else out_dir / "run-state.json"
-
-
 @contextmanager
 def _journal_for(args, out_dir: Path) -> Iterator[Optional[RunJournal]]:
     """The run's write-ahead journal, unless ``--no-journal``, closed
-    on the way out: a journal the command leaves behind (an aborted
-    update, a failed resume) has its unflushed tail — ``run-end``,
-    ``subgraph-dispatch`` — written by the command, not by whichever
-    finaliser happens to run at interpreter exit."""
+    on the way out: a journal the command leaves behind (a run that
+    failed before its state could be written) has its unflushed tail —
+    ``run-end``, ``subgraph-dispatch`` — written by the command, not by
+    whichever finaliser happens to run at interpreter exit."""
     if getattr(args, "no_journal", False):
         yield None
         return
@@ -405,111 +404,103 @@ def _baseline_paths(out_dir: Path):
     return baseline_dir, baseline_dir / "baseline.json"
 
 
-def cmd_update(args) -> int:
+def cmd_run(args) -> int:
+    """``run``, ``update`` and ``resume``: one path that differs only in
+    what the run starts from — nothing, the baseline, or the state of
+    an unfinished run."""
     from .engine import baseline as baseline_store
 
+    command = args.command
     project = load_project(args.project)
     out_dir = _out_dir(args)
     baseline_dir, baseline_file = _baseline_paths(out_dir)
-    state = None
-    if baseline_file.exists():
-        state = _load_state_json(baseline_file, "baseline", out_dir)
-        if state is None:
+    # previous: the run state a resume finishes; baseline: the index an
+    # update (or the resume of one) starts from
+    previous = baseline = None
+    if command == "resume":
+        state_path = Path(args.state) if args.state else out_dir / "run-state.json"
+        if not state_path.exists():
+            print(f"no run state at {state_path}: nothing to resume", file=sys.stderr)
+            return 2
+        previous = _load_state_json(state_path, "run state", out_dir)
+        if previous is None:
             return EXIT_CORRUPT_STATE
-        baseline_run_id = state["record"].get("run_id")
-        if args.against is not None and args.against != baseline_run_id:
+    if command != "run" and baseline_file.exists():
+        # a resume reads it too: an interrupted *update* planned only
+        # part of the program, what it left alone is still the baseline's
+        baseline = _load_state_json(baseline_file, "baseline", out_dir)
+        if baseline is None and command == "update":
+            return EXIT_CORRUPT_STATE
+    if command == "update" and baseline is not None:
+        baseline_run_id = baseline["record"].get("run_id")
+        if args.against not in (None, baseline_run_id):
             print(
                 f"baseline at {baseline_file} is run {baseline_run_id}, "
                 f"not {args.against}",
                 file=sys.stderr,
             )
             return 2
+    trace = getattr(args, "trace", None)
+    tracer = metrics = None
+    if trace or getattr(args, "metrics", False):
+        from .obs import MetricsRegistry, Tracer
+
+        tracer = Tracer() if trace else None
+        metrics = MetricsRegistry()
     with _journal_for(args, out_dir) as journal:
-        engine = _build_engine(
-            project,
-            jobs=args.jobs,
-            shards=args.shards,
-            backoff_s=args.backoff,
-            journal=journal,
-            adaptive=args.adaptive,
-            out_dir=out_dir,
-        )
-        policy = dict(
-            retries=args.retries,
-            deadline_s=args.deadline,
-            on_error=args.on_error,
-            fault_plan=_fault_plan_from(args),
-        )
-        if state is None:
-            print(
-                f"no baseline at {baseline_file}: running in full",
-                file=sys.stderr,
-            )
-            record = engine.run(**policy)
-        else:
-            # version counters mean nothing across processes, content is the
-            # only signal: inputs are compared with the baseline by digest,
-            # and the baseline's cubes come back deferred — parsed when a
-            # recomputed statement reads one, otherwise not even opened
+        engine = _build_engine(project, args, journal, tracer, metrics)
+        policy = _policy_from(args)
+        execute, start = engine.run, {}
+        if command == "resume":
+            baseline_store.admit_for_resume(engine, previous, out_dir, baseline)
+            restored = engine.runs.restore(previous["record"])
+            if not restored.unfinished_subgraphs():
+                # every subgraph already committed (e.g. the crash hit
+                # after the last commit but before cleanup): skip the
+                # dispatch and just re-run the durable epilogue
+                print(
+                    f"run {restored.run_id}: all subgraphs already committed; "
+                    f"finalizing outputs"
+                )
+                return _finish_run(
+                    engine, project, restored, previous, args,
+                    journal=journal, baseline=baseline,
+                )
+            execute, start = engine.resume, {"run_id": restored.run_id}
+        elif command == "update" and baseline is None:
+            print(f"no baseline at {baseline_file}: running in full", file=sys.stderr)
+        elif command == "update":
+            # version counters mean nothing across processes, content is
+            # the only signal: inputs are compared with the baseline by
+            # digest, and the baseline's cubes come back deferred — parsed
+            # when a recomputed statement reads one, otherwise not opened
             changed, fallbacks = baseline_store.admit_for_update(
-                engine, state, baseline_dir
+                engine, baseline, baseline_dir
             )
             for name, path, why in fallbacks:
                 print(
                     f"baseline cube {path} unusable ({why}): recomputing {name}",
                     file=sys.stderr,
                 )
-            restored = engine.runs.restore(state["record"])
+            restored = engine.runs.restore(baseline["record"])
             restored.baseline_versions = {
                 name: engine.catalog.store.latest_version(name)
                 for name in engine.catalog.store.names()
             }
-            record = engine.update(
-                changed=changed, against=restored.run_id, **policy
-            )
-        print(record.summary())
-        return _finish_run(
-            engine, project, record, None, args, journal=journal, baseline=state
-        )
-
-
-def cmd_run(args) -> int:
-    project = load_project(args.project)
-    out_dir = _out_dir(args)
-    tracer = metrics = None
-    if args.trace or args.metrics:
-        from .obs import MetricsRegistry, Tracer
-
-        tracer = Tracer() if args.trace else None
-        metrics = MetricsRegistry()
-    with _journal_for(args, out_dir) as journal:
-        engine = _build_engine(
-            project,
-            jobs=args.jobs,
-            shards=args.shards,
-            tracer=tracer,
-            metrics=metrics,
-            backoff_s=args.backoff,
-            journal=journal,
-            adaptive=args.adaptive,
-            out_dir=out_dir,
-        )
+            execute = engine.update
+            start = {"changed": changed, "against": restored.run_id}
+        started = engine.runs.last()
         try:
-            record = engine.run(
-                retries=args.retries,
-                deadline_s=args.deadline,
-                on_error=args.on_error,
-                fault_plan=_fault_plan_from(args),
-            )
+            record = execute(**start, **policy)
         except ReproError:
             # fail-fast abort: the closed record still carries per-subgraph
             # outcomes, so persist the resumable state before surfacing it
             record = engine.runs.last()
-            if record is not None and record.subgraphs:
+            if record is not started and record.subgraphs:
                 from .engine.rundir import RunDirectory
 
                 rundir = RunDirectory(out_dir, args.state, journal)
-                rundir.suspend(engine.catalog, record.to_json())
+                rundir.abort(engine.catalog, record, previous and previous["record"])
                 print(
                     f"run aborted; state written to {rundir.state_path}",
                     file=sys.stderr,
@@ -518,109 +509,19 @@ def cmd_run(args) -> int:
         finally:
             # the trace is most valuable when the run failed mid-chase
             if tracer is not None:
-                tracer.write_chrome_trace(args.trace)
-                print(f"wrote trace {args.trace} ({len(tracer.spans)} spans)",
+                tracer.write_chrome_trace(trace)
+                print(f"wrote trace {trace} ({len(tracer.spans)} spans)",
                       file=sys.stderr)
         print(record.summary())
         if tracer is not None:
             print("\ntrace summary:")
             print(tracer.summary())
-        if args.metrics:
+        if metrics is not None:
             print("\nmetrics:")
             print(engine.metrics.render())
-        return _finish_run(engine, project, record, None, args, journal=journal)
-
-
-def cmd_resume(args) -> int:
-    from .engine import baseline as baseline_store
-    from .engine.history import COMMITTED_OUTCOMES
-    from .model.io import cube_from_canonical_text
-
-    project = load_project(args.project)
-    out_dir = _out_dir(args)
-    state_path = _state_path(args, out_dir)
-    if not state_path.exists():
-        print(f"no run state at {state_path}: nothing to resume", file=sys.stderr)
-        return 2
-    state = _load_state_json(state_path, "run state", out_dir)
-    if state is None:
-        return EXIT_CORRUPT_STATE
-    with _journal_for(args, out_dir) as journal:
-        engine = _build_engine(
-            project,
-            jobs=args.jobs,
-            shards=args.shards,
-            backoff_s=args.backoff,
-            journal=journal,
-            adaptive=args.adaptive,
-            out_dir=out_dir,
-        )
-        # an interrupted *update* planned only part of the program: what it
-        # left alone (or replayed clean) is still the baseline's, deferred
-        baseline_dir, baseline_file = _baseline_paths(out_dir)
-        baseline = None
-        if baseline_file.exists():
-            baseline = _load_state_json(baseline_file, "baseline", out_dir)
-        if baseline is not None:
-            baseline_store.admit_for_resume(
-                engine, baseline, baseline_dir,
-                {
-                    cube
-                    for sub in state["record"].get("subgraphs", [])
-                    if sub.get("outcome") != "clean"
-                    for cube in sub["cubes"]
-                },
-            )
-        # re-admit the committed cubes of the interrupted run, then its
-        # record; resume() re-dispatches only the failed/skipped subgraphs
-        for name, rel_path in state.get("committed", {}).items():
-            # a snapshot is the cube's canonical text: the epilogue reuses
-            # it instead of serializing the re-admitted cube again
-            text = (out_dir / rel_path).read_bytes().decode("utf-8")
-            engine.catalog.store.put(
-                cube_from_canonical_text(engine.catalog.schema_of(name), text)
-            )
-        restored = engine.runs.restore(state["record"])
-        todo = [
-            s for s in state["record"].get("subgraphs", [])
-            if s.get("outcome") not in COMMITTED_OUTCOMES
-        ]
-        if not todo:
-            # every subgraph already committed (e.g. the crash hit after the
-            # last commit but before cleanup): skip the dispatch entirely
-            # and just re-run the durable epilogue
-            print(
-                f"run {restored.run_id}: all subgraphs already committed; "
-                f"finalizing outputs"
-            )
-            return _finish_run(
-                engine, project, restored, state, args,
-                journal=journal, baseline=baseline,
-            )
-        before = {
-            name: len(engine.catalog.store.versions(name))
-            for name in engine.catalog.store.names()
-        }
-        record = engine.resume(
-            run_id=restored.run_id,
-            retries=args.retries,
-            deadline_s=args.deadline,
-            on_error=args.on_error,
-            fault_plan=_fault_plan_from(args),
-        )
-        print(record.summary())
-        recomputed = [
-            name
-            for name, count in before.items()
-            if engine.catalog.is_derived(name)
-            and len(engine.catalog.store.versions(name)) > count
-            and name not in record.affected
-        ]
-        if recomputed:  # pragma: no cover - guarded by the dispatcher
-            print(f"warning: recomputed already-committed cubes {recomputed}",
-                  file=sys.stderr)
         return _finish_run(
-            engine, project, record, state, args, journal=journal, baseline=baseline
+            engine, project, record, previous, args,
+            journal=journal, baseline=baseline,
         )
 
 
@@ -975,7 +876,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     resume.add_argument("project")
     add_execution_flags(resume)
-    resume.set_defaults(func=cmd_resume)
+    resume.set_defaults(func=cmd_run)
 
     update = sub.add_parser(
         "update",
@@ -995,7 +896,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="require the persisted baseline to be this run id "
         "(defensive pin; default: accept whatever baseline is there)",
     )
-    update.set_defaults(func=cmd_update)
+    update.set_defaults(func=cmd_run)
 
     recover_cmd = sub.add_parser(
         "recover",

@@ -18,7 +18,8 @@ _EXPORTS = {
     "TranslationEngine": "translation",
     "TranslatedSubgraph": "translation",
     "Dispatcher": "dispatcher",
-    "ON_ERROR_MODES": "dispatcher",
+    "ON_ERROR_MODES": "faults",
+    "RunMode": "dispatcher",
     "CostModel": "costmodel",
     "CostDecision": "costmodel",
     "ADAPTIVE_TARGETS": "costmodel",
@@ -28,6 +29,7 @@ _EXPORTS = {
     "FaultRule": "faults",
     "FaultyBackend": "faults",
     "parse_fault_spec": "faults",
+    "RunPolicy": "faults",
     "RunRecord": "history",
     "RunLog": "history",
     "SubgraphRecord": "history",

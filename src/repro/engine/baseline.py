@@ -181,7 +181,9 @@ def admit_for_update(
                 engine.metrics.inc(f"update.baseline.fallback.reason:{why}")
         if len(fallbacks) == before:
             break
-    for name in affected - set(stale):
+    # in name order: store versions number the deferrals, and a record's
+    # baseline versions must not depend on the process's string hashing
+    for name in sorted(affected - set(stale)):
         entry = _entry(engine, state, baseline_dir, name)
         if entry is not None and not catalog.has_data(name):
             store.defer(name, entry.digest, entry.load)
@@ -189,20 +191,36 @@ def admit_for_update(
 
 
 def admit_for_resume(
-    engine, state: Dict[str, Any], baseline_dir: Path, recomputed: set
+    engine, state: Dict[str, Any], out_dir: Path, index: Optional[Dict[str, Any]]
 ) -> None:
-    """Defer the baseline's derived cubes an interrupted update left
-    alone — unplanned, or replayed clean — so the resumed subgraphs can
-    read them; ``recomputed`` names the cubes the run did or must
-    execute, whose baseline is the superseded one."""
-    for name in state.get("cubes", {}):
-        entry = _entry(engine, state, baseline_dir, name)
-        if (
-            entry is not None
-            and name not in recomputed
-            and engine.catalog.is_derived(name)
-        ):
-            engine.catalog.store.defer(name, entry.digest, entry.load)
+    """Put back what the unfinished run of run state ``state`` left
+    under ``out_dir``: the cubes it committed, from their snapshots,
+    and — when it was an update of the baseline ``index`` — the derived
+    cubes it left alone (unplanned, or replayed clean), deferred, so the
+    resumed subgraphs can read them.  Every other cube's baseline is
+    superseded."""
+    if index is not None:
+        recomputed = {
+            cube
+            for sub in state["record"].get("subgraphs", [])
+            if sub.get("outcome") != "clean"
+            for cube in sub["cubes"]
+        }
+        for name in index.get("cubes", {}):
+            entry = _entry(engine, index, out_dir / "baseline", name)
+            if (
+                entry is not None
+                and name not in recomputed
+                and engine.catalog.is_derived(name)
+            ):
+                engine.catalog.store.defer(name, entry.digest, entry.load)
+    for name, rel_path in state.get("committed", {}).items():
+        # a snapshot is the cube's canonical text: the epilogue reuses
+        # it instead of serializing the re-admitted cube again
+        text = (out_dir / rel_path).read_bytes().decode("utf-8")
+        engine.catalog.store.put(
+            cube_from_canonical_text(engine.catalog.schema_of(name), text)
+        )
 
 
 def fresh_texts(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..chase.engine import DeltaRunResult
@@ -46,29 +47,46 @@ from ..errors import (
     EngineError,
     TransientBackendError,
 )
-from ..model.catalog import MetadataCatalog
 from ..model.cube import Cube
 from ..model.io import canonical_text, text_sha256
-from ..obs import NULL_TRACER, MetricsRegistry
-from . import faults as faults_mod
-from .determination import DependencyGraph
-from .faults import FaultPlan, _stable_unit
+from .faults import RunPolicy, _stable_unit
 from .history import RunRecord, SubgraphRecord
 from .translation import TranslatedSubgraph
 
-# only an adaptive dispatch loads the cost model
 if TYPE_CHECKING:
-    from .costmodel import CostModel
+    from .exlengine import EXLEngine
 
-__all__ = ["Dispatcher", "ON_ERROR_MODES"]
-
-ON_ERROR_MODES = ("fail", "continue", "degrade")
+__all__ = ["Dispatcher", "RunMode"]
 
 #: each retry's backoff is this many times the previous one's
 BACKOFF_FACTOR = 2.0
 
 # stateless, so one shared instance serves every dispatcher thread
 _NULL_SCOPE = nullcontext()
+
+
+@dataclass(frozen=True)
+class RunMode:
+    """What one run does beside its plan: a full run, an update or the
+    resume of run ``resumed_from``.
+
+    A full run with ``as_of`` reads *elementary* inputs at that
+    historical version (vintage replay); derived intermediates always
+    come from the current run.  An update, ``delta_of`` the baseline
+    run, starts from the ``dirty`` cubes: subgraphs whose inputs all
+    stayed clean are skipped with outcome "clean", executed chase
+    subgraphs go through ``run_mapping_delta``, and unchanged outputs
+    keep their stored versions (no put).
+    """
+
+    as_of: Optional[int] = None
+    dirty: Tuple[str, ...] = ()
+    delta_of: Optional[int] = None
+    resumed_from: Optional[int] = None
+
+    @property
+    def delta(self) -> bool:
+        return self.delta_of is not None
 
 
 def _store_matches_rows(store, cube: Cube) -> bool:
@@ -96,100 +114,46 @@ def _store_matches_rows(store, cube: Cube) -> bool:
 
 
 class Dispatcher:
-    """Executes translated subgraphs against their target engines."""
+    """Executes translated subgraphs against their target engines: one
+    run of ``engine`` (whose catalog, graph, pool size, journal, tracer,
+    metrics and cost model it uses) under ``policy``, in ``mode``."""
 
     def __init__(
         self,
-        catalog: MetadataCatalog,
-        graph: DependencyGraph,
-        jobs: int = 1,
-        as_of: Optional[int] = None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        retries: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-        on_error: Optional[str] = None,
-        backoff_s: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retranslate=None,
-        delta: bool = False,
-        dirty: Optional[Sequence[str]] = None,
-        journal=None,
-        cost_model: Optional[CostModel] = None,
-        adaptive: bool = False,
+        engine: EXLEngine,
+        policy: Optional[RunPolicy] = None,
+        mode: RunMode = RunMode(),
     ):
-        self.catalog = catalog
-        self.graph = graph
+        self.catalog = engine.catalog
+        self.graph = engine.graph
         #: optional :class:`repro.engine.journal.RunJournal` — when set,
         #: every subgraph logs its dispatch before executing and its
         #: commit *after* the cubes are durably snapshotted, so a hard
         #: crash can be rolled forward by ``exl recover``
-        self.journal = journal
-        #: incremental mode (EXLEngine.update): subgraphs whose inputs
-        #: all stayed clean are skipped with outcome "clean"; executed
-        #: chase subgraphs go through ``run_mapping_delta`` and their
-        #: unchanged outputs keep their stored versions (no put)
-        self.delta = delta
+        self.journal = engine.journal
+        #: worker threads for waves of several subgraphs (1 = in order)
+        self.jobs = engine.jobs
+        self.tracer = engine.tracer
+        self.metrics = engine.metrics
+        #: ``(cubes, target) -> TranslatedSubgraph``, for degradation and
+        #: adaptive re-targeting
+        self.retranslate = engine.translator.for_target
+        #: learned per-(target, signature) execution costs.  When set,
+        #: every successful subgraph feeds its clean attempt time back —
+        #: static runs train the model too; only ``adaptive`` lets it
+        #: *choose* the target (the engine builds a model for it)
+        self.cost_model = engine.cost_model
+        self.adaptive = engine.adaptive
+        self.policy = RunPolicy() if policy is None else policy
+        self.mode = mode
         # cube names whose *content* changed this run; seeded with the
         # dirty elementary cubes, grows as subgraphs publish changed
         # outputs.  Guarded by the dispatcher lock.
-        self._dirty: Set[str] = set(dirty or ())
+        self._dirty: Set[str] = set(mode.dirty)
         # per-tgd delta outcome counters, aggregated across subgraphs
         self.delta_dirty_tgds = 0
         self.delta_clean_tgds = 0
         self.delta_fallback_tgds = 0
-        self.delta_fallback_reasons: Dict[str, int] = {}
-        #: worker threads for waves of several subgraphs (1 = in order)
-        self.jobs = jobs
-        #: read *elementary* inputs at this historical version (vintage
-        #: replay); derived intermediates always come from the current run
-        self.as_of = as_of
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self.metrics = MetricsRegistry() if metrics is None else metrics
-        # -- failure policy; None falls back to the chaos-mode defaults
-        # (tests/CI running the suite under injected faults), then to
-        # the fail-fast zero-retry behaviour of the plain dispatcher
-        if retries is None:
-            retries = faults_mod.chaos_retries() or 0
-        if not retries >= 0:
-            raise EngineError(f"retries must be at least 0, got {retries!r}")
-        self.retries = int(retries)
-        if deadline_s is not None and not deadline_s > 0:
-            raise EngineError(
-                f"deadline_s must be greater than 0, got {deadline_s!r}"
-            )
-        self.deadline_s = deadline_s
-        if on_error is None:
-            on_error = "fail"
-        if on_error not in ON_ERROR_MODES:
-            raise EngineError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
-        self.on_error = on_error
-        if backoff_s is None:
-            backoff_s = faults_mod.chaos_backoff_s()
-            if backoff_s is None:
-                backoff_s = 0.05
-        if not backoff_s >= 0:
-            raise EngineError(f"backoff_s must be at least 0, got {backoff_s!r}")
-        self.backoff_s = backoff_s
-        if fault_plan is None:
-            fault_plan = faults_mod.chaos_plan()
-        self.fault_plan = fault_plan
-        #: ``(cubes, target) -> TranslatedSubgraph``, wired to
-        #: ``TranslationEngine.for_target`` by the engine; without it
-        #: degradation (and adaptive re-targeting) is unavailable
-        self.retranslate = retranslate
-        #: learned per-(target, signature) execution costs.  When set,
-        #: every successful subgraph feeds its clean attempt time back —
-        #: static runs train the model too; only ``adaptive`` lets it
-        #: *choose* the target (which needs ``retranslate``)
-        self.cost_model = cost_model
-        self.adaptive = bool(adaptive)
-        if self.adaptive and self.cost_model is None:
-            raise EngineError("adaptive dispatch requires a cost model")
-        if self.adaptive and self.retranslate is None:
-            raise EngineError("adaptive dispatch requires a retranslate hook")
         # -- shared mutable state; every access goes through the lock.
         # _computed_this_run feeds the as_of vintage logic; _unavailable
         # holds cubes whose producing subgraph failed or was skipped, so
@@ -211,7 +175,7 @@ class Dispatcher:
         waves = self.waves(translated)
         record.waves = len(waves)
         record.max_wave_width = max((len(w) for w in waves), default=0)
-        record.on_error = self.on_error
+        record.on_error = self.policy.on_error
         # one pool for the whole dispatch, not one per wave
         pool = None
         if self.jobs > 1:
@@ -239,7 +203,7 @@ class Dispatcher:
                     "dispatch.wave.duration_s", time.perf_counter() - started
                 )
                 record.subgraphs.extend(results)
-                if self.on_error == "fail":
+                if self.policy.on_error == "fail":
                     failed = next(
                         (r for r in results if r.outcome == "failed"), None
                     )
@@ -340,7 +304,7 @@ class Dispatcher:
                 attempts=0,
                 error=f"upstream cube(s) unavailable: {', '.join(blocked)}",
             )
-        if self.delta:
+        if self.mode.delta:
             with self._lock:
                 input_dirty = any(n in self._dirty for n in item.inputs)
             if not input_dirty and all(
@@ -418,10 +382,10 @@ class Dispatcher:
             attempts += native_attempts
             outcome = "ok" if native_attempts == 1 else "retried"
         except Exception as exc:
-            attempts += self._attempts_of(exc)
+            attempts += getattr(exc, "_dispatch_attempts", 1)
             primary = exc
             recovered_error = f"{type(exc).__name__}: {exc}"
-            if self._degradation_enabled(item):
+            if self.policy.on_error == "degrade" and item.subgraph.target != "chase":
                 outputs, fb_attempts, executed_target, attempt_s = (
                     self._degrade(item, wave_span)
                 )
@@ -460,19 +424,14 @@ class Dispatcher:
             self._note_delta(outputs.stats)
             changed_map = outputs.changed
             outputs = outputs.cubes
-        elif self.delta:
+        elif self.mode.delta:
             # a plain-output path ran under delta mode (non-chase
             # backend, or a degraded rerun): classify each output
             # against its stored version so cleanliness still
             # propagates, and count the subgraph as a full fallback
             changed_map = self._classify_against_store(cubes, outputs)
             with self._lock:
-                count = len(item.mapping.target_tgds)
-                self.delta_fallback_tgds += count
-                self.delta_fallback_reasons["non-incremental-backend"] = (
-                    self.delta_fallback_reasons.get("non-incremental-backend", 0)
-                    + count
-                )
+                self.delta_fallback_tgds += len(item.mapping.target_tgds)
         # stage every output cube first, then commit all of them under
         # the lock: the store never sees a partially-written subgraph.
         # In delta mode an output whose content did not change keeps its
@@ -516,7 +475,7 @@ class Dispatcher:
                     versions[name] = self.catalog.store.put(cube)
                     self.committed_versions[name] = versions[name]
                     tuples += len(cube)
-                    if self.delta:
+                    if self.mode.delta:
                         self._dirty.add(name)
                 self._computed_this_run.add(name)
         # duration_s is the clean successful-attempt execution time (the
@@ -555,10 +514,6 @@ class Dispatcher:
             self.delta_dirty_tgds += stats.dirty_tgds
             self.delta_clean_tgds += stats.clean_tgds
             self.delta_fallback_tgds += stats.fallback_tgds
-            for reason, count in stats.fallback_reasons.items():
-                self.delta_fallback_reasons[reason] = (
-                    self.delta_fallback_reasons.get(reason, 0) + count
-                )
 
     def _classify_against_store(
         self, cubes: Tuple[str, ...], outputs: Dict[str, Cube]
@@ -595,7 +550,7 @@ class Dispatcher:
             else 0
             for name in item.inputs
         ]
-        return subgraph_signature(item.mapping, cards, delta=self.delta)
+        return subgraph_signature(item.mapping, cards, delta=self.mode.delta)
 
     def _candidate_targets(self, item: TranslatedSubgraph) -> List[str]:
         """Targets every cube of the subgraph supports, in the stable
@@ -628,8 +583,8 @@ class Dispatcher:
         cubes = item.subgraph.cubes
         target = item.subgraph.target
         deadline = (
-            time.monotonic() + self.deadline_s
-            if self.deadline_s is not None
+            time.monotonic() + self.policy.deadline_s
+            if self.policy.deadline_s is not None
             else None
         )
         attempt = 0
@@ -640,7 +595,7 @@ class Dispatcher:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise DeadlineExceededError(
                         f"subgraph {target}:{'+'.join(cubes)} exceeded its "
-                        f"{self.deadline_s:g}s deadline after "
+                        f"{self.policy.deadline_s:g}s deadline after "
                         f"{attempt - 1} attempt(s)"
                     )
                 attempt_started = time.perf_counter()
@@ -648,7 +603,7 @@ class Dispatcher:
                 attempt_s = time.perf_counter() - attempt_started
                 return outputs, attempt, recovered, attempt_s
             except TransientBackendError as exc:
-                out_of_budget = attempt > self.retries or (
+                out_of_budget = attempt > self.policy.retries or (
                     deadline is not None and time.monotonic() >= deadline
                 )
                 if out_of_budget:
@@ -663,7 +618,7 @@ class Dispatcher:
                     # sleep into a guaranteed-dead attempt
                     abort = DeadlineExceededError(
                         f"subgraph {target}:{'+'.join(cubes)} aborted "
-                        f"before backoff: remaining {self.deadline_s:g}s "
+                        f"before backoff: remaining {self.policy.deadline_s:g}s "
                         f"deadline budget cannot cover the attempt "
                         f"{attempt} backoff"
                     )
@@ -693,17 +648,13 @@ class Dispatcher:
         hot-loop through the remaining retries.  A zero delay with
         budget to spare (``backoff_s=0``) stays a legal immediate retry.
         """
-        delay = self.backoff_s * (BACKOFF_FACTOR ** (attempt - 1))
+        delay = self.policy.backoff_s * (BACKOFF_FACTOR ** (attempt - 1))
         jitter = _stable_unit(0, "backoff", "+".join(cubes), attempt)
         delay *= 0.5 + jitter  # in [0.5x, 1.5x)
         if deadline is not None and deadline - time.monotonic() <= delay:
             self.metrics.inc("dispatch.deadline.aborted_backoffs")
             return None
         return delay
-
-    @staticmethod
-    def _attempts_of(exc: BaseException) -> int:
-        return getattr(exc, "_dispatch_attempts", 1)
 
     def _run_attempt(
         self,
@@ -718,7 +669,7 @@ class Dispatcher:
         check = None
         if deadline is not None:
             label = f"{target}:{'+'.join(cubes)}"
-            deadline_s = self.deadline_s
+            deadline_s = self.policy.deadline_s
 
             def check(_deadline=deadline, _label=label, _budget=deadline_s):
                 if time.monotonic() >= _deadline:
@@ -734,16 +685,16 @@ class Dispatcher:
             target=target,
             attempt=attempt,
         ):
-            if self.fault_plan is not None:
-                self.fault_plan.apply(
+            if self.policy.fault_plan is not None:
+                self.policy.fault_plan.apply(
                     target, cubes, attempt, metrics=self.metrics
                 )
             # a backend that shards whole-mapping runs draws per-shard
             # fault decisions from the same plan while this attempt is
             # in flight (see ChaseBackend.fault_scope)
             scope = getattr(item.backend, "fault_scope", None)
-            if self.fault_plan is not None and scope is not None:
-                context = scope(self.fault_plan, target, cubes, attempt)
+            if self.policy.fault_plan is not None and scope is not None:
+                context = scope(self.policy.fault_plan, target, cubes, attempt)
             else:
                 context = _NULL_SCOPE
             with context:
@@ -751,20 +702,13 @@ class Dispatcher:
                 # ride along instead of being compiled again per attempt
                 run = (
                     item.backend.run_mapping_delta
-                    if self.delta and hasattr(item.backend, "run_mapping_delta")
+                    if self.mode.delta and hasattr(item.backend, "run_mapping_delta")
                     else item.backend.run_mapping
                 )
                 return run(
                     item.mapping, inputs, wanted=list(cubes), check=check,
                     units=item.units,
                 )
-
-    def _degradation_enabled(self, item: TranslatedSubgraph) -> bool:
-        return (
-            self.on_error == "degrade"
-            and self.retranslate is not None
-            and item.subgraph.target != "chase"
-        )
 
     def _degrade(
         self, item: TranslatedSubgraph, wave_span=None
@@ -781,7 +725,8 @@ class Dispatcher:
             )
             return outputs, attempts, "chase", attempt_s
         except Exception as exc:
-            return None, self._attempts_of(exc), item.subgraph.target, 0.0
+            attempts = getattr(exc, "_dispatch_attempts", 1)
+            return None, attempts, item.subgraph.target, 0.0
 
     def _gather_inputs(self, item: TranslatedSubgraph) -> Dict[str, Cube]:
         inputs: Dict[str, Cube] = {}
@@ -792,10 +737,10 @@ class Dispatcher:
                     f"which has no stored data"
                 )
             version = None
-            if self.as_of is not None:
+            if self.mode.as_of is not None:
                 with self._lock:
                     fresh = name in self._computed_this_run
                 if not fresh:
-                    version = self.as_of
+                    version = self.mode.as_of
             inputs[name] = self.catalog.data(name, version)
         return inputs

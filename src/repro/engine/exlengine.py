@@ -18,7 +18,16 @@ Subsequent ``engine.load`` of new elementary data followed by
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from ..backends import LazyBackends
 from ..backends.base import Backend
@@ -29,8 +38,8 @@ from ..model.catalog import MetadataCatalog
 from ..model.cube import Cube, CubeSchema
 from ..obs import NULL_TRACER, MetricsRegistry
 from .determination import DEFAULT_TARGET_PRIORITY, DependencyGraph, Subgraph
-from .dispatcher import Dispatcher
-from .faults import FaultPlan
+from .dispatcher import Dispatcher, RunMode
+from .faults import FaultPlan, RunPolicy
 from .history import RunLog, RunRecord
 from .translation import TranslationEngine
 
@@ -64,9 +73,9 @@ class EXLEngine:
         #: first time the partition selects it
         self.backends = backends or LazyBackends()
         self.target_priority = tuple(target_priority)
-        # -- what the failure policy of every run shares (retries,
-        # deadline, on_error and faults are arguments of each run);
-        # None lets the dispatcher resolve chaos-mode / built-in defaults
+        #: the base retry backoff of every run's RunPolicy (retries,
+        #: deadline, on_error and faults are arguments of each run); None
+        #: takes the chaos-mode or built-in default
         self.backoff_s = backoff_s
         #: optional :class:`repro.engine.journal.RunJournal`; when set,
         #: every dispatch write-ahead-logs its plan and commits so
@@ -248,7 +257,7 @@ class EXLEngine:
                 as new versions, so the replay itself is versioned.
             retries / deadline_s / on_error / fault_plan: this run's
                 failure policy (see
-                :class:`~repro.engine.dispatcher.Dispatcher`).  Under
+                :class:`~repro.engine.faults.RunPolicy`).  Under
                 ``on_error="continue"`` or ``"degrade"`` the run
                 finishes even when subgraphs fail; the returned record
                 then carries a partial-failure ``error`` and per-
@@ -257,6 +266,12 @@ class EXLEngine:
         Under ``adaptive`` each subgraph record carries the target
         decision (``chosen_target``, ``predicted_s``, ``observed_s``).
         """
+        policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
+        return self._run(changed, policy, RunMode(as_of=as_of))
+
+    def _run(
+        self, changed: Optional[Iterable[str]], policy: RunPolicy, mode: RunMode
+    ) -> RunRecord:
         if changed is None:
             changed = self._loaded_since_last_run or [
                 n for n in self.catalog.elementary_names if self.catalog.has_data(n)
@@ -264,37 +279,7 @@ class EXLEngine:
         changed = list(dict.fromkeys(changed))
         if not changed:
             raise EngineError("nothing to run: no elementary data has changed")
-
-        with self.tracer.span(
-            "run", category="engine", trigger=list(changed)
-        ) as run_span:
-            t0 = time.perf_counter()
-            with self.tracer.span("determination", category="engine"):
-                affected = self.graph.affected_by(changed)
-                subgraphs = self.graph.partition(affected, self.target_priority)
-            determination_s = time.perf_counter() - t0
-
-            t1 = time.perf_counter()
-            with self.tracer.span("translation", category="engine"):
-                translated = self.translator.translate_all(subgraphs)
-            translation_s = time.perf_counter() - t1
-
-            record = self.runs.open(changed, affected)
-            run_span.note(run_id=record.run_id)
-            record.determination_s = determination_s
-            record.translation_s = translation_s
-            self.metrics.inc("engine.runs")
-            self.metrics.observe("engine.determination_s", determination_s)
-            self.metrics.observe("engine.translation_s", translation_s)
-            self._dispatch(
-                translated,
-                record,
-                as_of=as_of,
-                retries=retries,
-                deadline_s=deadline_s,
-                on_error=on_error,
-                fault_plan=fault_plan,
-            )
+        record = self._execute(changed, lambda: self.plan(changed), policy, mode)
         self._loaded_since_last_run = []
         return record
 
@@ -333,6 +318,7 @@ class EXLEngine:
                 finished run.  Without any usable baseline, update()
                 degrades to a full :meth:`run`.
         """
+        policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
         if against is not None:
             baseline = self.runs.get(against)
             if baseline is None:
@@ -343,16 +329,10 @@ class EXLEngine:
                     f"update against"
                 )
         else:
-            candidates = [
-                r for r in self.runs.runs
-                if r.finished and r.baseline_versions
-            ]
-            baseline = candidates[-1] if candidates else None
-            if baseline is None:
-                return self.run(
-                    changed=changed, retries=retries, deadline_s=deadline_s,
-                    on_error=on_error, fault_plan=fault_plan,
-                )
+            finished = [r for r in self.runs.runs if r.finished and r.baseline_versions]
+            if not finished:
+                return self._run(changed, policy, RunMode())
+            baseline = finished[-1]
         if changed is not None:
             dirty = list(dict.fromkeys(changed))
         else:
@@ -369,44 +349,16 @@ class EXLEngine:
                         continue
                 dirty.append(name)
 
-        with self.tracer.span(
-            "update", category="engine", trigger=list(dirty),
-            baseline=baseline.run_id,
-        ) as run_span:
-            t0 = time.perf_counter()
-            with self.tracer.span("determination", category="engine"):
-                affected = self.graph.affected_by(dirty) if dirty else []
-                stale = [n for n in dirty if self.catalog.is_derived(n)]
-                if stale:
-                    affected = self.graph.topological_order(
-                        set(affected) | set(stale)
-                    )
-                subgraphs = (
-                    self.graph.partition(affected, self.target_priority)
-                    if affected
-                    else []
-                )
-            determination_s = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            with self.tracer.span("translation", category="engine"):
-                translated = self.translator.translate_all(subgraphs)
-            translation_s = time.perf_counter() - t1
-            record = self.runs.open(dirty, affected)
-            record.delta_of = baseline.run_id
-            run_span.note(run_id=record.run_id)
-            record.determination_s = determination_s
-            record.translation_s = translation_s
-            self.metrics.inc("engine.updates")
-            self._dispatch(
-                translated,
-                record,
-                retries=retries,
-                deadline_s=deadline_s,
-                on_error=on_error,
-                fault_plan=fault_plan,
-                delta=True,
-                dirty=dirty,
-            )
+        def plan() -> List[Subgraph]:
+            affected = self.graph.affected_by(dirty) if dirty else []
+            stale = [n for n in dirty if self.catalog.is_derived(n)]
+            if stale:
+                affected = self.graph.topological_order(set(affected) | set(stale))
+            return self.graph.partition(affected, self.target_priority)
+
+        record = self._execute(
+            dirty, plan, policy, RunMode(dirty=tuple(dirty), delta_of=baseline.run_id)
+        )
         self._loaded_since_last_run = []
         return record
 
@@ -430,6 +382,7 @@ class EXLEngine:
 
         Returns the new run's record (``resumed_from`` links back).
         """
+        policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
         if run_id is None:
             resumable = self.runs.failed()
             if not resumable:
@@ -439,169 +392,124 @@ class EXLEngine:
             source = self.runs.get(run_id)
             if source is None:
                 raise EngineError(f"unknown run id {run_id}")
-        todo = source.unfinished_subgraphs()
+        todo = [Subgraph(s.cubes, s.target) for s in source.unfinished_subgraphs()]
         if not todo:
             raise EngineError(f"run {source.run_id} left nothing to resume")
-        subgraphs = [Subgraph(s.cubes, s.target) for s in todo]
-        with self.tracer.span(
-            "resume", category="engine", source_run=source.run_id
-        ) as run_span:
+        return self._execute(
+            (f"resume:{source.run_id}",),
+            lambda: todo,
+            policy,
+            RunMode(resumed_from=source.run_id),
+        )
+
+    def _execute(
+        self,
+        trigger: Sequence[str],
+        plan: Callable[[], List[Subgraph]],
+        policy: RunPolicy,
+        mode: RunMode,
+    ) -> RunRecord:
+        """Determination → translation → dispatch → bookkeeping, the one
+        path of run, update and resume, which differ in the ``trigger``
+        they record, the ``plan`` that picks their subgraphs (timed as
+        the determination) and their ``mode``."""
+        if mode.resumed_from is not None:
+            kind, notes = "resume", {"source_run": mode.resumed_from}
+        elif mode.delta:
+            notes = {"trigger": list(trigger), "baseline": mode.delta_of}
+            kind = "update"
+        else:
+            kind, notes = "run", {"trigger": list(trigger)}
+        with self.tracer.span(kind, category="engine", **notes) as run_span:
+            t0 = time.perf_counter()
+            with self.tracer.span("determination", category="engine"):
+                subgraphs = plan()
+            determination_s = time.perf_counter() - t0
             t1 = time.perf_counter()
             with self.tracer.span("translation", category="engine"):
                 translated = self.translator.translate_all(subgraphs)
             translation_s = time.perf_counter() - t1
             record = self.runs.open(
-                (f"resume:{source.run_id}",),
-                [cube for s in todo for cube in s.cubes],
+                trigger, [cube for s in subgraphs for cube in s.cubes]
             )
-            record.resumed_from = source.run_id
+            record.delta_of = mode.delta_of
+            record.resumed_from = mode.resumed_from
+            record.adaptive = self.adaptive
+            record.determination_s = determination_s
             record.translation_s = translation_s
             run_span.note(run_id=record.run_id)
-            self.metrics.inc("engine.resumes")
-            self._dispatch(
-                translated,
-                record,
-                retries=retries,
-                deadline_s=deadline_s,
-                on_error=on_error,
-                fault_plan=fault_plan,
-            )
-        return record
-
-    def _dispatch(
-        self,
-        translated,
-        record: RunRecord,
-        as_of: Optional[int] = None,
-        retries: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-        on_error: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        delta: bool = False,
-        dirty: Optional[Iterable[str]] = None,
-    ) -> RunRecord:
-        """Dispatch + record bookkeeping shared by run/resume/update."""
-        record.adaptive = self.adaptive
-        chase_backend = self.backends.get("chase")
-        count_kernels = isinstance(chase_backend, ChaseBackend)
-        if count_kernels:
-            kernels_before = (
-                chase_backend.vectorized_tgds,
-                chase_backend.fallback_tgds,
-            )
-            shards_before = (
-                chase_backend.shard_runs,
-                list(chase_backend.shard_tuples),
-                chase_backend.shard_merge_s,
-            )
-        encode_before = self.metrics.value("chase.kernel.encode")
-        dispatcher = Dispatcher(
-            self.catalog,
-            self.graph,
-            self.jobs,
-            as_of=as_of,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            retries=retries,
-            deadline_s=deadline_s,
-            on_error=on_error,
-            backoff_s=self.backoff_s,
-            fault_plan=fault_plan,
-            retranslate=self.translator.for_target,
-            delta=delta,
-            dirty=dirty,
-            journal=self.journal,
-            cost_model=self.cost_model,
-            adaptive=self.adaptive,
-        )
-        if self.journal is not None:
-            # write-ahead: the full plan is durable before any subgraph
-            # runs, so recovery knows exactly what a crash interrupted
-            self.journal.run_start(record, translated)
-        t2 = time.perf_counter()
-        try:
-            with self.tracer.span("dispatch", category="engine"):
-                dispatcher.dispatch(translated, record)
-        except Exception as exc:
-            # close the record in its failure state so duration and
-            # history stay meaningful, then let the error propagate
-            record.error = f"{type(exc).__name__}: {exc}"
-            self.metrics.inc("engine.runs.failed")
-            self._record_baselines(record)
-            self.runs.close(record)
-            if self.cost_model is not None:
-                # whatever this run managed to measure is still signal
-                self.cost_model.save()
+            self.metrics.inc(f"engine.{kind}s")
+            self.metrics.observe("engine.determination_s", determination_s)
+            self.metrics.observe("engine.translation_s", translation_s)
+            chase_backend = self.backends.get("chase")
+            count_kernels = isinstance(chase_backend, ChaseBackend)
+            if count_kernels:
+                chase_backend.reset_counts()
+            encode_before = self.metrics.value("chase.kernel.encode")
+            dispatcher = Dispatcher(self, policy, mode)
             if self.journal is not None:
-                self.journal.run_end(record.run_id, record.error)
-            raise
-        self.metrics.observe("engine.dispatch_s", time.perf_counter() - t2)
-        if delta:
-            record.delta_dirty_tgds = dispatcher.delta_dirty_tgds
-            record.delta_clean_tgds = dispatcher.delta_clean_tgds
-            record.delta_fallback_tgds = dispatcher.delta_fallback_tgds
-        if count_kernels:
-            record.vectorized_tgds = (
-                chase_backend.vectorized_tgds - kernels_before[0]
+                # write-ahead: the full plan is durable before any
+                # subgraph runs, so recovery knows exactly what a crash
+                # interrupted
+                self.journal.run_start(record, translated)
+            t2 = time.perf_counter()
+            try:
+                with self.tracer.span("dispatch", category="engine"):
+                    dispatcher.dispatch(translated, record)
+            except Exception as exc:
+                # close the record in its failure state so duration and
+                # history stay meaningful, then let the error propagate
+                record.error = f"{type(exc).__name__}: {exc}"
+                self.metrics.inc("engine.runs.failed")
+                self._close(record)
+                raise
+            self.metrics.observe("engine.dispatch_s", time.perf_counter() - t2)
+            if mode.delta:
+                record.delta_dirty_tgds = dispatcher.delta_dirty_tgds
+                record.delta_clean_tgds = dispatcher.delta_clean_tgds
+                record.delta_fallback_tgds = dispatcher.delta_fallback_tgds
+            if count_kernels:
+                record.vectorized_tgds = chase_backend.vectorized_tgds
+                record.fallback_tgds = chase_backend.fallback_tgds
+                if chase_backend.shard_runs:
+                    record.shard_tuples = list(chase_backend.shard_tuples)
+                    record.shards = len(record.shard_tuples)
+                    record.shard_merge_s = chase_backend.shard_merge_s
+            record.encode_count = (
+                self.metrics.value("chase.kernel.encode") - encode_before
             )
-            record.fallback_tgds = (
-                chase_backend.fallback_tgds - kernels_before[1]
-            )
-            if chase_backend.shard_runs > shards_before[0]:
-                before_tuples = shards_before[1]
-                record.shard_tuples = [
-                    count - (before_tuples[i] if i < len(before_tuples) else 0)
-                    for i, count in enumerate(chase_backend.shard_tuples)
-                ]
-                record.shards = len(record.shard_tuples)
-                record.shard_merge_s = (
-                    chase_backend.shard_merge_s - shards_before[2]
+            if any(not s.committed for s in record.subgraphs):
+                counts = record.outcomes()
+                record.error = (
+                    f"partial failure: {counts.get('failed', 0)} subgraph(s) "
+                    f"failed, {counts.get('skipped', 0)} skipped"
                 )
-        record.encode_count = (
-            self.metrics.value("chase.kernel.encode") - encode_before
-        )
-        if any(not s.committed for s in record.subgraphs):
-            counts = record.outcomes()
-            record.error = (
-                f"partial failure: {counts.get('failed', 0)} subgraph(s) "
-                f"failed, {counts.get('skipped', 0)} skipped"
-            )
-            self.metrics.inc("engine.runs.partial")
-        self._record_baselines(record)
-        self.runs.close(record)
-        if self.cost_model is not None:
-            self.cost_model.save()
-        if self.olap is not None:
-            with self.tracer.span("olap-refresh", category="engine"):
-                self.olap.on_commit(record, dispatcher.committed_versions)
-        if self.journal is not None:
-            self.journal.run_end(record.run_id, record.error)
+                self.metrics.inc("engine.runs.partial")
+            self._close(record, dispatcher.committed_versions)
         return record
 
-    @staticmethod
-    def recover(out_dir):
-        """Replay ``out_dir``'s write-ahead journal after a hard crash.
-
-        Returns a :class:`repro.engine.journal.RecoveryReport`; see
-        :func:`repro.engine.journal.recover` for the algorithm.  The
-        report's ``status`` says whether the directory was already
-        consistent, fully persisted, or left a synthesized
-        ``run-state.json`` for :meth:`resume` / ``exl resume``.
-        """
-        from .journal import recover as _recover
-
-        return _recover(out_dir)
-
-    def _record_baselines(self, record: RunRecord) -> None:
-        """Pin the store versions this run left behind, so a later
-        ``update`` can diff current data against them to find dirt."""
+    def _close(
+        self, record: RunRecord, committed: Optional[Dict[str, int]] = None
+    ) -> None:
+        """Pin the store versions the run left behind, so a later
+        ``update`` can diff current data against them, close the record,
+        and tell the cost model, the OLAP layer (after a dispatch that
+        finished, ``committed``) and the journal."""
         store = self.catalog.store
         record.baseline_versions = {
             name: store.latest_version(name)
             for name in store.names()
             if self.catalog.has_data(name)
         }
-
+        self.runs.close(record)
+        if self.cost_model is not None:
+            # whatever a failed run managed to measure is still signal
+            self.cost_model.save()
+        if self.olap is not None and committed is not None:
+            with self.tracer.span("olap-refresh", category="engine"):
+                self.olap.on_commit(record, committed)
+        if self.journal is not None:
+            self.journal.run_end(record.run_id, record.error)
     # -- inspection ---------------------------------------------------------------
     def plan(self, changed: Optional[Iterable[str]] = None) -> List[Subgraph]:
         """The subgraphs a run would dispatch, without executing them."""

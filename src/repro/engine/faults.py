@@ -15,9 +15,9 @@ Plans come from three places:
 * the CLI parses ``--inject-faults SPEC`` via :func:`parse_fault_spec`
   (grammar below);
 * the CI chaos leg enables a process-wide plan through
-  :func:`enable_chaos`, which the dispatcher consults whenever the
-  caller did not pass an explicit plan — the whole tier-1 suite then
-  runs with transient faults firing and must still pass.
+  :func:`enable_chaos`, which every :class:`RunPolicy` built without an
+  explicit plan picks up — the whole tier-1 suite then runs with
+  transient faults firing and must still pass.
 
 Spec grammar (rules separated by ``;``)::
 
@@ -69,6 +69,8 @@ from ..errors import (
 
 __all__ = [
     "ERROR_KINDS",
+    "ON_ERROR_MODES",
+    "RunPolicy",
     "FaultRule",
     "FaultPlan",
     "FaultyBackend",
@@ -91,6 +93,8 @@ _KINDS = (TRANSIENT, PERMANENT, DELAY, KILL, HANG)
 #: briefly); the complement, (KILL, HANG), only belongs in expendable
 #: processes such as forked shard workers or subprocess harness runs
 ERROR_KINDS = (TRANSIENT, PERMANENT, DELAY)
+
+ON_ERROR_MODES = ("fail", "continue", "degrade")
 
 
 @dataclass(frozen=True)
@@ -287,10 +291,59 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
     return FaultPlan(rules, seed=seed)
 
 
+@dataclass(frozen=True)
+class RunPolicy:
+    """What one run may do when a subgraph fails, validated once.
+
+    ``retries`` transient failures are retried per subgraph, each after
+    an exponential backoff from ``backoff_s``; ``deadline_s`` bounds a
+    subgraph's execution with its retries; ``on_error`` is one of
+    :data:`ON_ERROR_MODES`; ``fault_plan`` injects faults.  A field left
+    None takes the chaos-mode default when :func:`enable_chaos` is on,
+    else zero retries, a 0.05 s backoff, no deadline, ``"fail"`` and no
+    faults.
+    """
+
+    retries: Optional[int] = None
+    deadline_s: Optional[float] = None
+    on_error: Optional[str] = None
+    backoff_s: Optional[float] = None
+    fault_plan: Optional[FaultPlan] = None
+
+    def __post_init__(self):
+        retries = (chaos_retries() or 0) if self.retries is None else self.retries
+        on_error = "fail" if self.on_error is None else self.on_error
+        backoff_s = self.backoff_s
+        if backoff_s is None:
+            backoff_s = chaos_backoff_s()
+            if backoff_s is None:
+                backoff_s = 0.05
+        if not retries >= 0:
+            raise EngineError(f"retries must be at least 0, got {retries!r}")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise EngineError(
+                f"deadline_s must be greater than 0, got {self.deadline_s!r}"
+            )
+        if on_error not in ON_ERROR_MODES:
+            raise EngineError(
+                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
+            )
+        if not backoff_s >= 0:
+            raise EngineError(f"backoff_s must be at least 0, got {backoff_s!r}")
+        resolved = dict(
+            retries=int(retries),
+            on_error=on_error,
+            backoff_s=backoff_s,
+            fault_plan=chaos_plan() if self.fault_plan is None else self.fault_plan,
+        )
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+
 # -- chaos mode: a process-wide default plan -----------------------------------
 #
 # When enabled (the CI fault-injection leg, or any pytest run with
-# ``--inject-faults``), every Dispatcher built without an explicit
+# ``--inject-faults``), every RunPolicy built without an explicit
 # fault plan picks this one up, together with enough retries to
 # guarantee recovery from bounded transient rules.
 

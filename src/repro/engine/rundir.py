@@ -90,6 +90,19 @@ def _link_over(source: Path, destination: Path) -> bool:
     return True
 
 
+def _state_of(
+    record_json: Dict[str, Any], previous_record: Optional[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The state record of a run: a resumed run's subgraphs folded into
+    those of ``previous_record``, the state it started from."""
+    state_record = dict(record_json)
+    if previous_record is not None:
+        state_record["subgraphs"] = fold_subgraphs(
+            previous_record["subgraphs"], record_json["subgraphs"]
+        )
+    return state_record
+
+
 class RunDirectory:
     """The epilogue of one ``run`` / ``update`` / ``resume``.
 
@@ -176,11 +189,7 @@ class RunDirectory:
         cube replayed clean or never planned keeps its files.
         """
         record_json = record.to_json()
-        state_record = dict(record_json)
-        if previous_record is not None:
-            state_record["subgraphs"] = fold_subgraphs(
-                previous_record["subgraphs"], record_json["subgraphs"]
-            )
+        state_record = _state_of(record_json, previous_record)
         subgraphs = state_record["subgraphs"]
         unfinished = [s for s in subgraphs if s["outcome"] not in COMMITTED_OUTCOMES]
         missing = {cube for sub in unfinished for cube in sub["cubes"]}
@@ -205,6 +214,14 @@ class RunDirectory:
         return Finished(
             wrote, [name for name in names if name in missing], len(unfinished)
         )
+
+    def abort(
+        self, catalog, record, previous_record: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """A run aborted fail-fast: only what ``exl resume`` needs, the
+        state of ``record`` (folded into ``previous_record``'s, as in
+        :meth:`finish`) and its committed cubes; no output is written."""
+        self.suspend(catalog, _state_of(record.to_json(), previous_record))
 
     def publish(
         self,

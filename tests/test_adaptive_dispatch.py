@@ -32,8 +32,8 @@ from repro.engine import (
     subgraph_signature,
 )
 from repro.engine.costmodel import COST_HISTORY_FILE
-from repro.engine.faults import FaultPlan, FaultRule, parse_fault_spec
-from repro.errors import DeadlineExceededError, EngineError
+from repro.engine.faults import FaultPlan, FaultRule, RunPolicy, parse_fault_spec
+from repro.errors import DeadlineExceededError
 from repro.mappings.dependencies import TgdKind
 from repro.obs import MetricsRegistry
 from repro.workloads import (
@@ -264,7 +264,7 @@ class TestBackoffDeadlineAbort:
         engine = _build_engine(
             deep_chain_workload(0, depth=2), target_priority=("chase",)
         )
-        return Dispatcher(engine.catalog, engine.graph, **kwargs)
+        return Dispatcher(engine, RunPolicy(**kwargs))
 
     def test_backoff_larger_than_budget_returns_none(self):
         dispatcher = self._dispatcher(backoff_s=10.0)
@@ -316,17 +316,6 @@ class TestBackoffDeadlineAbort:
 
 # ---------------------------------------------------------------------------
 class TestAdaptiveWiring:
-    def test_adaptive_requires_retranslate(self):
-        workload = deep_chain_workload(0, depth=2)
-        engine = _build_engine(workload, target_priority=("chase",))
-        with pytest.raises(EngineError):
-            Dispatcher(
-                engine.catalog,
-                engine.graph,
-                cost_model=CostModel(),
-                adaptive=True,
-            )
-
     def test_static_runs_train_the_model_without_choosing(self):
         cm = CostModel()
         engine = _build_engine(

@@ -20,7 +20,7 @@ from repro.backends import ChaseBackend
 import repro.chase
 from repro.chase import StratifiedChase, instance_from_cubes
 from repro.chase.delta import DeltaChase
-from repro.engine import EXLEngine
+from repro.engine import Dispatcher, EXLEngine
 from repro.errors import ChaseError
 from repro.exl import Program
 from repro.mappings import (
@@ -229,6 +229,12 @@ def test_no_layer_takes_a_removed_setting(child_env):
         EXLEngine(chase_cache=False)
     with pytest.raises(TypeError):
         EXLEngine(vectorize=False)
+    engine = EXLEngine()
+    # the dispatcher reads the engine; the failure policy is one value
+    with pytest.raises(TypeError):
+        Dispatcher(engine.catalog, engine.graph, retries=1)
+    with pytest.raises(TypeError):
+        Dispatcher(engine.catalog, engine.graph, adaptive=True)
     for setting in (
         "vectorized", "capture_deltas", "shard_retries", "shard_timeout_s"
     ):

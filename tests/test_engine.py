@@ -174,7 +174,7 @@ class TestDispatcherWaves:
             Subgraph(("D",), "sql"),
         ]
         translated = [translator.translate(s) for s in subgraphs]
-        dispatcher = Dispatcher(catalog, graph)
+        dispatcher = Dispatcher(EXLEngine())
         waves = dispatcher.waves(translated)
         # A and C are independent -> first wave; B next; D last
         assert len(waves[0]) == 2

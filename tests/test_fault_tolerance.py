@@ -20,6 +20,7 @@ from repro.engine import (
     FaultPlan,
     FaultRule,
     RunLog,
+    RunPolicy,
     SubgraphRecord,
     parse_fault_spec,
 )
@@ -249,21 +250,25 @@ class TestRetries:
         assert engine.metrics.value("dispatch.retries") == 0
 
     @pytest.mark.parametrize(
-        "policy",
-        [{"retries": -1}, {"backoff_s": -1}, {"deadline_s": 0}, {"deadline_s": -1}],
+        "make, policy",
+        [
+            (RunPolicy, {"retries": -1}),
+            (RunPolicy, {"backoff_s": -1}),
+            (RunPolicy, {"deadline_s": 0}),
+            (RunPolicy, {"deadline_s": -1}),
+            (EXLEngine, {"jobs": 0}),
+            (EXLEngine, {"shards": -1}),
+        ],
     )
-    def test_policy_out_of_range_rejected(self, policy):
-        from repro.engine.dispatcher import Dispatcher
-
-        engine = _diamond_engine()
+    def test_policy_out_of_range_rejected(self, make, policy):
         with pytest.raises(EngineError, match=next(iter(policy))):
-            Dispatcher(engine.catalog, engine.graph, **policy)
+            make(**policy)
 
     def test_backoff_is_deterministic_and_bounded(self):
         from repro.engine.dispatcher import Dispatcher
 
         engine = _diamond_engine()
-        dispatcher = Dispatcher(engine.catalog, engine.graph, backoff_s=0.1)
+        dispatcher = Dispatcher(engine, RunPolicy(backoff_s=0.1))
         first = dispatcher._backoff_delay(("A",), 1, None)
         assert first == dispatcher._backoff_delay(("A",), 1, None)
         assert 0.05 <= first < 0.15
@@ -475,7 +480,7 @@ class TestPartialFailure:
         with pytest.raises(EngineError, match="on_error"):
             engine.run(on_error="explode")
         with pytest.raises(EngineError, match="on_error"):
-            Dispatcher(engine.catalog, engine.graph, on_error="explode")
+            Dispatcher(engine, RunPolicy(on_error="explode"))
 
 
 class TestResume:
@@ -743,18 +748,54 @@ class TestCli:
         assert code == 0
         assert "degraded -> chase" in capsys.readouterr().out
 
-    def test_fail_fast_writes_state_then_resume(self, cli_project, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "update"])
+    def test_fail_fast_writes_state_then_resume(
+        self, cli_project, tmp_path, capsys, command
+    ):
         out = tmp_path / "out"
+        if command == "update":
+            assert cli_main(["run", str(cli_project), "--out", str(out)]) == 0
+            e1 = cli_project.parent / "e1.csv"
+            e1.write_text(e1.read_text().replace(",1.0\n", ",11.0\n"))
+        capsys.readouterr()
         code = cli_main(
             [
-                "run", str(cli_project), "--out", str(out),
+                command, str(cli_project), "--out", str(out),
                 "--inject-faults", "r:permanent",
             ]
         )
         assert code == 1  # ReproError surfaced
         assert (out / "run-state.json").exists()
+        assert "run aborted; state written to" in capsys.readouterr().err
         assert cli_main(["resume", str(cli_project), "--out", str(out)]) == 0
-        assert (out / "D.csv").exists()
+        assert not (out / "run-state.json").exists()
+        # the resumed run's files are those of one uninterrupted run
+        fresh = tmp_path / "fresh"
+        assert cli_main(["run", str(cli_project), "--out", str(fresh)]) == 0
+        for name in ("A", "B", "C", "D"):
+            for sub in (".", "baseline"):
+                assert (out / sub / f"{name}.csv").read_bytes() == (
+                    fresh / sub / f"{name}.csv"
+                ).read_bytes()
+
+    def test_aborted_resume_keeps_what_the_run_committed(
+        self, cli_project, tmp_path
+    ):
+        out = tmp_path / "out"
+        faulty = ["--inject-faults", "r:permanent"]
+        assert cli_main(["run", str(cli_project), "--out", str(out), *faulty]) == 1
+        assert cli_main(["resume", str(cli_project), "--out", str(out), *faulty]) == 1
+        # the second state still holds the first run's committed A + B,
+        # which D reads when the last resume finally computes C
+        state = json.loads((out / "run-state.json").read_text())
+        assert sorted(state["committed"]) == ["A", "B"]
+        assert cli_main(["resume", str(cli_project), "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh"
+        assert cli_main(["run", str(cli_project), "--out", str(fresh)]) == 0
+        for name in ("A", "B", "C", "D"):
+            assert (out / f"{name}.csv").read_bytes() == (
+                fresh / f"{name}.csv"
+            ).read_bytes()
 
     def test_resume_without_state(self, cli_project, tmp_path):
         assert (

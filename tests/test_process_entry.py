@@ -407,9 +407,9 @@ class TestRunDirectory:
             trees[side] = (_tree(base), child.stdout.count("\n"))
         assert trees["entry"] == trees["ordinary"]
 
-    def test_an_aborted_update_leaves_a_whole_journal(self, tmp_path, fresh_python):
-        from repro.engine.journal import replay_journal
-
+    def test_an_aborted_update_leaves_its_state_for_resume(
+        self, tmp_path, fresh_python
+    ):
         project = write_project(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["run", project, "--out", str(out)]) == 0
@@ -419,12 +419,12 @@ class TestRunDirectory:
             "--inject-faults", "*:permanent",
         )
         assert child.returncode == 1
-        (journal,) = (out / "journal").glob("*.wal")
-        records, torn = replay_journal(journal)
-        assert torn == 0
-        assert [r["type"] for r in records] == [
-            "run-start", "subgraph-dispatch", "run-end"
-        ]
+        # the durable state file supersedes the journal, like an aborted run's
+        assert (out / "run-state.json").exists()
+        assert not list(out.glob("journal/*.wal"))
+        resumed = fresh_python("-m", "repro", "resume", project, "--out", str(out))
+        assert resumed.returncode == 0, resumed.stderr
+        assert not (out / "run-state.json").exists()
 
 
 # -- through a pipe ------------------------------------------------------------
