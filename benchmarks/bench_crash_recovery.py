@@ -29,7 +29,7 @@ import time
 
 from repro.cli import _build_engine, load_project
 from repro.cli import main as cli_main
-from repro.engine import FaultPlan, FaultRule, RunJournal, recover
+from repro.engine import FaultPlan, FaultRule, RunDirectory, RunJournal
 from repro.model import quarter
 
 JOURNAL_PERIODS = 600  # x 200 regions = 120k tuples (the PR-6 workload)
@@ -163,7 +163,7 @@ def test_recovery_vs_full_rerun(bench_report, tmp_path):
     assert [p.name for p in crashed_out.iterdir()] == ["journal"]
 
     t0 = time.perf_counter()
-    report = recover(crashed_out)
+    report = RunDirectory(crashed_out).recover()
     assert report.status == "resumable"
     assert (
         cli_main(["resume", str(project_file), "--out", str(crashed_out)])

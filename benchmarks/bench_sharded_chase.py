@@ -34,6 +34,7 @@ import pytest
 
 from repro.chase import (
     ShardPlan,
+    StratifiedChase,
     instance_from_cubes,
 )
 from repro.exl import (

@@ -80,7 +80,7 @@ def atomic_write(
     the destination path.  ``fsync=False`` keeps the same atomicity
     against process crashes (the rename still happens only after the
     data is fully written) but drops the power-loss guarantee — used by
-    the journal-overhead ablation benchmark.
+    :meth:`repro.engine.rundir.RunDirectory.place`, whose barrier flushes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -38,27 +38,23 @@ Commands:
 ``--version`` prints the package version.  Each command imports only
 the layers it executes (see the note above the imports).
 
-Fault tolerance: ``run``, ``update`` and ``resume`` accept ``--retries``
-/ ``--deadline`` / ``--on-error fail|continue|degrade`` and a
-deterministic fault-injection spec (``--inject-faults``, see
-:mod:`repro.engine.faults`).  When a run ends with failed or skipped
-subgraphs, or aborts on one, the per-subgraph outcomes and the committed
-cubes are persisted next to the outputs (``<out>/run-state.json`` +
-``<out>/.committed/``); ``resume`` reloads them and re-dispatches only
-the unfinished subgraphs.  The three commands are one code path.
+Fault tolerance: ``run``, ``update`` and ``resume`` are one code path
+and accept ``--retries`` / ``--deadline`` / ``--on-error
+fail|continue|degrade`` and a deterministic fault-injection spec
+(``--inject-faults``, see :mod:`repro.engine.faults`).  A run that ends
+with unfinished subgraphs, or aborts on one, leaves a run state that
+``resume`` finishes, re-dispatching only those subgraphs.
 
-Durability: every durable artifact (run state, outputs, baseline CSVs
-and JSON, committed snapshots) appears under its name atomically
-(tmp-file + rename, :mod:`repro.chase.atomic`), in the order and behind
-the flushes :mod:`repro.engine.rundir` owns, and — unless
-``--no-journal`` — every ``run``/``update``/``resume`` keeps a fsynced
-write-ahead journal (``<out>/journal/*.wal``) of its plan and of each
-committed subgraph's cubes, so ``exl recover`` + ``exl resume``
-reproduce an uninterrupted run after a kill at any byte offset.
+Files under ``--out``: this module names none.  The run state, its
+committed snapshots, the write-ahead journal and ``recover`` belong to
+:mod:`repro.engine.rundir`, which also writes everything in the order
+and behind the flushes that let ``exl recover`` + ``exl resume``
+reproduce an uninterrupted run after a kill at any byte offset; the
+baseline and its index belong to :mod:`repro.engine.baseline`.
 
 Exit codes: 0 success, 1 error, 2 usage/nothing-to-do, 3 partial
-failure (state file written), 4 corrupt or truncated state/baseline
-file (quarantine or ``exl recover`` advised).
+failure (state file written), 4 a run state, baseline index or baseline
+cube that is corrupt, torn or the wrong shape (``exl recover`` advised).
 """
 
 from __future__ import annotations
@@ -66,11 +62,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .errors import ModelError, ReproError
+from .errors import CorruptStateError, ModelError, ReproError
 
 # Every other layer is imported inside the command that runs it, so a
 # call loads only what it executes (DESIGN.md, "Start-up and the import
@@ -79,7 +74,6 @@ from .errors import ModelError, ReproError
 # before ``main()`` runs is then the function every command calls.
 if TYPE_CHECKING:
     from .engine.exlengine import EXLEngine
-    from .engine.journal import RunJournal
     from .model.catalog import MetadataCatalog
     from .model.cube import Cube, CubeSchema
     from .model.schema import Schema
@@ -235,8 +229,9 @@ def _build_engine(
     cost_model = None
     if adaptive:
         from .engine.costmodel import CostModel
+        from .engine.rundir import RunDirectory
 
-        cost_model = CostModel(Path(args.out) / "costs")
+        cost_model = CostModel(RunDirectory(args.out).costs_dir)
     engine = EXLEngine(
         jobs=getattr(args, "jobs", 1),
         shards=getattr(args, "shards", 1),
@@ -313,95 +308,40 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-@contextmanager
-def _journal_for(args, out_dir: Path) -> Iterator[Optional[RunJournal]]:
-    """The run's write-ahead journal, unless ``--no-journal``, closed
-    on the way out: a journal the command leaves behind (a run that
-    failed before its state could be written) has its unflushed tail —
-    ``run-end``, ``subgraph-dispatch`` — written by the command, not by
-    whichever finaliser happens to run at interpreter exit."""
-    if getattr(args, "no_journal", False):
-        yield None
-        return
-    from .engine.journal import RunJournal
-
-    journal = RunJournal(out_dir)
-    try:
-        yield journal
-    finally:
-        journal.close()
-
-
-def _report_corrupt(kind: str, path: Path, detail, out_dir: Path) -> None:
-    print(f"corrupt {kind} at {path}: {detail}", file=sys.stderr)
+def _report_corrupt(exc: CorruptStateError, out_dir) -> None:
+    print(exc, file=sys.stderr)
     print(
-        f"inspect or delete it, or try: exl recover --out {out_dir}",
+        f"inspect or delete it, or try: exl recover --out {Path(out_dir)}",
         file=sys.stderr,
     )
 
 
-def _load_state_json(
-    path: Path, kind: str, out_dir: Path
-) -> Optional[Dict[str, Any]]:
-    """Parse a state/baseline JSON file, or None when it is corrupt.
-
-    Torn, truncated, empty, or unreadable files — the debris a hard
-    crash leaves without atomic writes — are reported with the
-    offending path and a recovery hint instead of tracebacking; the
-    caller exits with :data:`EXIT_CORRUPT_STATE`.
-    """
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        _report_corrupt(kind, path, exc, out_dir)
-        return None
-    if not isinstance(data, dict) or not isinstance(data.get("record"), dict):
-        _report_corrupt(kind, path, "not a run-state document", out_dir)
-        return None
-    return data
-
-
-def _finish_run(engine, project, record, previous_state, args,
-                journal=None, baseline=None) -> int:
-    """Shared run/update/resume epilogue: the run directory writes what
-    has new bytes and ends the run with either the state file (exit 3)
-    or the baseline (exit 0); what it did is reported here.
-
-    ``baseline`` is the index the run started from, when it was an
-    update of one.
-    """
-    from .engine.rundir import RunDirectory
-
-    out_dir = Path(args.out)
-    rundir = RunDirectory(out_dir, args.state, journal)
+def _finish_run(engine, project, record, previous, args, rundir, index) -> int:
+    """Shared run/update/resume epilogue: the run directory ends the run
+    with the state file (exit 3) or the baseline (exit 0), starting from
+    ``previous`` (a resume's state) and ``index`` (an update's
+    baseline); what it did is reported here."""
     done = rundir.finish(
         engine,
         record,
         project.program_source,
-        previous_state["record"] if previous_state else None,
+        previous["record"] if previous else None,
         project.outputs,
-        baseline,
+        index,
     )
     for name in done.skipped:
         print(f"skipped {name}: not computed (see run state)", file=sys.stderr)
     for name in done.wrote:
-        print(
-            f"wrote {out_dir / f'{name}.csv'} ({len(engine.data(name))} tuples)"
-        )
+        print(f"wrote {rundir.output_path(name)} ({len(engine.data(name))} tuples)")
     if done.unfinished:
         print(
             f"partial failure: {done.unfinished} subgraph(s) unfinished; "
             f"state written to {rundir.state_path} — finish with: "
-            f"exl resume {args.project} --out {out_dir}",
+            f"exl resume {args.project} --out {rundir.out_dir}",
             file=sys.stderr,
         )
         return 3
     return 0
-
-
-def _baseline_paths(out_dir: Path):
-    baseline_dir = out_dir / "baseline"
-    return baseline_dir, baseline_dir / "baseline.json"
 
 
 def cmd_run(args) -> int:
@@ -409,34 +349,37 @@ def cmd_run(args) -> int:
     what the run starts from — nothing, the baseline, or the state of
     an unfinished run."""
     from .engine import baseline as baseline_store
+    from .engine.journal import RunJournal
+    from .engine.rundir import RunDirectory
 
     command = args.command
     project = load_project(args.project)
     out_dir = _out_dir(args)
-    baseline_dir, baseline_file = _baseline_paths(out_dir)
-    # previous: the run state a resume finishes; baseline: the index an
+    # the journal creates no file before its first record
+    journal = None if args.no_journal else RunJournal(out_dir)
+    rundir = RunDirectory(out_dir, args.state, journal)
+    # previous: the run state a resume finishes; index: the baseline an
     # update (or the resume of one) starts from
-    previous = baseline = None
-    if command == "resume":
-        state_path = Path(args.state) if args.state else out_dir / "run-state.json"
-        if not state_path.exists():
-            print(f"no run state at {state_path}: nothing to resume", file=sys.stderr)
-            return 2
-        previous = _load_state_json(state_path, "run state", out_dir)
-        if previous is None:
-            return EXIT_CORRUPT_STATE
-    if command != "run" and baseline_file.exists():
-        # a resume reads it too: an interrupted *update* planned only
-        # part of the program, what it left alone is still the baseline's
-        baseline = _load_state_json(baseline_file, "baseline", out_dir)
-        if baseline is None and command == "update":
-            return EXIT_CORRUPT_STATE
-    if command == "update" and baseline is not None:
-        baseline_run_id = baseline["record"].get("run_id")
+    previous = rundir.read_state() if command == "resume" else None
+    if command == "resume" and previous is None:
+        print(f"no run state at {rundir.state_path}: nothing to resume", file=sys.stderr)
+        return 2
+    index = None
+    if command != "run":
+        # a resume reads the index too: an interrupted *update* planned
+        # only part of the program, what it left alone is the baseline's
+        try:
+            index = baseline_store.read_index(out_dir)
+        except CorruptStateError as exc:
+            if command == "update":
+                raise
+            _report_corrupt(exc, out_dir)  # a resume reads on without it
+    if command == "update" and index is not None:
+        baseline_run_id = index["record"].get("run_id")
         if args.against not in (None, baseline_run_id):
             print(
-                f"baseline at {baseline_file} is run {baseline_run_id}, "
-                f"not {args.against}",
+                f"baseline at {baseline_store.index_path(out_dir)} is run "
+                f"{baseline_run_id}, not {args.against}",
                 file=sys.stderr,
             )
             return 2
@@ -447,13 +390,12 @@ def cmd_run(args) -> int:
 
         tracer = Tracer() if trace else None
         metrics = MetricsRegistry()
-    with _journal_for(args, out_dir) as journal:
+    try:
         engine = _build_engine(project, args, journal, tracer, metrics)
         policy = _policy_from(args)
         execute, start = engine.run, {}
         if command == "resume":
-            baseline_store.admit_for_resume(engine, previous, out_dir, baseline)
-            restored = engine.runs.restore(previous["record"])
+            restored = baseline_store.admit_for_resume(engine, previous, out_dir, index)
             if not restored.unfinished_subgraphs():
                 # every subgraph already committed (e.g. the crash hit
                 # after the last commit but before cleanup): skip the
@@ -463,32 +405,29 @@ def cmd_run(args) -> int:
                     f"finalizing outputs"
                 )
                 return _finish_run(
-                    engine, project, restored, previous, args,
-                    journal=journal, baseline=baseline,
+                    engine, project, restored, previous, args, rundir, index
                 )
             execute, start = engine.resume, {"run_id": restored.run_id}
-        elif command == "update" and baseline is None:
-            print(f"no baseline at {baseline_file}: running in full", file=sys.stderr)
+        elif command == "update" and index is None:
+            print(
+                f"no baseline at {baseline_store.index_path(out_dir)}: running in full",
+                file=sys.stderr,
+            )
         elif command == "update":
             # version counters mean nothing across processes, content is
             # the only signal: inputs are compared with the baseline by
             # digest, and the baseline's cubes come back deferred — parsed
             # when a recomputed statement reads one, otherwise not opened
             changed, fallbacks = baseline_store.admit_for_update(
-                engine, baseline, baseline_dir
+                engine, index, rundir.baseline_dir
             )
             for name, path, why in fallbacks:
                 print(
                     f"baseline cube {path} unusable ({why}): recomputing {name}",
                     file=sys.stderr,
                 )
-            restored = engine.runs.restore(baseline["record"])
-            restored.baseline_versions = {
-                name: engine.catalog.store.latest_version(name)
-                for name in engine.catalog.store.names()
-            }
             execute = engine.update
-            start = {"changed": changed, "against": restored.run_id}
+            start = {"changed": changed, "against": engine.runs.last().run_id}
         started = engine.runs.last()
         try:
             record = execute(**start, **policy)
@@ -497,9 +436,6 @@ def cmd_run(args) -> int:
             # outcomes, so persist the resumable state before surfacing it
             record = engine.runs.last()
             if record is not started and record.subgraphs:
-                from .engine.rundir import RunDirectory
-
-                rundir = RunDirectory(out_dir, args.state, journal)
                 rundir.abort(engine.catalog, record, previous and previous["record"])
                 print(
                     f"run aborted; state written to {rundir.state_path}",
@@ -519,29 +455,26 @@ def cmd_run(args) -> int:
         if metrics is not None:
             print("\nmetrics:")
             print(engine.metrics.render())
-        return _finish_run(
-            engine, project, record, previous, args,
-            journal=journal, baseline=baseline,
-        )
+        return _finish_run(engine, project, record, previous, args, rundir, index)
+    finally:
+        # a journal the command leaves behind (a run that failed before
+        # its state could be written) gets its unflushed tail from here,
+        # not from whichever finaliser runs at interpreter exit
+        if journal is not None:
+            journal.close()
 
 
 def cmd_recover(args) -> int:
-    """Replay the write-ahead journal after a hard crash.
-
-    Rolls back torn writes, re-admits commits whose on-disk bytes still
-    match their journalled checksums, and synthesizes a resumable
-    ``run-state.json`` from the rest, so ``exl resume`` can finish the
-    run no matter where the process died.
-    """
-    from .engine.journal import recover
+    """Roll a hard crash forward (:meth:`RunDirectory.recover`), so
+    ``exl resume`` can finish the run wherever the process died."""
+    from .engine.rundir import RunDirectory
 
     out_dir = Path(args.out)
     if not out_dir.exists():
         print(f"no output directory at {out_dir}: nothing to recover",
               file=sys.stderr)
         return 2
-    state_path = Path(args.state) if args.state else None
-    report = recover(out_dir, state_path=state_path)
+    report = RunDirectory(out_dir, args.state).recover()
     print(report.summary())
     if report.status == "resumable":
         print(
@@ -577,7 +510,7 @@ def _level_value(lattice, dim: str, level_name: str, text: str):
     return text
 
 
-def _query_catalog(project: Project, state: Optional[dict]) -> MetadataCatalog:
+def _query_catalog(project: Project, index: Optional[dict]) -> MetadataCatalog:
     """The project's metadata with no data and no engine around it.
 
     A query needs the cube schemas and the groupings, no data.  The
@@ -588,7 +521,7 @@ def _query_catalog(project: Project, state: Optional[dict]) -> MetadataCatalog:
     """
     from .engine.baseline import catalog_from_index
 
-    catalog = catalog_from_index(state, project.schemas, project.program_source)
+    catalog = catalog_from_index(index, project.schemas, project.program_source)
     if catalog is None:
         from .exl.program import Program
         from .model.catalog import MetadataCatalog
@@ -606,55 +539,40 @@ def _query_catalog(project: Project, state: Optional[dict]) -> MetadataCatalog:
 
 def _load_queried_cube(
     catalog: MetadataCatalog, project: Project, name: str, out_dir: Path,
-    state: Optional[dict],
-) -> int:
+    index: Optional[dict],
+) -> None:
     """Put the one cube a query reads into the catalog's store.
 
-    The cube comes from ``<out>/baseline/<name>.csv``, checked against
-    the digest the index ``state`` records; an elementary cube the
+    The cube comes from the baseline file ``index`` lists for it,
+    checked against the digest it records; an elementary cube the
     baseline lacks comes from its project CSV.  No other cube's file is
-    opened.  Returns 0 — with the store left empty when neither file is
-    there to read — or :data:`EXIT_CORRUPT_STATE`.
+    opened.  The store stays empty when neither file is there to read.
     """
     from .engine.baseline import read_indexed_cube
 
-    schema = catalog.schema_of(name)
-    rel_path = (state or {}).get("cubes", {}).get(name)
-    if rel_path is not None:
-        path = _baseline_paths(out_dir)[0] / rel_path
-        try:
-            cube = read_indexed_cube(schema, path, state.get("sha256", {}).get(name))
-        except (OSError, ValueError, ReproError) as exc:
-            _report_corrupt("baseline CSV", path, exc, out_dir)
-            return EXIT_CORRUPT_STATE
+    cube = read_indexed_cube(out_dir, index, catalog.schema_of(name))
+    if cube is not None:
         catalog.store.put(cube)
-        return 0
+        return
     csv_path = project.csv_paths.get(name)
     if csv_path is not None:
-        catalog.load(_read_input_csv(schema, csv_path))
-    return 0
+        catalog.load(_read_input_csv(catalog.schema_of(name), csv_path))
 
 
 def cmd_query(args) -> int:
+    from .engine.baseline import read_index
     from .model.io import parse_dim_value
     from .olap.query import OlapService, format_measure
 
     project = load_project(args.project)
     out_dir = Path(args.out)
-    baseline_file = _baseline_paths(out_dir)[1]
-    state = None
-    if baseline_file.exists():
-        state = _load_state_json(baseline_file, "baseline", out_dir)
-        if state is None:
-            return EXIT_CORRUPT_STATE
-    catalog = _query_catalog(project, state)
+    index = read_index(out_dir)
+    catalog = _query_catalog(project, index)
     name = args.cube
     if name not in catalog:
         print(f"unknown cube {name!r}", file=sys.stderr)
         return 2
-    code = _load_queried_cube(catalog, project, name, out_dir, state)
-    if code:
-        return code
+    _load_queried_cube(catalog, project, name, out_dir, index)
     if not catalog.has_data(name):
         print(
             f"cube {name!r} has no data; run the project first: "
@@ -978,6 +896,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CorruptStateError as exc:
+        _report_corrupt(exc, args.out)
+        return EXIT_CORRUPT_STATE
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

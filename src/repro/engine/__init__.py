@@ -35,9 +35,8 @@ _EXPORTS = {
     "SubgraphRecord": "history",
     "COMMITTED_OUTCOMES": "history",
     "RunJournal": "journal",
-    "RecoveryReport": "journal",
-    "recover": "journal",
     "replay_journal": "journal",
+    "RecoveryReport": "rundir",
     "RunDirectory": "rundir",
     "EXLEngine": "exlengine",
 }

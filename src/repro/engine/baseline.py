@@ -18,6 +18,9 @@ program text it was compiled from: a reader holding the same text
 (:func:`catalog_from_index`).  The index is read by programs only and
 is written without whitespace.
 
+This module owns ``<out>/baseline/``: it names the paths, and
+:func:`read_index` is the one parser of the index.
+
 ``baseline.json`` is written last and atomically
 (:meth:`repro.engine.rundir.RunDirectory.publish`): it is the commit
 point.  A cube file is trusted when its bytes hash to the digest the
@@ -41,9 +44,9 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..errors import ModelError, ReproError
+from ..errors import CorruptStateError, ModelError, ReproError
 from ..model.catalog import ELEMENTARY, MetadataCatalog
 from ..model.cube import Cube, CubeSchema
 from ..model.io import (
@@ -57,17 +60,54 @@ from ..model.io import (
 
 __all__ = [
     "BaselineCube",
-    "INDEX_NAME",
     "admit_for_update",
     "admit_for_resume",
     "catalog_from_index",
+    "directory",
     "fresh_texts",
+    "index_path",
     "index_text",
+    "read_index",
     "read_indexed_cube",
 ]
 
-#: the index file, inside the baseline directory
-INDEX_NAME = "baseline.json"
+
+def directory(out_dir: Union[str, Path]) -> Path:
+    """The baseline directory of the output directory ``out_dir``."""
+    return Path(out_dir) / "baseline"
+
+
+def index_path(out_dir: Union[str, Path]) -> Path:
+    """The index of ``out_dir``'s baseline: its commit point."""
+    return directory(out_dir) / "baseline.json"
+
+
+def _maps_names(block: Any) -> bool:
+    return isinstance(block, dict) and all(
+        isinstance(key, str) and isinstance(value, str) for key, value in block.items()
+    )
+
+
+def read_index(out_dir: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """The index of ``out_dir``'s baseline, or None when there is none.
+    Raises :class:`~repro.errors.CorruptStateError` for one that does
+    not parse, whose ``record`` is not an object, or whose ``cubes`` /
+    ``sha256`` (absent from the oldest indexes) do not map to strings."""
+    path = index_path(out_dir)
+    try:
+        index = json.loads(path.read_text())
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, ValueError) as exc:
+        raise CorruptStateError("baseline", path, exc) from None
+    if not (
+        isinstance(index, dict)
+        and isinstance(index.get("record"), dict)
+        and _maps_names(index.get("cubes", {}))
+        and _maps_names(index.get("sha256", {}))
+    ):
+        raise CorruptStateError("baseline", path, "not a baseline index")
+    return index
 
 
 class BaselineCube:
@@ -111,16 +151,24 @@ class BaselineCube:
 
 
 def read_indexed_cube(
-    schema: CubeSchema, path: Path, digest: Optional[str]
-) -> Cube:
-    """Read one cube file for a reader that takes it or leaves it (``exl
-    query``): its bytes must hash to ``digest``, hashed once and parsed
-    from the same bytes; None — an index written before digests were
-    recorded — reads the file on trust.  Raises for a file that cannot
-    stand for the cube."""
-    if digest is None:
-        return read_cube_csv(schema, path)
-    return BaselineCube(schema, path, digest).load()
+    out_dir: Union[str, Path], index: Optional[Dict[str, Any]], schema: CubeSchema
+) -> Optional[Cube]:
+    """One cube of ``out_dir``'s baseline for a reader that takes it or
+    leaves it (``exl query``); None when ``index`` lists no file for it.
+    The bytes must hash to the recorded digest (hashed once, parsed from
+    the same bytes; an index without digests is read on trust).  Raises
+    :class:`~repro.errors.CorruptStateError` when they cannot stand for it."""
+    rel_path = (index or {}).get("cubes", {}).get(schema.name)
+    if rel_path is None:
+        return None
+    path = directory(out_dir) / rel_path
+    digest = index.get("sha256", {}).get(schema.name)
+    try:
+        if digest is None:
+            return read_cube_csv(schema, path)
+        return BaselineCube(schema, path, digest).load()
+    except (OSError, ValueError, ReproError) as exc:
+        raise CorruptStateError("baseline CSV", path, exc) from None
 
 
 def _entry(engine, state, baseline_dir: Path, name: str) -> Optional[BaselineCube]:
@@ -136,7 +184,8 @@ def _entry(engine, state, baseline_dir: Path, name: str) -> Optional[BaselineCub
 def admit_for_update(
     engine, state: Dict[str, Any], baseline_dir: Path
 ) -> Tuple[List[str], List[Tuple[str, Path, str]]]:
-    """Decide what an update recomputes and defer what it may read.
+    """Decide what an update of the baseline in ``baseline_dir``, whose
+    index is ``state``, recomputes, and defer what it may read.
 
     Returns ``(dirty, fallbacks)``.  ``dirty`` names the elementary
     cubes whose canonical text no longer has the recorded digest,
@@ -148,6 +197,8 @@ def admit_for_update(
     operand is verified and deferred with its bytes in hand; the cubes
     to recompute are deferred unopened, for the dispatcher's digest
     comparisons and clean short-circuit.  Nothing else is touched.
+    The baseline's run record is restored into ``engine.runs``, its
+    baseline versions those of the store as the update starts.
     """
     catalog, graph, store = engine.catalog, engine.graph, engine.catalog.store
     recorded = state.get("sha256", {})
@@ -187,27 +238,32 @@ def admit_for_update(
         entry = _entry(engine, state, baseline_dir, name)
         if entry is not None and not catalog.has_data(name):
             store.defer(name, entry.digest, entry.load)
+    restored = engine.runs.restore(state["record"])
+    restored.baseline_versions = {
+        name: store.latest_version(name) for name in store.names()
+    }
     return dirty + stale, fallbacks
 
 
 def admit_for_resume(
     engine, state: Dict[str, Any], out_dir: Path, index: Optional[Dict[str, Any]]
-) -> None:
+):
     """Put back what the unfinished run of run state ``state`` left
     under ``out_dir``: the cubes it committed, from their snapshots,
     and — when it was an update of the baseline ``index`` — the derived
     cubes it left alone (unplanned, or replayed clean), deferred, so the
     resumed subgraphs can read them.  Every other cube's baseline is
-    superseded."""
+    superseded.  Returns the state's run record, restored into
+    ``engine.runs``."""
     if index is not None:
         recomputed = {
             cube
-            for sub in state["record"].get("subgraphs", [])
-            if sub.get("outcome") != "clean"
+            for sub in state["record"]["subgraphs"]
+            if sub["outcome"] != "clean"
             for cube in sub["cubes"]
         }
         for name in index.get("cubes", {}):
-            entry = _entry(engine, index, out_dir / "baseline", name)
+            entry = _entry(engine, index, directory(out_dir), name)
             if (
                 entry is not None
                 and name not in recomputed
@@ -221,6 +277,7 @@ def admit_for_resume(
         engine.catalog.store.put(
             cube_from_canonical_text(engine.catalog.schema_of(name), text)
         )
+    return engine.runs.restore(state["record"])
 
 
 def fresh_texts(

@@ -498,11 +498,8 @@ class Dispatcher:
             predicted_s=predicted_s,
         )
         if self.journal is not None:
-            # snapshot-then-log: the cubes hit disk atomically before
-            # the staged-commit record vouches for them, so recovery
-            # never re-admits bytes the crash tore.  The stored cubes,
-            # not the staged ones, so the text serialized here is the
-            # text the run's epilogue finds on them
+            # the record carries the stored cubes' text, the text the
+            # run's epilogue finds on them; recovery trusts it by digest
             self.journal.commit_subgraph(
                 sub_record, {name: self.catalog.data(name) for name in cubes}
             )

@@ -79,7 +79,7 @@ class EXLEngine:
         self.backoff_s = backoff_s
         #: optional :class:`repro.engine.journal.RunJournal`; when set,
         #: every dispatch write-ahead-logs its plan and commits so
-        #: :meth:`recover` can roll a hard crash forward (the CLI wires
+        #: ``RunDirectory.recover`` can roll a hard crash forward (the CLI wires
         #: this for every ``exl run``/``update``/``resume``)
         self.journal = journal
         if jobs < 1:

@@ -1,5 +1,5 @@
-"""The run directory: what a finished run writes under ``<out>``, in
-which order, and which flush covers it.
+"""The run directory: what a run writes under ``<out>``, in which
+order, which flush covers it, and how a crash is rolled forward.
 
 Layout::
 
@@ -10,6 +10,11 @@ Layout::
     <out>/run-state.json         only after a partial failure (exit 3)
     <out>/.committed/X.csv       only beside a run-state.json
     <out>/journal/<token>.wal    only while a run is in flight
+
+This module owns ``run-state.json``, ``.committed/`` and recovery; the
+state file has one writer and one reader (:meth:`RunDirectory.read_state`).
+``baseline/`` belongs to :mod:`repro.engine.baseline`, the journal's
+format to :mod:`repro.engine.journal`.
 
 The bytes of a cube exist once.  Every role a cube's canonical text
 plays — output, baseline, committed snapshot — goes through
@@ -35,25 +40,38 @@ invariants hold whatever the crash point:
 3. ``run-complete`` is flushed before anything a resume would need is
    removed.
 
-A run without a journal takes the same path, minus the records.
+A run without a journal takes the same path, minus the records, and
+:meth:`RunDirectory.recover` the same order: snapshots placed and
+flushed, then the state file naming them, then the journal goes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from ..chase.atomic import atomic_write, fsync_dir, staging_path
+from ..chase.atomic import atomic_write, fsync_dir, remove_stray_tmp, staging_path
+from ..errors import CorruptStateError
 from ..model.io import canonical_text, text_sha256
 from . import baseline
 from .history import COMMITTED_OUTCOMES, fold_subgraphs
-from .journal import COMMITTED_DIRNAME
+from .journal import (
+    JOURNAL_DIRNAME,
+    RUN_COMPLETE,
+    RUN_START,
+    STAGED_COMMIT,
+    replay_journal,
+)
 
-__all__ = ["RunDirectory", "Finished"]
+__all__ = ["RunDirectory", "Finished", "RecoveryReport"]
+
+STATE_NAME = "run-state.json"
+COMMITTED_DIRNAME = ".committed"
 
 #: caches older versions kept under ``baseline/`` (columnar and lattice
 #: sidecars); nothing reads them, the next published baseline drops them
@@ -71,6 +89,106 @@ class Finished:
     #: subgraphs that did not commit; non-zero means the state file was
     #: written for ``exl resume`` instead of the baseline
     unfinished: int
+
+
+@dataclass
+class RecoveryReport:
+    """What :meth:`RunDirectory.recover` found and did."""
+
+    out_dir: Path
+    #: "clean" (nothing to recover), "complete" (run fully persisted,
+    #: journal deleted), "resumable" (run ``exl resume``), "corrupt-state"
+    #: (a state ``exl resume`` refuses and no journal: quarantined)
+    status: str
+    journal: Optional[Path] = None
+    records: int = 0
+    torn_records: int = 0
+    tmp_removed: List[str] = field(default_factory=list)
+    #: journaled commits whose cube bytes fail their digest, or that carry
+    #: none (an older journal), handed back to resume (cube lists joined +)
+    rolled_back: List[str] = field(default_factory=list)
+    #: subgraphs re-admitted from verified commits (cube lists joined +)
+    committed: List[str] = field(default_factory=list)
+    #: subgraphs left for ``exl resume`` to re-dispatch
+    unfinished: List[str] = field(default_factory=list)
+    state_path: Optional[Path] = None
+    quarantined: Optional[Path] = None
+
+    @property
+    def exit_code(self) -> int:
+        return {"clean": 0, "complete": 0, "resumable": 3}.get(self.status, 1)
+
+    def summary(self) -> str:
+        lines = [f"recover {self.out_dir}: {self.status}"]
+        if self.journal is not None:
+            torn = self.torn_records
+            lines.append(
+                f"  journal {self.journal.name}: {self.records} record(s)"
+                + (f", {torn} torn line(s) dropped" if torn else "")
+            )
+        if self.tmp_removed:
+            lines.append(f"  swept {len(self.tmp_removed)} stray tmp file(s)")
+        lines += [f"  rolled back torn commit {label}" for label in self.rolled_back]
+        for labels, what in (
+            (self.committed, "re-admitted {} committed subgraph(s)"),
+            (self.unfinished, "{} subgraph(s) to resume"),
+        ):
+            if labels:
+                lines.append(f"  {what.format(len(labels))}: {', '.join(labels)}")
+        if self.state_path is not None:
+            lines.append(f"  state written to {self.state_path}")
+        if self.quarantined is not None:
+            lines.append(f"  quarantined corrupt state as {self.quarantined}")
+        return "\n".join(lines)
+
+
+def _journal_age(path: Path) -> int:
+    """When a journal was started, in ns since the epoch: the ``time_ns``
+    its token begins with (a copied or restored run directory has
+    arbitrary mtimes), the mtime only for a name that does not say."""
+    head = path.stem.partition("-")[0]
+    return int(head) if head.isdigit() else path.stat().st_mtime_ns
+
+
+def _commit_verifies(payload: Dict[str, Any], frames: Dict[str, bytes]) -> bool:
+    """Whether every cube a ``staged-commit`` names came with bytes
+    that hash to the digest its header records."""
+    files = payload.get("files", {})
+    return all(
+        name in frames
+        and hashlib.sha256(frames[name]).hexdigest() == entry.get("sha256")
+        for name, entry in files.items()
+    )
+
+
+def _is_subgraph(sub: Any) -> bool:
+    """Whether ``sub`` has what a resume reads of a subgraph record
+    without a default: its cubes, target and outcome."""
+    return (
+        isinstance(sub, dict)
+        and isinstance(sub.get("cubes"), list)
+        and all(isinstance(cube, str) for cube in sub["cubes"])
+        and isinstance(sub.get("target"), str)
+        and isinstance(sub.get("outcome"), str)
+    )
+
+
+def _state_problem(state: Any, out_dir: Path) -> Optional[str]:
+    """Why ``state`` is no run state ``exl resume`` can finish from, or
+    None."""
+    record = state.get("record") if isinstance(state, dict) else None
+    if not isinstance(record, dict):
+        return "not a run-state document"
+    subgraphs = record.get("subgraphs")
+    if not isinstance(subgraphs, list) or not all(map(_is_subgraph, subgraphs)):
+        return "record.subgraphs is not a list of subgraph records"
+    committed = state.get("committed", {})
+    if not isinstance(committed, dict):
+        return "committed is not an object"
+    for name, rel_path in committed.items():
+        if not isinstance(rel_path, str) or not (out_dir / rel_path).is_file():
+            return f"committed snapshot of {name} missing: {rel_path}"
+    return None
 
 
 def _link_over(source: Path, destination: Path) -> bool:
@@ -104,10 +222,13 @@ def _state_of(
 
 
 class RunDirectory:
-    """The epilogue of one ``run`` / ``update`` / ``resume``.
+    """The files of one output directory: the epilogue of a ``run`` /
+    ``update`` / ``resume``, the state a ``resume`` starts from, and
+    ``recover``.
 
-    ``journal`` is the run's :class:`~repro.engine.journal.RunJournal`,
-    or None for a run without one.
+    ``state_path`` overrides ``<out>/run-state.json``; ``journal`` is
+    the run's :class:`~repro.engine.journal.RunJournal`, or None for a
+    run without one (and for recovery, which replays what is on disk).
     """
 
     def __init__(
@@ -117,11 +238,13 @@ class RunDirectory:
         journal=None,
     ):
         self.out_dir = Path(out_dir)
-        self.baseline_dir = self.out_dir / "baseline"
+        self.baseline_dir = baseline.directory(self.out_dir)
         self.committed_dir = self.out_dir / COMMITTED_DIRNAME
         self.state_path = (
-            Path(state_path) if state_path else self.out_dir / "run-state.json"
+            Path(state_path) if state_path else self.out_dir / STATE_NAME
         )
+        #: where ``--adaptive`` runs keep the cost model's history
+        self.costs_dir = self.out_dir / "costs"
         self.journal = journal
         #: digest -> the file that was written with those bytes
         self._written: Dict[str, Path] = {}
@@ -130,8 +253,12 @@ class RunDirectory:
         #: directories renamed into since the last barrier
         self._touched: Dict[Path, None] = {}
 
+    def output_path(self, name: str) -> Path:
+        """Where output cube ``name`` is published."""
+        return self.out_dir / f"{name}.csv"
+
     # -- the two verbs ---------------------------------------------------------
-    def place(self, text: str, digest: str, destination: Path) -> None:
+    def place(self, text: Union[str, bytes], digest: str, destination: Path) -> None:
         """Make ``destination`` hold ``text``, whose digest is
         ``digest``, atomically and without flushing.
 
@@ -178,15 +305,13 @@ class RunDirectory:
         committed or :meth:`suspend` when one did not.
 
         ``record`` is the run that just ended, ``program_source`` the
-        EXL text its catalog was compiled from (the index records its
-        digest beside the schemas) and ``previous_record`` the state an
-        ``exl resume`` started from, whose committed subgraphs count as
-        this run's.  ``outputs`` names the project's
+        EXL text its catalog was compiled from and ``previous_record``
+        the state an ``exl resume`` started from, whose committed
+        subgraphs count as this run's.  ``outputs`` names the project's
         output cubes (default: every cube of the run).
-        ``previous_index`` is the ``baseline.json`` the run started
-        from, when it was an update or the resume of one: what that
-        index already records, byte for byte, is not written again — a
-        cube replayed clean or never planned keeps its files.
+        ``previous_index`` is the baseline index the run started from,
+        when it was an update or the resume of one: what it already
+        records, byte for byte, is not written again.
         """
         record_json = record.to_json()
         state_record = _state_of(record_json, previous_record)
@@ -240,21 +365,18 @@ class RunDirectory:
         ``program_source`` is the text ``catalog`` was compiled from,
         and ``previous`` is the index the run started from, whose other
         entries are carried forward with their files left alone.  The
-        state file, committed snapshots and journal stay until the new
-        ``baseline.json`` is durable, and ``run-complete`` is journaled
-        before they go: a crash anywhere stays recoverable, and one
-        mid-clean-up is finished by ``exl recover`` instead of
-        resurrecting a stale state file.
+        state file, snapshots and journal go only once the new index is
+        durable and ``run-complete`` journaled (invariant 3).
         """
         digests = {name: text_sha256(text) for name, text in fresh.items()}
         for name in outputs:
-            self.place(fresh[name], digests[name], self.out_dir / f"{name}.csv")
+            self.place(fresh[name], digests[name], self.output_path(name))
         self.barrier()
         for name, text in fresh.items():
             self.place(text, digests[name], self.baseline_dir / f"{name}.csv")
         self.barrier()
         atomic_write(
-            self.baseline_dir / baseline.INDEX_NAME,
+            baseline.index_path(self.out_dir),
             baseline.index_text(
                 catalog, record_json, digests, program_source, previous
             ),
@@ -263,9 +385,7 @@ class RunDirectory:
             shutil.rmtree(self.baseline_dir / stale, ignore_errors=True)
         if self.journal is not None:
             self.journal.run_complete()
-        self.state_path.unlink(missing_ok=True)
-        if self.committed_dir.is_dir():
-            shutil.rmtree(self.committed_dir)
+        self._retire_state()
         if self.journal is not None:
             self.journal.discard()
 
@@ -287,9 +407,7 @@ class RunDirectory:
         from there.
         """
         for name in outputs:
-            self.place(
-                fresh[name], text_sha256(fresh[name]), self.out_dir / f"{name}.csv"
-            )
+            self.place(fresh[name], text_sha256(fresh[name]), self.output_path(name))
         committed: Dict[str, str] = {}
         for sub in state_record["subgraphs"]:
             if sub["outcome"] not in COMMITTED_OUTCOMES:
@@ -298,14 +416,186 @@ class RunDirectory:
                 if catalog.store.digest(name) is not None:
                     continue
                 text = canonical_text(catalog.data(name))
-                snapshot = self.committed_dir / f"{name}.csv"
-                self.place(text, text_sha256(text), snapshot)
-                committed[name] = str(snapshot.relative_to(self.out_dir))
+                committed[name] = self._snapshot(name, text, text_sha256(text))
         self.barrier()
-        atomic_write(
-            self.state_path,
-            json.dumps({"record": state_record, "committed": committed}, indent=2)
-            + "\n",
-        )
+        self._write_state(state_record, committed)
         if self.journal is not None:
             self.journal.discard()
+
+    # -- the state file --------------------------------------------------------
+    def _snapshot(self, name: str, text: Union[str, bytes], digest: str) -> str:
+        """Place a committed cube's snapshot; the path the state records."""
+        snapshot = self.committed_dir / f"{name}.csv"
+        self.place(text, digest, snapshot)
+        return str(snapshot.relative_to(self.out_dir))
+
+    def _write_state(self, record: Dict[str, Any], committed: Dict[str, str]) -> None:
+        """The one writer of the state file, once ``committed`` is flushed."""
+        atomic_write(
+            self.state_path,
+            json.dumps({"record": record, "committed": committed}, indent=2)
+            + "\n",
+        )
+
+    def read_state(self) -> Optional[Dict[str, Any]]:
+        """The state an ``exl resume`` finishes from, or None when there
+        is none.  Raises :class:`~repro.errors.CorruptStateError` for a
+        state a resume cannot finish from: unreadable, torn, a subgraph
+        without cubes, target or outcome, or a snapshot that is gone."""
+        try:
+            state = json.loads(self.state_path.read_text())
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        except (OSError, ValueError) as exc:
+            raise CorruptStateError("run state", self.state_path, exc) from None
+        problem = _state_problem(state, self.out_dir)
+        if problem is not None:
+            raise CorruptStateError("run state", self.state_path, problem)
+        return state
+
+    def _retire_state(self) -> None:
+        """A published baseline supersedes the state and its snapshots."""
+        self.state_path.unlink(missing_ok=True)
+        if self.committed_dir.is_dir():
+            shutil.rmtree(self.committed_dir)
+
+    def _quarantine_state(self) -> Path:
+        quarantine = self.state_path.with_name(self.state_path.name + ".corrupt")
+        os.replace(self.state_path, quarantine)
+        return quarantine
+
+    # -- after a hard crash ----------------------------------------------------
+    def recover(self) -> RecoveryReport:
+        """Roll the directory forward after a hard crash.
+
+        1. Sweep stray atomic-write temp files (torn unjournaled writes).
+        2. Replay the newest ``journal/*.wal``, dropping its torn tail.
+        3. ``run-complete`` present -> the run persisted everything
+           before dying: finish its clean-up.
+        4. Otherwise trust a journaled ``staged-commit`` only when the
+           cube bytes it carries hash to their recorded digests; place
+           and flush those under ``.committed/``, then write the state
+           file: verified subgraphs keep their outcomes, every other
+           *planned* one is failed, and ``exl resume`` re-dispatches
+           exactly the work the crash destroyed.
+        5. With no journal that began dispatch, a state file
+           :meth:`read_state` accepts is resumable; any other is
+           quarantined as ``*.corrupt``.
+
+        Whichever way it ends, every journal and their directory are gone.
+        """
+        report = RecoveryReport(out_dir=self.out_dir, status="clean")
+        report.tmp_removed = [str(p) for p in remove_stray_tmp(self.out_dir)]
+        journal_dir = self.out_dir / JOURNAL_DIRNAME
+        wals = sorted(journal_dir.glob("*.wal"), key=_journal_age)
+        records: List[Dict[str, Any]] = []
+        if wals:
+            records, report.torn_records = replay_journal(wals[-1])
+            report.journal, report.records = wals[-1], len(records)
+        # records after the last run-start describe the interrupted run
+        starts = [i for i, r in enumerate(records) if r["type"] == RUN_START]
+        if any(r["type"] == RUN_COMPLETE for r in records):
+            # the run persisted everything (run-complete precedes
+            # clean-up): the state file and snapshots are stale
+            self._retire_state()
+            report.status = "complete"
+        elif starts:
+            self._roll_forward(records[starts[-1]:], report)
+        else:
+            # dispatch never began; whatever state exists already rules
+            try:
+                if self.read_state() is not None:
+                    report.status = "resumable"
+                    report.state_path = self.state_path
+            except CorruptStateError:
+                report.status = "corrupt-state"
+                report.quarantined = self._quarantine_state()
+        for wal in wals:
+            wal.unlink(missing_ok=True)
+        try:
+            journal_dir.rmdir()
+        except OSError:
+            pass
+        return report
+
+    def _roll_forward(
+        self, records: List[Dict[str, Any]], report: RecoveryReport
+    ) -> None:
+        """Write the state of the run ``records`` (a ``run-start`` and
+        what followed it) describe, from the commits that verify."""
+        start = records[0]["payload"]
+        # trust a journaled commit only on the evidence of its own bytes
+        verified: Dict[tuple, Dict[str, Any]] = {}
+        for record in records:
+            if record["type"] != STAGED_COMMIT:
+                continue
+            cubes = tuple(record["payload"].get("subgraph", {}).get("cubes", ()))
+            if _commit_verifies(record["payload"], record.get("frames", {})):
+                # a later commit of the same cubes (resume within one
+                # journal) supersedes: dict assignment keeps the newest
+                verified[cubes] = record
+            else:
+                verified.pop(cubes, None)
+                report.rolled_back.append("+".join(cubes))
+
+        subgraphs: List[Dict[str, Any]] = []
+        committed: Dict[str, str] = {}
+        for planned in start.get("planned", []):
+            cubes = tuple(planned.get("cubes", ()))
+            hit = verified.get(cubes)
+            if hit is None:
+                report.unfinished.append("+".join(cubes))
+                subgraphs.append(
+                    {
+                        "cubes": list(cubes),
+                        "target": planned.get("target", "chase"),
+                        "duration_s": 0.0,
+                        "tuples_written": 0,
+                        "versions": {},
+                        "outcome": "failed",
+                        "attempts": 0,
+                        "error": "crashed before commit (recovered from journal)",
+                    }
+                )
+                continue
+            subgraphs.append(hit["payload"]["subgraph"])
+            report.committed.append("+".join(cubes))
+            files = hit["payload"]["files"]
+            for name, raw in hit.get("frames", {}).items():
+                committed[name] = self._snapshot(name, raw, files[name]["sha256"])
+        self.barrier()
+
+        crash_error = (
+            f"crashed: {len(report.unfinished)} subgraph(s) never "
+            f"committed (recovered from journal)"
+            if report.unfinished
+            else None
+        )
+        record = {
+            "run_id": start.get("run_id", 0),
+            "trigger": list(start.get("trigger", [])),
+            "affected": list(start.get("affected", [])),
+            "subgraphs": subgraphs,
+            "on_error": "continue",
+            "error": crash_error,
+        }
+        # a crashed *resume* run only replans its todo subgraphs, but the
+        # prior partial run's state file still names the rest — fold the
+        # journal's results over it so earlier commits survive the merge
+        try:
+            previous = self.read_state()
+        except CorruptStateError:
+            previous = None
+            report.quarantined = self._quarantine_state()
+        if previous is not None and previous["record"].get("run_id") == record["run_id"]:
+            prior = previous["record"]
+            record = dict(
+                prior,
+                subgraphs=fold_subgraphs(prior["subgraphs"], subgraphs),
+                on_error="continue",
+                error=crash_error,
+            )
+            committed = {**previous.get("committed", {}), **committed}
+        self._write_state(record, committed)
+        report.status = "resumable"
+        report.state_path = self.state_path

@@ -120,5 +120,13 @@ class EngineError(ReproError):
     """EXLEngine orchestration error (determination, dispatch, history)."""
 
 
+class CorruptStateError(EngineError):
+    """A run directory's run state, baseline index or baseline cube is
+    unreadable, torn, or not what its reader expects (CLI exit 4)."""
+
+    def __init__(self, kind: str, path, detail):
+        super().__init__(f"corrupt {kind} at {path}: {detail}")
+
+
 class StatsError(ReproError):
     """Statistical operator error (e.g. series too short for stl)."""

@@ -30,11 +30,8 @@ import pytest
 
 from repro.chase.atomic import TMP_SUFFIX, atomic_write, remove_stray_tmp
 from repro.cli import main as cli_main
-from repro.engine.journal import (
-    RunJournal,
-    recover,
-    replay_journal,
-)
+from repro.engine.journal import RunJournal, replay_journal
+from repro.engine.rundir import RunDirectory
 from repro.model import STRING, Cube, CubeSchema, Dimension
 from repro.model.io import cube_to_csv_text
 
@@ -182,7 +179,7 @@ class TestJournalReplay:
         records, torn = replay_journal(journal.path)
         assert [r["type"] for r in records][-1] == "subgraph-dispatch"
         assert len(records) == 4 and torn == 1
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.committed == ["A"] and report.unfinished == ["B"]
 
     def test_cube_bytes_failing_their_digest(self, tmp_path):
@@ -194,7 +191,7 @@ class TestJournalReplay:
         # for the lengths, only recovery weighs the bytes
         records, torn = replay_journal(journal.path)
         assert len(records) == 5 and torn == 0
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.rolled_back == ["A"]
         assert report.committed == ["B"] and report.unfinished == ["A"]
         assert not (tmp_path / ".committed" / "A.csv").exists()
@@ -237,23 +234,43 @@ class TestJournalReplay:
 
 class TestRecover:
     def test_clean_directory(self, tmp_path):
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "clean" and report.exit_code == 0
 
     def test_valid_state_without_journal_is_resumable(self, tmp_path):
         state = tmp_path / "run-state.json"
         state.write_text(json.dumps({"record": {"subgraphs": []}}))
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "resumable" and report.exit_code == 3
         assert report.state_path == state
 
-    def test_torn_state_without_journal_quarantined(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"record": {"subgra',  # torn mid-write
+            "{}",
+            '{"record": 5}',
+            '{"record": {"run_id": 1}}',
+            json.dumps(
+                {
+                    "record": {"run_id": 1, "subgraphs": []},
+                    "committed": {"A": ".committed/A.csv"},
+                }
+            ),
+        ],
+        ids=[
+            "torn", "empty-object", "record-not-object", "no-subgraphs",
+            "missing-snapshot",
+        ],
+    )
+    def test_torn_state_without_journal_quarantined(self, tmp_path, text):
+        """Whatever ``exl resume`` refuses, ``exl recover`` quarantines."""
         state = tmp_path / "run-state.json"
-        state.write_text('{"record": {"subgra')  # torn mid-write
-        report = recover(tmp_path)
+        state.write_text(text)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "corrupt-state" and report.exit_code == 1
         assert not state.exists()
-        assert report.quarantined.read_text().startswith('{"record"')
+        assert report.quarantined.read_text() == text
 
     def test_run_complete_finishes_cleanup(self, tmp_path):
         journal = RunJournal(tmp_path)
@@ -263,7 +280,7 @@ class TestRecover:
         journal.close()
         # stale artifacts a crash-during-cleanup would leave behind
         (tmp_path / "run-state.json").write_text("{}")
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "complete" and report.exit_code == 0
         assert not (tmp_path / "run-state.json").exists()
         assert not (tmp_path / ".committed").exists()
@@ -280,7 +297,7 @@ class TestRecover:
         journal.subgraph_dispatch(("B",), "chase")
         journal.close()  # killed before B committed
 
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "resumable" and report.exit_code == 3
         assert report.committed == ["A"] and report.unfinished == ["B"]
         state = json.loads((tmp_path / "run-state.json").read_text())
@@ -305,7 +322,7 @@ class TestRecover:
         # simulate rot inside the record: bytes no longer match its digest
         blob = journal.path.read_bytes()
         journal.path.write_bytes(blob.replace(b"r0,1.5", b"r0,7.5"))
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.rolled_back == ["A"]
         assert report.committed == [] and report.unfinished == ["A"]
         assert not (tmp_path / ".committed").exists()
@@ -332,7 +349,7 @@ class TestRecover:
             },
         )
         journal.close()
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "resumable"
         assert report.committed == [] and report.unfinished == ["A"]
         state = json.loads((tmp_path / "run-state.json").read_text())
@@ -348,7 +365,7 @@ class TestRecover:
         new.close()
         os.utime(new.path, ns=(10**9, 10**9))
         os.utime(old.path, ns=(3 * 10**9, 3 * 10**9))
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.journal == new.path
         assert report.unfinished == ["B"]
         state = json.loads((tmp_path / "run-state.json").read_text())
@@ -363,12 +380,12 @@ class TestRecover:
         stamped = RunJournal(tmp_path, token="4000-1")
         stamped.run_start(_run_record(run_id=8), [_planned(("B",))])
         stamped.close()
-        assert recover(tmp_path).journal == named.path
+        assert RunDirectory(tmp_path).recover().journal == named.path
 
     def test_journal_without_records_leaves_no_directory(self, tmp_path):
         (tmp_path / "journal").mkdir()
         (tmp_path / "journal" / "1-1.wal").write_bytes(b'{"seq": 0, "type": "ru')
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "clean" and report.torn_records == 1
         assert not (tmp_path / "journal").exists()
 
@@ -398,7 +415,7 @@ class TestRecover:
             _run_record(run_id=1, affected=("B",)), [_planned(("B",))]
         )
         journal.close()  # killed before B committed, again
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert report.status == "resumable"
         state = json.loads((tmp_path / "run-state.json").read_text())
         outcomes = {
@@ -410,7 +427,7 @@ class TestRecover:
 
     def test_stray_tmp_swept(self, tmp_path):
         (tmp_path / f".f.csv.9-0{TMP_SUFFIX}").write_text("torn")
-        report = recover(tmp_path)
+        report = RunDirectory(tmp_path).recover()
         assert len(report.tmp_removed) == 1
 
 

@@ -17,11 +17,14 @@ import io
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import _build_engine, load_project, main
 from repro.engine.baseline import admit_for_update
+from repro.engine.journal import RunJournal
+from repro.model import STRING, Cube, CubeSchema, Dimension
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"),
@@ -128,10 +131,11 @@ class Recording:
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """``recorded(root, argv)`` runs ``main(argv)`` and returns its
-    :class:`Recording`; the process is left unpatched afterwards."""
+    """``recorded(root, argv, code=0)`` runs ``main(argv)``, expecting
+    exit code ``code``, and returns its :class:`Recording`; the process
+    is left unpatched afterwards."""
 
-    def run(root, argv):
+    def run(root, argv, code=0):
         recording = Recording(root)
         real_open, real_fsync = io.open, os.fsync
         real = {name: getattr(os, name) for name in ("replace", "link", "unlink")}
@@ -159,7 +163,7 @@ def recorded(monkeypatch):
             patch.setattr(os, "fsync", recording_fsync)
             for name in real:
                 patch.setattr(os, name, recorder(name))
-            assert main(argv) == 0
+            assert main(argv) == code
         return recording
 
     return run
@@ -279,6 +283,53 @@ class TestFlushOrder:
         journaled = tmp_path / "journaled"
         assert main(["run", str(chain), "--out", str(journaled)]) == 0
         assert cube_files(out) == cube_files(journaled)
+
+
+    def test_recover_flushes_snapshots_then_writes_state(
+        self, chain, tmp_path, recorded, capsys
+    ):
+        """``exl recover`` of a journal with two verified commits and
+        one subgraph that never committed: every snapshot's data, then
+        ``.committed/`` once, then ``run-state.json``, then the journal
+        goes."""
+        out = tmp_path / "out"
+        journal = RunJournal(out)
+        planned = [("A",), ("B",), ("C",)]
+        journal.run_start(
+            SimpleNamespace(run_id=1, trigger=["S"], affected=["A", "B", "C"]),
+            [
+                SimpleNamespace(subgraph=SimpleNamespace(cubes=c, target="chase"))
+                for c in planned
+            ],
+        )
+        for offset, (name,) in enumerate(planned[:2]):
+            cube = Cube(CubeSchema(name, [Dimension("r", STRING)], "v"))
+            for index in range(3):
+                cube.set((f"r{index}",), float(index + 10 * offset))
+            sub = {"cubes": [name], "target": "chase", "outcome": "ok"}
+            journal.commit_subgraph(SimpleNamespace(to_json=lambda: sub), {name: cube})
+        journal.close()
+
+        recording = recorded(
+            tmp_path, ["recover", str(chain), "--out", str(out)], code=3
+        )
+        committed = out / ".committed"
+        snapshots = sorted(str(path) for path in committed.iterdir())
+        assert [os.path.basename(path) for path in snapshots] == ["A.csv", "B.csv"]
+        directory_flushes = [
+            i for i, event in enumerate(recording.events)
+            if event == ("fsync", str(committed))
+        ]
+        assert len(directory_flushes) == 1
+        for path in snapshots:
+            assert recording.events.index(("fsync", path)) < directory_flushes[0]
+        state_renamed = recording.first("replace", "/run-state.json")
+        journal_removed = recording.first("unlink", ".wal")
+        assert directory_flushes[0] < state_renamed < journal_removed
+        holds, dirty, pending = recording.state_before(state_renamed)
+        assert all(holds[path] not in dirty for path in snapshots)
+        assert str(committed) not in pending
+        assert not (out / "journal").exists()
 
 
 class TestHardLinks:

@@ -653,14 +653,54 @@ class TestPinnedRunBuildsNoKeyedView:
         assert written == expected
 
 
+#: run states ``exl resume`` cannot finish from, whatever their JSON
+#: says, and the detail its report gives (None: the parser's words);
+#: ``exl recover`` quarantines the same ones
+BAD_RUN_STATES = {
+    "torn": ('{"record": {"subgra', None),
+    "empty-object": ("{}", "not a run-state document"),
+    "record-not-object": ('{"record": 5}', "not a run-state document"),
+    "no-subgraphs": ('{"record": {"run_id": 1}}', "record.subgraphs"),
+    "missing-snapshot": (
+        json.dumps(
+            {
+                "record": {"run_id": 1, "subgraphs": []},
+                "committed": {"A": ".committed/A.csv"},
+            }
+        ),
+        "committed snapshot of A missing",
+    ),
+}
+
+#: a finished run's baseline index made the wrong shape (None: a torn
+#: index, no run)
+BAD_INDEXES = {
+    "torn": None,
+    "sha256-not-object": lambda index: {**index, "sha256": []},
+    "cubes-not-object": lambda index: {**index, "cubes": 5},
+}
+
+
 class TestCorruptStateFiles:
     """Torn, truncated, or empty state/baseline JSON — the debris a
-    hard crash leaves without atomic writes — must be reported with the
-    offending path and exit code 4, never a traceback."""
+    hard crash leaves without atomic writes — and well-formed JSON of
+    the wrong shape must be reported with the offending path and exit
+    code 4, never a traceback."""
 
     def _torn(self, path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"record": {"subgra')
+
+    def _bad_index(self, project_dir, damage):
+        """The path of a baseline index damaged so."""
+        out = project_dir / "results"
+        index = out / "baseline" / "baseline.json"
+        if BAD_INDEXES[damage] is None:
+            self._torn(index)
+            return index
+        assert main(["run", str(project_dir / "project.json"), "--out", str(out)]) == 0
+        index.write_text(json.dumps(BAD_INDEXES[damage](json.loads(index.read_text()))))
+        return index
 
     def test_resume_torn_state(self, project_dir, capsys):
         out = project_dir / "results"
@@ -683,28 +723,65 @@ class TestCorruptStateFiles:
         )
         assert code == 4
 
-    def test_resume_state_not_a_document(self, project_dir, capsys):
+    @pytest.mark.parametrize(
+        "text, detail",
+        [('["not", "a", "run"]', "not a run-state document")]
+        + list(BAD_RUN_STATES.values()),
+        ids=["list", *BAD_RUN_STATES],
+    )
+    def test_resume_state_not_a_document(self, project_dir, capsys, text, detail):
         out = project_dir / "results"
         out.mkdir(parents=True)
-        (out / "run-state.json").write_text('["not", "a", "run"]')
+        (out / "run-state.json").write_text(text)
         code = main(
             ["resume", str(project_dir / "project.json"), "--out", str(out)]
         )
         assert code == 4
-        assert "not a run-state document" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"corrupt run state at {out / 'run-state.json'}" in err
+        assert detail is None or detail in err
+        assert "Traceback" not in err
 
-    def test_update_torn_baseline(self, project_dir, capsys):
+    def test_resume_after_a_committed_snapshot_went_missing(
+        self, project_dir, capsys
+    ):
+        """A real partial failure: A commits on the chase, B fails on
+        sql; without A's snapshot the state cannot be finished."""
+        spec_path = project_dir / "project.json"
+        spec = json.loads(spec_path.read_text())
+        spec["preferred_targets"] = {"A": "chase", "B": "sql"}
+        spec_path.write_text(json.dumps(spec))
         out = project_dir / "results"
-        self._torn(out / "baseline" / "baseline.json")
+        argv = [str(spec_path), "--out", str(out)]
+        code = main(
+            ["run", *argv, "--on-error", "continue", "--inject-faults", "sql:permanent"]
+        )
+        assert code == 3
+        (out / ".committed" / "A.csv").unlink()
+        capsys.readouterr()
+        assert main(["resume", *argv]) == 4
+        err = capsys.readouterr().err
+        assert f"corrupt run state at {out / 'run-state.json'}" in err
+        assert "committed snapshot of A missing" in err
+        assert "exl recover" in err
+
+    @pytest.mark.parametrize("damage", sorted(BAD_INDEXES))
+    def test_update_torn_baseline(self, project_dir, capsys, damage):
+        out = project_dir / "results"
+        index = self._bad_index(project_dir, damage)
+        capsys.readouterr()
         code = main(
             ["update", str(project_dir / "project.json"), "--out", str(out)]
         )
         assert code == 4
-        assert "corrupt baseline" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "corrupt baseline" in err and str(index) in err
 
-    def test_query_torn_baseline(self, project_dir, capsys):
+    @pytest.mark.parametrize("damage", sorted(BAD_INDEXES))
+    def test_query_torn_baseline(self, project_dir, capsys, damage):
         out = project_dir / "results"
-        self._torn(out / "baseline" / "baseline.json")
+        index = self._bad_index(project_dir, damage)
+        capsys.readouterr()
         code = main(
             [
                 "query", str(project_dir / "project.json"), "B",
@@ -712,6 +789,8 @@ class TestCorruptStateFiles:
             ]
         )
         assert code == 4
+        err = capsys.readouterr().err
+        assert "corrupt baseline" in err and str(index) in err
 
     def test_query_missing_csv_of_queried_cube(self, project_dir, capsys):
         project = str(project_dir / "project.json")
