@@ -97,8 +97,9 @@ class Backend(abc.ABC):
         Args:
             mapping: the generated schema mapping.
             inputs: elementary cube instances, keyed by name.
-            wanted: derived cubes to extract (default: every tgd target
-                that is not a normalization temporary).
+            wanted: derived cubes to extract (default:
+                ``mapping.outputs``, every tgd target but the
+                normalization temporaries).
             check: cooperative cancellation hook, invoked between tgd
                 units; the dispatcher passes a wall-clock deadline
                 checker that raises
@@ -123,11 +124,7 @@ class Backend(abc.ABC):
                 check()
             unit.runner(store)
         if wanted is None:
-            wanted = [
-                t.target_relation
-                for t in mapping.target_tgds
-                if not t.target_relation.startswith("_tmp")
-            ]
+            wanted = mapping.outputs
         return {
             name: self.extract_cube(store, mapping.target[name]) for name in wanted
         }

@@ -151,11 +151,7 @@ class ChaseBackend(Backend):
                         self.shard_tuples.append(0)
                     self.shard_tuples[i] += count
         if wanted is None:
-            wanted = [
-                t.target_relation
-                for t in mapping.target_tgds
-                if not t.target_relation.startswith("_tmp")
-            ]
+            wanted = mapping.outputs
         outputs: Dict[str, Cube] = {}
         for name in wanted:
             schema = mapping.target[name]
@@ -238,11 +234,7 @@ class ChaseBackend(Backend):
                 name = tgd.lhs[0].relation
                 snapshot.cubes[name] = inputs[name]
             if wanted is None:
-                wanted = [
-                    t.target_relation
-                    for t in mapping.target_tgds
-                    if not t.target_relation.startswith("_tmp")
-                ]
+                wanted = mapping.outputs
             cubes: Dict[str, Cube] = {}
             changed: Dict[str, bool] = {}
             for name in wanted:

@@ -1,13 +1,15 @@
 """Compilation of tgds into the dataframe IR.
 
-Works on *normalized* mappings (one operator per tgd, lhs atoms made of
-plain variables) — the form the generator emits before simplification.
-The structure per tgd kind:
+Works on the mappings every target executes: the composed ones, whose
+tgds may join several lhs atoms and whose atoms may carry a shifted
+time term ``C(t - k, v)`` (the paper's tgd (5)).  The structure per tgd
+kind:
 
 * COPY            → load, store
-* scalar / shift  → load, compute derived columns, store
-* vectorial       → load ×2, merge on dimensions, compute, store
-* aggregation     → load, group-aggregate (with key transforms), store
+* tuple-level     → load each atom (shifting a ``t - k`` column by
+  ``+ k``), merge on the shared dimensions, compute, store
+* aggregation     → load, compute the aggregated term, group-aggregate
+  (with key transforms), store
 * table function  → load, whole-frame transform, store
 
 ``StoreOp`` is positional: the listed frame columns are written, in
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import BackendError
 from ..mappings.dependencies import Atom, Tgd, TgdKind
 from ..mappings.mapping import SchemaMapping
-from ..mappings.terms import AggTerm, Const, FuncApp, Term, Var
+from ..mappings.terms import AggTerm, Const, FuncApp, Term, Var, unshift
 from ..model.cube import CubeSchema
 from .ir import (
     BinExpr,
@@ -46,19 +48,14 @@ _ARITH = {"+", "-", "*", "/", "^"}
 
 
 def compile_tgd_to_ir(tgd: Tgd, mapping: SchemaMapping) -> IrProgram:
-    """Translate one single-operator tgd into an :class:`IrProgram`."""
+    """Translate one tgd into an :class:`IrProgram`."""
     target_schema = mapping.target[tgd.target_relation]
     if tgd.kind is TgdKind.COPY:
         return _copy(tgd, mapping)
     if tgd.kind is TgdKind.TUPLE_LEVEL:
-        if len(tgd.lhs) == 1:
-            return _single_atom(tgd, mapping, target_schema)
-        if len(tgd.lhs) == 2:
-            return _vectorial(tgd, mapping, target_schema)
-        raise BackendError(
-            f"tgd {tgd.label}: IR compilation handles at most two lhs atoms; "
-            f"compile from the normalized (unsimplified) mapping"
-        )
+        ops, frame, varmap = _body(tgd, mapping)
+        _project_and_store(ops, frame, tgd, varmap, target_schema)
+        return IrProgram(tgd.label, ops)
     if tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
         return _outer_combine(tgd, mapping, target_schema)
     if tgd.kind is TgdKind.AGGREGATION:
@@ -112,18 +109,79 @@ def _frames(tgd: Tgd, *names: str) -> List[str]:
     return out
 
 
-def _var_columns(atom: Atom, schema: CubeSchema) -> Dict[str, str]:
-    """Map each lhs variable to the column it binds in the atom's frame."""
-    columns = schema.columns
+def _bind_atom(ops: List, frame: str, atom: Atom, schema: CubeSchema) -> Dict[str, str]:
+    """Map each variable of a loaded atom to the frame column it binds.
+
+    A shifted term ``t - k`` binds ``t`` to its column plus ``k``: the
+    column is shifted in place, so it joins and projects as ``t``.
+    """
     out: Dict[str, str] = {}
-    for term, column in zip(atom.terms, columns):
-        if not isinstance(term, Var):
+    for term, column in zip(atom.terms, schema.columns):
+        if isinstance(term, Var):
+            out.setdefault(term.name, column)
+            continue
+        shift = unshift(term)
+        if shift is None:
             raise BackendError(
-                f"lhs term {term} is not a variable; compile from the "
-                f"normalized mapping"
+                f"lhs term {term} is neither a variable nor a shifted variable"
             )
-        out.setdefault(term.name, column)
+        var, op, k = shift
+        shifted = BinExpr(op, ColRef(column), ConstExpr(k))
+        ops.append(ComputeOp(frame, column, shifted, frame))
+        out.setdefault(var, column)
     return out
+
+
+def _body(tgd: Tgd, mapping: SchemaMapping) -> Tuple[List, str, Dict[str, str]]:
+    """Load the lhs atoms and join them into one frame.
+
+    Returns the ops, the joined frame and the column each lhs variable
+    binds in it.  Atoms join on the columns of the variables they share;
+    every other column two atoms have in common is renamed apart first
+    (``v`` of the second atom becomes ``v__2``), so every engine (frames,
+    matrices, ETL streams) sees collision-free field names.
+    """
+    n = len(tgd.lhs)
+    loaded = _frames(tgd, *(f"t{i}" for i in range(1, n + 1)))
+    renamed = _frames(tgd, *(f"t{i}r" for i in range(1, n + 1)))
+    joined = _frames(tgd, *(f"t{i}" for i in range(n + 1, 2 * n)))
+    ops: List = []
+    schemas = [mapping.target[atom.relation] for atom in tgd.lhs]
+    maps = []
+    for atom, schema, frame in zip(tgd.lhs, schemas, loaded):
+        ops.append(LoadOp(atom.relation, frame))
+        maps.append(_bind_atom(ops, frame, atom, schema))
+    if n == 1:
+        return ops, loaded[0], maps[0]
+    keys = {
+        column
+        for i, varmap in enumerate(maps)
+        for var, column in varmap.items()
+        if any(var in other for other in maps[:i] + maps[i + 1:])
+    }
+    nonkey = [set(schema.columns) - keys for schema in schemas]
+    frames = list(loaded)
+    for i, columns in enumerate(nonkey):
+        others = set().union(*(nonkey[:i] + nonkey[i + 1:]))
+        renames = {c: f"{c}__{i + 1}" for c in sorted(columns & others)}
+        if renames:
+            ops.append(RenameOp(loaded[i], tuple(renames.items()), renamed[i]))
+            frames[i] = renamed[i]
+            maps[i] = {v: renames.get(c, c) for v, c in maps[i].items()}
+    frame, varmap = frames[0], dict(maps[0])
+    for right, right_map, out in zip(frames[1:], maps[1:], joined):
+        shared = [v for v in varmap if v in right_map]
+        for v in shared:
+            if right_map[v] != varmap[v]:
+                raise BackendError(
+                    f"tgd {tgd.label}: join keys must share column names "
+                    f"({varmap[v]} vs {right_map[v]})"
+                )
+        ops.append(MergeOp(frame, right, tuple(varmap[v] for v in shared), out))
+        frame = out
+        for v, column in right_map.items():
+            varmap.setdefault(v, column)
+    return ops, frame, varmap
 
 
 def _term_to_expr(term: Term, varmap: Dict[str, str]) -> ColExpr:
@@ -176,78 +234,19 @@ def _copy(tgd: Tgd, mapping: SchemaMapping) -> IrProgram:
     return IrProgram(tgd.label, ops)
 
 
-def _single_atom(
-    tgd: Tgd, mapping: SchemaMapping, target_schema: CubeSchema
-) -> IrProgram:
-    atom = tgd.lhs[0]
-    schema = mapping.target[atom.relation]
-    varmap = _var_columns(atom, schema)
-    (t1,) = _frames(tgd, "t1")
-    ops: List = [LoadOp(atom.relation, t1)]
-    _project_and_store(ops, t1, tgd, varmap, target_schema)
-    return IrProgram(tgd.label, ops)
-
-
-def _vectorial(
-    tgd: Tgd, mapping: SchemaMapping, target_schema: CubeSchema
-) -> IrProgram:
-    left_atom, right_atom = tgd.lhs
-    left_schema = mapping.target[left_atom.relation]
-    right_schema = mapping.target[right_atom.relation]
-    left_map = _var_columns(left_atom, left_schema)
-    right_map = _var_columns(right_atom, right_schema)
-    # join keys: variables bound by both atoms (the shared dimensions)
-    shared_vars = [
-        term.name
-        for term in left_atom.terms
-        if isinstance(term, Var) and term.name in right_map
-    ]
-    by = tuple(left_map[v] for v in shared_vars)
-    for v in shared_vars:
-        if right_map[v] != left_map[v]:
-            raise BackendError(
-                f"tgd {tgd.label}: join keys must share column names "
-                f"({left_map[v]} vs {right_map[v]})"
-            )
-    t1, t2, t1r, t2r, t3 = _frames(tgd, "t1", "t2", "t1r", "t2r", "t3")
-    ops: List = [
-        LoadOp(left_atom.relation, t1),
-        LoadOp(right_atom.relation, t2),
-    ]
-    # rename colliding non-key columns before the merge, so every engine
-    # (frames, matrices, ETL streams) sees collision-free field names
-    key_set = set(by)
-    left_nonkey = set(left_schema.columns) - key_set
-    right_nonkey = set(right_schema.columns) - key_set
-    collide = sorted(left_nonkey & right_nonkey)
-    left_renames = {c: f"{c}__l" for c in collide}
-    right_renames = {c: f"{c}__r" for c in collide}
-    left_frame, right_frame = t1, t2
-    if collide:
-        ops.append(RenameOp(t1, tuple(left_renames.items()), t1r))
-        ops.append(RenameOp(t2, tuple(right_renames.items()), t2r))
-        left_frame, right_frame = t1r, t2r
-    ops.append(MergeOp(left_frame, right_frame, by, t3))
-    varmap: Dict[str, str] = {}
-    for v, column in left_map.items():
-        varmap[v] = left_renames.get(column, column)
-    for v, column in right_map.items():
-        varmap.setdefault(v, right_renames.get(column, column))
-    _project_and_store(ops, t3, tgd, varmap, target_schema)
-    return IrProgram(tgd.label, ops)
-
-
 def _aggregation(
     tgd: Tgd, mapping: SchemaMapping, target_schema: CubeSchema
 ) -> IrProgram:
-    atom = tgd.lhs[0]
-    schema = mapping.target[atom.relation]
-    varmap = _var_columns(atom, schema)
+    ops, frame, varmap = _body(tgd, mapping)
     agg_term = tgd.rhs.terms[-1]
-    if not isinstance(agg_term, AggTerm) or not isinstance(agg_term.operand, Var):
-        raise BackendError(
-            f"tgd {tgd.label}: aggregation rhs must be aggr(var); compile "
-            f"from the normalized mapping"
+    if not isinstance(agg_term, AggTerm):
+        raise BackendError(f"tgd {tgd.label}: aggregation rhs must be aggr(term)")
+    if isinstance(agg_term.operand, Var):
+        value = varmap[agg_term.operand.name]
+    else:
+        value = f"__o{len(tgd.rhs.terms) - 1}"
+        ops.append(
+            ComputeOp(frame, value, _term_to_expr(agg_term.operand, varmap), frame)
         )
     keys: List[Tuple[str, str, Optional[str]]] = []
     for i, term in enumerate(tgd.rhs.terms[: tgd.group_arity]):
@@ -264,23 +263,19 @@ def _aggregation(
             raise BackendError(
                 f"tgd {tgd.label}: unsupported group term {term}"
             )
-    t1, t2 = _frames(tgd, "t1", "t2")
-    ops = [
-        LoadOp(atom.relation, t1),
+    (out,) = _frames(tgd, f"t{2 * len(tgd.lhs)}")
+    ops.append(
         GroupAggOp(
-            t1,
-            keys,
-            varmap[agg_term.operand.name],
-            agg_term.func,
-            target_schema.measure,
-            t2,
-        ),
+            frame, keys, value, agg_term.func, target_schema.measure, out
+        )
+    )
+    ops.append(
         StoreOp(
-            t2,
+            out,
             tgd.target_relation,
             tuple(k[1] for k in keys) + (target_schema.measure,),
-        ),
-    ]
+        )
+    )
     return IrProgram(tgd.label, ops)
 
 

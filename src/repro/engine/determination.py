@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..errors import EngineError
 from ..exl.ast import cube_refs
 from ..exl.operators import OperatorRegistry, default_registry
-from ..exl.parser import parse_program
 from ..model.catalog import MetadataCatalog
 
 __all__ = ["Subgraph", "DependencyGraph", "choose_target", "DEFAULT_TARGET_PRIORITY"]
@@ -54,16 +53,14 @@ class DependencyGraph:
         for name in self.catalog.names():
             self.consumers.setdefault(name, [])
         for name in self.catalog.derived_names:
-            entry = self.catalog.entry(name)
-            if not entry.statement_text:
-                raise EngineError(f"derived cube {name} has no statement text")
-            ast = parse_program(entry.statement_text)
-            if len(ast) != 1 or ast.statements[0].target != name:
+            statement = self.catalog.entry(name).statement
+            if statement is None:
+                raise EngineError(f"derived cube {name} has no statement")
+            if statement.target != name:
                 raise EngineError(
-                    f"catalog entry for {name} must hold exactly one statement "
-                    f"defining it"
+                    f"catalog entry for {name} must hold the statement "
+                    f"defining it, not one defining {statement.target}"
                 )
-            statement = ast.statements[0]
             refs = cube_refs(statement.expr)
             for ref in refs:
                 if ref not in self.catalog:

@@ -9,12 +9,14 @@ to cube literals and scalar constants.  Constant scalar subexpressions
 are folded first.
 
 Temporary cube names have the form ``_tmpN_<target>``; the normalizer
-guarantees they do not collide with user names.
+guarantees they do not collide with user names, and records each one,
+with the statement it was cut from, in ``Program.temporaries`` — a
+temporary is known by that record, never by its name.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
 from ..errors import ExlSemanticError, OperatorError
 from ..model.schema import Schema
@@ -83,6 +85,7 @@ class _Normalizer:
         self._taken: Set[str] = set(program.schema.names)
         self._counter = 0
         self._out: List[Statement] = []
+        self._temporaries: Dict[str, str] = dict(program.temporaries)
 
     def run(self) -> Program:
         for validated in self.program.statements:
@@ -92,9 +95,11 @@ class _Normalizer:
             (self.program.schema[name] for name in self.program.elementary),
             "elementary",
         )
-        return Program.from_ast(
+        program = Program.from_ast(
             ProgramAst(self._out), base, self.registry, self.program.source
         )
+        program.temporaries = self._temporaries
+        return program
 
     # -- rewriting -------------------------------------------------------
     def _emit_statement(self, target: str, expr: Expr, line: int) -> None:
@@ -135,6 +140,7 @@ class _Normalizer:
             return expr
         single = self._single_operator(expr, target, line)
         temp = self._fresh(target)
+        self._temporaries[temp] = target
         self._out.append(Statement(temp, single, line))
         return CubeRef(temp)
 
@@ -151,7 +157,7 @@ def normalize_program(program: Program) -> Program:
     """Rewrite ``program`` so every statement has exactly one operator.
 
     The result is a new, re-validated :class:`Program` whose extra
-    statements define temporary cubes; the original derived cubes keep
-    their names and final values.
+    statements define temporary cubes, listed in its ``temporaries``;
+    the original derived cubes keep their names and final values.
     """
     return _Normalizer(program).run()

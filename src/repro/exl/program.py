@@ -10,7 +10,7 @@ determination engine) consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ExlSemanticError
 from ..model.cube import CubeSchema
@@ -62,6 +62,9 @@ class Program:
         self.derived = derived
         self.registry = registry
         self.source = source
+        #: auxiliary cube -> the derived cube whose statement it was cut
+        #: from; filled by :func:`~repro.exl.normalize.normalize_program`
+        self.temporaries: Dict[str, str] = {}
 
     # -- construction ----------------------------------------------------
     @classmethod

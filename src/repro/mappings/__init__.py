@@ -2,12 +2,14 @@
 
 The pipeline is::
 
-    Program --normalize--> single-operator Program
+    Program --normalize--> single-operator Program (+ its temporaries)
             --MappingGenerator--> SchemaMapping (one tgd per statement)
             --simplify_mapping--> SchemaMapping (complex tgds, temps gone)
 
-The resulting mapping drives the chase (Section 4.2) and every backend
-translation (Section 5).
+The composed mapping is built once per program and is what every
+target executes: the chase (Section 4.2) and every backend translation
+(Section 5) run slices of it (:meth:`SchemaMapping.subset`).
+``exl show`` prints the normalized one.
 """
 
 from .._lazy import lazy_surface
@@ -30,7 +32,6 @@ _EXPORTS = {
     "MappingGenerator": "generator",
     "generate_mapping": "generator",
     "simplify_mapping": "simplify",
-    "TEMP_PREFIX": "simplify",
     "render_tgd": "pretty",
     "render_egd": "pretty",
     "render_mapping": "pretty",

@@ -27,7 +27,7 @@ from ..exl.program import Program, ValidatedStatement
 from ..model.cube import CubeSchema
 from ..model.schema import Schema
 from .dependencies import Atom, Egd, Tgd, TgdKind
-from .mapping import SchemaMapping
+from .mapping import SchemaMapping, copy_tgd
 from .terms import AggTerm, Const, FuncApp, Term, Var
 
 __all__ = ["MappingGenerator", "generate_mapping"]
@@ -45,21 +45,25 @@ class MappingGenerator:
             (self.program.schema[name] for name in self.program.elementary), "S"
         )
         target = self.program.schema.copy("T")
-        st_tgds = [self._copy_tgd(source[name]) for name in self.program.elementary]
+        st_tgds = [copy_tgd(source[name]) for name in self.program.elementary]
         target_tgds = [self._statement_tgd(v) for v in self.program.statements]
-        egds = [
-            Egd(cube.name, cube.arity)
-            for cube in target
-            if not cube.name.startswith("_expr")
-        ]
-        return SchemaMapping(source, target, st_tgds, target_tgds, egds, self.registry)
+        egds = [Egd(cube.name, cube.arity) for cube in target]
+        return SchemaMapping(
+            source,
+            target,
+            st_tgds,
+            target_tgds,
+            egds,
+            self.registry,
+            dict(self.program.temporaries),
+        )
 
     # -- per-statement translation ------------------------------------------
     def _statement_tgd(self, validated: ValidatedStatement) -> Tgd:
         expr = validated.expr
         target = validated.target
         if isinstance(expr, CubeRef):
-            return self._copy_tgd(self.program.schema[expr.name], target)
+            return copy_tgd(self.program.schema[expr.name], target)
         if isinstance(expr, BinOp):
             return self._binop_tgd(target, expr)
         if isinstance(expr, Call):
@@ -67,15 +71,6 @@ class MappingGenerator:
         raise MappingError(
             f"statement {target} is not in single-operator form; run "
             f"normalize_program first"
-        )
-
-    def _copy_tgd(self, schema: CubeSchema, target_name: Optional[str] = None) -> Tgd:
-        terms = self._atom_vars(schema)
-        return Tgd(
-            [Atom(schema.name, terms)],
-            Atom(target_name or schema.name, terms),
-            TgdKind.COPY,
-            label=target_name or schema.name,
         )
 
     def _atom_vars(self, schema: CubeSchema, measure_var: Optional[str] = None):

@@ -5,19 +5,40 @@ copies ``F_S`` / ``F_T``; we keep one name per cube and record the
 copy tgds explicitly).  ``Σst`` are the copy tgds, ``Σt`` the ordered
 target tgds — the order is the EXL statement order, which the
 stratified chase follows — plus one functionality egd per target cube.
+
+A mapping also records the *temporaries* among its target cubes: the
+auxiliary cubes normalization introduced, each with the statement it
+was cut from.  They are never outputs, and a slice of the mapping
+(:meth:`SchemaMapping.subset`) carries those of the statements it
+covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from ..errors import MappingError
 from ..exl.operators import OperatorRegistry
+from ..model.cube import CubeSchema
 from ..model.schema import Schema
-from .dependencies import Egd, Tgd, TgdKind
+from .dependencies import Atom, Egd, Tgd, TgdKind
+from .terms import Var
 
-__all__ = ["SchemaMapping"]
+__all__ = ["SchemaMapping", "copy_tgd"]
+
+
+def copy_tgd(schema: CubeSchema, target: Optional[str] = None) -> Tgd:
+    """``C(x…, y) -> target(x…, y)``: the copy tgd of one cube."""
+    terms = tuple(
+        [Var(d.name) for d in schema.dimensions] + [Var(schema.measure)]
+    )
+    return Tgd(
+        [Atom(schema.name, terms)],
+        Atom(target or schema.name, terms),
+        TgdKind.COPY,
+        label=target or schema.name,
+    )
 
 
 @dataclass
@@ -30,6 +51,9 @@ class SchemaMapping:
     target_tgds: List[Tgd]
     egds: List[Egd]
     registry: OperatorRegistry
+    #: normalization temporary -> the derived cube whose statement
+    #: introduced it
+    temporaries: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         for tgd in self.st_tgds:
@@ -63,27 +87,51 @@ class SchemaMapping:
         """Target cubes in tgd (= statement) order."""
         return [tgd.target_relation for tgd in self.target_tgds]
 
-    def subset(self, cube_names: List[str]) -> "SchemaMapping":
-        """The mapping restricted to the tgds of the given derived cubes.
+    @property
+    def outputs(self) -> List[str]:
+        """The derived cubes a run hands back: every target cube but
+        the temporaries, in statement order."""
+        return [
+            tgd.target_relation
+            for tgd in self.target_tgds
+            if tgd.target_relation not in self.temporaries
+        ]
 
-        Used by the determination engine to hand each partition a
-        self-contained mapping.  Order is preserved.
+    def subset(self, cube_names: List[str]) -> "SchemaMapping":
+        """The slice of the mapping that computes the given derived cubes.
+
+        It holds their tgds and those of the temporaries their
+        statements introduced, in order; every other cube they read is
+        its source, copied by a Σst tgd.  The translation engine hands
+        each subgraph such a self-contained slice.
         """
         wanted = set(cube_names)
-        tgds = [t for t in self.target_tgds if t.target_relation in wanted]
-        if len(tgds) != len(wanted):
-            missing = wanted - {t.target_relation for t in tgds}
-            raise MappingError(f"no tgds for cubes: {sorted(missing)}")
-        needed = set()
+        tgds = [
+            t
+            for t in self.target_tgds
+            if t.target_relation in wanted
+            or self.temporaries.get(t.target_relation) in wanted
+        ]
+        produced = {t.target_relation for t in tgds}
+        if not wanted <= produced:
+            raise MappingError(f"no tgds for cubes: {sorted(wanted - produced)}")
+        needed = set(produced)
         for tgd in tgds:
             needed.update(tgd.source_relations)
-            needed.add(tgd.target_relation)
         egds = [e for e in self.egds if e.relation in needed]
         source = Schema(
-            (c for c in self.target if c.name in needed - wanted), "subset_source"
+            (c for c in self.target if c.name in needed - produced), "subset_source"
         )
         target = Schema((c for c in self.target if c.name in needed), "subset_target")
-        return SchemaMapping(source, target, [], tgds, egds, self.registry)
+        return SchemaMapping(
+            source,
+            target,
+            [copy_tgd(c) for c in source],
+            tgds,
+            egds,
+            self.registry,
+            {t: o for t, o in self.temporaries.items() if t in produced},
+        )
 
     def describe(self) -> str:
         """Paper-style listing of all dependencies."""

@@ -19,7 +19,7 @@ uses to compute generated tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..errors import MappingError, OperatorError
 from ..exl.operators import OperatorRegistry, OpKind
@@ -34,6 +34,7 @@ __all__ = [
     "evaluate",
     "substitute",
     "term_vars",
+    "unshift",
     "apply_function",
     "ARITH_OPS",
 ]
@@ -118,6 +119,22 @@ def term_vars(term: Term) -> FrozenSet[str]:
     if isinstance(term, AggTerm):
         return term_vars(term.operand)
     raise MappingError(f"unknown term type {type(term).__name__}")
+
+
+def unshift(term: Term) -> Optional[Tuple[str, str, Any]]:
+    """``(v, op, k)`` when ``term`` is a shifted variable ``v - k`` or
+    ``v + k`` — the lagged atom position of a composed tgd, the paper's
+    ``GDPT(q - 1, r2)`` — where ``column op k`` recovers ``v`` from the
+    atom's column; None for any other term."""
+    if (
+        isinstance(term, FuncApp)
+        and term.name in ("+", "-")
+        and isinstance(term.args[0], Var)
+        and isinstance(term.args[1], Const)
+    ):
+        inverse = "-" if term.name == "+" else "+"
+        return term.args[0].name, inverse, term.args[1].value
+    return None
 
 
 def substitute(term: Term, mapping: Dict[str, Term]) -> Term:

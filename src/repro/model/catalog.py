@@ -3,7 +3,7 @@
 EXLEngine is *metadata driven* (Section 6): definitions of cubes —
 elementary or derived — and the EXL statements relating them guide the
 runtime behaviour.  :class:`MetadataCatalog` stores cube schemas, the
-statement texts defining derived cubes, technical metadata (preferred
+parsed statements defining derived cubes, technical metadata (preferred
 target systems), and a :class:`VersionedStore` of cube instances, which
 implements the *historicity* feature: cube data is time-dependent and
 every write produces a new version rather than destroying the past.
@@ -19,6 +19,7 @@ from ..errors import CatalogError
 from .cube import Cube, CubeSchema
 
 if TYPE_CHECKING:
+    from ..exl.ast import Statement
     from .schema import Schema
 
 __all__ = ["CubeKind", "CubeEntry", "VersionedStore", "MetadataCatalog"]
@@ -34,7 +35,7 @@ class CubeEntry:
 
     schema: CubeSchema
     kind: str  # ELEMENTARY or DERIVED
-    statement_text: Optional[str] = None  # EXL text, for derived cubes
+    statement: Optional[Statement] = None  # parsed EXL, for derived cubes
     preferred_target: Optional[str] = None  # technical metadata
 
 
@@ -162,13 +163,23 @@ class MetadataCatalog:
     def declare_derived(
         self,
         schema: CubeSchema,
-        statement_text: Optional[str],
+        statement: Union[Statement, str, None],
         preferred_target: Optional[str] = None,
     ) -> None:
-        """Declare a derived cube, defined by an EXL statement (None
-        when only its schema is known: a catalog read back from a run
-        directory's index)."""
-        self._declare(CubeEntry(schema, DERIVED, statement_text, preferred_target))
+        """Declare a derived cube, defined by an EXL statement: parsed,
+        or its text, parsed here once (None when only its schema is
+        known: a catalog read back from a run directory's index)."""
+        if isinstance(statement, str):
+            from ..exl.parser import parse_program
+
+            parsed = parse_program(statement).statements
+            if len(parsed) != 1:
+                raise CatalogError(
+                    f"cube {schema.name} must be defined by exactly one "
+                    f"statement, got {len(parsed)}"
+                )
+            statement = parsed[0]
+        self._declare(CubeEntry(schema, DERIVED, statement, preferred_target))
 
     def declare_program(
         self, program, preferred_targets: Optional[Dict[str, str]] = None
@@ -184,7 +195,7 @@ class MetadataCatalog:
         for validated in program.statements:
             self.declare_derived(
                 validated.schema,
-                str(validated.ast),
+                validated.ast,
                 preferred_targets.get(validated.target),
             )
             added.append(validated.target)

@@ -20,6 +20,7 @@ from repro.errors import UnsupportedOperatorError
 from repro.exl import Program, OperatorSpec, OpKind
 from repro.mappings import generate_mapping
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, quarter
+from repro.model.io import canonical_text
 
 
 @pytest.fixture
@@ -109,11 +110,19 @@ class TestIrCompilation:
             ir = compile_tgd_to_ir(tgd, gdp_mapping)
             assert isinstance(ir.ops[-1], StoreOp)
 
-    def test_simplified_multi_atom_rejected(self, gdp_simplified):
-        from repro.errors import BackendError
-
-        with pytest.raises(BackendError):
-            compile_tgd_to_ir(gdp_simplified.tgd_for("PCHNG"), gdp_simplified)
+    def test_composed_tgd5_compiles(self, gdp_simplified, gdp_workload):
+        # GDPT(q, r1) AND GDPT(q - 1, r2): the lagged atom's frame has
+        # its q column shifted by +1 before the merge on q
+        tgd = gdp_simplified.tgd_for("PCHNG")
+        assert len(tgd.lhs) == 2 and str(tgd.lhs[1].terms[0]) == "q - 1"
+        ops = compile_tgd_to_ir(tgd, gdp_simplified).ops
+        merges = [op for op in ops if isinstance(op, MergeOp)]
+        assert len(merges) == 1 and merges[0].by == ("q",)
+        chase = ChaseBackend().run_mapping(gdp_simplified, gdp_workload.data)
+        expected = canonical_text(chase["PCHNG"])
+        for backend in (RBackend(), MatlabBackend(), EtlBackend()):
+            out = backend.run_mapping(gdp_simplified, gdp_workload.data)
+            assert canonical_text(out["PCHNG"]) == expected, backend.name
 
 
 class TestRTranslation:

@@ -1,5 +1,7 @@
 """Targeted edge-case tests across layers."""
 
+import re
+
 import pytest
 
 from repro.backends import RBackend, SqlBackend
@@ -140,7 +142,7 @@ class TestSqlTableFunctionParams:
 
 
 class TestCliSimplify:
-    def test_compile_simplified_emits_fewer_inserts(self, tmp_path, capsys):
+    def test_compile_emits_the_composed_tgds(self, tmp_path, capsys):
         import json
 
         from repro.cli import main
@@ -156,8 +158,14 @@ class TestCliSimplify:
             "program": "A := (S - shift(S, 1)) / S",
         }
         (tmp_path / "p.json").write_text(json.dumps(spec))
-        main(["compile", str(tmp_path / "p.json"), "--target", "sql"])
-        plain = capsys.readouterr().out
-        main(["compile", str(tmp_path / "p.json"), "--target", "sql", "--simplify"])
-        simplified = capsys.readouterr().out
-        assert simplified.count("INSERT INTO") < plain.count("INSERT INTO")
+        project = str(tmp_path / "p.json")
+
+        def tgds(argv):
+            main(argv)
+            return len(re.findall(r"^  \(\d+\) ", capsys.readouterr().out, re.M))
+
+        normalized = tgds(["show", project])
+        composed = tgds(["show", project, "--simplify"])
+        main(["compile", project, "--target", "sql"])
+        inserts = capsys.readouterr().out.count("INSERT INTO")
+        assert inserts == composed < normalized
