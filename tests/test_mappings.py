@@ -228,6 +228,42 @@ class TestSimplification:
         assert len(tgd.lhs) == 1
         assert "q - 1" in str(tgd)
 
+    def test_nested_shifts_fold_into_one_lag(self, series_schema):
+        # inlining shift(S, 1) into an atom already lagged by 1 folds the
+        # two offsets: the lhs term is one shifted variable, which every
+        # target binds, never (q - 1) - 1
+        program = Program.compile("B := S - shift(shift(S, 1), 1)", series_schema)
+        mapping = simplify_mapping(generate_mapping(program))
+        assert [str(t) for t in mapping.target_tgds] == [
+            "S(q, v1) AND S(q - 2, v2) -> B(q, v1 - v2)"
+        ]
+        program = Program.compile("B := shift(shift(S, 1), -1) + S", series_schema)
+        mapping = simplify_mapping(generate_mapping(program))
+        assert [str(t) for t in mapping.target_tgds] == ["S(q, v1) -> B(q, v1 + v1)"]
+
+    def test_unmatchable_lhs_term_keeps_the_temporary(self, registry):
+        # composing T(t, v) into B's T(q * 2, w) would leave S(q * 2, w),
+        # a term no target can match: the temporary stays
+        cubes = [
+            CubeSchema(name, [Dimension("q", TIME(Frequency.QUARTER))], "v")
+            for name in "STB"
+        ]
+        producer = Tgd(
+            [Atom("S", (Var("t"), Var("v")))],
+            Atom("T", (Var("t"), Var("v"))),
+            TgdKind.COPY,
+        )
+        consumer = Tgd(
+            [Atom("T", (FuncApp("*", (Var("q"), Const(2))), Var("w")))],
+            Atom("B", (Var("q"), Var("w"))),
+            TgdKind.TUPLE_LEVEL,
+        )
+        mapping = SchemaMapping(
+            Schema(cubes[:1]), Schema(cubes), [], [producer, consumer], [],
+            registry, {"T": "B"},
+        )
+        assert simplify_mapping(mapping).target_tgds == [producer, consumer]
+
     def test_simplified_mapping_executes_identically(self, gdp_workload, backends):
         program = Program.compile(gdp_workload.source, gdp_workload.schema)
         plain = generate_mapping(program)
