@@ -3,8 +3,9 @@ console scripts.
 
 :func:`run` is what a one-shot process adds around :func:`repro.cli.main`
 (DESIGN.md, "Process lifecycle"): fewer collector passes while the
-modules load, no native worker pool started by numpy's BLAS, and no
-interpreter teardown after a clean return.  Code that calls ``cli.main``
+modules load, no native worker pool started by numpy's BLAS, standard
+streams in UTF-8 whatever the locale, and no interpreter teardown after
+a clean return.  Code that calls ``cli.main``
 in-process — tests, profilers, ``atexit``-based tools — gets none of it.
 """
 
@@ -64,11 +65,16 @@ def run(argv=None):
     Before ``repro.cli`` — hence numpy — is imported, each of
     :data:`NATIVE_POOL_VARIABLES` the user has not exported is set to
     one thread: an exported value wins, and ``--shards`` workers
-    inherit the setting over the fork.
+    inherit the setting over the fork.  Standard output and error are
+    UTF-8, as every file the CLI writes is, so a label prints the same
+    bytes under ``LC_ALL=C`` as under ``C.UTF-8``.
     """
     gc.set_threshold(GC_THRESHOLD)
     for name in NATIVE_POOL_VARIABLES:
         os.environ.setdefault(name, "1")
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     from .cli import main
 
     try:

@@ -76,8 +76,9 @@ def atomic_write(
     """Write ``data`` to ``path`` so a crash never leaves a torn file.
 
     tmp file in the destination's directory -> write -> flush -> fsync
-    -> ``os.replace`` over the destination -> directory fsync.  Returns
-    the destination path.  ``fsync=False`` keeps the same atomicity
+    -> ``os.replace`` over the destination -> directory fsync.  A
+    ``str`` is written as UTF-8, whatever the locale.  Returns the
+    destination path.  ``fsync=False`` keeps the same atomicity
     against process crashes (the rename still happens only after the
     data is fully written) but drops the power-loss guarantee — used by
     :meth:`repro.engine.rundir.RunDirectory.place`, whose barrier flushes.
@@ -85,9 +86,10 @@ def atomic_write(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = staging_path(path)
-    binary = isinstance(data, bytes)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as handle:
+        with open(tmp, "wb") as handle:
             handle.write(data)
             handle.flush()
             if fsync:

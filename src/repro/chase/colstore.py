@@ -5,13 +5,19 @@ relation as a ``Set[Fact]`` and the columnar kernels re-encoded that set
 into a :class:`~repro.chase.columnar.ColumnarRelation` on every chase —
 the "encode tax" that dominated kernel time on large workloads.  This
 module inverts the representation: :class:`ColumnStore` keeps the
-dictionary-encoded column buffers as the *primary* state (append-friendly
-Python lists of ``int`` codes, per-column dictionaries, the measure
-column holding the original ``float`` objects) and derives the tuple
-view lazily.  :class:`TupleStore` is the compatibility representation —
-a fact dict first, columnar image encoded on demand — used when a
-relation's facts do not fit the columnar shape (non-float measures,
-ragged arity) or when a test sets ``instance.FORCE_TUPLE_VIEW``.
+dictionary-encoded column buffers as the *primary* state (per-column
+dictionaries, code columns, the measure column) and derives the tuple
+view lazily.  A store that grows fact by fact holds append-friendly
+Python lists; one adopted whole — a kernel's output
+(:meth:`ColumnStore.append_columns`), a cube's sorted columns
+(:meth:`ColumnStore.from_cube_columns`) — keeps NumPy arrays: ``int64``
+codes and, when every measure is finite, the ``float64`` measures.
+Those arrays are read-only, the columnar image shares them, and the
+store turns them into lists only if it is appended to.
+:class:`TupleStore` is the compatibility representation — a fact dict
+first, columnar image encoded on demand — used when a relation's facts
+do not fit the columnar shape (non-float measures, ragged arity) or
+when a test sets ``instance.FORCE_TUPLE_VIEW``.
 
 Representation invariants (pinned by ``tests/test_columnar_native.py``):
 
@@ -21,13 +27,18 @@ Representation invariants (pinned by ``tests/test_columnar_native.py``):
 * **Dictionaries are append-only.**  A :class:`ColumnarRelation` image
   captured at *n* rows shares the live dictionary/vmap objects and
   stays valid as the store grows — new codes only ever extend the
-  table.  Code arrays and the measure array are copies, so kernels can
-  never corrupt the store.
-* **Measures keep their original objects.**  The measure column is a
-  Python list of the exact ``float`` objects inserted, so NaN identity
-  semantics (CPython tuple equality short-circuits on ``is``) survive
-  the round trip through the store — delta splicing retracts stored
-  NaN tuples exactly as the old set representation did.
+  table.  Code arrays and the measure array are copies of list buffers
+  and the store's own read-only arrays otherwise, so kernels can never
+  corrupt the store.
+* **Non-finite measures keep their original objects.**  A measure
+  column holding NaN or ±inf is a Python list of the exact ``float``
+  objects inserted, so NaN identity semantics (CPython tuple equality
+  short-circuits on ``is``) survive the round trip through the store —
+  delta splicing retracts stored NaN tuples exactly as the old set
+  representation did.  A finite column carries no identity semantics
+  and may be a ``float64`` array; every reader that hands values on
+  converts it with ``.tolist()`` (:func:`~repro.model.cube.as_list`),
+  so no NumPy scalar reaches a fact, a cube or a text.
 * **Dedup follows tuple equality.**  Membership keys are the per-column
   codes plus the measure object; the vmap's hash/eq dedup gives ``1``
   and ``1.0`` one code, exactly as a fact set would collapse them.
@@ -35,11 +46,12 @@ Representation invariants (pinned by ``tests/test_columnar_native.py``):
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..model.cube import column_order
+from ..model.cube import as_list, column_order
 from .columnar import ColumnarRelation, EncodedColumn
 
 __all__ = ["ColumnStore", "TupleStore"]
@@ -47,6 +59,20 @@ __all__ = ["ColumnStore", "TupleStore"]
 Fact = Tuple[Any, ...]
 
 _INT = np.int64
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, read-only: a store and the images sharing it."""
+    array.flags.writeable = False
+    return array
+
+
+def _all_finite(column: np.ndarray) -> bool:
+    """Whether no measure is NaN or ±inf, read off the column's sum.  A
+    sum of finite values that overflows reads as non-finite, which only
+    keeps the float objects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.isfinite(column.sum())
 
 
 class ColumnStore:
@@ -59,6 +85,7 @@ class ColumnStore:
         "vmaps",
         "measures",
         "dims_distinct",
+        "_frozen",
         "_members",
         "_view",
         "_view_rows",
@@ -68,18 +95,22 @@ class ColumnStore:
 
     def __init__(self, arity: int):
         self.arity = arity
-        #: per-dimension code buffers (append-friendly Python ints)
-        self.codes: List[List[int]] = [[] for _ in range(arity - 1)]
+        #: per-dimension code buffers: lists of Python ints, or read-only
+        #: ``int64`` arrays in an adopted store
+        self.codes: List[Any] = [[] for _ in range(arity - 1)]
         #: per-dimension code -> value tables (append-only)
         self.dicts: List[List[Any]] = [[] for _ in range(arity - 1)]
         #: per-dimension value -> code maps (append-only)
         self.vmaps: List[Dict[Any, int]] = [{} for _ in range(arity - 1)]
-        #: the measure column: the original float objects, in row order
-        self.measures: List[Any] = []
+        #: the measure column, in row order: the original float objects,
+        #: or a read-only ``float64`` array when all are finite
+        self.measures: Any = []
         #: True when every row's dimension code tuple is known distinct
         #: (stores built from functional cubes); any generic append
         #: clears it — it may only over-report duplicates, never under
         self.dims_distinct = False
+        #: True while the buffers are adopted arrays (see _thaw)
+        self._frozen = False
         # derived state, all rebuilt lazily and tagged with the row
         # count they were built at — sound only because this store is
         # strictly append-only (no removal; a relation that needs to
@@ -121,17 +152,27 @@ class ColumnStore:
         ``to_rows()`` — same row order, same codes — from the encoded
         columns its CSV reader left on it (rows in file order): the
         codes are permuted and renumbered by first occurrence, no value
-        is hashed and no row tuple built."""
+        is hashed and no row tuple built.  The store keeps NumPy
+        columns, which its image shares."""
         store = cls(len(codes) + 1)
         order = column_order(dictionaries, codes, len(measures))
         for j, (values, column) in enumerate(zip(dictionaries, codes)):
-            ordered = np.asarray(column, dtype=_INT)[order].tolist()
-            renumber = {old: new for new, old in enumerate(dict.fromkeys(ordered))}
-            store.codes[j] = [renumber[old] for old in ordered]
-            store.dicts[j] = [values[old] for old in renumber]
+            ordered = np.asarray(column, dtype=_INT)[order]
+            # the old codes in order of first occurrence
+            by_first = list(dict.fromkeys(ordered.tolist()))
+            renumber = [0] * len(values)
+            for new, old in enumerate(by_first):
+                renumber[old] = new
+            store.codes[j] = _read_only(np.asarray(renumber, dtype=_INT)[ordered])
+            store.dicts[j] = [values[old] for old in by_first]
             store.vmaps[j] = {value: new for new, value in enumerate(store.dicts[j])}
-        store.measures = [measures[i] for i in order.tolist()]
+        column = np.asarray(measures, dtype=np.float64)[order]
+        if _all_finite(column):
+            store.measures = _read_only(column)
+        else:
+            store.measures = [measures[i] for i in order.tolist()]
         store.dims_distinct = True
+        store._frozen = True
         return store
 
     @property
@@ -161,6 +202,8 @@ class ColumnStore:
 
         The caller has already checked :meth:`can_store`.
         """
+        if self._frozen:
+            self._thaw()
         members = self._members_map()
         dims = fact[:-1]
         vmaps = self.vmaps
@@ -214,14 +257,14 @@ class ColumnStore:
         if start < n:
             dicts = self.dicts
             if self.arity == 1:
-                for measure in self.measures[start:]:
+                for measure in as_list(self.measures[start:]):
                     view[(measure,)] = None
             else:
                 columns = [
-                    [dicts[j][c] for c in codes_j[start:]]
+                    [dicts[j][c] for c in as_list(codes_j[start:])]
                     for j, codes_j in enumerate(self.codes)
                 ]
-                columns.append(self.measures[start:])
+                columns.append(as_list(self.measures[start:]))
                 for row in zip(*columns):
                     view[row] = None
             self._view_rows = n
@@ -231,7 +274,8 @@ class ColumnStore:
     def image(self) -> ColumnarRelation:
         """The relation as a :class:`ColumnarRelation` (cached per row count).
 
-        Code and measure arrays are fresh copies of the buffers; the
+        Code and measure arrays are fresh copies of list buffers and the
+        store's own read-only arrays where it holds them; the
         dictionary list and vmap are shared live (append-only, so an
         image can never go stale in the values it references).
         """
@@ -240,15 +284,11 @@ class ColumnStore:
             return self._image
         dims = [
             EncodedColumn(
-                np.array(codes_j, dtype=_INT)
-                if codes_j
-                else np.empty(0, dtype=_INT),
-                self.dicts[j],
-                self.vmaps[j],
+                np.asarray(codes_j, dtype=_INT), self.dicts[j], self.vmaps[j]
             )
             for j, codes_j in enumerate(self.codes)
         ]
-        measures = np.array(self.measures, dtype=np.float64)
+        measures = np.asarray(self.measures, dtype=np.float64)
         image = ColumnarRelation(self.arity, n, dims, measures)
         self._image = image
         self._image_rows = n
@@ -262,14 +302,19 @@ class ColumnStore:
         tuples distinct (the ``assume_unique`` single-writer path).
         ``cols`` are kernel output columns: :class:`EncodedColumn`,
         ``("scalar", value)`` broadcasts, or a float64 measure array.
-        Returns the rows appended, or None when a column shape has no
-        columnar adoption (the caller falls back to decoded facts).
+        They stay NumPy: the codes as ``int64`` arrays, the measures as
+        the kernel's array when all are finite.  Returns the rows
+        appended, or None when a column shape has no columnar adoption
+        (the caller falls back to decoded facts).
         """
-        if self.measures or len(cols) != self.arity:
+        if len(self.measures) or len(cols) != self.arity:
             return None
         mcol = cols[-1]
         if isinstance(mcol, np.ndarray):
-            measures = mcol.tolist()
+            if mcol.dtype == np.float64 and _all_finite(mcol):
+                measures = _read_only(mcol)
+            else:
+                measures = mcol.tolist()
         elif (
             isinstance(mcol, tuple)
             and mcol[0] == "scalar"
@@ -296,7 +341,7 @@ class ColumnStore:
                         vm[value] = mapped
                         dct.append(value)
                     lut[code] = mapped
-                self.codes[j] = lut[col.codes].tolist()
+                self.codes[j] = _read_only(lut[col.codes])
             else:
                 value = col[1]
                 mapped = vm.get(value)
@@ -304,9 +349,10 @@ class ColumnStore:
                     mapped = len(dct)
                     vm[value] = mapped
                     dct.append(value)
-                self.codes[j] = [mapped] * n
+                self.codes[j] = _read_only(np.full(n, mapped, dtype=_INT))
         self.measures = measures
         self.dims_distinct = True
+        self._frozen = True
         self._members = None
         self._view = None
         self._view_rows = 0
@@ -333,6 +379,8 @@ class ColumnStore:
         n = other.n_rows
         if n == 0:
             return 0
+        if self._frozen:
+            self._thaw()
         for j in range(self.arity - 1):
             vm = self.vmaps[j]
             dct = self.dicts[j]
@@ -348,12 +396,12 @@ class ColumnStore:
                 identity = identity and mapped == code
             ocodes = other.codes[j]
             if identity:
-                self.codes[j].extend(ocodes)
+                self.codes[j].extend(as_list(ocodes))
             else:
                 self.codes[j].extend(
                     lut[np.asarray(ocodes, dtype=_INT)].tolist()
                 )
-        self.measures.extend(other.measures)
+        self.measures.extend(as_list(other.measures))
         self.dims_distinct = False
         self._members = None
         self._view = None
@@ -384,7 +432,7 @@ class ColumnStore:
         code assignment survives exactly.
         """
         measures = self.measures
-        if measures:
+        if len(measures):
             column = np.asarray(measures, dtype=np.float64)
             if not np.isfinite(column).all():
                 column = measures
@@ -410,6 +458,7 @@ class ColumnStore:
             measures = measures.tolist()
         self.measures = measures
         self.dims_distinct = state["dims_distinct"]
+        self._frozen = False
         self._members = None
         self._view = None
         self._view_rows = 0
@@ -417,13 +466,27 @@ class ColumnStore:
         self._image_rows = -1
 
     # -- bookkeeping -------------------------------------------------------------
+    def _thaw(self) -> None:
+        """Turn adopted arrays into append-friendly lists, once."""
+        self.codes = [as_list(c) for c in self.codes]
+        self.measures = as_list(self.measures)
+        self._frozen = False
+
     def fork(self) -> "ColumnStore":
-        """An independent copy (copy-on-write fork for shared stores)."""
+        """An independent copy (copy-on-write fork for shared stores).
+        Read-only arrays are shared; the fork thaws them when it grows."""
         clone = ColumnStore(self.arity)
-        clone.codes = [list(c) for c in self.codes]
+        if self._frozen:
+            clone.codes = list(self.codes)
+            clone._frozen = True
+        else:
+            clone.codes = [list(c) for c in self.codes]
+        measures = self.measures
+        clone.measures = (
+            measures if isinstance(measures, np.ndarray) else list(measures)
+        )
         clone.dicts = [list(d) for d in self.dicts]
         clone.vmaps = [dict(v) for v in self.vmaps]
-        clone.measures = list(self.measures)
         clone.dims_distinct = self.dims_distinct
         if self._members is not None:
             clone._members = dict(self._members)

@@ -322,7 +322,9 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     cross-run half of killing the encode tax.  A cube fresh from
     :func:`~repro.model.io.read_cube_csv` or from another target's
     engine has the columns it was built from, which are sorted into
-    the same store without building a row.
+    the same store without building a row; the store then holds the
+    cube's rows and the cube drops those columns, so an adopted input
+    is held once.
     Returns None in forced tuple-view mode.
     """
     if FORCE_TUPLE_VIEW:
@@ -334,8 +336,9 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     # and holds its measures as exact floats
     if cube._columns is not None:
         store = ColumnStore.from_cube_columns(*cube._columns)
-    else:
-        store = ColumnStore.from_distinct_rows(cube.schema.arity + 1, cube.to_rows())
+        cube._colstore, cube._columns = store, None
+        return store
+    store = ColumnStore.from_distinct_rows(cube.schema.arity + 1, cube.to_rows())
     cube._colstore = store
     return store
 

@@ -61,7 +61,7 @@ import math
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..model.cube import Cube, CubeSchema
+from ..model.cube import Cube, CubeSchema, as_list
 from ..model.io import parse_dim_value
 from .atomic import atomic_write
 from .colstore import ColumnStore
@@ -109,7 +109,7 @@ def _load_sidecar_json(
     count, so crash debris and permission problems are observable.
     """
     try:
-        text = Path(sidecar_path).read_text()
+        text = Path(sidecar_path).read_text(encoding="utf-8")
     except FileNotFoundError:
         return None
     except OSError:
@@ -183,11 +183,11 @@ def write_store_sidecar(
         "dims": [
             {
                 "dictionary": [str(value) for value in store.dicts[j]],
-                "codes": store.codes[j],
+                "codes": as_list(store.codes[j]),
             }
             for j in range(store.arity - 1)
         ],
-        "measures": [_encode_measure(value) for value in store.measures],
+        "measures": [_encode_measure(value) for value in as_list(store.measures)],
     }
     payload["payload_sha256"] = _payload_sha256(payload)
     try:

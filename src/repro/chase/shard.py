@@ -78,6 +78,7 @@ import numpy as np
 from ..mappings.dependencies import Atom, Tgd, TgdKind
 from ..mappings.mapping import SchemaMapping
 from ..mappings.terms import Var
+from ..model.cube import as_list
 from ..model.time import TimePoint
 from ..obs import MetricsRegistry, Tracer
 from .colstore import ColumnStore, TupleStore
@@ -355,7 +356,7 @@ def _partition_store(store, col: int, shards: int) -> List[Optional[Any]]:
         )
         owner = by_value[np.asarray(store.codes[col], dtype=_INT)]
         pieces: List[Optional[Any]] = []
-        measures = store.measures
+        measures = as_list(store.measures)
         code_cols = [np.asarray(c, dtype=_INT) for c in store.codes]
         for s in range(shards):
             idx = np.nonzero(owner == s)[0]

@@ -118,7 +118,7 @@ class Project:
             is_file = False
         if is_file:
             try:
-                self.program_source = program_path.read_text()
+                self.program_source = program_path.read_text(encoding="utf-8")
             except OSError as exc:
                 raise _unreadable(program_path, exc) from None
         elif ":=" not in program_spec and len(program_spec.split()) == 1:
@@ -171,7 +171,7 @@ def load_project(path: str) -> Project:
     """Parse a project file."""
     project_path = Path(path)
     try:
-        spec = json.loads(project_path.read_text())
+        spec = json.loads(project_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise _unreadable(path, exc) from None
     except ValueError as exc:

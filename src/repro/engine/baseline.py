@@ -1,12 +1,12 @@
 """The persisted baseline of a run directory: ``<out>/baseline/``.
 
 A finished ``exl run`` / ``update`` / ``resume`` leaves every cube with
-data as canonical CSV text (:func:`repro.model.io.canonical_text`) under
-``<out>/baseline/`` and one index beside them::
+data as its canonical bytes (:func:`repro.model.io.canonical_bytes`)
+under ``<out>/baseline/`` and one index beside them::
 
     {"record": <RunRecord JSON>,
      "cubes":  {"GDP": "GDP.csv", ...},
-     "sha256": {"GDP": "<digest of GDP.csv's text>", ...},
+     "sha256": {"GDP": "<digest of GDP.csv's bytes>", ...},
      "schemas": {"GDP": {"dimensions": [["q", "time:Q"], ["r", "string"]],
                          "measure": "g", "kind": "derived"}, ...},
      "program_sha256": "<digest of the EXL program's text>"}
@@ -31,7 +31,7 @@ two names of one inode.
 
 The baseline is *bytes until someone needs tuples*.  ``exl update``
 asks "did this input change?" and "is this recomputed cube the stored
-one?" by comparing digests of canonical text — equal text means equal
+one?" by comparing digests of canonical bytes — equal bytes mean equal
 cubes, and ``-0.0`` against ``0.0`` or an index written before digests
 were recorded only ever errs toward recomputing.  The previous run's
 cubes enter the store deferred (:meth:`VersionedStore.defer`): one is
@@ -50,8 +50,8 @@ from ..errors import CorruptStateError, ModelError, ReproError
 from ..model.catalog import ELEMENTARY, MetadataCatalog
 from ..model.cube import Cube, CubeSchema
 from ..model.io import (
-    canonical_text,
-    cube_from_canonical_text,
+    canonical_bytes,
+    cube_from_canonical_bytes,
     read_cube_csv,
     schema_from_spec,
     schema_to_spec,
@@ -64,7 +64,7 @@ __all__ = [
     "admit_for_resume",
     "catalog_from_index",
     "directory",
-    "fresh_texts",
+    "fresh_bytes",
     "index_path",
     "index_text",
     "read_index",
@@ -95,7 +95,7 @@ def read_index(out_dir: Union[str, Path]) -> Optional[Dict[str, Any]]:
     ``sha256`` (absent from the oldest indexes) do not map to strings."""
     path = index_path(out_dir)
     try:
-        index = json.loads(path.read_text())
+        index = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError) as exc:
@@ -117,12 +117,13 @@ class BaselineCube:
         self.schema = schema
         self.path = path
         self.digest = digest
-        self._text: Optional[str] = None
+        self._data: Optional[bytes] = None
 
     def problem(self) -> Optional[str]:
         """Why the file cannot stand for the cube, or None when its
-        bytes hash to the recorded digest.  Reads the file once."""
-        if self._text is not None:
+        bytes hash to the recorded digest.  Reads and hashes the file
+        once."""
+        if self._data is not None:
             return None
         try:
             raw = self.path.read_bytes()
@@ -132,16 +133,16 @@ class BaselineCube:
             return "unreadable"
         if hashlib.sha256(raw).hexdigest() != self.digest:
             return "digest-mismatch"
-        self._text = raw.decode("utf-8")
+        self._data = raw
         return None
 
     def load(self) -> Cube:
-        """Parse the cube; its text is the canonical text by digest."""
+        """Parse the cube; its bytes are its canonical bytes by digest."""
         problem = self.problem()
         if problem is None:
-            text, self._text = self._text, None
+            data, self._data = self._data, None
             try:
-                return cube_from_canonical_text(self.schema, text)
+                return cube_from_canonical_bytes(self.schema, data, self.digest)
             except ModelError as exc:
                 problem = str(exc)
         raise ReproError(
@@ -206,7 +207,7 @@ def admit_for_update(
         name
         for name in catalog.elementary_names
         if catalog.has_data(name)
-        and recorded.get(name) != text_sha256(canonical_text(catalog.data(name)))
+        and recorded.get(name) != canonical_bytes(catalog.data(name))[1]
     ]
     fallbacks: List[Tuple[str, Path, str]] = []
     while True:
@@ -271,19 +272,22 @@ def admit_for_resume(
             ):
                 engine.catalog.store.defer(name, entry.digest, entry.load)
     for name, rel_path in state.get("committed", {}).items():
-        # a snapshot is the cube's canonical text: the epilogue reuses
-        # it instead of serializing the re-admitted cube again
-        text = (out_dir / rel_path).read_bytes().decode("utf-8")
+        # a snapshot is the cube's canonical bytes: the epilogue reuses
+        # them instead of serializing the re-admitted cube again
+        data = (out_dir / rel_path).read_bytes()
         engine.catalog.store.put(
-            cube_from_canonical_text(engine.catalog.schema_of(name), text)
+            cube_from_canonical_bytes(
+                engine.catalog.schema_of(name), data, hashlib.sha256(data).hexdigest()
+            )
         )
     return engine.runs.restore(state["record"])
 
 
-def fresh_texts(
+def fresh_bytes(
     engine, computed: set, previous: Optional[Dict[str, Any]]
-) -> Dict[str, str]:
-    """Canonical text of every cube whose files the epilogue writes.
+) -> Dict[str, Tuple[bytes, str]]:
+    """Canonical bytes and their digest of every cube whose files the
+    epilogue writes.
 
     A cube needs writing when it holds tuples in memory and was either
     computed by this run (``computed``) or no longer has the digest the
@@ -294,13 +298,13 @@ def fresh_texts(
     """
     recorded = (previous or {}).get("sha256", {})
     store = engine.catalog.store
-    fresh: Dict[str, str] = {}
+    fresh: Dict[str, Tuple[bytes, str]] = {}
     for name in store.names():
         if store.digest(name) is not None:
             continue
-        text = canonical_text(engine.catalog.data(name))
-        if name in computed or recorded.get(name) != text_sha256(text):
-            fresh[name] = text
+        canonical = canonical_bytes(engine.catalog.data(name))
+        if name in computed or recorded.get(name) != canonical[1]:
+            fresh[name] = canonical
     return fresh
 
 
@@ -315,7 +319,7 @@ def index_text(
     update`` or ``exl query``: the ``previous`` index's entries carried
     forward for every catalogued cube this run left alone, and on top
     the cubes whose files it wrote — ``digests`` maps each to the digest
-    of the text now in ``<name>.csv``.  The schemas are the finishing
+    of the bytes now in ``<name>.csv``.  The schemas are the finishing
     run's own catalog, compiled from ``program_source``: an update after
     a program edit records the edited program's."""
     cubes: Dict[str, str] = {}

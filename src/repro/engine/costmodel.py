@@ -247,7 +247,7 @@ class CostModel:
         if self.path is None:
             return False
         try:
-            text = self.path.read_text()
+            text = self.path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return False
         except OSError:

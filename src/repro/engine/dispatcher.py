@@ -48,7 +48,7 @@ from ..errors import (
     TransientBackendError,
 )
 from ..model.cube import Cube
-from ..model.io import canonical_text, text_sha256
+from ..model.io import canonical_bytes
 from .faults import RunPolicy, _stable_unit
 from .history import RunRecord, SubgraphRecord
 from .translation import TranslatedSubgraph
@@ -501,8 +501,9 @@ class Dispatcher:
             predicted_s=predicted_s,
         )
         if self.journal is not None:
-            # the record carries the stored cubes' text, the text the
-            # run's epilogue finds on them; recovery trusts it by digest
+            # the record carries the stored cubes' canonical bytes, the
+            # bytes the run's epilogue finds on them; recovery trusts
+            # them by digest
             self.journal.commit_subgraph(
                 sub_record, {name: self.catalog.data(name) for name in cubes}
             )
@@ -520,7 +521,7 @@ class Dispatcher:
     ) -> Dict[str, bool]:
         """Changed flags for outputs of a non-incremental execution,
         against the latest stored version: by digest of the canonical
-        text when that version is deferred (equal text means equal
+        bytes when that version is deferred (equal bytes mean equal
         cubes; ``-0.0`` against ``0.0`` errs toward "changed"), else by
         tuple diff (NaN-consistent, so a bit-identical recompute
         registers as clean)."""
@@ -531,9 +532,7 @@ class Dispatcher:
                 continue
             digest = self.catalog.store.digest(name)
             if digest is not None:
-                changed[name] = (
-                    text_sha256(canonical_text(outputs[name])) != digest
-                )
+                changed[name] = canonical_bytes(outputs[name])[1] != digest
                 continue
             previous = self.catalog.data(name)
             changed[name] = not previous.delta(outputs[name]).is_empty

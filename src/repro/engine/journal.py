@@ -13,7 +13,7 @@ Record grammar::
     RECORD := HEADER "\n" [ FRAME ... "\n" ]
     HEADER := {"seq": N, "type": TYPE, "payload": {...}, "sha256": HEX}
               (one JSON object on one line)
-    FRAME  := the raw bytes of one cube's canonical CSV text
+    FRAME  := one cube's canonical bytes (its CSV text in UTF-8)
 
     TYPE := "run-start"         payload: run_id, trigger, affected,
                                          planned [{cubes, target}]
@@ -33,8 +33,12 @@ lengths, each frame is vouched for by its own ``sha256`` in ``files``.
 
 The commit rule: a ``staged-commit`` record *is* the snapshot.
 :meth:`RunJournal.commit_subgraph` appends the subgraph's outcome and
-the canonical text of each cube it produced in one write and one fsync,
-so a journaled commit has its bytes on disk by construction.  Only
+the canonical bytes of each cube it produced in one write and one
+fsync, so a journaled commit has its bytes on disk by construction.  A
+frame is those bytes themselves (:func:`repro.model.io.canonical_bytes`)
+and its ``sha256`` the digest that rides with them: the journal neither
+copies nor hashes a cube again, and the run's epilogue writes the same
+object under the cube's final names.  Only
 ``run-start``, ``staged-commit`` and ``run-complete`` are flushed:
 recovery reads nothing else, and the intents between them are covered
 by the next commit's flush.
@@ -54,7 +58,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..model.io import canonical_text
+from ..model.io import canonical_bytes
 
 __all__ = ["RunJournal", "replay_journal", "JOURNAL_DIRNAME"]
 
@@ -159,22 +163,19 @@ class RunJournal:
         """Journal one committed subgraph together with its cubes.
 
         The ``staged-commit`` record carries each output cube's
-        :func:`~repro.model.io.canonical_text` as a raw frame and its
-        content hash in the header: one write, one fsync, and the
+        :func:`~repro.model.io.canonical_bytes` as a raw frame and
+        their digest in the header: one write, one fsync, and the
         journal cannot vouch for bytes that are not on disk.  Recovery
         re-admits the subgraph only when every frame still verifies.
-        The run's epilogue writes the same text under the cube's final
+        The run's epilogue writes the same bytes under the cube's final
         names instead of serializing the cube again.
         """
         files: Dict[str, Dict[str, Any]] = {}
         frames: List[bytes] = []
         for name, cube in cubes.items():
-            raw = canonical_text(cube).encode("utf-8")
-            files[name] = {
-                "sha256": hashlib.sha256(raw).hexdigest(),
-                "bytes": len(raw),
-            }
-            frames.append(raw)
+            data, digest = canonical_bytes(cube)
+            files[name] = {"sha256": digest, "bytes": len(data)}
+            frames.append(data)
         self.append(
             STAGED_COMMIT,
             {"subgraph": sub_record.to_json(), "files": files},

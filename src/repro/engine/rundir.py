@@ -16,10 +16,12 @@ state file has one writer and one reader (:meth:`RunDirectory.read_state`).
 ``baseline/`` belongs to :mod:`repro.engine.baseline`, the journal's
 format to :mod:`repro.engine.journal`.
 
-The bytes of a cube exist once.  Every role a cube's canonical text
-plays — output, baseline, committed snapshot — goes through
-:meth:`RunDirectory.place`: the first destination of a digest is
-written, every later one is a hard link to that file.  Nothing here
+The bytes of a cube exist once.  Every role a cube's canonical bytes
+(:func:`repro.model.io.canonical_bytes`, the same object the journal
+frame holds) play — output, baseline, committed snapshot — goes through
+:meth:`RunDirectory.place` with the digest that rides with them: the
+first destination of a digest is written, every later one is a hard
+link to that file.  Nothing here
 ever writes *into* a published file (new bytes arrive by rename over
 the name), so two names of one inode cannot drift apart; a user who
 edits ``<out>/X.csv`` in place edits the baseline's copy with it, which
@@ -53,11 +55,11 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..chase.atomic import atomic_write, fsync_dir, remove_stray_tmp, staging_path
 from ..errors import CorruptStateError
-from ..model.io import canonical_text, text_sha256
+from ..model.io import canonical_bytes
 from . import baseline
 from .history import COMMITTED_OUTCOMES, fold_subgraphs
 from .journal import (
@@ -258,19 +260,19 @@ class RunDirectory:
         return self.out_dir / f"{name}.csv"
 
     # -- the two verbs ---------------------------------------------------------
-    def place(self, text: Union[str, bytes], digest: str, destination: Path) -> None:
-        """Make ``destination`` hold ``text``, whose digest is
+    def place(self, data: bytes, digest: str, destination: Path) -> None:
+        """Make ``destination`` hold ``data``, whose digest is
         ``digest``, atomically and without flushing.
 
         The first destination of a digest is written; a later one is a
         hard link to it, renamed over the name.  Where the filesystem
-        refuses the link the text is written again — the only second
+        refuses the link the bytes are written again — the only second
         path.
         """
         destination.parent.mkdir(parents=True, exist_ok=True)
         source = self._written.get(digest)
         if source is None or not _link_over(source, destination):
-            atomic_write(destination, text, fsync=False)
+            atomic_write(destination, data, fsync=False)
             self._written.setdefault(digest, destination)
             self._unflushed.append(destination)
         self._touched[destination.parent] = None
@@ -324,7 +326,7 @@ class RunDirectory:
             if sub["outcome"] in COMMITTED_OUTCOMES and sub["outcome"] != "clean"
             for cube in sub["cubes"]
         }
-        fresh = baseline.fresh_texts(engine, computed, previous_index)
+        fresh = baseline.fresh_bytes(engine, computed, previous_index)
         names = outputs or list(
             dict.fromkeys(cube for sub in subgraphs for cube in sub["cubes"])
         )
@@ -352,7 +354,7 @@ class RunDirectory:
         self,
         catalog,
         record_json: Dict[str, Any],
-        fresh: Dict[str, str],
+        fresh: Dict[str, Tuple[bytes, str]],
         outputs: Iterable[str],
         program_source: str,
         previous: Optional[Dict[str, Any]] = None,
@@ -360,7 +362,8 @@ class RunDirectory:
         """Every subgraph committed: outputs, baseline, clean-up.
 
         ``fresh`` maps each cube this run has new bytes for to its
-        canonical text (:func:`repro.engine.baseline.fresh_texts`),
+        canonical bytes and their digest
+        (:func:`repro.engine.baseline.fresh_bytes`),
         ``outputs`` names those of them that are output files,
         ``program_source`` is the text ``catalog`` was compiled from,
         and ``previous`` is the index the run started from, whose other
@@ -368,13 +371,13 @@ class RunDirectory:
         state file, snapshots and journal go only once the new index is
         durable and ``run-complete`` journaled (invariant 3).
         """
-        digests = {name: text_sha256(text) for name, text in fresh.items()}
         for name in outputs:
-            self.place(fresh[name], digests[name], self.output_path(name))
+            self.place(*fresh[name], self.output_path(name))
         self.barrier()
-        for name, text in fresh.items():
-            self.place(text, digests[name], self.baseline_dir / f"{name}.csv")
+        for name, (data, digest) in fresh.items():
+            self.place(data, digest, self.baseline_dir / f"{name}.csv")
         self.barrier()
+        digests = {name: digest for name, (_, digest) in fresh.items()}
         atomic_write(
             baseline.index_path(self.out_dir),
             baseline.index_text(
@@ -393,7 +396,7 @@ class RunDirectory:
         self,
         catalog,
         state_record: Dict[str, Any],
-        fresh: Optional[Dict[str, str]] = None,
+        fresh: Optional[Dict[str, Tuple[bytes, str]]] = None,
         outputs: Iterable[str] = (),
     ) -> None:
         """Some subgraph did not commit: the outputs that were
@@ -407,7 +410,7 @@ class RunDirectory:
         from there.
         """
         for name in outputs:
-            self.place(fresh[name], text_sha256(fresh[name]), self.output_path(name))
+            self.place(*fresh[name], self.output_path(name))
         committed: Dict[str, str] = {}
         for sub in state_record["subgraphs"]:
             if sub["outcome"] not in COMMITTED_OUTCOMES:
@@ -415,18 +418,19 @@ class RunDirectory:
             for name in sub["cubes"]:
                 if catalog.store.digest(name) is not None:
                     continue
-                text = canonical_text(catalog.data(name))
-                committed[name] = self._snapshot(name, text, text_sha256(text))
+                committed[name] = self._snapshot(
+                    name, *canonical_bytes(catalog.data(name))
+                )
         self.barrier()
         self._write_state(state_record, committed)
         if self.journal is not None:
             self.journal.discard()
 
     # -- the state file --------------------------------------------------------
-    def _snapshot(self, name: str, text: Union[str, bytes], digest: str) -> str:
+    def _snapshot(self, name: str, data: bytes, digest: str) -> str:
         """Place a committed cube's snapshot; the path the state records."""
         snapshot = self.committed_dir / f"{name}.csv"
-        self.place(text, digest, snapshot)
+        self.place(data, digest, snapshot)
         return str(snapshot.relative_to(self.out_dir))
 
     def _write_state(self, record: Dict[str, Any], committed: Dict[str, str]) -> None:
@@ -443,7 +447,7 @@ class RunDirectory:
         state a resume cannot finish from: unreadable, torn, a subgraph
         without cubes, target or outcome, or a snapshot that is gone."""
         try:
-            state = json.loads(self.state_path.read_text())
+            state = json.loads(self.state_path.read_text(encoding="utf-8"))
         except (FileNotFoundError, NotADirectoryError):
             return None
         except (OSError, ValueError) as exc:

@@ -54,7 +54,7 @@ class VersionedStore:
     store; ``get`` with no version returns the latest instance.
 
     A version can also be *deferred*: admitted with the sha256 of its
-    canonical CSV text (:func:`repro.model.io.canonical_text`) and a
+    canonical bytes (:func:`repro.model.io.canonical_bytes`) and a
     loader, it has a number and answers :meth:`has` like any other, but
     no tuples exist until someone reads it.  That is how ``exl update``
     re-admits the previous run's cubes — most are never read, and "is
@@ -92,7 +92,7 @@ class VersionedStore:
 
     def fulfil(self, cube: Cube) -> None:
         """Hand the latest, still deferred version its content: the
-        caller holds a cube whose text has exactly that digest."""
+        caller holds a cube whose bytes have exactly that digest."""
         history = self._history[cube.schema.name]
         with self._load_lock:
             if isinstance(history[-1][1], _Deferred):

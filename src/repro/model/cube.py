@@ -28,7 +28,9 @@ from ..errors import CubeError, SchemaError
 from .time import TimePoint
 from .types import DimKind, DimType, validate_value
 
-__all__ = ["Dimension", "CubeSchema", "Cube", "CubeDelta", "column_order"]
+__all__ = [
+    "Dimension", "CubeSchema", "Cube", "CubeDelta", "as_list", "column_order", "take",
+]
 
 DimTuple = Tuple[Any, ...]
 
@@ -202,12 +204,14 @@ class Cube:
         # chase.instance.store_for_cube); shared by copy(), dropped on
         # mutation — warm chase runs adopt it instead of re-encoding
         self._colstore = None
-        # the canonical CSV text of these rows, serialized at most once
-        # (see model.io.canonical_text); same sharing rules as the store
-        self._csv_text = None
+        # (bytes, sha256) of these rows' canonical serialization, made
+        # at most once (see model.io.canonical_bytes); same sharing
+        # rules as the store
+        self._canonical = None
         # (dictionaries, codes, measures) this cube was built from (see
         # from_columns): its rows, in the builder's order; same sharing
-        # rules again — store_for_cube and the CSV writer work on them
+        # rules again — store_for_cube drops them once the store holds
+        # the rows, so a cube held by columns keeps one of the two
         self._columns = None
         if data:
             for key, value in data.items():
@@ -240,18 +244,20 @@ class Cube:
         """Build a cube from dictionary-encoded columns, or None.
 
         Row ``i`` is ``(dictionaries[0][codes[0][i]], …, measures[i])``
-        — the layout of a chase output's column store.  The columns
-        *are* the cube: they are kept as given (the caller must not
-        change them afterwards) and no dimension tuple is built until
-        a key is looked up.  What :meth:`from_rows` checks per cell is
-        checked here per *distinct* value: every dictionary entry
-        against its dimension type, the measure column for being all
-        ``float``, and functionality by counting distinct code tuples
-        over dictionaries of distinct values — skipped when the caller
-        already knows the rows' keys distinct (``keys_distinct``, a
-        column store's ``dims_distinct``).  None means the columns are
-        not plainly a cube of this schema; the caller then goes through
-        :meth:`from_rows`, which builds it or raises the precise error.
+        — the layout of a chase output's column store, whose code and
+        measure columns may be NumPy arrays (``int64`` codes, ``float64``
+        measures).  The columns *are* the cube: they are kept as given
+        (the caller must not change them afterwards) and no dimension
+        tuple is built until a key is looked up.  What :meth:`from_rows`
+        checks per cell is checked here per *distinct* value: every
+        dictionary entry against its dimension type, the measure column
+        for being all ``float``, and functionality by counting distinct
+        code tuples over dictionaries of distinct values — skipped when
+        the caller already knows the rows' keys distinct
+        (``keys_distinct``, a column store's ``dims_distinct``).  None
+        means the columns are not plainly a cube of this schema; the
+        caller then goes through :meth:`from_rows`, which builds it or
+        raises the precise error.
         """
         if len(dictionaries) != schema.arity or len(codes) != schema.arity:
             return None
@@ -259,9 +265,16 @@ class Cube:
         for dim, values, column in zip(schema.dimensions, dictionaries, codes):
             if len(column) != n_rows or not all(map(dim.dtype.accepts, values)):
                 return None
-            if column and not 0 <= min(column) <= max(column) < len(values):
-                return None
-        if not all(type(value) is float for value in measures):
+            if n_rows:
+                low, high = _bounds(column)
+                if not 0 <= low <= high < len(values):
+                    return None
+        dtype = getattr(measures, "dtype", None)
+        if not (
+            all(type(value) is float for value in measures)
+            if dtype is None
+            else dtype == "float64"
+        ):
             return None
         if not keys_distinct:
             if any(len(set(values)) != len(values) for values in dictionaries):
@@ -320,22 +333,23 @@ class Cube:
     @property
     def _data(self) -> Dict[DimTuple, float]:
         """The keyed view of the rows.  A cube built from columns
-        decodes it on the first keyed lookup, iteration or mutation;
+        decodes it on the first keyed lookup, iteration or mutation,
+        from its columns or, once those are dropped, its store;
         ``len``, ``copy``, the column store and the CSV writer work on
-        the columns and never ask for it."""
+        whichever is present and never ask for it."""
         data = self._dict
         if data is None:
             data = self._dict = self._decode()
         return data
 
     def _decode(self) -> Dict[DimTuple, float]:
-        dictionaries, codes, measures = self._columns
+        dictionaries, codes, measures = self.encoded()
         columns = [
-            map(values.__getitem__, column)
+            map(values.__getitem__, as_list(column))
             for values, column in zip(dictionaries, codes)
         ]
         keys = zip(*columns) if columns else [()] * len(measures)
-        return dict(zip(keys, measures))
+        return dict(zip(keys, as_list(measures)))
 
     def set(self, key: Sequence[Any], value: float, overwrite: bool = False) -> None:
         """Associate measure ``value`` with dimension tuple ``key``."""
@@ -359,7 +373,7 @@ class Cube:
             )
         data[key] = float(value)
         self._colstore = None
-        self._csv_text = None
+        self._canonical = None
         self._columns = None
 
     def get(self, key: Sequence[Any], default: Any = None) -> Any:
@@ -379,9 +393,11 @@ class Cube:
         return key in self._data
 
     def __len__(self) -> int:
-        if self._dict is None:
+        if self._dict is not None:
+            return len(self._dict)
+        if self._columns is not None:
             return len(self._columns[2])
-        return len(self._dict)
+        return self._colstore.n_rows
 
     def __iter__(self) -> Iterator[DimTuple]:
         return iter(self._data)
@@ -425,12 +441,12 @@ class Cube:
                 return [[] for _ in range(self.schema.arity + 1)]
             return [list(column) for column in zip(*rows)]
         dictionaries, codes, measures = encoded
-        order = column_order(dictionaries, codes, len(measures)).tolist()
+        order = column_order(dictionaries, codes, len(measures))
         columns = [
-            list(map(values.__getitem__, map(column.__getitem__, order)))
+            list(map(values.__getitem__, take(column, order)))
             for values, column in zip(dictionaries, codes)
         ]
-        columns.append(list(map(measures.__getitem__, order)))
+        columns.append(take(measures, order))
         return columns
 
     def encoded(self):
@@ -519,7 +535,7 @@ class Cube:
         data = clone._data
         # the pops below bypass set(), so drop the shared caches here
         clone._colstore = None
-        clone._csv_text = None
+        clone._canonical = None
         clone._columns = None
         for row in delta.deleted:
             data.pop(row[:-1], None)
@@ -536,14 +552,18 @@ class Cube:
 
     def copy(self) -> "Cube":
         clone = Cube(self.schema)
-        # a cube that still has its columns is copied by sharing them
-        clone._dict = None if self._columns is not None else dict(self._dict)
+        # a cube that still has its columns, or only its store, is
+        # copied by sharing them
+        clone._dict = (
+            None if self._columns is not None or self._dict is None
+            else dict(self._dict)
+        )
         # intentionally shared: the store is immutable from the cube's
         # point of view (any mutation of either copy drops its pointer),
         # and sharing it through the versioned store is what keeps warm
         # runs encode-free
         clone._colstore = self._colstore
-        clone._csv_text = self._csv_text
+        clone._canonical = self._canonical
         clone._columns = self._columns
         return clone
 
@@ -576,6 +596,29 @@ def _encode_values(schema: CubeSchema, columns: Sequence[Sequence[Any]]):
             return None
         dictionaries.append(list(code_of))
     return dictionaries, codes, list(map(float, measures))
+
+
+def as_list(column: Sequence[Any]) -> List[Any]:
+    """A code or measure column as Python objects: a NumPy column (what
+    a chase output keeps) is converted, anything else returned as is —
+    so no NumPy scalar reaches text, a target engine or a keyed view."""
+    tolist = getattr(column, "tolist", None)
+    return column if tolist is None else tolist()
+
+
+def take(column: Sequence[Any], rows) -> List[Any]:
+    """``column[rows]`` as Python objects, for ``rows`` a NumPy index
+    array and ``column`` a list or a NumPy column."""
+    if getattr(column, "tolist", None) is None:
+        return list(map(column.__getitem__, rows.tolist()))
+    return column[rows].tolist()
+
+
+def _bounds(column: Sequence[int]) -> Tuple[int, int]:
+    """``(min, max)`` of a non-empty code column, list or NumPy array."""
+    if hasattr(column, "min"):
+        return column.min(), column.max()
+    return min(column), max(column)
 
 
 def _component_key(component: Any):

@@ -11,6 +11,14 @@ and the CLI: ``time:D`` / ``time:W`` / ``time:M`` / ``time:Q`` /
 cube schema in JSON is ``{"dimensions": [[name, spec], ...], "measure":
 name}`` — a project file's elementary entries and a run directory's
 index (:mod:`repro.engine.baseline`) spell it the same way.
+
+A cube stays dictionary-encoded from file to file.  The reader maps
+each cell to its column's code as it parses, a chunk of rows at a time,
+and parses each distinct text once; the writer formats each distinct
+value once.  A cube's *canonical serialization* is its CSV text as UTF-8
+bytes, rows sorted and measures written by ``repr``
+(:func:`canonical_bytes`): made once, hashed once, and the very bytes
+the journal frame and every file under ``<out>`` hold.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ import csv
 import hashlib
 import io
 import re
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ..errors import ModelError
-from .cube import Cube, CubeSchema, Dimension, column_order
+from .cube import Cube, CubeSchema, Dimension, column_order, take
 from .time import Frequency, parse_timepoint
 from .types import INTEGER, STRING, TIME, DimKind, DimType
 
@@ -37,8 +46,9 @@ __all__ = [
     "read_cube_csv",
     "cube_to_csv_text",
     "cube_from_csv_text",
+    "canonical_bytes",
     "canonical_text",
-    "cube_from_canonical_text",
+    "cube_from_canonical_bytes",
     "text_sha256",
 ]
 
@@ -116,64 +126,61 @@ def write_cube_csv(cube: Cube, destination: Union[str, Path, TextIO]) -> None:
         destination.write(text)
 
 
+#: rows the reader encodes, and the writer formats, at a time: enough
+#: for the list comprehensions to run at full speed, few enough that no
+#: per-row object outlives its chunk
+CHUNK_ROWS = 1024
+
+
 def cube_to_csv_text(cube: Cube) -> str:
     """The cube's CSV serialization as a string.
 
-    A cube that carries its rows as dictionary-encoded columns
+    Rows go in :meth:`Cube.to_rows` order, formatted a column at a
+    time: the rows of a cube that carries them dictionary-encoded
     (:meth:`Cube.encoded`: a chase output's store, a target engine's
-    result, what :func:`read_cube_csv` parsed it from) is ordered and
-    formatted by column; any other goes row by row through
-    ``to_rows()``.  The text is the same either way.
+    result, what :func:`read_cube_csv` parsed it from) are ordered by
+    one sort on per-dictionary ranks, any other is encoded from its
+    keyed view first.  Each distinct dimension value is formatted once,
+    and the text is built :data:`CHUNK_ROWS` rows at a time.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(cube.schema.columns)
-    encoded = cube.encoded()
-    if encoded is not None:
-        _write_columns(buffer, *encoded)
-    else:
-        _write_rows(writer, cube)
-    return buffer.getvalue()
+    dictionaries, codes, measures = cube.encoded() or _encode_keyed(cube)
+    order = column_order(dictionaries, codes, len(measures))
+    cells = [list(map(_cell, values)) for values in dictionaries]
+    pieces = [",".join(map(_cell, cube.schema.columns)) + "\r\n"]
+    for start in range(0, len(order), CHUNK_ROWS):
+        rows = order[start:start + CHUNK_ROWS]
+        columns = [
+            map(texts.__getitem__, take(column, rows))
+            for texts, column in zip(cells, codes)
+        ]
+        columns.append(map(repr, take(measures, rows)))
+        pieces.append("\r\n".join([*map(",".join, zip(*columns)), ""]))
+    return "".join(pieces)
 
 
-def _write_rows(writer, cube: Cube) -> None:
-    # Dimension values repeat heavily across rows (a 600-quarter x
-    # 200-region cube has 800 distinct values over 240k cells), so
-    # memoize their str() form per call.
-    formatted: dict = {}
-    for row in cube.to_rows():
-        cells = []
-        for v in row[:-1]:
-            if isinstance(v, float):
-                cells.append(repr(v))
-                continue
-            text = formatted.get(v)
-            if text is None:
-                text = formatted[v] = str(v)
-            cells.append(text)
-        cells.append(repr(row[-1]))
-        writer.writerow(cells)
+def _encode_keyed(cube: Cube):
+    """``(dictionaries, codes, measures)`` of a cube held only as its
+    keyed view, codes numbered by first occurrence."""
+    keys = list(cube.keys())
+    dictionaries, codes = [], []
+    for j in range(cube.schema.arity):
+        code_of: dict = {}
+        codes.append([code_of.setdefault(key[j], len(code_of)) for key in keys])
+        dictionaries.append(list(code_of))
+    return dictionaries, codes, list(cube.values())
 
 
 #: what makes ``csv``'s minimal quoting quote a field
 _QUOTED = re.compile('[,"\r\n]').search
 
 
-def _write_columns(buffer: TextIO, dictionaries, codes, measures) -> None:
-    """``_write_rows`` over dictionary-encoded columns: one sort on
-    per-dictionary ranks, one formatted cell per distinct value."""
-    order = column_order(dictionaries, codes, len(measures)).tolist()
-    columns = []
-    for values, column in zip(dictionaries, codes):
-        cells = []
-        for value in values:
-            text = repr(value) if isinstance(value, float) else str(value)
-            if _QUOTED(text):
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        columns.append(map(cells.__getitem__, map(column.__getitem__, order)))
-    columns.append(map(repr, map(measures.__getitem__, order)))
-    buffer.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
+def _cell(value: Any) -> str:
+    """One field as ``csv``'s minimal quoting writes it: floats by
+    ``repr``, anything else by ``str``."""
+    text = repr(value) if isinstance(value, float) else str(value)
+    if _QUOTED(text):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_cube_csv(schema: CubeSchema, source: Union[str, Path, TextIO]) -> Cube:
@@ -186,14 +193,29 @@ def read_cube_csv(schema: CubeSchema, source: Union[str, Path, TextIO]) -> Cube:
     return _read(schema, source, strip=True)
 
 
-def cube_from_csv_text(schema: CubeSchema, text: str) -> Cube:
-    """Parse a cube from the text :func:`cube_to_csv_text` gave for it:
-    every dimension value is taken verbatim, so a label with
-    surrounding whitespace comes back as written."""
+def cube_from_csv_text(schema: CubeSchema, text: Union[str, bytes]) -> Cube:
+    """Parse a cube from the text :func:`cube_to_csv_text` gave for it,
+    or from that text's UTF-8 bytes: every dimension value is taken
+    verbatim, so a label with surrounding whitespace comes back as
+    written."""
+    if isinstance(text, bytes):
+        # decoded as it is read: no second copy of the whole text
+        handle = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="")
+        return _read(schema, handle, strip=False)
     return _read(schema, io.StringIO(text), strip=False)
 
 
 def _read(schema: CubeSchema, handle: TextIO, strip: bool) -> Cube:
+    """The cube in ``handle``, encoded as it is parsed.
+
+    Rows are taken :data:`CHUNK_ROWS` at a time and each cell is mapped
+    to its column's first-occurrence code, so what outlives a chunk is
+    one code per cell, one float per row and each distinct text once;
+    the distinct texts are parsed at the end.  Anything irregular —
+    ragged or blank rows, a cell that does not parse, a repeated key —
+    goes row by row from the first row, to accept it or to name the
+    line it is on.
+    """
     reader = csv.reader(handle)
     try:
         header = next(reader)
@@ -204,29 +226,64 @@ def _read(schema: CubeSchema, handle: TextIO, strip: bool) -> Cube:
         raise ModelError(
             f"CSV header {header} does not match cube columns {expected}"
         )
-    rows = list(reader)
-    cube = _cube_from_columns(schema, rows, strip)
+    width = schema.arity + 1
+    texts: List[dict] = [{} for _ in schema.dimensions]
+    codes: List[list] = [[] for _ in schema.dimensions]
+    measures: List[float] = []
+    while True:
+        chunk = list(islice(reader, CHUNK_ROWS))
+        if not chunk:
+            break
+        if not _encode_chunk(chunk, width, texts, codes, measures):
+            rows = chain(_text_rows(texts, codes, measures), chunk, reader)
+            return _cube_from_rows(schema, rows, strip)
+    cube = _cube_from_codes(schema, texts, codes, measures, strip)
     if cube is None:
-        # something is irregular: row by row, to accept it or to name
-        # the line it is on
-        cube = _cube_from_rows(schema, rows, strip)
+        cube = _cube_from_rows(schema, _text_rows(texts, codes, measures), strip)
     return cube
 
 
-def _cube_from_columns(schema: CubeSchema, rows: list, strip: bool) -> Optional[Cube]:
-    """The cube of well-formed ``rows``, parsed a column at a time into
-    the encoded columns :meth:`Cube.from_columns` validates and keeps;
-    None for anything else (ragged or blank rows, a cell that does not
-    parse, a repeated key)."""
-    if not rows or set(map(len, rows)) != {schema.arity + 1}:
-        return None
-    *columns, measure_texts = zip(*rows)
-    dictionaries, codes = [], []
+def _encode_chunk(
+    chunk: list, width: int, texts: List[dict], codes: List[list], measures: list
+) -> bool:
+    """Append a chunk of rows to the encoded columns: each cell's
+    first-occurrence code in ``texts``, each measure parsed.  False,
+    with nothing appended, unless every row has ``width`` cells and a
+    number last."""
+    if set(map(len, chunk)) != {width}:
+        return False
+    *columns, measure_texts = zip(*chunk)
     try:
-        measures = list(map(float, measure_texts))
-        for dim, column in zip(schema.dimensions, columns):
-            texts: dict = {}
-            column_codes = [texts.setdefault(text, len(texts)) for text in column]
+        parsed = list(map(float, measure_texts))
+    except ValueError:
+        return False
+    for seen, column_codes, column in zip(texts, codes, columns):
+        column_codes += [seen.setdefault(text, len(seen)) for text in column]
+    measures += parsed
+    return True
+
+
+def _text_rows(texts: List[dict], codes: List[list], measures: list):
+    """The rows encoded so far, as text again (measures by ``repr``,
+    which parses back to the same float)."""
+    tables = [list(seen) for seen in texts]
+    columns = [map(table.__getitem__, column) for table, column in zip(tables, codes)]
+    return zip(*columns, map(repr, measures))
+
+
+def _cube_from_codes(
+    schema: CubeSchema, texts: List[dict], codes: List[list], measures: list,
+    strip: bool,
+) -> Optional[Cube]:
+    """The cube of the encoded rows: each distinct text parsed once into
+    the dictionaries :meth:`Cube.from_columns` validates and keeps with
+    the codes; None when a text does not parse or a key repeats, and for
+    no rows at all (the empty cube is built row by row)."""
+    if not measures:
+        return None
+    dictionaries, recoded = [], []
+    try:
+        for dim, seen, column in zip(schema.dimensions, texts, codes):
             # two spellings of one value ("01" and "1", " a" and "a"
             # when trimmed) share a code
             code_of: dict = {}
@@ -235,18 +292,20 @@ def _cube_from_columns(schema: CubeSchema, rows: list, strip: bool) -> Optional[
                     _parse_value(dim.dtype, text.strip() if strip else text),
                     len(code_of),
                 )
-                for text in texts
+                for text in seen
             ]
-            if len(code_of) != len(texts):
-                column_codes = [recode[code] for code in column_codes]
+            if len(code_of) != len(seen):
+                column = [recode[code] for code in column]
             dictionaries.append(list(code_of))
-            codes.append(column_codes)
+            recoded.append(column)
     except (ValueError, ModelError):
         return None
-    return Cube.from_columns(schema, dictionaries, codes, measures)
+    return Cube.from_columns(schema, dictionaries, recoded, measures)
 
 
-def _cube_from_rows(schema: CubeSchema, rows: list, strip: bool) -> Cube:
+def _cube_from_rows(
+    schema: CubeSchema, rows: Iterable[Sequence[str]], strip: bool
+) -> Cube:
     cube = Cube(schema)
     width = schema.arity + 1
     # Memoize parsed dimension values per column: the same time points
@@ -275,28 +334,37 @@ def _cube_from_rows(schema: CubeSchema, rows: list, strip: bool) -> Cube:
     return cube
 
 
-def canonical_text(cube: Cube) -> str:
-    """The cube's CSV serialization, produced once per cube.
+def canonical_bytes(cube: Cube) -> Tuple[bytes, str]:
+    """The cube's canonical serialization — its CSV text as UTF-8 bytes
+    — and their sha256, each made once per cube.
 
-    Rows are sorted and values written by ``repr``, so equal text means
-    equal cubes: the text's digest stands for the cube wherever "did it
-    change?" is asked across processes, and the same string is what the
-    journal snapshot, the output file and the baseline file hold.  The
-    text rides on the cube like its column store does — shared by
-    ``copy()``, dropped by any mutation.
+    Rows are sorted and values written by ``repr``, so equal bytes mean
+    equal cubes: the digest stands for the cube wherever "did it
+    change?" is asked across processes, and the same bytes are what the
+    journal frame, the output file and the baseline file hold.  The pair
+    rides on the cube like its column store does — shared by ``copy()``,
+    dropped by any mutation.
     """
-    text = cube._csv_text
-    if text is None:
-        text = cube._csv_text = cube_to_csv_text(cube)
-    return text
+    memo = cube._canonical
+    if memo is None:
+        data = cube_to_csv_text(cube).encode("utf-8")
+        memo = cube._canonical = (data, hashlib.sha256(data).hexdigest())
+    return memo
 
 
-def cube_from_canonical_text(schema: CubeSchema, text: str) -> Cube:
-    """Parse text that *is* some cube's :func:`canonical_text` — a
-    snapshot or baseline file this package wrote, verified by digest —
-    verbatim, and keep it as the parsed cube's text."""
-    cube = cube_from_csv_text(schema, text)
-    cube._csv_text = text
+def canonical_text(cube: Cube) -> str:
+    """:func:`canonical_bytes` decoded, for comparing and showing cubes;
+    nothing keeps it."""
+    return canonical_bytes(cube)[0].decode("utf-8")
+
+
+def cube_from_canonical_bytes(schema: CubeSchema, data: bytes, digest: str) -> Cube:
+    """Parse bytes that *are* some cube's :func:`canonical_bytes` — a
+    snapshot or baseline file this package wrote, verified against
+    ``digest`` — verbatim, and keep them, with the digest, as the parsed
+    cube's."""
+    cube = cube_from_csv_text(schema, data)
+    cube._canonical = (data, digest)
     return cube
 
 

@@ -316,7 +316,7 @@ class Tracer:
 
     def write_chrome_trace(self, path) -> None:
         """Write the trace as a JSON event array loadable in Perfetto."""
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump({"traceEvents": self.chrome_trace()}, handle, indent=1)
             handle.write("\n")
 

@@ -27,6 +27,7 @@ import pytest
 from repro.chase.colstore import ColumnStore, TupleStore
 from repro.chase.columnar import ColumnarRelation, EncodedColumn
 from repro.model import month
+from repro.model.cube import as_list
 
 NAN = float("nan")
 
@@ -40,13 +41,14 @@ def _panel_store():
 
 
 def _assert_equivalent(left: ColumnStore, right: ColumnStore):
+    # either side may hold its columns as lists or as NumPy arrays
     assert left.arity == right.arity
-    assert left.codes == right.codes
+    assert list(map(as_list, left.codes)) == list(map(as_list, right.codes))
     assert left.dicts == right.dicts
     assert left.vmaps == right.vmaps
     assert left.dims_distinct == right.dims_distinct
     assert len(left.measures) == len(right.measures)
-    for a, b in zip(left.measures, right.measures):
+    for a, b in zip(as_list(left.measures), as_list(right.measures)):
         assert (a == b) or (math.isnan(a) and math.isnan(b))
 
 

@@ -435,9 +435,11 @@ class TestFromColumns:
 
 
 class TestCanonicalText:
-    def test_text_is_memoised_shared_by_copy_dropped_by_mutation(
+    def test_bytes_and_digest_are_memoised_shared_by_copy_dropped_by_mutation(
         self, panel_schema, monkeypatch
     ):
+        import hashlib
+
         from repro.model import io as model_io
 
         calls = []
@@ -448,16 +450,30 @@ class TestCanonicalText:
         )
         cube = Cube(panel_schema)
         cube.set((quarter(2020, 1), "north"), 1.5)
-        text = model_io.canonical_text(cube)
-        assert model_io.canonical_text(cube) is text
+        canonical = model_io.canonical_bytes(cube)
+        data, digest = canonical
+        assert data == b"q,r,v\r\n2020Q1,north,1.5\r\n"
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert model_io.canonical_bytes(cube) is canonical
+        assert model_io.canonical_text(cube) == data.decode("utf-8")
         clone = cube.copy()
-        assert model_io.canonical_text(clone) is text
+        assert model_io.canonical_bytes(clone) is canonical
         assert len(calls) == 1
         clone.set((quarter(2020, 2), "north"), 2.5)
-        assert model_io.canonical_text(clone) != text
-        assert model_io.canonical_text(cube) is text  # the original keeps its own
+        assert model_io.canonical_bytes(clone)[1] != digest
+        assert model_io.canonical_bytes(cube) is canonical  # the original keeps its own
         patched = cube.patched(cube.delta(clone))
-        assert model_io.canonical_text(patched) == model_io.canonical_text(clone)
+        assert model_io.canonical_bytes(patched) == model_io.canonical_bytes(clone)
+        assert len(calls) == 3
+
+    def test_parsed_canonical_bytes_are_kept_with_their_digest(self, panel_schema):
+        from repro.model.io import canonical_bytes, cube_from_canonical_bytes
+
+        cube = Cube.from_rows(panel_schema, [(quarter(2020, 1), "n", 1.0)])
+        data, digest = canonical_bytes(cube)
+        back = cube_from_canonical_bytes(panel_schema, data, digest)
+        assert back == cube
+        assert canonical_bytes(back)[0] is data
 
     def test_equal_text_iff_equal_cubes_modulo_signed_zero(self, panel_schema):
         from repro.model.io import canonical_text, text_sha256
@@ -476,14 +492,15 @@ class TestCanonicalText:
     def test_surrounding_whitespace_round_trips(self):
         # " a" and "a" are two labels; the trimming reader merged them,
         # so the baseline a run wrote could not be read back
-        from repro.model.io import canonical_text, cube_from_canonical_text
+        from repro.model.io import canonical_bytes, canonical_text, cube_from_csv_text
 
         schema = CubeSchema("X", [Dimension("s", STRING)], "v")
         rows = [(" a", 1.0), ("a", 2.0), ("a ", 3.0), ("\t", 4.0)]
         cube = Cube.from_rows(schema, rows)
-        back = cube_from_canonical_text(schema, canonical_text(cube))
-        assert back == cube
-        assert canonical_text(back) == canonical_text(cube)
+        for serialized in (canonical_text(cube), canonical_bytes(cube)[0]):
+            back = cube_from_csv_text(schema, serialized)
+            assert back == cube
+            assert canonical_text(back) == canonical_text(cube)
 
     def test_reader_columns_are_shared_by_copy_dropped_by_mutation(self, panel_schema):
         from repro.model.io import cube_from_csv_text
@@ -539,11 +556,7 @@ class TestGoldenDigest:
 
     def test_row_path_column_path_and_reader_agree_on_the_digest(self, golden):
         from repro.chase.colstore import ColumnStore
-        from repro.model.io import (
-            cube_from_canonical_text,
-            cube_to_csv_text,
-            text_sha256,
-        )
+        from repro.model.io import cube_from_csv_text, cube_to_csv_text, text_sha256
 
         assert golden._colstore is None and golden._columns is None
         text = cube_to_csv_text(golden)  # row by row
@@ -551,7 +564,7 @@ class TestGoldenDigest:
         held = golden.copy()
         held._colstore = ColumnStore.from_distinct_rows(4, golden.to_rows()[::-1])
         assert cube_to_csv_text(held) == text  # from a store, in another order
-        back = cube_from_canonical_text(golden.schema, text)
+        back = cube_from_csv_text(golden.schema, text.encode("utf-8"))
         assert back._columns is not None
         assert cube_to_csv_text(back) == text  # from the reader's columns
 

@@ -1165,14 +1165,14 @@ class TestUpdateReadBudget:
         before = {path: _identity(path) for path in untouched}
         _write_series(two_input_dir / "y.csv", [10.0, 20.0, 35.0, 40.0])
         parsed = []
-        real_parse = baseline_store.cube_from_canonical_text
+        real_parse = baseline_store.cube_from_canonical_bytes
 
-        def counting_parse(schema, text):
+        def counting_parse(schema, data, digest):
             parsed.append(schema.name)
-            return real_parse(schema, text)
+            return real_parse(schema, data, digest)
 
         monkeypatch.setattr(
-            baseline_store, "cube_from_canonical_text", counting_parse
+            baseline_store, "cube_from_canonical_bytes", counting_parse
         )
         opened = record_opens(two_input_dir)
         assert main(["update", project, "--out", str(out)]) == 0
