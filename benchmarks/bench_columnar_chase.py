@@ -1,4 +1,4 @@
-"""EXP-COLUMNAR-CHASE — vectorized tgd kernels vs. tuple-at-a-time.
+"""EXP-COLUMNAR-CHASE — columnar tgd kernels vs. tuple-at-a-time.
 
 Validates the columnar kernel layer's performance claims on the two
 workload shapes the paper's programs are made of:
@@ -10,9 +10,11 @@ workload shapes the paper's programs are made of:
    dictionary-encoded key codes must beat the per-tuple grouping dict
    by ≥3×.
 
-Both configurations must produce the identical solution instance —
-the kernels are a pure executor swap (the property the randomized
-suite in ``tests/test_columnar_chase.py`` pins tuple for tuple).
+The tuple-at-a-time side is the reference chase of
+``tests/oracle/chase.py``.  Both must produce the identical solution
+instance — the kernels are a pure executor swap (the property the
+randomized suite in ``tests/test_columnar_chase.py`` pins tuple for
+tuple).
 
 Since the columnar-native storage layer (DESIGN.md §9) the encode
 phase no longer appears in the kernel-phase breakdown at all: relations
@@ -43,6 +45,7 @@ from repro.exl import Program
 from repro.mappings import generate_mapping
 from repro.model import STRING, TIME, CubeSchema, Dimension, Frequency, Schema, month
 from repro.workloads.datagen import random_cube
+from tests.oracle.chase import ScalarChase
 
 N_MONTHS = 2000
 N_REGIONS = 60  # 2000 x 60 = 120k tuples
@@ -122,7 +125,7 @@ def _assert_identical(a, b):
 
 
 def _kernel_phase_ms(mapping, source):
-    """Per-phase kernel totals (ms) from one traced vectorized run.
+    """Per-phase kernel totals (ms) from one traced kernel run.
 
     Runs under the same paused-GC convention as :func:`_wall`, so the
     phase totals are comparable with the end-to-end timings (collector
@@ -130,9 +133,7 @@ def _kernel_phase_ms(mapping, source):
     """
     tracer = Tracer()
     _wall(
-        lambda: StratifiedChase(mapping, vectorized=True, tracer=tracer).run(
-            source
-        ),
+        lambda: StratifiedChase(mapping, tracer=tracer).run(source),
         repeats=1,
     )
     totals = {}
@@ -145,14 +146,12 @@ def _kernel_phase_ms(mapping, source):
 
 def _measure(name, source_text, floor, report=None):
     mapping, source = _panel_workload(source_text)
-    scalar_chase = StratifiedChase(mapping, vectorized=False)
-    vector_chase = StratifiedChase(mapping, vectorized=True)
+    scalar_chase = ScalarChase(mapping)
+    vector_chase = StratifiedChase(mapping)
 
     scalar = scalar_chase.run(source)
     vector = vector_chase.run(source)
     _assert_identical(scalar, vector)
-    assert vector.stats.vectorized_tgds == len(mapping.target_tgds)
-    assert vector.stats.fallback_tgds == 0
 
     rows = source.size("S")
     assert rows >= 100_000
@@ -201,17 +200,17 @@ def test_tracing_overhead(bench_report):
 
     Spans fire at kernel-phase granularity (a handful per tgd, never
     per tuple), so even a *live* tracer should cost well under half the
-    runtime of the 120k-tuple vectorized chase; the default
+    runtime of the 120k-tuple kernel chase; the default
     ``NULL_TRACER`` path costs a single attribute load per
     instrumentation point and is indistinguishable from no
     instrumentation at all.
     """
     mapping, source = _panel_workload(SCALAR_PROGRAM)
-    disabled_chase = StratifiedChase(mapping, vectorized=True)
+    disabled_chase = StratifiedChase(mapping)
     disabled_s = _wall(lambda: disabled_chase.run(source), repeats=5)
 
     def traced_run():
-        StratifiedChase(mapping, vectorized=True, tracer=Tracer()).run(source)
+        StratifiedChase(mapping, tracer=Tracer()).run(source)
 
     traced_s = _wall(traced_run, repeats=5)
     overhead = traced_s / disabled_s - 1.0

@@ -10,7 +10,8 @@ of the reproduction record.
 
 import pytest
 
-from repro.chase import StratifiedChase, instance_from_cubes, is_solution
+from repro.chase import StratifiedChase, instance_from_cubes
+from tests.oracle.verify import is_solution
 
 EXECUTORS = ("chase", "sql", "r", "matlab", "etl")
 

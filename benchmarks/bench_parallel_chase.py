@@ -228,8 +228,8 @@ def test_gil_ceiling_on_cpu_bound_chase(bench_report):
     process-based escape hatch is measured in ``bench_sharded_chase``.
     """
     mapping, source = _cpu_bound_workload()
-    sequential_chase = StratifiedChase(mapping, vectorized=False)
-    parallel_chase = StratifiedChase(mapping, jobs=4, vectorized=False)
+    sequential_chase = StratifiedChase(mapping)
+    parallel_chase = StratifiedChase(mapping, jobs=4)
     sequential = sequential_chase.run(source)
     parallel = parallel_chase.run(source)
     for relation in sequential.instance.relations():

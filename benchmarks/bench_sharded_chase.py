@@ -8,8 +8,8 @@ solution instance.
 
 Unlike EXP-PARALLEL-CHASE (which overlaps *waits* on a thread pool and
 is therefore immune to the GIL), this benchmark is pure Python compute:
-scalar kernels (``vectorized=False``) applying a deliberately
-arithmetic-heavy scalar operator over a ≥1M-tuple panel.  Threads
+the columnar kernels apply a deliberately arithmetic-heavy scalar
+operator, element by element, over a ≥1M-tuple panel.  Threads
 cannot scale that — worker processes can, because each shard chases
 its partition in its own interpreter and ships columnar buffers back.
 
@@ -145,7 +145,7 @@ def test_partition_plan_is_shard_local(panel):
 
 
 def test_sharded_speedup_over_single_shard(panel, bench_report):
-    """4 shards vs 1 on pure-Python scalar kernels, identical solution.
+    """4 shards vs 1 on a pure-Python scalar operator, identical solution.
 
     One timed run per configuration (the workload is big enough that
     run-to-run noise is small relative to the measured gap); the same
@@ -153,8 +153,8 @@ def test_sharded_speedup_over_single_shard(panel, bench_report):
     shard-balance check, so the bench pays for each chase exactly once.
     """
     mapping, source = panel
-    single = StratifiedChase(mapping, jobs=4, shards=1, vectorized=False)
-    sharded = StratifiedChase(mapping, jobs=4, shards=SHARDS, vectorized=False)
+    single = StratifiedChase(mapping, jobs=4, shards=1)
+    sharded = StratifiedChase(mapping, jobs=4, shards=SHARDS)
 
     start = time.perf_counter()
     baseline = single.run(source)

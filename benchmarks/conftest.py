@@ -15,6 +15,7 @@ both ``speedup`` and ``floor`` keys are what
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict
 
@@ -24,6 +25,12 @@ from repro.backends import all_backends
 from repro.exl import Program
 from repro.mappings import generate_mapping
 from repro.workloads import gdp_example
+
+
+# the benches compare with the reference chase under tests/oracle/
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 
 def pytest_addoption(parser):

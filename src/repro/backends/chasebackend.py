@@ -62,7 +62,7 @@ class ChaseBackend(Backend):
         #: constructs (``None`` = untraced / per-chase registry)
         self.tracer = tracer
         self.metrics = metrics
-        self._kernel_lock = threading.Lock()
+        self._shard_lock = threading.Lock()
         self.reset_counts()
         # the dispatcher's fault plan for the in-flight attempt, scoped
         # per dispatcher thread so shard workers can honor `--inject-faults`
@@ -77,22 +77,12 @@ class ChaseBackend(Backend):
 
     def reset_counts(self) -> None:
         """Zero the counters the engine copies into each run's record."""
-        with self._kernel_lock:
-            # kernel decisions aggregated across every chase this backend
+        with self._shard_lock:
+            # sharded-run accounting across every chase this backend
             # runs; the dispatcher may execute subgraphs concurrently
-            self.vectorized_tgds = 0
-            self.fallback_tgds = 0
-            # sharded-run accounting, accumulated like the kernel counters
             self.shard_runs = 0
             self.shard_tuples: List[int] = []
             self.shard_merge_s = 0.0
-
-    def _on_kernel(self, used: bool, reason: Optional[str] = None) -> None:
-        with self._kernel_lock:
-            if used:
-                self.vectorized_tgds += 1
-            else:
-                self.fallback_tgds += 1
 
     # -- fault-injection plumbing ---------------------------------------------
     @contextmanager
@@ -136,14 +126,13 @@ class ChaseBackend(Backend):
             mapping,
             jobs=self.jobs if self.jobs > 1 else None,
             shards=self.shards,
-            kernel_hook=self._on_kernel,
             tracer=self.tracer,
             metrics=self.metrics,
             fault_context=getattr(self._fault_ctx, "value", None),
         )
         result = chase.run(source, check=check)
         if result.stats.shards:
-            with self._kernel_lock:
+            with self._shard_lock:
                 self.shard_runs += 1
                 self.shard_merge_s += result.stats.shard_merge_s
                 for i, count in enumerate(result.stats.shard_tuples):

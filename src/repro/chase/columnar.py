@@ -1,8 +1,7 @@
 """Columnar chase kernels: vectorized tgd application.
 
-The tuple-at-a-time chase of :mod:`repro.chase.engine` interprets every
-rule application as a Python loop over ``Set[Tuple]`` facts.  This
-module is the columnar alternative: relations are transposed into a
+Every tgd the stratified chase of :mod:`repro.chase.engine` applies runs
+on a kernel of this module.  Relations are transposed into a
 struct-of-arrays layout (:class:`ColumnarRelation` — one
 dictionary-encoded ``int64`` code array per dimension column plus a
 ``float64`` measure column) and each tgd's term tree is compiled into a
@@ -10,27 +9,32 @@ kernel over whole columns:
 
 * scalar arithmetic on measures becomes NumPy array arithmetic;
 * multi-atom lhs conjunctions become a hash join on composite key
-  codes (stable sort + ``searchsorted`` + expansion), replacing the
-  per-tuple index probes;
+  codes (stable sort + ``searchsorted`` + expansion);
 * time shifts — both the rhs ``q + 1`` transform and the simplified
   lhs ``q - 1`` join atom of the paper's tgd (5) — become key-code
   remaps evaluated once per *distinct* dictionary value;
+* outer vectorials take the union of both operands' composite keys in
+  one code space and fill the missing side with the tgd's default;
 * aggregations group by composite key codes (the sorted-slices kernel
   of :mod:`repro.chase.groupreduce`) and apply the registered aggregate
-  to each group's bag;
+  to each group's bag — or, in a shard worker, return the bags;
+* table functions sort their one series by time and call the
+  registered implementation once, emitting a time and a measure column;
 * the functionality egd is checked per batch (duplicate key-code
   detection) instead of per insert.
 
-Bit-exact equivalence with the scalar path is a hard requirement (the
-ablation contract, pinned by ``tests/test_columnar_chase.py``), which
-drives three design rules:
+A shape no kernel covers raises :class:`FallbackUnsupported` before any
+insertion; the engine reports it as a :class:`~repro.errors.ChaseError`.
+Each kernel equals the tuple-at-a-time reference chase of
+``tests/oracle/chase.py`` bit for bit (pinned by
+``tests/test_columnar_chase.py``), which drives two design rules:
 
-1. **Same enumeration order.**  Every kernel consumes operand rows in
-   the operand fact set's iteration order and emits result rows in the
-   exact order the scalar match enumeration would, so the *insertion
-   sequence* into every relation — and therefore each fact set's
-   iteration order, which downstream aggregation bags depend on — is
-   identical on both paths.
+1. **The oracle's enumeration order.**  Every kernel consumes operand
+   rows in the operand fact set's iteration order and emits result rows
+   in the exact order the oracle's match enumeration does, so the
+   *insertion sequence* into every relation — and therefore each fact
+   set's iteration order, which downstream aggregation bags depend on —
+   is identical on both.
 2. **Same scalar semantics.**  Dimension transforms and named scalar
    functions are evaluated through :func:`repro.mappings.terms`
    machinery (once per distinct dictionary value, or elementwise),
@@ -38,14 +42,9 @@ drives three design rules:
    aggregate in original row order — never by ``np.add.reduceat``,
    whose pairwise summation would drift from ``sum()``.  Only IEEE-754
    ``+ - * /`` (where NumPy float64 matches Python ``float`` bit for
-   bit) run as whole-column array ops.
-3. **Fallback before side effects.**  Any shape without a kernel
-   (table functions, outer vectorials, non-float measures, exotic lhs
-   terms) raises :class:`FallbackUnsupported` strictly before the
-   first insertion, so the engine can transparently re-run the scalar
-   path; genuine evaluation errors (division by zero, bad time
-   arithmetic) propagate with the same exception type and message the
-   scalar path raises.
+   bit) run as whole-column array ops; genuine evaluation errors
+   (division by zero, bad time arithmetic) raise the same exception
+   type and message as the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from ..mappings.terms import (
     term_vars,
 )
 from ..errors import OperatorError
+from ..model.time import TimePoint
 from ..obs import NULL_TRACER
 from ..stats.aggregates import get_aggregate
 from .groupreduce import distinct, sorted_slices
@@ -76,22 +76,24 @@ __all__ = [
     "EncodedColumn",
     "FallbackUnsupported",
     "apply_vectorized",
+    "collect_bags",
     "decode_facts",
     "mix_codes",
     "transform_encoded",
 ]
 
 _INT = np.int64
-# composite key codes are mixed-radix int64; beyond this the product of
-# the per-column cardinalities could overflow, so the kernel bows out
+# composite key codes are mixed-radix int64; a partial composite whose
+# radix product would reach this is renumbered densely first
 _CODE_LIMIT = 1 << 62
 
 
 class FallbackUnsupported(Exception):
     """This tgd/instance shape has no vectorized kernel.
 
-    Raised strictly *before* any insertion side effect, so the caller
-    can transparently re-run the scalar path.
+    Raised strictly *before* any insertion side effect: the engine
+    reports it as a :class:`~repro.errors.ChaseError`, the delta chase
+    probes with it.
     """
 
 
@@ -155,30 +157,19 @@ class ColumnarRelation:
         else:
             columns = [()] * arity
         measures = np.array(columns[-1], dtype=np.float64)
-        dims = []
-        for j in range(arity - 1):
-            column = columns[j]
-            # dict.fromkeys dedups at C speed in first-occurrence order
-            # (the same order the per-row setdefault loop would produce)
-            vmap: Dict[Any, int] = dict.fromkeys(column)
-            for code, value in enumerate(vmap):
-                vmap[value] = code
-            codes = np.fromiter(map(vmap.__getitem__, column), _INT, count=n)
-            dims.append(EncodedColumn(codes, list(vmap), vmap))
+        dims = [_encode(columns[j]) for j in range(arity - 1)]
         return cls(arity, n, dims, measures)
 
 
-def _relation_columns(
-    instance, relation: str, arity: int, tracer=NULL_TRACER, metrics=None
-) -> ColumnarRelation:
-    """The columnar image of one relation.
-
-    Columnar-native relations hand their image over directly (the
-    zero-encode path); tuple-mode relations are encoded on demand by
-    the instance, which traces the ``kernel:encode`` span and counts
-    the encode on ``metrics``.
-    """
-    return instance.columnar_image(relation, arity, tracer, metrics)
+def _encode(values: Sequence) -> EncodedColumn:
+    """Dictionary-encode ``values``, codes in first-occurrence order."""
+    # dict.fromkeys dedups at C speed in first-occurrence order (the
+    # same order the per-row setdefault loop would produce)
+    vmap: Dict[Any, int] = dict.fromkeys(values)
+    for code, value in enumerate(vmap):
+        vmap[value] = code
+    codes = np.fromiter(map(vmap.__getitem__, values), _INT, count=len(values))
+    return EncodedColumn(codes, list(vmap), vmap)
 
 
 def decode_facts(out_cols, n: int) -> list:
@@ -281,7 +272,9 @@ def _compile_atoms(atoms: Sequence[Atom]) -> Tuple[List[_AtomPlan], Dict[str, st
                     solve_positions.add(pos)
                     types[name] = "dim"
                 else:
-                    raise FallbackUnsupported("non-invertible lhs function term")
+                    raise FallbackUnsupported(
+                        f"lhs term {term} is not invertible"
+                    )
             else:
                 raise FallbackUnsupported("unsupported lhs term")
         plans.append(plan)
@@ -335,6 +328,19 @@ def _compile(tgd: Tgd) -> _TgdPlan:
         ):
             raise FallbackUnsupported("non-numeric aggregation operand")
         return _TgdPlan(atoms, group=group, operand=operand, agg_func=agg.func)
+    if tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
+        left, right = tgd.lhs
+        if len(left.terms) != len(right.terms):
+            raise FallbackUnsupported("outer operands of different arity")
+        measures = (left.terms[-1], right.terms[-1])
+        if not all(isinstance(term, Var) for term in measures):
+            raise FallbackUnsupported("non-variable outer measure")
+        if type(tgd.outer_default) is not float:
+            raise FallbackUnsupported("non-float outer default")
+        # the left operand's dimension variables name the union's keys
+        types = {t.name: "dim" for t in left.terms[:-1] if isinstance(t, Var)}
+        types.update((term.name, "measure") for term in measures)
+        return _TgdPlan(None, rhs=[_compile_rhs_term(t, types) for t in tgd.rhs.terms])
     raise FallbackUnsupported(f"no kernel for {tgd.kind.value} tgds")
 
 
@@ -342,21 +348,19 @@ def _plan_for(tgd: Tgd, plans: Dict[int, Tuple[Tgd, Any]]):
     """Compile (or fetch) the kernel plan for one tgd.
 
     Keyed by ``id`` — the engine's plan cache keeps the tgd referenced,
-    so ids are stable for the cache's lifetime.
+    so ids are stable for the cache's lifetime.  A refusal is cached
+    too, and raised again with its reason.
     """
     entry = plans.get(id(tgd))
-    if entry is not None:
-        plan = entry[1]
-        if plan is None:
-            raise FallbackUnsupported("cached fallback")
-        return plan
-    try:
-        plan = _compile(tgd)
-    except FallbackUnsupported:
-        plans[id(tgd)] = (tgd, None)
-        raise
-    plans[id(tgd)] = (tgd, plan)
-    return plan
+    if entry is None:
+        try:
+            plan = _compile(tgd)
+        except FallbackUnsupported as unsupported:
+            plan = unsupported
+        entry = plans[id(tgd)] = (tgd, plan)
+    if isinstance(entry[1], FallbackUnsupported):
+        raise FallbackUnsupported(str(entry[1]))
+    return entry[1]
 
 
 # -- columnar primitives ------------------------------------------------------
@@ -391,16 +395,33 @@ def _transform_encoded(col: EncodedColumn, fn: Callable[[Any], Any]) -> EncodedC
 
 def _mix(parts: Sequence[np.ndarray], bases: Sequence[int], n: int) -> np.ndarray:
     """Mixed-radix composite of per-column codes (distinct ⇔ distinct)."""
+    return _mix_joint([parts], bases, [n])[0]
+
+
+def _mix_joint(
+    sides: Sequence[Sequence[np.ndarray]], bases: Sequence[int], sizes: Sequence[int]
+) -> List[np.ndarray]:
+    """Composites of several row sets in one code space: equal keys get
+    equal codes across ``sides``.
+
+    Before a radix product would reach ``_CODE_LIMIT`` the partial
+    composites are renumbered densely — jointly over every side — so
+    any number of columns of any cardinality mixes without overflow.
+    """
+    composites = [np.zeros(n, _INT) for n in sizes]
     total = 1
-    for base in bases:
+    for j, base in enumerate(bases):
+        if total * base >= _CODE_LIMIT:
+            uniques, inverse = distinct(
+                np.concatenate(composites), return_inverse=True
+            )
+            composites = np.split(inverse.astype(_INT), np.cumsum(sizes)[:-1])
+            total = max(len(uniques), 1)
+        for composite, parts in zip(composites, sides):
+            composite *= base
+            composite += parts[j]
         total *= base
-        if total >= _CODE_LIMIT:
-            raise FallbackUnsupported("composite key code overflow")
-    composite = np.zeros(n, _INT)
-    for digits, base in zip(parts, bases):
-        composite *= base
-        composite += digits
-    return composite
+    return composites
 
 
 #: public names for the key-building primitives the OLAP roll-up
@@ -477,8 +498,10 @@ def _match(plan: _TgdPlan, instance, registry, tracer=NULL_TRACER, metrics=None)
     env: Dict[str, Any] = {}
     n_env = 0
     for index, atom_plan in enumerate(plan.atoms):
-        rel = _relation_columns(
-            instance, atom_plan.relation, atom_plan.arity, tracer, metrics
+        # columnar-native relations hand their image over; tuple-mode
+        # ones are encoded (a traced, counted ``kernel:encode``)
+        rel = instance.columnar_image(
+            atom_plan.relation, atom_plan.arity, tracer, metrics
         )
         binds, rows = _atom_binds(atom_plan, rel)
         if index == 0:
@@ -516,8 +539,9 @@ def _match(plan: _TgdPlan, instance, registry, tracer=NULL_TRACER, metrics=None)
                     left_parts.append(lut[lcol.codes] + 1)
                     right_parts.append(rcol.codes[right_rows] + 1)
                     bases.append(len(rcol.dictionary) + 1)
-                left_comp = _mix(left_parts, bases, n_env)
-                right_comp = _mix(right_parts, bases, len(right_rows))
+                left_comp, right_comp = _mix_joint(
+                    [left_parts, right_parts], bases, [n_env, len(right_rows)]
+                )
                 left_index, right_pos = _hash_join(left_comp, right_comp)
             else:
                 left_index = np.repeat(np.arange(n_env), len(right_rows))
@@ -643,11 +667,7 @@ def _dims_unique(dim_cols, n: int) -> bool:
         # broadcast scalars contribute nothing
     if not parts:
         return n <= 1
-    try:
-        composite = _mix(parts, bases, n)
-    except FallbackUnsupported:
-        return False
-    return distinct(composite).size == n
+    return distinct(_mix(parts, bases, n)).size == n
 
 
 def _emit(tgd, out_cols, n, target, functional, insert_batch,
@@ -656,26 +676,13 @@ def _emit(tgd, out_cols, n, target, functional, insert_batch,
         return 0
     with tracer.span("kernel:egd-check", category="kernel", rows=n):
         unique = _dims_unique(out_cols[:-1], n)
-    if unique:
-        # distinct keys: hand the encoded columns straight to the batch
-        # insert — on the single-writer fast path they are adopted into
-        # the target's column buffers without ever building fact tuples
-        with tracer.span("kernel:insert", category="kernel", rows=n):
-            return insert_batch(
-                target, functional, tgd.target_relation, None,
-                assume_unique=True, columns=out_cols, n=n,
-            )
-    lists = [_column_list(col, n) for col in out_cols]
-    facts = list(zip(*lists))
-    dims = list(zip(*lists[:-1])) if len(lists) > 1 else [()] * n
+    # proven-distinct keys: on the single-writer fast path the encoded
+    # columns are adopted into the target's column buffers without ever
+    # building fact tuples; anything else is decoded and checked
     with tracer.span("kernel:insert", category="kernel", rows=n):
         return insert_batch(
-            target,
-            functional,
-            tgd.target_relation,
-            facts,
-            dims=dims,
-            measures=lists[-1],
+            target, functional, tgd.target_relation, None,
+            assume_unique=unique, columns=out_cols, n=n,
         )
 
 
@@ -691,31 +698,160 @@ def apply_vectorized(
     tracer=NULL_TRACER,
     metrics=None,
 ) -> int:
-    """Apply one tgd with columnar kernels.
+    """Apply one target tgd with its columnar kernel.
 
     ``operand_instance`` is the instance lhs atoms read from (the
-    source instance for st copies, the target itself otherwise).
-    Raises :class:`FallbackUnsupported` — before any side effect — when
-    no kernel covers the tgd.  ``tracer`` receives one span per kernel
-    phase (encode/join/eval/egd-check/insert), nested under whatever
-    tgd span the caller holds open.
+    target itself in the chase, a miniature relation in the delta
+    chase).  Raises :class:`FallbackUnsupported` — before any side
+    effect — when no kernel covers the tgd.  ``tracer`` receives one
+    span per kernel phase (encode/join/eval/egd-check/insert), nested
+    under whatever tgd span the caller holds open.
     """
-    if tgd.kind is TgdKind.COPY:
-        # list, not the set itself: see _apply_copy on why the batch
-        # must flow element-wise into the target set
-        facts = list(operand_instance.facts(tgd.lhs[0].relation))
-        with tracer.span("kernel:insert", category="kernel", rows=len(facts)):
-            return insert_batch(target, functional, tgd.target_relation, facts)
-    plan = _plan_for(tgd, plans)
-    if tgd.kind is TgdKind.TUPLE_LEVEL:
-        env, n = _match(plan, operand_instance, registry, tracer, metrics)
-        with tracer.span("kernel:eval", category="kernel", rows=n):
-            out_cols = _output_columns(plan.rhs, env, registry, n)
+    if tgd.kind is TgdKind.TABLE_FUNCTION:
+        out_cols, n = _table_function(tgd, operand_instance, registry, tracer)
         return _emit(tgd, out_cols, n, target, functional, insert_batch, tracer)
-    return _apply_aggregation(
-        plan, tgd, operand_instance, target, functional, registry,
-        insert_batch, tracer, metrics,
-    )
+    plan = _plan_for(tgd, plans)
+    if tgd.kind is TgdKind.AGGREGATION:
+        return _apply_aggregation(
+            plan, tgd, operand_instance, target, functional, registry,
+            insert_batch, tracer, metrics,
+        )
+    if tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
+        env, n = _outer_match(tgd, operand_instance, tracer, metrics)
+    else:
+        env, n = _match(plan, operand_instance, registry, tracer, metrics)
+    with tracer.span("kernel:eval", category="kernel", rows=n):
+        out_cols = _output_columns(plan.rhs, env, registry, n)
+    return _emit(tgd, out_cols, n, target, functional, insert_batch, tracer)
+
+
+def _outer_match(tgd: Tgd, instance, tracer=NULL_TRACER, metrics=None):
+    """The outer vectorial's lhs: one env row per key of the union of
+    both operands' dimension tuples — the left operand's rows in their
+    order, then the right-only rows in theirs — with the missing side's
+    measure filled by the tgd's default."""
+    left_atom, right_atom = tgd.lhs
+    arity = len(left_atom.terms)
+    left = instance.columnar_image(left_atom.relation, arity, tracer, metrics)
+    right = instance.columnar_image(right_atom.relation, arity, tracer, metrics)
+    with tracer.span(
+        "kernel:join", category="kernel", relation=right_atom.relation
+    ):
+        # both operands' dimension columns in one code space per position
+        joint, right_parts, bases = [], [], []
+        for lcol, rcol in zip(left.dims, right.dims):
+            vmap, dictionary = dict(lcol.vmap), list(lcol.dictionary)
+            for value in rcol.dictionary:
+                if value not in vmap:
+                    vmap[value] = len(dictionary)
+                    dictionary.append(value)
+            lut = _translate_lut(rcol, vmap)
+            joint.append((lut, dictionary, vmap))
+            right_parts.append(lut[rcol.codes])
+            bases.append(max(len(dictionary), 1))
+        left_keys, right_keys = _mix_joint(
+            [[col.codes for col in left.dims], right_parts],
+            bases,
+            [left.n_rows, right.n_rows],
+        )
+        right_index, left_index = _hash_join(right_keys, left_keys)
+        right_only = np.ones(right.n_rows, bool)
+        right_only[right_index] = False
+        right_only = np.nonzero(right_only)[0]
+        default = tgd.outer_default
+        env: Dict[str, Any] = {}
+        for term, lcol, rcol, (lut, dictionary, vmap) in zip(
+            left_atom.terms, left.dims, right.dims, joint
+        ):
+            if isinstance(term, Var):
+                codes = np.concatenate([lcol.codes, lut[rcol.codes[right_only]]])
+                env[term.name] = EncodedColumn(codes, dictionary, vmap)
+        matched = np.full(left.n_rows, default)
+        matched[left_index] = right.measures[right_index]
+        env[left_atom.terms[-1].name] = np.concatenate(
+            [left.measures, np.full(len(right_only), default)]
+        )
+        env[right_atom.terms[-1].name] = np.concatenate(
+            [matched, right.measures[right_only]]
+        )
+    return env, left.n_rows + len(right_only)
+
+
+def _time_key(fact: Tuple):
+    """A series' sort key: time points by frequency and ordinal."""
+    first = fact[0]
+    if isinstance(first, TimePoint):
+        return (first.freq.value, first.ordinal)
+    return (str(first),)
+
+
+def _table_function(tgd: Tgd, instance, registry, tracer=NULL_TRACER):
+    """A table function's output columns: the operand's one series, in
+    time order, through the registered implementation once.
+
+    The operand atom names no terms, so the series — each fact's first
+    dimension and its measure — is read off the facts whatever the
+    relation's layout: a relation the delta chase has spliced lives as
+    tuples, and re-encoding it for one sort would cost more than the sort.
+    """
+    spec = registry.get(tgd.table_function)
+    rows = sorted(instance.facts(tgd.lhs[0].relation), key=_time_key)
+    with tracer.span("kernel:eval", category="kernel", rows=len(rows)):
+        points, values = [], []
+        for point, value in spec.impl(
+            [(fact[0], fact[-1]) for fact in rows], tgd.params_dict()
+        ):
+            points.append(point)
+            values.append(float(value))
+    return [_encode(points), np.array(values, dtype=np.float64)], len(points)
+
+
+def _group_slices(plan: _TgdPlan, env, registry, n: int):
+    """An aggregation's matched operand sliced into group bags: the
+    group-key columns and an iterator of ``(first row, bag)``, groups in
+    first-occurrence order and each bag in row order."""
+    if plan.operand[0] == "ref":
+        values = env[plan.operand[1]]
+        if isinstance(values, EncodedColumn):
+            raise FallbackUnsupported("encoded aggregation operand")
+    else:
+        values = _numeric(plan.operand[1], env, registry, n)
+    if not isinstance(values, np.ndarray):
+        raise FallbackUnsupported("scalar aggregation operand")
+    key_cols = _output_columns(plan.group, env, registry, n)
+    parts, bases = [], []
+    for col in key_cols:
+        if isinstance(col, EncodedColumn):
+            parts.append(col.codes)
+            bases.append(max(len(col.dictionary), 1))
+        elif isinstance(col, np.ndarray):
+            raise FallbackUnsupported("non-encoded group key")
+        # broadcast scalar keys are constant across the relation
+    return key_cols, sorted_slices(_mix(parts, bases, n), values)
+
+
+def collect_bags(
+    tgd: Tgd, instance, registry, plans, tracer=NULL_TRACER, metrics=None
+) -> Dict[Tuple, List[Any]]:
+    """The aggregation kernel without its reduce: ``{group key: bag}`` —
+    all a shard worker runs of a group-by that is not shard-aligned."""
+    if tgd.kind is not TgdKind.AGGREGATION:
+        raise FallbackUnsupported(f"no collect for {tgd.kind.value} tgds")
+    plan = _plan_for(tgd, plans)
+    env, n = _match(plan, instance, registry, tracer, metrics)
+    if n == 0:
+        return {}
+    with tracer.span("kernel:eval", category="kernel", rows=n):
+        key_cols, slices = _group_slices(plan, env, registry, n)
+        return {
+            tuple(
+                col.dictionary[col.codes[row]]
+                if isinstance(col, EncodedColumn)
+                else col[1]
+                for col in key_cols
+            ): bag
+            for row, bag in slices
+        }
 
 
 def _apply_aggregation(
@@ -727,29 +863,12 @@ def _apply_aggregation(
     if n == 0:
         return 0
     with tracer.span("kernel:eval", category="kernel", rows=n):
-        if plan.operand[0] == "ref":
-            values = env[plan.operand[1]]
-            if isinstance(values, EncodedColumn):
-                raise FallbackUnsupported("encoded aggregation operand")
-        else:
-            values = _numeric(plan.operand[1], env, registry, n)
-        if not isinstance(values, np.ndarray):
-            raise FallbackUnsupported("scalar aggregation operand")
-        key_cols = _output_columns(plan.group, env, registry, n)
-        parts, bases = [], []
-        for col in key_cols:
-            if isinstance(col, EncodedColumn):
-                parts.append(col.codes)
-                bases.append(max(len(col.dictionary), 1))
-            elif isinstance(col, np.ndarray):
-                raise FallbackUnsupported("non-encoded group key")
-            # broadcast scalar keys are constant across the relation
-        composite = _mix(parts, bases, n)
-        # each bag holds the elements the scalar path accumulates for
-        # the group, and groups come in its first-occurrence order; both
-        # paths reduce the bag in canonical order
+        key_cols, slices = _group_slices(plan, env, registry, n)
+        # each bag holds the elements the oracle accumulates for the
+        # group, and groups come in its first-occurrence order; both
+        # reduce the bag in canonical order
         first_rows, measures = [], []
-        for row, bag in sorted_slices(composite, values):
+        for row, bag in slices:
             first_rows.append(row)
             measures.append(aggregate(bag))
         groups = len(first_rows)

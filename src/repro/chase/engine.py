@@ -6,6 +6,10 @@ are completely known before they fire — the paper's stratified
 variation of the classical procedure.  All tgds are full, so every
 generated tuple is made of constants and the procedure terminates.
 
+Every tgd runs on a columnar kernel (:mod:`repro.chase.columnar`); the
+tuple-at-a-time reading of the same rules lives beside the tests, in
+``tests/oracle/chase.py``, as the reference the kernels are held to.
+
 Functionality egds are checked *incrementally*: inserting a tuple
 whose dimension tuple is already present with a different measure is a
 chase failure.  Section 4.2 proves this cannot happen for mappings
@@ -26,8 +30,6 @@ from typing import (
     Callable,
     Collection,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -35,10 +37,8 @@ from typing import (
 )
 
 from ..errors import ChaseError, ChaseSourceError
-from ..mappings.dependencies import Atom, Tgd, TgdKind
+from ..mappings.dependencies import Tgd, TgdKind
 from ..mappings.mapping import SchemaMapping
-from ..mappings.terms import AggTerm, Const, FuncApp, Term, Var, evaluate
-from ..model.time import TimePoint
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..stats.aggregates import get_aggregate
 from . import columnar, groupreduce
@@ -69,13 +69,6 @@ class ChaseStats:
     per_tgd: Dict[str, int] = field(default_factory=dict)
     waves: int = 0
     max_wave_width: int = 0
-    # target tgds that ran on a columnar kernel vs. the ones that fell
-    # back to the tuple-at-a-time path (table functions, outer
-    # vectorials, …).  Both stay 0 with ``vectorized=False``.
-    vectorized_tgds: int = 0
-    fallback_tgds: int = 0
-    # why each fallback happened (FallbackUnsupported reason -> count)
-    fallback_reasons: Dict[str, int] = field(default_factory=dict)
     # sharded execution (chase.shard): worker-process count, tuples
     # generated per shard, wall time spent merging/re-reducing shard
     # outputs, and why individual tgds ran in the parent instead of a
@@ -158,7 +151,9 @@ class StratifiedChase:
       exhausted worker-retry budget all run the same loop without shard
       results, each under a counted ``chase.shard.fallback.reason:*``.
 
-    Every way computes the same solution, tuple for tuple.
+    Every way computes the same solution, tuple for tuple.  Every tgd
+    runs on its columnar kernel (:mod:`repro.chase.columnar`); a tgd no
+    kernel covers is a :class:`ChaseError`.
     """
 
     def __init__(
@@ -166,8 +161,6 @@ class StratifiedChase:
         mapping: SchemaMapping,
         jobs: Optional[int] = None,
         shards: int = 1,
-        vectorized: bool = True,
-        kernel_hook=None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         fault_context: Optional[Tuple[Any, str, Tuple[str, ...], int]] = None,
@@ -176,13 +169,6 @@ class StratifiedChase:
     ):
         self.mapping = mapping
         self.registry = mapping.registry
-        #: columnar kernels on/off; ``False`` is the tuple-at-a-time
-        #: oracle the equivalence suites and ablation benches compare to
-        self.vectorized = bool(vectorized)
-        #: optional ``hook(used: bool, reason: Optional[str])`` called per
-        #: target-tgd kernel decision (ChaseBackend aggregates counters
-        #: across runs here)
-        self.kernel_hook = kernel_hook
         #: span sink; the shared no-op tracer unless the caller traces
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: named counter/histogram sink (one per chase unless shared)
@@ -222,7 +208,7 @@ class StratifiedChase:
                 reserved=[t.target_relation for t in mapping.st_tgds],
             )
         self._tgd_index = {id(t): i for i, t in enumerate(mapping.target_tgds)}
-        # stats and kernel_hook are shared by the tasks of a wave
+        # stats are shared by the tasks of a wave
         self._stats_lock = threading.Lock()
         # compiled kernel plans, keyed by tgd identity
         self.kernel_plans: Dict[int, Tuple[Tgd, Any]] = {}
@@ -304,7 +290,7 @@ class StratifiedChase:
                 check()
             if sharded:
                 results = self._shard.run_shards(self, source, stats)
-                apply = partial(self._apply_merged, results)
+                apply = partial(self._apply_merged, results, stats)
             if pool is not None:
                 copy, apply = _locking(copy, target), _locking(apply, target)
             self.run_wave(
@@ -318,7 +304,7 @@ class StratifiedChase:
                 started = time.perf_counter()
                 self.run_wave(
                     [mapping.target_tgds[i] for i in wave],
-                    lambda tgd: apply(tgd, target, functional, stats),
+                    lambda tgd: apply(tgd, target, functional),
                     stats, target, f"wave:{number}", pool,
                 )
                 self.metrics.inc("chase.waves")
@@ -402,105 +388,30 @@ class StratifiedChase:
                 )
 
     # -- rule application --------------------------------------------------
-    def _note_kernel(
-        self,
-        stats: Optional[ChaseStats],
-        used: bool,
-        reason: Optional[str] = None,
-    ) -> None:
-        """Record one kernel decision (the tasks of a wave share ``stats``)."""
-        if stats is not None:
-            with self._stats_lock:
-                if used:
-                    stats.vectorized_tgds += 1
-                else:
-                    stats.fallback_tgds += 1
-                    if reason:
-                        stats.fallback_reasons[reason] = (
-                            stats.fallback_reasons.get(reason, 0) + 1
-                        )
-        if used:
-            self.metrics.inc("chase.kernel.vectorized")
-        else:
-            self.metrics.inc("chase.kernel.fallback")
-            if reason:
-                self.metrics.inc(f"chase.kernel.fallback.reason:{reason}")
-        if self.kernel_hook is not None:
-            self.kernel_hook(used, reason)
-
     def apply(
         self,
         tgd: Tgd,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
-        stats: Optional[ChaseStats] = None,
     ) -> int:
-        """Apply one target tgd to saturation against ``target`` — on a
-        columnar kernel when one covers it, tuple-at-a-time otherwise —
-        and return the tuples it produced."""
-        if self.vectorized:
-            if tgd.kind is TgdKind.COPY:
-                produced = self._adopt(
-                    tgd.target_relation,
-                    target.export_store(tgd.lhs[0].relation),
-                    target,
-                    functional,
-                )
-                if produced is not None:
-                    self._note_kernel(stats, used=True)
-                    return produced
-            try:
-                produced = columnar.apply_vectorized(
-                    tgd,
-                    target,
-                    target,
-                    functional,
-                    self.registry,
-                    self._insert_batch,
-                    self.kernel_plans,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                )
-            except columnar.FallbackUnsupported as unsupported:
-                self._note_kernel(stats, used=False, reason=str(unsupported))
-            else:
-                self._note_kernel(stats, used=True)
-                return produced
-        return self._apply_scalar(tgd, target, functional)
-
-    def _apply_scalar(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-    ) -> int:
-        """Tuple at a time: the rule enumerates the facts it derives,
-        each goes through the egd-checking insert."""
+        """Apply one target tgd to saturation against ``target`` on its
+        columnar kernel and return the tuples it produced."""
         if tgd.kind is TgdKind.COPY:
             return self.copy(tgd, target, target, functional)
-        if tgd.kind is TgdKind.TUPLE_LEVEL:
-            facts = self._tuple_level_facts(tgd, target)
-        elif tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
-            facts = self._outer_tuple_level_facts(tgd, target)
-        elif tgd.kind is TgdKind.AGGREGATION:
-            facts = self._reduced_facts(tgd, self.collect(tgd, target))
-        else:
-            facts = self._table_function_facts(tgd, target)
-        return self._insert_each(target, functional, tgd.rhs.relation, facts)
-
-    def _insert_each(
-        self,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        relation: str,
-        facts: Iterable[Tuple],
-    ) -> int:
-        produced = checks = 0
-        for fact in facts:
-            produced += self.insert(target, functional, relation, fact)
-            checks += 1
-        self.metrics.inc("chase.egd.checks", checks)
-        return produced
+        try:
+            return columnar.apply_vectorized(
+                tgd,
+                target,
+                target,
+                functional,
+                self.registry,
+                self._insert_batch,
+                self.kernel_plans,
+                tracer=self.tracer,
+                metrics=self.metrics,
+            )
+        except columnar.FallbackUnsupported as unsupported:
+            raise _refused(tgd, unsupported) from None
 
     def copy(
         self,
@@ -511,31 +422,35 @@ class StratifiedChase:
     ) -> int:
         """Apply one copy tgd reading ``source`` and writing ``target``."""
         relation = tgd.lhs[0].relation
-        # a chase with shard workers adopts even on scalar kernels: data
-        # movement is merge machinery, not a kernel choice, and a per-fact
-        # rebuild of data the workers already chased would be all cost
-        if self.vectorized or self.plan is not None:
-            adopted = self._adopt(
-                tgd.target_relation,
-                source.export_store(relation),
-                target,
-                functional,
-            )
-            if adopted is not None:
-                return adopted
-        if self.vectorized:
-            # materialized as a list on purpose: the batch must flow
-            # element-wise into the target store so the insertion
-            # sequence matches what per-fact inserts build
-            return self._insert_batch(
-                target,
-                functional,
-                tgd.target_relation,
-                list(source.facts(relation)),
-            )
-        return self._insert_each(
-            target, functional, tgd.target_relation, source.facts(relation)
+        adopted = self._adopt(
+            tgd.target_relation, source.export_store(relation), target, functional
         )
+        if adopted is not None:
+            return adopted
+        # materialized as a list on purpose: the batch must flow
+        # element-wise into the target store so the insertion sequence
+        # matches what per-fact inserts build
+        return self._insert_batch(
+            target, functional, tgd.target_relation, list(source.facts(relation))
+        )
+
+    def collect(
+        self, tgd: Tgd, instance: RelationalInstance
+    ) -> Dict[Tuple, List[Any]]:
+        """The contribution bag of every group of one aggregation tgd
+        over ``instance`` — the aggregation minus its reduce, which is
+        all a shard worker runs of a group-by that is not shard-aligned."""
+        try:
+            return columnar.collect_bags(
+                tgd,
+                instance,
+                self.registry,
+                self.kernel_plans,
+                tracer=self.tracer,
+                metrics=self.metrics,
+            )
+        except columnar.FallbackUnsupported as unsupported:
+            raise _refused(tgd, unsupported) from None
 
     def _adopt(
         self,
@@ -569,21 +484,21 @@ class StratifiedChase:
     def _apply_merged(
         self,
         results: List[Dict[str, Any]],
+        stats: ChaseStats,
         tgd: Tgd,
         target: RelationalInstance,
         functional: Dict[str, Dict[Tuple, Any]],
-        stats: ChaseStats,
     ) -> int:
         """A target tgd of a sharded run: insert what the workers
         computed — disjoint stores verbatim, contribution bags through
         the one reduce — or apply it here when it ran in no worker."""
         if self.plan.klass[self._tgd_index[id(tgd)]] == self._shard.PARENT:
-            return self.apply(tgd, target, functional, stats)
+            return self.apply(tgd, target, functional)
         started = time.perf_counter()
         relation = tgd.target_relation
         merged = self._shard.merge_outputs(relation, results)
         if isinstance(merged, dict):
-            produced = self._insert_each(
+            produced = self._insert_batch(
                 target, functional, relation, self._reduced_facts(tgd, merged)
             )
         elif isinstance(merged, list):
@@ -599,183 +514,12 @@ class StratifiedChase:
             stats.shard_merge_s += time.perf_counter() - started
         return produced
 
-    def _tuple_level_facts(
-        self, tgd: Tgd, target: RelationalInstance
-    ) -> Iterator[Tuple]:
-        for env in self.matches(tgd.lhs, target):
-            yield tuple(
-                evaluate(term, env, self.registry) for term in tgd.rhs.terms
-            )
-
-    def _outer_tuple_level_facts(
-        self, tgd: Tgd, target: RelationalInstance
-    ) -> Iterator[Tuple]:
-        """Vectorial rule with a default for missing tuples: the result
-        is defined on the union of the two operands' dimension tuples,
-        padding the absent side with the tgd's default value."""
-        left_atom, right_atom = tgd.lhs
-        left = {f[:-1]: f[-1] for f in target.facts(left_atom.relation)}
-        right = {f[:-1]: f[-1] for f in target.facts(right_atom.relation)}
-        default = tgd.outer_default
-        left_measure = left_atom.terms[-1]
-        right_measure = right_atom.terms[-1]
-        dim_terms = left_atom.terms[:-1]
-        for dims in left.keys() | right.keys():
-            env = {
-                term.name: value
-                for term, value in zip(dim_terms, dims)
-                if isinstance(term, Var)
-            }
-            env[left_measure.name] = left.get(dims, default)
-            env[right_measure.name] = right.get(dims, default)
-            yield tuple(
-                evaluate(term, env, self.registry) for term in tgd.rhs.terms
-            )
-
-    def collect(
-        self, tgd: Tgd, instance: RelationalInstance
-    ) -> Dict[Tuple, List[Any]]:
-        """The contribution bag of every group of one aggregation tgd
-        over ``instance`` — the aggregation minus its reduce, which is
-        all a shard worker runs of a group-by that is not shard-aligned."""
-        group_terms = tgd.rhs.terms[: tgd.group_arity]
-        agg_term = tgd.rhs.terms[-1]
-        if not isinstance(agg_term, AggTerm):
-            raise ChaseError("aggregation tgd without an aggregate term")
-        registry = self.registry
-        return groupreduce.collect(
-            (
-                tuple(evaluate(t, env, registry) for t in group_terms),
-                evaluate(agg_term.operand, env, registry),
-            )
-            for env in self.matches([tgd.lhs[0]], instance)
-        )
-
     @staticmethod
     def _reduced_facts(tgd: Tgd, bags: Dict[Tuple, List[Any]]) -> List[Tuple]:
         """One fact per group: its key and its bag's aggregate."""
         aggregate = get_aggregate(tgd.rhs.terms[-1].func)
         reduced = groupreduce.reduce_bags(bags, aggregate)
         return [key + (value,) for key, value in reduced.items()]
-
-    def _table_function_facts(
-        self, tgd: Tgd, target: RelationalInstance
-    ) -> Iterator[Tuple]:
-        spec = self.registry.get(tgd.table_function)
-        rows = sorted(target.facts(tgd.lhs[0].relation), key=_time_key)
-        series = [(fact[0], fact[-1]) for fact in rows]
-        for point, value in spec.impl(series, tgd.params_dict()):
-            yield (point, float(value))
-
-    # -- matching ----------------------------------------------------------
-    def matches(
-        self, atoms: Sequence[Atom], instance: RelationalInstance
-    ) -> Iterator[Dict[str, Any]]:
-        """Enumerate variable assignments satisfying the conjunction.
-
-        Atoms are matched left to right.  For every atom after the
-        first, a hash index is built on the positions whose value is
-        determined by the bindings so far (bound variables, constants,
-        or computable function terms), so equi-joins run in linear
-        time instead of as nested loops.
-        """
-        yield from self._match_rest(list(atoms), 0, {}, instance, {})
-
-    def _match_rest(
-        self,
-        atoms: List[Atom],
-        index: int,
-        env: Dict[str, Any],
-        instance: RelationalInstance,
-        index_cache: Dict,
-    ) -> Iterator[Dict[str, Any]]:
-        if index == len(atoms):
-            yield env
-            return
-        atom = atoms[index]
-        bound = set(env)
-        key_positions = [
-            i for i, term in enumerate(atom.terms) if _determined(term, bound)
-        ]
-        if key_positions and index > 0:
-            cache_key = (index, atom.relation, tuple(key_positions))
-            if cache_key not in index_cache:
-                built: Dict[Tuple, List[Tuple]] = {}
-                for fact in instance.facts(atom.relation):
-                    built.setdefault(
-                        tuple(fact[i] for i in key_positions), []
-                    ).append(fact)
-                index_cache[cache_key] = built
-            key = tuple(
-                evaluate(atom.terms[i], env, self.registry) for i in key_positions
-            )
-            candidates = index_cache[cache_key].get(key, ())
-        else:
-            candidates = instance.facts(atom.relation)
-        for fact in candidates:
-            extended = self._unify(atom, fact, env)
-            if extended is not None:
-                yield from self._match_rest(
-                    atoms, index + 1, extended, instance, index_cache
-                )
-
-    def _unify(
-        self, atom: Atom, fact: Tuple, env: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        if len(atom.terms) != len(fact):
-            raise ChaseError(
-                f"arity mismatch matching {atom} against fact of length {len(fact)}"
-            )
-        extended = dict(env)
-        for term, value in zip(atom.terms, fact):
-            if isinstance(term, Var):
-                if term.name in extended:
-                    if extended[term.name] != value:
-                        return None
-                else:
-                    extended[term.name] = value
-            elif isinstance(term, Const):
-                if term.value != value:
-                    return None
-            elif isinstance(term, FuncApp):
-                solved = self._solve(term, value, extended)
-                if solved is None:
-                    return None
-                extended = solved
-            else:
-                raise ChaseError(f"cannot match term {term} in a lhs atom")
-        return extended
-
-    def _solve(
-        self, term: FuncApp, value: Any, env: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        """Match a function term in a lhs atom against a value.
-
-        If all variables are bound the term is evaluated and compared;
-        otherwise the invertible shift shape ``v ± const`` is solved for
-        its variable (this is how the simplified tgd (5)'s ``q - 1``
-        atom is matched).
-        """
-        free = [v for v in _term_variables(term) if v not in env]
-        if not free:
-            return env if evaluate(term, env, self.registry) == value else None
-        if (
-            term.name in ("+", "-")
-            and len(term.args) == 2
-            and isinstance(term.args[0], Var)
-            and isinstance(term.args[1], Const)
-            and term.args[0].name not in env
-        ):
-            shift = term.args[1].value
-            inverse = FuncApp("-" if term.name == "+" else "+", (Const(value), Const(shift)))
-            solved_value = evaluate(inverse, {}, self.registry)
-            extended = dict(env)
-            extended[term.args[0].name] = solved_value
-            return extended
-        raise ChaseError(
-            f"cannot match lhs term {term}: variables {free} are unbound and "
-            f"the term is not invertible"
-        )
 
     # -- insertion with incremental egd check --------------------------------
     def insert(
@@ -803,17 +547,15 @@ class StratifiedChase:
         functional: Dict[str, Dict[Tuple, Any]],
         relation: str,
         facts: Optional[Collection[Tuple]],
-        dims: Optional[List[Tuple]] = None,
-        measures: Optional[List[Any]] = None,
         assume_unique: bool = False,
         columns: Optional[List[Any]] = None,
         n: int = 0,
     ) -> int:
         """Insert a batch of facts with a batched egd check.
 
-        ``facts`` must be in the order the scalar path would insert
-        them — the relation's insertion sequence (hence fact-set
-        iteration order) must not depend on which path ran.  When the
+        ``facts`` must be in the order the reference chase would
+        insert them — the relation's insertion sequence (hence fact-set
+        iteration order) must not depend on how it was computed.  When the
         relation is still empty the functionality check reduces to
         duplicate-key detection over the batch itself; the kernels
         pass ``assume_unique=True`` when they already proved key
@@ -851,13 +593,7 @@ class StratifiedChase:
                 # keys proven distinct and nothing will ever consult
                 # the functional index again: the egd cannot fire
                 return target.add_batch(relation, facts)
-            if dims is None:
-                dims = [fact[:-1] for fact in facts]
-                measures = [fact[-1] for fact in facts]
-            if assume_unique:
-                seen.update(zip(dims, measures))
-                return target.add_batch(relation, facts)
-            merged = dict(zip(dims, measures))
+            merged = {fact[:-1]: fact[-1] for fact in facts}
             if len(merged) == len(facts):
                 if not single:
                     seen.update(merged)
@@ -879,31 +615,9 @@ def _locking(apply_one, target: RelationalInstance):
     return locked
 
 
-def _determined(term: Term, bound: set) -> bool:
-    if isinstance(term, Const):
-        return True
-    if isinstance(term, Var):
-        return term.name in bound
-    if isinstance(term, FuncApp):
-        return all(v in bound for v in _term_variables(term))
-    return False
-
-
-def _term_variables(term: Term) -> List[str]:
-    if isinstance(term, Var):
-        return [term.name]
-    if isinstance(term, Const):
-        return []
-    if isinstance(term, FuncApp):
-        out: List[str] = []
-        for arg in term.args:
-            out.extend(_term_variables(arg))
-        return out
-    raise ChaseError(f"unexpected term {term!r} in a lhs atom")
-
-
-def _time_key(fact: Tuple):
-    first = fact[0]
-    if isinstance(first, TimePoint):
-        return (first.freq.value, first.ordinal)
-    return (str(first),)
+def _refused(tgd: Tgd, unsupported: Exception) -> ChaseError:
+    """A tgd no kernel covers: a chase failure naming the tgd and the shape."""
+    return ChaseError(
+        f"no kernel covers tgd {tgd.label or tgd.target_relation!r} "
+        f"({tgd.kind.value}): {unsupported}"
+    )

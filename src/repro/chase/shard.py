@@ -13,7 +13,7 @@ to turn that into real multi-core speedup:
    group-by that must see co-located rows does.
 
 2. **Chase per shard.**  A fork-context ``ProcessPoolExecutor`` runs a
-   plain :class:`StratifiedChase` over each shard's slice.  Inputs ride
+   chase of the parent's class over each shard's slice.  Inputs ride
    the fork (copy-on-write inheritance of the staged module global);
    outputs come back as pickled :class:`ColumnStore`/:class:`TupleStore`
    buffers (codes/dicts/measures round-trip; NaN identity inside a
@@ -37,7 +37,7 @@ Classification (the fallback taxonomy surfaced as
   disjoint and merge verbatim.
 * **rereduce** — aggregations whose group-by keys are *not*
   shard-aligned: workers return per-group contribution bags (the
-  *collect* of :mod:`repro.chase.groupreduce`) and the parent reduces
+  aggregation kernel without its reduce) and the parent reduces
   the concatenated bags; ``stats.aggregates.canonical_bag`` makes the
   fold order-insensitive, so the result is bit-exact.
 * **parent** — everything else (cross-shard joins with no shared key,
@@ -430,9 +430,7 @@ def _run_shard(index: int) -> Dict[str, Any]:
     plan = parent.plan
     tracer = Tracer() if parent.tracer.enabled else None
     metrics = MetricsRegistry()
-    chase = StratifiedChase(
-        mapping, vectorized=parent.vectorized, tracer=tracer, metrics=metrics
-    )
+    chase = type(parent)(mapping, tracer=tracer, metrics=metrics)
     stats = ChaseStats()
     source = RelationalInstance()
     target = RelationalInstance()
@@ -462,7 +460,7 @@ def _run_shard(index: int) -> Dict[str, Any]:
         )
         chase.run_wave(
             [mapping.target_tgds[i] for i in plan.local],
-            lambda tgd: chase.apply(tgd, target, functional, stats),
+            lambda tgd: chase.apply(tgd, target, functional),
             stats,
             target,
         )

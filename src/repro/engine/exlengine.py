@@ -442,8 +442,8 @@ class EXLEngine:
             self.metrics.observe("engine.determination_s", determination_s)
             self.metrics.observe("engine.translation_s", translation_s)
             chase_backend = self.backends.get("chase")
-            count_kernels = isinstance(chase_backend, ChaseBackend)
-            if count_kernels:
+            count_shards = isinstance(chase_backend, ChaseBackend)
+            if count_shards:
                 chase_backend.reset_counts()
             encode_before = self.metrics.value("chase.kernel.encode")
             dispatcher = Dispatcher(self, policy, mode)
@@ -468,13 +468,10 @@ class EXLEngine:
                 record.delta_dirty_tgds = dispatcher.delta_dirty_tgds
                 record.delta_clean_tgds = dispatcher.delta_clean_tgds
                 record.delta_fallback_tgds = dispatcher.delta_fallback_tgds
-            if count_kernels:
-                record.vectorized_tgds = chase_backend.vectorized_tgds
-                record.fallback_tgds = chase_backend.fallback_tgds
-                if chase_backend.shard_runs:
-                    record.shard_tuples = list(chase_backend.shard_tuples)
-                    record.shards = len(record.shard_tuples)
-                    record.shard_merge_s = chase_backend.shard_merge_s
+            if count_shards and chase_backend.shard_runs:
+                record.shard_tuples = list(chase_backend.shard_tuples)
+                record.shards = len(record.shard_tuples)
+                record.shard_merge_s = chase_backend.shard_merge_s
             record.encode_count = (
                 self.metrics.value("chase.kernel.encode") - encode_before
             )

@@ -147,10 +147,6 @@ class RunRecord:
     # dispatch schedule shape: dependency waves over the subgraphs
     waves: int = 0
     max_wave_width: int = 0
-    # chase kernel decisions: target tgds run on columnar kernels vs.
-    # fallen back to the tuple-at-a-time path during this run
-    vectorized_tgds: int = 0
-    fallback_tgds: int = 0
     # tuple-store relations re-encoded into columnar form during this
     # run; stays 0 when every relation lived columnar-native (warm runs
     # adopt the cached stores and never pay the encode tax)
@@ -270,8 +266,6 @@ class RunRecord:
             f"subgraphs, {self.duration_s:.3f}s total "
             f"(determination {self.determination_s * 1000:.1f}ms, "
             f"translation {self.translation_s * 1000:.1f}ms, "
-            f"chase kernels {self.vectorized_tgds} vectorized / "
-            f"{self.fallback_tgds} fallback, "
             f"{self.encode_count} re-encodes)"
         ]
         if self.shards:

@@ -9,9 +9,9 @@ long-lived service would scrape).
 Conventions:
 
 * counters are monotone (``chase.tuples.inserted``,
-  ``chase.egd.checks``, ``chase.kernel.fallback``, …); per-reason
-  kernel fallbacks use the ``chase.kernel.fallback.reason:<reason>``
-  namespace so the *why* of every de-vectorized tgd is visible;
+  ``chase.egd.checks``, ``chase.kernel.encode``, …); per-reason
+  fallbacks use a ``….fallback.reason:<reason>`` namespace
+  (``chase.shard.``, ``delta.``) so the *why* of every one is visible;
 * histograms record distributions (``chase.wave.width``,
   ``chase.wave.duration_s``, ``engine.determination_s``, …) as
   count/total/min/max running moments — no per-sample storage, so a

@@ -294,8 +294,8 @@ class CubeLattice:
         first request of the binding with the dict group-by — encoding
         it would cost more than the request saves — and gets its image
         when a second request shows the binding is being reused.
-        Forced tuple view and composite-code overflow take the dict
-        group-by either way.  Both fold in canonical bag order.
+        Forced tuple view takes the dict group-by either way.  Both fold
+        in canonical bag order.
         """
         pending = [node for node in nodes if not node.materialized]
         if not pending:
@@ -322,12 +322,7 @@ class CubeLattice:
         if cube is None:
             return {}
         if image is not None:
-            from ..chase.columnar import FallbackUnsupported
-
-            try:
-                return self._reduce_columnar(node, image)
-            except FallbackUnsupported:
-                pass
+            return self._reduce_columnar(node, image)
         return self._reduce_tuple(node, cube)
 
     def _reduce_columnar(self, node: LatticeNode, image) -> Dict[Tuple, float]:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..mappings.dependencies import Egd, Tgd, TgdKind
-from ..mappings.mapping import SchemaMapping
-from ..mappings.terms import evaluate
-from ..stats.aggregates import get_aggregate
-from .engine import StratifiedChase, _time_key
-from .groupreduce import reduce_bags
-from .instance import RelationalInstance
+from repro.chase.groupreduce import reduce_bags
+from repro.chase.instance import RelationalInstance
+from repro.mappings.dependencies import Egd, Tgd, TgdKind
+from repro.mappings.mapping import SchemaMapping
+from repro.mappings.terms import evaluate
+from repro.stats.aggregates import get_aggregate
+
+from .chase import ScalarChase, _time_key
 
 __all__ = ["check_egds", "check_tgd", "is_solution", "violations"]
 
@@ -40,7 +41,7 @@ def check_tgd(
     tgd: Tgd, instance: RelationalInstance, mapping: SchemaMapping
 ) -> List[str]:
     """Violations of one target tgd on ``instance`` (empty = satisfied)."""
-    chase = StratifiedChase(mapping)
+    chase = ScalarChase(mapping)
     problems: List[str] = []
     target_facts = instance.facts(tgd.target_relation)
     if tgd.kind in (TgdKind.COPY, TgdKind.TUPLE_LEVEL):

@@ -5,13 +5,9 @@ import pytest
 from repro.chase import (
     RelationalInstance,
     StratifiedChase,
-    check_egds,
-    check_tgd,
     cubes_from_instance,
     instance_from_cubes,
-    is_solution,
     schedule_waves,
-    violations,
 )
 from repro.errors import ChaseError, ChaseSourceError, MappingError
 from repro.exl import Program
@@ -28,6 +24,7 @@ from repro.mappings import (
     simplify_mapping,
 )
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, quarter
+from tests.oracle.verify import check_egds, check_tgd, is_solution, violations
 
 
 @pytest.fixture

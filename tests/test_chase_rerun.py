@@ -116,7 +116,6 @@ class TestRerunOnOneExecutor:
         assert second.stats.rule_applications == first.stats.rule_applications
         assert second.stats.tuples_generated == first.stats.tuples_generated
         assert second.stats.per_tgd == first.stats.per_tgd
-        assert second.stats.vectorized_tgds == first.stats.vectorized_tgds
 
     def test_recomputed_stratum_reflects_new_data(self, jobs):
         schema, mapping, domains, data = _two_source_setup()
@@ -217,12 +216,14 @@ def test_sequential_and_parallel_reruns_agree():
 
 
 def test_no_layer_takes_a_removed_setting(child_env):
-    """No cache, and above StratifiedChase nothing picks the kernels,
-    the storage or the snapshotting."""
+    """No cache, no kernel switch, and nothing picks the storage or the
+    snapshotting."""
     _, mapping, _, data = _two_source_setup()
     assert not hasattr(repro.chase, "ChaseCache")
     with pytest.raises(TypeError):
         StratifiedChase(mapping, cache=None)
+    with pytest.raises(TypeError):
+        StratifiedChase(mapping, vectorized=False)
     with pytest.raises(TypeError):
         ChaseBackend(cache=None)
     with pytest.raises(TypeError):

@@ -1,13 +1,14 @@
 """Equivalence suite for the columnar chase kernels.
 
-The ablation contract: ``StratifiedChase(vectorized=True)`` (the
-default) computes the *same solution instance* as the tuple-at-a-time
-``vectorized=False`` path — tuple for tuple, and even insertion-order
-for insertion-order (fact-set iteration order is checked with ``list``
-equality, not just set equality, because downstream aggregation bags
-depend on it).  The suite proves this
-over ≥50 seeded-random programs covering scalar arithmetic, vectorial
-joins, shifts, aggregations, outer vectorials, and table functions,
+The contract: ``StratifiedChase``, whose every tgd runs on a columnar
+kernel, computes the *same solution instance* as the tuple-at-a-time
+reference chase of ``tests/oracle/chase.py`` — tuple for tuple, and
+even insertion-order for insertion-order (fact-set iteration order is
+checked with ``list`` equality, not just set equality, because
+downstream aggregation bags depend on it).  The suite proves this over
+≥50 seeded-random programs covering scalar arithmetic, vectorial joins,
+shifts, aggregations, outer vectorials, and table functions, over the
+composed mappings every target runs, over composite keys past 2^62,
 plus targeted failure-identity cases (egd violations, division by
 zero) and the composition with thread waves.
 """
@@ -23,6 +24,7 @@ from repro.chase import (
     instance_from_cubes,
 )
 from repro.chase.columnar import EncodedColumn
+from repro.chase.instance import store_for_cube
 from repro.errors import ChaseError, OperatorError
 from repro.exl import Program
 from repro.mappings import (
@@ -35,7 +37,19 @@ from repro.mappings import (
     generate_mapping,
     simplify_mapping,
 )
-from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, quarter
+from repro.model import (
+    STRING,
+    TIME,
+    Cube,
+    CubeSchema,
+    Dimension,
+    Frequency,
+    Schema,
+    quarter,
+)
+from repro.model.catalog import MetadataCatalog
+from repro.olap import CubeLattice, hierarchies_for
+from repro.stats.aggregates import get_aggregate
 from repro.workloads import (
     employment_example,
     gdp_example,
@@ -43,6 +57,7 @@ from repro.workloads import (
     random_workload,
     scenario_corpus,
 )
+from tests.oracle.chase import ScalarChase
 
 
 def _both_modes(workload, simplify=False):
@@ -51,8 +66,8 @@ def _both_modes(workload, simplify=False):
     if simplify:
         mapping = simplify_mapping(mapping)
     source = instance_from_cubes(workload.data)
-    scalar = StratifiedChase(mapping, vectorized=False).run(source)
-    vector = StratifiedChase(mapping, vectorized=True).run(source)
+    scalar = ScalarChase(mapping).run(source)
+    vector = StratifiedChase(mapping).run(source)
     return mapping, source, scalar, vector
 
 
@@ -127,10 +142,8 @@ class TestComposition:
         program = Program.compile(workload.source, workload.schema)
         mapping = generate_mapping(program)
         source = instance_from_cubes(workload.data)
-        scalar = StratifiedChase(mapping, vectorized=False).run(source)
-        parallel = StratifiedChase(
-            mapping, jobs=chase_jobs, vectorized=True
-        ).run(source)
+        scalar = ScalarChase(mapping).run(source)
+        parallel = StratifiedChase(mapping, jobs=chase_jobs).run(source)
         _assert_identical(scalar, parallel)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -145,33 +158,26 @@ class TestComposition:
         program = Program.compile(workload.source, workload.schema)
         mapping = generate_mapping(program)
         source = instance_from_cubes(workload.data)
-        scalar_chase = StratifiedChase(mapping, vectorized=False)
-        vector_chase = StratifiedChase(mapping, vectorized=True)
+        scalar_chase = ScalarChase(mapping)
+        vector_chase = StratifiedChase(mapping)
         firsts = scalar_chase.run(source), vector_chase.run(source)
         seconds = scalar_chase.run(source), vector_chase.run(source)
         _assert_identical(*firsts)
         _assert_identical(*seconds)
         _assert_identical(firsts[0], seconds[0])
         _assert_identical(firsts[1], seconds[1])
-        assert seconds[1].stats.vectorized_tgds == firsts[1].stats.vectorized_tgds
-        assert seconds[1].stats.fallback_tgds == firsts[1].stats.fallback_tgds
 
-    def test_fallback_counters(self):
-        # stl_t is a table function: always a scalar fallback
+    def test_table_function_runs_on_its_kernel(self):
+        # stl_t is a table function: its kernel emits kernel spans, and
+        # its output equals the oracle's
         workload = gdp_example(n_quarters=8, regions=("north",), seed=1)
         _, _, scalar, vector = _both_modes(workload)
-        assert vector.stats.vectorized_tgds > 0
-        assert vector.stats.fallback_tgds >= 1
-        # the scalar path never consults the kernels at all
-        assert scalar.stats.vectorized_tgds == 0
-        assert scalar.stats.fallback_tgds == 0
+        _assert_identical(scalar, vector)
+        assert vector.stats.per_tgd == scalar.stats.per_tgd
 
-    def test_fallback_census(self):
-        # the scalar path's only product traffic: the tgds no kernel
-        # covers.  A new fallback shape, or a kernel for an old one,
-        # changes this census
-        outer = "no kernel for outer_tuple_level tgds"
-        table = "no kernel for table_function tgds"
+    def test_composed_census(self):
+        # the mapping production runs is the composed one: every one of
+        # its tgds, of every kind, runs on a kernel and equals the oracle
         workload_sets = {
             "random_workload seeds 0-49": [random_workload(s) for s in range(50)],
             "scenario_corpus(0)": scenario_corpus(0),
@@ -181,22 +187,88 @@ class TestComposition:
         }
         census = {}
         for name, workloads in workload_sets.items():
-            tgds, reasons = 0, {}
+            kinds = {}
             for workload in workloads:
-                mapping = generate_mapping(
-                    Program.compile(workload.source, workload.schema)
+                mapping = simplify_mapping(
+                    generate_mapping(
+                        Program.compile(workload.source, workload.schema)
+                    )
                 )
-                stats = StratifiedChase(mapping).run(
-                    instance_from_cubes(workload.data)
-                ).stats
-                tgds += len(mapping.target_tgds)
-                for reason, count in stats.fallback_reasons.items():
-                    reasons[reason] = reasons.get(reason, 0) + count
-            census[name] = (tgds, reasons)
+                for tgd in mapping.target_tgds:
+                    kinds[tgd.kind.value] = kinds.get(tgd.kind.value, 0) + 1
+                source = instance_from_cubes(workload.data)
+                _assert_identical(
+                    ScalarChase(mapping).run(source),
+                    StratifiedChase(mapping).run(source),
+                )
+            census[name] = kinds
         assert census == {
-            "random_workload seeds 0-49": (317, {outer: 44, table: 35}),
-            "scenario_corpus(0)": (54, {table: 15}),
-            "paper examples": (25, {table: 3}),
+            "random_workload seeds 0-49": {
+                "tuple_level": 176,
+                "aggregation": 45,
+                "outer_tuple_level": 44,
+                "table_function": 35,
+            },
+            "scenario_corpus(0)": {
+                "tuple_level": 12, "aggregation": 15, "table_function": 15
+            },
+            "paper examples": {
+                "tuple_level": 7, "aggregation": 7, "table_function": 3
+            },
+        }
+
+
+class TestWideCompositeKeys:
+    """Five dimensions of 10 000 labels each span 10^20 composite keys,
+    past int64: the kernels renumber partial keys densely instead of
+    refusing, and every result still equals the oracle's."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        dims = [Dimension(f"d{j}", STRING) for j in range(5)]
+        schema = Schema([CubeSchema("A", dims, "v"), CubeSchema("B", dims, "w")])
+        n = self.N
+
+        def key(i):
+            # multipliers coprime to n: n distinct labels per dimension
+            return tuple(f"{'abcde'[j]}{i * m % n}" for j, m in enumerate((1, 3, 7, 9, 11)))
+
+        a = Cube.from_rows(schema["A"], [key(i) + (float(i),) for i in range(n)])
+        # half of B's keys are A's, half carry a fresh first label
+        b = Cube.from_rows(
+            schema["B"],
+            [key(i) + (0.5 * i,) for i in range(n // 2, n)]
+            + [(f"x{i}",) + key(i)[1:] + (-1.0 * i,) for i in range(n // 2)],
+        )
+        return schema, {"A": a, "B": b}
+
+    def test_join_aggregation_and_outer_equal_the_oracle(self, wide):
+        schema, data = wide
+        sizes = [len({k[j] for k in data["A"].keys()}) + 1 for j in range(5)]
+        assert np.prod(sizes, dtype=float) > 2.0**62
+        source = "J := A + B\nG := sum(A, group by d0, d1, d2, d3, d4)\nO := osum(A, B)\n"
+        mapping = generate_mapping(Program.compile(source, schema))
+        instance = instance_from_cubes(data)
+        vector = StratifiedChase(mapping).run(instance)
+        _assert_identical(ScalarChase(mapping).run(instance), vector)
+        assert vector.stats.per_tgd == {
+            "A": self.N, "B": self.N, "J": self.N // 2, "G": self.N,
+            "O": self.N + self.N // 2,
+        }
+
+    def test_lattice_rollup_equals_the_dict_group_by(self, wide):
+        schema, data = wide
+        cube = data["A"]
+        catalog = MetadataCatalog()
+        catalog.declare_elementary(schema["A"])
+        lattice = CubeLattice("A", hierarchies_for(catalog, "A"))
+        assert store_for_cube(cube) is not None  # the columnar reduce
+        lattice.build(cube)
+        total = get_aggregate("sum")
+        assert lattice.base_node().groups == {
+            dims: total([value]) for dims, value in cube.items()
         }
 
 
@@ -232,23 +304,23 @@ class TestFailureIdentity:
         instance.add("S", (quarter(2020, 1), 1.0))
         instance.add("S", (quarter(2020, 2), 2.0))
         errors = {}
-        for vectorized in (False, True):
+        for chase in (ScalarChase, StratifiedChase):
             with pytest.raises(ChaseError, match="egd violation") as excinfo:
-                StratifiedChase(mapping, vectorized=vectorized).run(instance)
-            errors[vectorized] = str(excinfo.value)
-        assert errors[False] == errors[True]
+                chase(mapping).run(instance)
+            errors[chase] = str(excinfo.value)
+        assert errors[ScalarChase] == errors[StratifiedChase]
 
     def test_division_by_zero_fails_identically(self, series_schema, series_cube):
         program = Program.compile("C := S / 0", series_schema)
         mapping = generate_mapping(program)
         source = instance_from_cubes({"S": series_cube})
         errors = {}
-        for vectorized in (False, True):
+        for chase in (ScalarChase, StratifiedChase):
             with pytest.raises(OperatorError) as excinfo:
-                StratifiedChase(mapping, vectorized=vectorized).run(source)
-            errors[vectorized] = str(excinfo.value)
-        assert errors[False] == errors[True]
-        assert "division by zero" in errors[True]
+                chase(mapping).run(source)
+            errors[chase] = str(excinfo.value)
+        assert errors[ScalarChase] == errors[StratifiedChase]
+        assert "division by zero" in errors[StratifiedChase]
 
 
 class TestColumnarRelation:

@@ -319,7 +319,7 @@ class TestSnapshotLifecycle:
 class TestFallbackCensus:
     """Which tgds an update recomputes whole, and why — the delta
     chase's side of the kernel census
-    (``test_columnar_chase.py::TestComposition::test_fallback_census``).
+    (``test_columnar_chase.py::TestComposition::test_composed_census``).
     A new delta rule, or a shape that loses one, changes this census.
     It counts the tgds of the composed mappings the engine runs."""
 

@@ -37,6 +37,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.workloads.datagen import random_cube
+from tests.oracle.chase import ScalarChase
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GATE = REPO_ROOT / "benchmarks" / "check_regression.py"
@@ -110,12 +111,10 @@ def _tree(tracer):
 
 @pytest.mark.parametrize("jobs", [1, 4])
 class TestSpanTree:
-    def _run(self, jobs, vectorized=True):
+    def _run(self, jobs, chase_class=StratifiedChase):
         mapping, source = _series_workload()
         tracer = Tracer()
-        chase = StratifiedChase(
-            mapping, jobs=jobs, vectorized=vectorized, tracer=tracer
-        )
+        chase = chase_class(mapping, jobs=jobs, tracer=tracer)
         result = chase.run(source)
         return chase, tracer, result
 
@@ -147,7 +146,7 @@ class TestSpanTree:
             assert tgds[0].category == "tgd"
 
     def test_kernel_phases_nest_under_their_tgd(self, jobs):
-        _, scalar, _ = self._run(jobs, vectorized=False)
+        _, scalar, _ = self._run(jobs, ScalarChase)
         assert [s for s in scalar.spans if s.category == "kernel"] == []
         _, tracer, _ = self._run(jobs)
         kernel_spans = [s for s in tracer.spans if s.category == "kernel"]
@@ -187,8 +186,6 @@ class TestMetricsParity:
         stats = chase.run(source).stats
         assert metrics.value("chase.rule_applications") == stats.rule_applications
         assert metrics.value("chase.tuples.inserted") == stats.tuples_generated
-        assert metrics.value("chase.kernel.vectorized") == stats.vectorized_tgds
-        assert metrics.value("chase.kernel.fallback") == stats.fallback_tgds
         assert metrics.histogram("chase.wave.width").count == stats.waves
         assert metrics.value("chase.tuples.read") > 0
         assert metrics.value("chase.egd.checks") >= stats.tuples_generated
@@ -208,19 +205,20 @@ class TestMetricsParity:
         assert metrics.histogram("chase.wave.width").count == 2 * cold.waves
         assert metrics.counters("chase.cache.") == {}
 
-    def test_fallback_reasons_are_counted_by_reason(self):
-        # table functions have no columnar kernel, so this always falls
-        # back with a stable reason string
+    def test_a_table_function_runs_on_its_kernel(self):
+        # every tgd kind has a kernel: a table function emits its
+        # kernel span under its tgd span, and no kernel counter exists
         mapping, source = _series_workload("A := stl_t(S)\n", n_months=24)
         metrics = MetricsRegistry()
-        chase = StratifiedChase(mapping, vectorized=True, metrics=metrics)
-        stats = chase.run(source).stats
-        assert stats.fallback_tgds == 1
-        assert stats.fallback_reasons
-        reasons = metrics.counters("chase.kernel.fallback.reason:")
-        assert sum(reasons.values()) == stats.fallback_tgds
-        for reason, count in stats.fallback_reasons.items():
-            assert reasons[f"chase.kernel.fallback.reason:{reason}"] == count
+        tracer = Tracer()
+        chase = StratifiedChase(mapping, metrics=metrics, tracer=tracer)
+        assert chase.run(source).stats.per_tgd["A"] == 24
+        (tgd,) = [s for s in tracer.spans if s.name == "tgd:A"]
+        assert [s.name for s in tracer.spans if s.parent_id == tgd.span_id] == [
+            "kernel:eval", "kernel:egd-check", "kernel:insert"
+        ]
+        assert metrics.counters("chase.kernel.fallback") == {}
+        assert metrics.counters("chase.kernel.vectorized") == {}
 
 
 # -- metrics registry unit behaviour ------------------------------------------

@@ -3,7 +3,8 @@
 The load-bearing guarantee: ``StratifiedChase`` computes the *same
 solution instance* whether it walks statement order, thread waves
 (``jobs``) or forked shard workers (``shards``), on columnar kernels or
-tuple at a time, for every valid EXL program.  ``TestPolicyMatrix``
+on the tuple-at-a-time reference chase of ``tests/oracle/chase.py``, for
+every valid EXL program.  ``TestPolicyMatrix``
 states that once over the whole policy grid; the rest of the suite
 sweeps ≥50 seeded-random programs (aggregations, time shifts, outer
 vectorials and table functions included) through the thread waves,
@@ -18,7 +19,6 @@ import pytest
 from repro.chase import (
     StratifiedChase,
     instance_from_cubes,
-    is_solution,
     schedule_waves,
     stratum_dag,
 )
@@ -28,6 +28,8 @@ from repro.mappings import TgdKind, generate_mapping, simplify_mapping
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, month
 from repro.workloads import gdp_example, random_workload
 from repro.workloads.datagen import random_cube
+from tests.oracle.chase import ScalarChase
+from tests.oracle.verify import is_solution
 
 
 def _both_runs(workload, jobs, simplify=False):
@@ -53,24 +55,25 @@ def _assert_identical(sequential, parallel):
 
 
 class TestPolicyMatrix:
-    """How to run is two constructor values (and the kernel switch);
-    none of them may change the solution or the per-tgd ledger."""
+    """How to run is two constructor values (and, for the reference,
+    the rule interpreter); none of them may change the solution or the
+    per-tgd ledger."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("jobs", [None, 1, 4])
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_every_policy_computes_the_same_solution(
-        self, seed, jobs, shards, vectorized
+        self, seed, jobs, shards, oracle
     ):
         workload = random_workload(seed, n_statements=6, n_periods=10)
         mapping = generate_mapping(
             Program.compile(workload.source, workload.schema)
         )
         source = instance_from_cubes(workload.data)
-        reference = StratifiedChase(mapping, vectorized=False).run(source)
-        chase = StratifiedChase(
-            mapping, jobs=jobs, shards=shards, vectorized=vectorized
+        reference = ScalarChase(mapping).run(source)
+        chase = (ScalarChase if oracle else StratifiedChase)(
+            mapping, jobs=jobs, shards=shards
         )
         result = chase.run(source)
         _assert_identical(reference, result)
@@ -93,10 +96,8 @@ class TestPolicyMatrix:
             Program.compile(workload.source, workload.schema)
         )
         source = instance_from_cubes(workload.data)
-        reference = StratifiedChase(mapping, vectorized=False).run(source)
-        result = StratifiedChase(
-            mapping, jobs=jobs, shards=shards, vectorized=True
-        ).run(source)
+        reference = ScalarChase(mapping).run(source)
+        result = StratifiedChase(mapping, jobs=jobs, shards=shards).run(source)
         aggregates = [
             tgd.target_relation for tgd in mapping.target_tgds
             if tgd.kind is TgdKind.AGGREGATION

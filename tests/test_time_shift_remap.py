@@ -28,6 +28,7 @@ from repro.model import (
     month,
     quarter,
 )
+from tests.oracle.chase import ScalarChase
 
 QSCHEMA = Schema([CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")])
 MSCHEMA = Schema([CubeSchema("M", [Dimension("m", TIME(Frequency.MONTH))], "v")])
@@ -68,12 +69,8 @@ def _run_both(source_text, schema, data, simplify=False):
     mapping = generate_mapping(program)
     if simplify:
         mapping = simplify_mapping(mapping)
-    scalar = StratifiedChase(mapping, vectorized=False).run(
-        instance_from_cubes(data)
-    )
-    vector = StratifiedChase(mapping, vectorized=True).run(
-        instance_from_cubes(data)
-    )
+    scalar = ScalarChase(mapping).run(instance_from_cubes(data))
+    vector = StratifiedChase(mapping).run(instance_from_cubes(data))
     return scalar, vector
 
 
