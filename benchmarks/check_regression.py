@@ -10,13 +10,12 @@ fraction).
 
 The floors are deliberately looser than the speedups measured on a
 quiet machine (scalar 6.6x -> floor 5x, aggregation 5.0x -> floor 3x,
-wave overlap 3.9x -> floor 2.5x, incremental delta update 25x ->
-floor 5x, sharded chase 2.5x at >=4 cores — the sharded bench records
-a host-adaptive floor alongside its measurement, so the same gate
-holds on any runner): the gate catches real regressions — a
-de-vectorized kernel, a serialized wave, a delta rule degraded to
-full recompute, a shard merge gone quadratic — without flaking on
-shared CI runners.
+wave overlap 3.9x -> floor 2.5x, sharded chase 2.5x at >=4 cores —
+the sharded bench records a host-adaptive floor alongside its
+measurement, so the same gate holds on any runner): the gate catches
+real regressions — a de-vectorized kernel, a serialized wave, a no-op
+update that recomputes, a shard merge gone quadratic — without
+flaking on shared CI runners.
 
 The gate also fails when a *required* entry is missing from the
 report: every dotted name in :data:`REQUIRED` must appear with its
@@ -51,7 +50,6 @@ REQUIRED = (
     "crash_recovery.journal_overhead",
     "crash_recovery.recovery_vs_rerun",
     "delta_chase.noop_update",
-    "delta_chase.one_percent_update",
     "fault_recovery.resume_vs_rerun",
     "fault_recovery.transient_30pct_overhead",
     "olap_query.dirty_group_refresh",

@@ -33,12 +33,12 @@ Representation invariants (pinned by ``tests/test_columnar_native.py``):
 * **Non-finite measures keep their original objects.**  A measure
   column holding NaN or ±inf is a Python list of the exact ``float``
   objects inserted, so NaN identity semantics (CPython tuple equality
-  short-circuits on ``is``) survive the round trip through the store —
-  delta splicing retracts stored NaN tuples exactly as the old set
-  representation did.  A finite column carries no identity semantics
-  and may be a ``float64`` array; every reader that hands values on
-  converts it with ``.tolist()`` (:func:`~repro.model.cube.as_list`),
-  so no NumPy scalar reaches a fact, a cube or a text.
+  short-circuits on ``is``) survive the round trip through the store,
+  as they would in a fact set.  A finite column carries no identity
+  semantics and may be a ``float64`` array; every reader that hands
+  values on converts it with ``.tolist()``
+  (:func:`~repro.model.cube.as_list`), so no NumPy scalar reaches a
+  fact, a cube or a text.
 * **Dedup follows tuple equality.**  Membership keys are the per-column
   codes plus the measure object; the vmap's hash/eq dedup gives ``1``
   and ``1.0`` one code, exactly as a fact set would collapse them.
@@ -112,9 +112,8 @@ class ColumnStore:
         #: True while the buffers are adopted arrays (see _thaw)
         self._frozen = False
         # derived state, all rebuilt lazily and tagged with the row
-        # count they were built at — sound only because this store is
-        # strictly append-only (no removal; a relation that needs to
-        # retract demotes to TupleStore, which tags by mutation counter)
+        # count they were built at — sound because stores are
+        # append-only
         self._members: Optional[Dict[Tuple, None]] = None
         self._view: Optional[Dict[Fact, None]] = None
         self._view_rows = 0
@@ -504,25 +503,18 @@ class TupleStore:
 
     Used for relations whose facts do not fit the columnar shape and
     wherever a test sets ``instance.FORCE_TUPLE_VIEW``; the columnar
-    image is encoded on demand (the classic encode tax) and cached.
-
-    Unlike :class:`ColumnStore`, this store supports removal, so the
-    row count is NOT a valid staleness tag: the delta chase's splice
-    retracts *k* facts and asserts *k* new ones for update-only
-    revisions, restoring the original length with different content.
-    Caches are therefore keyed on a monotonic mutation counter that
-    every add and every removal bumps.
+    image is encoded on demand (the classic encode tax) and cached,
+    tagged with the row count it was encoded at — append-only, like
+    :class:`ColumnStore`.
     """
 
-    __slots__ = ("facts", "_mut", "_image", "_image_mut")
+    __slots__ = ("facts", "_image", "_image_rows")
 
     def __init__(self, facts: Optional[Dict[Fact, None]] = None):
         #: fact -> None, in insertion order
         self.facts: Dict[Fact, None] = {} if facts is None else facts
-        #: monotonic mutation counter tagging the derived caches
-        self._mut = 0
         self._image: Optional[ColumnarRelation] = None
-        self._image_mut = -1
+        self._image_rows = -1
 
     @property
     def n_rows(self) -> int:
@@ -532,18 +524,7 @@ class TupleStore:
         if fact in self.facts:
             return False
         self.facts[fact] = None
-        self._mut += 1
         return True
-
-    def remove(self, gone) -> int:
-        facts = self.facts
-        before = len(facts)
-        for fact in gone:
-            facts.pop(fact, None)
-        removed = before - len(facts)
-        if removed:
-            self._mut += 1
-        return removed
 
     def rows(self) -> Dict[Fact, None]:
         return self.facts
@@ -551,32 +532,30 @@ class TupleStore:
     def cached_image(self) -> Optional[ColumnarRelation]:
         """The cached image when still current, else None (re-encode)."""
         image = self._image
-        if image is not None and self._image_mut == self._mut:
+        if image is not None and self._image_rows == len(self.facts):
             return image
         return None
 
     def set_image(self, image: ColumnarRelation) -> None:
         self._image = image
-        self._image_mut = self._mut
+        self._image_rows = len(self.facts)
 
     def fork(self) -> "TupleStore":
         clone = TupleStore(dict(self.facts))
-        clone._mut = self._mut
         clone._image = self._image
-        clone._image_mut = self._image_mut
+        clone._image_rows = self._image_rows
         return clone
 
     def __getstate__(self):
         """Pickle the fact dict only; derived caches rebuild on demand.
 
         Fact tuples keep their original measure objects through pickle
-        memoization, so NaN-carrying facts can still be retracted by
-        identity after a worker-process hop.
+        memoization, so NaN-carrying facts stay equal to themselves
+        after a worker-process hop.
         """
         return {"facts": self.facts}
 
     def __setstate__(self, state):
         self.facts = state["facts"]
-        self._mut = 0
         self._image = None
-        self._image_mut = -1
+        self._image_rows = -1

@@ -92,8 +92,7 @@ class FallbackUnsupported(Exception):
     """This tgd/instance shape has no vectorized kernel.
 
     Raised strictly *before* any insertion side effect: the engine
-    reports it as a :class:`~repro.errors.ChaseError`, the delta chase
-    probes with it.
+    reports it as a :class:`~repro.errors.ChaseError`.
     """
 
 
@@ -701,8 +700,7 @@ def apply_vectorized(
     """Apply one target tgd with its columnar kernel.
 
     ``operand_instance`` is the instance lhs atoms read from (the
-    target itself in the chase, a miniature relation in the delta
-    chase).  Raises :class:`FallbackUnsupported` — before any side
+    chase passes the target itself).  Raises :class:`FallbackUnsupported` — before any side
     effect — when no kernel covers the tgd.  ``tracer`` receives one
     span per kernel phase (encode/join/eval/egd-check/insert), nested
     under whatever tgd span the caller holds open.
@@ -791,8 +789,8 @@ def _table_function(tgd: Tgd, instance, registry, tracer=NULL_TRACER):
 
     The operand atom names no terms, so the series — each fact's first
     dimension and its measure — is read off the facts whatever the
-    relation's layout: a relation the delta chase has spliced lives as
-    tuples, and re-encoding it for one sort would cost more than the sort.
+    relation's layout: a tuple-mode relation would otherwise be
+    re-encoded for one sort, which costs more than the sort.
     """
     spec = registry.get(tgd.table_function)
     rows = sorted(instance.facts(tgd.lhs[0].relation), key=_time_key)

@@ -25,7 +25,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Collection,
@@ -44,14 +43,9 @@ from ..stats.aggregates import get_aggregate
 from . import columnar, groupreduce
 from .instance import RelationalInstance
 
-if TYPE_CHECKING:
-    from ..model.cube import Cube
-
 __all__ = [
     "ChaseStats",
     "ChaseResult",
-    "DeltaStats",
-    "DeltaRunResult",
     "StratifiedChase",
 ]
 
@@ -88,45 +82,6 @@ class ChaseResult:
     #: the metrics registry the run recorded into (the chase's own
     #: per-engine registry unless the caller supplied a shared one)
     metrics: Optional[MetricsRegistry] = None
-    #: the functional (egd) index built during the run: relation ->
-    #: {dims: measure}.  May be *incomplete* for single-writer
-    #: relations inserted on the vectorized fast path (which proves key
-    #: distinctness without populating it); the delta chase snapshot
-    #: completes missing relations lazily from the instance.
-    functional: Dict[str, Dict[Tuple, Any]] = field(default_factory=dict)
-
-
-@dataclass
-class DeltaStats:
-    """Counters describing one incremental update (:mod:`.delta`), or a
-    full run standing in for one."""
-
-    #: target tgds re-fired incrementally (changed operands, delta rules)
-    dirty_tgds: int = 0
-    #: target tgds skipped because every operand delta was empty
-    clean_tgds: int = 0
-    #: target tgds recomputed in full (table functions, unsupported shapes)
-    fallback_tgds: int = 0
-    fallback_reasons: Dict[str, int] = field(default_factory=dict)
-    tuples_retracted: int = 0
-    tuples_asserted: int = 0
-
-    def note_fallback(self, reason: str, count: int = 1) -> None:
-        self.fallback_tgds += count
-        self.fallback_reasons[reason] = (
-            self.fallback_reasons.get(reason, 0) + count
-        )
-
-
-@dataclass
-class DeltaRunResult:
-    """What an incremental backend run returns to the dispatcher:
-    the (full) output cubes, which of them actually changed, and the
-    update statistics."""
-
-    cubes: Dict[str, Cube]
-    changed: Dict[str, bool]
-    stats: DeltaStats
 
 
 class StratifiedChase:
@@ -321,7 +276,7 @@ class StratifiedChase:
                 chase_span.note(shard_tuples=list(stats.shard_tuples))
         stats.waves = len(self.waves)
         stats.max_wave_width = widest
-        return ChaseResult(target, stats, metrics=self.metrics, functional=functional)
+        return ChaseResult(target, stats, metrics=self.metrics)
 
     def run_wave(
         self,

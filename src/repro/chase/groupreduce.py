@@ -4,7 +4,7 @@ Every aggregate in the system is the same three steps — *collect* the
 contributions of each group into a bag, *reduce* each bag through a
 registered aggregate, and (for maintained results) *rereduce* only the
 groups a row-level change touches.  The scalar chase, the shard worker
-and parent, the delta chase, the columnar kernel and the OLAP roll-up
+and parent, the columnar kernel and the OLAP roll-up
 lattice all call the functions below and own no group-by loop of their
 own, so a bag is folded identically — in
 :func:`repro.stats.aggregates.canonical_bag` order, inside the
@@ -155,9 +155,7 @@ def rereduce_groups(
     Groups whose bucket empties are deleted from both maps.
 
     Returns the touched group keys: their count is what an incremental
-    refresh is judged by (``olap.lattice.groups.rereduced``), and a
-    caller that keeps its results elsewhere (the delta chase) passes an
-    empty ``groups`` and diffs exactly these keys.
+    refresh is judged by (``olap.lattice.groups.rereduced``).
     """
     touched: Dict[Tuple, None] = {}
     for fact in old_facts:

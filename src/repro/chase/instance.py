@@ -15,10 +15,12 @@ demote to a :class:`~repro.chase.colstore.TupleStore`.  Tests set the
 module attribute ``FORCE_TUPLE_VIEW`` per case to force the tuple
 representation everywhere, the storage oracle of the equivalence suites.
 
-Stores can be *shared* between instances — operand views, adopted cube
-stores, copy-tgd adoption — under copy-on-write: a shared store is
-forked before the first mutation through the borrowing instance, so no
-write through a view or clone can ever corrupt the owner's buffers.
+Stores can be *shared* between instances — adopted cube stores,
+copy-tgd adoption, a chase output's store attached to its cube — under
+copy-on-write: a shared store is forked before the first mutation
+through the borrowing instance, so no write through an adopter can
+ever corrupt the owner's buffers.  Relations only grow: an instance
+has no retraction.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class RelationalInstance:
         # relation -> ColumnStore | TupleStore | None (empty, mode
         # undecided until the first fact arrives)
         self._relations: Dict[str, Optional[Any]] = {}
-        # relations whose store is shared with another instance (view,
-        # adoption, attached cube store): fork before writing
+        # relations whose store is shared with another instance or a
+        # cube (adoption, attached cube store): fork before writing
         self._shared: Set[str] = set()
         # per-relation insert locks for the parallel chase scheduler;
         # the master lock only guards lock/relation-slot creation
@@ -139,23 +141,6 @@ class RelationalInstance:
     def add_all(self, relation: str, facts: Iterable[Fact]) -> int:
         return self.add_batch(relation, facts)
 
-    def remove_batch(self, relation: str, facts: Iterable[Fact]) -> int:
-        """Retract facts (missing ones are ignored); returns removals.
-
-        Retraction exists for the delta chase only: splicing a relation
-        delta into the previous solution instance retracts the old side
-        of every update before asserting the new side.  A columnar
-        relation demotes to the tuple representation on first removal
-        (append-only buffers have no cheap delete; retraction is rare
-        and always followed by tuple-level re-assertion).
-        """
-        store = self._writable(relation)
-        if store is None:
-            return 0
-        if isinstance(store, ColumnStore):
-            store = self._demote(relation, store)
-        return store.remove(facts)
-
     # -- adoption and sharing ------------------------------------------------
     def adopt(self, relation: str, store: ColumnStore) -> Optional[int]:
         """Adopt a columnar store as an (empty) relation's content.
@@ -210,27 +195,6 @@ class RelationalInstance:
         ):
             return None
         return store.append_columns(columns, n)
-
-    def view(self, relations: Iterable[str]) -> "RelationalInstance":
-        """An operand view sharing the named relations' stores.
-
-        The delta chase recomputes a single stratum by running its tgd
-        against a view holding the live operand relations plus a fresh
-        target relation — reads see the spliced state, writes stay out
-        of it.  Shared stores are copy-on-write *in the view*: a write
-        through the view forks its copy first, so the owner's buffers
-        (and cached columnar images) can never be corrupted from a
-        clone.  Mutations by the owner remain visible through the view
-        until the view's own first write to that relation.
-        """
-        clone = RelationalInstance()
-        for name in relations:
-            if name in self._relations:
-                store = self._relations[name]
-                clone._relations[name] = store
-                if store is not None:
-                    clone._shared.add(name)
-        return clone
 
     # -- read paths -----------------------------------------------------------
     def facts(self, relation: str):
@@ -317,7 +281,7 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     """The cube's columnar store, built once and cached on the cube.
 
     A cube carries its store across the versioned store (``put`` copies
-    share it; ``set``/``patched`` invalidate it), so a warm run adopts
+    share it; ``set`` invalidates it), so a warm run adopts
     the encoded columns instead of re-encoding ``to_rows()`` — the
     cross-run half of killing the encode tax.  A cube fresh from
     :func:`~repro.model.io.read_cube_csv` or from another target's

@@ -40,7 +40,7 @@ hand-edited sidecar that kept a valid ``csv_sha256`` is rejected too.
 On attach the decoded measure column is additionally verified
 value-for-value against the cube's rows and rebound to the cube's own
 float objects, preserving the store invariant that measures are the
-exact objects the cube holds (NaN retraction matches by identity).
+exact objects the cube holds (NaN rows match by identity).
 Anything that fails falls back to the tuple path and the next chase
 rebuilds the columns.  An *absent* sidecar is the ordinary cold-start
 miss and stays silent; a sidecar that exists but cannot be read —
@@ -269,8 +269,8 @@ def attach_store_sidecar(
     row (NaN matching NaN) — otherwise the cube keeps its lazy tuple
     path and the next chase rebuilds the columns.  Matching measures
     are rebound to the cube's own float objects, so sidecar-restored
-    NaN rows keep the object-identity retraction semantics of a store
-    built directly from the cube.
+    NaN rows keep the object-identity semantics of a store built
+    directly from the cube.
     """
     store = read_store_sidecar(cube.schema, csv_path, sidecar_path, metrics)
     if store is None or store.n_rows != len(cube):

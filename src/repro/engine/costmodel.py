@@ -6,8 +6,9 @@ the learning half of ROADMAP's "cost-based adaptive dispatch": a
 :class:`CostModel` keeps an EWMA of *clean* per-attempt execution
 timings per ``(target, subgraph signature)`` and, in adaptive mode, the
 dispatcher asks it to *choose* the target per subgraph before
-translation — columnar chase vs SQL vs the IR engines vs ETL, and (via
-the signature's mode marker) delta-propagation vs full recompute.
+translation — columnar chase vs SQL vs the IR engines vs ETL, with
+update runs' timings kept apart from full runs' by the signature's
+mode marker.
 
 Three design points keep the model honest:
 

@@ -41,7 +41,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..chase.engine import DeltaRunResult
 from ..errors import (
     DeadlineExceededError,
     EngineError,
@@ -74,9 +73,10 @@ class RunMode:
     historical version (vintage replay); derived intermediates always
     come from the current run.  An update, ``delta_of`` the baseline
     run, starts from the ``dirty`` cubes: subgraphs whose inputs all
-    stayed clean are skipped with outcome "clean", executed chase
-    subgraphs go through ``run_mapping_delta``, and unchanged outputs
-    keep their stored versions (no put).
+    stayed clean are skipped with outcome "clean", every other one is
+    recomputed by its target's ``run_mapping``, and an output whose
+    rows equal its stored version's keeps that version (no put), on
+    every target alike.
     """
 
     as_of: Optional[int] = None
@@ -92,7 +92,8 @@ class RunMode:
 def _store_matches_rows(store, cube: Cube) -> bool:
     """True when ``store``'s insertion order is exactly ``cube``'s
     ``to_rows()`` order (measures pairwise equal and spelled alike, NaN
-    matching NaN by identity so retraction semantics survive the attach).
+    matching NaN by identity, so the store's facts equal the cube's rows
+    as tuples).
 
     A columnar store's insertion order becomes the enumeration order of
     every consumer that adopts it — chase relation views, baseline CSV
@@ -150,9 +151,7 @@ class Dispatcher:
         # dirty elementary cubes, grows as subgraphs publish changed
         # outputs.  Guarded by the dispatcher lock.
         self._dirty: Set[str] = set(mode.dirty)
-        # per-tgd delta outcome counters, aggregated across subgraphs
-        self.delta_dirty_tgds = 0
-        self.delta_clean_tgds = 0
+        #: target tgds an update recomputed, across its subgraphs
         self.delta_fallback_tgds = 0
         # -- shared mutable state; every access goes through the lock.
         # _computed_this_run feeds the as_of vintage logic; _unavailable
@@ -420,15 +419,9 @@ class Dispatcher:
             # cost, not the broken native target's)
             self.cost_model.record(executed_target, signature, attempt_s)
         changed_map: Optional[Dict[str, bool]] = None
-        if isinstance(outputs, DeltaRunResult):
-            self._note_delta(outputs.stats)
-            changed_map = outputs.changed
-            outputs = outputs.cubes
-        elif self.mode.delta:
-            # a plain-output path ran under delta mode (non-chase
-            # backend, or a degraded rerun): classify each output
-            # against its stored version so cleanliness still
-            # propagates, and count the subgraph as a full fallback
+        if self.mode.delta:
+            # classify each output against its stored version so
+            # cleanliness propagates downstream, whatever the target
             changed_map = self._classify_against_store(cubes, outputs)
             with self._lock:
                 self.delta_fallback_tgds += len(item.mapping.target_tgds)
@@ -459,8 +452,8 @@ class Dispatcher:
                         # when the stored one has none, so later runs
                         # adopt instead of re-encoding — but only when
                         # the store's insertion order matches the stored
-                        # cube's rows exactly: content is
-                        # delta-identical, yet a different row order
+                        # cube's rows exactly: the rows are the same,
+                        # yet a different row order
                         # would leak into everything that enumerates the
                         # adopted store (baseline CSVs, relation views)
                         # and make warm and cold runs diverge
@@ -509,22 +502,15 @@ class Dispatcher:
             )
         return sub_record
 
-    def _note_delta(self, stats) -> None:
-        """Fold one subgraph's delta statistics into the run totals."""
-        with self._lock:
-            self.delta_dirty_tgds += stats.dirty_tgds
-            self.delta_clean_tgds += stats.clean_tgds
-            self.delta_fallback_tgds += stats.fallback_tgds
-
     def _classify_against_store(
         self, cubes: Tuple[str, ...], outputs: Dict[str, Cube]
     ) -> Dict[str, bool]:
-        """Changed flags for outputs of a non-incremental execution,
-        against the latest stored version: by digest of the canonical
-        bytes when that version is deferred (equal bytes mean equal
-        cubes; ``-0.0`` against ``0.0`` errs toward "changed"), else by
-        tuple diff (NaN-consistent, so a bit-identical recompute
-        registers as clean)."""
+        """Changed flags for a subgraph's outputs, against the latest
+        stored version: by digest of the canonical bytes when that
+        version is deferred (equal bytes mean equal cubes; ``-0.0``
+        against ``0.0`` errs toward "changed"), else by
+        :meth:`~repro.model.cube.Cube.same_rows` (NaN-consistent, so a
+        bit-identical recompute registers as clean)."""
         changed: Dict[str, bool] = {}
         for name in cubes:
             if not self.catalog.has_data(name):
@@ -534,8 +520,7 @@ class Dispatcher:
             if digest is not None:
                 changed[name] = canonical_bytes(outputs[name])[1] != digest
                 continue
-            previous = self.catalog.data(name)
-            changed[name] = not previous.delta(outputs[name]).is_empty
+            changed[name] = not self.catalog.data(name).same_rows(outputs[name])
         return changed
 
     # -- adaptive target choice ----------------------------------------------
@@ -699,12 +684,7 @@ class Dispatcher:
             with context:
                 # the translation compiled item.mapping once: its units
                 # ride along instead of being compiled again per attempt
-                run = (
-                    item.backend.run_mapping_delta
-                    if self.mode.delta and hasattr(item.backend, "run_mapping_delta")
-                    else item.backend.run_mapping
-                )
-                return run(
+                return item.backend.run_mapping(
                     item.mapping, inputs, wanted=list(cubes), check=check,
                     units=item.units,
                 )

@@ -214,12 +214,6 @@ class EXLEngine:
     def _invalidate(self) -> None:
         self._graph = None
         self._translator = None
-        # the next translator builds new mapping objects, so no chase
-        # snapshot of the old ones can be replayed again (the
-        # constructor already built the chase backend, if there is one)
-        chase_backend = self.backends.get("chase")
-        if isinstance(chase_backend, ChaseBackend):
-            chase_backend.drop_snapshots()
 
     @property
     def graph(self) -> DependencyGraph:
@@ -294,29 +288,31 @@ class EXLEngine:
     ) -> RunRecord:
         """Incremental run: recompute only what changed since a baseline.
 
-        Picks a baseline run (``against``, or the most recent finished
-        run), determines which elementary cubes are *dirty* — their
-        stored version moved past the baseline's **and** their content
-        actually differs (a reload of identical data stays clean) — and
-        dispatches only the affected subgraphs in delta mode: the chase
-        backend propagates tuple-level deltas from its solution
-        snapshots, unchanged outputs keep their stored versions, and
-        subgraphs whose inputs all stayed clean are skipped with
-        outcome ``clean``.  The final store state is tuple-for-tuple
-        identical to a full :meth:`run` on the same data.
+        Picks a baseline run (``against``, or the most recent run that
+        finished without failing), determines which elementary cubes are *dirty* — their
+        stored version moved past the baseline's **and** their rows
+        actually differ (:meth:`~repro.model.cube.Cube.same_rows`; a
+        reload of identical data stays clean) — and dispatches only the
+        affected subgraphs: each is recomputed by its target's
+        ``run_mapping``, as in a full run, and an output whose rows
+        equal its stored version's keeps that version, so subgraphs
+        whose inputs all stayed clean are skipped with outcome
+        ``clean``.  The final store state is tuple-for-tuple identical
+        to a full :meth:`run` on the same data.
 
         Args:
             changed: elementary cubes to treat as dirty, bypassing the
                 version/content check (an actually-unchanged name is
-                harmless: its delta is empty and everything downstream
-                comes out clean).  A derived name means its stored
-                content cannot be used (``exl update`` found its
-                baseline file damaged): it is recomputed along with
-                everything downstream.  Defaults to auto-detection
-                against the baseline.
+                harmless: its consumers recompute their stored rows and
+                everything further downstream comes out clean).  A
+                derived name means its stored content cannot be used
+                (``exl update`` found its baseline file damaged): it is
+                recomputed along with everything downstream.  Defaults
+                to auto-detection against the baseline.
             against: run id of the baseline; defaults to the last
-                finished run.  Without any usable baseline, update()
-                degrades to a full :meth:`run`.
+                run that finished without failing (a failed or partial
+                run left consumers of its inputs stale).  Without any
+                usable baseline, update() degrades to a full :meth:`run`.
         """
         policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
         if against is not None:
@@ -329,10 +325,15 @@ class EXLEngine:
                     f"update against"
                 )
         else:
-            finished = [r for r in self.runs.runs if r.finished and r.baseline_versions]
-            if not finished:
+            # a run that failed, wholly or partly, pinned inputs whose
+            # consumers it never recomputed: it is no baseline
+            succeeded = [
+                r for r in self.runs.runs
+                if r.finished and not r.failed and r.baseline_versions
+            ]
+            if not succeeded:
                 return self._run(changed, policy, RunMode())
-            baseline = finished[-1]
+            baseline = succeeded[-1]
         if changed is not None:
             dirty = list(dict.fromkeys(changed))
         else:
@@ -345,7 +346,7 @@ class EXLEngine:
                     continue
                 if base_version is not None:
                     previous = self.catalog.data(name, base_version)
-                    if previous.delta(self.catalog.data(name)).is_empty:
+                    if previous.same_rows(self.catalog.data(name)):
                         continue
                 dirty.append(name)
 
@@ -465,8 +466,6 @@ class EXLEngine:
                 raise
             self.metrics.observe("engine.dispatch_s", time.perf_counter() - t2)
             if mode.delta:
-                record.delta_dirty_tgds = dispatcher.delta_dirty_tgds
-                record.delta_clean_tgds = dispatcher.delta_clean_tgds
                 record.delta_fallback_tgds = dispatcher.delta_fallback_tgds
             if count_shards and chase_backend.shard_runs:
                 record.shard_tuples = list(chase_backend.shard_tuples)

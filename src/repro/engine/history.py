@@ -172,7 +172,8 @@ class RunRecord:
     # later update() diffs against these to decide what is dirty
     baseline_versions: Dict[str, int] = field(default_factory=dict)
     # incremental-update outcome per target tgd (all zero on full runs):
-    # re-fired with delta rules / skipped clean / recomputed in full
+    # the target tgds an update recomputed are ``delta_fallback_tgds``;
+    # updates recompute whole subgraphs, so the other two stay 0
     delta_dirty_tgds: int = 0
     delta_clean_tgds: int = 0
     delta_fallback_tgds: int = 0

@@ -61,8 +61,9 @@ class CubeDelta:
     Rows are relational tuples ``(x1, …, xn, y)``.  ``updated`` pairs
     the baseline row with the revised row for dimension tuples present
     on both sides whose measures differ (NaN-consistently: see
-    :func:`_same_measure`).  This is the unit the delta-stratified
-    chase propagates.
+    :func:`_same_measure`).  This is the unit an OLAP lattice's
+    refresh splices through its materialized nodes
+    (:meth:`repro.olap.lattice.CubeLattice.refresh`).
     """
 
     inserted: List[Tuple[Any, ...]] = field(default_factory=list)
@@ -523,27 +524,52 @@ class Cube:
                 out.deleted.append(key + (old,))
         return out
 
-    def patched(self, delta: CubeDelta) -> "Cube":
-        """A copy of this cube with ``delta`` applied.
+    def same_rows(self, other: "Cube") -> bool:
+        """Exactly ``self.delta(other).is_empty``: the same dimension
+        tuples with the same measures, NaN equal to NaN and ``-0.0``
+        to ``0.0``.
 
-        The inverse of :meth:`delta`: ``a.patched(a.delta(b)) == b``.
-        Used by the incremental engine to produce a revised output cube
-        from the previous version plus the chase's relation delta,
-        without rebuilding (and re-validating) every unchanged row.
+        When both cubes hold encoded columns (:meth:`encoded`) no key
+        is decoded: each of ``other``'s code columns is translated into
+        this cube's dictionary through one lookup table, both sides are
+        sorted by their codes, and the measures compare as one vector.
         """
-        clone = self.copy()
-        data = clone._data
-        # the pops below bypass set(), so drop the shared caches here
-        clone._colstore = None
-        clone._canonical = None
-        clone._columns = None
-        for row in delta.deleted:
-            data.pop(row[:-1], None)
-        for _, new in delta.updated:
-            clone.set(new[:-1], new[-1], overwrite=True)
-        for row in delta.inserted:
-            clone.set(row[:-1], row[-1], overwrite=True)
-        return clone
+        mine, theirs = self.encoded(), other.encoded()
+        if mine is None or theirs is None or self.schema.arity != other.schema.arity:
+            return self.delta(other).is_empty
+        n_rows = len(self)
+        if n_rows != len(other):
+            return False  # keys are distinct on both sides
+        if not n_rows:
+            return True
+        import numpy as np
+
+        keys, other_keys = [], []
+        for values, codes, other_values, other_codes in zip(
+            mine[0], mine[1], theirs[0], theirs[1]
+        ):
+            code_of = {value: code for code, value in enumerate(values)}
+            lookup = np.array(
+                [code_of.get(value, -1) for value in other_values], dtype=np.int64
+            )
+            translated = lookup[np.asarray(other_codes, dtype=np.intp)]
+            if (translated < 0).any():
+                return False  # a value no row of this cube has
+            keys.append(np.asarray(codes, dtype=np.int64))
+            other_keys.append(translated)
+        order = np.lexsort(keys) if keys else np.arange(n_rows)
+        other_order = np.lexsort(other_keys) if keys else order
+        if not all(
+            np.array_equal(key[order], other_key[other_order])
+            for key, other_key in zip(keys, other_keys)
+        ):
+            return False
+        measures = np.asarray(mine[2], dtype=np.float64)[order]
+        other_measures = np.asarray(theirs[2], dtype=np.float64)[other_order]
+        same = (measures == other_measures) | (
+            np.isnan(measures) & np.isnan(other_measures)
+        )
+        return bool(same.all())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cube):

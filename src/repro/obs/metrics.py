@@ -11,7 +11,8 @@ Conventions:
 * counters are monotone (``chase.tuples.inserted``,
   ``chase.egd.checks``, ``chase.kernel.encode``, …); per-reason
   fallbacks use a ``….fallback.reason:<reason>`` namespace
-  (``chase.shard.``, ``delta.``) so the *why* of every one is visible;
+  (``chase.shard.``, ``olap.lattice.``) so the *why* of every one is
+  visible;
 * histograms record distributions (``chase.wave.width``,
   ``chase.wave.duration_s``, ``engine.determination_s``, …) as
   count/total/min/max running moments — no per-sample storage, so a

@@ -37,8 +37,7 @@ Three properties keep the lattice honest:
   Nodes nobody has read stay unreduced and cost a refresh nothing.
   Unregistered (callable) aggregates cannot be named in sidecars or
   trusted to be bag functions, so they rebuild from scratch instead,
-  counted under ``olap.lattice.fallback.reason:*`` exactly like the
-  delta chase's own fallbacks.
+  counted under ``olap.lattice.fallback.reason:*``.
 """
 
 from __future__ import annotations
@@ -387,9 +386,9 @@ class CubeLattice:
         ``olap.lattice.groups.rereduced`` on the metrics registry).
         Unmaterialized nodes are left alone: they reduce from the new
         base when first read.  Falls back to a full :meth:`build` —
-        counted like the delta chase's ``delta.fallback.reason:*`` —
-        when there is no baseline to delta against or the aggregate is
-        an unregistered callable.
+        counted under ``olap.lattice.fallback.reason:*`` — when there
+        is no baseline to delta against or the aggregate is an
+        unregistered callable.
         """
         if self._base is None:
             return self._fallback(cube, version, "no-baseline")

@@ -3,7 +3,7 @@
 The random program generator (:mod:`.randprog`) explores the operator
 space uniformly; this module instead builds the *adversarial* shapes
 ROADMAP's scenario-corpus item calls out — the ones that spread targets'
-relative costs apart and stress the delta path:
+relative costs apart and stress the update path:
 
 * **Skewed panels** — a high-cardinality dimension where a few members
   hold most of the data (zipf-style coverage), so per-group work is

@@ -19,7 +19,6 @@ import pytest
 from repro.backends import ChaseBackend
 import repro.chase
 from repro.chase import StratifiedChase, instance_from_cubes
-from repro.chase.delta import DeltaChase
 from repro.engine import Dispatcher, EXLEngine
 from repro.errors import ChaseError
 from repro.exl import Program
@@ -218,7 +217,7 @@ def test_sequential_and_parallel_reruns_agree():
 def test_no_layer_takes_a_removed_setting(child_env):
     """No cache, no kernel switch, and nothing picks the storage or the
     snapshotting."""
-    _, mapping, _, data = _two_source_setup()
+    _, mapping, _, _ = _two_source_setup()
     assert not hasattr(repro.chase, "ChaseCache")
     with pytest.raises(TypeError):
         StratifiedChase(mapping, cache=None)
@@ -241,10 +240,6 @@ def test_no_layer_takes_a_removed_setting(child_env):
     ):
         with pytest.raises(TypeError):
             ChaseBackend(**{setting: None})
-    backend = ChaseBackend()
-    backend.run_mapping(mapping, data)
-    with pytest.raises(TypeError):
-        DeltaChase(backend._snapshot_for(mapping), vectorized=False)
     # the tuple-storage oracle is a module attribute, not an env switch
     script = (
         "from repro.backends import ChaseBackend\n"

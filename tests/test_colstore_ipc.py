@@ -8,7 +8,7 @@ a round trip is *behaviour-preserving*, not merely value-preserving:
   reproduce the exact insertion order an unsharded run would produce;
 * the measure column keeps its original float objects — NaN-carrying
   facts compare equal through the tuple identity short-circuit, so
-  membership, dedup, and retraction still work after the hop;
+  membership and dedup still work after the hop;
 * derived caches (members index, tuple view, columnar image) are
   dropped at the boundary and rebuilt on demand.
 
@@ -156,30 +156,29 @@ class TestTupleStoreRoundTrip:
                 math.isnan(left[-1]) and math.isnan(right[-1])
             )
 
-    def test_nan_identity_retraction_after_round_trip(self):
+    def test_nan_identity_after_round_trip(self):
         store = TupleStore()
         store.add(("a", NAN))
         store.add(("b", 2.0))
         clone = pickle.loads(pickle.dumps(store))
-        # retraction by the unpickled store's own fact objects works:
-        # the NaN inside the fact is the same object pickle rebuilt,
-        # so the tuple compares equal to itself
+        # the unpickled store's own fact objects dedup: the NaN inside
+        # the fact is the same object pickle rebuilt, so the tuple
+        # compares equal to itself
         nan_fact = next(iter(clone.facts))
-        assert clone.remove([nan_fact]) == 1
-        assert clone.n_rows == 1
-        # a structurally-identical fact with a *fresh* NaN is a miss —
-        # exactly like the in-process semantics
+        assert clone.add(nan_fact) is False
+        assert clone.n_rows == 2
+        # a structurally-identical fact with a *fresh* NaN is a new
+        # fact — exactly like the in-process semantics
         store2 = pickle.loads(pickle.dumps(store))
-        assert store2.remove([("a", float("nan"))]) == 0
-        assert store2.n_rows == 2
+        assert store2.add(("a", float("nan"))) is True
+        assert store2.n_rows == 3
 
-    def test_caches_reset_and_mutation_counter_rebased(self):
+    def test_caches_reset_after_round_trip(self):
         store = TupleStore()
         store.add(("a", 1.0))
         store.set_image(ColumnarRelation.from_facts(list(store.rows()), 2))
         clone = pickle.loads(pickle.dumps(store))
         assert clone._image is None and clone.cached_image() is None
-        assert clone._mut == 0
         clone.set_image(ColumnarRelation.from_facts(list(clone.rows()), 2))
         assert clone.cached_image() is not None
 

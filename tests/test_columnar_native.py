@@ -13,8 +13,8 @@ injected faults.
 
 Also here: the encode-tax regression (warm runs and no-op updates must
 never re-encode an unchanged relation — and no relation is ever encoded
-twice), the mutation-after-view isolation pins, and the columnar sidecar
-persistence round-trip.
+twice), the copy-on-write isolation pins of shared stores, and the
+columnar sidecar persistence round-trip.
 """
 
 import json
@@ -23,11 +23,9 @@ from contextlib import contextmanager
 import pytest
 
 import repro.chase.instance as instance_mod
-from repro.backends import ChaseBackend
 from repro.chase import RelationalInstance, StratifiedChase, instance_from_cubes
 from repro.chase.colstore import ColumnStore, TupleStore
 from repro.chase.columnar import ColumnarRelation
-from repro.chase.delta import DeltaChase
 from repro.chase.persist import (
     _payload_sha256,
     attach_store_sidecar,
@@ -44,7 +42,6 @@ from repro.mappings import generate_mapping
 from repro.model import Cube
 from repro.model.cube import CubeSchema, Dimension
 from repro.model.io import read_cube_csv, write_cube_csv
-from repro.model.schema import Schema
 from repro.model.types import STRING
 from repro.workloads import gdp_example, random_workload
 from tests.oracle.chase import ScalarChase
@@ -317,16 +314,18 @@ class TestBulkEncode:
         assert store.add(("a", "b", 1.0)) and store.n_rows == 1
 
 
-class TestViewIsolation:
-    """``view()`` shares column images with the owner; a write through
-    the clone must fork, never corrupt the owner's columnar state."""
+class TestSharedStoreIsolation:
+    """An exported store adopted by another instance is shared with its
+    owner; a write through either side must fork, never corrupt the
+    other's columnar state."""
 
     def test_clone_write_cannot_corrupt_owner(self):
         owner = RelationalInstance()
         owner.add("R", ("a", 1.0))
         owner.add("R", ("b", 2.0))
         before = owner.columnar_image("R", 2)
-        clone = owner.view(["R"])
+        clone = RelationalInstance()
+        assert clone.adopt("R", owner.export_store("R")) == 2
         clone.add("R", ("z", 99.0))  # must fork the shared store
         assert list(owner.facts("R")) == [("a", 1.0), ("b", 2.0)]
         assert list(clone.facts("R")) == [
@@ -336,71 +335,33 @@ class TestViewIsolation:
         assert image.n_rows == 2
         assert image.dims[0].decode_list() == ["a", "b"]
         assert image.measures.tolist() == [1.0, 2.0]
-        # the image handed out before the view stays valid too
+        # the image handed out before the sharing stays valid too
         assert before.dims[0].decode_list() == ["a", "b"]
-
-    def test_clone_removal_cannot_corrupt_owner(self):
-        owner = RelationalInstance()
-        owner.add("R", ("a", 1.0))
-        owner.add("R", ("b", 2.0))
-        clone = owner.view(["R"])
-        assert clone.remove_batch("R", [("a", 1.0)]) == 1
-        assert list(owner.facts("R")) == [("a", 1.0), ("b", 2.0)]
-        assert owner.columnar_image("R", 2).n_rows == 2
-        assert list(clone.facts("R")) == [("b", 2.0)]
-
-    def test_owner_write_stays_visible_through_unforked_view(self):
-        # the owner is NOT marked shared by view(): it keeps appending
-        # to its live store, and a clone that never wrote sees the
-        # owner's later facts (the read-through semantics delta replay
-        # relies on)
-        owner = RelationalInstance()
-        owner.add("R", ("a", 1.0))
-        clone = owner.view(["R"])
-        owner.add("R", ("b", 2.0))
-        assert list(clone.facts("R")) == [("a", 1.0), ("b", 2.0)]
+        # and the owner's own later write forks as well
+        owner.add("R", ("c", 3.0))
+        assert list(clone.facts("R")) == [
+            ("a", 1.0), ("b", 2.0), ("z", 99.0),
+        ]
 
 
-class TestMutationCacheInvalidation:
-    """Net-zero churn — retract *k* facts, assert *k* new ones, the
-    exact shape the delta splice produces for update-only revisions —
-    restores the row count but not the content.  Every cached
-    derivation (the columnar image) must notice; regression
-    for caches that were keyed on ``len(facts)`` and so survived the
-    churn stale."""
+class TestImageCacheInvalidation:
+    """A tuple store's cached columnar image is tagged with the row
+    count it was encoded at — sound because stores are append-only:
+    a cache survives writes that add nothing and is dropped by any
+    that grows the store, on a fork independently of its donor."""
 
     def _encoded(self, store):
         image = ColumnarRelation.from_facts(list(store.rows()), 2)
         store.set_image(image)
         return image
 
-    def test_tuple_store_image_invalidated_by_net_zero_churn(self):
-        store = TupleStore()
-        for fact in [("a", 1.0), ("b", 2.0), ("c", 3.0)]:
-            store.add(fact)
-        image = self._encoded(store)
-        assert store.cached_image() is image
-        assert store.remove([("a", 1.0)]) == 1
-        assert store.add(("a", 9.0))
-        assert store.n_rows == 3  # same length, different content
-        assert store.cached_image() is None
-
-    def test_tuple_store_image_invalidated_by_removal_alone(self):
-        store = TupleStore()
-        store.add(("a", 1.0))
-        store.add(("b", 2.0))
-        self._encoded(store)
-        store.remove([("b", 2.0)])
-        assert store.cached_image() is None
-
     def test_tuple_store_image_survives_no_op_mutations(self):
-        # a retraction of an absent fact or a duplicate insert changes
-        # no content, so the image stays current
+        # a duplicate insert changes no content, so the image stays
+        # current
         store = TupleStore()
         store.add(("a", 1.0))
         store.add(("b", 2.0))
         image = self._encoded(store)
-        assert store.remove([("z", 0.0)]) == 0
         assert not store.add(("a", 1.0))
         assert store.cached_image() is image
 
@@ -411,37 +372,26 @@ class TestMutationCacheInvalidation:
         image = self._encoded(store)
         clone = store.fork()
         assert clone.cached_image() is image
-        clone.remove([("a", 1.0)])
         clone.add(("a", 5.0))
         assert clone.cached_image() is None
         # the donor is untouched
         assert store.cached_image() is image
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_instance_image_reflects_net_zero_churn(self, forced):
-        with _tuple_view(forced):
-            instance = RelationalInstance()
-            for fact in [("a", 1.0), ("b", 2.0), ("c", 3.0)]:
-                instance.add("R", fact)
-            instance.columnar_image("R", 2)  # caches on either layout
-            # first churn demotes a native relation to the tuple store
-            instance.remove_batch("R", [("a", 1.0)])
-            instance.add("R", ("d", 4.0))
-            instance.columnar_image("R", 2)  # caches on the tuple store
-            # second churn is net-zero *on the tuple store*
-            instance.remove_batch("R", [("b", 2.0)])
-            instance.add("R", ("e", 5.0))
-            image = instance.columnar_image("R", 2)
-            rows = sorted(
-                zip(image.dims[0].decode_list(), image.measures.tolist())
-            )
-            assert rows == [("c", 3.0), ("d", 4.0), ("e", 5.0)]
+
+    def test_tuple_store_image_dropped_by_growth(self):
+        store = TupleStore()
+        store.add(("a", 1.0))
+        image = self._encoded(store)
+        assert store.add(("b", 2.0))
+        assert store.cached_image() is None
+        # an image encoded at the new row count is current again
+        assert self._encoded(store) is store.cached_image()
 
     @pytest.mark.parametrize("forced", [False, True])
-    def test_instance_image_after_net_zero_churn_matches_fresh(self, forced):
-        # the delta splice's shape: one key keeps its dims and takes a
-        # new measure; the image must be that of the same facts built
-        # from scratch, in the same order
+    def test_instance_image_after_growth_matches_fresh(self, forced):
+        # on either layout, facts added after an image was cached show
+        # in the next image, in insertion order, as in one built from
+        # scratch
         def rows(instance):
             image = instance.columnar_image("R", 2)
             return list(zip(image.dims[0].decode_list(), image.measures.tolist()))
@@ -451,53 +401,18 @@ class TestMutationCacheInvalidation:
             for fact in [("a", 1.0), ("b", 2.0)]:
                 instance.add("R", fact)
             before = rows(instance)
-            instance.remove_batch("R", [("a", 1.0)])
+            instance.add("R", ("c", 3.0))
             instance.add("R", ("a", 9.0))
             fresh = RelationalInstance()
             for fact in instance.facts("R"):
                 fresh.add("R", fact)
-            assert rows(instance) == rows(fresh) == [("b", 2.0), ("a", 9.0)]
-            assert rows(instance) != before
-
-    def test_net_zero_splice_then_full_recompute_reads_live_operands(self):
-        """The review scenario end to end: two successive update-only
-        revisions, with the target tgd forced onto the full-recompute
-        fallback (the one delta path that re-reads whole operand
-        images).  The second update's recompute must see the second
-        revision's operand content, not a stale image cached during
-        the first update at the same row count."""
-        a_schema = CubeSchema("A", [Dimension("r", STRING)], "v")
-        schema = Schema([a_schema], "src")
-        program = Program.compile("Z := A * 2\n", schema)
-        mapping = generate_mapping(program)
-
-        def data(values):
-            cube = Cube(a_schema)
-            for key, value in values.items():
-                cube.set((key,), value)
-            return {"A": cube}
-
-        backend = ChaseBackend()
-        backend.run_mapping(mapping, data({"a": 1.0, "b": 2.0, "c": 3.0}))
-        snapshot = backend._snapshot_for(mapping)
-        chase = DeltaChase(snapshot)
-        (tgd,) = [t for t in mapping.target_tgds if t.target_relation == "Z"]
-        chase._plans[id(tgd)] = (None, "forced-fallback-for-test")
-        snapshot.chaser = chase
-        backend.run_mapping_delta(
-            mapping, data({"a": 10.0, "b": 2.0, "c": 3.0})
-        )
-        final = data({"a": 10.0, "b": 20.0, "c": 3.0})
-        result = backend.run_mapping_delta(mapping, final)
-        expected = ChaseBackend().run_mapping(mapping, final)
-        assert result.cubes["Z"].delta(expected["Z"]).is_empty, (
-            "full-recompute fallback read a stale operand image"
-        )
-
+            expected = [("a", 1.0), ("b", 2.0), ("c", 3.0), ("a", 9.0)]
+            assert rows(instance) == rows(fresh) == expected
+            assert before == expected[:2]
 
 class TestCleanPathStoreAdoption:
     """The dispatcher only carries a fresh output's columnar store onto
-    a delta-identical stored cube when the store's insertion order is
+    a stored cube with the same rows when the store's insertion order is
     the stored cube's row order — otherwise warm runs would enumerate
     (and persist) the same content in a different order than cold
     runs."""
@@ -537,8 +452,8 @@ class TestCleanPathStoreAdoption:
         shared = float("nan")
         rows = [("a", 1.0), ("b", shared)]
         assert _store_matches_rows(self._store(rows), self._cube(rows))
-        # a *different* NaN object breaks retraction-by-identity on the
-        # adopted store, so it must not be attached
+        # a *different* NaN object makes the store's facts unequal to
+        # the cube's rows as tuples, so it must not be attached
         other = [("a", 1.0), ("b", float("nan"))]
         assert not _store_matches_rows(self._store(other), self._cube(rows))
 
@@ -644,7 +559,7 @@ class TestSidecarPersistence:
 
     def test_attach_rebinds_measures_to_the_cubes_objects(self, tmp_path):
         # the store invariant: measures are the exact float objects the
-        # cube holds, so NaN retraction matches by identity even on a
+        # cube holds, so NaN rows match by identity even on a
         # sidecar-restored store
         schema = CubeSchema("NF", [Dimension("r", STRING)], "v")
         cube = Cube(schema)

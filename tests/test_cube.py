@@ -351,28 +351,49 @@ class TestCubeDelta:
         assert (quarter(2020, 3), "south", 4.0) in delta.new_facts()
         assert (quarter(2020, 1), "south", 9.0) in delta.new_facts()
 
-    def test_patched_inverts_delta(self, panel_schema):
-        a, b = self._pair(panel_schema)
-        patched = a.patched(a.delta(b))
-        assert patched.delta(b).is_empty
-        assert b.delta(patched).is_empty
-        # and the original is untouched
-        assert a[(quarter(2020, 1), "south")] == 2.0
+    def _encoded(self, cube):
+        columns = cube.to_columns()
+        dictionaries = [list(dict.fromkeys(col)) for col in columns[:-1]]
+        codes = [
+            [d.index(value) for value in col]
+            for d, col in zip(dictionaries, columns[:-1])
+        ]
+        encoded = Cube.from_columns(cube.schema, dictionaries, codes, columns[-1])
+        assert encoded.encoded() is not None
+        return encoded
 
-    def test_patched_roundtrip_with_nan(self, panel_schema):
+    def test_same_rows_agrees_with_delta(self, panel_schema):
+        # on dict-held cubes and on encoded ones, whose dictionaries
+        # list the values in different orders
+        a, b = self._pair(panel_schema)
+        for left, right in [(a, b), (self._encoded(a), self._encoded(b))]:
+            assert left.same_rows(right) is left.delta(right).is_empty is False
+            assert left.same_rows(left.copy())
+        reordered = Cube.from_rows(panel_schema, list(reversed(a.to_rows())))
+        assert self._encoded(a).same_rows(self._encoded(reordered))
+
+    def test_same_rows_with_nan_and_signed_zero(self, panel_schema):
         a = Cube(panel_schema)
         a.set((quarter(2020, 1), "north"), float("nan"))
-        a.set((quarter(2020, 2), "north"), 1.0)
+        a.set((quarter(2020, 2), "north"), 0.0)
         b = Cube(panel_schema)
-        b.set((quarter(2020, 1), "north"), 2.0)
-        b.set((quarter(2020, 2), "north"), float("nan"))
-        assert a.patched(a.delta(b)).delta(b).is_empty
+        b.set((quarter(2020, 1), "north"), float("nan"))
+        b.set((quarter(2020, 2), "north"), -0.0)
+        c = Cube(panel_schema)
+        c.set((quarter(2020, 1), "north"), 2.0)
+        c.set((quarter(2020, 2), "north"), 0.0)
+        for wrap in (lambda cube: cube, self._encoded):
+            assert wrap(a).same_rows(wrap(b)) and wrap(b).same_rows(wrap(a))
+            assert not wrap(a).same_rows(wrap(c))
+            assert not wrap(c).same_rows(wrap(a))
 
     def test_arity_mismatch_rejected(self, panel_schema, ts_schema):
         a = Cube(panel_schema)
         b = Cube(ts_schema)
         with pytest.raises(CubeError):
             a.delta(b)
+        with pytest.raises(CubeError):
+            a.same_rows(b)
 
 
 class TestFromColumns:
@@ -462,9 +483,7 @@ class TestCanonicalText:
         clone.set((quarter(2020, 2), "north"), 2.5)
         assert model_io.canonical_bytes(clone)[1] != digest
         assert model_io.canonical_bytes(cube) is canonical  # the original keeps its own
-        patched = cube.patched(cube.delta(clone))
-        assert model_io.canonical_bytes(patched) == model_io.canonical_bytes(clone)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_parsed_canonical_bytes_are_kept_with_their_digest(self, panel_schema):
         from repro.model.io import canonical_bytes, cube_from_canonical_bytes
@@ -512,7 +531,6 @@ class TestCanonicalText:
         assert clone._columns is cube._columns
         clone.set((quarter(2020, 3), "n"), 3.0)
         assert clone._columns is None and cube._columns is not None
-        assert cube.patched(cube.delta(clone))._columns is None
 
 
 #: a cube with every value the CSV dialect treats specially; its

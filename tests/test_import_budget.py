@@ -263,14 +263,12 @@ class TestRunBudget:
     def test_plain_run_and_update_load_no_cold_module(
         self, tmp_path, loaded_by, target
     ):
-        # the delta chase replays a snapshot no one-shot call can hold,
         # the cost model serves --adaptive, the wave scheduler --jobs N > 1
         project = write_project(tmp_path, target)
         out = str(tmp_path / "out")
         for command in ("run", "update"):
             modules = loaded_by([command, project, "--out", out])
             cold = modules & {
-                "repro.chase.delta",
                 "repro.engine.costmodel",
                 "repro.chase.scheduler",
             }

@@ -638,6 +638,7 @@ class TestCliUpdate:
     def test_update_against_wrong_run_id(self, project_dir, capsys):
         out_dir = project_dir / "results"
         assert self._run(project_dir, out_dir) == 0
+        index = json.loads((out_dir / "baseline" / "baseline.json").read_text())
         code = main(
             [
                 "update",
@@ -645,11 +646,58 @@ class TestCliUpdate:
                 "--out",
                 str(out_dir),
                 "--against",
-                "999",
+                str(index["record"]["run_id"] + 1),
             ]
         )
         assert code == 2
         assert "is run" in capsys.readouterr().err
+
+    def test_unchanged_chase_output_leaves_its_consumer_clean(
+        self, tmp_path, capsys
+    ):
+        """A revised measure leaves the chase's count N as it was: N
+        keeps its version, so the subgraph of H (on ``r``) is replayed
+        clean, and the directory is what a full run writes."""
+        schema = CubeSchema(
+            "S", [Dimension("r", STRING), Dimension("q", TIME(Frequency.QUARTER))], "v"
+        )
+        rows = [(r, quarter(2020, i), float(i)) for r in ("a", "b") for i in (1, 2, 3)]
+        write_cube_csv(Cube.from_rows(schema, rows), tmp_path / "s.csv")
+        spec = {
+            "elementary": [
+                {
+                    "name": "S",
+                    "dimensions": [["r", "string"], ["q", "time:Q"]],
+                    "measure": "v",
+                    "csv": "s.csv",
+                }
+            ],
+            "program": "N := count(S, group by r)\nH := N + 1\n",
+            "outputs": ["N", "H"],
+            "preferred_targets": {"N": "chase", "H": "r"},
+        }
+        project = str(tmp_path / "project.json")
+        (tmp_path / "project.json").write_text(json.dumps(spec))
+        out_dir, full_dir = tmp_path / "results", tmp_path / "full"
+        assert main(["run", project, "--out", str(out_dir)]) == 0
+        rows[0] = rows[0][:-1] + (7.5,)
+        write_cube_csv(Cube.from_rows(schema, rows), tmp_path / "s.csv")
+        capsys.readouterr()
+        assert main(["update", project, "--out", str(out_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("  [chase] N:")]
+        (consumer,) = [line for line in lines if line.startswith("  [r] H:")]
+        assert "[clean]" in consumer
+        assert main(["run", project, "--out", str(full_dir)]) == 0
+        written = sorted(
+            path.relative_to(out_dir)
+            for path in out_dir.rglob("*.csv")
+        )
+        assert written == sorted(
+            path.relative_to(full_dir) for path in full_dir.rglob("*.csv")
+        )
+        for path in written:
+            assert (out_dir / path).read_bytes() == (full_dir / path).read_bytes()
 
 
 _PINNED_CUBES = ("T", "Y", "D", "M", "Z")

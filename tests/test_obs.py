@@ -400,7 +400,6 @@ PASSING_REPORT = {
         "recovery_vs_rerun": {"value": 0.15, "ceiling": 0.3},
     },
     "delta_chase": {
-        "one_percent_update": {"speedup": 25.0, "floor": 5.0},
         "noop_update": {"speedup": 80.0, "floor": 5.0},
     },
     "parallel_chase": {

@@ -739,15 +739,15 @@ class TestLatticeNodeStore:
             row[:-1]: row[-1] for row in store.rows()
         } == node.groups
         assert node.as_store() is store  # cached
-        lattice.refresh(cube.patched(_one_row_delta(cube)))
+        lattice.refresh(_one_row_revision(cube))
         assert node.as_store() is not store  # refresh invalidates
 
 
-def _one_row_delta(cube):
+def _one_row_revision(cube):
     revised = cube.copy()
     key = next(iter(cube.keys()))
     revised.set(key, cube[key] + 1.0, overwrite=True)
-    return cube.delta(revised)
+    return revised
 
 
 class TestLatticeSidecar:
@@ -782,7 +782,7 @@ class TestLatticeSidecar:
             assert restored.nodes[key].groups == node.groups
         assert metrics.value("olap.lattice.groups") == 0
         # refreshes work immediately after attach
-        revised = cube.patched(_one_row_delta(cube))
+        revised = _one_row_revision(cube)
         restored.refresh(revised)
         assert_lattice_matches_oracle(restored, revised)
 

@@ -673,6 +673,83 @@ def _row_cells(rows):
     return _cells((row[:-1], row[-1]) for row in rows)
 
 
+_EDITS = [
+    "same", "nan", "signed-zero", "measure", "missing", "extra", "rekeyed",
+    "recombined",
+]
+
+
+def _held_as(form, schema, rows):
+    """A cube of ``rows`` held as its keyed view, as the columns
+    :meth:`Cube.from_columns` keeps, or as an attached column store."""
+    if form == "columns":
+        return Cube.from_columns(schema, *_encode(rows, schema.arity))
+    cube = Cube.from_rows(schema, rows)
+    if form == "store":
+        store_for_cube(cube)
+    return cube
+
+
+class TestSameRowsProperty:
+    """``a.same_rows(b)`` is exactly ``a.delta(b).is_empty``, whether the
+    cubes are compared by column or through their keyed views."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        boundary_cubes(),
+        st.sampled_from(_EDITS),
+        st.sampled_from(["rows", "columns", "store"]),
+        st.sampled_from(["rows", "columns", "store"]),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_same_rows_is_an_empty_delta(self, cube, edit, form, other_form, rng, data):
+        schema = cube.schema
+        rows = cube.to_rows()
+        revised = list(rows)
+        absent = tuple(data.draw(_DIM_VALUES[dim.dtype]) for dim in schema.dimensions)
+        if rows and absent not in cube:
+            i = rng.randrange(len(rows))
+            if edit == "missing":
+                del revised[i]
+            elif edit == "extra":
+                revised.append(absent + (1.0,))
+            elif edit == "rekeyed":
+                revised[i] = absent + (rows[i][-1],)
+        if edit == "recombined" and len(rows) > 1 and schema.arity > 1:
+            # two rows trade their first component: every value is still
+            # in the other cube's dictionaries, the keys are not
+            i, j = rng.sample(range(len(rows)), 2)
+            swapped = [
+                (rows[j][0],) + rows[i][1:],
+                (rows[i][0],) + rows[j][1:],
+            ]
+            keys = {row[:-1] for k, row in enumerate(rows) if k not in (i, j)}
+            if not keys & {row[:-1] for row in swapped} and (
+                swapped[0][:-1] != swapped[1][:-1]
+            ):
+                revised[i], revised[j] = swapped
+        if rows:
+            i = rng.randrange(len(rows))
+            key = rows[i][:-1]
+            if edit == "nan":
+                # two NaN objects: equal as measures, never identical
+                rows[i] = key + (float("nan"),)
+                revised[i] = key + (float("nan"),)
+            elif edit == "signed-zero":
+                rows[i] = key + (0.0,)
+                revised[i] = key + (-0.0,)
+            elif edit == "measure":
+                revised[i] = key + (float(data.draw(_MEASURES)),)
+        # the same rows in another order: other dictionaries, other codes
+        rng.shuffle(revised)
+        a = _held_as(form, schema, rows)
+        b = _held_as(other_form, schema, revised)
+        expected = a.delta(b).is_empty
+        assert a.same_rows(b) is expected
+        assert b.same_rows(a) is expected
+
+
 class TestLazyCubeProperty:
     """A cube built from columns keeps the columns and decodes its keyed
     view on first use; from outside it is the cube ``from_rows`` builds
@@ -735,7 +812,7 @@ class TestLazyCubeProperty:
             assert target._columns is None and target._colstore is None
             assert len(target) == len(expected)
 
-        # delta / patched against a revision of the same rows
+        # delta against a revision of the same rows
         revised = eager.copy()
         revised.set(absent, value, overwrite=True)
         if rows:
@@ -743,8 +820,6 @@ class TestLazyCubeProperty:
         delta, expected = lazy().delta(revised), eager.delta(revised)
         assert _row_cells(delta.new_facts()) == _row_cells(expected.new_facts())
         assert _row_cells(delta.old_facts()) == _row_cells(expected.old_facts())
-        patched = lazy().patched(delta)
-        assert patched == revised and patched._columns is None
         assert _cells(lazy().items()) == _cells(eager.items())  # source untouched
 
         # the column store and the writer work on the columns alone
