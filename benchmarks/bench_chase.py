@@ -72,7 +72,8 @@ def test_instance_from_cubes_reuses_cube_stores():
     The first ``instance_from_cubes`` build caches the columnar store on
     each cube; a later build over the same (unchanged) cubes adopts that
     store by reference — the chase-facing face of the warm-run
-    zero-encode guarantee gated by ``bench_columnar_native.py``."""
+    zero-encode guarantee (``tests/test_columnar_native.py``'s
+    ``TestEncodeTax``)."""
     import time
 
     _, data = _series_instance(8000)

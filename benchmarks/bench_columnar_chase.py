@@ -17,17 +17,16 @@ randomized suite in ``tests/test_columnar_chase.py`` pins tuple for
 tuple).
 
 Since the columnar-native storage layer (DESIGN.md §9) the encode
-phase no longer appears in the kernel-phase breakdown at all: relations
-live as dictionary-encoded columns inside the instance, so the kernels
-read images straight off the stores instead of re-encoding fact sets
-(``bench_columnar_native.py`` gates that claim with a floor).
+phase no longer appears in the kernel-phase breakdown at all: a
+relation's one representation is its dictionary-encoded column store,
+so the kernels read images straight off the stores.
 
 The timings are written as JSON (``COLUMNAR_BENCH_JSON``, default
 ``benchmarks/results/bench_columnar_chase_results.json``) so CI can
 publish them as a
 workflow artifact; with ``--bench-json`` they also land in the unified
 report that ``benchmarks/check_regression.py`` gates on.  Each entry
-carries trace-derived kernel-phase totals (encode/join/eval/egd-check/
+carries trace-derived kernel-phase totals (join/eval/egd-check/
 insert) from an instrumented run, so a regression is attributable to a
 phase, not just visible in the end-to-end number.
 """
@@ -159,8 +158,8 @@ def _measure(name, source_text, floor, report=None):
     vector_s = _wall(lambda: vector_chase.run(source))
     speedup = scalar_s / vector_s
     kernel_phase_ms = _kernel_phase_ms(mapping, source)
-    # columnar-native storage: no relation lives as a tuple set, so the
-    # traced run must show zero encode work in the phase breakdown
+    # columnar-native storage: a relation is its column store, so no
+    # kernel phase encodes
     assert "encode" not in kernel_phase_ms, kernel_phase_ms
     _results[name] = {
         "rows": rows,

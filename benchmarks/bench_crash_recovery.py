@@ -17,7 +17,10 @@ Two claims of the durability layer (DESIGN §12):
 
 Both entries are gated by ``check_regression.py`` as *ceilings*: the
 journaled run may cost at most 1.15x the unjournaled one, and recovery
-at most 0.3x of a full rerun.  The ceilings are looser than
+at most 0.3x of a full rerun.  The journal's overhead is the median
+ratio of ``JOURNAL_PAIRS`` pairs of runs, which side goes first
+alternating: one pair's ratio moves by ±0.1 from run to run, most of
+the gap to the ceiling.  The ceilings are looser than
 quiet-machine measurements (~1.0x overhead, ~0.15x recovery) so the
 gate catches structural regressions — the epilogue re-serializing
 committed cubes, recovery re-dispatching committed subgraphs —
@@ -25,6 +28,7 @@ without flaking on shared CI runners.
 """
 
 import json
+import statistics
 import time
 
 from repro.cli import _build_engine, load_project
@@ -36,6 +40,7 @@ JOURNAL_PERIODS = 600  # x 200 regions = 120k tuples (the PR-6 workload)
 JOURNAL_REGIONS = 200
 RECOVERY_PERIODS = 300  # x 100 regions = 30k tuples, compute-heavy
 RECOVERY_REGIONS = 100
+JOURNAL_PAIRS = 3  # journaled / --no-journal run pairs
 OVERHEAD_CEILING = 1.15  # journaled run vs --no-journal
 RECOVERY_CEILING = 0.3  # recover + resume vs full rerun
 
@@ -95,8 +100,17 @@ def test_journal_overhead(bench_report, tmp_path):
         assert code == 0
         return time.perf_counter() - t0, out
 
-    plain_s, plain_out = timed_run("plain", "--no-journal")
-    journaled_s, journaled_out = timed_run("journaled")
+    ratios, plain_times, journaled_times = [], [], []
+    for pair in range(JOURNAL_PAIRS):
+        if pair % 2:
+            journaled_s, journaled_out = timed_run(f"journaled{pair}")
+            plain_s, plain_out = timed_run(f"plain{pair}", "--no-journal")
+        else:
+            plain_s, plain_out = timed_run(f"plain{pair}", "--no-journal")
+            journaled_s, journaled_out = timed_run(f"journaled{pair}")
+        ratios.append(journaled_s / plain_s)
+        plain_times.append(plain_s)
+        journaled_times.append(journaled_s)
 
     # identical outputs, and the journal cleaned up after itself
     assert (journaled_out / "A0.csv").read_bytes() == (
@@ -106,7 +120,9 @@ def test_journal_overhead(bench_report, tmp_path):
         p.name for p in plain_out.iterdir()
     )
 
-    overhead = journaled_s / plain_s if plain_s > 0 else float("inf")
+    overhead = statistics.median(ratios)
+    plain_s = statistics.median(plain_times)
+    journaled_s = statistics.median(journaled_times)
     tuples = JOURNAL_PERIODS * JOURNAL_REGIONS
     bench_report.record(
         "crash_recovery",
@@ -117,6 +133,7 @@ def test_journal_overhead(bench_report, tmp_path):
             "overhead_x": overhead,
             "value": round(overhead, 3),
             "ceiling": OVERHEAD_CEILING,
+            "pairs": JOURNAL_PAIRS,
             "tuples": tuples,
             "fsync": True,
         },

@@ -17,8 +17,17 @@ ceilings are looser than quiet-machine measurements (~1.3x overhead,
 ~0.15x resume) so the gate catches structural regressions — retries
 gone quadratic, resume re-dispatching committed subgraphs — without
 flaking on shared CI runners.
+
+One run takes 10-30 ms, so the overhead is not read off single runs:
+each timed sample is ``SAMPLE_RUNS`` runs back to back, clean and
+faulty samples alternate (which side goes first alternates too), and
+the gated value is the median of the ``PAIRS`` per-pair ratios; the
+report also records their interquartile range.  A resume (~3 ms) is
+timed against a full rerun the same way, one of each per pair.
 """
 
+import gc
+import statistics
 import time
 
 from repro.engine import EXLEngine, FaultPlan, FaultRule
@@ -27,7 +36,8 @@ from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, quarter
 WIDTH = 8  # independent derived cubes per wave
 PERIODS = 24
 BACKOFF_S = 0.001  # keep retry sleeps out of the measurement's way
-REPEATS = 3
+SAMPLE_RUNS = 8  # runs per timed overhead sample
+PAIRS = 9  # alternating sample pairs behind each gated ratio
 OVERHEAD_CEILING = 2.0  # faulty run vs clean run
 RESUME_CEILING = 0.3  # resume vs full rerun
 
@@ -64,27 +74,27 @@ def _build_engine(**kwargs):
     return engine
 
 
-def _wall(fn, repeats=REPEATS):
-    """Best-of-N wall time plus the last call's return value."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def _transient_plan(seed):
     return FaultPlan(
         [FaultRule(kind="transient", probability=0.3, first_n=3)], seed=seed
     )
 
 
+def _sample(fn):
+    """Wall time of ``SAMPLE_RUNS`` calls back to back."""
+    gc.collect()
+    t0 = time.perf_counter()
+    for _ in range(SAMPLE_RUNS):
+        fn()
+    return time.perf_counter() - t0
+
+
 def test_recovery_overhead(bench_report):
-    clean_s, _ = _wall(lambda: _build_engine().run())
     baseline = _build_engine()
     baseline.run()
+
+    def clean_run():
+        return _build_engine().run()
 
     def faulty_run():
         engine = _build_engine()
@@ -93,7 +103,16 @@ def test_recovery_overhead(bench_report):
         )
         return engine, record
 
-    faulty_s, (engine, record) = _wall(faulty_run)
+    clean_run(), faulty_run()  # warm-up: first-use imports and caches
+    samples = {clean_run: [], faulty_run: []}
+    for pair in range(PAIRS):
+        order = (clean_run, faulty_run) if pair % 2 else (faulty_run, clean_run)
+        for side in order:
+            samples[side].append(_sample(side))
+    engine, record = faulty_run()
+    ratios = [f / c for f, c in zip(samples[faulty_run], samples[clean_run])]
+    clean_s = statistics.median(samples[clean_run]) / SAMPLE_RUNS
+    faulty_s = statistics.median(samples[faulty_run]) / SAMPLE_RUNS
 
     # the acceptance claim: full recovery, identical committed state
     assert record.complete and record.error is None
@@ -103,7 +122,9 @@ def test_recovery_overhead(bench_report):
     retries = engine.metrics.value("dispatch.retries")
     assert retries > 0  # faults actually fired and were retried
 
-    overhead = faulty_s / clean_s if clean_s > 0 else float("inf")
+    overhead = statistics.median(ratios)
+    quartiles = statistics.quantiles(ratios, n=4)
+    spread = quartiles[2] - quartiles[0]
     bench_report.record(
         "fault_recovery",
         "transient_30pct_overhead",
@@ -113,6 +134,9 @@ def test_recovery_overhead(bench_report):
             "overhead_x": overhead,
             "value": round(overhead, 3),
             "ceiling": OVERHEAD_CEILING,
+            "spread": round(spread, 3),
+            "pairs": PAIRS,
+            "runs_per_sample": SAMPLE_RUNS,
             "retries": retries,
             "fault_probability": 0.3,
             "retry_budget": 3,
@@ -120,7 +144,7 @@ def test_recovery_overhead(bench_report):
     )
     print(
         f"\nclean {clean_s * 1e3:.1f}ms  faulty {faulty_s * 1e3:.1f}ms  "
-        f"overhead {overhead:.2f}x  ({retries} retries)"
+        f"overhead {overhead:.2f}x  spread {spread:.2f}  ({retries} retries)"
     )
     assert overhead <= OVERHEAD_CEILING, (
         f"30% transient faults cost {overhead:.2f}x a clean run "
@@ -137,17 +161,28 @@ def test_resume_vs_full_rerun(bench_report):
         engine.run(
             on_error="continue", fault_plan=FaultPlan(fail_plan, seed=0)
         )
+        gc.collect()
         t0 = time.perf_counter()
         record = engine.resume()
         return time.perf_counter() - t0, engine, record
 
-    resume_s = float("inf")
-    engine = record = None
-    for _ in range(REPEATS):
-        elapsed, engine, record = partial_then_resume()
-        resume_s = min(resume_s, elapsed)
+    def full_rerun():
+        gc.collect()
+        t0 = time.perf_counter()
+        _build_engine().run()
+        return time.perf_counter() - t0
 
-    rerun_s, _ = _wall(lambda: _build_engine().run())
+    partial_then_resume(), full_rerun()  # warm-up: first-use imports
+    resumes, reruns = [], []
+    for pair in range(PAIRS):
+        if pair % 2:
+            reruns.append(full_rerun())
+        elapsed, engine, record = partial_then_resume()
+        resumes.append(elapsed)
+        if not pair % 2:
+            reruns.append(full_rerun())
+    resume_s = statistics.median(resumes)
+    rerun_s = statistics.median(reruns)
 
     assert record.complete
     resumed_cubes = {cube for s in record.subgraphs for cube in s.cubes}
@@ -158,7 +193,7 @@ def test_resume_vs_full_rerun(bench_report):
     for name in sorted(all_cubes):
         assert engine.catalog.has_data(name)
 
-    ratio = resume_s / rerun_s if rerun_s > 0 else float("inf")
+    ratio = statistics.median([r / f for r, f in zip(resumes, reruns)])
     bench_report.record(
         "fault_recovery",
         "resume_vs_rerun",
@@ -168,6 +203,7 @@ def test_resume_vs_full_rerun(bench_report):
             "resume_over_rerun_x": ratio,
             "value": round(ratio, 3),
             "ceiling": RESUME_CEILING,
+            "pairs": PAIRS,
             "resumed_subgraphs": len(record.subgraphs),
             "total_cubes": len(all_cubes),
         },

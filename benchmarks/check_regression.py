@@ -46,7 +46,6 @@ REQUIRED = (
     "adaptive_dispatch.vs_worst_static",
     "columnar_chase.aggregation",
     "columnar_chase.scalar_arith",
-    "columnar_native.warm_encode_tax",
     "crash_recovery.journal_overhead",
     "crash_recovery.recovery_vs_rerun",
     "delta_chase.noop_update",

@@ -8,13 +8,15 @@ its own child process, and reports what they did not reach:
 * both pipeline-benchmark workloads at ``--quick`` through
   ``python -m repro``'s entry: ``run``, ``update`` (on revised inputs),
   the session's three ``query`` calls, ``compile`` for each of the five
-  targets, ``show`` and ``recover``;
+  targets, ``show`` and ``recover``; ``cube_chase`` is also run with
+  ``--jobs 2 --shards 2``;
 * the five scripts under ``examples/``;
 * ``scenario_corpus(0)`` through the chase backend, on the composed
   mapping every target runs.
 
-Shard workers are forked processes the tracer does not follow, so a
-line only they execute counts as unreached.
+A forked child (a shard worker) keeps its parent's tracer and writes
+its own line set, to ``<out>.<pid>``, when it leaves through
+``os._exit``; a worker that is killed writes nothing.
 
 Executable lines are taken from the compiled code objects of every
 module (``co_lines``), so a def, a decorator or an import counts, and a
@@ -26,8 +28,7 @@ Run from the repository root::
     python benchmarks/reach.py --brief    # the total line only
 
 The last line printed is always the total, e.g.
-``reach: 10011 of 15615 executable lines (64.1%), shard workers not
-traced``.
+``reach: 10011 of 15615 executable lines (64.1%)``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ def _leave(code):
     _dump()
     _exit(code)
 os._exit = _leave
+
+def _forked():
+    global _OUT
+    _OUT = f"{_OUT}.{os.getpid()}"
+    _HITS.clear()
+    sys.settrace(_global)
+os.register_at_fork(after_in_child=_forked)
 del sys.argv[1:3]
 sys.settrace(_global)
 threading.settrace(_global)
@@ -129,11 +137,16 @@ def executable_lines(path: Path) -> Set[int]:
 def _child(script: str, argv: List[str], cwd: Path, hits: Dict[str, Set[int]]) -> None:
     """Run one traced child and fold its hits into ``hits``."""
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        out = handle.name
+        out = Path(handle.name)
     env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def dumps() -> List[Path]:
+        """The child's line sets: its own, then one per forked worker."""
+        return [out, *out.parent.glob(out.name + ".*")]
+
     try:
         done = subprocess.run(
-            [sys.executable, "-c", script, out, str(PACKAGE), *argv],
+            [sys.executable, "-c", script, str(out), str(PACKAGE), *argv],
             cwd=cwd,
             env=env,
             capture_output=True,
@@ -143,10 +156,12 @@ def _child(script: str, argv: List[str], cwd: Path, hits: Dict[str, Set[int]]) -
             raise SystemExit(
                 f"reach: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}"
             )
-        for name, lines in json.loads(Path(out).read_text()).items():
-            hits.setdefault(name, set()).update(lines)
+        for dump in dumps():
+            for name, lines in json.loads(dump.read_text()).items():
+                hits.setdefault(name, set()).update(lines)
     finally:
-        os.unlink(out)
+        for dump in dumps():
+            dump.unlink()
 
 
 def _pipeline_calls(name: str, work: Path) -> Iterator[List[str]]:
@@ -160,6 +175,9 @@ def _pipeline_calls(name: str, work: Path) -> Iterator[List[str]]:
     workloads.write_inputs(workload, work)
     project, out = str(work / "project.json"), str(work / "out")
     yield ["run", project, "--out", out]
+    if name == "cube_chase":
+        sharded = str(work / "sharded")
+        yield ["run", project, "--out", sharded, "--jobs", "2", "--shards", "2"]
     workloads.write_inputs(workload, work, revised=True)
     yield ["update", project, "--out", out]
     for query in workload.session:
@@ -219,12 +237,12 @@ def main(argv: List[str] = None) -> int:
         if missing:
             rows.append((path.relative_to(SRC).as_posix(), len(missing), len(lines), missing))
     if not args.brief:
-        print("unreached executable lines per module (shard workers are not traced)")
+        print("unreached executable lines per module")
         for module, count, size, missing in rows:
             print(f"{module}: {count} of {size} unreached: {_ranges(missing)}")
     print(
         f"reach: {reached} of {total} executable lines "
-        f"({100.0 * reached / total:.1f}%), shard workers not traced"
+        f"({100.0 * reached / total:.1f}%)"
     )
     return 0
 

@@ -102,12 +102,9 @@ class ChaseBackend(Backend):
             if name not in inputs:
                 raise BackendError(f"missing input cube {name!r}")
             source.ensure(name)
-            # adopt the cube's cached columnar store when it has one
-            # (warm runs: zero re-encode of unchanged inputs)
-            store = store_for_cube(inputs[name])
-            if store is not None and source.adopt(name, store) is not None:
-                continue
-            source.add_all(name, inputs[name].to_rows())
+            # the cube's cached columnar store when it has one (warm
+            # runs: zero re-encode of unchanged inputs)
+            source.adopt(name, store_for_cube(inputs[name]))
         chase = StratifiedChase(
             mapping,
             jobs=self.jobs if self.jobs > 1 else None,

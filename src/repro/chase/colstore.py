@@ -1,29 +1,24 @@
 """Columnar-native relation storage (struct-of-arrays first).
 
-Historically :class:`~repro.chase.instance.RelationalInstance` held each
-relation as a ``Set[Fact]`` and the columnar kernels re-encoded that set
-into a :class:`~repro.chase.columnar.ColumnarRelation` on every chase —
-the "encode tax" that dominated kernel time on large workloads.  This
-module inverts the representation: :class:`ColumnStore` keeps the
-dictionary-encoded column buffers as the *primary* state (per-column
-dictionaries, code columns, the measure column) and derives the tuple
-view lazily.  A store that grows fact by fact holds append-friendly
-Python lists; one adopted whole — a kernel's output
+:class:`ColumnStore` is the one representation of a relation in
+:class:`~repro.chase.instance.RelationalInstance`: the dictionary-encoded
+column buffers are the primary state (per-column dictionaries, code
+columns, the measure column), the tuple view is derived lazily, and the
+columnar kernels read the store's own
+:class:`~repro.chase.columnar.ColumnarRelation` image, never a
+re-encoding of facts.  A store that grows fact by fact holds
+append-friendly Python lists; one adopted whole — a kernel's output
 (:meth:`ColumnStore.append_columns`), a cube's sorted columns
 (:meth:`ColumnStore.from_cube_columns`) — keeps NumPy arrays: ``int64``
 codes and, when every measure is finite, the ``float64`` measures.
 Those arrays are read-only, the columnar image shares them, and the
 store turns them into lists only if it is appended to.
-:class:`TupleStore` is the compatibility representation — a fact dict
-first, columnar image encoded on demand — used when a relation's facts
-do not fit the columnar shape (non-float measures, ragged arity) or
-when a test sets ``instance.FORCE_TUPLE_VIEW``.
 
-Representation invariants (pinned by ``tests/test_columnar_native.py``):
+Representation invariants (pinned against a plain fact dict by
+``tests/test_colstore_reference.py``):
 
 * **Row order is insertion order.**  ``rows()`` enumerates facts in
-  first-occurrence insertion order on both store kinds, so the chase's
-  insertion-sequence contract is representation-independent.
+  first-occurrence insertion order, exactly as a fact dict would.
 * **Dictionaries are append-only.**  A :class:`ColumnarRelation` image
   captured at *n* rows shares the live dictionary/vmap objects and
   stays valid as the store grows — new codes only ever extend the
@@ -54,7 +49,7 @@ import numpy as np
 from ..model.cube import as_list, column_order
 from .columnar import ColumnarRelation, EncodedColumn
 
-__all__ = ["ColumnStore", "TupleStore"]
+__all__ = ["ColumnStore"]
 
 Fact = Tuple[Any, ...]
 
@@ -178,10 +173,6 @@ class ColumnStore:
     def n_rows(self) -> int:
         return len(self.measures)
 
-    def can_store(self, fact: Fact) -> bool:
-        """Whether ``fact`` fits this store's columnar shape."""
-        return len(fact) == self.arity and type(fact[-1]) is float
-
     # -- membership ----------------------------------------------------------
     def _members_map(self) -> Dict[Tuple, None]:
         """The dedup index ``(dim codes…, measure) -> None``, built lazily."""
@@ -199,7 +190,8 @@ class ColumnStore:
     def add(self, fact: Fact) -> bool:
         """Append one fact; returns True when it was new.
 
-        The caller has already checked :meth:`can_store`.
+        The caller has already checked the fact's arity and its
+        ``float`` measure.
         """
         if self._frozen:
             self._thaw()
@@ -497,65 +489,3 @@ class ColumnStore:
         clone._image_rows = self._image_rows
         return clone
 
-
-class TupleStore:
-    """One relation as a fact dict (the compatibility representation).
-
-    Used for relations whose facts do not fit the columnar shape and
-    wherever a test sets ``instance.FORCE_TUPLE_VIEW``; the columnar
-    image is encoded on demand (the classic encode tax) and cached,
-    tagged with the row count it was encoded at — append-only, like
-    :class:`ColumnStore`.
-    """
-
-    __slots__ = ("facts", "_image", "_image_rows")
-
-    def __init__(self, facts: Optional[Dict[Fact, None]] = None):
-        #: fact -> None, in insertion order
-        self.facts: Dict[Fact, None] = {} if facts is None else facts
-        self._image: Optional[ColumnarRelation] = None
-        self._image_rows = -1
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.facts)
-
-    def add(self, fact: Fact) -> bool:
-        if fact in self.facts:
-            return False
-        self.facts[fact] = None
-        return True
-
-    def rows(self) -> Dict[Fact, None]:
-        return self.facts
-
-    def cached_image(self) -> Optional[ColumnarRelation]:
-        """The cached image when still current, else None (re-encode)."""
-        image = self._image
-        if image is not None and self._image_rows == len(self.facts):
-            return image
-        return None
-
-    def set_image(self, image: ColumnarRelation) -> None:
-        self._image = image
-        self._image_rows = len(self.facts)
-
-    def fork(self) -> "TupleStore":
-        clone = TupleStore(dict(self.facts))
-        clone._image = self._image
-        clone._image_rows = self._image_rows
-        return clone
-
-    def __getstate__(self):
-        """Pickle the fact dict only; derived caches rebuild on demand.
-
-        Fact tuples keep their original measure objects through pickle
-        memoization, so NaN-carrying facts stay equal to themselves
-        after a worker-process hop.
-        """
-        return {"facts": self.facts}
-
-    def __setstate__(self, state):
-        self.facts = state["facts"]
-        self._image = None
-        self._image_rows = -1

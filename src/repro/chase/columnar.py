@@ -492,16 +492,12 @@ def _atom_binds(plan: _AtomPlan, rel: ColumnarRelation):
     return binds, rows
 
 
-def _match(plan: _TgdPlan, instance, registry, tracer=NULL_TRACER, metrics=None):
+def _match(plan: _TgdPlan, instance, registry, tracer=NULL_TRACER):
     """The vectorized lhs match: env columns aligned over match rows."""
     env: Dict[str, Any] = {}
     n_env = 0
     for index, atom_plan in enumerate(plan.atoms):
-        # columnar-native relations hand their image over; tuple-mode
-        # ones are encoded (a traced, counted ``kernel:encode``)
-        rel = instance.columnar_image(
-            atom_plan.relation, atom_plan.arity, tracer, metrics
-        )
+        rel = instance.columnar_image(atom_plan.relation, atom_plan.arity)
         binds, rows = _atom_binds(atom_plan, rel)
         if index == 0:
             if rows is not None:
@@ -695,14 +691,13 @@ def apply_vectorized(
     insert_batch,
     plans: Dict[int, Tuple[Tgd, Any]],
     tracer=NULL_TRACER,
-    metrics=None,
 ) -> int:
     """Apply one target tgd with its columnar kernel.
 
     ``operand_instance`` is the instance lhs atoms read from (the
     chase passes the target itself).  Raises :class:`FallbackUnsupported` — before any side
     effect — when no kernel covers the tgd.  ``tracer`` receives one
-    span per kernel phase (encode/join/eval/egd-check/insert), nested
+    span per kernel phase (join/eval/egd-check/insert), nested
     under whatever tgd span the caller holds open.
     """
     if tgd.kind is TgdKind.TABLE_FUNCTION:
@@ -712,26 +707,26 @@ def apply_vectorized(
     if tgd.kind is TgdKind.AGGREGATION:
         return _apply_aggregation(
             plan, tgd, operand_instance, target, functional, registry,
-            insert_batch, tracer, metrics,
+            insert_batch, tracer,
         )
     if tgd.kind is TgdKind.OUTER_TUPLE_LEVEL:
-        env, n = _outer_match(tgd, operand_instance, tracer, metrics)
+        env, n = _outer_match(tgd, operand_instance, tracer)
     else:
-        env, n = _match(plan, operand_instance, registry, tracer, metrics)
+        env, n = _match(plan, operand_instance, registry, tracer)
     with tracer.span("kernel:eval", category="kernel", rows=n):
         out_cols = _output_columns(plan.rhs, env, registry, n)
     return _emit(tgd, out_cols, n, target, functional, insert_batch, tracer)
 
 
-def _outer_match(tgd: Tgd, instance, tracer=NULL_TRACER, metrics=None):
+def _outer_match(tgd: Tgd, instance, tracer=NULL_TRACER):
     """The outer vectorial's lhs: one env row per key of the union of
     both operands' dimension tuples — the left operand's rows in their
     order, then the right-only rows in theirs — with the missing side's
     measure filled by the tgd's default."""
     left_atom, right_atom = tgd.lhs
     arity = len(left_atom.terms)
-    left = instance.columnar_image(left_atom.relation, arity, tracer, metrics)
-    right = instance.columnar_image(right_atom.relation, arity, tracer, metrics)
+    left = instance.columnar_image(left_atom.relation, arity)
+    right = instance.columnar_image(right_atom.relation, arity)
     with tracer.span(
         "kernel:join", category="kernel", relation=right_atom.relation
     ):
@@ -788,9 +783,7 @@ def _table_function(tgd: Tgd, instance, registry, tracer=NULL_TRACER):
     time order, through the registered implementation once.
 
     The operand atom names no terms, so the series — each fact's first
-    dimension and its measure — is read off the facts whatever the
-    relation's layout: a tuple-mode relation would otherwise be
-    re-encoded for one sort, which costs more than the sort.
+    dimension and its measure — is read off the relation's facts.
     """
     spec = registry.get(tgd.table_function)
     rows = sorted(instance.facts(tgd.lhs[0].relation), key=_time_key)
@@ -829,14 +822,14 @@ def _group_slices(plan: _TgdPlan, env, registry, n: int):
 
 
 def collect_bags(
-    tgd: Tgd, instance, registry, plans, tracer=NULL_TRACER, metrics=None
+    tgd: Tgd, instance, registry, plans, tracer=NULL_TRACER
 ) -> Dict[Tuple, List[Any]]:
     """The aggregation kernel without its reduce: ``{group key: bag}`` —
     all a shard worker runs of a group-by that is not shard-aligned."""
     if tgd.kind is not TgdKind.AGGREGATION:
         raise FallbackUnsupported(f"no collect for {tgd.kind.value} tgds")
     plan = _plan_for(tgd, plans)
-    env, n = _match(plan, instance, registry, tracer, metrics)
+    env, n = _match(plan, instance, registry, tracer)
     if n == 0:
         return {}
     with tracer.span("kernel:eval", category="kernel", rows=n):
@@ -854,10 +847,10 @@ def collect_bags(
 
 def _apply_aggregation(
     plan, tgd, operand_instance, target, functional, registry, insert_batch,
-    tracer=NULL_TRACER, metrics=None,
+    tracer=NULL_TRACER,
 ) -> int:
     aggregate = get_aggregate(plan.agg_func)
-    env, n = _match(plan, operand_instance, registry, tracer, metrics)
+    env, n = _match(plan, operand_instance, registry, tracer)
     if n == 0:
         return 0
     with tracer.span("kernel:eval", category="kernel", rows=n):

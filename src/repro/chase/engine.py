@@ -363,7 +363,6 @@ class StratifiedChase:
                 self._insert_batch,
                 self.kernel_plans,
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
         except columnar.FallbackUnsupported as unsupported:
             raise _refused(tgd, unsupported) from None
@@ -402,7 +401,6 @@ class StratifiedChase:
                 self.registry,
                 self.kernel_plans,
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
         except columnar.FallbackUnsupported as unsupported:
             raise _refused(tgd, unsupported) from None

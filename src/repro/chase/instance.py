@@ -7,13 +7,10 @@ and from relations by appending the measure as the last column, the
 Storage is *columnar-native*: each relation lives in a
 :class:`~repro.chase.colstore.ColumnStore` (dictionary-encoded
 struct-of-arrays, the layout the vectorized kernels consume directly)
-and the classic ``Set[Fact]`` tuple view is derived lazily — the
-inverse of the old design, where the fact set was primary and every
-chase paid an encode pass per relation.  Relations whose facts do not
-fit the columnar shape (non-float measures, mixed arity) transparently
-demote to a :class:`~repro.chase.colstore.TupleStore`.  Tests set the
-module attribute ``FORCE_TUPLE_VIEW`` per case to force the tuple
-representation everywhere, the storage oracle of the equivalence suites.
+and the ``Set[Fact]`` tuple view is derived lazily.  A relation is a
+cube's relation, so every fact of one has the same arity and a
+``float`` measure; :meth:`RelationalInstance.add` refuses any other
+fact with a :class:`~repro.errors.ChaseError`.
 
 Stores can be *shared* between instances — adopted cube stores,
 copy-tgd adoption, a chase output's store attached to its cube — under
@@ -31,10 +28,9 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..errors import ChaseError
 from ..model.cube import Cube
 from ..model.schema import Schema
-from .colstore import ColumnStore, TupleStore
+from .colstore import ColumnStore
 
 __all__ = [
-    "FORCE_TUPLE_VIEW",
     "RelationalInstance",
     "instance_from_cubes",
     "cubes_from_instance",
@@ -43,27 +39,18 @@ __all__ = [
 
 Fact = Tuple[Any, ...]
 
-#: ``True`` forces every relation onto the eager tuple representation
-#: (TupleStore), the pre-columnar-native layout.  Read at each store
-#: creation; tests flip it per case as the storage oracle.
-FORCE_TUPLE_VIEW = False
-
 # shared empty mapping backing ``facts()`` of absent relations; only
 # its (immutable) keys view ever escapes
 _EMPTY: Dict[Fact, None] = {}
-
-
-def _storable(fact: Fact) -> bool:
-    return len(fact) >= 1 and type(fact[-1]) is float
 
 
 class RelationalInstance:
     """A mutable set of facts per relation name (columnar-native)."""
 
     def __init__(self):
-        # relation -> ColumnStore | TupleStore | None (empty, mode
-        # undecided until the first fact arrives)
-        self._relations: Dict[str, Optional[Any]] = {}
+        # relation -> ColumnStore, or None while empty (the arity is
+        # fixed by the first fact)
+        self._relations: Dict[str, Optional[ColumnStore]] = {}
         # relations whose store is shared with another instance or a
         # cube (adoption, attached cube store): fork before writing
         self._shared: Set[str] = set()
@@ -105,24 +92,28 @@ class RelationalInstance:
             self._shared.discard(relation)
         return store
 
-    def _demote(self, relation: str, store: ColumnStore) -> TupleStore:
-        """Swap a columnar relation onto the tuple representation."""
-        demoted = TupleStore(store.rows())
-        self._relations[relation] = demoted
-        return demoted
-
     def add(self, relation: str, fact: Fact) -> bool:
-        """Insert a fact; returns True if it was new."""
+        """Insert a fact; returns True if it was new.
+
+        Raises :class:`ChaseError` for a fact whose arity differs from
+        the relation's or whose measure is not a ``float``.
+        """
         fact = tuple(fact)
         store = self._writable(relation)
+        arity = len(fact) if store is None else store.arity
+        if len(fact) != arity:
+            raise ChaseError(
+                f"relation {relation}: fact {fact!r} has arity {len(fact)}, "
+                f"{arity} expected"
+            )
+        if not fact or type(fact[-1]) is not float:
+            raise ChaseError(
+                f"relation {relation}: fact {fact!r} has no float measure "
+                f"(the last column must be a float)"
+            )
         if store is None:
-            if FORCE_TUPLE_VIEW or not _storable(fact):
-                store = TupleStore()
-            else:
-                store = ColumnStore(len(fact))
+            store = ColumnStore(arity)
             self._relations[relation] = store
-        if isinstance(store, ColumnStore) and not store.can_store(fact):
-            store = self._demote(relation, store)
         return store.add(fact)
 
     def add_batch(self, relation: str, facts: Iterable[Fact]) -> int:
@@ -138,20 +129,14 @@ class RelationalInstance:
                 count += 1
         return count
 
-    def add_all(self, relation: str, facts: Iterable[Fact]) -> int:
-        return self.add_batch(relation, facts)
-
     # -- adoption and sharing ------------------------------------------------
     def adopt(self, relation: str, store: ColumnStore) -> Optional[int]:
         """Adopt a columnar store as an (empty) relation's content.
 
         The store is shared, not copied — both the donor and this
         instance mark it copy-on-write.  Returns the adopted row count,
-        or None when adoption does not apply (tuple-view mode forced,
-        or the relation already holds facts).
+        or None when the relation already holds facts.
         """
-        if FORCE_TUPLE_VIEW or not isinstance(store, ColumnStore):
-            return None
         existing = self._relations.get(relation)
         if existing is not None and existing.n_rows:
             return None
@@ -164,13 +149,12 @@ class RelationalInstance:
 
         Used to attach a chase output's store to its cube (warm-run
         reuse) and by the copy-tgd adoption fast path.  Returns None
-        for tuple-mode or absent relations.
+        for an empty relation.
         """
         store = self._relations.get(relation)
-        if isinstance(store, ColumnStore):
+        if store is not None:
             self._shared.add(relation)
-            return store
-        return None
+        return store
 
     def append_columns(self, relation: str, columns: List[Any], n: int) -> Optional[int]:
         """Adopt kernel output columns directly into an empty relation.
@@ -180,7 +164,7 @@ class RelationalInstance:
         writer.  Returns rows appended, or None to fall back to the
         decoded-facts path.
         """
-        if FORCE_TUPLE_VIEW or n == 0:
+        if n == 0:
             return None
         store = self._relations.get(relation)
         if store is None:
@@ -188,11 +172,7 @@ class RelationalInstance:
                 return None
             store = ColumnStore(len(columns))
             self._relations[relation] = store
-        elif (
-            not isinstance(store, ColumnStore)
-            or store.n_rows
-            or relation in self._shared
-        ):
+        elif store.n_rows or relation in self._shared:
             return None
         return store.append_columns(columns, n)
 
@@ -204,46 +184,20 @@ class RelationalInstance:
             return _EMPTY.keys()
         return store.rows().keys()
 
-    def columnar_image(self, relation: str, arity: int, tracer=None, metrics=None):
-        """The relation as a ColumnarRelation, without re-encoding when
-        the relation is columnar-native (the whole point).
-
-        Tuple-mode relations still pay the classic encode pass — traced
-        as a ``kernel:encode`` span and counted on the
-        ``chase.kernel.encode`` metric so regressions of the zero-
-        re-encode guarantee are observable.  Raises
-        :class:`~repro.chase.columnar.FallbackUnsupported` for shapes
-        with no columnar image.
+    def columnar_image(self, relation: str, arity: int):
+        """The relation as a ColumnarRelation: the store's own image,
+        never re-encoded.  Raises
+        :class:`~repro.chase.columnar.FallbackUnsupported` when the
+        relation's arity is not ``arity``.
         """
         from .columnar import ColumnarRelation, FallbackUnsupported
 
         store = self._relations.get(relation)
         if store is None:
             return ColumnarRelation.from_facts([], arity)
-        if isinstance(store, ColumnStore):
-            if store.arity != arity:
-                raise FallbackUnsupported("cached arity mismatch")
-            return store.image()
-        image = store.cached_image()
-        if image is not None:
-            if image.arity != arity:
-                raise FallbackUnsupported("cached arity mismatch")
-            return image
-        if tracer is None:
-            from ..obs import NULL_TRACER
-
-            tracer = NULL_TRACER
-        with tracer.span(
-            "kernel:encode", category="kernel", relation=relation
-        ) as span:
-            image = ColumnarRelation.from_facts(list(store.rows()), arity)
-            span.note(rows=image.n_rows)
-        if metrics is not None:
-            metrics.inc("chase.kernel.encode")
-            metrics.inc(f"chase.kernel.encode.relation:{relation}")
-        if image.n_rows:
-            store.set_image(image)
-        return image
+        if store.arity != arity:
+            raise FallbackUnsupported("cached arity mismatch")
+        return store.image()
 
     def relations(self) -> List[str]:
         return list(self._relations)
@@ -277,7 +231,7 @@ class RelationalInstance:
         return f"RelationalInstance({counts})"
 
 
-def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
+def store_for_cube(cube: Cube) -> ColumnStore:
     """The cube's columnar store, built once and cached on the cube.
 
     A cube carries its store across the versioned store (``put`` copies
@@ -289,12 +243,9 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
     the same store without building a row; the store then holds the
     cube's rows and the cube drops those columns, so an adopted input
     is held once.
-    Returns None in forced tuple-view mode.
     """
-    if FORCE_TUPLE_VIEW:
-        return None
     store = getattr(cube, "_colstore", None)
-    if isinstance(store, ColumnStore) and store.n_rows == len(cube):
+    if store is not None and store.n_rows == len(cube):
         return store
     # a cube is functional by construction — dimension tuples distinct —
     # and holds its measures as exact floats
@@ -310,17 +261,12 @@ def store_for_cube(cube: Cube) -> Optional[ColumnStore]:
 def instance_from_cubes(cubes: Dict[str, Cube]) -> RelationalInstance:
     """Build an instance with one relation per cube (measure last).
 
-    Cubes carrying a cached columnar store are adopted copy-on-write —
-    no re-encode; anything else loads tuple-at-a-time through the
-    normal insert path.
+    Each cube's store (:func:`store_for_cube`) is adopted copy-on-write.
     """
     instance = RelationalInstance()
     for name, cube in cubes.items():
         instance.ensure(name)
-        store = store_for_cube(cube)
-        if store is not None and instance.adopt(name, store) is not None:
-            continue
-        instance.add_batch(name, cube.to_rows())
+        instance.adopt(name, store_for_cube(cube))
     return instance
 
 

@@ -41,9 +41,9 @@ On attach the decoded measure column is additionally verified
 value-for-value against the cube's rows and rebound to the cube's own
 float objects, preserving the store invariant that measures are the
 exact objects the cube holds (NaN rows match by identity).
-Anything that fails falls back to the tuple path and the next chase
-rebuilds the columns.  An *absent* sidecar is the ordinary cold-start
-miss and stays silent; a sidecar that exists but cannot be read —
+Anything that fails leaves the cube without a store, and the next
+chase builds one from the cube's rows.  An *absent* sidecar is the
+ordinary cold-start miss and stays silent; a sidecar that exists but cannot be read —
 unreadable file, a ``baseline/columnar|olap/`` entry half-deleted by a
 crash or an operator — is counted as ``chase.sidecar.fallback.reason:
 sidecar-unreadable`` (``olap.`` for lattices) on the optional ``metrics``
@@ -163,18 +163,17 @@ def write_store_sidecar(
     """Persist ``cube``'s columnar store beside its baseline CSV.
 
     Returns False (writing nothing, removing any stale sidecar) when the
-    cube has no columnar representation — forced tuple mode, or rows the
-    store cannot hold — or when the sidecar directory cannot be written.
+    CSV cannot be read or the sidecar directory cannot be written.
     """
     sidecar_path = Path(sidecar_path)
-    store = store_for_cube(cube)
     digest = _file_sha256(Path(csv_path))
-    if store is None or digest is None:
+    if digest is None:
         try:
             sidecar_path.unlink(missing_ok=True)
         except OSError:
             pass
         return False
+    store = store_for_cube(cube)
     payload = {
         "format": SIDECAR_FORMAT,
         "cube": cube.schema.name,

@@ -15,16 +15,17 @@ to turn that into real multi-core speedup:
 2. **Chase per shard.**  A fork-context ``ProcessPoolExecutor`` runs a
    chase of the parent's class over each shard's slice.  Inputs ride
    the fork (copy-on-write inheritance of the staged module global);
-   outputs come back as pickled :class:`ColumnStore`/:class:`TupleStore`
-   buffers (codes/dicts/measures round-trip; NaN identity inside a
-   payload survives via pickle memoization).
+   outputs come back as pickled :class:`ColumnStore` buffers
+   (codes/dicts/measures round-trip; NaN identity inside a payload
+   survives via pickle memoization).
 
 3. **Merge.**  :func:`merge_outputs` hands the executor each tgd's
-   shard outputs to insert, in wave order.  The hot path concatenates
-   columnar shard stores (:meth:`ColumnStore.extend_from`) and proves
-   global key distinctness with one mixed-radix sort-and-compare pass, so
-   the executor adopts the result whole; anything else arrives as a
-   list of facts for the element-wise egd-checking insert, which raises
+   shard outputs to insert, in wave order.  It concatenates the shard
+   stores (:meth:`ColumnStore.extend_from`) and proves global key
+   distinctness with one mixed-radix sort-and-compare pass, so the
+   executor adopts the result whole; when the proof fails the rows
+   arrive as a list of facts for the element-wise egd-checking insert,
+   which raises
    :class:`ChaseError` on true functionality violations exactly like an
    unsharded run.
 
@@ -81,7 +82,7 @@ from ..mappings.terms import Var
 from ..model.cube import as_list
 from ..model.time import TimePoint
 from ..obs import MetricsRegistry, Tracer
-from .colstore import ColumnStore, TupleStore
+from .colstore import ColumnStore
 from .engine import ChaseStats, StratifiedChase
 from .groupreduce import concatenate, distinct
 from .instance import RelationalInstance
@@ -315,7 +316,7 @@ class ShardPlan:
                 return
         self._classify(index, REREDUCE)
 
-    def column_for(self, relation: str, store) -> int:
+    def column_for(self, relation: str, store: ColumnStore) -> int:
         """Resolve the partition column of one elementary relation.
 
         Still-free relations pick the dimension with the most distinct
@@ -326,10 +327,7 @@ class ShardPlan:
             return committed
         best_col, best_card = -1, -1
         for col in sorted(self.cand[relation]):
-            if isinstance(store, ColumnStore):
-                card = len(store.dicts[col])
-            else:
-                card = len({fact[col] for fact in store.rows()})
+            card = len(store.dicts[col])
             if card > best_card:
                 best_col, best_card = col, card
         return best_col
@@ -338,46 +336,38 @@ class ShardPlan:
 # -- partitioning ---------------------------------------------------------------
 
 
-def _partition_store(store, col: int, shards: int) -> List[Optional[Any]]:
-    """Split one relation store into per-shard slices on ``col``.
-
-    Columnar stores slice their code/measure buffers with numpy row
-    masks (dictionaries ship whole — they are small and append-only);
-    tuple stores bucket facts.  Key distinctness of the source is
-    inherited: a slice of a distinct-keyed store is distinct-keyed.
+def _partition_store(
+    store: ColumnStore, col: int, shards: int
+) -> List[Optional[ColumnStore]]:
+    """Split one non-empty relation store into per-shard slices on
+    ``col``: numpy row masks over its code/measure buffers
+    (dictionaries ship whole — they are small and append-only).  Key
+    distinctness of the source is inherited: a slice of a
+    distinct-keyed store is distinct-keyed.
     """
-    if store is None or store.n_rows == 0:
-        return [None] * shards
-    if isinstance(store, ColumnStore):
-        by_value = np.fromiter(
-            (shard_of(v, shards) for v in store.dicts[col]),
-            dtype=_INT,
-            count=len(store.dicts[col]),
-        )
-        owner = by_value[np.asarray(store.codes[col], dtype=_INT)]
-        pieces: List[Optional[Any]] = []
-        measures = as_list(store.measures)
-        code_cols = [np.asarray(c, dtype=_INT) for c in store.codes]
-        for s in range(shards):
-            idx = np.nonzero(owner == s)[0]
-            if idx.size == 0:
-                pieces.append(None)
-                continue
-            piece = ColumnStore(store.arity)
-            piece.dicts = [list(d) for d in store.dicts]
-            piece.vmaps = [dict(v) for v in store.vmaps]
-            piece.codes = [c[idx].tolist() for c in code_cols]
-            rows = idx.tolist()
-            piece.measures = [measures[i] for i in rows]
-            piece.dims_distinct = store.dims_distinct
-            pieces.append(piece)
-        return pieces
-    buckets: List[Dict[Tuple, None]] = [{} for _ in range(shards)]
-    for fact in store.rows():
-        buckets[shard_of(fact[col], shards)][fact] = None
-    return [
-        TupleStore(bucket) if bucket else None for bucket in buckets
-    ]
+    by_value = np.fromiter(
+        (shard_of(v, shards) for v in store.dicts[col]),
+        dtype=_INT,
+        count=len(store.dicts[col]),
+    )
+    owner = by_value[np.asarray(store.codes[col], dtype=_INT)]
+    pieces: List[Optional[ColumnStore]] = []
+    measures = as_list(store.measures)
+    code_cols = [np.asarray(c, dtype=_INT) for c in store.codes]
+    for s in range(shards):
+        idx = np.nonzero(owner == s)[0]
+        if idx.size == 0:
+            pieces.append(None)
+            continue
+        piece = ColumnStore(store.arity)
+        piece.dicts = [list(d) for d in store.dicts]
+        piece.vmaps = [dict(v) for v in store.vmaps]
+        piece.codes = [c[idx].tolist() for c in code_cols]
+        rows = idx.tolist()
+        piece.measures = [measures[i] for i in rows]
+        piece.dims_distinct = store.dims_distinct
+        pieces.append(piece)
+    return pieces
 
 
 # -- worker side ----------------------------------------------------------------
@@ -436,12 +426,7 @@ def _run_shard(index: int) -> Dict[str, Any]:
     target = RelationalInstance()
     functional: Dict[str, Dict[Tuple, Any]] = {}
     for relation, store in payloads[index].items():
-        if (
-            isinstance(store, ColumnStore)
-            and source.adopt(relation, store) is not None
-        ):
-            continue
-        source.add_batch(relation, store.rows())
+        source.adopt(relation, store)
 
     #: re-reduced relation -> this shard's per-group contribution bags;
     #: the parent concatenates them across shards and reduces once
@@ -612,8 +597,8 @@ def merge_outputs(relation: str, results: List[Dict[str, Any]]):
     """What the shards computed for the tgd defining ``relation``, for
     the executor to insert: the concatenated contribution bags of a
     re-reduced aggregation (a dict), or the disjoint outputs of a local
-    tgd — one :class:`ColumnStore` with proven-distinct keys when every
-    shard answered columnar, their facts as a list otherwise."""
+    tgd — one :class:`ColumnStore` when its keys are proven distinct,
+    its facts as a list otherwise."""
     if relation in results[0]["contribs"]:
         return concatenate(
             result["contribs"].get(relation, {}) for result in results
@@ -623,14 +608,15 @@ def merge_outputs(relation: str, results: List[Dict[str, Any]]):
         for store in (result["stores"].get(relation) for result in results)
         if store is not None and store.n_rows
     ]
-    if present and all(isinstance(s, ColumnStore) for s in present):
-        # a fresh store: the shard outputs stay pristine
-        merged = ColumnStore(present[0].arity)
-        for other in present:
-            merged.extend_from(other)
-        if _dims_distinct(merged):
-            merged.dims_distinct = True
-            return merged
+    if not present:
+        return []
+    # a fresh store: the shard outputs stay pristine
+    merged = ColumnStore(present[0].arity)
+    for other in present:
+        merged.extend_from(other)
+    if _dims_distinct(merged):
+        merged.dims_distinct = True
+        return merged
     return [fact for store in present for fact in store.rows()]
 
 

@@ -446,7 +446,6 @@ class EXLEngine:
             count_shards = isinstance(chase_backend, ChaseBackend)
             if count_shards:
                 chase_backend.reset_counts()
-            encode_before = self.metrics.value("chase.kernel.encode")
             dispatcher = Dispatcher(self, policy, mode)
             if self.journal is not None:
                 # write-ahead: the full plan is durable before any
@@ -471,9 +470,6 @@ class EXLEngine:
                 record.shard_tuples = list(chase_backend.shard_tuples)
                 record.shards = len(record.shard_tuples)
                 record.shard_merge_s = chase_backend.shard_merge_s
-            record.encode_count = (
-                self.metrics.value("chase.kernel.encode") - encode_before
-            )
             if any(not s.committed for s in record.subgraphs):
                 counts = record.outcomes()
                 record.error = (

@@ -147,10 +147,6 @@ class RunRecord:
     # dispatch schedule shape: dependency waves over the subgraphs
     waves: int = 0
     max_wave_width: int = 0
-    # tuple-store relations re-encoded into columnar form during this
-    # run; stays 0 when every relation lived columnar-native (warm runs
-    # adopt the cached stores and never pay the encode tax)
-    encode_count: int = 0
     # sharded chase execution (all zero/empty when --shards <= 1 or the
     # mapping had nothing to partition): worker-process count, tuples
     # generated per shard, and wall time merging shard outputs
@@ -266,8 +262,7 @@ class RunRecord:
             f"affected={len(self.affected)} cubes in {len(self.subgraphs)} "
             f"subgraphs, {self.duration_s:.3f}s total "
             f"(determination {self.determination_s * 1000:.1f}ms, "
-            f"translation {self.translation_s * 1000:.1f}ms, "
-            f"{self.encode_count} re-encodes)"
+            f"translation {self.translation_s * 1000:.1f}ms)"
         ]
         if self.shards:
             lines.append(

@@ -9,7 +9,7 @@ long-lived service would scrape).
 Conventions:
 
 * counters are monotone (``chase.tuples.inserted``,
-  ``chase.egd.checks``, ``chase.kernel.encode``, …); per-reason
+  ``chase.egd.checks``, ``chase.waves``, …); per-reason
   fallbacks use a ``….fallback.reason:<reason>`` namespace
   (``chase.shard.``, ``olap.lattice.``) so the *why* of every one is
   visible;

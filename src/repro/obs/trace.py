@@ -12,7 +12,6 @@ a tree::
                 └── chase
                     └── wave:1 (width=8)
                         └── tgd:PQR
-                            ├── kernel:encode
                             ├── kernel:join
                             ├── kernel:eval
                             ├── kernel:egd-check

@@ -25,8 +25,8 @@ Three properties keep the lattice honest:
   with a plain dict group-by, which beats encode + columnar for one
   node; the image is built when a second request comes, and serves
   every node from then on (DESIGN.md §11 has the measurements).
-  Tuple mode (``instance.FORCE_TUPLE_VIEW``) and composite-code overflow
-  take the dict group-by throughout, with identical results.  numpy and
+  Composite-code overflow takes the dict group-by, with identical
+  results.  numpy and
   the columnar modules are imported when an image is first used, never
   before.
 * **Refreshing is incremental**: each *materialized* node keeps a
@@ -292,9 +292,8 @@ class CubeLattice:
         grouped by the columnar kernels.  One that does not answers the
         first request of the binding with the dict group-by — encoding
         it would cost more than the request saves — and gets its image
-        when a second request shows the binding is being reused.
-        Forced tuple view takes the dict group-by either way.  Both fold
-        in canonical bag order.
+        when a second request shows the binding is being reused.  Both
+        fold in canonical bag order.
         """
         pending = [node for node in nodes if not node.materialized]
         if not pending:
@@ -307,7 +306,7 @@ class CubeLattice:
             from ..chase.instance import store_for_cube
 
             store = store_for_cube(cube)
-            if store is not None and store.n_rows:
+            if store.n_rows:
                 image = store.image()
         self._requests += 1
         for node in pending:

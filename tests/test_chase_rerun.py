@@ -240,7 +240,8 @@ def test_no_layer_takes_a_removed_setting(child_env):
     ):
         with pytest.raises(TypeError):
             ChaseBackend(**{setting: None})
-    # the tuple-storage oracle is a module attribute, not an env switch
+    # a relation has one store, the column store: the retired
+    # EXL_FORCE_TUPLE_VIEW variable switches nothing
     script = (
         "from repro.backends import ChaseBackend\n"
         "from repro.chase.colstore import ColumnStore\n"

@@ -1,8 +1,8 @@
-"""Pickle/IPC transport contract of the relation stores.
+"""Pickle/IPC transport contract of the relation store.
 
-The sharded chase ships whole ``ColumnStore``/``TupleStore`` objects
-across process boundaries (fork out, pickle back).  That only works if
-a round trip is *behaviour-preserving*, not merely value-preserving:
+The sharded chase ships whole ``ColumnStore`` objects across process
+boundaries (fork out, pickle back).  That only works if a round trip
+is *behaviour-preserving*, not merely value-preserving:
 
 * dictionary order and code assignment survive, so merged stores
   reproduce the exact insertion order an unsharded run would produce;
@@ -24,8 +24,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.chase.colstore import ColumnStore, TupleStore
-from repro.chase.columnar import ColumnarRelation, EncodedColumn
+from repro.chase.colstore import ColumnStore
+from repro.chase.columnar import EncodedColumn
 from repro.model import month
 from repro.model.cube import as_list
 
@@ -138,49 +138,6 @@ class TestColumnStoreRoundTrip:
         assert merged.n_rows == 48
         assert merged.dicts == base.dicts
         assert not merged.dims_distinct  # cross-shard rows may collide
-
-
-class TestTupleStoreRoundTrip:
-    def test_round_trip_preserves_facts_and_order(self):
-        store = TupleStore()
-        facts = [("a", 1, 1.0), ("b", 2, NAN), ("c", 3, float("inf"))]
-        for fact in facts:
-            store.add(fact)
-        clone = pickle.loads(pickle.dumps(store))
-        # NaN-tolerant comparison: the clone's NaN is a fresh object,
-        # equal-by-position but not equal-by-== (as NaN must be)
-        assert len(clone.facts) == len(store.facts)
-        for left, right in zip(clone.facts, store.facts):
-            assert left[:-1] == right[:-1]
-            assert (left[-1] == right[-1]) or (
-                math.isnan(left[-1]) and math.isnan(right[-1])
-            )
-
-    def test_nan_identity_after_round_trip(self):
-        store = TupleStore()
-        store.add(("a", NAN))
-        store.add(("b", 2.0))
-        clone = pickle.loads(pickle.dumps(store))
-        # the unpickled store's own fact objects dedup: the NaN inside
-        # the fact is the same object pickle rebuilt, so the tuple
-        # compares equal to itself
-        nan_fact = next(iter(clone.facts))
-        assert clone.add(nan_fact) is False
-        assert clone.n_rows == 2
-        # a structurally-identical fact with a *fresh* NaN is a new
-        # fact — exactly like the in-process semantics
-        store2 = pickle.loads(pickle.dumps(store))
-        assert store2.add(("a", float("nan"))) is True
-        assert store2.n_rows == 3
-
-    def test_caches_reset_after_round_trip(self):
-        store = TupleStore()
-        store.add(("a", 1.0))
-        store.set_image(ColumnarRelation.from_facts(list(store.rows()), 2))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone._image is None and clone.cached_image() is None
-        clone.set_image(ColumnarRelation.from_facts(list(clone.rows()), 2))
-        assert clone.cached_image() is not None
 
 
 def _worker_hop(store):

@@ -1,31 +1,30 @@
-"""Property-based equivalence harness for columnar-native storage.
+"""Whole-run equivalence and run bookkeeping of columnar-native storage.
 
-Columnar-native means :class:`RelationalInstance` keeps each relation as
-dictionary-encoded struct-of-arrays and derives the tuple view lazily;
-setting the module attribute ``instance.FORCE_TUPLE_VIEW`` per case
-keeps the pre-refactor eager tuple representation as the oracle.  The
-contract this suite pins (DESIGN.md §9): the representation is
-*unobservable* — chase solutions, committed stores, failure behaviour,
-and run bookkeeping are bit-identical between the two layouts across 50
-seeded-random programs × perturbations, composed with the scalar and
-columnar kernels, the suite-wide ``--jobs`` axis, ``update()``, and
-injected faults.
+:class:`RelationalInstance` keeps each relation as a dictionary-encoded
+:class:`ColumnStore` and derives the tuple view lazily (DESIGN.md §9).
+The store itself is checked against a plain fact dict in
+``tests/test_colstore_reference.py``; the sweeps here check whole runs
+against references that do not share the columnar kernels: the
+tuple-at-a-time chase (``tests/oracle/chase.py``) for every relation's
+facts in insertion order, and the ``sql`` target for committed stores
+through run, warm rerun, revision and ``update()``, with and without
+injected faults, across 50 seeded-random programs.
 
-Also here: the encode-tax regression (warm runs and no-op updates must
-never re-encode an unchanged relation — and no relation is ever encoded
-twice), the copy-on-write isolation pins of shared stores, and the
-columnar sidecar persistence round-trip.
+Also here: the encode tax (a warm run and a no-op update build no
+store for an unchanged input; a dirty update builds one, for the
+revised input), the copy-on-write isolation pins of shared stores, and
+the columnar sidecar persistence round-trip.
 """
 
 import json
-from contextlib import contextmanager
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
 import repro.chase.instance as instance_mod
 from repro.chase import RelationalInstance, StratifiedChase, instance_from_cubes
-from repro.chase.colstore import ColumnStore, TupleStore
-from repro.chase.columnar import ColumnarRelation
+from repro.chase.colstore import ColumnStore
 from repro.chase.persist import (
     _payload_sha256,
     attach_store_sidecar,
@@ -36,7 +35,7 @@ from repro.chase.persist import (
 from repro.cli import main as cli_main
 from repro.engine import EXLEngine, FaultPlan, FaultRule
 from repro.engine.dispatcher import _store_matches_rows
-from repro.errors import ReproError
+from repro.errors import ChaseError, ReproError
 from repro.exl import Program
 from repro.mappings import generate_mapping
 from repro.model import Cube
@@ -49,19 +48,8 @@ from tests.oracle.chase import ScalarChase
 SEEDS = range(50)
 
 
-@contextmanager
-def _tuple_view(forced):
-    """Run a block under the forced-eager-tuple (oracle) representation."""
-    previous = instance_mod.FORCE_TUPLE_VIEW
-    instance_mod.FORCE_TUPLE_VIEW = forced
-    try:
-        yield
-    finally:
-        instance_mod.FORCE_TUPLE_VIEW = previous
-
-
-def _build_engine(workload, *, jobs=1):
-    engine = EXLEngine(jobs=jobs, target_priority=("chase",))
+def _build_engine(workload, *, jobs=1, target="chase"):
+    engine = EXLEngine(jobs=jobs, target_priority=(target,))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source)
@@ -116,53 +104,48 @@ def _store_state(engine):
     }
 
 
-def _assert_same_stores(native, oracle, context):
-    left, right = _store_state(native), _store_state(oracle)
+def _assert_same_stores(chase, reference, context):
+    left, right = _store_state(chase), _store_state(reference)
     assert set(left) == set(right), context
     for name in left:
         delta = left[name].delta(right[name])
         assert delta.is_empty, (
-            f"{context}: {name} diverged between columnar-native and the "
-            f"tuple oracle (+{len(delta.inserted)} -{len(delta.deleted)} "
+            f"{context}: {name} diverged between the chase and the sql "
+            f"reference (+{len(delta.inserted)} -{len(delta.deleted)} "
             f"~{len(delta.updated)})"
         )
 
 
 class TestChaseEquivalence:
-    """StratifiedChase solutions are representation-independent —
-    tuple for tuple *and* insertion order for insertion order."""
+    """The columnar kernels over column stores derive what the
+    tuple-at-a-time chase derives — tuple for tuple *and* insertion
+    order for insertion order."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_native_equals_tuple_oracle(self, seed):
+    def test_kernels_equal_the_scalar_chase(self, seed):
         workload = random_workload(
             seed + 600, n_statements=7, n_periods=10, n_regions=2
         )
         program = Program.compile(workload.source, workload.schema)
         mapping = generate_mapping(program)
-        # compose the rule-interpreter axis over the sweep
-        chase = StratifiedChase if seed % 2 == 0 else ScalarChase
-        results = {}
-        for forced in (False, True):
-            with _tuple_view(forced):
-                source = instance_from_cubes(workload.data)
-                results[forced] = chase(mapping).run(source)
-        native, oracle = results[False], results[True]
+        native = StratifiedChase(mapping).run(instance_from_cubes(workload.data))
+        oracle = ScalarChase(mapping).run(instance_from_cubes(workload.data))
         assert sorted(native.instance.relations()) == sorted(
             oracle.instance.relations()
         )
         for relation in native.instance.relations():
             assert list(native.instance.facts(relation)) == list(
                 oracle.instance.facts(relation)
-            ), f"seed {seed}: relation {relation} differs across layouts"
+            ), f"seed {seed}: relation {relation} differs from the scalar chase"
         assert native.stats.tuples_generated == oracle.stats.tuples_generated
 
 
 class TestEngineEquivalence:
     """Full engine lifecycle — run, warm rerun, revise, update — lands
-    on identical committed stores under both representations."""
+    on the committed stores the same lifecycle lands on on ``sql``."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_committed_stores_match_tuple_oracle(self, seed, chase_jobs):
+    def test_committed_stores_match_sql(self, seed, chase_jobs):
         workload = random_workload(
             seed, n_statements=6, n_periods=12, n_regions=2
         )
@@ -171,119 +154,122 @@ class TestEngineEquivalence:
         jobs = chase_jobs if seed % 3 == 0 else 1
         engines = {}
         failures = {}
-        for forced in (False, True):
-            with _tuple_view(forced):
-                engine = _build_engine(workload, jobs=jobs)
-                for cube in baseline.values():
+        for target in ("chase", "sql"):
+            engine = _build_engine(workload, jobs=jobs, target=target)
+            for cube in baseline.values():
+                engine.load(cube)
+            try:
+                engine.run()
+                engine.run()  # warm rerun over adopted column stores
+                for cube in revised.values():
                     engine.load(cube)
-                try:
-                    engine.run()
-                    engine.run()  # warm rerun over adopted column stores
-                    for cube in revised.values():
-                        engine.load(cube)
-                    engine.update()
-                    failures[forced] = None
-                except ReproError as exc:
-                    failures[forced] = f"{type(exc).__name__}: {exc}"
-                engines[forced] = engine
-        # identical failure, or identical committed stores
-        assert failures[False] == failures[True], f"seed {seed}"
-        if failures[False] is None:
-            _assert_same_stores(
-                engines[False], engines[True], f"seed {seed}"
-            )
+                engine.update()
+                failures[target] = None
+            except ReproError as exc:
+                failures[target] = type(exc).__name__
+            engines[target] = engine
+        # the same failure, or the same committed stores
+        assert failures["chase"] == failures["sql"], f"seed {seed}"
+        if failures["chase"] is None:
+            _assert_same_stores(engines["chase"], engines["sql"], f"seed {seed}")
 
 
 class TestFaultComposition:
-    """Injected faults fire identically under both layouts: same
-    per-subgraph outcomes, same committed (partial) stores."""
+    """Injected faults change what commits, never what a committed
+    cube holds: every cube a faulty chase run commits equals the
+    clean sql run's, and a failed or skipped subgraph commits
+    nothing."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_faulty_dispatch_lands_identically(self, seed):
+    def test_faulty_dispatch_commits_what_a_clean_run_does(self, seed):
         workload = gdp_example(
             n_quarters=8, regions=("north", "south"), seed=seed
         )
         plan = FaultPlan(
             [FaultRule(kind="transient", probability=0.5)], seed=seed
         )
-        engines, outcomes = {}, {}
-        for forced in (False, True):
-            with _tuple_view(forced):
-                engine = _build_engine(workload)
-                for cube in workload.data.values():
-                    engine.load(cube)
-                record = engine.run(
-                    retries=1, on_error="continue", fault_plan=plan
-                )
-                engines[forced] = engine
-                outcomes[forced] = {
-                    cube: s.outcome
-                    for s in record.subgraphs
-                    for cube in s.cubes
-                }
-        assert outcomes[False] == outcomes[True], f"seed {seed}"
-        _assert_same_stores(engines[False], engines[True], f"seed {seed}")
+        reference = _build_engine(workload, target="sql")
+        engine = _build_engine(workload)
+        for cube in workload.data.values():
+            reference.load(cube)
+            engine.load(cube)
+        reference.run()
+        record = engine.run(retries=1, on_error="continue", fault_plan=plan)
+        for subgraph in record.subgraphs:
+            for name in subgraph.cubes:
+                if subgraph.committed:
+                    assert engine.data(name).delta(
+                        reference.data(name)
+                    ).is_empty, f"seed {seed}: {name}"
+                else:
+                    assert not engine.catalog.has_data(name), f"seed {seed}"
 
 
 class TestEncodeTax:
-    """Unchanged relations are never re-encoded — and in the native
-    layout nothing is encoded at all, because no relation ever lives as
-    a tuple set in the first place."""
+    """A cube's store is built once and travels with the cube: a warm
+    run and a no-op update build no store for an unchanged input, a
+    dirty update builds one, for the revised input.  A build is
+    :func:`store_for_cube` encoding a cube (``from_cube_columns`` or
+    ``from_distinct_rows``)."""
 
-    def _loaded_engine(self, **kwargs):
+    def _loaded_engine(self):
         workload = gdp_example(
             n_quarters=10, regions=("north", "south"), seed=5
         )
-        engine = _build_engine(workload, **kwargs)
+        engine = _build_engine(workload)
         for cube in workload.data.values():
             engine.load(cube)
         return engine, workload
 
-    def _assert_no_relation_encoded_twice(self, engine):
-        per_relation = engine.metrics.counters("chase.kernel.encode.relation:")
-        twice = {name: n for name, n in per_relation.items() if n > 1}
-        assert not twice, f"relations encoded more than once: {twice}"
+    @staticmethod
+    def _builds(call):
+        """The stores ``call()`` builds, as the row counts they hold."""
+        built = []
 
-    def test_cold_and_warm_runs_never_encode(self):
+        def counting(real):
+            def build(cls, *args):
+                store = real(cls, *args)
+                built.append(store.n_rows)
+                return store
+
+            return classmethod(build)
+
+        with ExitStack() as patches:
+            for name in ("from_cube_columns", "from_distinct_rows"):
+                real = getattr(ColumnStore, name).__func__
+                patches.enter_context(
+                    mock.patch.object(ColumnStore, name, counting(real))
+                )
+            call()
+        return built
+
+    def test_cold_run_builds_one_store_per_input(self):
+        # the zero counts below only mean something if a build counts
+        engine, workload = self._loaded_engine()
+        assert sorted(self._builds(engine.run)) == sorted(
+            len(cube) for cube in workload.data.values()
+        )
+
+    def test_warm_run_builds_no_store(self):
         engine, _ = self._loaded_engine()
         engine.run()
-        assert engine.metrics.value("chase.kernel.encode") == 0
-        record = engine.run()  # warm full rerun adopts every cube store
-        assert engine.metrics.value("chase.kernel.encode") == 0
-        assert record.encode_count == 0
-        self._assert_no_relation_encoded_twice(engine)
+        assert self._builds(engine.run) == []
 
-    def test_noop_update_never_encodes(self):
+    def test_noop_update_builds_no_store(self):
         engine, workload = self._loaded_engine()
         engine.run()
         for cube in workload.data.values():
             engine.load(cube.copy())  # bit-identical revision
-        record = engine.update()
-        assert engine.metrics.value("chase.kernel.encode") == 0
-        assert record.encode_count == 0
-        self._assert_no_relation_encoded_twice(engine)
+        assert self._builds(engine.update) == []
 
-    def test_dirty_update_never_encodes(self):
+    def test_dirty_update_builds_the_revised_input_only(self):
         engine, workload = self._loaded_engine()
         engine.run()
         revised = workload.data["PDR"].copy()
         row = revised.to_rows()[0]
         revised.set(row[:-1], row[-1] + 1.5, overwrite=True)
         engine.load(revised)
-        record = engine.update()
-        assert engine.metrics.value("chase.kernel.encode") == 0
-        assert record.encode_count == 0
-        self._assert_no_relation_encoded_twice(engine)
-
-    def test_counter_is_live_under_forced_tuple_view(self):
-        # the zero assertions above are only meaningful if the counter
-        # actually fires when relations *do* live as tuple sets
-        with _tuple_view(True):
-            engine, _ = self._loaded_engine()
-            record = engine.run()
-            assert engine.metrics.value("chase.kernel.encode") > 0
-            assert record.encode_count > 0
-            assert "re-encodes" in record.summary()
+        assert self._builds(engine.update) == [len(revised)]
 
 
 class TestBulkEncode:
@@ -299,7 +285,7 @@ class TestBulkEncode:
             arity = cube.schema.arity + 1
             looped = ColumnStore(arity)
             for row in rows:
-                assert looped.can_store(row) and looped.add(row)
+                assert looped.add(row)
             bulk = ColumnStore.from_distinct_rows(arity, rows)
             assert bulk.codes == looped.codes
             assert bulk.dicts == looped.dicts
@@ -312,6 +298,28 @@ class TestBulkEncode:
         store = ColumnStore.from_distinct_rows(3, [])
         assert store.n_rows == 0 and list(store.rows()) == []
         assert store.add(("a", "b", 1.0)) and store.n_rows == 1
+
+
+class TestFactsThatDoNotFit:
+    """A relation is a cube's relation: one arity, a float measure last.
+    A fact that breaks either is refused, naming the relation, and the
+    relation keeps what it held."""
+
+    def test_ragged_arity_is_refused(self):
+        instance = RelationalInstance()
+        instance.add("R", ("a", 1.0))
+        with pytest.raises(ChaseError, match=r"relation R: .*arity 3, 2 expected"):
+            instance.add("R", ("a", "b", 2.0))
+        assert list(instance.facts("R")) == [("a", 1.0)]
+
+    def test_non_float_measure_is_refused(self):
+        instance = RelationalInstance()
+        with pytest.raises(ChaseError, match=r"relation R: .*float measure"):
+            instance.add("R", ("a", 1))
+        instance.add("R", ("a", 1.0))
+        with pytest.raises(ChaseError, match=r"relation R: .*float measure"):
+            instance.add("R", ("b", "2.0"))
+        assert list(instance.facts("R")) == [("a", 1.0)]
 
 
 class TestSharedStoreIsolation:
@@ -345,70 +353,63 @@ class TestSharedStoreIsolation:
 
 
 class TestImageCacheInvalidation:
-    """A tuple store's cached columnar image is tagged with the row
-    count it was encoded at — sound because stores are append-only:
-    a cache survives writes that add nothing and is dropped by any
-    that grows the store, on a fork independently of its donor."""
+    """A store's columnar image is cached, tagged with the row count it
+    was built at — sound because stores are append-only: a cache
+    survives writes that add nothing and is replaced after any that
+    grows the store, on a fork independently of its donor."""
 
-    def _encoded(self, store):
-        image = ColumnarRelation.from_facts(list(store.rows()), 2)
-        store.set_image(image)
-        return image
-
-    def test_tuple_store_image_survives_no_op_mutations(self):
+    def test_image_survives_no_op_mutations(self):
         # a duplicate insert changes no content, so the image stays
         # current
-        store = TupleStore()
+        store = ColumnStore(2)
         store.add(("a", 1.0))
         store.add(("b", 2.0))
-        image = self._encoded(store)
+        image = store.image()
         assert not store.add(("a", 1.0))
-        assert store.cached_image() is image
+        assert store.image() is image
 
-    def test_tuple_store_fork_keeps_caches_coherent(self):
-        store = TupleStore()
+    def test_fork_keeps_caches_coherent(self):
+        store = ColumnStore(2)
         store.add(("a", 1.0))
         store.add(("b", 2.0))
-        image = self._encoded(store)
+        image = store.image()
         clone = store.fork()
-        assert clone.cached_image() is image
+        assert clone.image() is image
         clone.add(("a", 5.0))
-        assert clone.cached_image() is None
+        assert clone.image() is not image and clone.image().n_rows == 3
         # the donor is untouched
-        assert store.cached_image() is image
+        assert store.image() is image and image.n_rows == 2
 
-
-    def test_tuple_store_image_dropped_by_growth(self):
-        store = TupleStore()
+    def test_image_replaced_after_growth(self):
+        store = ColumnStore(2)
         store.add(("a", 1.0))
-        image = self._encoded(store)
+        image = store.image()
         assert store.add(("b", 2.0))
-        assert store.cached_image() is None
-        # an image encoded at the new row count is current again
-        assert self._encoded(store) is store.cached_image()
+        grown = store.image()
+        assert grown is not image and grown.n_rows == 2
+        # an image built at the current row count stays current
+        assert store.image() is grown
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_instance_image_after_growth_matches_fresh(self, forced):
-        # on either layout, facts added after an image was cached show
-        # in the next image, in insertion order, as in one built from
-        # scratch
+    def test_instance_image_after_growth_matches_fresh(self):
+        # facts added after an image was cached show in the next image,
+        # in insertion order, as in one built from scratch
         def rows(instance):
             image = instance.columnar_image("R", 2)
             return list(zip(image.dims[0].decode_list(), image.measures.tolist()))
 
-        with _tuple_view(forced):
-            instance = RelationalInstance()
-            for fact in [("a", 1.0), ("b", 2.0)]:
-                instance.add("R", fact)
-            before = rows(instance)
-            instance.add("R", ("c", 3.0))
-            instance.add("R", ("a", 9.0))
-            fresh = RelationalInstance()
-            for fact in instance.facts("R"):
-                fresh.add("R", fact)
-            expected = [("a", 1.0), ("b", 2.0), ("c", 3.0), ("a", 9.0)]
-            assert rows(instance) == rows(fresh) == expected
-            assert before == expected[:2]
+        instance = RelationalInstance()
+        for fact in [("a", 1.0), ("b", 2.0)]:
+            instance.add("R", fact)
+        before = rows(instance)
+        instance.add("R", ("c", 3.0))
+        instance.add("R", ("a", 9.0))
+        fresh = RelationalInstance()
+        for fact in instance.facts("R"):
+            fresh.add("R", fact)
+        expected = [("a", 1.0), ("b", 2.0), ("c", 3.0), ("a", 9.0)]
+        assert rows(instance) == rows(fresh) == expected
+        assert before == expected[:2]
+
 
 class TestCleanPathStoreAdoption:
     """The dispatcher only carries a fresh output's columnar store onto
@@ -575,13 +576,16 @@ class TestSidecarPersistence:
         for measure, row in zip(store.measures, reread.to_rows()):
             assert measure is row[-1]
 
-    def test_forced_tuple_view_writes_no_sidecar(self, tmp_path):
+    def test_unreadable_csv_writes_no_sidecar(self, tmp_path):
+        # a sidecar is tied to its CSV's digest: with no CSV to hash,
+        # nothing is written and a stale sidecar is removed
         cube = self._cube()
         csv_path = tmp_path / "PDR.csv"
         write_cube_csv(cube, csv_path)
         sidecar = sidecar_path_for(tmp_path, "PDR")
-        with _tuple_view(True):
-            assert not write_store_sidecar(cube, csv_path, sidecar)
+        assert write_store_sidecar(cube, csv_path, sidecar)
+        csv_path.unlink()
+        assert not write_store_sidecar(cube, csv_path, sidecar)
         assert not sidecar.exists()
 
     def test_cli_run_then_update_uses_sidecars(self, tmp_path):

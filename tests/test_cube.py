@@ -586,22 +586,20 @@ class TestGoldenDigest:
         assert back._columns is not None
         assert cube_to_csv_text(back) == text  # from the reader's columns
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_chase_output_has_the_digest_with_or_without_a_store(
-        self, golden, forced, monkeypatch
+    @pytest.mark.parametrize("target", ["chase", "sql"])
+    def test_output_has_the_digest_with_or_without_a_store(
+        self, golden, target
     ):
-        # the forced tuple view is what runs the row-path writer on
-        # chase outputs
-        from repro.chase import instance as instance_mod
+        # a chase output is written from its column store, an sql
+        # output from the columns the target handed back
         from repro.engine.exlengine import EXLEngine
         from repro.model.io import canonical_text, text_sha256
 
-        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", forced)
-        engine = EXLEngine(target_priority=("chase",))
+        engine = EXLEngine(target_priority=(target,))
         engine.declare_elementary(golden.schema)
         engine.add_program("A := G * 2")
         engine.load(golden)
         engine.run()
         output = engine.catalog.data("A")
-        assert (output._colstore is None) == forced
+        assert (output._colstore is None) == (target != "chase")
         assert text_sha256(canonical_text(output)) == self.A

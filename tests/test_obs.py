@@ -392,9 +392,6 @@ PASSING_REPORT = {
         "aggregation": {"speedup": 5.0, "floor": 3.0},
         "tracing_overhead": {"overhead_pct": 1.0},
     },
-    "columnar_native": {
-        "warm_encode_tax": {"speedup": 40.0, "floor": 10.0},
-    },
     "crash_recovery": {
         "journal_overhead": {"value": 1.0, "ceiling": 1.15},
         "recovery_vs_rerun": {"value": 0.15, "ceiling": 0.3},

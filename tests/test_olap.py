@@ -83,6 +83,20 @@ def assert_lattice_matches_oracle(lattice, cube, agg_name="sum"):
         assert node.groups == expected, f"node {key} diverged"
 
 
+def _columnar_and_dict_lattices(cube, hierarchies, agg):
+    """Two lattices over copies of ``cube``: one held as an image
+    (every node columnar), one rows-only with every node reduced in
+    one request (every node by the dict group-by)."""
+    held = cube.copy()
+    instance_mod.store_for_cube(held)
+    columnar = CubeLattice("S", hierarchies, aggregate=agg)
+    columnar.build(held)
+    rows = CubeLattice("S", hierarchies, aggregate=agg)
+    rows.build(cube.copy())
+    rows.materialize(rows.nodes.values())
+    return columnar, rows
+
+
 class TestHierarchy:
     def test_rollup_paths(self):
         assert rollup_path(Frequency.DAY) == (
@@ -200,18 +214,19 @@ class TestLatticeBuild:
         assert len(node.groups) == 2  # re-reduced from the new base
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("tuple_view", [False, True])
-    def test_nodes_in_any_order_match_oracle(
-        self, seed, tuple_view, monkeypatch
-    ):
+    @pytest.mark.parametrize("held_as", ["rows", "image"])
+    def test_nodes_in_any_order_match_oracle(self, seed, held_as):
         """Each node reduces alone, whatever was reduced before it (the
-        per-(dimension, level) transforms are shared across nodes)."""
+        per-(dimension, level) transforms are shared across nodes), on
+        a cube that is only rows (the first node takes the dict
+        group-by) and on one that carries an image."""
         import random
 
-        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", tuple_view)
         rng = random.Random(4100 + seed)
         agg = rng.choice(["sum", "avg", "median", "count"])
         cube = panel_cube(n_months=rng.randrange(1, 20))
+        if held_as == "image":
+            instance_mod.store_for_cube(cube)
         lattice = CubeLattice(
             "S", hierarchies_for(fresh_catalog(), "S"), aggregate=agg
         )
@@ -225,20 +240,20 @@ class TestLatticeBuild:
             assert len(lattice.materialized_nodes()) == count
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("start", ["rows", "image", "forced-tuple"])
+    @pytest.mark.parametrize("start", ["rows", "image", "one-request"])
     def test_nodes_reduce_from_what_the_cube_is_held_as(
         self, seed, start, monkeypatch
     ):
         """A cube that is only rows answers its first node by the dict
         group-by and is encoded for the second; one that carries an
-        image is grouped columnar from the first; forced tuple view
-        never leaves the dict.  Every node equals the oracle."""
+        image is grouped columnar from the first; every node of a
+        rows-only cube asked for in one request (a cross-tab) takes
+        the dict group-by.  Every node equals the oracle."""
         import random
 
         rng = random.Random(5200 + seed)
         agg = rng.choice(["sum", "avg", "median", "count"])
         cube = panel_cube(n_months=rng.randrange(1, 20))
-        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", start == "forced-tuple")
         if start == "image":
             instance_mod.store_for_cube(cube)
         took = []
@@ -254,6 +269,8 @@ class TestLatticeBuild:
         lattice.build(cube)
         keys = list(lattice.nodes)
         rng.shuffle(keys)
+        if start == "one-request":
+            lattice.materialize([lattice.nodes[key] for key in keys])
         for key in keys:
             node = lattice.nodes[key]
             assert node.groups == oracle_groups(cube, node.levels, agg), key
@@ -261,7 +278,7 @@ class TestLatticeBuild:
         assert took == {
             "rows": ["_reduce_tuple"] + ["_reduce_columnar"] * rest,
             "image": ["_reduce_columnar"] * len(keys),
-            "forced-tuple": ["_reduce_tuple"] * len(keys),
+            "one-request": ["_reduce_tuple"] * len(keys),
         }[start]
 
     def test_first_node_of_a_row_cube_needs_no_numpy(self, fresh_python):
@@ -309,16 +326,12 @@ class TestLatticeBuild:
         lattice.build(cube)
         assert_lattice_matches_oracle(lattice, cube, agg)
 
-    def test_tuple_build_matches_columnar(self, monkeypatch):
+    def test_dict_group_by_matches_columnar(self):
         cube = panel_cube()
         hierarchies = hierarchies_for(fresh_catalog(), "S")
-        columnar = CubeLattice("S", hierarchies, aggregate="sum")
-        columnar.build(cube)
-        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", True)
-        tuple_mode = CubeLattice("S", hierarchies, aggregate="sum")
-        tuple_mode.build(cube.copy())
+        columnar, rows = _columnar_and_dict_lattices(cube, hierarchies, "sum")
         for key, node in columnar.nodes.items():
-            assert node.groups == tuple_mode.nodes[key].groups
+            assert node.groups == rows.nodes[key].groups
 
     def test_grand_total_node(self):
         cube = panel_cube()
@@ -332,17 +345,13 @@ class TestLatticeBuild:
         lattice.build(Cube(panel_schema()))
         assert all(not n.groups for n in lattice.nodes.values())
 
-    def test_nan_measures_survive_both_paths(self, monkeypatch):
+    def test_nan_measures_survive_both_paths(self):
         cube = panel_cube(n_months=4)
         cube.set((month(2019, 1), "north"), float("nan"), overwrite=True)
         hierarchies = hierarchies_for(fresh_catalog(), "S")
-        columnar = CubeLattice("S", hierarchies)
-        columnar.build(cube)
-        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", True)
-        tuple_mode = CubeLattice("S", hierarchies)
-        tuple_mode.build(cube.copy())
+        columnar, rows = _columnar_and_dict_lattices(cube, hierarchies, "sum")
         for key, node in columnar.nodes.items():
-            other = tuple_mode.nodes[key].groups
+            other = rows.nodes[key].groups
             assert set(node.groups) == set(other)
             for group, value in node.groups.items():
                 assert value == other[group] or (

@@ -13,7 +13,7 @@ and the second hits lattices holding all of them.
 The engine is built with the suite's ``--jobs`` / ``--shards``
 options, so the CI matrix composes this sweep with parallel dispatch,
 sharded chase and chaos-mode fault injection.  The scalar kernels and
-the tuple representation are compared with the columnar ones inside
+the lattice's dict group-by are compared with the columnar ones inside
 the equivalence suites (tests/test_columnar_chase.py,
 tests/test_columnar_native.py, tests/test_olap.py).
 """

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import all_backends
-from repro.chase import StratifiedChase, columnar, instance, instance_from_cubes
+from repro.chase import StratifiedChase, columnar, instance_from_cubes
 from repro.chase.colstore import ColumnStore
 from repro.chase.groupreduce import (
     collect,
@@ -301,20 +301,27 @@ class TestGroupReduceProperty:
 
     @settings(max_examples=15, deadline=None)
     @given(panel_rows)
-    @pytest.mark.parametrize("forced_tuple_view", [False, True])
+    @pytest.mark.parametrize("held_as", ["rows", "columns"])
     @pytest.mark.parametrize("name", aggregate_names())
     def test_the_aggregation_kernel_hands_over_the_scalar_paths_relation(
-        self, name, forced_tuple_view, rows
+        self, name, held_as, rows
     ):
+        # the operand's store is built from the cube's rows, or adopted
+        # from the NumPy columns of a cube that arrived by column
         if name == "geomean":
             rows = {k: abs(v) + 1.0 for k, v in rows.items()}
-        cube = Cube.from_rows(PANEL, [dims + (v,) for dims, v in rows.items()])
-        with mock.patch.object(instance, "FORCE_TUPLE_VIEW", forced_tuple_view):
-            source = instance_from_cubes({"C": cube})
-            for shape, mapping in _aggregation_mappings(name).items():
-                self._check_handover(mapping, source, forced_tuple_view, shape)
+        facts = [dims + (v,) for dims, v in rows.items()]
+        if held_as == "rows":
+            cube = Cube.from_rows(PANEL, facts)
+        else:
+            columns = list(map(list, zip(*facts)))
+            cube = Cube.from_value_columns(PANEL, columns, lambda: facts)
+            assert cube._columns is not None
+        source = instance_from_cubes({"C": cube})
+        for shape, mapping in _aggregation_mappings(name).items():
+            self._check_handover(mapping, source, shape)
 
-    def _check_handover(self, mapping, source, forced_tuple_view, shape):
+    def _check_handover(self, mapping, source, shape):
         scalar = ScalarChase(mapping).run(source)
         expected = [
             fact[:-1] + (repr(fact[-1]),) for fact in scalar.instance.facts("Y")
@@ -338,13 +345,10 @@ class TestGroupReduceProperty:
         assert [
             fact[:-1] + (repr(fact[-1]),) for fact in vector.instance.facts("Y")
         ] == expected, shape
-        if forced_tuple_view:
-            # same kernel, same columns: rebuilt as facts on the way in
-            assert decodes == [len(expected)], shape
-        else:
-            store = vector.instance.export_store("Y")
-            assert adds == [] and decodes == [], shape
-            assert store.dims_distinct and store.n_rows == len(expected), shape
+        # the kernel's columns are adopted whole: no fact is built
+        store = vector.instance.export_store("Y")
+        assert adds == [] and decodes == [], shape
+        assert store.dims_distinct and store.n_rows == len(expected), shape
 
 
 class TestDistinctProperty:

@@ -22,7 +22,6 @@ import random
 
 import pytest
 
-import repro.chase.instance as instance_mod
 from repro.chase import (
     ShardPlan,
     StratifiedChase,
@@ -150,11 +149,12 @@ class TestCompositionAxes:
         _assert_identical(sequential, sharded)
 
     @pytest.mark.parametrize("seed", [0, 6])
-    def test_with_forced_tuple_view(self, seed, chase_shards, monkeypatch):
-        monkeypatch.setattr(instance_mod, "FORCE_TUPLE_VIEW", True)
+    def test_against_the_scalar_chase(self, seed, chase_shards):
+        # the kernels, sharded, against the tuple-at-a-time reference
+        # run without shards
         workload = random_workload(seed, n_statements=6, n_periods=10)
-        _, _, sequential, sharded = _both_runs(workload, chase_shards)
-        _assert_identical(sequential, sharded)
+        mapping, source, _, sharded = _both_runs(workload, chase_shards)
+        _assert_identical(ScalarChase(mapping).run(source), sharded)
 
 
 def _build_engine(workload, *, shards=1):
