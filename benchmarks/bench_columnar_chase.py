@@ -16,10 +16,12 @@ instance — the kernels are a pure executor swap (the property the
 randomized suite in ``tests/test_columnar_chase.py`` pins tuple for
 tuple).
 
-Since the columnar-native storage layer (DESIGN.md §9) the encode
-phase no longer appears in the kernel-phase breakdown at all: a
-relation's one representation is its dictionary-encoded column store,
-so the kernels read images straight off the stores.
+The kernel-phase breakdown must be made of the four phases the
+kernels emit (``KERNEL_PHASES``, the span tree in
+``repro/obs/trace.py``): a relation's one representation is its
+dictionary-encoded column store, so the kernels read images straight
+off the stores and no other phase — an encode, say — may take time
+the breakdown does not name.
 
 The timings are written as JSON (``COLUMNAR_BENCH_JSON``, default
 ``benchmarks/results/bench_columnar_chase_results.json``) so CI can
@@ -50,6 +52,8 @@ N_MONTHS = 2000
 N_REGIONS = 60  # 2000 x 60 = 120k tuples
 SCALAR_SPEEDUP_FLOOR = 5.0
 AGG_SPEEDUP_FLOOR = 3.0
+#: the phases a columnar kernel opens spans for (``kernel:<phase>``)
+KERNEL_PHASES = {"join", "eval", "egd-check", "insert"}
 
 # the shapes of the paper's GDP pipeline: a unary scalar map, a binary
 # vectorial (RGDP := PQR * RGDPPC — a join on the shared dimensions),
@@ -158,9 +162,11 @@ def _measure(name, source_text, floor, report=None):
     vector_s = _wall(lambda: vector_chase.run(source))
     speedup = scalar_s / vector_s
     kernel_phase_ms = _kernel_phase_ms(mapping, source)
-    # columnar-native storage: a relation is its column store, so no
-    # kernel phase encodes
-    assert "encode" not in kernel_phase_ms, kernel_phase_ms
+    # every kernel span is one of the known phases: a new one fails here
+    # until the breakdown accounts for it
+    assert kernel_phase_ms and set(kernel_phase_ms) <= KERNEL_PHASES, (
+        kernel_phase_ms
+    )
     _results[name] = {
         "rows": rows,
         "tuples_generated": scalar.stats.tuples_generated,

@@ -7,10 +7,8 @@ Validates the OLAP layer's headline claims on the 120k-tuple panel:
   loading the CSV and aggregating it from scratch;
 - the **first touch** of a node reduces that node alone: it costs a
   fraction of reducing the whole lattice, which is what a one-shot
-  ``exl query`` used to pay;
-- after a 1% ``exl update``, the lattice refresh re-reduces only the
-  dirty groups (asserted via ``olap.lattice.groups.rereduced``, not
-  wall-clock) and still matches a recompute-from-scratch oracle.
+  ``exl query`` used to pay — and what a query pays for each node it
+  reads after an update rebinds the lattice to the new head.
 
 Run with ``--bench-json benchmarks/results/BENCH.json`` to land the
 speedup in the unified report that ``benchmarks/check_regression.py``
@@ -18,7 +16,6 @@ gates on.
 """
 
 import csv
-import random
 import statistics
 import time
 
@@ -27,7 +24,6 @@ from repro.engine import EXLEngine
 from repro.model import (
     STRING,
     TIME,
-    Cube,
     CubeSchema,
     Dimension,
     Frequency,
@@ -42,7 +38,6 @@ from repro.workloads.datagen import random_cube
 
 N_MONTHS = 2000
 N_REGIONS = 60  # 2000 x 60 = 120k tuples
-PERTURBATION = 0.01
 QUERY_SPEEDUP_FLOOR = 100.0
 WARM_MEDIAN_CEILING_S = 0.001
 #: whole lattice (8 nodes) over one first-touched roll-up node
@@ -69,16 +64,6 @@ def _panel():
         "r": [f"r{i:02d}" for i in range(N_REGIONS)],
     }
     return schema, random_cube(schema["S"], domains, seed=11)
-
-
-def _perturbed(cube: Cube, seed: int) -> Cube:
-    rng = random.Random(seed)
-    rows = cube.to_rows()
-    revised = cube.copy()
-    for i in rng.sample(range(len(rows)), int(len(rows) * PERTURBATION)):
-        key = rows[i][:-1]
-        revised.set(key, rows[i][-1] + rng.uniform(0.5, 1.5), overwrite=True)
-    return revised
 
 
 def _csv_rollup_by_year(csv_path):
@@ -216,60 +201,4 @@ def test_first_touch_reduces_one_node(bench_report):
     assert speedup >= FIRST_TOUCH_SPEEDUP_FLOOR, (
         f"first touch of one node only {speedup:.1f}x cheaper than the "
         f"whole lattice (floor {FIRST_TOUCH_SPEEDUP_FLOOR:.0f}x)"
-    )
-
-
-def test_update_rereduces_only_dirty_groups(bench_report):
-    schema, base = _panel()
-    engine = EXLEngine(target_priority=("chase",))
-    engine.declare_elementary(schema["S"])
-    engine.add_program(PROGRAM)
-    engine.load(base)
-    service = engine.enable_olap(cubes=["S"])
-    engine.run()
-    lattice = service.lattice("S")
-    # nodes reduce on demand and a refresh skips the ones nobody read:
-    # hold all of them, so the fraction below is of the whole lattice
-    lattice.materialize_all()
-    total_groups = lattice.total_groups()
-
-    revised = _perturbed(base, seed=300)
-    engine.load(revised)
-    before = engine.metrics.value("olap.lattice.groups.rereduced")
-    t0 = time.perf_counter()
-    engine.update()
-    refresh_s = time.perf_counter() - t0
-    rereduced = engine.metrics.value("olap.lattice.groups.rereduced") - before
-    assert engine.metrics.value("olap.lattice.fallback") == 0
-
-    # a 1% perturbation may not touch more than a fraction of the
-    # lattice: with 1.2k changed rows fanning out across 8 nodes,
-    # anything close to total_groups would mean we rebuilt the world
-    assert 0 < rereduced < 0.25 * total_groups, (
-        f"refresh re-reduced {rereduced} of {total_groups} groups"
-    )
-
-    oracle = CubeLattice(
-        "S", hierarchies_for(engine.catalog, "S"), aggregate="sum"
-    )
-    oracle.build(engine.data("S"))
-    for key, node in oracle.nodes.items():
-        assert lattice.nodes[key].groups == node.groups, key
-
-    print(
-        f"\nEXP-OLAP refresh: {rereduced}/{total_groups} groups re-reduced "
-        f"after a {PERTURBATION:.0%} update ({refresh_s * 1000:.0f}ms "
-        f"engine round-trip)"
-    )
-    bench_report.record(
-        "olap_query",
-        "dirty_group_refresh",
-        {
-            "tuples": len(base),
-            "total_groups": total_groups,
-            "rereduced": rereduced,
-            "rereduced_fraction": round(rereduced / total_groups, 4),
-            "value": round(rereduced / total_groups, 4),
-            "ceiling": 0.25,
-        },
     )

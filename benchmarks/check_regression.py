@@ -5,8 +5,7 @@ written under ``benchmarks/results/``) and fails — exit status 1 — if
 any recorded entry with both a ``speedup`` and a ``floor`` key fell
 below its floor, or any entry with both a ``value`` and a ``ceiling``
 key rose above its ceiling (ratios that must stay *small*: fault
-recovery overhead, resume-over-rerun cost, dirty-group refresh
-fraction).
+recovery overhead, resume-over-rerun cost, journal overhead).
 
 The floors are deliberately looser than the speedups measured on a
 quiet machine (scalar 6.6x -> floor 5x, aggregation 5.0x -> floor 3x,
@@ -51,7 +50,6 @@ REQUIRED = (
     "delta_chase.noop_update",
     "fault_recovery.resume_vs_rerun",
     "fault_recovery.transient_30pct_overhead",
-    "olap_query.dirty_group_refresh",
     "olap_query.first_touch_node",
     "olap_query.warm_rollup_vs_csv",
     "parallel_chase.wave_overlap",

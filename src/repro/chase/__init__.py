@@ -6,9 +6,10 @@ against (the paper's equivalence theorem).  ``StratifiedChase`` is the
 one executor: statement order by default, thread waves given ``jobs``,
 forked shard workers given ``shards`` — the same solution every way.
 The scheduler module holds the wave schedule, the shard module the
-partition plan and the workers, groupreduce the one collect / reduce / rereduce every
-aggregate goes through.  The columnar module holds the tgd kernels:
-every tgd kind has one, and a tgd no kernel covers is a ``ChaseError``.
+partition plan and the workers, groupreduce the one collect / reduce
+every aggregate and every OLAP roll-up goes through.  The columnar
+module holds the tgd kernels: every tgd kind has one, and a tgd no
+kernel covers is a ``ChaseError``.
 The tuple-at-a-time chase and the Section 4.2 model checker live under
 ``tests/oracle/``, as the bit-exact reference of the equivalence suites.
 """

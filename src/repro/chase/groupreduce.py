@@ -1,32 +1,29 @@
-"""Group-reduce: the one place bags are built, folded and maintained.
+"""Group-reduce: the one place bags are built and folded.
 
-Every aggregate in the system is the same three steps — *collect* the
-contributions of each group into a bag, *reduce* each bag through a
-registered aggregate, and (for maintained results) *rereduce* only the
-groups a row-level change touches.  The scalar chase, the shard worker
-and parent, the columnar kernel and the OLAP roll-up
-lattice all call the functions below and own no group-by loop of their
-own, so a bag is folded identically — in
+Every aggregate in the system is the same two steps — *collect* the
+contributions of each group into a bag, then *reduce* each bag through
+a registered aggregate.  The shard worker and parent, the columnar
+kernel and the OLAP roll-up lattice all call the functions below and
+own no group-by loop of their own, so a bag is folded identically — in
 :func:`repro.stats.aggregates.canonical_bag` order, inside the
-aggregate — whichever path built it.
+aggregate — whichever path built it.  Nothing is maintained: a result
+whose input changed is reduced again from the new rows.
 
 The module imports nothing at load time (numpy only inside the two
 sort-and-compare kernels, :func:`sorted_slices` and :func:`distinct`),
-so the query path can reduce and maintain a lattice without the chase
-executor or numpy.
+so the query path can reduce a lattice without the chase executor or
+numpy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 __all__ = [
     "collect",
     "concatenate",
-    "contribution_index",
     "distinct",
     "reduce_bags",
-    "rereduce_groups",
     "sorted_slices",
 ]
 
@@ -119,64 +116,3 @@ def sorted_slices(composite, values) -> Iterator[Tuple[int, List[Any]]]:
     sorted_values = values[order].tolist()
     for g in emission:
         yield first_rows[g], sorted_values[starts[g] : ends[g]]
-
-
-def contribution_index(
-    facts: Iterable[Tuple], classify: Callable
-) -> Dict[Tuple, Dict[Tuple, Any]]:
-    """The state :func:`rereduce_groups` maintains, built from scratch:
-    ``{group key: {operand dims: contribution}}``."""
-    index: Dict[Tuple, Dict[Tuple, Any]] = {}
-    for fact in facts:
-        entry = classify(fact)
-        if entry is not None:
-            index.setdefault(entry[0], {})[fact[:-1]] = entry[1]
-    return index
-
-
-def rereduce_groups(
-    index: Dict[Tuple, Dict[Tuple, Any]],
-    old_facts: Iterable[Tuple],
-    new_facts: Iterable[Tuple],
-    classify: Callable[[Tuple], Optional[Tuple[Tuple, Any]]],
-    aggregate: Callable,
-    groups: Dict[Tuple, Any],
-) -> List[Tuple]:
-    """Splice row-level changes through a per-group contribution index
-    and re-reduce only the touched groups.
-
-    ``index`` is a :func:`contribution_index`, ``classify(fact)``
-    returns ``(group_key, contribution)`` (or None to ignore the fact),
-    and ``groups`` — ``group_key -> value`` — is updated in place.  Old
-    facts are retracted from their buckets first, new facts asserted,
-    and each touched group re-reduced over its full bucket; the
-    registered aggregates canonicalize fold order internally, so a
-    group re-reduced here is bit-identical to a recompute from scratch.
-    Groups whose bucket empties are deleted from both maps.
-
-    Returns the touched group keys: their count is what an incremental
-    refresh is judged by (``olap.lattice.groups.rereduced``).
-    """
-    touched: Dict[Tuple, None] = {}
-    for fact in old_facts:
-        entry = classify(fact)
-        if entry is None:
-            continue
-        touched[entry[0]] = None
-        bucket = index.get(entry[0])
-        if bucket is not None:
-            bucket.pop(fact[:-1], None)
-    for fact in new_facts:
-        entry = classify(fact)
-        if entry is None:
-            continue
-        touched[entry[0]] = None
-        index.setdefault(entry[0], {})[fact[:-1]] = entry[1]
-    for key in touched:
-        bucket = index.get(key)
-        if not bucket:
-            index.pop(key, None)
-            groups.pop(key, None)
-        else:
-            groups[key] = aggregate(list(bucket.values()))
-    return list(touched)

@@ -406,8 +406,8 @@ def attach_lattice_sidecar(
     when it verifies against the CSV and its own payload hash, names
     the same aggregate, and covers exactly the node keys the lattice
     derives.  On success the lattice is bound to ``cube`` with every
-    node materialized from the sidecar (the contribution indexes stay
-    lazy), so incremental refreshes work immediately.
+    node materialized from the sidecar; a later version of the cube
+    rebinds it like any lattice (:meth:`CubeLattice.build`).
     An unreadable-but-present sidecar counts as
     ``olap.sidecar.fallback.reason:sidecar-unreadable`` on ``metrics``.
     """

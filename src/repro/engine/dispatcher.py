@@ -161,11 +161,6 @@ class Dispatcher:
         self._computed_this_run: Set[str] = set()
         self._unavailable: Set[str] = set()
         self._errors: Dict[Tuple[str, ...], BaseException] = {}
-        #: cube -> store version for every put this run performed (cubes
-        #: whose content actually changed; version-stable skips are not
-        #: listed).  Read by the engine's OLAP hook to refresh only the
-        #: lattices a run touched.
-        self.committed_versions: Dict[str, int] = {}
 
     def dispatch(
         self, translated: Sequence[TranslatedSubgraph], record: RunRecord
@@ -466,7 +461,6 @@ class Dispatcher:
                                 stored._colstore = fresh
                 else:
                     versions[name] = self.catalog.store.put(cube)
-                    self.committed_versions[name] = versions[name]
                     tuples += len(cube)
                     if self.mode.delta:
                         self._dirty.add(name)

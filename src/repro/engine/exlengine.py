@@ -183,21 +183,21 @@ class EXLEngine:
     ):
         """Turn on the OLAP query layer (:mod:`repro.olap`).
 
-        Nothing is built here or at commit time for cubes nobody has
-        queried: the first query on a cube binds a roll-up lattice to
-        its head version, and each lattice node group-reduces when a
-        query first reads it.  After every committed run the engine
-        brings the lattices queried so far to the versions that run
-        wrote, re-reducing only the dirty groups of their materialized
-        nodes, so repeated slice/dice/roll-up queries — and ``as_of``
-        queries pinned at any past run — answer from memory.
+        Nothing is built here, and runs do not touch the OLAP layer:
+        the first query on a cube binds a roll-up lattice to its head
+        version, and each lattice node group-reduces when a query first
+        reads it, so repeated slice/dice/roll-up queries — and ``as_of``
+        queries pinned at any past run — answer from memory.  A query
+        that finds its cube moved on since (a run or ``update``
+        committed a new version) rebinds the lattice to the new head,
+        and the nodes it reads reduce again from the new rows.
 
         Args:
             cubes: restrict the queryable set (default: every cube
                 with data).
             aggregate: measure aggregate for the lattices — a name
-                from the aggregate registry, or a callable (which
-                disables incremental refresh).
+                from the aggregate registry, or a callable (which a
+                lattice sidecar cannot name).
         """
         from ..olap import OlapService
 
@@ -430,8 +430,12 @@ class EXLEngine:
             with self.tracer.span("translation", category="engine"):
                 translated = self.translator.translate_all(subgraphs)
             translation_s = time.perf_counter() - t1
+            # opened at t0, so the record's duration covers determination
+            # and translation too
             record = self.runs.open(
-                trigger, [cube for s in subgraphs for cube in s.cubes]
+                trigger,
+                [cube for s in subgraphs for cube in s.cubes],
+                started_at=t0,
             )
             record.delta_of = mode.delta_of
             record.resumed_from = mode.resumed_from
@@ -477,16 +481,13 @@ class EXLEngine:
                     f"failed, {counts.get('skipped', 0)} skipped"
                 )
                 self.metrics.inc("engine.runs.partial")
-            self._close(record, dispatcher.committed_versions)
+            self._close(record)
         return record
 
-    def _close(
-        self, record: RunRecord, committed: Optional[Dict[str, int]] = None
-    ) -> None:
+    def _close(self, record: RunRecord) -> None:
         """Pin the store versions the run left behind, so a later
         ``update`` can diff current data against them, close the record,
-        and tell the cost model, the OLAP layer (after a dispatch that
-        finished, ``committed``) and the journal."""
+        and tell the cost model and the journal."""
         store = self.catalog.store
         record.baseline_versions = {
             name: store.latest_version(name)
@@ -497,9 +498,6 @@ class EXLEngine:
         if self.cost_model is not None:
             # whatever a failed run managed to measure is still signal
             self.cost_model.save()
-        if self.olap is not None and committed is not None:
-            with self.tracer.span("olap-refresh", category="engine"):
-                self.olap.on_commit(record, committed)
         if self.journal is not None:
             self.journal.run_end(record.run_id, record.error)
     # -- inspection ---------------------------------------------------------------

@@ -304,12 +304,16 @@ class RunLog:
     def __init__(self):
         self._runs: List[RunRecord] = []
 
-    def open(self, trigger, affected) -> RunRecord:
+    def open(
+        self, trigger, affected, started_at: Optional[float] = None
+    ) -> RunRecord:
+        """A new record, started now or at ``started_at`` (a
+        ``time.perf_counter()`` reading)."""
         record = RunRecord(
             run_id=next(_run_counter),
             trigger=tuple(trigger),
             affected=tuple(affected),
-            started_at=time.perf_counter(),
+            started_at=time.perf_counter() if started_at is None else started_at,
         )
         self._runs.append(record)
         return record

@@ -12,7 +12,6 @@ from .._lazy import lazy_surface
 #: ``Schema``, so it never loads that module)
 _EXPORTS = {
     "Cube": "cube",
-    "CubeDelta": "cube",
     "CubeSchema": "cube",
     "Dimension": "cube",
     "Schema": "schema",

@@ -5,13 +5,16 @@ A cube is a *partial function* ``F : X1 × … × Xn -> Y`` (Section 3).
 and :class:`Cube` holds an extension: a sparse mapping from dimension
 tuples to a numeric measure.  The functional nature of cubes — at most
 one measure per dimension tuple — is the invariant the paper's egds
-enforce; :meth:`Cube.set` guards it at the model level.
+enforce; :meth:`Cube.set` guards it at the model level.  Two versions
+of one cube are compared by :meth:`Cube.same_rows`, which is how an
+``update`` decides that an input stayed clean or an output may keep
+its stored version; nothing here diffs them row by row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -29,7 +32,7 @@ from .time import TimePoint
 from .types import DimKind, DimType, validate_value
 
 __all__ = [
-    "Dimension", "CubeSchema", "Cube", "CubeDelta", "as_list", "column_order", "take",
+    "Dimension", "CubeSchema", "Cube", "as_list", "column_order", "take",
 ]
 
 DimTuple = Tuple[Any, ...]
@@ -41,8 +44,8 @@ def _same_measure(a: float, b: float) -> bool:
     """Exact measure equality with NaN treated as equal to itself.
 
     ``float('nan') != float('nan')`` would make every NaN measure look
-    permanently changed, so source diffing would emit phantom deltas on
-    each update cycle.  NaN↔NaN is "unchanged"; NaN↔value is a delta.
+    permanently changed, so ``update`` would recompute a cube that holds
+    one on every cycle.  NaN↔NaN is "unchanged"; NaN↔value is a change.
     """
     return a == b or (a != a and b != b)
 
@@ -52,41 +55,6 @@ def _close(a: float, b: float, rel_tol: float, abs_tol: float) -> bool:
     if a != a or b != b:
         return a != a and b != b
     return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-@dataclass
-class CubeDelta:
-    """A structured diff between two extensions of one cube.
-
-    Rows are relational tuples ``(x1, …, xn, y)``.  ``updated`` pairs
-    the baseline row with the revised row for dimension tuples present
-    on both sides whose measures differ (NaN-consistently: see
-    :func:`_same_measure`).  This is the unit an OLAP lattice's
-    refresh splices through its materialized nodes
-    (:meth:`repro.olap.lattice.CubeLattice.refresh`).
-    """
-
-    inserted: List[Tuple[Any, ...]] = field(default_factory=list)
-    deleted: List[Tuple[Any, ...]] = field(default_factory=list)
-    updated: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = field(
-        default_factory=list
-    )
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.inserted or self.deleted or self.updated)
-
-    def count(self) -> int:
-        """Number of changed rows."""
-        return len(self.inserted) + len(self.deleted) + len(self.updated)
-
-    def old_facts(self) -> List[Tuple[Any, ...]]:
-        """Rows to retract: deleted rows plus the old side of updates."""
-        return self.deleted + [old for old, _ in self.updated]
-
-    def new_facts(self) -> List[Tuple[Any, ...]]:
-        """Rows to assert: inserted rows plus the new side of updates."""
-        return self.inserted + [new for _, new in self.updated]
 
 
 @dataclass(frozen=True)
@@ -498,45 +466,34 @@ class Cube:
                 problems.append(f"measure differs on {key!r}: {left} vs {right}")
         return problems
 
-    def delta(self, other: "Cube") -> CubeDelta:
-        """The structured row delta turning ``self`` into ``other``.
-
-        Measures compare *exactly* (delta propagation must recompute on
-        any representable change), except NaN↔NaN which is unchanged.
-        Both cubes must share dimensionality; they are normally two
-        versions of the same cube.
-        """
-        if self.schema.arity != other.schema.arity:
-            raise CubeError(
-                f"cannot delta {self.schema.name} (arity {self.schema.arity}) "
-                f"against {other.schema.name} (arity {other.schema.arity})"
-            )
-        out = CubeDelta()
-        mine, theirs = self._data, other._data
-        for key, new in theirs.items():
-            old = mine.get(key, _MISSING)
-            if old is _MISSING:
-                out.inserted.append(key + (new,))
-            elif not _same_measure(old, new):
-                out.updated.append((key + (old,), key + (new,)))
-        for key, old in mine.items():
-            if key not in theirs:
-                out.deleted.append(key + (old,))
-        return out
-
     def same_rows(self, other: "Cube") -> bool:
-        """Exactly ``self.delta(other).is_empty``: the same dimension
-        tuples with the same measures, NaN equal to NaN and ``-0.0``
-        to ``0.0``.
+        """Whether ``other`` holds the same dimension tuples with the
+        same measures, compared exactly but for NaN equal to NaN and
+        ``-0.0`` to ``0.0``: whether an ``update`` may keep a stored
+        version.  Both cubes must share dimensionality; they are
+        normally two versions of one cube.
 
         When both cubes hold encoded columns (:meth:`encoded`) no key
         is decoded: each of ``other``'s code columns is translated into
         this cube's dictionary through one lookup table, both sides are
         sorted by their codes, and the measures compare as one vector.
+        Otherwise the keyed views compare directly.
         """
+        if self.schema.arity != other.schema.arity:
+            raise CubeError(
+                f"cannot compare {self.schema.name} (arity {self.schema.arity}) "
+                f"with {other.schema.name} (arity {other.schema.arity})"
+            )
         mine, theirs = self.encoded(), other.encoded()
-        if mine is None or theirs is None or self.schema.arity != other.schema.arity:
-            return self.delta(other).is_empty
+        if mine is None or theirs is None:
+            mine, theirs = self._data, other._data
+            if len(mine) != len(theirs):
+                return False
+            for key, value in mine.items():
+                other_value = theirs.get(key, _MISSING)
+                if other_value is _MISSING or not _same_measure(value, other_value):
+                    return False
+            return True
         n_rows = len(self)
         if n_rows != len(other):
             return False  # keys are distinct on both sides

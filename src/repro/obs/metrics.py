@@ -11,7 +11,7 @@ Conventions:
 * counters are monotone (``chase.tuples.inserted``,
   ``chase.egd.checks``, ``chase.waves``, …); per-reason
   fallbacks use a ``….fallback.reason:<reason>`` namespace
-  (``chase.shard.``, ``olap.lattice.``) so the *why* of every one is
+  (``chase.shard.``, ``olap.sidecar.``) so the *why* of every one is
   visible;
 * histograms record distributions (``chase.wave.width``,
   ``chase.wave.duration_s``, ``engine.determination_s``, …) as

@@ -3,7 +3,7 @@
 Statistical cubes are already the paper's data model; this package adds
 the query side: dimension hierarchies derived from the metadata
 (:mod:`.hierarchy`), a roll-up lattice per cube whose nodes
-materialize on demand and stay fresh incrementally
+materialize on demand and which a new version of the cube rebinds
 (:mod:`.lattice`), and a slice/dice/roll-up/drill-down service with
 version pinning (:mod:`.query`).
 """

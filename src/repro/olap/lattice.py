@@ -29,15 +29,12 @@ Three properties keep the lattice honest:
   results.  numpy and
   the columnar modules are imported when an image is first used, never
   before.
-* **Refreshing is incremental**: each *materialized* node keeps a
-  per-group contribution index (built lazily from the previous base
-  version) and splices a :class:`CubeDelta` through it with
-  :func:`repro.chase.groupreduce.rereduce_groups`, re-reducing only
-  dirty groups — the count lands on ``olap.lattice.groups.rereduced``.
-  Nodes nobody has read stay unreduced and cost a refresh nothing.
-  Unregistered (callable) aggregates cannot be named in sidecars or
-  trusted to be bag functions, so they rebuild from scratch instead,
-  counted under ``olap.lattice.fallback.reason:*``.
+* **A new version rebinds.**  A lattice follows its cube by
+  :meth:`CubeLattice.build`: the new head is bound, every reduced node
+  is dropped, and each node reduces again from the new rows when a
+  query next reads it.  That is the one way a node is ever computed,
+  so a node read after any number of versions is the group-by of the
+  current cube and nothing else (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -53,15 +50,9 @@ from typing import (
     Tuple,
 )
 
-from ..chase.groupreduce import (
-    collect,
-    contribution_index,
-    reduce_bags,
-    rereduce_groups,
-    sorted_slices,
-)
-from ..model.cube import Cube, CubeDelta
-from ..stats.aggregates import AGGREGATES, get_aggregate
+from ..chase.groupreduce import collect, reduce_bags, sorted_slices
+from ..model.cube import Cube
+from ..stats.aggregates import get_aggregate
 from .hierarchy import DimHierarchy, Level, OlapError
 
 # numpy, ``chase.colstore``, ``chase.columnar`` and ``chase.instance``
@@ -69,7 +60,6 @@ from .hierarchy import DimHierarchy, Level, OlapError
 # reduces from rows (``exl query``) loads none of them.
 # ``chase.groupreduce`` imports nothing itself
 if TYPE_CHECKING:
-    from ..chase.colstore import ColumnStore
     from ..chase.columnar import EncodedColumn
 
 __all__ = ["LatticeNode", "CubeLattice"]
@@ -85,7 +75,7 @@ class LatticeNode:
     the lattice's bound cube the first time it is read.
     """
 
-    __slots__ = ("key", "levels", "_lattice", "_groups", "_index", "_store")
+    __slots__ = ("key", "levels", "_lattice", "_groups")
 
     def __init__(
         self,
@@ -97,11 +87,6 @@ class LatticeNode:
         self.levels = levels
         self._lattice = lattice
         self._groups: Optional[Dict[Tuple, float]] = None
-        # lazy per-group contribution index {group key: {base dims:
-        # measure}}, built from the previous base version on first
-        # incremental refresh; None until then
-        self._index: Optional[Dict[Tuple, Dict[Tuple, Any]]] = None
-        self._store: Optional[ColumnStore] = None
 
     @property
     def groups(self) -> Dict[Tuple, float]:
@@ -118,56 +103,10 @@ class LatticeNode:
         """Whether ``groups`` has been reduced (reading it does so)."""
         return self._groups is not None
 
-    @property
-    def arity(self) -> int:
-        """Group-key width: the number of non-all dimensions."""
-        return sum(1 for lvl in self.levels if not lvl.is_all)
-
-    def group_key(self, dims: Tuple) -> Tuple:
-        """The group a base dimension tuple rolls up into."""
-        return tuple(
-            lvl.fn(value)
-            for lvl, value in zip(self.levels, dims)
-            if not lvl.is_all
-        )
-
-    def classify(self, fact: Tuple) -> Tuple[Tuple, Any]:
-        """``(group key, contribution)`` of one base fact — the shape
-        :func:`repro.chase.groupreduce.rereduce_groups` expects."""
-        return self.group_key(fact[:-1]), fact[-1]
-
-    def as_store(self) -> ColumnStore:
-        """The node's result relation as a :class:`ColumnStore`.
-
-        Materialized lazily from ``groups`` (refreshes drop it), sorted
-        by repr of the group key so the row order is deterministic.
-        """
-        store = self._store
-        if store is None:
-            from ..chase.colstore import ColumnStore
-
-            groups = self.groups
-            store = ColumnStore(self.arity + 1)
-            for key in sorted(groups, key=_group_sort_key):
-                store.add(key + (groups[key],))
-            store.dims_distinct = True
-            self._store = store
-        return store
-
-    def invalidate(self) -> None:
-        """Forget everything derived from the lattice's previous base."""
-        self._groups = None
-        self._index = None
-        self._store = None
-
-
-def _group_sort_key(key: Tuple) -> Tuple:
-    return tuple((type(part).__name__, repr(part)) for part in key)
-
 
 class CubeLattice:
-    """All roll-up nodes of one cube, reduced on demand, kept fresh
-    across versions."""
+    """All roll-up nodes of one cube, reduced on demand from the cube
+    the lattice is bound to."""
 
     def __init__(
         self,
@@ -179,8 +118,7 @@ class CubeLattice:
         self.name = name
         self.hierarchies = hierarchies
         if callable(aggregate):
-            # an ad-hoc callable: usable, but opaque — no sidecar name,
-            # no bag-function guarantee, so refreshes rebuild in full
+            # an ad-hoc callable: usable, but opaque — no sidecar name
             self.agg_name: Optional[str] = None
             self.aggregate: Callable = aggregate
         else:
@@ -267,20 +205,18 @@ class CubeLattice:
         """Bind the lattice to a base cube and drop every reduced node.
 
         No group-by runs here: each node reduces from ``cube`` when its
-        ``groups`` are first read.
+        ``groups`` are first read.  This is also how a lattice follows
+        its cube to a new version.
         """
-        self._bind(cube, version)
-        for node in self.nodes.values():
-            node.invalidate()
-        if self.metrics is not None:
-            self.metrics.inc("olap.lattice.builds")
-
-    def _bind(self, cube: Cube, version: Optional[int]) -> None:
         self._base = cube
         self.version = version
         self._columns = {}
         self._value_maps = {}
         self._requests = 0
+        for node in self.nodes.values():
+            node._groups = None
+        if self.metrics is not None:
+            self.metrics.inc("olap.lattice.builds")
 
     def materialize(self, nodes: Iterable[LatticeNode]) -> None:
         """Reduce the not yet materialized ``nodes`` from the bound
@@ -369,73 +305,6 @@ class CubeLattice:
             for dims, measure in cube.items()
         )
         return reduce_bags(bags, self.aggregate)
-
-    # -- incremental refresh -----------------------------------------------
-    def refresh(
-        self,
-        cube: Cube,
-        version: Optional[int] = None,
-        delta: Optional[CubeDelta] = None,
-    ) -> int:
-        """Bring the lattice to a new base version.
-
-        Splices the row delta through the contribution index of each
-        *materialized* node, re-reducing only dirty groups; returns the
-        total re-reduced group count across those nodes (also
-        ``olap.lattice.groups.rereduced`` on the metrics registry).
-        Unmaterialized nodes are left alone: they reduce from the new
-        base when first read.  Falls back to a full :meth:`build` —
-        counted under ``olap.lattice.fallback.reason:*`` — when there
-        is no baseline to delta against or the aggregate is an
-        unregistered callable.
-        """
-        if self._base is None:
-            return self._fallback(cube, version, "no-baseline")
-        if self.agg_name is None or self.agg_name not in AGGREGATES:
-            return self._fallback(cube, version, "unregistered-aggregate")
-        rereduced = 0
-        nodes = self.materialized_nodes()
-        if nodes:
-            if delta is None:
-                delta = self._base.delta(cube)
-            old_facts = list(delta.deleted) + [old for old, _ in delta.updated]
-            new_facts = list(delta.inserted) + [new for _, new in delta.updated]
-            for node in nodes if old_facts or new_facts else ():
-                if node._index is None:
-                    node._index = self._build_index(node)
-                rereduced += len(
-                    rereduce_groups(
-                        node._index,
-                        old_facts,
-                        new_facts,
-                        node.classify,
-                        self.aggregate,
-                        node.groups,
-                    )
-                )
-                node._store = None
-        self._bind(cube, version)
-        if self.metrics is not None:
-            self.metrics.inc("olap.lattice.refreshes")
-            self.metrics.inc("olap.lattice.groups.rereduced", rereduced)
-        return rereduced
-
-    def _build_index(self, node: LatticeNode) -> Dict[Tuple, Dict[Tuple, Any]]:
-        index = contribution_index(self._base.to_rows(), node.classify)
-        if self.metrics is not None:
-            self.metrics.inc("olap.lattice.index.builds")
-        return index
-
-    def _fallback(
-        self, cube: Cube, version: Optional[int], reason: str
-    ) -> int:
-        """Rebind in full: every node re-reduces when next read, so no
-        group is re-reduced here."""
-        if self.metrics is not None:
-            self.metrics.inc("olap.lattice.fallback")
-            self.metrics.inc(f"olap.lattice.fallback.reason:{reason}")
-        self.build(cube, version)
-        return 0
 
 
 def _level_product(

@@ -1,11 +1,14 @@
 """The OLAP query service: slice/dice/roll-up/drill-down over lattices.
 
 :class:`OlapService` keeps one live :class:`CubeLattice` per *queried*
-cube, created by the first query on it and refreshed after every engine
-commit, plus a cache of *pinned* lattices bound on demand to the
-:class:`VersionedStore` for ``as_of=run_id`` queries — historicity means
-any past run's data stays queryable at the exact versions that run left
-behind (``RunRecord.baseline_versions``).
+cube, created by the first query on it, plus a cache of *pinned*
+lattices bound on demand to the :class:`VersionedStore` for
+``as_of=run_id`` queries — historicity means any past run's data stays
+queryable at the exact versions that run left behind
+(``RunRecord.baseline_versions``).  A live lattice follows the store
+head the way every lattice is bound: when a query finds its cube moved
+on, it is rebound to the new head (:meth:`CubeLattice.build`) and its
+nodes reduce again as they are read.  Nothing is done at commit time.
 
 A query pays for the lattice nodes it names and no others: a point
 lookup is one cell of the base node (a dict probe once that node is
@@ -24,9 +27,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..model.catalog import MetadataCatalog
 from .hierarchy import ALL_LEVEL, OlapError, hierarchies_for
-from .lattice import CubeLattice, _group_sort_key
+from .lattice import CubeLattice
 
 __all__ = ["QueryResult", "OlapService", "format_measure"]
+
+
+def _group_sort_key(key: Tuple) -> Tuple:
+    return tuple((type(part).__name__, repr(part)) for part in key)
 
 
 def format_measure(value: float) -> str:
@@ -121,11 +128,11 @@ class OlapService:
     def lattice(self, name: str, as_of: Optional[int] = None) -> CubeLattice:
         """The lattice serving ``name`` — live, or pinned at a run.
 
-        Live lattices follow the store head: a stale one is refreshed
-        incrementally (dirty groups of its materialized nodes only)
-        before answering.  Pinned lattices are bound once to the
-        versions recorded by run ``as_of`` and cached.  Either way the
-        nodes themselves reduce when a query first reads them.
+        Live lattices follow the store head: one whose cube moved on is
+        rebound to the head before answering.  Pinned lattices are
+        bound once to the versions recorded by run ``as_of`` and
+        cached.  Either way the nodes themselves reduce when a query
+        first reads them.
         """
         self._check_queryable(name)
         store = self.catalog.store
@@ -133,11 +140,9 @@ class OlapService:
             head = store.latest_version(name)
             live = self._live.get(name)
             if live is None:
-                live = self._new_lattice(name)
+                live = self._live[name] = self._new_lattice(name)
+            if live.version != head:
                 live.build(store.get(name), head)
-                self._live[name] = live
-            elif live.version != head:
-                live.refresh(store.get(name), head)
             return live
         if self.runs is None:
             raise OlapError("as_of queries need a run log")
@@ -155,20 +160,6 @@ class OlapService:
             pinned.build(store.get(name, version), version)
             self._pinned[(name, version)] = pinned
         return pinned
-
-    def on_commit(self, record, committed: Optional[Dict[str, int]] = None) -> None:
-        """Engine hook: bring every live lattice to the run's versions.
-
-        Called after a run commits.  Staleness is judged against the
-        store head alone, not ``committed`` (cube -> version, the cubes
-        the run wrote): ``engine.load()`` puts revised elementary data
-        straight into the store, so a cube the run did not write can be
-        stale too.  Only lattices a query has already asked for are
-        live: cubes nobody has queried get no lattice here, and a live
-        lattice splices the delta through its materialized nodes only.
-        """
-        for name in self._live:
-            self.lattice(name)
 
     # -- queries ------------------------------------------------------------
     def point(

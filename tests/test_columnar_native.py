@@ -44,6 +44,7 @@ from repro.model.io import read_cube_csv, write_cube_csv
 from repro.model.types import STRING
 from repro.workloads import gdp_example, random_workload
 from tests.oracle.chase import ScalarChase
+from tests.oracle.delta import cube_delta
 
 SEEDS = range(50)
 
@@ -108,7 +109,7 @@ def _assert_same_stores(chase, reference, context):
     left, right = _store_state(chase), _store_state(reference)
     assert set(left) == set(right), context
     for name in left:
-        delta = left[name].delta(right[name])
+        delta = cube_delta(left[name], right[name])
         assert delta.is_empty, (
             f"{context}: {name} diverged between the chase and the sql "
             f"reference (+{len(delta.inserted)} -{len(delta.deleted)} "
@@ -198,8 +199,8 @@ class TestFaultComposition:
         for subgraph in record.subgraphs:
             for name in subgraph.cubes:
                 if subgraph.committed:
-                    assert engine.data(name).delta(
-                        reference.data(name)
+                    assert cube_delta(
+                        engine.data(name), reference.data(name)
                     ).is_empty, f"seed {seed}: {name}"
                 else:
                     assert not engine.catalog.has_data(name), f"seed {seed}"

@@ -234,6 +234,42 @@ class TestEXLEngineFacade:
         assert engine.data("D") is not None
         assert record.duration_s > 0
 
+    def test_duration_covers_determination_and_translation(self, monkeypatch):
+        # the record opens before determination, so "N s total" in the
+        # summary is the whole run; a slow translation shows it
+        import time
+
+        from repro.engine import FaultPlan, FaultRule
+
+        real = TranslationEngine.translate_all
+
+        def slow(self, subgraphs):
+            time.sleep(0.1)
+            return real(self, subgraphs)
+
+        monkeypatch.setattr(TranslationEngine, "translate_all", slow)
+        engine = _build_engine()
+        records = [engine.run()]
+        engine.load(
+            Cube.from_series(_series("E1"), quarter(2018, 1), [5.0] * 12)
+        )
+        records.append(engine.update())
+        engine.load(
+            Cube.from_series(_series("E1"), quarter(2018, 1), [6.0] * 12)
+        )
+        failed = engine.run(
+            on_error="continue",
+            fault_plan=FaultPlan([FaultRule(kind="permanent", cubes=("D",))]),
+        )
+        assert failed.failed
+        records += [failed, engine.resume()]
+        for record in records:
+            assert record.translation_s >= 0.1
+            assert (
+                record.duration_s
+                >= record.determination_s + record.translation_s
+            ), record.summary()
+
     def test_derived_values_correct(self):
         engine = _build_engine()
         engine.run()

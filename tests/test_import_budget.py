@@ -26,8 +26,8 @@ with open(sys.argv[1], "w") as handle:
 
 #: everything ``exl query`` may load: the CLI, the model, the OLAP layer,
 #: the one pure-Python aggregate module, the run directory's index
-#: reader, and the refresh kernel the lattice names — no language, no
-#: mapping layer, no columnar store, no numpy
+#: reader, and the group-reduce module the lattice folds its bags with —
+#: no language, no mapping layer, no columnar store, no numpy
 QUERY_PACKAGES = ("model", "olap")
 QUERY_MODULES = {
     "repro",

@@ -408,7 +408,6 @@ PASSING_REPORT = {
     },
     "olap_query": {
         "warm_rollup_vs_csv": {"speedup": 150.0, "floor": 100.0},
-        "dirty_group_refresh": {"value": 0.05, "ceiling": 0.25},
         "first_touch_node": {"speedup": 5.0, "floor": 3.0},
     },
     "sharded_chase": {
@@ -444,13 +443,11 @@ class TestRegressionGate:
 
     def test_entry_with_both_gates_checks_both(self, tmp_path):
         doctored = json.loads(json.dumps(PASSING_REPORT))
-        doctored["olap_query"] = {
-            "dirty_group_refresh": {
-                "speedup": 120.0,
-                "floor": 100.0,
-                "value": 0.4,
-                "ceiling": 0.25,
-            }
+        doctored["olap_query"]["first_touch_node"] = {
+            "speedup": 120.0,
+            "floor": 100.0,
+            "value": 0.4,
+            "ceiling": 0.25,
         }
         completed = _run_gate(tmp_path, doctored)
         assert completed.returncode == 1

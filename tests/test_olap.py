@@ -1,9 +1,9 @@
-"""OLAP layer: hierarchies, lattice build/refresh, queries, sidecars.
+"""OLAP layer: hierarchies, lattice build/rebind, queries, sidecars.
 
 The load-bearing property throughout: lattice-served aggregates are
 *tuple-for-tuple identical* to a recompute-from-scratch oracle — both
 fold measures in canonical bag order — whichever path (columnar or
-tuple) built them and however many incremental refreshes they survived.
+tuple) built them and however many versions the lattice was rebound to.
 """
 
 import json
@@ -27,6 +27,7 @@ from repro.olap import (
     ALL,
     CubeLattice,
     OlapError,
+    OlapService,
     derive_hierarchy,
     hierarchies_for,
 )
@@ -305,7 +306,9 @@ class TestLatticeBuild:
             "def oracle(node):\n"
             "    bags = {}\n"
             "    for dims, value in cube.items():\n"
-            "        bags.setdefault(node.group_key(dims), []).append(value)\n"
+            "        key = tuple(lvl.fn(part) for lvl, part in zip(node.levels, dims)\n"
+            "                    if not lvl.is_all)\n"
+            "        bags.setdefault(key, []).append(value)\n"
             "    return {k: lattice.aggregate(v) for k, v in bags.items()}\n"
             "first = lattice.node({'m': 'quarter'})\n"
             "assert first.groups == oracle(first)\n"
@@ -359,33 +362,64 @@ class TestLatticeBuild:
                 )
 
 
-class TestLatticeRefresh:
-    def _delta_pair(self):
-        old = panel_cube()
-        new = old.copy()
-        new.set((month(2019, 3), "north"), 999.0, overwrite=True)  # update
-        new.set((month(2021, 1), "west"), 5.0)  # insert, new dim values
-        new._data.pop((month(2019, 5), "south"))  # delete
-        return old, new
+def _revision(old):
+    """An update, an insert with new dimension values, a delete."""
+    new = old.copy()
+    new.set((month(2019, 3), "north"), 999.0, overwrite=True)
+    new.set((month(2021, 1), "west"), 5.0)
+    new._data.pop((month(2019, 5), "south"))
+    return new
 
-    def test_refresh_matches_rebuild(self, metrics_registry=None):
+
+def _bit_groups(node):
+    return {key: repr(value) for key, value in node.groups.items()}
+
+
+class TestLatticeRebind:
+    """A lattice follows a new version of its cube by being rebound
+    (``build``): every node it held is dropped and reduces again from
+    the new rows when next read, bit for bit what a lattice that never
+    saw the old version holds."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stale_live_lattice_equals_a_fresh_one(self, seed):
+        import random
+
         from repro.obs import MetricsRegistry
 
+        rng = random.Random(5200 + seed)
+        old = panel_cube()
+        catalog = fresh_catalog(old)
         metrics = MetricsRegistry()
-        old, new = self._delta_pair()
-        lattice = CubeLattice(
-            "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
-        )
-        lattice.build(old)
-        lattice.materialize_all()
-        rereduced = lattice.refresh(new)
-        assert rereduced > 0
-        assert metrics.value("olap.lattice.groups.rereduced") == rereduced
-        # far fewer groups touched than exist
-        assert rereduced < lattice.total_groups()
-        assert_lattice_matches_oracle(lattice, new)
+        service = OlapService(catalog, metrics=metrics)
+        live = service.lattice("S")
+        held = rng.sample(list(live.nodes), rng.randrange(len(live.nodes) + 1))
+        for key in held:
+            live.nodes[key].groups
+        new = _revision(old)
+        if seed % 2:
+            instance_mod.store_for_cube(new)  # held as an image too
+        catalog.load(new)
+        assert service.lattice("S") is live
+        assert live.version == catalog.store.latest_version("S")
+        # rebinding reduces nothing: the held nodes are dropped
+        assert live.materialized_nodes() == []
+        assert metrics.value("olap.lattice.builds") == 2
+        oracle = CubeLattice("S", hierarchies_for(catalog, "S"))
+        oracle.build(catalog.data("S"))
+        order = list(live.nodes)
+        rng.shuffle(order)
+        for key in order:
+            assert _bit_groups(live.nodes[key]) == _bit_groups(
+                oracle.nodes[key]
+            ), key
+        assert_lattice_matches_oracle(live, new)
+        # a second read of the same head rebinds nothing
+        service.lattice("S")
+        assert metrics.value("olap.lattice.builds") == 2
+        assert len(live.materialized_nodes()) == len(live.nodes)
 
-    def test_group_vanishes_when_bucket_empties(self):
+    def test_group_vanishes_when_its_rows_do(self):
         old = panel_cube(n_months=6, regions=("north", "south"))
         new = old.copy()
         for i in range(6):  # drop every north row
@@ -393,105 +427,24 @@ class TestLatticeRefresh:
         lattice = CubeLattice("S", hierarchies_for(fresh_catalog(), "S"))
         lattice.build(old)
         lattice.materialize_all()
-        lattice.refresh(new)
+        assert ("north",) in lattice.nodes[("all", "r")].groups
+        lattice.build(new)
         assert_lattice_matches_oracle(lattice, new)
-        base_r = lattice.nodes[("all", "r")].groups
-        assert ("north",) not in base_r
+        assert ("north",) not in lattice.nodes[("all", "r")].groups
+        assert ("cold",) not in lattice.nodes[("all", "zone")].groups
 
-    def test_contribution_index_built_once(self):
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        old, new = self._delta_pair()
-        lattice = CubeLattice(
-            "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
-        )
-        lattice.build(old)
-        lattice.materialize_all()
-        lattice.refresh(new)
-        builds = metrics.value("olap.lattice.index.builds")
-        assert builds == len(lattice.nodes)
-        newer = new.copy()
-        newer.set((month(2019, 8), "east"), -1.0, overwrite=True)
-        lattice.refresh(newer)
-        assert metrics.value("olap.lattice.index.builds") == builds
-        assert_lattice_matches_oracle(lattice, newer)
-
-    def test_empty_delta_is_free(self):
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
+    def test_callable_aggregate(self):
         old = panel_cube()
-        lattice = CubeLattice(
-            "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
-        )
-        lattice.build(old)
-        lattice.materialize_all()
-        assert lattice.refresh(old.copy()) == 0
-        assert metrics.value("olap.lattice.index.builds") == 0
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_refresh_touches_materialized_nodes_only(self, seed):
-        import random
-
-        from repro.obs import MetricsRegistry
-
-        rng = random.Random(5200 + seed)
-        old, new = self._delta_pair()
-        hierarchies = hierarchies_for(fresh_catalog(), "S")
-        metrics = MetricsRegistry()
-        lattice = CubeLattice("S", hierarchies, metrics=metrics)
-        lattice.build(old)
-        keys = list(lattice.nodes)
-        touched = rng.sample(keys, rng.randrange(len(keys) + 1))
-        for key in touched:
-            lattice.nodes[key].groups
-        # the re-reduced count is the sum of what each touched node
-        # costs on its own: the untouched ones add nothing
-        expected = 0
-        for key in touched:
-            alone = CubeLattice("S", hierarchies)
-            alone.build(old)
-            alone.nodes[key].groups
-            expected += alone.refresh(new)
-        assert lattice.refresh(new) == expected
-        assert metrics.value("olap.lattice.groups.rereduced") == expected
-        assert metrics.value("olap.lattice.index.builds") == len(touched)
-        assert {n.key for n in lattice.materialized_nodes()} == set(touched)
-        assert_lattice_matches_oracle(lattice, new)
-
-    def test_refresh_without_baseline_falls_back(self):
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        cube = panel_cube()
-        lattice = CubeLattice(
-            "S", hierarchies_for(fresh_catalog(), "S"), metrics=metrics
-        )
-        lattice.refresh(cube)  # never built
-        assert metrics.value("olap.lattice.fallback.reason:no-baseline") == 1
-        assert_lattice_matches_oracle(lattice, cube)
-
-    def test_callable_aggregate_falls_back(self):
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        old, new = self._delta_pair()
+        new = _revision(old)
         lattice = CubeLattice(
             "S",
             hierarchies_for(fresh_catalog(), "S"),
             aggregate=lambda values: float(len(values)),
-            metrics=metrics,
         )
+        assert lattice.agg_name is None
         lattice.build(old)
-        lattice.refresh(new)
-        assert (
-            metrics.value(
-                "olap.lattice.fallback.reason:unregistered-aggregate"
-            )
-            == 1
-        )
-        # full rebuild still lands on the right answer
+        lattice.materialize_all()
+        lattice.build(new)
         for key, node in lattice.nodes.items():
             expected = {
                 k: float(len(v))
@@ -647,7 +600,7 @@ class TestOlapService:
         with pytest.raises(OlapError, match="distinct"):
             service.crosstab("S", "m", "m")
 
-    def test_eager_refresh_on_update(self):
+    def test_update_reduces_no_node_until_read(self):
         engine = build_engine()
         service = engine.enable_olap()
         engine.run()
@@ -655,30 +608,89 @@ class TestOlapService:
         assert service._live == {}
         service.rollup("S")
         service.rollup("G", {"q": "year"})
-        before = engine.metrics.value("olap.lattice.groups.rereduced")
-        builds_before = engine.metrics.value("olap.lattice.builds")
+        live = dict(service._live)
+        groups = engine.metrics.value("olap.lattice.groups")
+        builds = engine.metrics.value("olap.lattice.builds")
         revised = engine.data("S").copy()
         revised.set((month(2019, 1), "north"), 123.5, overwrite=True)
         engine.load(revised)
         engine.update()
-        # the commit hook refreshed incrementally — no rebuild, only
-        # dirty groups re-reduced, and the lattice already sits at the
-        # store head before any query arrives
-        assert engine.metrics.value("olap.lattice.groups.rereduced") > before
+        # the update left the lattices alone: nothing rebound, nothing
+        # reduced, the held nodes still those of the old versions
         store = engine.catalog.store
-        assert service._live["S"].version == store.latest_version("S")
-        assert service._live["G"].version == store.latest_version("G")
-        # the update refreshed both without a single rebuild, and left
-        # the nodes no query had read unreduced
-        assert engine.metrics.value("olap.lattice.builds") == builds_before
-        assert [n.key for n in service._live["S"].materialized_nodes()] == [
-            ("m", "r")
-        ]
-        assert [n.key for n in service._live["G"].materialized_nodes()] == [
+        assert engine.metrics.value("olap.lattice.groups") == groups
+        assert engine.metrics.value("olap.lattice.builds") == builds
+        assert live["S"].version != store.latest_version("S")
+        assert [n.key for n in live["S"].materialized_nodes()] == [("m", "r")]
+        # the next query rebinds to the head and reduces what it reads
+        assert service.lattice("S") is live["S"]
+        assert live["S"].version == store.latest_version("S")
+        assert live["S"].materialized_nodes() == []
+        assert engine.metrics.value("olap.lattice.groups") == groups
+        service.rollup("G", {"q": "year"})
+        assert live["G"].version == store.latest_version("G")
+        assert [n.key for n in live["G"].materialized_nodes()] == [
             ("year", "r")
         ]
-        assert_lattice_matches_oracle(service._live["S"], engine.data("S"))
-        assert_lattice_matches_oracle(service._live["G"], engine.data("G"))
+        assert engine.metrics.value("olap.lattice.builds") == builds + 2
+        assert_lattice_matches_oracle(live["S"], engine.data("S"))
+        assert_lattice_matches_oracle(live["G"], engine.data("G"))
+
+    def test_point_after_update_reads_the_new_head(self):
+        engine = build_engine()
+        service = engine.enable_olap()
+        engine.run()
+        coords = {"m": month(2019, 1), "r": "north"}
+        service.lattice("S").base_node().groups  # the point reads the node
+        before = service.point("S", coords)
+        revised = engine.data("S").copy()
+        revised.set((month(2019, 1), "north"), before + 7.5, overwrite=True)
+        engine.load(revised)
+        engine.update()
+        assert service.point("S", coords) == before + 7.5
+        assert not service.lattice("S").base_node().materialized
+
+    def test_load_without_a_run_is_followed(self):
+        # staleness is the store head, which a load moves with no dispatch
+        engine = build_engine()
+        service = engine.enable_olap()
+        engine.run()
+        service.rollup("S", {"m": "year", "r": "all"})
+        revised = _revision(engine.data("S"))
+        engine.load(revised)
+        answer = service.rollup("S", {"m": "year", "r": "all"})
+        lattice = service.lattice("S")
+        assert {row[:-1]: row[-1] for row in answer.rows} == oracle_groups(
+            revised, lattice.node({"m": "year", "r": "all"}).levels
+        )
+
+    def test_crosstab_after_update_matches_a_fresh_service(self):
+        engine = build_engine()
+        service = engine.enable_olap()
+        engine.run()
+        service.crosstab("G", "q", "r", levels={"q": "year"})
+        engine.load(_revision(engine.data("S")))
+        engine.update()
+        fresh = OlapService(engine.catalog)
+        assert service.crosstab(
+            "G", "q", "r", levels={"q": "year"}
+        ) == fresh.crosstab("G", "q", "r", levels={"q": "year"})
+
+    def test_identical_reload_answers_the_same_bits(self):
+        engine = build_engine()
+        service = engine.enable_olap()
+        engine.run()
+        lattice = service.lattice("S")
+        lattice.materialize_all()
+        before = {key: _bit_groups(node) for key, node in lattice.nodes.items()}
+        engine.load(engine.data("S").copy())  # a new version, the same rows
+        engine.update()
+        assert service.lattice("S").version == (
+            engine.catalog.store.latest_version("S")
+        )
+        assert {
+            key: _bit_groups(node) for key, node in lattice.nodes.items()
+        } == before
 
     def test_as_of_pins_history(self):
         engine = build_engine()
@@ -736,22 +748,6 @@ class TestOlapService:
             service.rollup("S")
 
 
-class TestLatticeNodeStore:
-    def test_as_store_roundtrips_groups(self):
-        cube = panel_cube()
-        lattice = CubeLattice("S", hierarchies_for(fresh_catalog(), "S"))
-        lattice.build(cube)
-        node = lattice.nodes[("quarter", "r")]
-        store = node.as_store()
-        assert store.n_rows == len(node.groups)
-        assert {
-            row[:-1]: row[-1] for row in store.rows()
-        } == node.groups
-        assert node.as_store() is store  # cached
-        lattice.refresh(_one_row_revision(cube))
-        assert node.as_store() is not store  # refresh invalidates
-
-
 def _one_row_revision(cube):
     revised = cube.copy()
     key = next(iter(cube.keys()))
@@ -790,9 +786,10 @@ class TestLatticeSidecar:
         for key, node in built.nodes.items():
             assert restored.nodes[key].groups == node.groups
         assert metrics.value("olap.lattice.groups") == 0
-        # refreshes work immediately after attach
+        # a new version rebinds an attached lattice like any other
         revised = _one_row_revision(cube)
-        restored.refresh(revised)
+        restored.build(revised, version=8)
+        assert restored.materialized_nodes() == []
         assert_lattice_matches_oracle(restored, revised)
 
     def test_rejects_corruption_and_staleness(self, tmp_path):

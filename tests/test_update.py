@@ -19,6 +19,7 @@ from repro.engine import EXLEngine, FaultPlan, FaultRule
 from repro.errors import ReproError
 from repro.model import Cube
 from repro.workloads import random_workload
+from tests.oracle.delta import cube_delta
 
 SEEDS = range(50)
 
@@ -79,7 +80,7 @@ def _assert_same_state(updated, fresh, context):
     left, right = _store_state(updated), _store_state(fresh)
     assert set(left) == set(right), context
     for name in left:
-        delta = updated.data(name).delta(fresh.data(name))
+        delta = cube_delta(updated.data(name), fresh.data(name))
         assert delta.is_empty, (
             f"{context}: {name} diverged "
             f"(+{len(delta.inserted)} -{len(delta.deleted)} "
