@@ -6,12 +6,11 @@ partitioning, ``--shards 4`` cuts wall time versus ``--shards 1`` by
 the per-core floor recorded below, while producing the identical
 solution instance.
 
-Unlike EXP-PARALLEL-CHASE (which overlaps *waits* on a thread pool and
-is therefore immune to the GIL), this benchmark is pure Python compute:
-the columnar kernels apply a deliberately arithmetic-heavy scalar
-operator, element by element, over a ≥1M-tuple panel.  Threads
-cannot scale that — worker processes can, because each shard chases
-its partition in its own interpreter and ships columnar buffers back.
+This benchmark is pure Python compute: the columnar kernels apply a
+deliberately arithmetic-heavy scalar operator, element by element, over
+a ≥1M-tuple panel.  Threads cannot scale that under the GIL — worker
+processes can, because each shard chases its partition in its own
+interpreter and ships columnar buffers back.
 
 The workload is a 10-statement entity-carrying chain plus two
 aggregations over a months × entities panel (125k input rows, ~1.3M
@@ -153,8 +152,8 @@ def test_sharded_speedup_over_single_shard(panel, bench_report):
     shard-balance check, so the bench pays for each chase exactly once.
     """
     mapping, source = panel
-    single = StratifiedChase(mapping, jobs=4, shards=1)
-    sharded = StratifiedChase(mapping, jobs=4, shards=SHARDS)
+    single = StratifiedChase(mapping, shards=1)
+    sharded = StratifiedChase(mapping, shards=SHARDS)
 
     start = time.perf_counter()
     baseline = single.run(source)

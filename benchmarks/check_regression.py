@@ -9,12 +9,11 @@ recovery overhead, resume-over-rerun cost, journal overhead).
 
 The floors are deliberately looser than the speedups measured on a
 quiet machine (scalar 6.6x -> floor 5x, aggregation 5.0x -> floor 3x,
-wave overlap 3.9x -> floor 2.5x, sharded chase 2.5x at >=4 cores —
-the sharded bench records a host-adaptive floor alongside its
-measurement, so the same gate holds on any runner): the gate catches
-real regressions — a de-vectorized kernel, a serialized wave, a no-op
-update that recomputes, a shard merge gone quadratic — without
-flaking on shared CI runners.
+sharded chase 2.5x at >=4 cores — the sharded bench records a
+host-adaptive floor alongside its measurement, so the same gate holds
+on any runner): the gate catches real regressions — a de-vectorized
+kernel, a no-op update that recomputes, a shard merge gone quadratic —
+without flaking on shared CI runners.
 
 The gate also fails when a *required* entry is missing from the
 report: every dotted name in :data:`REQUIRED` must appear with its
@@ -52,7 +51,6 @@ REQUIRED = (
     "fault_recovery.transient_30pct_overhead",
     "olap_query.first_touch_node",
     "olap_query.warm_rollup_vs_csv",
-    "parallel_chase.wave_overlap",
     "sharded_chase.panel_scaling",
 )
 

@@ -4,8 +4,8 @@ Wrapping the stratified chase in the :class:`Backend` interface lets
 equivalence tests and benchmarks treat the reference executor uniformly
 with the translated targets — the paper's claim is precisely that every
 translation computes the same solution the chase does.  Its arguments
-say how many threads and shard workers run the chase; none chooses its
-kernels or its storage.
+say how many shard workers run the chase; none chooses its kernels or
+its storage.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class ChaseBackend(Backend):
     """Reference executor: every mapping run is one
     :class:`StratifiedChase` run.
 
-    ``jobs > 1`` runs its waves on that many threads, ``shards`` on
-    forked workers.  No solution outlives its run: an update
+    The chase walks its tgds in statement order; ``shards`` also runs
+    them on forked workers.  No solution outlives its run: an update
     recomputes its subgraphs with :meth:`run_mapping`, like every
     target, and the dispatcher compares the outputs with the stored
     versions.  ``compile_tgd`` gives each tgd's text for ``exl compile
@@ -41,13 +41,10 @@ class ChaseBackend(Backend):
 
     def __init__(
         self,
-        jobs: int = 1,
         tracer=None,
         metrics=None,
         shards: int = 1,
     ):
-        #: worker threads for chase waves (1 = statement order)
-        self.jobs = jobs
         #: worker-process count for whole-mapping runs (0 = one per
         #: core, 1 = no sharding); see chase.shard
         self.shards = shards
@@ -107,7 +104,6 @@ class ChaseBackend(Backend):
             source.adopt(name, store_for_cube(inputs[name]))
         chase = StratifiedChase(
             mapping,
-            jobs=self.jobs if self.jobs > 1 else None,
             shards=self.shards,
             tracer=self.tracer,
             metrics=self.metrics,

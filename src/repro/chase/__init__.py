@@ -3,9 +3,9 @@
 The chase is the reference executor: it applies the generated
 dependencies directly and is the yardstick every backend is tested
 against (the paper's equivalence theorem).  ``StratifiedChase`` is the
-one executor: statement order by default, thread waves given ``jobs``,
-forked shard workers given ``shards`` — the same solution every way.
-The scheduler module holds the wave schedule, the shard module the
+one executor: it walks the tgds in statement order, and given
+``shards`` it also chases them in forked shard workers — the same
+solution either way.  The shard module holds the
 partition plan and the workers, groupreduce the one collect / reduce
 every aggregate and every OLAP roll-up goes through.  The columnar
 module holds the tgd kernels: every tgd kind has one, and a tgd no
@@ -30,8 +30,6 @@ _EXPORTS = {
     "shard_of": "shard",
     "ChaseResult": "engine",
     "ChaseStats": "engine",
-    "schedule_waves": "scheduler",
-    "stratum_dag": "scheduler",
 }
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, _EXPORTS)

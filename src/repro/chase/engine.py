@@ -19,7 +19,6 @@ invariant (and is exercised by tests with hand-built broken mappings).
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -54,15 +53,14 @@ __all__ = [
 class ChaseStats:
     """Counters describing one chase run.
 
-    ``waves``/``max_wave_width`` describe the stratum DAG schedule of
-    the parallel scheduler (a sequential run is one tgd per wave).
+    ``waves`` counts the target tgds applied: the chase walks them in
+    statement order, one tgd per wave.
     """
 
     rule_applications: int = 0
     tuples_generated: int = 0
     per_tgd: Dict[str, int] = field(default_factory=dict)
     waves: int = 0
-    max_wave_width: int = 0
     # sharded execution (chase.shard): worker-process count, tuples
     # generated per shard, wall time spent merging/re-reducing shard
     # outputs, and why individual tgds ran in the parent instead of a
@@ -87,26 +85,20 @@ class ChaseResult:
 class StratifiedChase:
     """Chases a source instance through a generated schema mapping.
 
-    One executor, three ways to run it, chosen by two constructor
-    values that are resolved here into data — a *schedule* of waves, an
-    optional thread *pool* and a per-tgd *apply* function:
+    The target tgds run in statement order, one tgd per wave, each to
+    saturation (the paper's procedure; hand-built mappings with several
+    writers of one relation are accepted).  ``shards=S`` (``0`` = one
+    per core) additionally chases the partitionable tgds in ``S``
+    forked workers over hash partitions of the sources
+    (:mod:`repro.chase.shard`) and merges their outputs through the
+    egd-checking insert, in the same statement order; it refuses a
+    mapping whose statement order is no stratification
+    (:func:`~repro.chase.shard.check_statement_order`).  A mapping with
+    nothing to partition, a platform without ``fork`` and an exhausted
+    worker-retry budget all run the same loop without shard results,
+    each under a counted ``chase.shard.fallback.reason:*``.
 
-    * ``jobs=None`` walks the target tgds in statement order, one tgd
-      per wave (the paper's procedure; hand-built mappings with several
-      writers of one relation are accepted);
-    * ``jobs=N`` groups them into waves of mutually independent strata
-      (:func:`~repro.chase.scheduler.schedule_waves`; a cyclic or
-      doubly-defined cube is a :class:`MappingError` here, not a
-      deadlock mid-run) and runs each wave on ``N`` threads;
-    * ``shards=S`` (``0`` = one per core) additionally chases the
-      partitionable tgds in ``S`` forked workers over hash partitions
-      of the sources (:mod:`repro.chase.shard`) and merges their
-      outputs through the egd-checking insert, wave by wave.  A mapping
-      with nothing to partition, a platform without ``fork`` and an
-      exhausted worker-retry budget all run the same loop without shard
-      results, each under a counted ``chase.shard.fallback.reason:*``.
-
-    Every way computes the same solution, tuple for tuple.  Every tgd
+    Both ways compute the same solution, tuple for tuple.  Every tgd
     runs on its columnar kernel (:mod:`repro.chase.columnar`); a tgd no
     kernel covers is a :class:`ChaseError`.
     """
@@ -114,7 +106,6 @@ class StratifiedChase:
     def __init__(
         self,
         mapping: SchemaMapping,
-        jobs: Optional[int] = None,
         shards: int = 1,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -148,23 +139,7 @@ class StratifiedChase:
             self.shards = shard.resolve_shards(shards)
             if self.shards > 1:
                 self.plan = shard.ShardPlan.analyze(mapping)
-                # shard outputs merge on the wave schedule
-                jobs = jobs or 1
-        #: worker threads; ``None`` is statement order
-        self.jobs = jobs
-        if jobs is None:
-            self.waves = [[i] for i in range(len(mapping.target_tgds))]
-        else:
-            # the wave schedule loads only for a chase that asked for one
-            from .scheduler import schedule_waves
-
-            self.waves = schedule_waves(
-                mapping.target_tgds,
-                reserved=[t.target_relation for t in mapping.st_tgds],
-            )
         self._tgd_index = {id(t): i for i, t in enumerate(mapping.target_tgds)}
-        # stats are shared by the tasks of a wave
-        self._stats_lock = threading.Lock()
         # compiled kernel plans, keyed by tgd identity
         self.kernel_plans: Dict[int, Tuple[Tgd, Any]] = {}
         # relations written by exactly one tgd: the functional index is
@@ -202,11 +177,12 @@ class StratifiedChase:
     def _run(
         self, source: RelationalInstance, check, sharded=False
     ) -> ChaseResult:
-        """The chase loop: the copy wave, then each wave of the schedule.
+        """The chase loop: the copy wave, then one wave per target tgd,
+        in statement order.
 
         A ``sharded`` run first fans the partitionable tgds out to
         worker processes; their outputs are then merged by the same
-        loop, in wave order.
+        loop.
         """
         stats = ChaseStats()
         target = RelationalInstance()
@@ -214,22 +190,9 @@ class StratifiedChase:
         functional: Dict[str, Dict[Tuple, Any]] = {}
         mapping = self.mapping
         span_args: Dict[str, Any] = {}
-        pool = None
-        if self.jobs is not None:
-            span_args = {"scheduler": "parallel", "jobs": self.jobs}
-            # pre-create every relation slot, lock, and functional index
-            # so pool threads never mutate the shared outer dicts
-            for tgd in list(mapping.st_tgds) + list(mapping.target_tgds):
-                target.ensure(tgd.target_relation)
-                functional.setdefault(tgd.target_relation, {})
-            if self.jobs > 1:
-                # imported where the pool is made: a serial run never pays
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(max_workers=self.jobs)
-        copy, apply = self.copy, self.apply
+        apply = self.apply
         if sharded:
-            span_args.update(scheduler="sharded", shards=self.shards)
+            span_args = {"scheduler": "sharded", "shards": self.shards}
             stats.shards = self.shards
             for index in self.plan.parent:
                 reason = self.plan.reasons.get(index, "parent")
@@ -237,45 +200,37 @@ class StratifiedChase:
                 stats.shard_fallback_reasons[reason] = (
                     stats.shard_fallback_reasons.get(reason, 0) + 1
                 )
-        widest = max((len(wave) for wave in self.waves), default=0)
-        with self.tracer.span(
-            "chase", category="chase", **span_args
-        ) as chase_span, (pool or nullcontext()):
+        with self.tracer.span("chase", category="chase", **span_args) as chase_span:
             if check is not None:
                 check()
             if sharded:
                 results = self._shard.run_shards(self, source, stats)
                 apply = partial(self._apply_merged, results, stats)
-            if pool is not None:
-                copy, apply = _locking(copy, target), _locking(apply, target)
             self.run_wave(
                 mapping.st_tgds,
-                lambda tgd: copy(tgd, source, target, functional),
-                stats, source, "wave:copy", pool,
+                lambda tgd: self.copy(tgd, source, target, functional),
+                stats, source, "wave:copy",
             )
-            for number, wave in enumerate(self.waves, 1):
+            for number, tgd in enumerate(mapping.target_tgds, 1):
                 if check is not None:
                     check()
                 started = time.perf_counter()
-                self.run_wave(
-                    [mapping.target_tgds[i] for i in wave],
-                    lambda tgd: apply(tgd, target, functional),
-                    stats, target, f"wave:{number}", pool,
-                )
+                with self.tracer.span(f"wave:{number}", category="wave"):
+                    self.run_tgd(
+                        tgd,
+                        lambda tgd: apply(tgd, target, functional),
+                        stats, target,
+                    )
                 self.metrics.inc("chase.waves")
-                self.metrics.observe("chase.wave.width", len(wave))
                 self.metrics.observe(
                     "chase.wave.duration_s", time.perf_counter() - started
                 )
+            stats.waves = len(mapping.target_tgds)
             chase_span.note(
-                tuples_generated=stats.tuples_generated,
-                waves=len(self.waves),
-                max_wave_width=widest,
+                tuples_generated=stats.tuples_generated, waves=stats.waves
             )
             if sharded:
                 chase_span.note(shard_tuples=list(stats.shard_tuples))
-        stats.waves = len(self.waves)
-        stats.max_wave_width = widest
         return ChaseResult(target, stats, metrics=self.metrics)
 
     def run_wave(
@@ -285,46 +240,45 @@ class StratifiedChase:
         stats: ChaseStats,
         operands: RelationalInstance,
         label: Optional[str] = None,
-        pool=None,
     ) -> None:
-        """Apply ``tgds`` — in order, or concurrently on ``pool`` when
-        they are mutually independent — and record each in ``stats``.
+        """:meth:`run_tgd` each of ``tgds`` in order — the copy wave, or
+        a shard worker's share of the mapping.
+
+        ``label`` names the wave span (none is opened without it: a
+        shard worker's tgd spans hang off its shard span).
+        """
+        wave = (
+            self.tracer.span(label, category="wave") if label else nullcontext()
+        )
+        with wave:
+            for tgd in tgds:
+                self.run_tgd(tgd, apply_one, stats, operands)
+
+    def run_tgd(
+        self,
+        tgd: Tgd,
+        apply_one,
+        stats: ChaseStats,
+        operands: RelationalInstance,
+    ) -> None:
+        """Apply one tgd under its span and record it in ``stats``.
 
         ``apply_one(tgd)`` returns the tuples the tgd produced;
-        ``operands`` is the instance its lhs reads.  ``label`` names the
-        wave span (none is opened without it: a shard worker's tgd
-        spans hang off its shard span).
+        ``operands`` is the instance its lhs reads.
         """
-
-        def task(tgd):
-            reads = sum(operands.size(atom.relation) for atom in tgd.lhs)
-            # the parent is explicit: pool threads start with an empty
-            # span stack
-            with self.tracer.span(
-                f"tgd:{tgd.label or tgd.target_relation}",
-                category="tgd",
-                parent=wave_span,
-                kind=tgd.kind.value,
-            ):
-                return apply_one(tgd), reads
-
-        wave = (
-            self.tracer.span(label, category="wave", width=len(tgds))
-            if label
-            else nullcontext()
-        )
-        with wave as wave_span:
-            if pool is None or len(tgds) == 1:
-                outcomes = [task(tgd) for tgd in tgds]
-            else:
-                outcomes = list(pool.map(task, tgds))
-        for tgd, (produced, reads) in zip(tgds, outcomes):
-            stats.rule_applications += 1
-            stats.tuples_generated += produced
-            stats.per_tgd[tgd.label or tgd.target_relation] = produced
-            self.metrics.inc("chase.rule_applications")
-            self.metrics.inc("chase.tuples.inserted", produced)
-            self.metrics.inc("chase.tuples.read", reads)
+        reads = sum(operands.size(atom.relation) for atom in tgd.lhs)
+        with self.tracer.span(
+            f"tgd:{tgd.label or tgd.target_relation}",
+            category="tgd",
+            kind=tgd.kind.value,
+        ):
+            produced = apply_one(tgd)
+        stats.rule_applications += 1
+        stats.tuples_generated += produced
+        stats.per_tgd[tgd.label or tgd.target_relation] = produced
+        self.metrics.inc("chase.rule_applications")
+        self.metrics.inc("chase.tuples.inserted", produced)
+        self.metrics.inc("chase.tuples.read", reads)
 
     def _check_source(self, source: RelationalInstance) -> None:
         """Every copy tgd's operand must exist in the source instance.
@@ -463,8 +417,7 @@ class StratifiedChase:
                 produced = self._insert_batch(
                     target, functional, relation, list(merged.rows())
                 )
-        with self._stats_lock:
-            stats.shard_merge_s += time.perf_counter() - started
+        stats.shard_merge_s += time.perf_counter() - started
         return produced
 
     @staticmethod
@@ -555,17 +508,6 @@ class StratifiedChase:
         for fact in facts:
             produced += self.insert(target, functional, relation, fact)
         return produced
-
-
-def _locking(apply_one, target: RelationalInstance):
-    """``apply_one`` holding the insert lock of the one relation its tgd
-    writes — how the tasks of a pooled wave share ``target``."""
-
-    def locked(tgd, *args):
-        with target.lock(tgd.target_relation):
-            return apply_one(tgd, *args)
-
-    return locked
 
 
 def _refused(tgd: Tgd, unsupported: Exception) -> ChaseError:

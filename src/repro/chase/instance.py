@@ -22,7 +22,6 @@ has no retraction.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ChaseError
@@ -54,33 +53,10 @@ class RelationalInstance:
         # relations whose store is shared with another instance or a
         # cube (adoption, attached cube store): fork before writing
         self._shared: Set[str] = set()
-        # per-relation insert locks for the parallel chase scheduler;
-        # the master lock only guards lock/relation-slot creation
-        self._master_lock = threading.Lock()
-        self._locks: Dict[str, threading.Lock] = {}
 
     def ensure(self, relation: str) -> None:
-        """Pre-create a relation's slot and lock.
-
-        The parallel scheduler calls this for every relation before
-        spawning workers, so concurrent inserts into *different*
-        relations never mutate the outer dicts.
-        """
-        with self._master_lock:
-            self._relations.setdefault(relation, None)
-            self._locks.setdefault(relation, threading.RLock())
-
-    def lock(self, relation: str) -> threading.Lock:
-        """The insert lock of one relation (created on first use).
-
-        Reentrant, so a batch insert holding the lock may replay facts
-        through the single-fact locked insert path.
-        """
-        lock = self._locks.get(relation)
-        if lock is None:
-            with self._master_lock:
-                lock = self._locks.setdefault(relation, threading.RLock())
-        return lock
+        """Register a relation, empty until its first fact."""
+        self._relations.setdefault(relation, None)
 
     # -- write paths (copy-on-write aware) ----------------------------------
     def _writable(self, relation: str):

@@ -1,9 +1,8 @@
 """Shard workers for the chase: shared-nothing scale-out over columnar partitions.
 
-:class:`~repro.chase.engine.StratifiedChase` overlaps the tgds of a
-wave on *threads*, so pure-Python tgd work is GIL-bound.  Given
-``shards``, it calls the functions of this module (imported only then)
-to turn that into real multi-core speedup:
+:class:`~repro.chase.engine.StratifiedChase` walks the tgds one at a
+time in one process.  Given ``shards``, it calls the functions of this
+module (imported only then) to spread them over several cores:
 
 1. **Partition.**  Each elementary relation feeding shard-friendly
    tgds is hash-partitioned on one dimension (time slices via
@@ -20,7 +19,7 @@ to turn that into real multi-core speedup:
    survives via pickle memoization).
 
 3. **Merge.**  :func:`merge_outputs` hands the executor each tgd's
-   shard outputs to insert, in wave order.  It concatenates the shard
+   shard outputs to insert, in statement order.  It concatenates the shard
    stores (:meth:`ColumnStore.extend_from`) and proves global key
    distinctness with one mixed-radix sort-and-compare pass, so the
    executor adopts the result whole; when the proof fails the rows
@@ -43,8 +42,14 @@ Classification (the fallback taxonomy surfaced as
   fold order-insensitive, so the result is bit-exact.
 * **parent** — everything else (cross-shard joins with no shared key,
   table functions, rules over globally-materialized operands) runs
-  single-process in the parent, in normal wave order, against the
+  single-process in the parent, in statement order, against the
   already-merged relations.
+
+The plan assumes what mappings generated from EXL programs guarantee:
+every cube is defined once, and each tgd reads only cubes copied from
+the source or defined by an earlier tgd.  :func:`check_statement_order`
+refuses a hand-built mapping that breaks this with a
+:class:`~repro.errors.MappingError` when the plan is made.
 
 A mapping with no local/rereduce tgds or a platform without ``fork``
 runs the executor's loop without shards — same result, no scale-out,
@@ -76,6 +81,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..errors import MappingError
 from ..mappings.dependencies import Atom, Tgd, TgdKind
 from ..mappings.mapping import SchemaMapping
 from ..mappings.terms import Var
@@ -157,6 +163,45 @@ _PARENT_KINDS = ("transient", "permanent", "delay")
 _WORKER_KINDS = ("kill", "hang")
 
 
+def check_statement_order(mapping: SchemaMapping) -> None:
+    """Raise :class:`MappingError` unless statement order is a valid
+    stratification of ``mapping``: no target tgd redefines a cube
+    copied from the source (:class:`SchemaMapping` already refuses two
+    target tgds for one cube), and none reads its own cube or one that
+    only a later tgd defines.  The plan keys its partition columns by
+    relation and the merge inserts in statement order, so such a
+    mapping would leave the forward-read relations empty without an
+    error."""
+    copied = {tgd.target_relation for tgd in mapping.st_tgds}
+    defined = set()
+    targets = {tgd.target_relation for tgd in mapping.target_tgds}
+    for tgd in mapping.target_tgds:
+        name = tgd.target_relation
+        label = tgd.label or name
+        if name in copied:
+            raise MappingError(
+                f"tgd {label!r} redefines cube {name!r}, which is copied "
+                f"from the source instance"
+            )
+        if name in tgd.source_relations:
+            raise MappingError(
+                f"tgd {label!r} consumes the cube it defines "
+                f"(self-referential mapping)"
+            )
+        forward = sorted(
+            n for n in tgd.source_relations
+            if n in targets and n not in defined and n not in copied
+        )
+        if forward:
+            raise MappingError(
+                f"tgd {label!r} reads {', '.join(map(repr, forward))}, "
+                f"defined only by a later tgd (cyclic or out-of-order "
+                f"mapping); the stratified chase applies tgds in "
+                f"statement order"
+            )
+        defined.add(name)
+
+
 @dataclass
 class ShardPlan:
     """Static partition/classification plan for one mapping.
@@ -182,6 +227,7 @@ class ShardPlan:
 
     @classmethod
     def analyze(cls, mapping: SchemaMapping) -> "ShardPlan":
+        check_statement_order(mapping)
         plan = cls()
         part = plan.part
         cand = plan.cand

@@ -684,9 +684,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             type=_at_least(int, 1),
             default=1,
             metavar="N",
-            help="worker threads that execute independent subgraphs and "
-            "chase strata concurrently (default: 1, sequential; "
-            "solution-equivalent either way)",
+            help="worker threads that execute independent subgraphs "
+            "concurrently (default: 1, sequential; solution-equivalent "
+            "either way)",
         )
         command.add_argument(
             "--shards",

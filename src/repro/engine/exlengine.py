@@ -88,7 +88,8 @@ class EXLEngine:
             raise EngineError(
                 f"shards must be 0 (one per core) or more, got {shards!r}"
             )
-        #: worker threads for dispatcher and chase waves (1 = sequential)
+        #: worker threads for dispatcher waves (1 = one subgraph at a
+        #: time); a chase always walks its tgds in statement order
         self.jobs = int(jobs)
         #: worker processes for sharded chase runs (0 = one per core,
         #: 1 = sharding off); see repro.chase.shard
@@ -117,7 +118,6 @@ class EXLEngine:
         self.cost_model = cost_model
         chase_backend = self.backends.get("chase")
         if isinstance(chase_backend, ChaseBackend):
-            chase_backend.jobs = self.jobs
             chase_backend.shards = self.shards
             chase_backend.tracer = self.tracer
             chase_backend.metrics = self.metrics

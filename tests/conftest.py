@@ -31,7 +31,7 @@ def pytest_addoption(parser):
         action="store",
         type=int,
         default=4,
-        help="worker threads for the parallel chase scheduler tests",
+        help="dispatcher worker threads for the engine-level sweeps",
     )
     parser.addoption(
         "--shards",
@@ -80,8 +80,8 @@ def pytest_configure(config):
 
 
 @pytest.fixture(scope="session")
-def chase_jobs(request) -> int:
-    """Worker count under test (CI runs the suite with 1 and with 4)."""
+def dispatch_jobs(request) -> int:
+    """Dispatcher thread count under test (``EXLEngine(jobs=)``)."""
     return request.config.getoption("--jobs")
 
 

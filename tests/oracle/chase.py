@@ -4,9 +4,9 @@
 columnar kernels swapped for a per-tuple interpreter.  Every rule
 enumerates variable assignments with a hash-indexed left-to-right
 matcher and sends each derived fact through the egd-checking insert.
-It keeps the executor — statement order, thread waves (``jobs``) and
-shard workers (``shards``) — so the equivalence suites and the ablation
-benchmarks can compare the kernels with it under every policy:
+It keeps the executor — statement order and shard workers
+(``shards``) — so the equivalence suites and the ablation benchmarks can
+compare the kernels with it under every policy:
 tuple for tuple, measure bit for measure bit, and in insertion order.
 """
 

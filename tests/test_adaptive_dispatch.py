@@ -394,9 +394,9 @@ class TestAdaptiveEquivalence:
     (which must feed the model, not corrupt the run)."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_adaptive_matches_static(self, seed, chase_jobs, chase_shards):
+    def test_adaptive_matches_static(self, seed, dispatch_jobs, chase_shards):
         faulty = seed % 5 == 0
-        kwargs = dict(jobs=chase_jobs, shards=chase_shards)
+        kwargs = dict(jobs=dispatch_jobs, shards=chase_shards)
         policy = {}
         if faulty:
             kwargs.update(backoff_s=0.001)

@@ -7,7 +7,6 @@ from repro.chase import (
     StratifiedChase,
     cubes_from_instance,
     instance_from_cubes,
-    schedule_waves,
 )
 from repro.errors import ChaseError, ChaseSourceError, MappingError
 from repro.exl import Program
@@ -223,36 +222,34 @@ class TestMissingSourceRelation:
 
 
 class TestAdversarialDagShapes:
-    """DAG shapes that stress the parallel scheduler: diamonds,
-    redefinitions, and self-references that must fail fast."""
+    """Hand-built mappings whose statement order is no stratification:
+    a sharded chase refuses them when it is built, since its partition
+    plan and merge would otherwise leave the forward-read relations
+    empty.  (The EXL layer rejects recursion and orders statements
+    topologically, so generated mappings never get here.)"""
 
-    def _series_data(self, series_schema):
-        return instance_from_cubes(
-            {
-                "S": Cube.from_series(
-                    series_schema["S"], quarter(2020, 1), [1.0, 2.0, 3.0, 4.0]
-                )
-            }
+    def _mapping(self, series_schema, target_tgds, cubes=(), copy_to="S"):
+        schema = series_schema.copy()
+        for name in cubes:
+            schema.add(CubeSchema(name, series_schema["S"].dimensions, "v"))
+        copy = Tgd(
+            [Atom("S", (Var("q"), Var("v")))],
+            Atom(copy_to, (Var("q"), Var("v"))),
+            TgdKind.COPY,
+            label=copy_to,
         )
-
-    def test_diamond_dependency_equivalence(self, series_schema):
-        program = Program.compile(
-            "A := S * 2\nL := A + 1\nR := A * 3\nJ := L + R", series_schema
+        registry = generate_mapping(
+            Program.compile("C := S", series_schema)
+        ).registry
+        egds = [Egd(name, 1) for name in cubes]
+        return SchemaMapping(
+            series_schema, schema, [copy], target_tgds, egds, registry
         )
-        mapping = generate_mapping(program)
-        source = self._series_data(series_schema)
-        sequential = StratifiedChase(mapping).run(source)
-        parallel = StratifiedChase(mapping, jobs=4).run(source)
-        for relation in sequential.instance.relations():
-            assert sequential.instance.facts(relation) == parallel.instance.facts(
-                relation
-            )
-        assert parallel.stats.waves == 3
-        assert parallel.stats.max_wave_width == 2
 
     def test_redefining_a_consumed_cube_is_cyclic(self, series_schema):
-        # D1 consumes S; a later tgd redefines S from D1 — scheduling
-        # this would need S both before and after D1: a cycle.
+        # D1 consumes S; a later tgd redefines S from D1 — statement
+        # order would need S both before and after D1: a cycle.  (The
+        # source is copied to E, so S is not also a copied cube.)
         consume = Tgd(
             [Atom("S", (Var("q"), Var("v")))],
             Atom("D1", (Var("q"), FuncApp("*", (Var("v"), Const(2.0))))),
@@ -265,47 +262,44 @@ class TestAdversarialDagShapes:
             TgdKind.COPY,
             label="S",
         )
+        mapping = self._mapping(
+            series_schema, [consume, redefine], ["D1", "E"], copy_to="E"
+        )
         with pytest.raises(MappingError, match="cyclic"):
-            schedule_waves([consume, redefine])
+            StratifiedChase(mapping, shards=2)
 
-    def test_redefining_an_elementary_cube_is_rejected(self):
+    def test_redefining_an_elementary_cube_is_rejected(self, series_schema):
+        derive = Tgd(
+            [Atom("S", (Var("q"), Var("v")))],
+            Atom("D1", (Var("q"), Var("v"))),
+            TgdKind.COPY,
+            label="D1",
+        )
         redefine = Tgd(
             [Atom("D1", (Var("q"), Var("v")))],
             Atom("S", (Var("q"), Var("v"))),
             TgdKind.COPY,
             label="S",
         )
+        mapping = self._mapping(series_schema, [derive, redefine], ["D1"])
         with pytest.raises(MappingError, match="redefines"):
-            schedule_waves([redefine], reserved=["S"])
+            StratifiedChase(mapping, shards=2)
 
-    def test_self_referential_mapping_raises_not_deadlocks(self, series_schema):
+    def test_self_referential_mapping_raises(self, series_schema):
         # X := X + 1, hand-built: the EXL layer rejects recursion, so
-        # bypass it and check the scheduler also refuses (at
-        # construction time — never submitted to the thread pool).
-        schema = series_schema.copy()
-        schema.add(CubeSchema("X", series_schema["S"].dimensions, "v"))
-        copy = Tgd(
-            [Atom("S", (Var("q"), Var("v")))],
-            Atom("S", (Var("q"), Var("v"))),
-            TgdKind.COPY,
-            label="S",
-        )
+        # bypass it and check the sharded chase also refuses (at
+        # construction time — no worker is ever forked).
         loop = Tgd(
             [Atom("X", (Var("q"), Var("v")))],
             Atom("X", (Var("q"), FuncApp("+", (Var("v"), Const(1.0))))),
             TgdKind.TUPLE_LEVEL,
             label="X",
         )
-        registry = generate_mapping(
-            Program.compile("C := S", series_schema)
-        ).registry
-        mapping = SchemaMapping(
-            series_schema, schema, [copy], [loop], [Egd("X", 1)], registry
-        )
+        mapping = self._mapping(series_schema, [loop], ["X"])
         with pytest.raises(MappingError, match="self-referential"):
-            StratifiedChase(mapping, jobs=4)
+            StratifiedChase(mapping, shards=2)
 
-    def test_mutual_recursion_raises_not_deadlocks(self, series_schema):
+    def test_mutual_recursion_raises(self, series_schema):
         a_from_b = Tgd(
             [Atom("B", (Var("q"), Var("v")))],
             Atom("A", (Var("q"), Var("v"))),
@@ -318,8 +312,12 @@ class TestAdversarialDagShapes:
             TgdKind.COPY,
             label="B",
         )
+        mapping = self._mapping(series_schema, [a_from_b, b_from_a], ["A", "B"])
         with pytest.raises(MappingError, match="cyclic"):
-            schedule_waves([a_from_b, b_from_a])
+            StratifiedChase(mapping, shards=2)
+        # statement order walks it unsharded, as it walks every
+        # hand-built mapping: A reads a still-empty B
+        StratifiedChase(mapping)
 
 
 class TestSolutions:

@@ -100,15 +100,15 @@ def _one_fact_source():
     return source
 
 
-@pytest.mark.parametrize("jobs", [None, 4])
+@pytest.mark.parametrize("shards", [1, 2])
 class TestRerunOnOneExecutor:
-    """One ``StratifiedChase`` run several times, in statement order and
-    on thread waves."""
+    """One ``StratifiedChase`` run several times, in one process and
+    with shard workers (forked again by every run)."""
 
-    def test_second_run_equals_first(self, jobs):
+    def test_second_run_equals_first(self, shards):
         _, mapping, _, data = _two_source_setup()
         source = instance_from_cubes(data)
-        chase = StratifiedChase(mapping, jobs=jobs)
+        chase = StratifiedChase(mapping, shards=shards)
         first, second = chase.run(source), chase.run(source)
         _assert_identical(first, second)
         # the second run applied every tgd again, on the same kernels
@@ -116,9 +116,9 @@ class TestRerunOnOneExecutor:
         assert second.stats.tuples_generated == first.stats.tuples_generated
         assert second.stats.per_tgd == first.stats.per_tgd
 
-    def test_recomputed_stratum_reflects_new_data(self, jobs):
+    def test_recomputed_stratum_reflects_new_data(self, shards):
         schema, mapping, domains, data = _two_source_setup()
-        chase = StratifiedChase(mapping, jobs=jobs)
+        chase = StratifiedChase(mapping, shards=shards)
         chase.run(instance_from_cubes(data))
         changed = _revised(schema, domains, data, "T", seed=77)
         result = chase.run(instance_from_cubes(changed))
@@ -127,9 +127,9 @@ class TestRerunOnOneExecutor:
         }
         assert result.instance.facts("B") == expected
 
-    def test_changed_source_leaves_other_strata_equal(self, jobs):
+    def test_changed_source_leaves_other_strata_equal(self, shards):
         schema, mapping, domains, data = _two_source_setup()
-        chase = StratifiedChase(mapping, jobs=jobs)
+        chase = StratifiedChase(mapping, shards=shards)
         before = chase.run(instance_from_cubes(data))
         changed = _revised(schema, domains, data, "T", seed=99)
         after = chase.run(instance_from_cubes(changed))
@@ -138,14 +138,14 @@ class TestRerunOnOneExecutor:
             before.instance.facts("A")
         )
         assert after.instance.facts("B") != before.instance.facts("B")
-        fresh = StratifiedChase(mapping, jobs=jobs).run(
+        fresh = StratifiedChase(mapping, shards=shards).run(
             instance_from_cubes(changed)
         )
         _assert_identical(fresh, after)
 
-    def test_earlier_result_is_untouched_by_a_rerun(self, jobs):
+    def test_earlier_result_is_untouched_by_a_rerun(self, shards):
         schema, mapping, domains, data = _two_source_setup()
-        chase = StratifiedChase(mapping, jobs=jobs)
+        chase = StratifiedChase(mapping, shards=shards)
         first = chase.run(instance_from_cubes(data))
         kept = {r: list(first.instance.facts(r)) for r in first.instance.relations()}
         chase.run(instance_from_cubes(_revised(schema, domains, data, "S", seed=3)))
@@ -153,22 +153,22 @@ class TestRerunOnOneExecutor:
             r: list(first.instance.facts(r)) for r in first.instance.relations()
         } == kept
 
-    def test_revision_sequence_matches_fresh_executor(self, jobs):
+    def test_revision_sequence_matches_fresh_executor(self, shards):
         schema, mapping, domains, data = _two_source_setup()
-        reused = StratifiedChase(mapping, jobs=jobs)
+        reused = StratifiedChase(mapping, shards=shards)
         revised = data
         for seed in range(5):
             name = "ST"[seed % 2]
             revised = _revised(schema, domains, revised, name, seed=seed + 10)
             source = instance_from_cubes(revised)
             _assert_identical(
-                StratifiedChase(mapping, jobs=jobs).run(source),
+                StratifiedChase(mapping, shards=shards).run(source),
                 reused.run(source),
             )
 
-    def test_rerun_never_masks_new_egd_violation(self, jobs):
+    def test_rerun_never_masks_new_egd_violation(self, shards):
         mapping = _broken_projection_mapping()
-        chase = StratifiedChase(mapping, jobs=jobs)
+        chase = StratifiedChase(mapping, shards=shards)
         clean = _one_fact_source()
         # run 1: a single tuple cannot violate functionality
         result = chase.run(clean)
@@ -179,9 +179,9 @@ class TestRerunOnOneExecutor:
         with pytest.raises(ChaseError, match="egd violation"):
             chase.run(dirty)
 
-    def test_executor_recovers_after_an_egd_violation(self, jobs):
+    def test_executor_recovers_after_an_egd_violation(self, shards):
         mapping = _broken_projection_mapping()
-        chase = StratifiedChase(mapping, jobs=jobs)
+        chase = StratifiedChase(mapping, shards=shards)
         dirty = _one_fact_source()
         dirty.add("S", (quarter(2020, 2), 2.0))
         with pytest.raises(ChaseError, match="egd violation"):
@@ -204,25 +204,32 @@ def test_editing_the_statement_recomputes():
     }
 
 
-def test_sequential_and_parallel_reruns_agree():
+def test_serial_and_sharded_reruns_agree():
     _, mapping, _, data = _two_source_setup()
     source = instance_from_cubes(data)
-    sequential = StratifiedChase(mapping)
-    parallel = StratifiedChase(mapping, jobs=4)
-    warm = sequential.run(source)
-    for replay in (parallel.run(source), sequential.run(source), parallel.run(source)):
-        _assert_identical(warm, replay)
+    serial = StratifiedChase(mapping)
+    sharded = StratifiedChase(mapping, shards=2)
+    warm = serial.run(source)
+    for replay in (sharded.run(source), serial.run(source), sharded.run(source)):
+        # the same solution; the shards' merge inserts in its own order
+        for relation in warm.instance.relations():
+            assert set(replay.instance.facts(relation)) == set(
+                warm.instance.facts(relation)
+            ), f"relation {relation} differs"
+        assert replay.stats.per_tgd == warm.stats.per_tgd
 
 
 def test_no_layer_takes_a_removed_setting(child_env):
-    """No cache, no kernel switch, and nothing picks the storage or the
-    snapshotting."""
+    """No cache, no kernel switch, no thread count, and nothing picks the
+    storage or the snapshotting."""
     _, mapping, _, _ = _two_source_setup()
     assert not hasattr(repro.chase, "ChaseCache")
     with pytest.raises(TypeError):
         StratifiedChase(mapping, cache=None)
     with pytest.raises(TypeError):
         StratifiedChase(mapping, vectorized=False)
+    with pytest.raises(TypeError):
+        StratifiedChase(mapping, jobs=4)
     with pytest.raises(TypeError):
         ChaseBackend(cache=None)
     with pytest.raises(TypeError):
@@ -236,7 +243,8 @@ def test_no_layer_takes_a_removed_setting(child_env):
     with pytest.raises(TypeError):
         Dispatcher(engine.catalog, engine.graph, adaptive=True)
     for setting in (
-        "vectorized", "capture_deltas", "shard_retries", "shard_timeout_s"
+        "vectorized", "capture_deltas", "shard_retries", "shard_timeout_s",
+        "jobs",
     ):
         with pytest.raises(TypeError):
             ChaseBackend(**{setting: None})

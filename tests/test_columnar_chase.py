@@ -10,7 +10,7 @@ downstream aggregation bags depend on it).  The suite proves this over
 shifts, aggregations, outer vectorials, and table functions, over the
 composed mappings every target runs, over composite keys past 2^62,
 plus targeted failure-identity cases (egd violations, division by
-zero) and the composition with thread waves.
+zero) and re-runs on one executor.
 """
 
 import numpy as np
@@ -132,10 +132,10 @@ class TestRandomProgramEquivalence:
 
 
 class TestComposition:
-    """Vectorized kernels compose with thread waves."""
+    """Vectorized kernels against the scalar reference, run after run."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_parallel_vectorized_equals_sequential_scalar(self, seed, chase_jobs):
+    def test_vectorized_equals_scalar(self, seed):
         workload = random_workload(
             seed + 50, n_statements=7, n_periods=10, n_regions=2
         )
@@ -143,8 +143,8 @@ class TestComposition:
         mapping = generate_mapping(program)
         source = instance_from_cubes(workload.data)
         scalar = ScalarChase(mapping).run(source)
-        parallel = StratifiedChase(mapping, jobs=chase_jobs).run(source)
-        _assert_identical(scalar, parallel)
+        vector = StratifiedChase(mapping).run(source)
+        _assert_identical(scalar, vector)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rerun_matches(self, seed):

@@ -146,13 +146,13 @@ class TestEngineEquivalence:
     on the committed stores the same lifecycle lands on on ``sql``."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_committed_stores_match_sql(self, seed, chase_jobs):
+    def test_committed_stores_match_sql(self, seed, dispatch_jobs):
         workload = random_workload(
             seed, n_statements=6, n_periods=12, n_regions=2
         )
         baseline = _truncate(workload.data, seed)
         revised = _perturb(workload.data, seed)
-        jobs = chase_jobs if seed % 3 == 0 else 1
+        jobs = dispatch_jobs if seed % 3 == 0 else 1
         engines = {}
         failures = {}
         for target in ("chase", "sql"):

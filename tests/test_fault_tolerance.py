@@ -319,7 +319,7 @@ class TestDeadline:
         assert len(calls) == 3
 
     @pytest.mark.parametrize("k", [1, 2, 4])
-    @pytest.mark.parametrize("runner", ["statement-order", "waves", "backend"])
+    @pytest.mark.parametrize("runner", ["statement-order", "sharded", "backend"])
     def test_deadline_checked_before_each_chase_wave(
         self, runner, k, gdp_workload
     ):
@@ -346,15 +346,19 @@ class TestDeadline:
                     mapping, gdp_workload.data, check=check
                 )
             else:
-                chase = StratifiedChase(
-                    mapping,
-                    jobs=2 if runner == "waves" else None,
-                    tracer=tracer,
-                )
+                shards = 2 if runner == "sharded" else 1
+                chase = StratifiedChase(mapping, shards=shards, tracer=tracer)
                 chase.run(instance_from_cubes(gdp_workload.data), check=check)
         # the copy wave is the first; the k-th check stops the k-th wave
-        waves = [span for span in tracer.spans if span.category == "wave"]
+        # (the first check also comes before the shard workers fork)
+        waves = [
+            span for span in tracer.spans
+            if span.category == "wave" and span.name != "wave:shard"
+        ]
         assert len(waves) == k - 1
+        if runner == "sharded":
+            shard_waves = [s for s in tracer.spans if s.name == "wave:shard"]
+            assert len(shard_waves) == (0 if k == 1 else 1)
         assert len(calls) == k
 
 

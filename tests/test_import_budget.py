@@ -263,37 +263,34 @@ class TestRunBudget:
     def test_plain_run_and_update_load_no_cold_module(
         self, tmp_path, loaded_by, target
     ):
-        # the cost model serves --adaptive, the wave scheduler --jobs N > 1
+        # the cost model serves --adaptive, the dispatcher's thread pool
+        # --jobs N > 1 (a chase walks its tgds in statement order)
         project = write_project(tmp_path, target)
         out = str(tmp_path / "out")
         for command in ("run", "update"):
             modules = loaded_by([command, project, "--out", out])
-            cold = modules & {
-                "repro.engine.costmodel",
-                "repro.chase.scheduler",
-            }
+            cold = modules & {"repro.engine.costmodel", "concurrent.futures"}
             assert not cold, (command, sorted(cold))
             # an update that has something to recompute
             (tmp_path / "s.csv").write_text("q,v\n2020Q1,1.0\n2020Q2,2.5\n")
-        if target == "chase":
-            assert "repro.chase.scheduler" in loaded_by(
-                ["run", project, "--out", out, "--jobs", "2"]
-            )
+        assert "concurrent.futures" in loaded_by(
+            ["run", project, "--out", out, "--jobs", "2"]
+        )
         assert "repro.engine.costmodel" in loaded_by(
             ["run", project, "--out", out, "--adaptive"]
         )
 
-    def test_library_engine_run_loads_no_wave_scheduler(
+    def test_library_engine_run_loads_no_executor_pool(
         self, fresh_python, tmp_path
     ):
-        # a serial chase walks statement order: a default EXLEngine()
-        # re-runs by recomputing, with no schedule and no memo to build
+        # a default EXLEngine() dispatches on one thread and its chase
+        # walks statement order: no pool, no schedule, no memo to build
         dump = tmp_path / "modules.json"
         child = fresh_python("-c", ENGINE_CHILD, str(dump))
         assert child.returncode == 0, child.stderr
         report = json.loads(dump.read_text())
         assert report["complete"] and report["targets"] == ["chase"]
-        assert "repro.chase.scheduler" not in report["modules"]
+        assert "concurrent.futures" not in report["modules"]
 
     def test_chase_run_does_not_import_numpy_ma(self, tmp_path, loaded_by):
         # numpy.unique imports numpy.ma (14 modules) on first use; the

@@ -532,8 +532,8 @@ class TestCliInputErrors:
             assert project.program_source == source
 
 
-class TestCliJobs:
-    def test_jobs_two_writes_what_jobs_one_writes(self, project_dir):
+class TestCliShards:
+    def test_shards_two_writes_what_a_serial_run_writes(self, project_dir):
         # three independent chase strata, then one that reads them all
         (project_dir / "program.exl").write_text(
             "A := S * 2\nB := S + 1\nC := cumsum(S)\nD := A + B + C\n"
@@ -543,26 +543,28 @@ class TestCliJobs:
         spec["outputs"] = list("ABCD")
         (project_dir / "project.json").write_text(json.dumps(spec))
         outputs, schedulers = {}, {}
-        for jobs in ("1", "2"):
-            out = project_dir / f"jobs{jobs}"
-            trace = project_dir / f"trace{jobs}.json"
+        for shards in ("1", "2"):
+            out = project_dir / f"shards{shards}"
+            trace = project_dir / f"trace{shards}.json"
             argv = [
                 "run", str(project_dir / "project.json"), "--out", str(out),
-                "--jobs", jobs, "--trace", str(trace),
+                "--shards", shards, "--trace", str(trace),
             ]
             assert main(argv) == 0
-            outputs[jobs] = {
+            outputs[shards] = {
                 path.name: path.read_bytes() for path in out.glob("*.csv")
             }
             events = json.loads(trace.read_text())["traceEvents"]
-            schedulers[jobs] = [
+            schedulers[shards] = [
                 event["args"].get("scheduler")
                 for event in events
                 if event["name"] == "chase"
             ]
         assert sorted(outputs["1"]) == ["A.csv", "B.csv", "C.csv", "D.csv"]
         assert outputs["2"] == outputs["1"]
-        assert schedulers == {"1": [None], "2": ["parallel"]}
+        # every attempt opens a chase span (an injected fault adds one)
+        assert set(schedulers["1"]) == {None}
+        assert set(schedulers["2"]) == {"sharded"}
 
 
 class TestCliUpdate:

@@ -5,8 +5,8 @@ Pins the contracts the instrumentation relies on:
 * disabled tracing is a true no-op (one shared span object, zero
   recorded spans, no behavioural difference);
 * a traced chase produces the documented span tree
-  (chase → wave → tgd → kernel phase) under both the sequential and
-  the stratum-parallel scheduler, at any worker count;
+  (chase → wave → tgd → kernel phase), one wave per tgd in statement
+  order, with or without shard workers;
 * the metrics registry agrees with the legacy per-run ``ChaseStats``
   counters it supersedes;
 * the Chrome trace-event export round-trips through ``json.loads``
@@ -73,7 +73,6 @@ class TestNullTracer:
     def test_default_tracer_is_the_shared_null_tracer(self):
         mapping, _ = _series_workload()
         assert StratifiedChase(mapping).tracer is NULL_TRACER
-        assert StratifiedChase(mapping, jobs=4).tracer is NULL_TRACER
 
     def test_span_is_one_shared_noop_object(self):
         first = NULL_TRACER.span("anything", category="x", rows=1)
@@ -109,35 +108,47 @@ def _tree(tracer):
     return children
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("shards", [1, 2])
 class TestSpanTree:
-    def _run(self, jobs, chase_class=StratifiedChase):
+    def _run(self, shards, chase_class=StratifiedChase):
         mapping, source = _series_workload()
         tracer = Tracer()
-        chase = chase_class(mapping, jobs=jobs, tracer=tracer)
+        chase = chase_class(mapping, shards=shards, tracer=tracer)
         result = chase.run(source)
         return chase, tracer, result
 
-    def test_root_is_the_chase_span(self, jobs):
-        _, tracer, _ = self._run(jobs)
+    def test_root_is_the_chase_span(self, shards):
+        _, tracer, result = self._run(shards)
         roots = _tree(tracer).get(None, [])
         assert [span.name for span in roots] == ["chase"]
-        assert roots[0].args["scheduler"] == "parallel"
-        assert roots[0].args["jobs"] == jobs
+        # only a sharded run names its scheduler
+        if shards == 1:
+            assert "scheduler" not in roots[0].args
+        else:
+            assert result.stats.shards == shards
+            assert roots[0].args["scheduler"] == "sharded"
+            assert roots[0].args["shards"] == shards
 
-    def test_three_strata_make_three_waves_plus_copy(self, jobs):
-        _, tracer, result = self._run(jobs)
+    def test_three_strata_make_three_waves_plus_copy(self, shards):
+        _, tracer, result = self._run(shards)
         children = _tree(tracer)
         root = children[None][0]
         waves = [span.name for span in children[root.span_id]]
-        assert waves == ["wave:copy", "wave:1", "wave:2", "wave:3"]
+        # a sharded run first fans the partitionable tgds out
+        fan_out = ["wave:shard"] if shards > 1 else []
+        assert waves == fan_out + ["wave:copy", "wave:1", "wave:2", "wave:3"]
         assert result.stats.waves == 3
 
-    def test_each_wave_holds_its_tgd_spans(self, jobs):
-        _, tracer, _ = self._run(jobs)
+    def test_each_wave_holds_its_tgd_spans(self, shards):
+        _, tracer, _ = self._run(shards)
         children = _tree(tracer)
         root = children[None][0]
         for wave in children[root.span_id]:
+            if wave.name == "wave:shard":
+                assert sorted(s.name for s in children[wave.span_id]) == [
+                    f"shard:{n}" for n in range(shards)
+                ]
+                continue
             tgds = children.get(wave.span_id, [])
             # chain program: one st-tgd under the copy wave, one target
             # tgd under each stratum wave
@@ -145,10 +156,10 @@ class TestSpanTree:
             assert tgds[0].name.startswith("tgd:")
             assert tgds[0].category == "tgd"
 
-    def test_kernel_phases_nest_under_their_tgd(self, jobs):
-        _, scalar, _ = self._run(jobs, ScalarChase)
+    def test_kernel_phases_nest_under_their_tgd(self, shards):
+        _, scalar, _ = self._run(shards, ScalarChase)
         assert [s for s in scalar.spans if s.category == "kernel"] == []
-        _, tracer, _ = self._run(jobs)
+        _, tracer, _ = self._run(shards)
         kernel_spans = [s for s in tracer.spans if s.category == "kernel"]
         assert kernel_spans, "vectorized chase should emit kernel spans"
         by_id = {span.span_id: span for span in tracer.spans}
@@ -157,36 +168,21 @@ class TestSpanTree:
             parent = by_id[span.parent_id]
             assert parent.category == "tgd"
 
-    def test_sequential_chase_same_wave_names(self, jobs):
-        mapping, source = _series_workload()
-        tracer = Tracer()
-        StratifiedChase(mapping, tracer=tracer).run(source)
-        children = _tree(tracer)
-        root = children[None][0]
-        assert root.name == "chase"
-        assert [span.name for span in children[root.span_id]] == [
-            "wave:copy",
-            "wave:1",
-            "wave:2",
-            "wave:3",
-        ]
-
 
 # -- metrics parity with ChaseStats -------------------------------------------
 
 
 class TestMetricsParity:
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_counters_match_stats(self, parallel):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_counters_match_stats(self, shards):
         mapping, source = _series_workload()
         metrics = MetricsRegistry()
-        chase = StratifiedChase(
-            mapping, jobs=4 if parallel else None, metrics=metrics
-        )
+        chase = StratifiedChase(mapping, shards=shards, metrics=metrics)
         stats = chase.run(source).stats
         assert metrics.value("chase.rule_applications") == stats.rule_applications
         assert metrics.value("chase.tuples.inserted") == stats.tuples_generated
-        assert metrics.histogram("chase.wave.width").count == stats.waves
+        assert metrics.value("chase.waves") == stats.waves
+        assert metrics.histogram("chase.wave.duration_s").count == stats.waves
         assert metrics.value("chase.tuples.read") > 0
         assert metrics.value("chase.egd.checks") >= stats.tuples_generated
 
@@ -195,14 +191,14 @@ class TestMetricsParity:
         # runs counts both runs in full, and no chase.cache.* exists
         mapping, source = _series_workload()
         metrics = MetricsRegistry()
-        chase = StratifiedChase(mapping, jobs=2, metrics=metrics)
+        chase = StratifiedChase(mapping, metrics=metrics)
         cold = chase.run(source).stats
         warm = chase.run(source).stats
         assert warm.rule_applications == cold.rule_applications
         assert warm.tuples_generated == cold.tuples_generated
         assert metrics.value("chase.rule_applications") == 2 * cold.rule_applications
         assert metrics.value("chase.tuples.inserted") == 2 * cold.tuples_generated
-        assert metrics.histogram("chase.wave.width").count == 2 * cold.waves
+        assert metrics.histogram("chase.wave.duration_s").count == 2 * cold.waves
         assert metrics.counters("chase.cache.") == {}
 
     def test_a_table_function_runs_on_its_kernel(self):
@@ -252,11 +248,11 @@ class TestMetricsRegistry:
     def test_snapshot_and_render_round_trip(self):
         registry = MetricsRegistry()
         registry.inc("chase.waves", 3)
-        registry.observe("chase.wave.width", 8)
+        registry.observe("chase.wave.duration_s", 0.5)
         snap = registry.snapshot()
         assert json.loads(json.dumps(snap)) == snap
         rendered = registry.render()
-        assert "chase.waves" in rendered and "chase.wave.width" in rendered
+        assert "chase.waves" in rendered and "chase.wave.duration_s" in rendered
         assert MetricsRegistry().render() == "(no metrics recorded)"
 
 
@@ -264,12 +260,10 @@ class TestMetricsRegistry:
 
 
 class TestChromeTrace:
-    def _traced_run(self, tmp_path, jobs=4):
+    def _traced_run(self, tmp_path):
         mapping, source = _series_workload()
         tracer = Tracer()
-        StratifiedChase(
-            mapping, jobs=jobs, tracer=tracer
-        ).run(source)
+        StratifiedChase(mapping, tracer=tracer).run(source)
         out = tmp_path / "trace.json"
         tracer.write_chrome_trace(out)
         return tracer, json.loads(out.read_text())
@@ -399,9 +393,6 @@ PASSING_REPORT = {
     "delta_chase": {
         "noop_update": {"speedup": 80.0, "floor": 5.0},
     },
-    "parallel_chase": {
-        "wave_overlap": {"speedup": 3.9, "floor": 2.5, "waves": 4},
-    },
     "fault_recovery": {
         "transient_30pct_overhead": {"value": 1.4, "ceiling": 2.0},
         "resume_vs_rerun": {"value": 0.15, "ceiling": 0.3},
@@ -427,7 +418,7 @@ class TestRegressionGate:
 
     def test_fails_below_floor(self, tmp_path):
         doctored = json.loads(json.dumps(PASSING_REPORT))
-        doctored["parallel_chase"]["wave_overlap"]["speedup"] = 2.4
+        doctored["sharded_chase"]["panel_scaling"]["speedup"] = 2.4
         completed = _run_gate(tmp_path, doctored)
         assert completed.returncode == 1
         assert "REGRESSION" in completed.stdout

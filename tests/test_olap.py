@@ -18,7 +18,7 @@ from repro.chase.persist import (
     write_lattice_sidecar,
 )
 from repro.engine import EXLEngine
-from repro.errors import CatalogError, ReproError, TimeError
+from repro.errors import CatalogError, ReproError
 from repro.model.catalog import MetadataCatalog
 from repro.model.cube import Cube, CubeSchema, Dimension
 from repro.model.time import Frequency, day, month, quarter, rollup_path, week, year

@@ -92,12 +92,10 @@ def _assert_fresh(engine, service):
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
-def test_lattice_survives_revision_storms(seed, chase_jobs, chase_shards):
+def test_lattice_survives_revision_storms(seed, dispatch_jobs, chase_shards):
     rng = random.Random(88_000 + seed)
-    # --jobs 1 is statement order here; the one-thread wave schedule
-    # stays covered by test_parallel_chase.py::TestPolicyMatrix
     engine = EXLEngine(
-        jobs=chase_jobs,
+        jobs=dispatch_jobs,
         shards=chase_shards,
         target_priority=("chase",),
         backoff_s=0.001,

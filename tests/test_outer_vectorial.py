@@ -4,7 +4,7 @@ the whole pipeline, plus the LEFT JOIN support they rely on in SQL."""
 
 import pytest
 
-from repro.backends import all_backends, compile_tgd_to_ir
+from repro.backends import compile_tgd_to_ir
 from repro.backends.ir import OuterCombineOp
 from repro.errors import ExlSemanticError
 from repro.exl import Program
@@ -202,10 +202,10 @@ class TestExecution:
 
 class TestKernelUnderEveryPolicy:
     """The outer and table-function kernels and the workers' collect
-    equal the tuple-at-a-time reference in statement order, in thread
-    waves (``--jobs``) and in shard workers (``--shards``)."""
+    equal the tuple-at-a-time reference in statement order and in shard
+    workers (``--shards``)."""
 
-    def test_kernels_equal_the_oracle(self, chase_jobs, chase_shards):
+    def test_kernels_equal_the_oracle(self, chase_shards):
         from repro.chase import StratifiedChase, instance_from_cubes
         from tests.oracle.chase import ScalarChase
 
@@ -229,9 +229,7 @@ class TestKernelUnderEveryPolicy:
         mapping = generate_mapping(Program.compile(source, schema))
         instance = instance_from_cubes({"A": a, "B": b})
         reference = ScalarChase(mapping).run(instance)
-        result = StratifiedChase(
-            mapping, jobs=chase_jobs, shards=chase_shards
-        ).run(instance)
+        result = StratifiedChase(mapping, shards=chase_shards).run(instance)
         assert result.stats.per_tgd == reference.stats.per_tgd
         for relation in reference.instance.relations():
             expected = list(reference.instance.facts(relation))

@@ -1,6 +1,6 @@
 """Equivalence suite for the chase executor's shard workers.
 
-The load-bearing guarantee mirrors the thread waves': with ``shards``
+The load-bearing guarantee: with ``shards``
 ``StratifiedChase`` computes the *same solution instance* as in
 statement order, tuple for tuple, for every valid EXL program —
 whatever mix of shard-local tgds, re-reduced aggregations, and
@@ -8,13 +8,13 @@ parent-side fallbacks the partition analysis chose.  The suite checks
 this over ≥50 seeded-random programs, composes the shard axis with the
 other execution axes (re-runs, the tuple-at-a-time reference chase's
 rules in the workers, forced tuple layout, incremental updates, fault
-injection; thread jobs × shards × rule interpreter is
-``test_parallel_chase.TestPolicyMatrix``), and pins
+injection; shards × rule interpreter is
+``test_chase_policies.TestPolicyMatrix``), and pins
 the observability contract: merged worker metrics and spans must agree
 with ``ChaseStats``.
 
 Run with ``--shards N`` to choose the worker-process count (CI runs
-1 and 4; at 1 no worker is forked and the thread waves run alone, so
+1 and 4; at 1 no worker is forked and statement order runs alone, so
 the suite doubles as a regression net for that path).
 """
 
@@ -54,7 +54,7 @@ def _both_runs(workload, shards, chase=StratifiedChase):
     mapping = generate_mapping(program)
     source = instance_from_cubes(workload.data)
     sequential = StratifiedChase(mapping).run(source)
-    sharded = chase(mapping, jobs=4, shards=shards).run(source)
+    sharded = chase(mapping, shards=shards).run(source)
     return mapping, source, sequential, sharded
 
 
@@ -134,7 +134,7 @@ class TestCompositionAxes:
         mapping = generate_mapping(program)
         source = instance_from_cubes(workload.data)
         sequential = StratifiedChase(mapping).run(source)
-        chase = StratifiedChase(mapping, jobs=4, shards=chase_shards)
+        chase = StratifiedChase(mapping, shards=chase_shards)
         first, second = chase.run(source), chase.run(source)
         _assert_identical(sequential, first)
         _assert_identical(sequential, second)

@@ -92,15 +92,15 @@ class TestUpdateEquivalence:
     """update() ≡ full rerun, across 50 random program/perturbation pairs."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_update_matches_full_rerun(self, seed, chase_jobs):
+    def test_update_matches_full_rerun(self, seed, dispatch_jobs):
         workload = random_workload(
             seed, n_statements=6, n_periods=14, n_regions=2
         )
         baseline_data = _truncate(workload.data, seed)
         revised_data = _perturb(workload.data, seed)
 
-        updated = _build_engine(workload, jobs=chase_jobs)
-        fresh = _build_engine(workload, jobs=chase_jobs)
+        updated = _build_engine(workload, jobs=dispatch_jobs)
+        fresh = _build_engine(workload, jobs=dispatch_jobs)
         for cube in baseline_data.values():
             updated.load(cube)
         try:
