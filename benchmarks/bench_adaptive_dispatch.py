@@ -2,8 +2,8 @@
 
 The setup makes the paper's static target assignment *wrong* for half
 of the subgraphs: WIDTH independent two-statement chains are pinned
-round-robin across four backends, and an injected per-attempt delay
-makes two of those backends (sql, r) an order of magnitude slower than
+round-robin across four backends, and an injected per-attempt stall (a
+``hang`` fault with a short delay) makes two of those backends (sql, r) an order of magnitude slower than
 the rest.  A static plan has no way to know this — the technical
 metadata is identical — so 4 of 8 subgraphs run on a slow backend.
 The adaptive dispatcher measures clean attempt times, learns the skew
@@ -55,11 +55,11 @@ def _series(name):
 
 def _delay_plan():
     """Every backend costs BASE_DELAY_S per attempt; sql and r cost
-    SLOW_DELAY_S more.  Delays fire *inside* the attempt, so they land
-    in the clean per-attempt timings the cost model learns from."""
-    rules = [FaultRule(kind="delay", delay_s=BASE_DELAY_S)]
+    SLOW_DELAY_S more.  The stalls fire *inside* the attempt, so they
+    land in the clean per-attempt timings the cost model learns from."""
+    rules = [FaultRule(kind="hang", delay_s=BASE_DELAY_S)]
     rules += [
-        FaultRule(target=t, kind="delay", delay_s=SLOW_DELAY_S)
+        FaultRule(target=t, kind="hang", delay_s=SLOW_DELAY_S)
         for t in SLOW_TARGETS
     ]
     return FaultPlan(rules)

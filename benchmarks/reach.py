@@ -9,7 +9,7 @@ its own child process, and reports what they did not reach:
   ``python -m repro``'s entry: ``run``, ``update`` (on revised inputs),
   the session's three ``query`` calls, ``compile`` for each of the five
   targets, ``show`` and ``recover``; ``cube_chase`` is also run with
-  ``--jobs 2 --shards 2``;
+  ``--shards 2``;
 * the five scripts under ``examples/``;
 * ``scenario_corpus(0)`` through the chase backend, on the composed
   mapping every target runs.
@@ -177,7 +177,7 @@ def _pipeline_calls(name: str, work: Path) -> Iterator[List[str]]:
     yield ["run", project, "--out", out]
     if name == "cube_chase":
         sharded = str(work / "sharded")
-        yield ["run", project, "--out", sharded, "--jobs", "2", "--shards", "2"]
+        yield ["run", project, "--out", sharded, "--shards", "2"]
     workloads.write_inputs(workload, work, revised=True)
     yield ["update", project, "--out", out]
     for query in workload.session:

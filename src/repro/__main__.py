@@ -30,8 +30,8 @@ GC_THRESHOLD = 100_000
 #: main thread waiting — though no chase kernel, reader or writer calls
 #: BLAS, and the two modules that do (``stats.regression``,
 #: ``stats.smoothing``) work on series of a few hundred points.  The
-#: engine's parallelism is its own: ``--jobs`` threads, ``--shards``
-#: processes (EXPERIMENTS.md, EXP-BLASPOOL).
+#: engine's parallelism is its own: ``--shards`` processes, and no
+#: thread pool (EXPERIMENTS.md, EXP-BLASPOOL).
 NATIVE_POOL_VARIABLES = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",

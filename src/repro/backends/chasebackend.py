@@ -10,7 +10,6 @@ its storage.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -52,20 +51,17 @@ class ChaseBackend(Backend):
         #: constructs (``None`` = untraced / per-chase registry)
         self.tracer = tracer
         self.metrics = metrics
-        self._shard_lock = threading.Lock()
         self.reset_counts()
-        # the dispatcher's fault plan for the in-flight attempt, scoped
-        # per dispatcher thread so shard workers can honor `--inject-faults`
-        self._fault_ctx = threading.local()
+        # the dispatcher's fault plan for the in-flight attempt, so
+        # shard workers can honor `--inject-faults`
+        self._fault_context = None
 
     def reset_counts(self) -> None:
         """Zero the counters the engine copies into each run's record."""
-        with self._shard_lock:
-            # sharded-run accounting across every chase this backend
-            # runs; the dispatcher may execute subgraphs concurrently
-            self.shard_runs = 0
-            self.shard_tuples: List[int] = []
-            self.shard_merge_s = 0.0
+        # sharded-run accounting across every chase this backend runs
+        self.shard_runs = 0
+        self.shard_tuples: List[int] = []
+        self.shard_merge_s = 0.0
 
     # -- fault-injection plumbing ---------------------------------------------
     @contextmanager
@@ -77,11 +73,11 @@ class ChaseBackend(Backend):
         shard (cube label ``shard:<i>`` appended, so shards fail
         independently but reproducibly).
         """
-        self._fault_ctx.value = (plan, target, tuple(cubes), attempt)
+        self._fault_context = (plan, target, tuple(cubes), attempt)
         try:
             yield
         finally:
-            self._fault_ctx.value = None
+            self._fault_context = None
 
     def run_mapping(
         self,
@@ -107,17 +103,16 @@ class ChaseBackend(Backend):
             shards=self.shards,
             tracer=self.tracer,
             metrics=self.metrics,
-            fault_context=getattr(self._fault_ctx, "value", None),
+            fault_context=self._fault_context,
         )
         result = chase.run(source, check=check)
         if result.stats.shards:
-            with self._shard_lock:
-                self.shard_runs += 1
-                self.shard_merge_s += result.stats.shard_merge_s
-                for i, count in enumerate(result.stats.shard_tuples):
-                    if i >= len(self.shard_tuples):
-                        self.shard_tuples.append(0)
-                    self.shard_tuples[i] += count
+            self.shard_runs += 1
+            self.shard_merge_s += result.stats.shard_merge_s
+            for i, count in enumerate(result.stats.shard_tuples):
+                if i >= len(self.shard_tuples):
+                    self.shard_tuples.append(0)
+                self.shard_tuples[i] += count
         if wanted is None:
             wanted = mapping.outputs
         outputs: Dict[str, Cube] = {}

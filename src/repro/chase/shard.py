@@ -157,9 +157,9 @@ REREDUCE = "rereduce"
 PARENT = "parent"
 
 #: which injected fault kinds fire where (``repro.engine.faults``): the
-#: error kinds in the parent, the process-level ones only inside an
+#: error kind in the parent, the process-level ones only inside an
 #: expendable worker
-_PARENT_KINDS = ("transient", "permanent", "delay")
+_PARENT_KINDS = ("permanent",)
 _WORKER_KINDS = ("kill", "hang")
 
 
@@ -451,8 +451,8 @@ def _run_shard(index: int) -> Dict[str, Any]:
         # deliver process-level faults *inside* the expendable worker:
         # "kill" SIGKILLs this forked process (breaking the pool so the
         # supervisor retries the shard), "hang" wedges it until the
-        # supervisor's timeout fires; the in-process kinds already fired
-        # in the parent (run_shards) and are excluded here; the round
+        # supervisor's timeout fires; the permanent kind already fired
+        # in the parent (run_shards) and is excluded here; the round
         # is folded into the attempt so "fail the first N attempts" rules
         # see the supervisor's retries
         faults, fault_target, fault_cubes, base_attempt = parent.fault_context
@@ -551,7 +551,7 @@ def run_shards(
         if chase.fault_context is not None:
             # one deterministic draw per shard, before any worker forks:
             # an injected error aborts the run like a backend fault and
-            # the dispatcher's retry/degradation machinery takes over
+            # the dispatcher's failure policy takes over
             faults, fault_target, cubes, attempt = chase.fault_context
             for s in range(shards):
                 faults.apply(

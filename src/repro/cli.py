@@ -39,11 +39,12 @@ Commands:
 the layers it executes (see the note above the imports).
 
 Fault tolerance: ``run``, ``update`` and ``resume`` are one code path
-and accept ``--retries`` / ``--deadline`` / ``--on-error
-fail|continue|degrade`` and a deterministic fault-injection spec
-(``--inject-faults``, see :mod:`repro.engine.faults`).  A run that ends
-with unfinished subgraphs, or aborts on one, leaves a run state that
-``resume`` finishes, re-dispatching only those subgraphs.
+and accept ``--deadline`` / ``--on-error fail|continue|degrade`` and a
+deterministic fault-injection spec (``--inject-faults``, see
+:mod:`repro.engine.faults`).  Each subgraph gets one attempt, in plan
+order.  A run that ends with unfinished subgraphs, or aborts on one,
+leaves a run state that ``resume`` finishes, re-dispatching only those
+subgraphs.
 
 Files under ``--out``: this module names none.  The run state, its
 committed snapshots, the write-ahead journal and ``recover`` belong to
@@ -244,11 +245,9 @@ def _build_engine(
 
         cost_model = CostModel(RunDirectory(args.out).costs_dir)
     engine = EXLEngine(
-        jobs=getattr(args, "jobs", 1),
         shards=getattr(args, "shards", 1),
         tracer=tracer,
         metrics=metrics,
-        backoff_s=getattr(args, "backoff", None),
         journal=journal,
         adaptive=adaptive,
         cost_model=cost_model,
@@ -302,8 +301,7 @@ def _policy_from(args) -> Dict[str, Any]:
 
         fault_plan = parse_fault_spec(args.inject_faults, seed=args.fault_seed)
     return dict(
-        retries=args.retries, deadline_s=args.deadline, on_error=args.on_error,
-        fault_plan=fault_plan,
+        deadline_s=args.deadline, on_error=args.on_error, fault_plan=fault_plan,
     )
 
 
@@ -680,15 +678,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--out", default="out", help="output directory for CSVs"
         )
         command.add_argument(
-            "--jobs",
-            type=_at_least(int, 1),
-            default=1,
-            metavar="N",
-            help="worker threads that execute independent subgraphs "
-            "concurrently (default: 1, sequential; solution-equivalent "
-            "either way)",
-        )
-        command.add_argument(
             "--shards",
             type=_at_least(int, 0),
             default=1,
@@ -709,43 +698,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             "static assignment and are explored deterministically",
         )
         command.add_argument(
-            "--retries",
-            type=_at_least(int, 0),
-            default=None,
-            metavar="N",
-            help="retry transient backend failures up to N times per "
-            "subgraph, with exponential backoff and jitter (default: 0)",
-        )
-        command.add_argument(
             "--deadline",
             type=_at_least(float, 0, strict=True),
             default=None,
             metavar="SECONDS",
-            help="wall-clock deadline per subgraph execution (including "
-            "its retries); overruns count as permanent failures",
+            help="wall-clock deadline per subgraph execution; overruns "
+            "count as failures",
         )
         command.add_argument(
             "--on-error",
             choices=["fail", "continue", "degrade"],
-            default=None,
+            default="fail",
             help="partial-failure semantics: 'fail' aborts on the first "
             "failed subgraph (default); 'continue' keeps running "
             "independent subgraphs and skips dependents; 'degrade' "
-            "additionally re-runs permanently-failed subgraphs on their "
-            "fallback backend (the reference chase)",
-        )
-        command.add_argument(
-            "--backoff",
-            type=_at_least(float, 0),
-            default=None,
-            metavar="SECONDS",
-            help="base retry backoff (default: 0.05s, doubling per retry)",
+            "additionally re-runs failed subgraphs on their fallback "
+            "backend (the reference chase)",
         )
         command.add_argument(
             "--inject-faults",
             metavar="SPEC",
             help="deterministic fault injection, e.g. "
-            "'*:transient:p=0.3' or 'sql:permanent;r:delay:delay=0.1' "
+            "'sql:permanent' or 'r:hang:delay=0.1;*:kill:p=0.3' "
             "(see repro.engine.faults for the grammar)",
         )
         command.add_argument(
@@ -783,8 +757,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--metrics",
         action="store_true",
         help="print the metrics registry (counters and histograms: "
-        "tuples, cache hits, kernel fallbacks with reasons, wave "
-        "widths/durations) after the run",
+        "tuples, cache hits, kernel fallbacks with reasons, chase "
+        "wave durations) after the run",
     )
     run.set_defaults(func=cmd_run)
 

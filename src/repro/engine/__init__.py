@@ -2,7 +2,7 @@
 
 Determination engine (dependency DAG, change detection, partitioning),
 translation engine (subgraph -> schema mapping -> target code),
-dispatcher (per-target execution, waves, data movement), historicity
+dispatcher (per-target execution in plan order, data movement), historicity
 (run records on top of versioned cube storage), and the
 :class:`EXLEngine` facade tying them together.
 """
@@ -27,7 +27,6 @@ _EXPORTS = {
     "subgraph_signature": "costmodel",
     "FaultPlan": "faults",
     "FaultRule": "faults",
-    "FaultyBackend": "faults",
     "parse_fault_spec": "faults",
     "RunPolicy": "faults",
     "RunRecord": "history",

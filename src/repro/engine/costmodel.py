@@ -13,10 +13,10 @@ mode marker.
 Three design points keep the model honest:
 
 * **Clean timings only.**  The model is fed the execution time of the
-  *successful* attempt — never retry backoff sleep, never the wall time
-  of failed attempts (see ``Dispatcher._attempt_with_retries``).  A
-  healthy backend that hit one transient fault would otherwise look
-  slow forever and the optimizer would systematically avoid it.
+  *successful* attempt — never the wall time of a failed one (see
+  ``Dispatcher._attempt``): a subgraph degraded to the chase teaches
+  the chase's cost, not the time its broken native target took to
+  fail.
 * **Transferable signatures.**  A signature is the subgraph's tgd-kind
   histogram × its operand cardinalities bucketed by log2 (plus a
   ``full``/``delta`` mode marker), not the cube names — so estimates
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -131,7 +130,6 @@ def _payload_sha256(entries: List[Dict]) -> str:
 class CostModel:
     """EWMA cost estimates per ``(target, subgraph signature)``.
 
-    Thread-safe: parallel dispatch waves record and choose concurrently.
     ``path`` (a ``<out>/costs/`` directory) is optional — without it the
     model lives purely in memory, which is what library users and the
     equivalence tests want; the CLI wires the directory so history
@@ -154,7 +152,6 @@ class CostModel:
         #: its own registry in before :meth:`load` so cold starts from a
         #: damaged history are counted, not silent
         self.metrics = metrics
-        self._lock = threading.Lock()
         self._entries: Dict[Tuple[str, str], Dict[str, float]] = {}
 
     # -- estimation ---------------------------------------------------------
@@ -162,31 +159,27 @@ class CostModel:
         """Fold one clean attempt execution time into the EWMA."""
         if duration_s < 0.0 or duration_s != duration_s:  # negative or NaN
             return
-        with self._lock:
-            entry = self._entries.get((target, signature))
-            if entry is None:
-                self._entries[(target, signature)] = {
-                    "ewma_s": float(duration_s),
-                    "count": 1,
-                }
-            else:
-                entry["ewma_s"] += self.alpha * (duration_s - entry["ewma_s"])
-                entry["count"] += 1
+        entry = self._entries.get((target, signature))
+        if entry is None:
+            self._entries[(target, signature)] = {
+                "ewma_s": float(duration_s),
+                "count": 1,
+            }
+        else:
+            entry["ewma_s"] += self.alpha * (duration_s - entry["ewma_s"])
+            entry["count"] += 1
 
     def estimate(self, target: str, signature: str) -> Optional[float]:
         """The EWMA estimate, or None when never measured."""
-        with self._lock:
-            entry = self._entries.get((target, signature))
-            return None if entry is None else entry["ewma_s"]
+        entry = self._entries.get((target, signature))
+        return None if entry is None else entry["ewma_s"]
 
     def observations(self, target: str, signature: str) -> int:
-        with self._lock:
-            entry = self._entries.get((target, signature))
-            return 0 if entry is None else int(entry["count"])
+        entry = self._entries.get((target, signature))
+        return 0 if entry is None else int(entry["count"])
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     # -- choosing -----------------------------------------------------------
     def choose(
@@ -284,11 +277,10 @@ class CostModel:
         except (KeyError, TypeError, ValueError):
             self._count_unreadable()
             return False
-        with self._lock:
-            # on-disk history seeds the model; in-memory observations
-            # (there are none at the ordinary load point) win on clash
-            for key, entry in loaded.items():
-                self._entries.setdefault(key, entry)
+        # on-disk history seeds the model; in-memory observations
+        # (there are none at the ordinary load point) win on clash
+        for key, entry in loaded.items():
+            self._entries.setdefault(key, entry)
         return True
 
     def save(self) -> bool:
@@ -303,8 +295,7 @@ class CostModel:
             return False
         from ..chase.atomic import atomic_write
 
-        with self._lock:
-            entries = _canonical_entries(self._entries)
+        entries = _canonical_entries(self._entries)
         document = {
             "format": COST_HISTORY_FORMAT,
             "alpha": self.alpha,

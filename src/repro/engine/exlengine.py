@@ -59,11 +59,9 @@ class EXLEngine:
         registry: Optional[OperatorRegistry] = None,
         backends: Optional[Mapping[str, Backend]] = None,
         target_priority: Sequence[str] = DEFAULT_TARGET_PRIORITY,
-        jobs: int = 1,
         shards: int = 1,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        backoff_s: Optional[float] = None,
         journal=None,
         adaptive: bool = False,
         cost_model: Optional[CostModel] = None,
@@ -73,24 +71,15 @@ class EXLEngine:
         #: first time the partition selects it
         self.backends = backends or LazyBackends()
         self.target_priority = tuple(target_priority)
-        #: the base retry backoff of every run's RunPolicy (retries,
-        #: deadline, on_error and faults are arguments of each run); None
-        #: takes the chaos-mode or built-in default
-        self.backoff_s = backoff_s
         #: optional :class:`repro.engine.journal.RunJournal`; when set,
         #: every dispatch write-ahead-logs its plan and commits so
         #: ``RunDirectory.recover`` can roll a hard crash forward (the CLI wires
         #: this for every ``exl run``/``update``/``resume``)
         self.journal = journal
-        if jobs < 1:
-            raise EngineError(f"jobs must be at least 1, got {jobs!r}")
         if shards < 0:
             raise EngineError(
                 f"shards must be 0 (one per core) or more, got {shards!r}"
             )
-        #: worker threads for dispatcher waves (1 = one subgraph at a
-        #: time); a chase always walks its tgds in statement order
-        self.jobs = int(jobs)
         #: worker processes for sharded chase runs (0 = one per core,
         #: 1 = sharding off); see repro.chase.shard
         self.shards = int(shards)
@@ -234,9 +223,8 @@ class EXLEngine:
         self,
         changed: Optional[Iterable[str]] = None,
         as_of: Optional[int] = None,
-        retries: Optional[int] = None,
         deadline_s: Optional[float] = None,
-        on_error: Optional[str] = None,
+        on_error: str = "fail",
         fault_plan: Optional[FaultPlan] = None,
     ) -> RunRecord:
         """One determination → translation → dispatch cycle.
@@ -249,7 +237,7 @@ class EXLEngine:
                 this historical version (derived intermediates are
                 recomputed, not read historically).  Results are stored
                 as new versions, so the replay itself is versioned.
-            retries / deadline_s / on_error / fault_plan: this run's
+            deadline_s / on_error / fault_plan: this run's
                 failure policy (see
                 :class:`~repro.engine.faults.RunPolicy`).  Under
                 ``on_error="continue"`` or ``"degrade"`` the run
@@ -260,7 +248,7 @@ class EXLEngine:
         Under ``adaptive`` each subgraph record carries the target
         decision (``chosen_target``, ``predicted_s``, ``observed_s``).
         """
-        policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
+        policy = RunPolicy(deadline_s, on_error, fault_plan)
         return self._run(changed, policy, RunMode(as_of=as_of))
 
     def _run(
@@ -281,9 +269,8 @@ class EXLEngine:
         self,
         changed: Optional[Iterable[str]] = None,
         against: Optional[int] = None,
-        retries: Optional[int] = None,
         deadline_s: Optional[float] = None,
-        on_error: Optional[str] = None,
+        on_error: str = "fail",
         fault_plan: Optional[FaultPlan] = None,
     ) -> RunRecord:
         """Incremental run: recompute only what changed since a baseline.
@@ -314,7 +301,7 @@ class EXLEngine:
                 run left consumers of its inputs stale).  Without any
                 usable baseline, update() degrades to a full :meth:`run`.
         """
-        policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
+        policy = RunPolicy(deadline_s, on_error, fault_plan)
         if against is not None:
             baseline = self.runs.get(against)
             if baseline is None:
@@ -366,9 +353,8 @@ class EXLEngine:
     def resume(
         self,
         run_id: Optional[int] = None,
-        retries: Optional[int] = None,
         deadline_s: Optional[float] = None,
-        on_error: Optional[str] = None,
+        on_error: str = "fail",
         fault_plan: Optional[FaultPlan] = None,
     ) -> RunRecord:
         """Finish a partially-failed run: re-dispatch only its
@@ -383,7 +369,7 @@ class EXLEngine:
 
         Returns the new run's record (``resumed_from`` links back).
         """
-        policy = RunPolicy(retries, deadline_s, on_error, self.backoff_s, fault_plan)
+        policy = RunPolicy(deadline_s, on_error, fault_plan)
         if run_id is None:
             resumable = self.runs.failed()
             if not resumable:

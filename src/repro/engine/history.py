@@ -8,15 +8,18 @@ so any past state of the system can be reconstructed.
 Since the fault-tolerance layer, every planned subgraph leaves a record
 even when the run goes wrong: the per-subgraph ``outcome`` is one of
 
-* ``ok``       — executed on the first attempt and committed;
-* ``retried``  — committed after one or more transient-failure retries;
-* ``degraded`` — its native backend failed permanently, a fallback
-  backend (``executed_target``) recomputed and committed it;
+* ``ok``       — executed and committed;
+* ``degraded`` — its native backend failed, a fallback backend
+  (``executed_target``) recomputed and committed it;
 * ``clean``    — an incremental update (``EXLEngine.update``) proved
   every input unchanged, so the stored versions were re-published
   without executing anything;
-* ``skipped``  — never executed because an upstream subgraph failed;
-* ``failed``   — all attempts (and fallbacks, if any) failed.
+* ``skipped``  — never executed because an upstream subgraph failed,
+  or because a fail-fast run stopped before reaching it;
+* ``failed``   — its attempt (and the fallback's, if any) failed.
+
+A record written before dispatch made one attempt per subgraph may also
+say ``retried`` (committed after retries); it still counts as committed.
 
 ``failed``/``skipped`` records are what :meth:`EXLEngine.resume`
 re-dispatches; records serialize to/from plain JSON dicts so the CLI
@@ -42,7 +45,8 @@ _run_counter = itertools.count(1)
 
 #: outcomes under which a subgraph's cubes are available in the store
 #: ("clean" means an incremental update proved the stored versions are
-#: still current and re-published them without executing anything)
+#: still current and re-published them without executing anything;
+#: "retried" is only ever read, from records of older versions)
 COMMITTED_OUTCOMES = ("ok", "retried", "degraded", "clean")
 
 
@@ -68,20 +72,20 @@ class SubgraphRecord:
     duration_s: float
     tuples_written: int
     versions: Dict[str, int] = field(default_factory=dict)
-    #: ok | retried | degraded | clean | skipped | failed
+    #: ok | degraded | clean | skipped | failed
     outcome: str = "ok"
-    #: execution attempts across native backend and fallbacks (0 if skipped)
+    #: execution attempts across native backend and fallback (0 if skipped)
     attempts: int = 1
     #: final error string for failed/skipped subgraphs (also kept for
-    #: retried/degraded ones: the error that was recovered from)
+    #: degraded ones: the error that was recovered from)
     error: Optional[str] = None
     #: backend that actually committed the result (differs from
     #: ``target`` when the subgraph was degraded to a fallback, or when
     #: adaptive dispatch chose a different target than the static plan)
     executed_target: Optional[str] = None
-    #: execution time of the successful attempt alone — no retry
-    #: backoff sleep, no failed attempts (``duration_s`` keeps the
-    #: inclusive wall time).  This is the number the cost model learns.
+    #: execution time of the successful attempt alone — no failed
+    #: attempt (``duration_s`` keeps the inclusive wall time).  This is
+    #: the number the cost model learns.
     observed_s: float = 0.0
     #: adaptive dispatch decision: the target the cost model picked
     #: (None on static runs) and its EWMA estimate at decision time
@@ -144,9 +148,6 @@ class RunRecord:
     finished_at: float = 0.0
     determination_s: float = 0.0
     translation_s: float = 0.0
-    # dispatch schedule shape: dependency waves over the subgraphs
-    waves: int = 0
-    max_wave_width: int = 0
     # sharded chase execution (all zero/empty when --shards <= 1 or the
     # mapping had nothing to partition): worker-process count, tuples
     # generated per shard, and wall time merging shard outputs
@@ -224,8 +225,6 @@ class RunRecord:
             "trigger": list(self.trigger),
             "affected": list(self.affected),
             "subgraphs": [s.to_json() for s in self.subgraphs],
-            "waves": self.waves,
-            "max_wave_width": self.max_wave_width,
             "shards": self.shards,
             "shard_tuples": list(self.shard_tuples),
             "shard_merge_s": self.shard_merge_s,
@@ -333,8 +332,6 @@ class RunLog:
         record.subgraphs = [
             SubgraphRecord.from_json(s) for s in data.get("subgraphs", [])
         ]
-        record.waves = data.get("waves", 0)
-        record.max_wave_width = data.get("max_wave_width", 0)
         record.shards = data.get("shards", 0)
         record.shard_tuples = list(data.get("shard_tuples", []))
         record.shard_merge_s = data.get("shard_merge_s", 0.0)

@@ -53,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -86,15 +85,13 @@ class RunJournal:
 
     Lazily creates ``<out>/journal/<token>.wal`` on the first append, so
     constructing a journal for a run that fails before dispatch leaves
-    no artifact.  Appends are serialized under a lock (the dispatcher
-    commits from worker threads).
+    no artifact.
     """
 
     def __init__(self, out_dir: Union[str, Path], token: Optional[str] = None):
         self.out_dir = Path(out_dir)
         self.token = token or f"{time.time_ns()}-{os.getpid()}"
         self.path = self.out_dir / JOURNAL_DIRNAME / f"{self.token}.wal"
-        self._lock = threading.Lock()
         self._handle = None
         self._seq = 0
 
@@ -110,28 +107,27 @@ class RunJournal:
         header line, and force the file to disk.  ``flush=False`` leaves
         the record to the next flushed append: for records recovery
         never reads, which need no durability of their own."""
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "ab")
-            seq = self._seq
-            self._seq += 1
-            header = json.dumps(
-                {
-                    "seq": seq,
-                    "type": rtype,
-                    "payload": payload,
-                    "sha256": _record_sha256(seq, rtype, payload),
-                },
-                separators=(",", ":"),
-            )
-            self._handle.write(header.encode("utf-8") + b"\n")
-            if frames:
-                self._handle.writelines(frames)
-                self._handle.write(b"\n")
-            if flush:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "ab")
+        seq = self._seq
+        self._seq += 1
+        header = json.dumps(
+            {
+                "seq": seq,
+                "type": rtype,
+                "payload": payload,
+                "sha256": _record_sha256(seq, rtype, payload),
+            },
+            separators=(",", ":"),
+        )
+        self._handle.write(header.encode("utf-8") + b"\n")
+        if frames:
+            self._handle.writelines(frames)
+            self._handle.write(b"\n")
+        if flush:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
 
     # -- record constructors ---------------------------------------------------
     def run_start(self, record, translated) -> None:
@@ -211,10 +207,9 @@ class RunJournal:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def discard(self) -> None:
         """Close and delete the journal (its run is fully persisted, or

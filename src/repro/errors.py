@@ -95,21 +95,14 @@ class BackendError(ReproError):
     """A backend could not translate or execute a schema mapping."""
 
 
-class TransientBackendError(BackendError):
-    """A backend failure expected to clear on retry (timeout, lost
-    connection, engine restart).  The dispatcher retries these with
-    exponential backoff; everything else is treated as permanent."""
-
-
 class PermanentBackendError(BackendError):
-    """A backend failure retrying cannot fix (bad translation, engine
-    misconfiguration, crashed target).  Eligible for degradation to a
-    fallback backend, never for retry."""
+    """A backend failure a second attempt would not fix (bad
+    translation, engine misconfiguration, crashed target).  Eligible for
+    degradation to a fallback backend."""
 
 
 class DeadlineExceededError(PermanentBackendError):
-    """A subgraph execution overran its wall-clock deadline.  Counts as
-    permanent: the remaining budget is gone, so retrying is pointless."""
+    """A subgraph execution overran its wall-clock deadline."""
 
 
 class UnsupportedOperatorError(BackendError):

@@ -11,7 +11,6 @@ every write produces a new version rather than destroying the past.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -64,8 +63,6 @@ class VersionedStore:
     def __init__(self):
         self._history: Dict[str, List[Tuple[int, Union[Cube, _Deferred]]]] = {}
         self._clock = 0
-        # two dispatcher threads may read one deferred operand at once
-        self._load_lock = threading.Lock()
 
     def put(self, cube: Cube) -> int:
         """Store a new version of the cube; returns the version number."""
@@ -94,18 +91,14 @@ class VersionedStore:
         """Hand the latest, still deferred version its content: the
         caller holds a cube whose bytes have exactly that digest."""
         history = self._history[cube.schema.name]
-        with self._load_lock:
-            if isinstance(history[-1][1], _Deferred):
-                history[-1] = (history[-1][0], cube.copy())
+        if isinstance(history[-1][1], _Deferred):
+            history[-1] = (history[-1][0], cube.copy())
 
     def _read(self, history, index: int) -> Cube:
-        held = history[index][1]
+        version, held = history[index]
         if isinstance(held, _Deferred):
-            with self._load_lock:
-                version, held = history[index]
-                if isinstance(held, _Deferred):
-                    held = held.load()
-                    history[index] = (version, held)
+            held = held.load()
+            history[index] = (version, held)
         return held
 
     def get(self, name: str, version: Optional[int] = None) -> Cube:

@@ -10,7 +10,7 @@ relative costs apart and stress the update path:
   wildly unbalanced and operand cardinality stops predicting cost.
 * **Deep aggregation chains** — long dependency chains alternating
   aggregation, whole-series table functions, and scalar arithmetic, so
-  runs have many narrow waves instead of one wide one.
+  a run is a long sequence of dependent subgraphs.
 * **Revision storms** — sequences of small random revisions to the
   elementary data, the input feed for ``EXLEngine.update`` sweeps.
 
@@ -103,8 +103,9 @@ def deep_chain_workload(
 
     The head aggregates the panel down to a time series; every further
     link feeds on the previous one, cycling table functions and scalar
-    arithmetic — so dispatch sees many single-subgraph waves and the
-    adaptive chooser gets one decision per link instead of one per run.
+    arithmetic — so dispatch sees a long line of dependent subgraphs
+    and the adaptive chooser gets one decision per link instead of one
+    per run.
     """
     rng = random.Random(f"chain-{seed}")
     members = [f"u{k + 1}" for k in range(max(1, n_members))]

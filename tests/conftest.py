@@ -27,13 +27,6 @@ from repro.workloads import gdp_example
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--jobs",
-        action="store",
-        type=int,
-        default=4,
-        help="dispatcher worker threads for the engine-level sweeps",
-    )
-    parser.addoption(
         "--shards",
         action="store",
         type=int,
@@ -41,48 +34,6 @@ def pytest_addoption(parser):
         help="worker processes for the sharded chase equivalence tests "
         "(CI runs the sharded suite with 1 and with 4)",
     )
-    parser.addoption(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="chaos mode: run the whole suite with this deterministic "
-        "fault plan active in every dispatcher built without an "
-        "explicit one (e.g. '*:transient:p=0.25:n=2'); paired with "
-        "--fault-retries, bounded transient rules must always recover, "
-        "so the suite is expected to stay green",
-    )
-    parser.addoption(
-        "--fault-seed",
-        action="store",
-        type=int,
-        default=0,
-        help="seed for the chaos-mode fault plan",
-    )
-    parser.addoption(
-        "--fault-retries",
-        action="store",
-        type=int,
-        default=3,
-        help="dispatcher retry budget while chaos mode is active",
-    )
-
-
-def pytest_configure(config):
-    spec = config.getoption("--inject-faults")
-    if spec:
-        from repro.engine import faults
-
-        faults.enable_chaos(
-            spec,
-            seed=config.getoption("--fault-seed"),
-            retries=config.getoption("--fault-retries"),
-        )
-
-
-@pytest.fixture(scope="session")
-def dispatch_jobs(request) -> int:
-    """Dispatcher thread count under test (``EXLEngine(jobs=)``)."""
-    return request.config.getoption("--jobs")
 
 
 @pytest.fixture(scope="session")

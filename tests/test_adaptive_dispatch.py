@@ -6,34 +6,27 @@ Four contracts under test:
   estimation, the cold-start exploration policy, and the sha256-guarded
   atomic history (torn/tampered files are *counted* cold starts);
 * the timing bugfix — per-subgraph ``observed_s`` is the successful
-  attempt's execution time only, never retry backoff sleep or failed
-  attempts (the numbers the model learns from must be clean);
-* the backoff/deadline bugfixes — a retry whose backoff cannot fit the
-  remaining deadline budget aborts *before* sleeping (counted as
-  ``dispatch.deadline.aborted_backoffs``), including the degenerate
-  already-past-deadline case that used to hot-loop on 0 s sleeps;
+  attempt's execution time only, never the time of a failed attempt
+  before it (the numbers the model learns from must be clean);
 * the 50-seed equivalence sweep — adaptive dispatch commits cubes
   tuple-for-tuple identical to static dispatch, composed with the
-  suite-wide ``--jobs``/``--shards`` axes and fault injection
-  (degradation must feed the model, not corrupt the run).
+  suite-wide ``--shards`` axis and fault injection (degradation must
+  feed the model, not corrupt the run).
 """
 
 import json
-import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro.engine import (
     CostModel,
-    Dispatcher,
     EXLEngine,
     card_bucket,
     subgraph_signature,
 )
 from repro.engine.costmodel import COST_HISTORY_FILE
-from repro.engine.faults import FaultPlan, FaultRule, RunPolicy, parse_fault_spec
-from repro.errors import DeadlineExceededError
+from repro.engine.faults import FaultPlan, FaultRule, parse_fault_spec
 from repro.mappings.dependencies import TgdKind
 from repro.obs import MetricsRegistry
 from repro.workloads import (
@@ -215,103 +208,52 @@ class TestCostHistoryDurability:
 
 # ---------------------------------------------------------------------------
 class TestCleanAttemptTimings:
-    """observed_s ≈ attempt execution time, even under retries with a
-    large backoff — the regression the cost model depends on."""
+    """observed_s ≈ the committed attempt's execution time, even when a
+    stalled native attempt failed before it and the chase redid the
+    work — the regression the cost model depends on."""
 
-    BACKOFF = 0.4  # jittered sleep is in [0.2, 0.6)
+    STALL = 0.4  # the failed native attempt hangs this long first
 
-    def _run_with_transient(self, **engine_kwargs):
-        plan = FaultPlan([FaultRule(kind="transient", first_n=1)])
+    def _run_degraded(self, **engine_kwargs):
+        plan = FaultPlan(
+            [
+                FaultRule(target="sql", kind="hang", delay_s=self.STALL),
+                FaultRule(target="sql", kind="permanent"),
+            ]
+        )
         workload = deep_chain_workload(0, depth=3)
         engine = _build_engine(
-            workload,
-            target_priority=("chase",),
-            backoff_s=self.BACKOFF,
-            **engine_kwargs,
+            workload, target_priority=("sql", "chase"), **engine_kwargs
         )
-        return engine, engine.run(retries=2, fault_plan=plan)
+        return engine, engine.run(on_error="degrade", fault_plan=plan)
 
-    def test_observed_excludes_backoff_and_failed_attempts(self):
-        engine, record = self._run_with_transient()
+    def test_observed_excludes_failed_attempts(self):
+        engine, record = self._run_degraded()
         assert record.complete
-        retried = [s for s in record.subgraphs if s.outcome == "retried"]
-        assert retried, "fault plan should have forced a retry"
-        for sub in retried:
-            # the wall time swallowed the backoff sleep; the observed
-            # attempt time did not
-            assert sub.duration_s >= self.BACKOFF * 0.5
-            assert 0.0 < sub.observed_s < self.BACKOFF * 0.25
-        assert engine.metrics.value("dispatch.retries") >= 1
+        degraded = [s for s in record.subgraphs if s.outcome == "degraded"]
+        assert degraded, "fault plan should have forced a degradation"
+        for sub in degraded:
+            # the wall time swallowed the stalled native attempt; the
+            # observed attempt time did not
+            assert sub.attempts == 2
+            assert sub.duration_s >= self.STALL
+            assert 0.0 < sub.observed_s < self.STALL * 0.25
 
     def test_metrics_split_duration_from_wall(self):
-        engine, _ = self._run_with_transient()
+        engine, _ = self._run_degraded()
         clean = engine.metrics.histogram("dispatch.subgraph.duration_s")
         wall = engine.metrics.histogram("dispatch.subgraph.wall_s")
         assert clean.count == wall.count > 0
-        assert clean.max < self.BACKOFF * 0.25
-        assert wall.max >= self.BACKOFF * 0.5
+        assert clean.max < self.STALL * 0.25
+        assert wall.max >= self.STALL
 
     def test_cost_model_learns_clean_times_despite_faults(self):
         cm = CostModel()
-        engine, record = self._run_with_transient(cost_model=cm)
+        engine, record = self._run_degraded(cost_model=cm)
         assert record.complete and len(cm) > 0
+        assert {target for target, _ in cm._entries} == {"chase"}
         for entry in cm._entries.values():
-            assert entry["ewma_s"] < self.BACKOFF * 0.25
-
-
-class TestBackoffDeadlineAbort:
-    def _dispatcher(self, **kwargs):
-        engine = _build_engine(
-            deep_chain_workload(0, depth=2), target_priority=("chase",)
-        )
-        return Dispatcher(engine, RunPolicy(**kwargs))
-
-    def test_backoff_larger_than_budget_returns_none(self):
-        dispatcher = self._dispatcher(backoff_s=10.0)
-        deadline = time.monotonic() + 0.05
-        assert dispatcher._backoff_delay(("A",), 1, deadline) is None
-        assert (
-            dispatcher.metrics.value("dispatch.deadline.aborted_backoffs") == 1
-        )
-
-    def test_passed_deadline_zero_delay_hot_loop_regression(self):
-        # the deadline is already behind us: the old clamp produced a
-        # 0.0 s delay and the retry loop spun through its budget with
-        # no backoff at all — now it must abort instead
-        dispatcher = self._dispatcher(backoff_s=0.01)
-        deadline = time.monotonic() - 1.0
-        assert dispatcher._backoff_delay(("A",), 1, deadline) is None
-        assert (
-            dispatcher.metrics.value("dispatch.deadline.aborted_backoffs") == 1
-        )
-
-    def test_zero_backoff_with_budget_is_still_a_legal_retry(self):
-        dispatcher = self._dispatcher(backoff_s=0.0)
-        deadline = time.monotonic() + 60.0
-        assert dispatcher._backoff_delay(("A",), 1, deadline) == 0.0
-        assert dispatcher._backoff_delay(("A",), 1, None) == 0.0
-        assert (
-            dispatcher.metrics.value("dispatch.deadline.aborted_backoffs") == 0
-        )
-
-    def test_aborts_before_sleeping_into_a_dead_attempt(self):
-        # permanent transient faults + a backoff far beyond the deadline:
-        # the run must fail *fast* (no sleep right up to the deadline
-        # followed by a doomed attempt) and count the aborted backoff
-        plan = FaultPlan([FaultRule(kind="transient")])
-        engine = _build_engine(
-            deep_chain_workload(1, depth=2),
-            target_priority=("chase",),
-            backoff_s=30.0,
-        )
-        started = time.perf_counter()
-        with pytest.raises(DeadlineExceededError):
-            engine.run(retries=5, deadline_s=0.2, fault_plan=plan)
-        elapsed = time.perf_counter() - started
-        assert elapsed < 5.0, "dispatcher slept into the deadline"
-        assert (
-            engine.metrics.value("dispatch.deadline.aborted_backoffs") >= 1
-        )
+            assert entry["ewma_s"] < self.STALL * 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +331,26 @@ class TestAdaptiveWiring:
 # ---------------------------------------------------------------------------
 class TestAdaptiveEquivalence:
     """Adaptive ≡ static committed cubes, over 50 seeded workloads
-    composed with the suite-wide --jobs/--shards axes; every fifth seed
-    additionally runs under injected transient faults with degradation
-    (which must feed the model, not corrupt the run)."""
+    composed with the suite-wide --shards axis; every fifth seed
+    additionally runs under injected permanent faults on the native
+    targets with degradation (which must feed the model, not corrupt
+    the run)."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_adaptive_matches_static(self, seed, dispatch_jobs, chase_shards):
+    def test_adaptive_matches_static(self, seed, chase_shards):
         faulty = seed % 5 == 0
-        kwargs = dict(jobs=dispatch_jobs, shards=chase_shards)
+        kwargs = dict(shards=chase_shards)
         policy = {}
         if faulty:
-            kwargs.update(backoff_s=0.001)
+            # the chase, where a failed subgraph degrades to, stays up
             policy = dict(
-                retries=3,
                 on_error="degrade",
                 fault_plan=parse_fault_spec(
-                    "*:transient:p=0.3:n=2", seed=seed
+                    ";".join(
+                        f"{target}:permanent:p=0.3"
+                        for target in ("sql", "r", "matlab", "etl")
+                    ),
+                    seed=seed,
                 ),
             )
         workload = random_workload(

@@ -19,7 +19,7 @@ import pytest
 from repro.backends import ChaseBackend
 import repro.chase
 from repro.chase import StratifiedChase, instance_from_cubes
-from repro.engine import Dispatcher, EXLEngine
+from repro.engine import Dispatcher, EXLEngine, RunPolicy
 from repro.errors import ChaseError
 from repro.exl import Program
 from repro.mappings import (
@@ -220,8 +220,8 @@ def test_serial_and_sharded_reruns_agree():
 
 
 def test_no_layer_takes_a_removed_setting(child_env):
-    """No cache, no kernel switch, no thread count, and nothing picks the
-    storage or the snapshotting."""
+    """No cache, no kernel switch, no thread count, no retry budget, and
+    nothing picks the storage or the snapshotting."""
     _, mapping, _, _ = _two_source_setup()
     assert not hasattr(repro.chase, "ChaseCache")
     with pytest.raises(TypeError):
@@ -236,7 +236,18 @@ def test_no_layer_takes_a_removed_setting(child_env):
         EXLEngine(chase_cache=False)
     with pytest.raises(TypeError):
         EXLEngine(vectorize=False)
+    # dispatch runs one subgraph at a time, each once: no thread
+    # count, no retry budget, no backoff
+    for setting in ("jobs", "backoff_s"):
+        with pytest.raises(TypeError):
+            EXLEngine(**{setting: 1})
+    for setting in ("retries", "backoff_s"):
+        with pytest.raises(TypeError):
+            RunPolicy(**{setting: 1})
     engine = EXLEngine()
+    for execute in (engine.run, engine.update, engine.resume):
+        with pytest.raises(TypeError):
+            execute(retries=1)
     # the dispatcher reads the engine; the failure policy is one value
     with pytest.raises(TypeError):
         Dispatcher(engine.catalog, engine.graph, retries=1)
@@ -290,7 +301,7 @@ class TestEngineRerun:
         return {name: set(engine.data(name).to_rows()) for name in "ABC"}
 
     def test_same_data_rerun_through_engine(self):
-        engine, _, _ = self._engine(jobs=2)
+        engine, _, _ = self._engine()
         engine.run()
         before = self._rows(engine)
         record = engine.run(changed=["S"])  # same data: every stratum again
@@ -298,7 +309,7 @@ class TestEngineRerun:
         assert self._rows(engine) == before
 
     def test_changed_data_recomputes_through_engine(self):
-        engine, schema, domains = self._engine(jobs=2)
+        engine, schema, domains = self._engine()
         engine.run()
         revised = random_cube(schema, domains, seed=12)
         engine.load(revised)
@@ -307,7 +318,7 @@ class TestEngineRerun:
         assert set(engine.data("A").to_rows()) == expected
 
     def test_rerun_after_update_matches_fresh_engine(self):
-        engine, schema, domains = self._engine(jobs=2)
+        engine, schema, domains = self._engine()
         engine.run()
         revised = random_cube(schema, domains, seed=13)
         engine.load(revised)

@@ -49,8 +49,8 @@ from tests.oracle.delta import cube_delta
 SEEDS = range(50)
 
 
-def _build_engine(workload, *, jobs=1, target="chase"):
-    engine = EXLEngine(jobs=jobs, target_priority=(target,))
+def _build_engine(workload, *, target="chase"):
+    engine = EXLEngine(target_priority=(target,))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source)
@@ -146,17 +146,16 @@ class TestEngineEquivalence:
     on the committed stores the same lifecycle lands on on ``sql``."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_committed_stores_match_sql(self, seed, dispatch_jobs):
+    def test_committed_stores_match_sql(self, seed):
         workload = random_workload(
             seed, n_statements=6, n_periods=12, n_regions=2
         )
         baseline = _truncate(workload.data, seed)
         revised = _perturb(workload.data, seed)
-        jobs = dispatch_jobs if seed % 3 == 0 else 1
         engines = {}
         failures = {}
         for target in ("chase", "sql"):
-            engine = _build_engine(workload, jobs=jobs, target=target)
+            engine = _build_engine(workload, target=target)
             for cube in baseline.values():
                 engine.load(cube)
             try:
@@ -187,7 +186,7 @@ class TestFaultComposition:
             n_quarters=8, regions=("north", "south"), seed=seed
         )
         plan = FaultPlan(
-            [FaultRule(kind="transient", probability=0.5)], seed=seed
+            [FaultRule(kind="permanent", probability=0.5)], seed=seed
         )
         reference = _build_engine(workload, target="sql")
         engine = _build_engine(workload)
@@ -195,7 +194,7 @@ class TestFaultComposition:
             reference.load(cube)
             engine.load(cube)
         reference.run()
-        record = engine.run(retries=1, on_error="continue", fault_plan=plan)
+        record = engine.run(on_error="continue", fault_plan=plan)
         for subgraph in record.subgraphs:
             for name in subgraph.cubes:
                 if subgraph.committed:

@@ -1,32 +1,30 @@
 """Dispatch-order determinism under injected faults.
 
 The fault plan's firing decisions are a stable hash of
-(seed, target, cubes, attempt) — never a shared RNG stream — so a run
-with ``--jobs 4`` sees exactly the same faults as the same run with
-``--jobs 1``, and under ``on_error="continue"`` both must commit the
-same cubes with the same per-cube outcomes and identical data.
-
-Raw store version integers are NOT compared between the two: the
-versioned store's clock ticks in commit order, which legitimately
-differs between parallel schedules.  What must match is everything
-observable: which cubes committed, how many versions each has, and the
-tuples inside.  One seeded plan run twice on one thread must agree on
-the store versions too, and ``jobs=1`` runs subgraphs one at a time in
-a topological order of the cube dependency graph.
+(seed, target, cubes, attempt) — never a shared RNG stream — so one
+seeded plan run twice under ``on_error="continue"`` fires the same
+faults and commits the same cubes, with the same per-cube outcomes,
+store versions and data.  Subgraphs run one at a time, in the order
+determination planned them, which is a topological order of the cube
+dependency graph.  Under the default ``on_error="fail"`` the first
+failure stops the dispatch; under ``"continue"`` exactly the
+dependents of failed subgraphs are skipped.  Either way a ``resume``
+ends in the state of a fault-free run.
 """
 
 import pytest
 
 from repro.engine import Dispatcher, EXLEngine, parse_fault_spec
+from repro.errors import PermanentBackendError
 from repro.workloads import random_workload
 
 TARGET_CYCLE = ("sql", "r", "etl", "chase")
-FAULT_SPEC = "*:transient:p=0.5:n=2;sql:permanent:p=0.15"
+FAULT_SPEC = "*:permanent:p=0.15;sql:permanent:p=0.15"
 SEEDS = range(20)
 
 
-def _engine_for(workload, jobs=1):
-    engine = EXLEngine(jobs=jobs, backoff_s=0.001)
+def _engine_for(workload):
+    engine = EXLEngine()
     for schema in workload.schema:
         engine.declare_elementary(schema)
     derived = [
@@ -61,39 +59,13 @@ def _observable_state(engine, record):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_jobs1_and_jobs4_commit_identical_state(seed):
-    plan_spec = FAULT_SPEC
-    workload = random_workload(seed=seed, n_statements=6)
-
-    sequential = _engine_for(workload, jobs=1)
-    seq_record = sequential.run(
-        retries=3,
-        on_error="continue",
-        fault_plan=parse_fault_spec(plan_spec, seed=seed),
-    )
-    parallel = _engine_for(workload, jobs=4)
-    par_record = parallel.run(
-        retries=3,
-        on_error="continue",
-        fault_plan=parse_fault_spec(plan_spec, seed=seed),
-    )
-
-    seq_state = _observable_state(sequential, seq_record)
-    par_state = _observable_state(parallel, par_record)
-    assert par_state[0] == seq_state[0], f"outcomes diverge (seed {seed})"
-    assert par_state[1] == seq_state[1], f"committed sets diverge (seed {seed})"
-    assert par_state[2] == seq_state[2], f"version counts diverge (seed {seed})"
-    assert par_state[3] == seq_state[3], f"cube data diverges (seed {seed})"
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_one_plan_run_twice_commits_identical_state(seed):
     workload = random_workload(seed=seed, n_statements=6)
     runs = []
     for _ in range(2):
         engine = _engine_for(workload)
         plan = parse_fault_spec(FAULT_SPEC, seed=seed)
-        record = engine.run(retries=3, on_error="continue", fault_plan=plan)
+        record = engine.run(on_error="continue", fault_plan=plan)
         ledger = [
             (s.cubes, s.outcome, s.attempts, s.versions) for s in record.subgraphs
         ]
@@ -114,12 +86,12 @@ def test_subgraphs_run_one_at_a_time_in_topological_order(seed, monkeypatch):
     started, running = [], []
     original = Dispatcher._run_subgraph
 
-    def spy(self, item, wave_span=None):
+    def spy(self, item):
         assert not running, f"{item.subgraph.cubes} overlaps {running}"
         running.append(item.subgraph.cubes)
         started.append(item.subgraph.cubes)
         try:
-            return original(self, item, wave_span)
+            return original(self, item)
         finally:
             running.pop()
 
@@ -127,6 +99,7 @@ def test_subgraphs_run_one_at_a_time_in_topological_order(seed, monkeypatch):
     record = engine.run()
     assert record.complete
     assert started == [s.cubes for s in record.subgraphs]
+    assert started == [tuple(s.cubes) for s in engine.plan()]
     # every operand computed elsewhere was committed before its reader ran
     done = set(engine.catalog.elementary_names)
     for cubes in started:
@@ -138,17 +111,98 @@ def test_subgraphs_run_one_at_a_time_in_topological_order(seed, monkeypatch):
     assert done == set(engine.catalog.names())
 
 
+def _assert_matches_fault_free(engine, clean, seed):
+    for name in clean.catalog.names():
+        assert engine.data(name).approx_equals(clean.data(name)), (
+            f"{name} diverges from a fault-free run (seed {seed})"
+        )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fail_fast_then_resume_matches_a_fault_free_run(seed):
+    workload = random_workload(seed=seed, n_statements=6)
+    clean = _engine_for(workload)
+    assert clean.run().complete
+    engine = _engine_for(workload)
+    plan = parse_fault_spec(FAULT_SPEC, seed=seed)
+    try:
+        engine.run(fault_plan=plan)
+    except PermanentBackendError:
+        pass
+    record = engine.runs.last()
+    outcomes = [s.outcome for s in record.subgraphs]
+    if plan.total_injected == 0:
+        assert record.complete, f"no fault fired, yet incomplete (seed {seed})"
+        _assert_matches_fault_free(engine, clean, seed)
+        return
+    # the first fault stops the dispatch: nothing after it is attempted
+    first = outcomes.index("failed")
+    assert outcomes[:first] == ["ok"] * first
+    fires = [
+        plan.would_fire(s.target, s.cubes, 0)
+        for s in record.subgraphs[: first + 1]
+    ]
+    assert [bool(rules) for rules in fires] == [False] * first + [True]
+    assert plan.total_injected == len(fires[-1]), f"dispatch went on (seed {seed})"
+    for later in record.subgraphs[first + 1:]:
+        assert later.outcome == "skipped"
+        assert later.attempts == 0
+        assert later.error.startswith("not reached")
+        assert not any(engine.catalog.has_data(name) for name in later.cubes)
+    resumed = engine.resume()
+    assert resumed.complete
+    assert [s.cubes for s in resumed.subgraphs] == [
+        s.cubes for s in record.subgraphs[first:]
+    ]
+    _assert_matches_fault_free(engine, clean, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_continue_skips_exactly_the_dependents_of_failures(seed):
+    workload = random_workload(seed=seed, n_statements=6)
+    clean = _engine_for(workload)
+    assert clean.run().complete
+    engine = _engine_for(workload)
+    plan = parse_fault_spec(FAULT_SPEC, seed=seed)
+    record = engine.run(on_error="continue", fault_plan=plan)
+    # walk the plan's (topological) order: a subgraph is skipped iff it
+    # reads, from outside itself, a cube that failed or was skipped
+    lost = set()
+    for s in record.subgraphs:
+        reads = {
+            ref for cube in s.cubes for ref in engine.graph.operands[cube]
+        } - set(s.cubes)
+        if reads & lost:
+            assert s.outcome == "skipped", f"{s.cubes} ran (seed {seed})"
+            assert s.attempts == 0
+        else:
+            assert s.outcome in ("ok", "failed"), f"{s.cubes} (seed {seed})"
+            assert s.attempts == 1
+        if s.outcome == "ok":
+            for name in s.cubes:
+                assert engine.data(name).approx_equals(clean.data(name))
+        else:
+            lost.update(s.cubes)
+            assert not any(engine.catalog.has_data(name) for name in s.cubes)
+    assert record.complete == (not lost)
+    if lost:
+        assert engine.resume().complete
+    _assert_matches_fault_free(engine, clean, seed)
+
+
 def test_some_seed_actually_exercises_faults():
     """Guard against the plan silently never firing (e.g. after a
     grammar change): across the seeds above, faults must both fire and
-    sometimes permanently fail a subgraph."""
-    fired = failed = 0
+    fail a subgraph, and leave some subgraph committed."""
+    fired = failed = committed = 0
     for seed in SEEDS:
         workload = random_workload(seed=seed, n_statements=6)
-        engine = _engine_for(workload, jobs=1)
+        engine = _engine_for(workload)
         plan = parse_fault_spec(FAULT_SPEC, seed=seed)
-        record = engine.run(retries=3, on_error="continue", fault_plan=plan)
+        record = engine.run(on_error="continue", fault_plan=plan)
         fired += plan.total_injected
         failed += sum(1 for s in record.subgraphs if s.outcome == "failed")
+        committed += sum(1 for s in record.subgraphs if s.committed)
     assert fired > 0
     assert failed > 0
+    assert committed > 0

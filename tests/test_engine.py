@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine import (
     DependencyGraph,
-    Dispatcher,
     EXLEngine,
     Subgraph,
     TranslationEngine,
@@ -164,27 +163,8 @@ class TestTranslationEngine:
         assert "INSERT INTO A" in translated.script
 
 
-class TestDispatcherWaves:
-    def test_waves_respect_dependencies(self, catalog, graph):
-        translator = TranslationEngine(catalog, graph)
-        subgraphs = [
-            Subgraph(("A",), "sql"),
-            Subgraph(("C",), "r"),
-            Subgraph(("B",), "sql"),
-            Subgraph(("D",), "sql"),
-        ]
-        translated = [translator.translate(s) for s in subgraphs]
-        dispatcher = Dispatcher(EXLEngine())
-        waves = dispatcher.waves(translated)
-        # A and C are independent -> first wave; B next; D last
-        assert len(waves[0]) == 2
-        flat = [t.subgraph.cubes[0] for wave in waves for t in wave]
-        assert flat.index("B") > flat.index("A")
-        assert flat.index("D") > flat.index("B")
-
-
-def _build_engine(jobs=1):
-    engine = EXLEngine(jobs=jobs)
+def _build_engine():
+    engine = EXLEngine()
     engine.declare_elementary(_series("E1"))
     engine.declare_elementary(_series("E2"))
     engine.add_program("A := E1 + E2\nB := A * 2\nC := stl_t(E2)\nD := B + C")
@@ -309,10 +289,10 @@ class TestEXLEngineFacade:
         with pytest.raises(EngineError):
             engine.run()
 
-    @pytest.mark.parametrize("counts", [{"jobs": 0}, {"jobs": -2}, {"shards": -1}])
-    def test_worker_counts_out_of_range_rejected(self, counts):
-        with pytest.raises(EngineError, match=f"{next(iter(counts))} must be"):
-            EXLEngine(**counts)
+    @pytest.mark.parametrize("shards", [-1, -2])
+    def test_shard_count_out_of_range_rejected(self, shards):
+        with pytest.raises(EngineError, match="shards must be"):
+            EXLEngine(shards=shards)
         assert EXLEngine(shards=0).shards == 0  # 0 is "one per core"
 
     def test_load_derived_rejected(self):
@@ -331,16 +311,22 @@ class TestEXLEngineFacade:
         scripts = engine.scripts()
         assert any("INSERT INTO" in s for s in scripts.values())
 
-    def test_parallel_run_matches_sequential(self):
-        sequential = _build_engine()
-        parallel = _build_engine(jobs=4)
-        # force a split so at least one wave has two subgraphs
-        for engine in (sequential, parallel):
-            engine.catalog.entry("C").preferred_target = "r"
-            engine._invalidate()
-        sequential.run()
-        parallel.run()
-        assert sequential.data("D").approx_equals(parallel.data("D"))
+    def test_dispatch_walks_the_plan_in_order(self):
+        engine = _build_engine()
+        # C, which reads neither A nor B, on its own target
+        engine.catalog.entry("C").preferred_target = "r"
+        engine._invalidate()
+        plan = engine.plan()
+        assert [s.cubes for s in plan] == [("A", "B"), ("C",), ("D",)]
+        record = engine.run()
+        assert [s.cubes for s in record.subgraphs] == [s.cubes for s in plan]
+        # the plan is topological: every operand is elementary, in the
+        # same subgraph or in an earlier one
+        done = set(engine.catalog.elementary_names)
+        for subgraph in plan:
+            for cube in subgraph.cubes:
+                assert set(engine.graph.operands[cube]) <= done | set(subgraph.cubes)
+            done.update(subgraph.cubes)
 
     def test_run_summary_mentions_targets(self):
         engine = _build_engine()

@@ -1,16 +1,14 @@
-"""Fault-tolerant dispatch: taxonomy, retries, deadlines, degradation,
-partial-failure runs, resume, and the deterministic fault-injection
-harness.
+"""Fault-tolerant dispatch: taxonomy, one attempt per subgraph,
+deadlines, degradation, partial-failure runs, resume, and the
+deterministic fault-injection harness.
 
 Every fault in this suite comes from a seeded :class:`FaultPlan`, whose
 decisions are a stable hash of (seed, target, cubes, attempt) — the
-same faults fire no matter how many dispatcher workers run the waves,
-which is what makes these tests (and the ``--jobs 1`` vs ``--jobs 4``
-determinism suite) reproducible.
+same faults fire run after run, which is what makes these tests (and
+the determinism suite) reproducible.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -24,28 +22,90 @@ from repro.engine import (
     SubgraphRecord,
     parse_fault_spec,
 )
-from repro.engine.faults import FaultyBackend
 from repro.errors import (
     BackendError,
     DeadlineExceededError,
     EngineError,
     PermanentBackendError,
     ReproError,
-    TransientBackendError,
 )
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, quarter
 
-BACKOFF = 0.001  # keep retry sleeps negligible throughout the suite
+
+#: the deadline of the tests that trip one with a hang fault
+DEADLINE_S = 1.0
+
+#: ``RunRecord.to_json()`` of a diamond run with on_error="continue",
+#: as an older version wrote it: A+B committed after one retry, C failed,
+#: D skipped, and the dispatch's wave shape recorded
+OLDER_RUN_RECORD = """{
+ "run_id": 1, "trigger": ["E1", "E2"], "affected": ["A", "B", "C", "D"],
+ "subgraphs": [
+  {"cubes": ["A", "B"], "target": "sql", "duration_s": 0.0033866459998534992,
+   "tuples_written": 24, "versions": {"A": 3, "B": 4}, "outcome": "retried",
+   "attempts": 2,
+   "error": "TransientBackendError: injected transient fault on sql:A+B attempt 0",
+   "executed_target": "sql", "observed_s": 0.001678763999734656,
+   "chosen_target": null, "predicted_s": null},
+  {"cubes": ["C"], "target": "r", "duration_s": 8.461900142719969e-05,
+   "tuples_written": 0, "versions": {}, "outcome": "failed", "attempts": 1,
+   "error": "PermanentBackendError: injected permanent fault on r:C attempt 0",
+   "executed_target": "r", "observed_s": 0.0, "chosen_target": null,
+   "predicted_s": null},
+  {"cubes": ["D"], "target": "sql", "duration_s": 0.0, "tuples_written": 0,
+   "versions": {}, "outcome": "skipped", "attempts": 0,
+   "error": "upstream cube(s) unavailable: C", "executed_target": "sql",
+   "observed_s": 0.0, "chosen_target": null, "predicted_s": null}
+ ],
+ "waves": 2, "max_wave_width": 2, "shards": 0, "shard_tuples": [],
+ "shard_merge_s": 0.0, "on_error": "continue", "adaptive": false,
+ "resumed_from": null, "delta_of": null,
+ "baseline_versions": {"E1": 1, "E2": 2, "A": 3, "B": 4},
+ "delta_dirty_tgds": 0, "delta_clean_tgds": 0, "delta_fallback_tgds": 0,
+ "error": "partial failure: 1 subgraph(s) failed, 1 skipped"
+}"""
+
+
+#: ``<out>/run-state.json`` an older version's ``exl run --retries 1
+#: --on-error continue --inject-faults "sql:transient:n=1;r:permanent"``
+#: wrote for ``cli_project``: A+B committed after a retry, C failed, D
+#: skipped
+OLDER_RUN_STATE = """{"record": {"run_id": 1, "trigger": ["E1"],
+ "affected": ["A", "B", "C", "D"], "subgraphs": [
+  {"cubes": ["A", "B"], "target": "sql", "duration_s": 0.0013209089993324596,
+   "tuples_written": 16, "versions": {"A": 2, "B": 3}, "outcome": "retried",
+   "attempts": 2,
+   "error": "TransientBackendError: injected transient fault on sql:A+B attempt 0",
+   "executed_target": "sql", "observed_s": 0.0011344320009811781,
+   "chosen_target": null, "predicted_s": null},
+  {"cubes": ["C"], "target": "r", "duration_s": 0.00010163899969484191,
+   "tuples_written": 0, "versions": {}, "outcome": "failed", "attempts": 1,
+   "error": "PermanentBackendError: injected permanent fault on r:C attempt 0",
+   "executed_target": "r", "observed_s": 0.0, "chosen_target": null,
+   "predicted_s": null},
+  {"cubes": ["D"], "target": "sql", "duration_s": 0.0, "tuples_written": 0,
+   "versions": {}, "outcome": "skipped", "attempts": 0,
+   "error": "upstream cube(s) unavailable: C", "executed_target": "sql",
+   "observed_s": 0.0, "chosen_target": null, "predicted_s": null}],
+ "waves": 2, "max_wave_width": 2, "shards": 0, "shard_tuples": [],
+ "shard_merge_s": 0.0, "on_error": "continue", "adaptive": false,
+ "resumed_from": null, "delta_of": null,
+ "baseline_versions": {"E1": 1, "A": 2, "B": 3}, "delta_dirty_tgds": 0,
+ "delta_clean_tgds": 0, "delta_fallback_tgds": 0,
+ "error": "partial failure: 1 subgraph(s) failed, 1 skipped"},
+ "committed": {"A": ".committed/A.csv", "B": ".committed/B.csv"}}
+"""
 
 
 def _series(name):
     return CubeSchema(name, [Dimension("q", TIME(Frequency.QUARTER))], "v")
 
 
-def _diamond_engine(jobs=1, **kwargs):
+def _diamond_engine(**kwargs):
     """E1,E2 -> A(sql) -> B(sql); C(r); D(sql) <- B,C: three subgraphs,
-    the first wave holding the independent [sql A,B] and [r C]."""
-    engine = EXLEngine(jobs=jobs, backoff_s=BACKOFF, **kwargs)
+    dispatched in plan order [sql A,B], [r C], [sql D] — C depends on
+    neither A nor B."""
+    engine = EXLEngine(**kwargs)
     engine.declare_elementary(_series("E1"))
     engine.declare_elementary(_series("E2"))
     engine.add_program(
@@ -65,25 +125,11 @@ def _diamond_engine(jobs=1, **kwargs):
 
 def _pinned_engine(target):
     """E1 -> A, with A pinned to ``target``: one single-cube subgraph."""
-    engine = EXLEngine(backoff_s=BACKOFF)
+    engine = EXLEngine()
     engine.declare_elementary(_series("E1"))
     engine.add_program("A := E1 * 2", preferred_targets={"A": target})
     engine.load(
         Cube.from_series(_series("E1"), quarter(2018, 1), [float(i) for i in range(8)])
-    )
-    return engine
-
-
-def _wide_engine(width=12, jobs=8, **kwargs):
-    """One wave of ``width`` single-cube subgraphs (alternating targets
-    force the partitioner to split) — the thread-safety hammer."""
-    engine = EXLEngine(jobs=jobs, backoff_s=BACKOFF, **kwargs)
-    engine.declare_elementary(_series("E1"))
-    lines = [f"W{i} := E1 * {i + 1}" for i in range(width)]
-    targets = {f"W{i}": ("sql" if i % 2 else "r") for i in range(width)}
-    engine.add_program("\n".join(lines), preferred_targets=targets)
-    engine.load(
-        Cube.from_series(_series("E1"), quarter(2020, 1), [float(i) for i in range(8)])
     )
     return engine
 
@@ -94,13 +140,9 @@ def _outcome_by_cube(record):
 
 class TestErrorTaxonomy:
     def test_hierarchy(self):
-        assert issubclass(TransientBackendError, BackendError)
         assert issubclass(PermanentBackendError, BackendError)
         assert issubclass(DeadlineExceededError, PermanentBackendError)
         assert issubclass(BackendError, ReproError)
-
-    def test_transient_is_not_permanent(self):
-        assert not issubclass(TransientBackendError, PermanentBackendError)
 
 
 class TestFaultPlan:
@@ -119,6 +161,13 @@ class TestFaultPlan:
         with pytest.raises(EngineError, match="probability"):
             FaultRule(probability=1.5)
 
+    @pytest.mark.parametrize("kind", ["transient", "delay"])
+    def test_retired_kinds_rejected(self, kind):
+        # nothing retries a subgraph, so no kind asks for a retry; a
+        # stall is a "hang" with a short delay=
+        with pytest.raises(EngineError, match="unknown fault kind"):
+            FaultRule(kind=kind)
+
     def test_decisions_deterministic_across_instances(self):
         keys = [("sql", ("A",)), ("r", ("C",)), ("chase", ("D", "E"))]
         plans = [
@@ -130,7 +179,7 @@ class TestFaultPlan:
                     plans[1].would_fire(target, cubes, attempt)
                 )
 
-    def test_decisions_thread_schedule_independent(self):
+    def test_decisions_independent_of_call_order(self):
         """Firing decisions never depend on call order."""
         plan = FaultPlan([FaultRule(probability=0.5)], seed=7)
         keys = [("sql", (f"X{i}",), 0) for i in range(32)]
@@ -153,110 +202,65 @@ class TestFaultPlan:
         assert 60 <= fired <= 180  # ~120 expected
 
     def test_apply_raises_and_counts(self):
-        plan = FaultPlan([FaultRule(kind="transient")], seed=0)
-        with pytest.raises(TransientBackendError, match="injected"):
+        plan = FaultPlan([FaultRule(kind="permanent")], seed=0)
+        with pytest.raises(PermanentBackendError, match="injected"):
             plan.apply("sql", ("A",), 0)
-        assert plan.injected["transient"] == 1
+        assert plan.injected["permanent"] == 1
         assert plan.total_injected == 1
 
-    def test_permanent_wins_over_transient(self):
+    def test_hang_sleeps_before_permanent_raises(self):
         plan = FaultPlan(
-            [FaultRule(kind="transient"), FaultRule(kind="permanent")], seed=0
+            [FaultRule(kind="permanent"), FaultRule(kind="hang", delay_s=0.001)],
+            seed=0,
         )
         with pytest.raises(PermanentBackendError):
             plan.apply("sql", ("A",), 0)
+        assert plan.injected == {"permanent": 1, "kill": 0, "hang": 1}
 
     def test_parse_full_grammar(self):
         plan = parse_fault_spec(
-            "sql:transient:p=0.25:n=2; *:permanent:after=3 ;"
-            "r:delay:delay=0.2:cubes=A+B",
+            "sql:permanent:p=0.25:n=2; *:kill:after=3 ;"
+            "r:hang:delay=0.2:cubes=A+B; chase:hang",
             seed=5,
         )
         assert plan.seed == 5
-        assert len(plan.rules) == 3
+        assert len(plan.rules) == 4
         assert plan.rules[0] == FaultRule(
-            target="sql", kind="transient", probability=0.25, first_n=2
+            target="sql", kind="permanent", probability=0.25, first_n=2
         )
         assert plan.rules[1].after == 3
         assert plan.rules[2].delay_s == 0.2
         assert plan.rules[2].cubes == ("A", "B")
+        assert plan.rules[3].delay_s == 30.0  # long enough to trip supervision
 
     @pytest.mark.parametrize(
-        "spec", ["", "sql", "sql:transient:wat", "sql:transient:p"]
+        "spec",
+        [
+            "", "sql", "sql:permanent:wat", "sql:permanent:p",
+            "*:transient:p=0.3", "r:delay:delay=0.1",
+        ],
     )
     def test_parse_rejects_bad_specs(self, spec):
         with pytest.raises(EngineError):
             parse_fault_spec(spec)
 
-    def test_faulty_backend_wrapper(self, backends, gdp_workload):
-        """FaultPlan.wrap: the Nth run_mapping call fails, then recovers."""
-        from repro.exl import Program
-        from repro.mappings import generate_mapping
-
-        program = Program.compile(gdp_workload.source, gdp_workload.schema)
-        mapping = generate_mapping(program)
-        plan = FaultPlan([FaultRule(kind="transient", first_n=1)], seed=0)
-        wrapped = plan.wrap(backends["chase"])
-        assert isinstance(wrapped, FaultyBackend)
-        assert wrapped.name == "chase"
-        with pytest.raises(TransientBackendError):
-            wrapped.run_mapping(mapping, gdp_workload.data, wanted=["PCHNG"])
-        result = wrapped.run_mapping(mapping, gdp_workload.data, wanted=["PCHNG"])
-        assert len(result["PCHNG"]) > 0
-        assert plan.injected["transient"] == 1
-
-
-class TestRetries:
-    def test_transient_fault_recovered_by_retry(self):
-        plan = FaultPlan([FaultRule(kind="transient", first_n=2)], seed=0)
-        engine = _diamond_engine()
-        record = engine.run(retries=3, fault_plan=plan)
-        assert record.error is None
-        assert record.complete
-        outcomes = record.outcomes()
-        assert outcomes.get("retried", 0) == 3  # every subgraph hit twice
-        assert all(s.attempts == 3 for s in record.subgraphs)
-        # the recovered-from error is kept on the record
-        assert all("injected transient" in s.error for s in record.subgraphs)
-        assert engine.metrics.value("dispatch.retries") == 6
-        assert engine.metrics.value("faults.injected") == 6
-
-    def test_retried_run_matches_fault_free(self):
-        baseline = _diamond_engine()
-        baseline.run()
-        plan = FaultPlan([FaultRule(kind="transient", first_n=2)], seed=0)
-        engine = _diamond_engine()
-        engine.run(retries=2, fault_plan=plan)
-        for cube in "ABCD":
-            assert engine.data(cube).approx_equals(baseline.data(cube))
-
-    def test_retries_exhausted_raises_original_error(self):
-        plan = FaultPlan([FaultRule(kind="transient")], seed=0)  # always fails
-        engine = _diamond_engine()
-        with pytest.raises(TransientBackendError, match="injected transient"):
-            engine.run(retries=2, fault_plan=plan)
-        record = engine.runs.last()
-        assert record.failed
-        failed = [s for s in record.subgraphs if s.outcome == "failed"]
-        assert failed and failed[0].attempts == 3  # 1 try + 2 retries
-
-    def test_permanent_fault_not_retried(self):
+class TestOneAttempt:
+    def test_permanent_fault_fails_in_one_attempt(self):
         plan = FaultPlan([FaultRule(kind="permanent")], seed=0)
         engine = _diamond_engine()
         with pytest.raises(PermanentBackendError):
-            engine.run(retries=5, fault_plan=plan)
+            engine.run(fault_plan=plan)
         failed = [s for s in engine.runs.last().subgraphs if s.outcome == "failed"]
-        assert failed[0].attempts == 1
-        assert engine.metrics.value("dispatch.retries") == 0
+        assert [s.attempts for s in failed] == [1]
+        assert plan.injected["permanent"] == 1
 
     @pytest.mark.parametrize(
         "make, policy",
         [
-            (RunPolicy, {"retries": -1}),
-            (RunPolicy, {"backoff_s": -1}),
             (RunPolicy, {"deadline_s": 0}),
             (RunPolicy, {"deadline_s": -1}),
-            (EXLEngine, {"jobs": 0}),
+            (RunPolicy, {"deadline_s": float("nan")}),
+            (RunPolicy, {"on_error": "retry"}),
             (EXLEngine, {"shards": -1}),
         ],
     )
@@ -264,28 +268,19 @@ class TestRetries:
         with pytest.raises(EngineError, match=next(iter(policy))):
             make(**policy)
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        from repro.engine.dispatcher import Dispatcher
-
-        engine = _diamond_engine()
-        dispatcher = Dispatcher(engine, RunPolicy(backoff_s=0.1))
-        first = dispatcher._backoff_delay(("A",), 1, None)
-        assert first == dispatcher._backoff_delay(("A",), 1, None)
-        assert 0.05 <= first < 0.15
-        second = dispatcher._backoff_delay(("A",), 2, None)
-        assert 0.1 <= second < 0.3
-        # different subgraphs jitter differently
-        assert first != dispatcher._backoff_delay(("B",), 1, None)
-
 
 class TestDeadline:
-    def test_delay_fault_trips_deadline(self):
+    def test_hang_fault_trips_deadline(self):
+        # the hang outlasts the deadline whatever the host's load (a
+        # sleep never ends early); the 1 s deadline leaves the healthy
+        # 12-row subgraphs ~1000x their usual time
         plan = FaultPlan(
-            [FaultRule(kind="delay", delay_s=0.1, target="r")], seed=0
+            [FaultRule(kind="hang", delay_s=DEADLINE_S * 1.5, target="r")],
+            seed=0,
         )
         engine = _diamond_engine()
         record = engine.run(
-            deadline_s=0.02, on_error="continue", fault_plan=plan, retries=2
+            deadline_s=DEADLINE_S, on_error="continue", fault_plan=plan
         )
         outcomes = _outcome_by_cube(record)
         assert outcomes["C"] == "failed"
@@ -406,16 +401,6 @@ class TestDegradation:
         assert record.failed
         assert all(s.outcome in ("failed", "skipped") for s in record.subgraphs)
 
-    def test_transient_exhaustion_also_degrades(self):
-        plan = FaultPlan([FaultRule(kind="transient", target="r")], seed=0)
-        engine = _diamond_engine()
-        record = engine.run(on_error="degrade", retries=1, fault_plan=plan)
-        assert record.complete
-        degraded = next(s for s in record.subgraphs if s.outcome == "degraded")
-        assert degraded.cubes == ("C",)
-        assert degraded.executed_target == "chase"
-
-
 class TestPartialFailure:
     def test_continue_runs_independent_and_skips_dependents(self):
         plan = FaultPlan([FaultRule(kind="permanent", target="r")], seed=0)
@@ -437,7 +422,7 @@ class TestPartialFailure:
         assert not engine.catalog.has_data("D")
 
     def test_skips_cascade_transitively(self):
-        engine = EXLEngine(backoff_s=BACKOFF)
+        engine = EXLEngine()
         engine.declare_elementary(_series("E1"))
         engine.add_program(
             "A := E1 * 2\nB := A + 1\nC := B * 3",
@@ -465,6 +450,36 @@ class TestPartialFailure:
         assert outcomes["D"] == "skipped"  # never reached, still recorded
         failed = next(s for s in record.subgraphs if s.outcome == "failed")
         assert "PermanentBackendError" in failed.error
+
+    def test_fail_fast_stops_at_the_first_failure(self):
+        """Under on_error="fail" nothing after the failed subgraph runs
+        or commits, not even C, which does not read A or B."""
+        from repro.obs import Tracer
+
+        baseline = _diamond_engine()
+        baseline.run()
+        plan = FaultPlan([FaultRule(kind="permanent", target="sql")], seed=0)
+        tracer = Tracer()
+        engine = _diamond_engine(tracer=tracer)
+        with pytest.raises(PermanentBackendError):
+            engine.run(fault_plan=plan)
+        record = engine.runs.last()
+        assert [(s.cubes, s.outcome) for s in record.subgraphs] == [
+            (("A", "B"), "failed"),
+            (("C",), "skipped"),
+            (("D",), "skipped"),
+        ]
+        for skipped in record.subgraphs[1:]:
+            assert skipped.attempts == 0
+            assert skipped.error.startswith("not reached")
+        ran = [s.name for s in tracer.spans if s.name.startswith("subgraph:")]
+        assert ran == ["subgraph:sql:A+B"]  # C never ran
+        assert not any(engine.catalog.has_data(name) for name in "ABCD")
+        resumed = engine.resume()
+        assert resumed.complete
+        assert _outcome_by_cube(resumed) == dict.fromkeys("ABCD", "ok")
+        for cube in "ABCD":
+            assert engine.data(cube).approx_equals(baseline.data(cube))
 
     def test_failed_multi_cube_subgraph_commits_nothing(self):
         """Atomic staging: no cube of a failed subgraph is published."""
@@ -576,100 +591,20 @@ class TestRecordSerialization:
         assert restored.on_error == "continue"
         assert log.failed() == [restored]
 
-
-class TestThreadSafety:
-    def test_parallel_wide_wave_store_integrity(self):
-        """Regression: _computed_this_run and store.put are now guarded
-        by the dispatcher lock; a wide parallel wave must commit every
-        cube exactly once with distinct versions."""
-        for round_index in range(5):
-            engine = _wide_engine(width=12, jobs=8)
-            record = engine.run()
-            assert record.complete
-            assert record.max_wave_width == 12
-            seen_versions = []
-            for i in range(12):
-                name = f"W{i}"
-                versions = engine.catalog.store.versions(name)
-                assert len(versions) == 1, f"{name} written {len(versions)}x"
-                seen_versions.extend(versions)
-            assert len(set(seen_versions)) == 12
-            # elementary load + 12 commits = store clock
-            assert engine.catalog.store.clock == 13
-
-    def test_parallel_retry_storm_stays_consistent(self):
-        """Wide wave where most subgraphs retry concurrently."""
-        plan = FaultPlan(
-            [FaultRule(kind="transient", probability=0.7, first_n=2)], seed=11
-        )
-        engine = _wide_engine(width=12, jobs=8)
-        record = engine.run(retries=3, fault_plan=plan)
-        assert record.complete
-        baseline = _wide_engine(width=12, jobs=1)
-        baseline.run()
-        for i in range(12):
-            assert engine.data(f"W{i}").approx_equals(baseline.data(f"W{i}"))
-
-    def test_single_pool_across_waves(self):
-        """The dispatcher reuses one executor for all waves: thread
-        names stay within one pool's namespace across a 3-wave run."""
-        from repro.engine.dispatcher import Dispatcher
-
-        engine = _diamond_engine(jobs=4)
-        names = set()
-        original = Dispatcher._run_subgraph
-
-        def spy(self, item, wave_span=None):
-            names.add(threading.current_thread().name)
-            return original(self, item, wave_span)
-
-        Dispatcher._run_subgraph = spy
-        try:
-            engine.run()
-        finally:
-            Dispatcher._run_subgraph = original
-        pools = {
-            name.rsplit("_", 1)[0]
-            for name in names
-            if "ThreadPoolExecutor" in name
-        }
-        assert len(pools) <= 1  # every pooled call came from one executor
-
-
-class TestAcceptance:
-    """The issue's acceptance scenario: 30% transient faults, parallel
-    dispatch, retries — final cube versions tuple-for-tuple identical
-    to a fault-free run."""
-
-    def test_thirty_percent_transient_faults_fully_recovered(self):
-        baseline = _diamond_engine(jobs=4)
-        baseline.run()
-        plan = FaultPlan(
-            [FaultRule(kind="transient", probability=0.3, first_n=3)], seed=7
-        )
-        engine = _diamond_engine(jobs=4)
-        record = engine.run(retries=3, on_error="continue", fault_plan=plan)
-        assert record.complete and record.error is None
-        assert plan.injected["transient"] > 0  # faults actually fired
-        for cube in "ABCD":
-            fault_free = baseline.data(cube)
-            recovered = engine.data(cube)
-            assert recovered.to_rows() == fault_free.to_rows()  # tuple-for-tuple
-
-    def test_wide_workload_thirty_percent(self):
-        baseline = _wide_engine(width=10, jobs=1)
-        baseline.run()
-        plan = FaultPlan(
-            [FaultRule(kind="transient", probability=0.3, first_n=3)], seed=3
-        )
-        engine = _wide_engine(width=10, jobs=4)
-        record = engine.run(retries=3, on_error="continue", fault_plan=plan)
-        assert record.complete
-        for i in range(10):
-            assert (
-                engine.data(f"W{i}").to_rows()
-                == baseline.data(f"W{i}").to_rows()
-            )
+    def test_record_of_an_older_version_resumes(self):
+        """A record written when dispatch retried and grouped subgraphs
+        into waves: ``retried`` counts as committed and the wave fields
+        are ignored."""
+        engine = _diamond_engine()
+        plan = FaultPlan([FaultRule(kind="permanent", target="r")], seed=0)
+        engine.run(on_error="continue", fault_plan=plan)
+        old = engine.runs.restore(json.loads(OLDER_RUN_RECORD))
+        assert [s.committed for s in old.subgraphs] == [True, False, False]
+        assert [s.cubes for s in old.unfinished_subgraphs()] == [("C",), ("D",)]
+        assert not hasattr(old, "waves")
+        resumed = engine.resume(run_id=old.run_id)
+        assert resumed.complete
+        assert _outcome_by_cube(resumed) == {"C": "ok", "D": "ok"}
 
 
 @pytest.fixture
@@ -726,20 +661,6 @@ class TestCli:
             assert (out / f"{name}.csv").read_text() == (
                 baseline_out / f"{name}.csv"
             ).read_text()
-
-    def test_run_with_retries_recovers(self, cli_project, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = cli_main(
-            [
-                "run", str(cli_project), "--out", str(out),
-                "--retries", "3", "--backoff", "0.001",
-                "--on-error", "continue",
-                "--inject-faults", "*:transient:n=2", "--fault-seed", "1",
-            ]
-        )
-        assert code == 0
-        assert "retried" in capsys.readouterr().out
-        assert not (out / "run-state.json").exists()
 
     def test_degrade_flag(self, cli_project, tmp_path, capsys):
         out = tmp_path / "out"
@@ -809,13 +730,37 @@ class TestCli:
             == 2
         )
 
+    def test_resume_reads_an_older_state_file(
+        self, cli_project, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        faulty = ["--on-error", "continue", "--inject-faults", "r:permanent"]
+        assert cli_main(["run", str(cli_project), "--out", str(out), *faulty]) == 3
+        # the same partial run, its state as an older version wrote it
+        (out / "run-state.json").write_text(OLDER_RUN_STATE)
+        capsys.readouterr()
+        assert cli_main(["resume", str(cli_project), "--out", str(out)]) == 0
+        assert not (out / "run-state.json").exists()
+        # the retried A+B counted as committed: only C and D ran again
+        summary = capsys.readouterr().out
+        assert "affected=2 cubes in 2 subgraphs" in summary
+        assert "[sql] A, B" not in summary
+        fresh = tmp_path / "fresh"
+        assert cli_main(["run", str(cli_project), "--out", str(fresh)]) == 0
+        for name in ("A", "B", "C", "D"):
+            for sub in (".", "baseline"):
+                assert (out / sub / f"{name}.csv").read_bytes() == (
+                    fresh / sub / f"{name}.csv"
+                ).read_bytes()
+
     def test_deadline_flag(self, cli_project, tmp_path, capsys):
+        # margins as in TestDeadline.test_hang_fault_trips_deadline
         out = tmp_path / "out"
         code = cli_main(
             [
                 "run", str(cli_project), "--out", str(out),
-                "--deadline", "0.01", "--on-error", "continue",
-                "--inject-faults", "r:delay:delay=0.1",
+                "--deadline", f"{DEADLINE_S:g}", "--on-error", "continue",
+                "--inject-faults", f"r:hang:delay={DEADLINE_S * 1.5:g}",
             ]
         )
         assert code == 3

@@ -263,8 +263,9 @@ class TestRunBudget:
     def test_plain_run_and_update_load_no_cold_module(
         self, tmp_path, loaded_by, target
     ):
-        # the cost model serves --adaptive, the dispatcher's thread pool
-        # --jobs N > 1 (a chase walks its tgds in statement order)
+        # the cost model serves --adaptive only; nothing dispatches on a
+        # thread pool (subgraphs run in plan order, a chase walks its
+        # tgds in statement order)
         project = write_project(tmp_path, target)
         out = str(tmp_path / "out")
         for command in ("run", "update"):
@@ -273,9 +274,6 @@ class TestRunBudget:
             assert not cold, (command, sorted(cold))
             # an update that has something to recompute
             (tmp_path / "s.csv").write_text("q,v\n2020Q1,1.0\n2020Q2,2.5\n")
-        assert "concurrent.futures" in loaded_by(
-            ["run", project, "--out", out, "--jobs", "2"]
-        )
         assert "repro.engine.costmodel" in loaded_by(
             ["run", project, "--out", out, "--adaptive"]
         )

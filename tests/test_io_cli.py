@@ -306,7 +306,7 @@ class TestCubeNamedLikeATemporary:
 class TestTemporaryCounter:
     """``engine.temporaries`` counts the temporaries the committed
     mappings fill: composition leaves only a reduce that a table
-    function reads, and a retried attempt counts once."""
+    function reads, and a degraded subgraph counts once."""
 
     PROGRAM = "A := S * 2 + S / 4\nL := S - shift(S, 1)\nB := cumsum(sum(S, group by q))\n"
 
@@ -320,23 +320,18 @@ class TestTemporaryCounter:
     def test_only_the_reduce_read_by_cumsum_is_filled(self, project_dir, capsys):
         assert self._counters(project_dir, capsys)["engine.temporaries"] == 1
 
-    def test_retries_do_not_inflate_it(self, project_dir, capsys, monkeypatch):
-        # each subgraph's first attempt fails inside the backend's run
+    def test_degradation_does_not_inflate_it(self, project_dir, capsys, monkeypatch):
+        # each subgraph's native attempt fails inside the backend's run,
+        # and the chase (which overrides run_mapping) redoes it
         from repro.backends.base import Backend
-        from repro.errors import TransientBackendError
+        from repro.errors import PermanentBackendError
 
-        run_mapping, failed = Backend.run_mapping, set()
+        def broken(self, mapping, *args, **kwargs):
+            raise PermanentBackendError("injected")
 
-        def flaky(self, mapping, *args, **kwargs):
-            key = tuple(mapping.outputs)
-            if key not in failed:
-                failed.add(key)
-                raise TransientBackendError("injected")
-            return run_mapping(self, mapping, *args, **kwargs)
-
-        monkeypatch.setattr(Backend, "run_mapping", flaky)
-        counters = self._counters(project_dir, capsys, "--retries", "2", "--backoff", "0")
-        assert counters["dispatch.retries"] >= 1
+        monkeypatch.setattr(Backend, "run_mapping", broken)
+        counters = self._counters(project_dir, capsys, "--on-error", "degrade")
+        assert counters["dispatch.degraded"] >= 1
         assert counters["engine.temporaries"] == 1
 
 
@@ -468,38 +463,33 @@ class TestCliInputErrors:
         assert _tree(project_dir) == before
 
     @pytest.mark.parametrize("command", ["run", "update", "resume"])
-    @pytest.mark.parametrize(
-        "flags", [["--shards", "-1"], ["--jobs", "0"]]
-    )
-    def test_worker_counts_out_of_range_are_usage_errors(
-        self, command, flags, project_dir, capsys
+    def test_shard_count_out_of_range_is_a_usage_error(
+        self, command, project_dir, capsys
     ):
-        # --shards -1 once forked a worker per core, --jobs 0 ran one thread
-        argv = [command, str(project_dir / "project.json"), *flags]
+        # --shards -1 once forked a worker per core
+        argv = [command, str(project_dir / "project.json"), "--shards", "-1"]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert f"argument {flags[-2]}: must be at least" in capsys.readouterr().err
+        assert "argument --shards: must be at least" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "update", "resume"])
     @pytest.mark.parametrize(
         "flags, bound",
         [
-            (["--retries", "-1"], "at least 0"),
-            (["--backoff", "-1"], "at least 0"),
             (["--deadline", "0"], "greater than 0"),
             (["--deadline", "-1"], "greater than 0"),
+            (["--deadline", "nan"], "greater than 0"),
         ],
     )
     def test_failure_policy_out_of_range_is_a_usage_error(
         self, command, flags, bound, project_dir, capsys
     ):
-        # --backoff -1 once died in time.sleep after journal/ existed,
-        # --retries -3 was read as 0 and --deadline 0 failed every subgraph
+        # --deadline 0 once failed every subgraph
         out = project_dir / "results"
         argv = [
             command, str(project_dir / "project.json"), "--out", str(out),
-            "--retries", "2", "--inject-faults", "*:transient:n=1", *flags,
+            "--inject-faults", "sql:permanent", *flags,
         ]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -508,14 +498,23 @@ class TestCliInputErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag", ["--parallel", "--no-vectorize", "--no-chase-cache"]
+        "flags",
+        [
+            ["--parallel"], ["--no-vectorize"], ["--no-chase-cache"],
+            ["--jobs", "2"], ["--retries", "1"], ["--backoff", "0"],
+        ],
+        ids=lambda flags: flags[0],
     )
-    def test_removed_flags_are_usage_errors(self, flag, project_dir, capsys):
-        # --jobs N alone decides threads; no flag picks the kernels
+    def test_removed_flags_are_usage_errors(self, flags, project_dir, capsys):
+        # no flag picks the kernels; subgraphs run one at a time, in
+        # plan order, once each: no thread count, no retries, no backoff
+        out = project_dir / "results"
+        argv = ["run", str(project_dir / "project.json"), "--out", str(out)]
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", str(project_dir / "project.json"), flag])
+            main(argv + flags)
         assert exit_info.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shards_zero_is_one_per_core(self, project_dir, capsys):
         out = str(project_dir / "results")

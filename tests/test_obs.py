@@ -394,7 +394,6 @@ PASSING_REPORT = {
         "noop_update": {"speedup": 80.0, "floor": 5.0},
     },
     "fault_recovery": {
-        "transient_30pct_overhead": {"value": 1.4, "ceiling": 2.0},
         "resume_vs_rerun": {"value": 0.15, "ceiling": 0.3},
     },
     "olap_query": {
@@ -426,7 +425,7 @@ class TestRegressionGate:
 
     def test_fails_above_ceiling(self, tmp_path):
         doctored = json.loads(json.dumps(PASSING_REPORT))
-        doctored["fault_recovery"]["transient_30pct_overhead"]["value"] = 2.7
+        doctored["fault_recovery"]["resume_vs_rerun"]["value"] = 0.4
         completed = _run_gate(tmp_path, doctored)
         assert completed.returncode == 1
         assert "REGRESSION" in completed.stdout

@@ -10,9 +10,8 @@ on demand, so the first storm hits lattices holding a random subset of
 their nodes (the update must reduce none, and a rebind must drop them
 all) and the second hits lattices holding all of them.
 
-The engine is built with the suite's ``--jobs`` / ``--shards``
-options, so the CI matrix composes this sweep with parallel dispatch,
-sharded chase and chaos-mode fault injection.  The scalar kernels and
+The engine is built with the suite's ``--shards`` option, so the CI
+matrix composes this sweep with the sharded chase.  The scalar kernels and
 the lattice's dict group-by are compared with the columnar ones inside
 the equivalence suites (tests/test_columnar_chase.py,
 tests/test_columnar_native.py, tests/test_olap.py).
@@ -92,14 +91,9 @@ def _assert_fresh(engine, service):
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
-def test_lattice_survives_revision_storms(seed, dispatch_jobs, chase_shards):
+def test_lattice_survives_revision_storms(seed, chase_shards):
     rng = random.Random(88_000 + seed)
-    engine = EXLEngine(
-        jobs=dispatch_jobs,
-        shards=chase_shards,
-        target_priority=("chase",),
-        backoff_s=0.001,
-    )
+    engine = EXLEngine(shards=chase_shards, target_priority=("chase",))
     engine.declare_elementary(_schema())
     engine.catalog.declare_grouping(
         "S", "r", "zone", {"north": "cold", "south": "warm"}

@@ -31,6 +31,7 @@ from repro.chase import (
 )
 from repro.engine import EXLEngine
 from repro.engine.faults import FaultPlan, FaultRule
+from repro.errors import PermanentBackendError
 from repro.exl import Program
 from repro.mappings import generate_mapping
 from repro.model import (
@@ -231,36 +232,41 @@ class TestEngineEquivalence:
 
 class TestFaultComposition:
     """--shards composes with --inject-faults: the deterministic plan
-    sees shard-qualified keys, fires identically run over run, and
-    bounded transient rules still recover within the retry budget."""
+    sees shard-qualified keys and fires identically run over run, and a
+    permanent fault on one shard fails the run, which a clean resume
+    finishes to the unsharded run's state."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_bounded_transients_recover(self, seed, chase_shards):
-        plan = FaultPlan([FaultRule(kind="transient", first_n=2)], seed=seed)
-        reference = FaultPlan(
-            [FaultRule(kind="transient", first_n=2)], seed=seed
+    def test_shard_fault_fails_then_resume_matches(self, seed, chase_shards):
+        plan = FaultPlan(
+            [FaultRule(kind="permanent", cubes=("shard:0",))], seed=seed
         )
         workload = gdp_example(
             n_quarters=8, regions=("north", "south"), seed=seed
         )
         sharded = _build_engine(workload, shards=chase_shards)
         plain = _build_engine(workload, shards=1)
-        record = sharded.run(retries=4, fault_plan=plan)
-        plain.run(retries=4, fault_plan=reference)
+        try:
+            sharded.run(fault_plan=plan)
+        except PermanentBackendError:
+            # only a run that really forks shard workers sees the key
+            assert plan.injected["permanent"] == 1
+            assert sharded.resume().complete
+        else:
+            assert plan.total_injected == 0
+        plain.run()
         assert _store_state(sharded) == _store_state(plain), f"seed {seed}"
-        assert plan.total_injected > 0
-        assert all(s.outcome == "retried" for s in record.subgraphs)
 
     def test_injection_is_deterministic(self, chase_shards):
         counts = []
         for _ in range(2):
             plan = FaultPlan(
-                [FaultRule(kind="transient", first_n=2)], seed=11
+                [FaultRule(kind="permanent", probability=0.5)], seed=11
             )
             engine = _build_engine(
                 gdp_example(n_quarters=8, seed=2), shards=chase_shards
             )
-            engine.run(retries=4, fault_plan=plan)
+            engine.run(on_error="continue", fault_plan=plan)
             counts.append(dict(plan.injected))
         assert counts[0] == counts[1]
 
@@ -455,7 +461,7 @@ class TestShardSupervision:
         assert metrics.value("chase.shard.retries") >= 1
 
     def test_error_kinds_still_surface_from_workers(self):
-        # transient/permanent faults are the *dispatcher's* to handle:
+        # permanent faults are the *dispatcher's* to handle:
         # the parent-side hook raises them before workers ever fork,
         # and the supervisor must not swallow real backend errors
         workload = gdp_example(n_quarters=8, seed=2)

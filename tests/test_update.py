@@ -7,8 +7,7 @@ computes from scratch on the same data — whatever mix of recomputed
 subgraphs, clean skips and kept versions produced it.  The 50-seed
 sweep drives random programs (aggregations, shifts, outer joins, table
 functions) through random perturbations (measure edits, deletions,
-insertions, and the empty revision) and composes with the suite-wide
-``--jobs`` axis.
+insertions, and the empty revision).
 """
 
 import random
@@ -24,8 +23,8 @@ from tests.oracle.delta import cube_delta
 SEEDS = range(50)
 
 
-def _build_engine(workload, *, jobs=1, preferred_targets=None):
-    engine = EXLEngine(jobs=jobs, target_priority=("chase",))
+def _build_engine(workload, *, preferred_targets=None):
+    engine = EXLEngine(target_priority=("chase",))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source, preferred_targets=preferred_targets)
@@ -92,15 +91,15 @@ class TestUpdateEquivalence:
     """update() ≡ full rerun, across 50 random program/perturbation pairs."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_update_matches_full_rerun(self, seed, dispatch_jobs):
+    def test_update_matches_full_rerun(self, seed):
         workload = random_workload(
             seed, n_statements=6, n_periods=14, n_regions=2
         )
         baseline_data = _truncate(workload.data, seed)
         revised_data = _perturb(workload.data, seed)
 
-        updated = _build_engine(workload, jobs=dispatch_jobs)
-        fresh = _build_engine(workload, jobs=dispatch_jobs)
+        updated = _build_engine(workload)
+        fresh = _build_engine(workload)
         for cube in baseline_data.values():
             updated.load(cube)
         try:
@@ -289,7 +288,7 @@ class TestUpdateSemantics:
         engine.load(pdr)
         plan = FaultPlan([FaultRule(kind="permanent")], seed=0)
         with pytest.raises(ReproError):
-            engine.update(retries=0, fault_plan=plan)
+            engine.update(fault_plan=plan)
         assert {name: store.latest_version(name) for name in derived} == before
         record = engine.update()
         assert record.delta_of is not None
