@@ -40,8 +40,6 @@ from typing import Any, Dict, Iterator, List, Tuple
 #: out-of-bounds values — keep in sync with the bench files run by the
 #: ``benchmark-regression`` CI job.
 REQUIRED = (
-    "adaptive_dispatch.vs_oracle_static",
-    "adaptive_dispatch.vs_worst_static",
     "columnar_chase.aggregation",
     "columnar_chase.scalar_arith",
     "crash_recovery.journal_overhead",

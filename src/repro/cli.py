@@ -235,22 +235,11 @@ def _build_engine(
     ``resume`` (defaults without)."""
     from .engine.exlengine import EXLEngine
 
-    # adaptive runs learn across processes: the cost history lives next
-    # to the run's other durable state, under <out>/costs/
-    adaptive = getattr(args, "adaptive", False)
-    cost_model = None
-    if adaptive:
-        from .engine.costmodel import CostModel
-        from .engine.rundir import RunDirectory
-
-        cost_model = CostModel(RunDirectory(args.out).costs_dir)
     engine = EXLEngine(
         shards=getattr(args, "shards", 1),
         tracer=tracer,
         metrics=metrics,
         journal=journal,
-        adaptive=adaptive,
-        cost_model=cost_model,
     )
     for schema in project.schemas:
         engine.declare_elementary(schema)
@@ -300,6 +289,18 @@ def _policy_from(args) -> Dict[str, Any]:
         from .engine.faults import parse_fault_spec
 
         fault_plan = parse_fault_spec(args.inject_faults, seed=args.fault_seed)
+        # the dispatcher makes attempt 0 only; later attempts are a
+        # sharded chase's rebuild rounds, so anywhere else after= never fires
+        for rule in fault_plan.rules:
+            if rule.after >= 1 and (
+                args.shards < 2 or rule.target not in ("chase", "*")
+            ):
+                raise ReproError(
+                    f"fault rule {rule.target}:{rule.kind}:after={rule.after} "
+                    f"can never fire: attempts from 1 on are only the "
+                    f"rebuild rounds of a sharded chase (target chase or *, "
+                    f"--shards 2 or more)"
+                )
     return dict(
         deadline_s=args.deadline, on_error=args.on_error, fault_plan=fault_plan,
     )
@@ -687,15 +688,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "chased per shard, and merged through the egd-checking "
             "insert (0 = one shard per CPU core, 1 = off; tuple-for-"
             "tuple equivalent to unsharded runs)",
-        )
-        command.add_argument(
-            "--adaptive",
-            action="store_true",
-            help="cost-based adaptive dispatch: pick each subgraph's "
-            "target from learned per-signature execution timings "
-            "(EWMA over clean attempt times, persisted under "
-            "<out>/costs/); unmeasured targets fall back to the "
-            "static assignment and are explored deterministically",
         )
         command.add_argument(
             "--deadline",

@@ -20,11 +20,6 @@ _EXPORTS = {
     "Dispatcher": "dispatcher",
     "ON_ERROR_MODES": "faults",
     "RunMode": "dispatcher",
-    "CostModel": "costmodel",
-    "CostDecision": "costmodel",
-    "ADAPTIVE_TARGETS": "costmodel",
-    "card_bucket": "costmodel",
-    "subgraph_signature": "costmodel",
     "FaultPlan": "faults",
     "FaultRule": "faults",
     "parse_fault_spec": "faults",

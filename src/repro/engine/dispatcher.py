@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
 from ..errors import DeadlineExceededError, EngineError
 from ..model.cube import Cube
@@ -104,8 +104,8 @@ def _store_matches_rows(store, cube: Cube) -> bool:
 
 class Dispatcher:
     """Executes translated subgraphs against their target engines: one
-    run of ``engine`` (whose catalog, graph, journal, tracer, metrics
-    and cost model it uses) under ``policy``, in ``mode``."""
+    run of ``engine`` (whose catalog, journal, tracer and metrics it
+    uses) under ``policy``, in ``mode``."""
 
     def __init__(
         self,
@@ -114,7 +114,6 @@ class Dispatcher:
         mode: RunMode = RunMode(),
     ):
         self.catalog = engine.catalog
-        self.graph = engine.graph
         #: optional :class:`repro.engine.journal.RunJournal` — when set,
         #: every subgraph logs its dispatch before executing and its
         #: commit *after* the cubes are durably snapshotted, so a hard
@@ -122,15 +121,8 @@ class Dispatcher:
         self.journal = engine.journal
         self.tracer = engine.tracer
         self.metrics = engine.metrics
-        #: ``(cubes, target) -> TranslatedSubgraph``, for degradation and
-        #: adaptive re-targeting
+        #: ``(cubes, target) -> TranslatedSubgraph``, for degradation
         self.retranslate = engine.translator.for_target
-        #: learned per-(target, signature) execution costs.  When set,
-        #: every successful subgraph feeds its attempt time back —
-        #: static runs train the model too; only ``adaptive`` lets it
-        #: *choose* the target (the engine builds a model for it)
-        self.cost_model = engine.cost_model
-        self.adaptive = engine.adaptive
         self.policy = RunPolicy() if policy is None else policy
         self.mode = mode
         # cube names whose *content* changed this run; seeded with the
@@ -230,44 +222,20 @@ class Dispatcher:
                     )
                 return clean_record
 
-        static_target = item.subgraph.target
-        signature: Optional[str] = None
-        chosen_target: Optional[str] = None
-        predicted_s: Optional[float] = None
-        if self.cost_model is not None:
-            signature = self._signature_of(item)
-        if self.adaptive and signature is not None:
-            decision = self.cost_model.choose(
-                signature,
-                self._candidate_targets(item),
-                static_target,
-                metrics=self.metrics,
-            )
-            chosen_target = decision.target
-            predicted_s = decision.predicted_s
-            if decision.target != static_target:
-                try:
-                    item = self.retranslate(cubes, decision.target)
-                except Exception:
-                    # an untranslatable choice falls back to the static
-                    # plan; the model never learns the bogus candidate
-                    self.metrics.inc("dispatch.cost.retranslate_failed")
-                    chosen_target = static_target
-                    predicted_s = None
-
+        target = item.subgraph.target
         if self.journal is not None:
-            self.journal.subgraph_dispatch(cubes, item.subgraph.target)
+            self.journal.subgraph_dispatch(cubes, target)
         start = time.perf_counter()
         attempts = 1
         error: Optional[str] = None
         outcome = "ok"
-        executed_target = item.subgraph.target
+        executed_target = target
         try:
             outputs, attempt_s = self._attempt(item)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             outputs = None
-            if self.policy.on_error == "degrade" and item.subgraph.target != "chase":
+            if self.policy.on_error == "degrade" and target != "chase":
                 attempts += 1
                 outputs, attempt_s = self._degrade(item)
                 if outputs is not None:
@@ -280,7 +248,7 @@ class Dispatcher:
                 self.metrics.inc("dispatch.failed")
                 return SubgraphRecord(
                     cubes,
-                    static_target,
+                    target,
                     time.perf_counter() - start,
                     0,
                     {},
@@ -288,17 +256,9 @@ class Dispatcher:
                     attempts=attempts,
                     error=error,
                     executed_target=executed_target,
-                    chosen_target=chosen_target,
-                    predicted_s=predicted_s,
                 )
 
         wall_s = time.perf_counter() - start
-        if self.cost_model is not None and signature is not None:
-            # the successful attempt's time only — never a failed
-            # attempt — credited to the target that actually ran (a
-            # degraded subgraph teaches the fallback's cost, not the
-            # broken native target's)
-            self.cost_model.record(executed_target, signature, attempt_s)
         changed_map: Optional[Dict[str, bool]] = None
         if self.mode.delta:
             # classify each output against its stored version so
@@ -349,9 +309,8 @@ class Dispatcher:
                 if self.mode.delta:
                     self._dirty.add(name)
             self._computed_this_run.add(name)
-        # duration_s is the attempt's execution time (the number any
-        # cost reasoning must use); wall_s adds the failed native
-        # attempt a degraded subgraph made first
+        # duration_s is the attempt's execution time; wall_s adds the
+        # failed native attempt a degraded subgraph made first
         self.metrics.observe("dispatch.subgraph.duration_s", attempt_s)
         self.metrics.observe("dispatch.subgraph.wall_s", wall_s)
         # normalization temporaries the committed slice filled; composition
@@ -359,7 +318,7 @@ class Dispatcher:
         self.metrics.inc("engine.temporaries", len(item.mapping.temporaries))
         sub_record = SubgraphRecord(
             cubes,
-            static_target,
+            target,
             wall_s,
             tuples,
             versions,
@@ -368,8 +327,6 @@ class Dispatcher:
             error=error,
             executed_target=executed_target,
             observed_s=attempt_s,
-            chosen_target=chosen_target,
-            predicted_s=predicted_s,
         )
         if self.journal is not None:
             # the record carries the stored cubes' canonical bytes, the
@@ -400,30 +357,6 @@ class Dispatcher:
                 continue
             changed[name] = not self.catalog.data(name).same_rows(outputs[name])
         return changed
-
-    # -- adaptive target choice ----------------------------------------------
-    def _signature_of(self, item: TranslatedSubgraph) -> str:
-        """Workload signature: tgd kinds × log2-bucketed input sizes."""
-        from .costmodel import subgraph_signature
-
-        cards = [
-            len(self.catalog.data(name))
-            if self.catalog.has_data(name)
-            else 0
-            for name in item.inputs
-        ]
-        return subgraph_signature(item.mapping, cards, delta=self.mode.delta)
-
-    def _candidate_targets(self, item: TranslatedSubgraph) -> List[str]:
-        """Targets every cube of the subgraph supports, in the stable
-        ``ADAPTIVE_TARGETS`` order (determinism of exploration)."""
-        from .costmodel import ADAPTIVE_TARGETS
-
-        supported: Optional[Set[str]] = None
-        for cube in item.subgraph.cubes:
-            targets = self.graph.supported_targets(cube)
-            supported = targets if supported is None else supported & targets
-        return [t for t in ADAPTIVE_TARGETS if supported and t in supported]
 
     # -- one attempt, and degradation ---------------------------------------
     def _attempt(self, item: TranslatedSubgraph) -> Tuple[Dict[str, Cube], float]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -43,10 +42,6 @@ from .faults import FaultPlan, RunPolicy
 from .history import RunLog, RunRecord
 from .translation import TranslationEngine
 
-# loaded by the engines that use it: ``adaptive``
-if TYPE_CHECKING:
-    from .costmodel import CostModel
-
 __all__ = ["EXLEngine"]
 
 
@@ -63,8 +58,6 @@ class EXLEngine:
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         journal=None,
-        adaptive: bool = False,
-        cost_model: Optional[CostModel] = None,
     ):
         self.registry = registry or default_registry()
         #: target name -> backend; the default builds each target the
@@ -88,23 +81,6 @@ class EXLEngine:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: accumulating counters/histograms across this engine's runs
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        #: cost-model-driven per-subgraph target choice, for every run
-        #: of this engine; the model itself always learns from every
-        #: dispatch once present (an in-memory one is created when
-        #: adaptive is requested without an explicit model).  A model
-        #: built with a ``path`` loads its persisted history here — a damaged file is a
-        #: counted cold start, never an error — and is re-saved after
-        #: every dispatch.
-        self.adaptive = bool(adaptive)
-        if cost_model is None and self.adaptive:
-            from .costmodel import CostModel
-
-            cost_model = CostModel()
-        if cost_model is not None:
-            if cost_model.metrics is None:
-                cost_model.metrics = self.metrics
-            cost_model.load()
-        self.cost_model = cost_model
         chase_backend = self.backends.get("chase")
         if isinstance(chase_backend, ChaseBackend):
             chase_backend.shards = self.shards
@@ -244,9 +220,6 @@ class EXLEngine:
                 finishes even when subgraphs fail; the returned record
                 then carries a partial-failure ``error`` and per-
                 subgraph outcomes, and :meth:`resume` can finish it.
-
-        Under ``adaptive`` each subgraph record carries the target
-        decision (``chosen_target``, ``predicted_s``, ``observed_s``).
         """
         policy = RunPolicy(deadline_s, on_error, fault_plan)
         return self._run(changed, policy, RunMode(as_of=as_of))
@@ -425,7 +398,6 @@ class EXLEngine:
             )
             record.delta_of = mode.delta_of
             record.resumed_from = mode.resumed_from
-            record.adaptive = self.adaptive
             record.determination_s = determination_s
             record.translation_s = translation_s
             run_span.note(run_id=record.run_id)
@@ -473,7 +445,7 @@ class EXLEngine:
     def _close(self, record: RunRecord) -> None:
         """Pin the store versions the run left behind, so a later
         ``update`` can diff current data against them, close the record,
-        and tell the cost model and the journal."""
+        and tell the journal."""
         store = self.catalog.store
         record.baseline_versions = {
             name: store.latest_version(name)
@@ -481,9 +453,6 @@ class EXLEngine:
             if self.catalog.has_data(name)
         }
         self.runs.close(record)
-        if self.cost_model is not None:
-            # whatever a failed run managed to measure is still signal
-            self.cost_model.save()
         if self.journal is not None:
             self.journal.run_end(record.run_id, record.error)
     # -- inspection ---------------------------------------------------------------

@@ -28,7 +28,11 @@ Spec grammar (rules separated by ``;``)::
 A dispatcher makes one attempt per subgraph (attempt 0, and attempt 0
 again on the chase when ``on_error="degrade"`` re-runs it there); a
 shard supervisor's rebuild rounds count as later attempts of the
-workers it re-forks, which is what ``n=`` and ``after=`` select.
+workers it re-forks, which is what ``n=`` and ``after=`` select.  A
+rule is refused when built with a negative or non-finite ``delay=``,
+``n=`` below 1 or ``after=`` below 0; the CLI also refuses an
+``after=`` of 1 or more that could only ever meet the dispatcher
+(a target other than ``chase`` / ``*``, or fewer than 2 shards).
 
 Examples::
 
@@ -50,6 +54,7 @@ kinds may fire at that site.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import time
@@ -94,6 +99,19 @@ class FaultRule:
         if not 0.0 <= self.probability <= 1.0:
             raise EngineError(
                 f"fault probability must be in [0, 1], got {self.probability}"
+            )
+        if not 0.0 <= self.delay_s < math.inf:
+            raise EngineError(
+                f"fault delay must be a finite number of seconds >= 0, "
+                f"got {self.delay_s}"
+            )
+        if self.first_n is not None and self.first_n < 1:
+            raise EngineError(
+                f"fault option n= must be at least 1, got {self.first_n}"
+            )
+        if self.after < 0:
+            raise EngineError(
+                f"fault option after= must be at least 0, got {self.after}"
             )
 
     def matches(self, target: str, cubes: Tuple[str, ...], attempt: int) -> bool:

@@ -80,18 +80,11 @@ class SubgraphRecord:
     #: degraded ones: the error that was recovered from)
     error: Optional[str] = None
     #: backend that actually committed the result (differs from
-    #: ``target`` when the subgraph was degraded to a fallback, or when
-    #: adaptive dispatch chose a different target than the static plan)
+    #: ``target`` when the subgraph was degraded to a fallback)
     executed_target: Optional[str] = None
     #: execution time of the successful attempt alone — no failed
-    #: attempt (``duration_s`` keeps the inclusive wall time).  This is
-    #: the number the cost model learns.
+    #: attempt (``duration_s`` keeps the inclusive wall time)
     observed_s: float = 0.0
-    #: adaptive dispatch decision: the target the cost model picked
-    #: (None on static runs) and its EWMA estimate at decision time
-    #: (None while the choice was a cold-start exploration)
-    chosen_target: Optional[str] = None
-    predicted_s: Optional[float] = None
 
     def __post_init__(self):
         self.cubes = tuple(self.cubes)
@@ -114,8 +107,6 @@ class SubgraphRecord:
             "error": self.error,
             "executed_target": self.executed_target,
             "observed_s": self.observed_s,
-            "chosen_target": self.chosen_target,
-            "predicted_s": self.predicted_s,
         }
 
     @classmethod
@@ -131,8 +122,6 @@ class SubgraphRecord:
             error=data.get("error"),
             executed_target=data.get("executed_target"),
             observed_s=data.get("observed_s", 0.0),
-            chosen_target=data.get("chosen_target"),
-            predicted_s=data.get("predicted_s"),
         )
 
 
@@ -156,10 +145,6 @@ class RunRecord:
     shard_merge_s: float = 0.0
     # failure semantics the dispatch ran under (fail | continue | degrade)
     on_error: str = "fail"
-    # cost-model-driven per-subgraph target choice was active; each
-    # subgraph's decision lives in its record (chosen_target,
-    # predicted_s, observed_s)
-    adaptive: bool = False
     # run id this run resumed, when it was started by EXLEngine.resume
     resumed_from: Optional[int] = None
     # run id this run incrementally updated, when it was started by
@@ -229,7 +214,6 @@ class RunRecord:
             "shard_tuples": list(self.shard_tuples),
             "shard_merge_s": self.shard_merge_s,
             "on_error": self.on_error,
-            "adaptive": self.adaptive,
             "resumed_from": self.resumed_from,
             "delta_of": self.delta_of,
             "baseline_versions": dict(self.baseline_versions),
@@ -270,16 +254,6 @@ class RunRecord:
             )
         for record in self.subgraphs:
             flags = ""
-            if (
-                record.chosen_target is not None
-                and record.chosen_target != record.target
-            ):
-                predicted = (
-                    f" predicted {record.predicted_s * 1000:.1f}ms"
-                    if record.predicted_s is not None
-                    else " exploring"
-                )
-                flags += f" [adaptive -> {record.chosen_target}{predicted}]"
             if record.outcome != "ok":
                 flags = f" [{record.outcome}"
                 if record.outcome == "degraded":
@@ -336,7 +310,6 @@ class RunLog:
         record.shard_tuples = list(data.get("shard_tuples", []))
         record.shard_merge_s = data.get("shard_merge_s", 0.0)
         record.on_error = data.get("on_error", "fail")
-        record.adaptive = data.get("adaptive", False)
         record.resumed_from = data.get("resumed_from")
         record.delta_of = data.get("delta_of")
         record.baseline_versions = dict(data.get("baseline_versions", {}))

@@ -245,8 +245,6 @@ class RunDirectory:
         self.state_path = (
             Path(state_path) if state_path else self.out_dir / STATE_NAME
         )
-        #: where ``--adaptive`` runs keep the cost model's history
-        self.costs_dir = self.out_dir / "costs"
         self.journal = journal
         #: digest -> the file that was written with those bytes
         self._written: Dict[str, Path] = {}

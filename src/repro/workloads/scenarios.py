@@ -103,9 +103,7 @@ def deep_chain_workload(
 
     The head aggregates the panel down to a time series; every further
     link feeds on the previous one, cycling table functions and scalar
-    arithmetic — so dispatch sees a long line of dependent subgraphs
-    and the adaptive chooser gets one decision per link instead of one
-    per run.
+    arithmetic — so dispatch sees a long line of dependent subgraphs.
     """
     rng = random.Random(f"chain-{seed}")
     members = [f"u{k + 1}" for k in range(max(1, n_members))]

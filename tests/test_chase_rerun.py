@@ -236,9 +236,10 @@ def test_no_layer_takes_a_removed_setting(child_env):
         EXLEngine(chase_cache=False)
     with pytest.raises(TypeError):
         EXLEngine(vectorize=False)
-    # dispatch runs one subgraph at a time, each once: no thread
-    # count, no retry budget, no backoff
-    for setting in ("jobs", "backoff_s"):
+    # dispatch runs one subgraph at a time, each once, on the target
+    # determination chose: no thread count, no retry budget, no
+    # backoff, no learned target chooser
+    for setting in ("jobs", "backoff_s", "adaptive", "cost_model"):
         with pytest.raises(TypeError):
             EXLEngine(**{setting: 1})
     for setting in ("retries", "backoff_s"):

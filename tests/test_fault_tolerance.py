@@ -30,6 +30,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, quarter
+from repro.workloads import deep_chain_workload
 
 
 #: the deadline of the tests that trip one with a hang fault
@@ -161,6 +162,26 @@ class TestFaultPlan:
         with pytest.raises(EngineError, match="probability"):
             FaultRule(probability=1.5)
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("delay_s", -1.0, "delay"),
+            ("delay_s", float("nan"), "delay"),
+            ("delay_s", float("inf"), "delay"),
+            ("first_n", 0, "n= must be at least 1"),
+            ("first_n", -2, "n= must be at least 1"),
+            ("after", -1, "after= must be at least 0"),
+        ],
+    )
+    def test_out_of_range_options_rejected(self, option, value, message):
+        with pytest.raises(EngineError, match=message):
+            FaultRule(**{option: value})
+
+    def test_boundary_options_accepted(self):
+        rule = FaultRule(kind="hang", delay_s=0.0, first_n=1, after=0)
+        assert rule.matches("sql", ("A",), 0)
+        assert not rule.matches("sql", ("A",), 1)
+
     @pytest.mark.parametrize("kind", ["transient", "delay"])
     def test_retired_kinds_rejected(self, kind):
         # nothing retries a subgraph, so no kind asks for a retry; a
@@ -238,6 +259,8 @@ class TestFaultPlan:
         [
             "", "sql", "sql:permanent:wat", "sql:permanent:p",
             "*:transient:p=0.3", "r:delay:delay=0.1",
+            "r:hang:delay=-0.5", "r:hang:delay=nan", "sql:permanent:n=0",
+            "sql:permanent:after=-2",
         ],
     )
     def test_parse_rejects_bad_specs(self, spec):
@@ -358,6 +381,45 @@ class TestDeadline:
 
 
 class TestDegradation:
+    #: the failed native attempt of _run_degraded hangs this long first
+    STALL = 0.4
+
+    def _run_degraded(self):
+        plan = FaultPlan(
+            [
+                FaultRule(target="sql", kind="hang", delay_s=self.STALL),
+                FaultRule(target="sql", kind="permanent"),
+            ]
+        )
+        workload = deep_chain_workload(0, depth=3)
+        engine = EXLEngine(target_priority=("sql", "chase"))
+        for schema in workload.schema:
+            engine.declare_elementary(schema)
+        engine.add_program(workload.source)
+        for cube in workload.data.values():
+            engine.load(cube)
+        return engine, engine.run(on_error="degrade", fault_plan=plan)
+
+    def test_observed_excludes_failed_attempts(self):
+        engine, record = self._run_degraded()
+        assert record.complete
+        degraded = [s for s in record.subgraphs if s.outcome == "degraded"]
+        assert degraded, "fault plan should have forced a degradation"
+        for sub in degraded:
+            # the wall time swallowed the stalled native attempt; the
+            # observed attempt time did not
+            assert sub.attempts == 2
+            assert sub.duration_s >= self.STALL
+            assert 0.0 < sub.observed_s < self.STALL * 0.25
+
+    def test_metrics_split_duration_from_wall(self):
+        engine, _ = self._run_degraded()
+        clean = engine.metrics.histogram("dispatch.subgraph.duration_s")
+        wall = engine.metrics.histogram("dispatch.subgraph.wall_s")
+        assert clean.count == wall.count > 0
+        assert clean.max < self.STALL * 0.25
+        assert wall.max >= self.STALL
+
     def test_sql_degrades_to_chase(self):
         baseline = _diamond_engine()
         baseline.run()
@@ -601,7 +663,13 @@ class TestRecordSerialization:
         old = engine.runs.restore(json.loads(OLDER_RUN_RECORD))
         assert [s.committed for s in old.subgraphs] == [True, False, False]
         assert [s.cubes for s in old.unfinished_subgraphs()] == [("C",), ("D",)]
-        assert not hasattr(old, "waves")
+        # the record also carries the retired adaptive-dispatch keys,
+        # which load as nothing
+        for key in ('"adaptive"', '"chosen_target"', '"predicted_s"'):
+            assert key in OLDER_RUN_RECORD
+        assert not hasattr(old, "waves") and not hasattr(old, "adaptive")
+        assert not hasattr(old.subgraphs[0], "chosen_target")
+        assert not hasattr(old.subgraphs[0], "predicted_s")
         resumed = engine.resume(run_id=old.run_id)
         assert resumed.complete
         assert _outcome_by_cube(resumed) == {"C": "ok", "D": "ok"}
@@ -736,7 +804,10 @@ class TestCli:
         out = tmp_path / "out"
         faulty = ["--on-error", "continue", "--inject-faults", "r:permanent"]
         assert cli_main(["run", str(cli_project), "--out", str(out), *faulty]) == 3
-        # the same partial run, its state as an older version wrote it
+        # the same partial run, its state as an older version wrote it,
+        # retired adaptive-dispatch keys and all
+        for key in ('"adaptive"', '"chosen_target"', '"predicted_s"'):
+            assert key in OLDER_RUN_STATE
         (out / "run-state.json").write_text(OLDER_RUN_STATE)
         capsys.readouterr()
         assert cli_main(["resume", str(cli_project), "--out", str(out)]) == 0
@@ -752,6 +823,47 @@ class TestCli:
                 assert (out / sub / f"{name}.csv").read_bytes() == (
                     fresh / sub / f"{name}.csv"
                 ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec, shards",
+        [
+            ("sql:permanent:after=1", "1"),
+            ("sql:permanent:after=1", "2"),
+            ("r:hang:delay=0:after=2", "4"),
+            ("chase:permanent:after=1", "1"),
+            ("*:permanent:after=1", "1"),
+        ],
+    )
+    def test_after_that_only_the_dispatcher_meets_is_refused(
+        self, cli_project, tmp_path, capsys, spec, shards
+    ):
+        # the dispatcher makes attempt 0 only: such a rule never fires,
+        # and the run would commit every subgraph it meant to fail
+        out = tmp_path / "out"
+        argv = [
+            "run", str(cli_project), "--out", str(out), "--shards", shards,
+            "--inject-faults", spec,
+        ]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can never fire" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec", ["chase:permanent:after=1", "*:permanent:after=1"]
+    )
+    def test_after_a_sharded_chase_can_meet_is_accepted(
+        self, cli_project, tmp_path, spec
+    ):
+        # rebuild rounds number the attempts from 1 on; a clean sharded
+        # run has none, so the rule is accepted and does not fire
+        out = tmp_path / "out"
+        argv = [
+            "run", str(cli_project), "--out", str(out), "--shards", "2",
+            "--inject-faults", spec,
+        ]
+        assert cli_main(argv) == 0
+        assert (out / "D.csv").exists()
 
     def test_deadline_flag(self, cli_project, tmp_path, capsys):
         # margins as in TestDeadline.test_hang_fault_trips_deadline

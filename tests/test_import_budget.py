@@ -263,20 +263,15 @@ class TestRunBudget:
     def test_plain_run_and_update_load_no_cold_module(
         self, tmp_path, loaded_by, target
     ):
-        # the cost model serves --adaptive only; nothing dispatches on a
-        # thread pool (subgraphs run in plan order, a chase walks its
-        # tgds in statement order)
+        # nothing dispatches on a thread pool (subgraphs run in plan
+        # order, a chase walks its tgds in statement order)
         project = write_project(tmp_path, target)
         out = str(tmp_path / "out")
         for command in ("run", "update"):
             modules = loaded_by([command, project, "--out", out])
-            cold = modules & {"repro.engine.costmodel", "concurrent.futures"}
-            assert not cold, (command, sorted(cold))
+            assert "concurrent.futures" not in modules, command
             # an update that has something to recompute
             (tmp_path / "s.csv").write_text("q,v\n2020Q1,1.0\n2020Q2,2.5\n")
-        assert "repro.engine.costmodel" in loaded_by(
-            ["run", project, "--out", out, "--adaptive"]
-        )
 
     def test_library_engine_run_loads_no_executor_pool(
         self, fresh_python, tmp_path

@@ -502,18 +502,58 @@ class TestCliInputErrors:
         [
             ["--parallel"], ["--no-vectorize"], ["--no-chase-cache"],
             ["--jobs", "2"], ["--retries", "1"], ["--backoff", "0"],
+            ["--adaptive"],
         ],
         ids=lambda flags: flags[0],
     )
     def test_removed_flags_are_usage_errors(self, flags, project_dir, capsys):
         # no flag picks the kernels; subgraphs run one at a time, in
-        # plan order, once each: no thread count, no retries, no backoff
+        # plan order, once each, on the target determination chose: no
+        # thread count, no retries, no backoff, no learned chooser
         out = project_dir / "results"
         argv = ["run", str(project_dir / "project.json"), "--out", str(out)]
         with pytest.raises(SystemExit) as exit_info:
             main(argv + flags)
         assert exit_info.value.code == 2
         assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["update", "resume"])
+    def test_adaptive_is_a_usage_error_of_update_and_resume(
+        self, command, project_dir, capsys
+    ):
+        out = project_dir / "results"
+        argv = [command, str(project_dir / "project.json"), "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--adaptive"])
+        assert exit_info.value.code == 2
+        assert "--adaptive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("sql:hang:delay=-1", "fault delay"),
+            ("sql:hang:delay=nan", "fault delay"),
+            ("sql:hang:delay=inf", "fault delay"),
+            ("sql:permanent:n=0", "n= must be at least 1"),
+            ("sql:permanent:after=-1", "after= must be at least 0"),
+            ("sql:sometimes", "unknown fault kind"),
+        ],
+    )
+    def test_out_of_range_fault_options_are_refused(
+        self, spec, message, project_dir, capsys
+    ):
+        # refused as the spec is parsed: no attempt sleeps a negative
+        # delay, and no journal is left behind
+        out = project_dir / "results"
+        argv = [
+            "run", str(project_dir / "project.json"), "--out", str(out),
+            "--inject-faults", spec,
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_shards_zero_is_one_per_core(self, project_dir, capsys):

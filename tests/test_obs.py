@@ -377,10 +377,6 @@ def _run_gate(tmp_path, document):
 # covers every name in check_regression.REQUIRED, so the pass case
 # exercises the missing-entry check staying quiet
 PASSING_REPORT = {
-    "adaptive_dispatch": {
-        "vs_worst_static": {"speedup": 4.7, "floor": 1.3},
-        "vs_oracle_static": {"value": 1.005, "ceiling": 1.1},
-    },
     "columnar_chase": {
         "scalar_arith": {"speedup": 6.6, "floor": 5.0},
         "aggregation": {"speedup": 5.0, "floor": 3.0},
