@@ -78,8 +78,6 @@ __all__ = [
     "apply_vectorized",
     "collect_bags",
     "decode_facts",
-    "mix_codes",
-    "transform_encoded",
 ]
 
 _INT = np.int64
@@ -421,13 +419,6 @@ def _mix_joint(
             composite += parts[j]
         total *= base
     return composites
-
-
-#: public names for the key-building primitives the OLAP roll-up
-#: lattice shares with the aggregation kernel: per-distinct-value
-#: dictionary transforms and mixed-radix composite group codes
-transform_encoded = _transform_encoded
-mix_codes = _mix
 
 
 def _hash_join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

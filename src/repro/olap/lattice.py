@@ -13,22 +13,20 @@ Three properties keep the lattice honest:
 * **Every node reduces the base rows directly** (never a finer node),
   with measures folded in :func:`repro.stats.aggregates.canonical_bag`
   order.  A lattice-served aggregate is therefore bit-identical to a
-  recompute-from-scratch oracle, whichever path built it.
-* **Reducing uses the representation the cube is already in.**  A
-  bound cube that carries a :class:`ColumnStore` image (chase outputs
-  and engine-held cubes do) is grouped with the same primitives as the
-  aggregation kernel — per-distinct-value level transforms
-  (:func:`transform_encoded`, cached per (dimension, level) and shared
-  by every node using that level), mixed-radix composite group codes
-  (:func:`mix_codes`), one :func:`sorted_slices` pass per node.  A cube that is
-  only rows — one just parsed from CSV — answers its first request
-  with a plain dict group-by, which beats encode + columnar for one
-  node; the image is built when a second request comes, and serves
-  every node from then on (DESIGN.md §11 has the measurements).
-  Composite-code overflow takes the dict group-by, with identical
-  results.  numpy and
-  the columnar modules are imported when an image is first used, never
-  before.
+  recompute-from-scratch oracle, whatever order nodes were read in.
+* **One reduce, over the columns the cube is held in.**  A node groups
+  the bound cube's ``(dictionaries, codes, measures)``
+  (:meth:`Cube.encoded`: a chase output's store, the columns a CSV was
+  parsed into); a cube held only as its keyed view is given
+  first-occurrence codes once per binding.  The level value of each
+  dictionary entry is computed once per (dimension, level) and shared
+  by every node using that level; a node is then one
+  :func:`collect` over the rows' level-value keys and one
+  :func:`reduce_bags`, groups in first-occurrence order.  The base
+  node's keys are the cube's distinct keys, so each row is its own
+  group and is folded alone.  All of it is plain Python: a lattice
+  loads neither numpy nor the chase's columnar modules (DESIGN.md §11
+  has the measurements).
 * **A new version rebinds.**  A lattice follows its cube by
   :meth:`CubeLattice.build`: the new head is bound, every reduced node
   is dropped, and each node reduces again from the new rows when a
@@ -39,28 +37,13 @@ Three properties keep the lattice honest:
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..chase.groupreduce import collect, reduce_bags, sorted_slices
-from ..model.cube import Cube
+from ..chase.groupreduce import collect, reduce_bags
+from ..model.cube import Cube, as_list
 from ..stats.aggregates import get_aggregate
 from .hierarchy import DimHierarchy, Level, OlapError
-
-# numpy, ``chase.colstore``, ``chase.columnar`` and ``chase.instance``
-# are imported by the functions that group an image: a lattice that
-# reduces from rows (``exl query``) loads none of them.
-# ``chase.groupreduce`` imports nothing itself
-if TYPE_CHECKING:
-    from ..chase.columnar import EncodedColumn
 
 __all__ = ["LatticeNode", "CubeLattice"]
 
@@ -132,14 +115,12 @@ class CubeLattice:
         for key, levels in _level_product(hierarchies):
             self.nodes[key] = LatticeNode(key, levels, self)
         self._base: Optional[Cube] = None
-        # per-(dimension position, level name) transforms of the bound
-        # cube, shared by every node that uses the level: encoded columns
-        # on the columnar path, base value -> level value maps on the
-        # tuple path
-        self._columns: Dict[Tuple[int, str], EncodedColumn] = {}
-        self._value_maps: Dict[Tuple[int, str], Dict[Any, Any]] = {}
-        # requests the bound cube has answered (see materialize)
-        self._requests = 0
+        # the bound cube's (dictionaries, codes, measures) as Python
+        # lists, and per (dimension position, level name) the level
+        # value of each dictionary entry: made by the first reduce of a
+        # binding, shared by every node after it
+        self._encoded: Optional[Tuple[List, List, List]] = None
+        self._level_values: Dict[Tuple[int, str], Sequence[Any]] = {}
         if metrics is not None:
             metrics.inc("olap.lattice.nodes", len(self.nodes))
 
@@ -210,9 +191,8 @@ class CubeLattice:
         """
         self._base = cube
         self.version = version
-        self._columns = {}
-        self._value_maps = {}
-        self._requests = 0
+        self._encoded = None
+        self._level_values = {}
         for node in self.nodes.values():
             node._groups = None
         if self.metrics is not None:
@@ -220,91 +200,65 @@ class CubeLattice:
 
     def materialize(self, nodes: Iterable[LatticeNode]) -> None:
         """Reduce the not yet materialized ``nodes`` from the bound
-        cube, as one request: what a query that assembles several nodes
-        (a cross-tab) asks for together.
-
-        Which representation they reduce from is decided once per
-        request.  A cube that carries a :class:`ColumnStore` image is
-        grouped by the columnar kernels.  One that does not answers the
-        first request of the binding with the dict group-by — encoding
-        it would cost more than the request saves — and gets its image
-        when a second request shows the binding is being reused.  Both
-        fold in canonical bag order.
-        """
-        pending = [node for node in nodes if not node.materialized]
-        if not pending:
-            return
-        cube = self._base
-        image = None
-        if cube is not None and cube.schema.arity and (
-            cube._colstore is not None or self._requests
-        ):
-            from ..chase.instance import store_for_cube
-
-            store = store_for_cube(cube)
-            if store.n_rows:
-                image = store.image()
-        self._requests += 1
-        for node in pending:
-            node.groups = self._reduce(node, cube, image)
+        cube: what a query that assembles several nodes (a cross-tab)
+        asks for."""
+        for node in nodes:
+            if node.materialized:
+                continue
+            node.groups = self._reduce(node)
             if self.metrics is not None:
                 self.metrics.inc("olap.lattice.groups", len(node.groups))
 
-    def _reduce(
-        self, node: LatticeNode, cube: Optional[Cube], image
-    ) -> Dict[Tuple, float]:
-        if cube is None:
+    def _reduce(self, node: LatticeNode) -> Dict[Tuple, float]:
+        """The group-by of the bound cube at ``node``'s levels."""
+        if self._base is None or not len(self._base):
             return {}
-        if image is not None:
-            return self._reduce_columnar(node, image)
-        return self._reduce_tuple(node, cube)
+        dictionaries, codes, measures = self._encoding()
+        columns = [
+            map(self._level_column(j, lvl, dictionaries[j]).__getitem__, codes[j])
+            for j, lvl in enumerate(node.levels)
+            if not lvl.is_all
+        ]
+        keys = zip(*columns) if columns else repeat((), len(measures))
+        if all(lvl.is_base for lvl in node.levels):
+            # the cube's keys are distinct: every row is a group of its own
+            return {key: self.aggregate([m]) for key, m in zip(keys, measures)}
+        return reduce_bags(collect(zip(keys, measures)), self.aggregate)
 
-    def _reduce_columnar(self, node: LatticeNode, image) -> Dict[Tuple, float]:
-        from ..chase.columnar import mix_codes, transform_encoded
+    def _encoding(self) -> Tuple[List, List, List]:
+        if self._encoded is None:
+            encoded = self._base.encoded()
+            if encoded is None:
+                self._encoded = _first_occurrence_codes(self._base)
+            else:
+                dictionaries, codes, measures = encoded
+                self._encoded = (
+                    dictionaries,
+                    [as_list(column) for column in codes],
+                    as_list(measures),
+                )
+        return self._encoded
 
-        cols = []
-        for j, lvl in enumerate(node.levels):
-            if lvl.is_all:
-                continue
-            col = self._columns.get((j, lvl.name))
-            if col is None:
-                col = image.dims[j]
-                if not lvl.is_base:
-                    col = transform_encoded(col, lvl.fn)
-                self._columns[(j, lvl.name)] = col
-            cols.append(col)
-        # the all-all node has no columns: one group, the empty key
-        composite = mix_codes(
-            [col.codes for col in cols],
-            [max(len(col.dictionary), 1) for col in cols],
-            image.n_rows,
-        )
-        return {
-            tuple(col.dictionary[col.codes[row]] for col in cols):
-                self.aggregate(bag)
-            for row, bag in sorted_slices(composite, image.measures)
-        }
+    def _level_column(
+        self, j: int, lvl: Level, dictionary: Sequence[Any]
+    ) -> Sequence[Any]:
+        """The level value of each entry of dimension ``j``'s dictionary."""
+        values = self._level_values.get((j, lvl.name))
+        if values is None:
+            values = dictionary if lvl.is_base else list(map(lvl.fn, dictionary))
+            self._level_values[(j, lvl.name)] = values
+        return values
 
-    def _reduce_tuple(self, node: LatticeNode, cube: Cube) -> Dict[Tuple, float]:
-        # level values are computed once per distinct base value,
-        # mirroring transform_encoded's per-distinct-value evaluation
-        maps = []
-        for j, lvl in enumerate(node.levels):
-            if lvl.is_all:
-                continue
-            mapping = self._value_maps.get((j, lvl.name))
-            if mapping is None:
-                mapping = {}
-                for dims in cube.keys():
-                    if dims[j] not in mapping:
-                        mapping[dims[j]] = lvl.fn(dims[j])
-                self._value_maps[(j, lvl.name)] = mapping
-            maps.append((j, mapping))
-        bags = collect(
-            (tuple(mapping[dims[j]] for j, mapping in maps), measure)
-            for dims, measure in cube.items()
-        )
-        return reduce_bags(bags, self.aggregate)
+
+def _first_occurrence_codes(cube: Cube) -> Tuple[List, List, List]:
+    """``(dictionaries, codes, measures)`` of a cube held only as its
+    keyed view, codes numbered by first occurrence."""
+    dictionaries, codes = [], []
+    for column in zip(*cube.keys()):
+        code_of: Dict[Any, int] = {}
+        codes.append([code_of.setdefault(value, len(code_of)) for value in column])
+        dictionaries.append(list(code_of))
+    return dictionaries, codes, list(cube.values())
 
 
 def _level_product(

@@ -26,14 +26,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..model.catalog import MetadataCatalog
+from ..model.cube import _sort_key
 from .hierarchy import ALL_LEVEL, OlapError, hierarchies_for
 from .lattice import CubeLattice
 
 __all__ = ["QueryResult", "OlapService", "format_measure"]
-
-
-def _group_sort_key(key: Tuple) -> Tuple:
-    return tuple((type(part).__name__, repr(part)) for part in key)
 
 
 def format_measure(value: float) -> str:
@@ -254,7 +251,7 @@ class OlapService:
             for key, value in node.groups.items()
             if all(key[j] == want for j, want in fixed_pos.items())
         ]
-        rows.sort(key=lambda row: _group_sort_key(row[:-1]))
+        rows.sort(key=lambda row: _sort_key(row[:-1]))
         result = QueryResult(
             tuple(columns[j] for j in keep) + (self._measure_name(lattice),),
             rows,
@@ -286,7 +283,7 @@ class OlapService:
             for key, value in node.groups.items()
             if all(key[j] in vals for j, vals in wanted.items())
         ]
-        rows.sort(key=lambda row: _group_sort_key(row[:-1]))
+        rows.sort(key=lambda row: _sort_key(row[:-1]))
         result = QueryResult(
             tuple(columns) + (self._measure_name(lattice),), rows
         )
@@ -337,8 +334,8 @@ class OlapService:
             r, c = key if row_first else (key[1], key[0])
             table.setdefault(r, {})[c] = value
             col_values[c] = None
-        rows_sorted = sorted(table, key=lambda v: _group_sort_key((v,)))
-        cols_sorted = sorted(col_values, key=lambda v: _group_sort_key((v,)))
+        rows_sorted = sorted(table, key=lambda v: _sort_key((v,)))
+        cols_sorted = sorted(col_values, key=lambda v: _sort_key((v,)))
         header = [row_dim, *map(str, cols_sorted), "total"]
         body: List[List[str]] = []
         for r in rows_sorted:
@@ -374,7 +371,7 @@ class OlapService:
         rows = [
             key + (value,)
             for key, value in sorted(
-                node.groups.items(), key=lambda kv: _group_sort_key(kv[0])
+                node.groups.items(), key=lambda kv: _sort_key(kv[0])
             )
         ]
         return QueryResult(

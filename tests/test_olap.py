@@ -2,8 +2,8 @@
 
 The load-bearing property throughout: lattice-served aggregates are
 *tuple-for-tuple identical* to a recompute-from-scratch oracle — both
-fold measures in canonical bag order — whichever path (columnar or
-tuple) built them and however many versions the lattice was rebound to.
+fold measures in canonical bag order — whatever the cube is held as
+and however many versions the lattice was rebound to.
 """
 
 import json
@@ -21,6 +21,7 @@ from repro.engine import EXLEngine
 from repro.errors import CatalogError, ReproError
 from repro.model.catalog import MetadataCatalog
 from repro.model.cube import Cube, CubeSchema, Dimension
+from repro.model.io import write_cube_csv
 from repro.model.time import Frequency, day, month, quarter, rollup_path, week, year
 from repro.model.types import STRING, TIME
 from repro.olap import (
@@ -84,18 +85,36 @@ def assert_lattice_matches_oracle(lattice, cube, agg_name="sum"):
         assert node.groups == expected, f"node {key} diverged"
 
 
-def _columnar_and_dict_lattices(cube, hierarchies, agg):
-    """Two lattices over copies of ``cube``: one held as an image
-    (every node columnar), one rows-only with every node reduced in
-    one request (every node by the dict group-by)."""
+def _image_and_rows_lattices(cube, hierarchies, agg):
+    """Two lattices over copies of ``cube``: one held as an image, one
+    rows-only with every node reduced in one request."""
     held = cube.copy()
     instance_mod.store_for_cube(held)
-    columnar = CubeLattice("S", hierarchies, aggregate=agg)
-    columnar.build(held)
+    image = CubeLattice("S", hierarchies, aggregate=agg)
+    image.build(held)
     rows = CubeLattice("S", hierarchies, aggregate=agg)
     rows.build(cube.copy())
     rows.materialize(rows.nodes.values())
-    return columnar, rows
+    return image, rows
+
+
+def _held_as(cube, held_as):
+    """A copy of ``cube`` held as its keyed view (``rows``), as the
+    encoded columns a reader leaves (``columns``, rows in file order),
+    or with a chase store (``image``)."""
+    if held_as == "columns":
+        columns = [list(column) for column in zip(*cube.to_rows()[::-1])]
+        held = Cube.from_value_columns(cube.schema, columns, cube.to_rows)
+        assert held.encoded() is not None and held._dict is None
+        return held
+    held = cube.copy()
+    if held_as == "image":
+        instance_mod.store_for_cube(held)
+    return held
+
+
+def _bits(groups):
+    return {key: repr(value) for key, value in groups.items()}
 
 
 class TestHierarchy:
@@ -218,9 +237,8 @@ class TestLatticeBuild:
     @pytest.mark.parametrize("held_as", ["rows", "image"])
     def test_nodes_in_any_order_match_oracle(self, seed, held_as):
         """Each node reduces alone, whatever was reduced before it (the
-        per-(dimension, level) transforms are shared across nodes), on
-        a cube that is only rows (the first node takes the dict
-        group-by) and on one that carries an image."""
+        per-(dimension, level) level values are shared across nodes), on
+        a cube that is only rows and on one that carries an image."""
         import random
 
         rng = random.Random(4100 + seed)
@@ -242,14 +260,10 @@ class TestLatticeBuild:
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("start", ["rows", "image", "one-request"])
-    def test_nodes_reduce_from_what_the_cube_is_held_as(
-        self, seed, start, monkeypatch
-    ):
-        """A cube that is only rows answers its first node by the dict
-        group-by and is encoded for the second; one that carries an
-        image is grouped columnar from the first; every node of a
-        rows-only cube asked for in one request (a cross-tab) takes
-        the dict group-by.  Every node equals the oracle."""
+    def test_nodes_reduce_from_what_the_cube_is_held_as(self, seed, start):
+        """A cube that is only rows, one that carries an image, and
+        every node of a rows-only cube asked for in one request (a
+        cross-tab): every node equals the oracle."""
         import random
 
         rng = random.Random(5200 + seed)
@@ -257,13 +271,6 @@ class TestLatticeBuild:
         cube = panel_cube(n_months=rng.randrange(1, 20))
         if start == "image":
             instance_mod.store_for_cube(cube)
-        took = []
-        for path in ("_reduce_tuple", "_reduce_columnar"):
-            def recording(lattice, node, source, _real=getattr(CubeLattice, path), _path=path):
-                took.append(_path)
-                return _real(lattice, node, source)
-
-            monkeypatch.setattr(CubeLattice, path, recording)
         lattice = CubeLattice(
             "S", hierarchies_for(fresh_catalog(), "S"), aggregate=agg
         )
@@ -275,48 +282,63 @@ class TestLatticeBuild:
         for key in keys:
             node = lattice.nodes[key]
             assert node.groups == oracle_groups(cube, node.levels, agg), key
-        rest = len(keys) - 1
-        assert took == {
-            "rows": ["_reduce_tuple"] + ["_reduce_columnar"] * rest,
-            "image": ["_reduce_columnar"] * len(keys),
-            "one-request": ["_reduce_tuple"] * len(keys),
-        }[start]
 
-    def test_first_node_of_a_row_cube_needs_no_numpy(self, fresh_python):
-        """In a fresh interpreter: the first node of a cube without an
-        image is reduced with numpy unimported; the second builds the
-        image.  Both equal a plain dict group-by."""
+    @pytest.mark.parametrize("agg", ["sum", "avg", "median", "count"])
+    @pytest.mark.parametrize("held_as", ["rows", "columns", "image"])
+    def test_every_holding_matches_the_oracle_bit_for_bit(self, agg, held_as):
+        """NaN measures included, whether the cube is its keyed view,
+        the columns a file was parsed into, or a chase store."""
+        cube = panel_cube(n_months=7)
+        cube.set((month(2019, 2), "east"), float("nan"), overwrite=True)
+        cube.set((month(2019, 5), "north"), -0.0, overwrite=True)
+        held = _held_as(cube, held_as)
+        lattice = CubeLattice(
+            "S", hierarchies_for(fresh_catalog(), "S"), aggregate=agg
+        )
+        lattice.build(held)
+        for key, node in lattice.nodes.items():
+            expected = oracle_groups(cube, node.levels, agg)
+            assert _bits(node.groups) == _bits(expected), key
+
+    def test_every_node_of_a_row_cube_needs_no_numpy(self, fresh_python, tmp_path):
+        """In a fresh interpreter: every node of a cube built from rows
+        and of one read from CSV is reduced with numpy and the chase's
+        columnar modules unimported, and equals a plain dict group-by."""
+        write_cube_csv(panel_cube(), tmp_path / "S.csv")
         done = fresh_python(
             "-c",
             "import sys\n"
             "from repro.model.catalog import MetadataCatalog\n"
             "from repro.model.cube import Cube, CubeSchema, Dimension\n"
+            "from repro.model.io import read_cube_csv\n"
             "from repro.model.time import Frequency, month\n"
             "from repro.model.types import STRING, TIME\n"
             "from repro.olap.hierarchy import hierarchies_for\n"
             "from repro.olap.lattice import CubeLattice\n"
             "schema = CubeSchema('S', [Dimension('m', TIME(Frequency.MONTH)),\n"
             "                          Dimension('r', STRING)], 'v')\n"
-            "cube = Cube.from_rows(schema, [(month(2019, 1) + i, r, float(i * 10 + j))\n"
+            "rows = Cube.from_rows(schema, [(month(2019, 1) + i, r, float(i * 10 + j))\n"
             "    for i in range(18) for j, r in enumerate(('north', 'south'))])\n"
+            f"read = read_cube_csv(schema, {str(tmp_path / 'S.csv')!r})\n"
+            "assert read.encoded() is not None\n"
             "catalog = MetadataCatalog()\n"
             "catalog.declare_elementary(schema)\n"
-            "lattice = CubeLattice('S', hierarchies_for(catalog, 'S'), aggregate='avg')\n"
-            "lattice.build(cube)\n"
-            "def oracle(node):\n"
-            "    bags = {}\n"
-            "    for dims, value in cube.items():\n"
-            "        key = tuple(lvl.fn(part) for lvl, part in zip(node.levels, dims)\n"
-            "                    if not lvl.is_all)\n"
-            "        bags.setdefault(key, []).append(value)\n"
-            "    return {k: lattice.aggregate(v) for k, v in bags.items()}\n"
-            "first = lattice.node({'m': 'quarter'})\n"
-            "assert first.groups == oracle(first)\n"
-            "assert 'numpy' not in sys.modules and cube._colstore is None\n"
-            "assert not any(m.startswith('repro.chase.col') for m in sys.modules)\n"
-            "second = lattice.node({'m': 'year', 'r': 'all'})\n"
-            "assert second.groups == oracle(second)\n"
-            "assert 'numpy' in sys.modules and cube._colstore is not None\n",
+            "catalog.declare_grouping('S', 'r', 'zone', {'north': 'cold'})\n"
+            "for cube in (rows, read):\n"
+            "    lattice = CubeLattice('S', hierarchies_for(catalog, 'S'), aggregate='avg')\n"
+            "    lattice.build(cube)\n"
+            "    lattice.materialize_all()\n"
+            "    for node in lattice.nodes.values():\n"
+            "        bags = {}\n"
+            "        for dims, value in cube.items():\n"
+            "            key = tuple(lvl.fn(part) for lvl, part in zip(node.levels, dims)\n"
+            "                        if not lvl.is_all)\n"
+            "            bags.setdefault(key, []).append(value)\n"
+            "        assert node.groups == {k: lattice.aggregate(v) for k, v in bags.items()}\n"
+            "    assert cube._colstore is None\n"
+            "assert 'numpy' not in sys.modules, 'numpy'\n"
+            "assert not [m for m in sys.modules if m.startswith(\n"
+            "    ('repro.chase.col', 'repro.chase.instance'))]\n",
         )
         assert done.returncode == 0, done.stderr
 
@@ -332,8 +354,8 @@ class TestLatticeBuild:
     def test_dict_group_by_matches_columnar(self):
         cube = panel_cube()
         hierarchies = hierarchies_for(fresh_catalog(), "S")
-        columnar, rows = _columnar_and_dict_lattices(cube, hierarchies, "sum")
-        for key, node in columnar.nodes.items():
+        image, rows = _image_and_rows_lattices(cube, hierarchies, "sum")
+        for key, node in image.nodes.items():
             assert node.groups == rows.nodes[key].groups
 
     def test_grand_total_node(self):
@@ -352,8 +374,8 @@ class TestLatticeBuild:
         cube = panel_cube(n_months=4)
         cube.set((month(2019, 1), "north"), float("nan"), overwrite=True)
         hierarchies = hierarchies_for(fresh_catalog(), "S")
-        columnar, rows = _columnar_and_dict_lattices(cube, hierarchies, "sum")
-        for key, node in columnar.nodes.items():
+        image, rows = _image_and_rows_lattices(cube, hierarchies, "sum")
+        for key, node in image.nodes.items():
             other = rows.nodes[key].groups
             assert set(node.groups) == set(other)
             for group, value in node.groups.items():
@@ -369,10 +391,6 @@ def _revision(old):
     new.set((month(2021, 1), "west"), 5.0)
     new._data.pop((month(2019, 5), "south"))
     return new
-
-
-def _bit_groups(node):
-    return {key: repr(value) for key, value in node.groups.items()}
 
 
 class TestLatticeRebind:
@@ -410,8 +428,8 @@ class TestLatticeRebind:
         order = list(live.nodes)
         rng.shuffle(order)
         for key in order:
-            assert _bit_groups(live.nodes[key]) == _bit_groups(
-                oracle.nodes[key]
+            assert _bits(live.nodes[key].groups) == _bits(
+                oracle.nodes[key].groups
             ), key
         assert_lattice_matches_oracle(live, new)
         # a second read of the same head rebinds nothing
@@ -570,9 +588,8 @@ class TestOlapService:
                 service.point("S", {"m": month(1800, 1), "r": "south"})
 
     def test_crosstab_is_one_request(self):
-        """The four nodes of a cross-tab are asked for together: as the
-        first query over a cube without an image they all reduce from
-        rows; the next query is what builds the image."""
+        """The four nodes of a cross-tab are asked for together, and
+        neither they nor a later query build an image of the cube."""
         from repro.olap import OlapService
 
         cube = panel_cube()
@@ -584,7 +601,7 @@ class TestOlapService:
         assert len(service.lattice("S").materialized_nodes()) == 4
         assert float(text.splitlines()[-1].split()[-1]) == sum(cube.values())
         service.rollup("S", {"m": "quarter"})
-        assert held._colstore is not None
+        assert held._colstore is None
 
     def test_crosstab_subtotals_are_maintained_aggregates(self):
         engine = build_engine()
@@ -682,14 +699,14 @@ class TestOlapService:
         engine.run()
         lattice = service.lattice("S")
         lattice.materialize_all()
-        before = {key: _bit_groups(node) for key, node in lattice.nodes.items()}
+        before = {key: _bits(node.groups) for key, node in lattice.nodes.items()}
         engine.load(engine.data("S").copy())  # a new version, the same rows
         engine.update()
         assert service.lattice("S").version == (
             engine.catalog.store.latest_version("S")
         )
         assert {
-            key: _bit_groups(node) for key, node in lattice.nodes.items()
+            key: _bits(node.groups) for key, node in lattice.nodes.items()
         } == before
 
     def test_as_of_pins_history(self):

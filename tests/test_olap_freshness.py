@@ -11,10 +11,10 @@ their nodes (the update must reduce none, and a rebind must drop them
 all) and the second hits lattices holding all of them.
 
 The engine is built with the suite's ``--shards`` option, so the CI
-matrix composes this sweep with the sharded chase.  The scalar kernels and
-the lattice's dict group-by are compared with the columnar ones inside
-the equivalence suites (tests/test_columnar_chase.py,
-tests/test_columnar_native.py, tests/test_olap.py).
+matrix composes this sweep with the sharded chase.  The scalar kernels
+are compared with the columnar ones inside the equivalence suites
+(tests/test_columnar_chase.py, tests/test_columnar_native.py), and
+every lattice node with a dict group-by oracle in tests/test_olap.py.
 """
 
 import random
