@@ -52,7 +52,7 @@ class ChaseBackend(Backend):
         self.tracer = tracer
         self.metrics = metrics
         self.reset_counts()
-        # the dispatcher's fault plan for the in-flight attempt, so
+        # the dispatcher's fault plan for the in-flight subgraph, so
         # shard workers can honor `--inject-faults`
         self._fault_context = None
 
@@ -65,15 +65,15 @@ class ChaseBackend(Backend):
 
     # -- fault-injection plumbing ---------------------------------------------
     @contextmanager
-    def fault_scope(self, plan, target: str, cubes, attempt: int):
+    def fault_scope(self, plan, target: str, cubes):
         """Expose the dispatcher's fault plan to sharded chase runs.
 
-        The dispatcher wraps each backend attempt in this scope; a
+        The dispatcher wraps each backend run in this scope; a
         sharded run then draws one deterministic fault decision per
         shard (cube label ``shard:<i>`` appended, so shards fail
         independently but reproducibly).
         """
-        self._fault_context = (plan, target, tuple(cubes), attempt)
+        self._fault_context = (plan, target, tuple(cubes))
         try:
             yield
         finally:

@@ -94,9 +94,9 @@ class StratifiedChase:
     egd-checking insert, in the same statement order; it refuses a
     mapping whose statement order is no stratification
     (:func:`~repro.chase.shard.check_statement_order`).  A mapping with
-    nothing to partition, a platform without ``fork`` and an exhausted
-    worker-retry budget all run the same loop without shard results,
-    each under a counted ``chase.shard.fallback.reason:*``.
+    nothing to partition, a platform without ``fork`` and a shard
+    worker that died all run the same loop without shard results, each
+    under a counted ``chase.shard.fallback.reason:*``.
 
     Both ways compute the same solution, tuple for tuple.  Every tgd
     runs on its columnar kernel (:mod:`repro.chase.columnar`); a tgd no
@@ -109,9 +109,7 @@ class StratifiedChase:
         shards: int = 1,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        fault_context: Optional[Tuple[Any, str, Tuple[str, ...], int]] = None,
-        shard_retries: int = 2,
-        shard_timeout_s: Optional[float] = None,
+        fault_context: Optional[Tuple[Any, str, Tuple[str, ...]]] = None,
     ):
         self.mapping = mapping
         self.registry = mapping.registry
@@ -119,14 +117,10 @@ class StratifiedChase:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: named counter/histogram sink (one per chase unless shared)
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        #: the dispatcher's fault plan for this attempt, ``(plan, target,
-        #: cubes, attempt)``: a sharded run draws one decision per shard
+        #: the dispatcher's fault plan for this subgraph, ``(plan,
+        #: target, cubes)``: a sharded run draws one decision per shard
         #: from it (see chase.shard.run_shards)
         self.fault_context = fault_context
-        #: pool-rebuild rounds allowed after the first before quarantine
-        self.shard_retries = max(0, int(shard_retries))
-        #: per-shard result wait; None trusts workers not to wedge
-        self.shard_timeout_s = shard_timeout_s
         #: worker processes; the partition plan exists only when > 1
         self.shards = 1
         self.plan = None

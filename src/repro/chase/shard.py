@@ -55,20 +55,12 @@ A mapping with no local/rereduce tgds or a platform without ``fork``
 runs the executor's loop without shards — same result, no scale-out,
 one counted reason.
 
-**Supervision.**  Worker death no longer abandons the run: the parent
-supervises the fork pool, keeps every shard result that completed, and
-rebuilds the pool to retry only the shards that died (a SIGKILLed or
-OOM-killed worker breaks the whole ``ProcessPoolExecutor``, so the pool
-is disposable per round).  Each retry round counts
-``chase.shard.retries`` per retried shard; after ``shard_retries``
-rounds the survivors are quarantined (``chase.shard.quarantined``) and
-the executor reruns its loop without shards under reason
-``shard-retries-exhausted`` — still correct, just not scaled out.  With
-``shard_timeout_s`` set, a wedged worker (the ``hang`` fault kind) trips
-a per-shard timeout (``chase.shard.timeouts``), its process is
-terminated, and the shard retries like a crash.  Genuine chase errors
-(egd violations) raised *inside* a worker still propagate unchanged —
-only process death and timeouts are retried.
+**A dead worker.**  A worker that dies (SIGKILL, OOM) breaks the whole
+``ProcessPoolExecutor``; the executor then reruns its loop without
+shards, once, under reason ``worker-died`` — the same solution, just
+not scaled out.  Nothing rebuilds the pool or retries a shard.  Genuine
+chase errors (egd violations) raised *inside* a worker propagate
+unchanged.
 """
 
 from __future__ import annotations
@@ -157,10 +149,10 @@ REREDUCE = "rereduce"
 PARENT = "parent"
 
 #: which injected fault kinds fire where (``repro.engine.faults``): the
-#: error kind in the parent, the process-level ones only inside an
+#: error kind in the parent, the process-level one only inside an
 #: expendable worker
 _PARENT_KINDS = ("permanent",)
-_WORKER_KINDS = ("kill", "hang")
+_WORKER_KINDS = ("kill",)
 
 
 def check_statement_order(mapping: SchemaMapping) -> None:
@@ -418,11 +410,11 @@ def _partition_store(
 
 # -- worker side ----------------------------------------------------------------
 
-#: ``(parent chase, per-shard payloads, supervision round)``, staged by
-#: the parent immediately before the fork pool spins up; workers inherit
-#: it copy-on-write, so the mapping (with its operator registry
-#: closures) and the shard payloads never cross pickle
-_WORKER_STATE: Optional[Tuple[StratifiedChase, List[Dict[str, Any]], int]] = None
+#: ``(parent chase, per-shard payloads)``, staged by the parent
+#: immediately before the fork pool spins up; workers inherit it
+#: copy-on-write, so the mapping (with its operator registry closures)
+#: and the shard payloads never cross pickle
+_WORKER_STATE: Optional[Tuple[StratifiedChase, List[Dict[str, Any]]]] = None
 
 
 def _export_spans(tracer: Optional[Tracer]) -> Optional[List[Dict]]:
@@ -446,20 +438,16 @@ def _run_shard(index: int) -> Dict[str, Any]:
     """One worker: chase the shard slice, return plain-data results."""
     if _WORKER_STATE is None:  # pragma: no cover - defensive
         raise RuntimeError("shard worker started without staged state")
-    parent, payloads, pool_round = _WORKER_STATE
+    parent, payloads = _WORKER_STATE
     if parent.fault_context is not None:
-        # deliver process-level faults *inside* the expendable worker:
-        # "kill" SIGKILLs this forked process (breaking the pool so the
-        # supervisor retries the shard), "hang" wedges it until the
-        # supervisor's timeout fires; the permanent kind already fired
-        # in the parent (run_shards) and is excluded here; the round
-        # is folded into the attempt so "fail the first N attempts" rules
-        # see the supervisor's retries
-        faults, fault_target, fault_cubes, base_attempt = parent.fault_context
+        # deliver "kill" *inside* the expendable worker: it SIGKILLs
+        # this forked process, which breaks the pool and sends the
+        # executor back to its unsharded loop; the permanent kind
+        # already fired in the parent (run_shards)
+        faults, fault_target, fault_cubes = parent.fault_context
         faults.apply(
             fault_target,
             tuple(fault_cubes) + (f"shard:{index}",),
-            base_attempt + pool_round,
             kinds=_WORKER_KINDS,
         )
     mapping = parent.mapping
@@ -552,17 +540,16 @@ def run_shards(
             # one deterministic draw per shard, before any worker forks:
             # an injected error aborts the run like a backend fault and
             # the dispatcher's failure policy takes over
-            faults, fault_target, cubes, attempt = chase.fault_context
+            faults, fault_target, cubes = chase.fault_context
             for s in range(shards):
                 faults.apply(
                     fault_target,
                     tuple(cubes) + (f"shard:{s}",),
-                    attempt,
                     metrics=chase.metrics,
                     kinds=_PARENT_KINDS,
                 )
         phase_started = time.perf_counter()
-        results = _supervise(chase, payloads)
+        results = _fork_pool(chase, payloads)
         for s, result in enumerate(results):
             stats.shard_tuples.append(result["tuples"])
             chase.metrics.absorb(result["metrics"], prefix=f"chase.shard:{s}.")
@@ -575,68 +562,33 @@ def run_shards(
     return results
 
 
-def _supervise(
+def _fork_pool(
     chase: StratifiedChase, payloads: List[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
-    """Run the fork pool under supervision, retrying dead shards.
+    """Chase every shard in one fork pool, one worker per shard.
 
-    A worker that dies (SIGKILL, OOM) breaks the entire
-    ``ProcessPoolExecutor``, so each round uses a disposable pool
-    over only the still-pending shards; results gathered before the
-    breakage are kept.  A shard whose result does not arrive within
-    ``shard_timeout_s`` is presumed wedged — its processes are
-    terminated and it retries like a crash.  Exceptions *raised* by
-    a live worker (real chase errors) propagate unchanged.  After
-    ``shard_retries`` rebuild rounds the still-failing shards are
-    quarantined and the whole run falls back via :class:`ShardFallback`.
+    A worker that dies breaks the pool: that is a :class:`ShardFallback`
+    (``worker-died``), and the executor reruns its loop without shards.
+    Exceptions *raised* by a live worker (real chase errors) propagate
+    unchanged.
     """
     global _WORKER_STATE
     # the pool machinery is imported where the pool is made
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FuturesTimeout
     from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context("fork")
-    metrics = chase.metrics
-    results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    pending = list(range(len(payloads)))
-    rounds = 0
-    while True:
-        _WORKER_STATE = (chase, payloads, rounds)
-        # no `with`: a wedged worker must be terminable mid-round,
-        # and shutdown timing differs between the outcomes below
-        pool = ProcessPoolExecutor(
-            max_workers=len(pending), mp_context=context
-        )
-        failed: List[int] = []
-        try:
-            futures = {s: pool.submit(_run_shard, s) for s in pending}
-            for s, future in futures.items():
-                try:
-                    results[s] = future.result(timeout=chase.shard_timeout_s)
-                except BrokenProcessPool:
-                    failed.append(s)
-                except FuturesTimeout:
-                    metrics.inc("chase.shard.timeouts")
-                    failed.append(s)
-                    for process in list(pool._processes.values()):
-                        process.terminate()
-        except BrokenProcessPool:
-            # the pool can break at submit time too (prior round's
-            # kill racing pool start) — everything unfinished retries
-            failed = [s for s in pending if results[s] is None]
-        finally:
-            pool.shutdown(wait=True)
-            _WORKER_STATE = None
-        if not failed:
-            return results
-        pending = sorted(failed)
-        rounds += 1
-        if rounds > chase.shard_retries:
-            metrics.inc("chase.shard.quarantined", len(pending))
-            raise ShardFallback("shard-retries-exhausted")
-        metrics.inc("chase.shard.retries", len(pending))
+    _WORKER_STATE = (chase, payloads)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=len(payloads), mp_context=context
+        ) as pool:
+            return list(pool.map(_run_shard, range(len(payloads))))
+    except BrokenProcessPool:
+        raise ShardFallback("worker-died") from None
+    finally:
+        _WORKER_STATE = None
 
 
 def merge_outputs(relation: str, results: List[Dict[str, Any]]):

@@ -286,21 +286,9 @@ def _policy_from(args) -> Dict[str, Any]:
     ``EXLEngine.run`` / ``update`` / ``resume``."""
     fault_plan = None
     if args.inject_faults:
-        from .engine.faults import parse_fault_spec
+        from .engine.faults import FaultPlan
 
-        fault_plan = parse_fault_spec(args.inject_faults, seed=args.fault_seed)
-        # the dispatcher makes attempt 0 only; later attempts are a
-        # sharded chase's rebuild rounds, so anywhere else after= never fires
-        for rule in fault_plan.rules:
-            if rule.after >= 1 and (
-                args.shards < 2 or rule.target not in ("chase", "*")
-            ):
-                raise ReproError(
-                    f"fault rule {rule.target}:{rule.kind}:after={rule.after} "
-                    f"can never fire: attempts from 1 on are only the "
-                    f"rebuild rounds of a sharded chase (target chase or *, "
-                    f"--shards 2 or more)"
-                )
+        fault_plan = FaultPlan(args.inject_faults, seed=args.fault_seed)
     return dict(
         deadline_s=args.deadline, on_error=args.on_error, fault_plan=fault_plan,
     )
@@ -633,6 +621,16 @@ def cmd_query(args) -> int:
     return 0
 
 
+def _fault_rules(spec: str):
+    """``--inject-faults``: a spec the grammar refuses is a usage error."""
+    from .engine.faults import parse_fault_spec
+
+    try:
+        return parse_fault_spec(spec).rules
+    except (ReproError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _at_least(kind, minimum, strict: bool = False):
     """An argparse ``type=``: an ``int`` or ``float`` no smaller than
     ``minimum`` (greater than it when ``strict``; NaN is neither)."""
@@ -709,6 +707,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         command.add_argument(
             "--inject-faults",
+            type=_fault_rules,
             metavar="SPEC",
             help="deterministic fault injection, e.g. "
             "'sql:permanent' or 'r:hang:delay=0.1;*:kill:p=0.3' "

@@ -389,13 +389,13 @@ class Dispatcher:
             f"subgraph:{label}", category="dispatch", target=target
         ):
             if plan is not None:
-                plan.apply(target, cubes, 0, metrics=self.metrics)
+                plan.apply(target, cubes, metrics=self.metrics)
             # a backend that shards whole-mapping runs draws per-shard
-            # fault decisions from the same plan while this attempt is
+            # fault decisions from the same plan while this subgraph is
             # in flight (see ChaseBackend.fault_scope)
             scope = getattr(item.backend, "fault_scope", None)
             if plan is not None and scope is not None:
-                context = scope(plan, target, cubes, 0)
+                context = scope(plan, target, cubes)
             else:
                 context = nullcontext()
             with context:

@@ -1,11 +1,11 @@
 """Deterministic, seeded fault injection for dispatch testing.
 
 A :class:`FaultPlan` decides — purely as a function of ``(seed, target,
-subgraph cubes, attempt index)`` — whether a given subgraph execution
-attempt should raise a :class:`~repro.errors.PermanentBackendError`,
-kill the process or hang.  Because the decision is a stable hash rather
-than a draw from a shared RNG stream, the *same* faults fire whatever
-else the run or an earlier run did.
+subgraph cubes)`` — whether a given subgraph execution should raise a
+:class:`~repro.errors.PermanentBackendError`, kill the process or hang.
+Because the decision is a stable hash rather than a draw from a shared
+RNG stream, the *same* faults fire whatever else the run or an earlier
+run did.
 
 Plans come from two places:
 
@@ -19,36 +19,27 @@ Spec grammar (rules separated by ``;``)::
     RULE  := TARGET ":" KIND [ ":" OPT ]...
     TARGET:= backend name | "*"
     KIND  := "permanent" | "kill" | "hang"
-    OPT   := "p=" FLOAT      probability per attempt   (default 1.0)
-           | "n=" INT        fire only on the first N attempts
-           | "after=" INT    fire only from attempt N on (0-based)
+    OPT   := "p=" FLOAT      probability per subgraph  (default 1.0)
            | "delay=" FLOAT  seconds a "hang" sleeps (default 30.0)
            | "cubes=" A+B    only for subgraphs computing these cubes
 
-A dispatcher makes one attempt per subgraph (attempt 0, and attempt 0
-again on the chase when ``on_error="degrade"`` re-runs it there); a
-shard supervisor's rebuild rounds count as later attempts of the
-workers it re-forks, which is what ``n=`` and ``after=`` select.  A
-rule is refused when built with a negative or non-finite ``delay=``,
-``n=`` below 1 or ``after=`` below 0; the CLI also refuses an
-``after=`` of 1 or more that could only ever meet the dispatcher
-(a target other than ``chase`` / ``*``, or fewer than 2 shards).
+No option value may contain ``:``, so the ``shard:N`` keys of a sharded
+chase are library-only (``FaultRule(cubes=("shard:0",))``).  Each
+subgraph runs once; a ``degrade`` re-run on the chase draws again.  A
+negative or non-finite ``delay=`` is refused.
 
 Examples::
 
     sql:permanent                # the SQL backend is down for good
     chase:hang:delay=0.2:p=0.5   # half the chase runs stall 200ms
     *:kill:p=0.4                 # SIGKILL the process at random points
-    chase:hang:delay=60:n=1      # one worker wedges for 60s
 
-The process-level kinds back the crash-recovery and shard-supervision
-harnesses: ``kill`` sends the *current process* an uncatchable SIGKILL
-(the crash-chaos tests run ``exl run`` in a subprocess and let the plan
-kill it mid-run; the shard pool delivers it inside forked workers), and
-``hang`` sleeps long enough to trip the shard supervisor's timeout.
-Callers that must not die — the dispatcher's parent-side shard hook, for
-instance — pass ``kinds=`` to :meth:`FaultPlan.apply` to restrict which
-kinds may fire at that site.
+``kill`` sends the *current process* an uncatchable SIGKILL (the
+crash-chaos tests run ``exl run`` in a subprocess and let the plan kill
+it mid-run; a sharded chase delivers it inside forked workers), and
+``hang`` sleeps, long enough for a ``--deadline`` to trip.  Callers that
+must not die — the sharded chase's parent-side hook — pass ``kinds=``
+to :meth:`FaultPlan.apply` to restrict which kinds may fire there.
 """
 
 from __future__ import annotations
@@ -73,7 +64,7 @@ __all__ = [
 
 PERMANENT = "permanent"
 KILL = "kill"  # SIGKILL the current process — uncatchable, for crash tests
-HANG = "hang"  # wedge the current thread long enough to trip supervision
+HANG = "hang"  # sleep the current thread for delay_s
 _KINDS = (PERMANENT, KILL, HANG)
 
 ON_ERROR_MODES = ("fail", "continue", "degrade")
@@ -81,13 +72,11 @@ ON_ERROR_MODES = ("fail", "continue", "degrade")
 
 @dataclass(frozen=True)
 class FaultRule:
-    """One injection rule: *who* it hits, *what* it does, *when*."""
+    """One injection rule: *who* it hits, *what* it does, how often."""
 
     target: str = "*"  # backend name, or "*" for every backend
     kind: str = PERMANENT
-    probability: float = 1.0  # per-attempt firing probability
-    first_n: Optional[int] = None  # only attempts 0..n-1
-    after: int = 0  # only attempts >= after
+    probability: float = 1.0  # per-subgraph firing probability
     delay_s: float = 30.0  # sleep length for kind "hang"
     cubes: Optional[Tuple[str, ...]] = None  # restrict to these subgraph cubes
 
@@ -105,25 +94,11 @@ class FaultRule:
                 f"fault delay must be a finite number of seconds >= 0, "
                 f"got {self.delay_s}"
             )
-        if self.first_n is not None and self.first_n < 1:
-            raise EngineError(
-                f"fault option n= must be at least 1, got {self.first_n}"
-            )
-        if self.after < 0:
-            raise EngineError(
-                f"fault option after= must be at least 0, got {self.after}"
-            )
 
-    def matches(self, target: str, cubes: Tuple[str, ...], attempt: int) -> bool:
+    def matches(self, target: str, cubes: Tuple[str, ...]) -> bool:
         if self.target != "*" and self.target != target:
             return False
-        if self.cubes is not None and not (set(self.cubes) & set(cubes)):
-            return False
-        if attempt < self.after:
-            return False
-        if self.first_n is not None and attempt >= self.after + self.first_n:
-            return False
-        return True
+        return self.cubes is None or bool(set(self.cubes) & set(cubes))
 
 
 def _stable_unit(seed: int, *parts: object) -> float:
@@ -138,7 +113,7 @@ def _stable_unit(seed: int, *parts: object) -> float:
 
 
 class FaultPlan:
-    """A seeded set of fault rules applied to subgraph execution attempts."""
+    """A seeded set of fault rules applied to subgraph executions."""
 
     def __init__(self, rules: Iterable[FaultRule] = (), seed: int = 0):
         self.rules: List[FaultRule] = list(rules)
@@ -146,17 +121,15 @@ class FaultPlan:
         #: injection counts by kind, for assertions and reporting
         self.injected: Dict[str, int] = {kind: 0 for kind in _KINDS}
 
-    def would_fire(
-        self, target: str, cubes: Tuple[str, ...], attempt: int
-    ) -> List[FaultRule]:
-        """The rules that fire for this attempt (no side effects)."""
+    def would_fire(self, target: str, cubes: Tuple[str, ...]) -> List[FaultRule]:
+        """The rules that fire for this subgraph (no side effects)."""
         fired = []
         for index, rule in enumerate(self.rules):
-            if not rule.matches(target, tuple(cubes), attempt):
+            if not rule.matches(target, tuple(cubes)):
                 continue
-            draw = _stable_unit(
-                self.seed, index, target, "+".join(cubes), attempt
-            )
+            # the trailing 0 stands where an attempt index once was, so
+            # every seeded decision stays what it was
+            draw = _stable_unit(self.seed, index, target, "+".join(cubes), 0)
             if draw < rule.probability:
                 fired.append(rule)
         return fired
@@ -165,11 +138,10 @@ class FaultPlan:
         self,
         target: str,
         cubes: Tuple[str, ...],
-        attempt: int,
         metrics=None,
         kinds: Optional[Tuple[str, ...]] = None,
     ) -> None:
-        """Inject whatever the plan dictates for this attempt.
+        """Inject whatever the plan dictates for this subgraph.
 
         Hangs sleep; ``kill`` SIGKILLs the current process; a permanent
         rule raises once every fired rule has acted.  ``kinds``
@@ -179,7 +151,7 @@ class FaultPlan:
         expendable processes.  ``metrics`` receives ``faults.injected``
         plus a per-kind counter for every fault that fires.
         """
-        fired = self.would_fire(target, tuple(cubes), attempt)
+        fired = self.would_fire(target, tuple(cubes))
         if kinds is not None:
             fired = [rule for rule in fired if rule.kind in kinds]
         for rule in fired:
@@ -193,8 +165,7 @@ class FaultPlan:
                 time.sleep(rule.delay_s)
         if any(rule.kind == PERMANENT for rule in fired):
             raise PermanentBackendError(
-                f"injected permanent fault on {target}:{'+'.join(cubes)} "
-                f"attempt {attempt}"
+                f"injected permanent fault on {target}:{'+'.join(cubes)}"
             )
 
     @property
@@ -218,16 +189,17 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
         options: Dict[str, object] = {}
         for opt in parts[2:]:
             if "=" not in opt:
-                raise EngineError(f"bad fault option {opt!r} in rule {chunk!r}")
+                raise EngineError(
+                    f"bad fault option {opt!r} in rule {chunk!r}: options "
+                    f"are KEY=VALUE and a value may not contain ':', which "
+                    f"separates them; a shard:N key is library-only "
+                    f"(FaultRule(cubes=('shard:N',)))"
+                )
             key, _, value = opt.partition("=")
             key = key.strip()
             value = value.strip()
             if key == "p":
                 options["probability"] = float(value)
-            elif key == "n":
-                options["first_n"] = int(value)
-            elif key == "after":
-                options["after"] = int(value)
             elif key == "delay":
                 options["delay_s"] = float(value)
             elif key == "cubes":

@@ -220,8 +220,8 @@ def test_serial_and_sharded_reruns_agree():
 
 
 def test_no_layer_takes_a_removed_setting(child_env):
-    """No cache, no kernel switch, no thread count, no retry budget, and
-    nothing picks the storage or the snapshotting."""
+    """No cache, no kernel switch, no thread count, no retry budget, no
+    shard supervision, and nothing picks the storage or the snapshotting."""
     _, mapping, _, _ = _two_source_setup()
     assert not hasattr(repro.chase, "ChaseCache")
     with pytest.raises(TypeError):
@@ -230,6 +230,11 @@ def test_no_layer_takes_a_removed_setting(child_env):
         StratifiedChase(mapping, vectorized=False)
     with pytest.raises(TypeError):
         StratifiedChase(mapping, jobs=4)
+    # a dead shard worker falls back to the unsharded loop once: no
+    # retry budget, no per-shard timeout
+    for setting in ("shard_retries", "shard_timeout_s"):
+        with pytest.raises(TypeError):
+            StratifiedChase(mapping, shards=2, **{setting: 1})
     with pytest.raises(TypeError):
         ChaseBackend(cache=None)
     with pytest.raises(TypeError):

@@ -1,7 +1,7 @@
 """Dispatch-order determinism under injected faults.
 
 The fault plan's firing decisions are a stable hash of
-(seed, target, cubes, attempt) — never a shared RNG stream — so one
+(seed, target, cubes) — never a shared RNG stream — so one
 seeded plan run twice under ``on_error="continue"`` fires the same
 faults and commits the same cubes, with the same per-cube outcomes,
 store versions and data.  Subgraphs run one at a time, in the order
@@ -139,7 +139,7 @@ def test_fail_fast_then_resume_matches_a_fault_free_run(seed):
     first = outcomes.index("failed")
     assert outcomes[:first] == ["ok"] * first
     fires = [
-        plan.would_fire(s.target, s.cubes, 0)
+        plan.would_fire(s.target, s.cubes)
         for s in record.subgraphs[: first + 1]
     ]
     assert [bool(rules) for rules in fires] == [False] * first + [True]

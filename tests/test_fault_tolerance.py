@@ -3,7 +3,7 @@ deadlines, degradation, partial-failure runs, resume, and the
 deterministic fault-injection harness.
 
 Every fault in this suite comes from a seeded :class:`FaultPlan`, whose
-decisions are a stable hash of (seed, target, cubes, attempt) — the
+decisions are a stable hash of (seed, target, cubes) — the
 same faults fire run after run, which is what makes these tests (and
 the determinism suite) reproducible.
 """
@@ -148,13 +148,12 @@ class TestErrorTaxonomy:
 
 class TestFaultPlan:
     def test_rule_matching(self):
-        rule = FaultRule(target="sql", first_n=2, after=1, cubes=("A",))
-        assert rule.matches("sql", ("A", "B"), 1)
-        assert rule.matches("sql", ("A",), 2)
-        assert not rule.matches("r", ("A",), 1)  # wrong target
-        assert not rule.matches("sql", ("C",), 1)  # wrong cubes
-        assert not rule.matches("sql", ("A",), 0)  # before `after`
-        assert not rule.matches("sql", ("A",), 3)  # past the window
+        rule = FaultRule(target="sql", cubes=("A",))
+        assert rule.matches("sql", ("A", "B"))
+        assert rule.matches("sql", ("A",))
+        assert not rule.matches("r", ("A",))  # wrong target
+        assert not rule.matches("sql", ("C",))  # wrong cubes
+        assert FaultRule().matches("etl", ("C",))  # "*" and any cubes
 
     def test_bad_kind_and_probability_rejected(self):
         with pytest.raises(EngineError, match="kind"):
@@ -168,9 +167,6 @@ class TestFaultPlan:
             ("delay_s", -1.0, "delay"),
             ("delay_s", float("nan"), "delay"),
             ("delay_s", float("inf"), "delay"),
-            ("first_n", 0, "n= must be at least 1"),
-            ("first_n", -2, "n= must be at least 1"),
-            ("after", -1, "after= must be at least 0"),
         ],
     )
     def test_out_of_range_options_rejected(self, option, value, message):
@@ -178,9 +174,21 @@ class TestFaultPlan:
             FaultRule(**{option: value})
 
     def test_boundary_options_accepted(self):
-        rule = FaultRule(kind="hang", delay_s=0.0, first_n=1, after=0)
-        assert rule.matches("sql", ("A",), 0)
-        assert not rule.matches("sql", ("A",), 1)
+        rule = FaultRule(kind="hang", delay_s=0.0, probability=0.0)
+        assert rule.matches("sql", ("A",))
+        assert not FaultPlan([rule]).would_fire("sql", ("A",))
+        assert FaultPlan([FaultRule(probability=1.0)]).would_fire("sql", ("A",))
+
+    @pytest.mark.parametrize("option", ["first_n", "after"])
+    def test_no_rule_takes_an_attempt_window(self, option):
+        # a subgraph runs once and a dead shard worker is not re-forked:
+        # there is no later attempt for a rule to select
+        with pytest.raises(TypeError):
+            FaultRule(**{option: 1})
+        with pytest.raises(TypeError):
+            FaultRule().matches("sql", ("A",), 0)
+        with pytest.raises(TypeError):
+            FaultPlan([FaultRule()]).would_fire("sql", ("A",), 0)
 
     @pytest.mark.parametrize("kind", ["transient", "delay"])
     def test_retired_kinds_rejected(self, kind):
@@ -195,37 +203,71 @@ class TestFaultPlan:
             FaultPlan([FaultRule(probability=0.5)], seed=42) for _ in range(2)
         ]
         for target, cubes in keys:
-            for attempt in range(4):
-                assert bool(plans[0].would_fire(target, cubes, attempt)) == bool(
-                    plans[1].would_fire(target, cubes, attempt)
-                )
+            assert bool(plans[0].would_fire(target, cubes)) == bool(
+                plans[1].would_fire(target, cubes)
+            )
 
     def test_decisions_independent_of_call_order(self):
         """Firing decisions never depend on call order."""
         plan = FaultPlan([FaultRule(probability=0.5)], seed=7)
-        keys = [("sql", (f"X{i}",), 0) for i in range(32)]
+        keys = [("sql", (f"X{i}",)) for i in range(32)]
         forward = [bool(plan.would_fire(*k)) for k in keys]
         backward = [bool(plan.would_fire(*k)) for k in reversed(keys)]
         assert forward == list(reversed(backward))
 
     def test_seed_changes_decisions(self):
-        keys = [("sql", (f"X{i}",), 0) for i in range(64)]
+        keys = [("sql", (f"X{i}",)) for i in range(64)]
         rule = [FaultRule(probability=0.5)]
         first = [bool(FaultPlan(rule, seed=1).would_fire(*k)) for k in keys]
         second = [bool(FaultPlan(rule, seed=2).would_fire(*k)) for k in keys]
         assert first != second
 
+    def test_seeded_decisions_match_the_recorded_table(self):
+        # recorded before the attempt index left the plan: every draw
+        # still hashes a literal 0 in its place, so no seeded decision
+        # may move.  Keys: the gdp example's cubes, whole and one by
+        # one, on sql and chase, and its chase key per shard
+        gdp = ("PQR", "RGDP", "GDP", "GDPT", "PCHNG")
+        keys = [
+            (target, cubes)
+            for target in ("sql", "chase")
+            for cubes in [gdp] + [(cube,) for cube in gdp]
+        ]
+        keys += [("chase", gdp + (f"shard:{s}",)) for s in range(4)]
+        rules = [
+            FaultRule(probability=0.25),
+            FaultRule(probability=0.5, cubes=("GDP", "shard:2")),
+            FaultRule(probability=1.0, cubes=("PQR", "shard:1")),
+            FaultRule(target="chase", probability=0.5),
+        ]
+        # per seed, per key: the indices of the rules that fire
+        table = {
+            0: "12 2 0 - - - 12 2 - 013 - 3 23 012 12 123",
+            7: "12 2 - 01 - - 123 023 3 - - 3 123 123 2 123",
+            42: "2 2 0 1 - 0 23 2 3 03 3 3 12 12 2 23",
+        }
+        for seed, recorded in table.items():
+            plan = FaultPlan(rules, seed=seed)
+            decided = [
+                "".join(
+                    str(rules.index(rule))
+                    for rule in plan.would_fire(target, cubes)
+                ) or "-"
+                for target, cubes in keys
+            ]
+            assert " ".join(decided) == recorded, f"seed {seed}"
+
     def test_probability_roughly_respected(self):
         plan = FaultPlan([FaultRule(probability=0.3)], seed=9)
         fired = sum(
-            bool(plan.would_fire("sql", (f"C{i}",), 0)) for i in range(400)
+            bool(plan.would_fire("sql", (f"C{i}",))) for i in range(400)
         )
         assert 60 <= fired <= 180  # ~120 expected
 
     def test_apply_raises_and_counts(self):
         plan = FaultPlan([FaultRule(kind="permanent")], seed=0)
         with pytest.raises(PermanentBackendError, match="injected"):
-            plan.apply("sql", ("A",), 0)
+            plan.apply("sql", ("A",))
         assert plan.injected["permanent"] == 1
         assert plan.total_injected == 1
 
@@ -235,24 +277,24 @@ class TestFaultPlan:
             seed=0,
         )
         with pytest.raises(PermanentBackendError):
-            plan.apply("sql", ("A",), 0)
+            plan.apply("sql", ("A",))
         assert plan.injected == {"permanent": 1, "kill": 0, "hang": 1}
 
     def test_parse_full_grammar(self):
         plan = parse_fault_spec(
-            "sql:permanent:p=0.25:n=2; *:kill:after=3 ;"
+            "sql:permanent:p=0.25; *:kill:p=0.5 ;"
             "r:hang:delay=0.2:cubes=A+B; chase:hang",
             seed=5,
         )
         assert plan.seed == 5
         assert len(plan.rules) == 4
         assert plan.rules[0] == FaultRule(
-            target="sql", kind="permanent", probability=0.25, first_n=2
+            target="sql", kind="permanent", probability=0.25
         )
-        assert plan.rules[1].after == 3
+        assert plan.rules[1] == FaultRule(kind="kill", probability=0.5)
         assert plan.rules[2].delay_s == 0.2
         assert plan.rules[2].cubes == ("A", "B")
-        assert plan.rules[3].delay_s == 30.0  # long enough to trip supervision
+        assert plan.rules[3].delay_s == 30.0  # the default stall
 
     @pytest.mark.parametrize(
         "spec",
@@ -832,38 +874,63 @@ class TestCli:
             ("r:hang:delay=0:after=2", "4"),
             ("chase:permanent:after=1", "1"),
             ("*:permanent:after=1", "1"),
+            ("chase:kill:n=1", "2"),
         ],
     )
     def test_after_that_only_the_dispatcher_meets_is_refused(
         self, cli_project, tmp_path, capsys, spec, shards
     ):
-        # the dispatcher makes attempt 0 only: such a rule never fires,
-        # and the run would commit every subgraph it meant to fail
+        # the dispatcher runs each subgraph once and a sharded chase
+        # re-forks no worker: no later attempt exists, so the attempt
+        # window options left the grammar and are usage errors anywhere
+        self._assert_fault_option_refused(
+            cli_project, tmp_path, capsys, spec, shards
+        )
+
+    @pytest.mark.parametrize(
+        "spec", ["chase:permanent:after=1", "*:permanent:after=1"]
+    )
+    def test_after_a_sharded_chase_once_met_is_refused(
+        self, cli_project, tmp_path, capsys, spec
+    ):
+        # a sharded chase once numbered its pool rebuild rounds from 1,
+        # so these rules were accepted there; with the rebuilds gone they
+        # are refused like any other attempt window
+        self._assert_fault_option_refused(
+            cli_project, tmp_path, capsys, spec, "2"
+        )
+
+    @staticmethod
+    def _assert_fault_option_refused(cli_project, tmp_path, capsys, spec, shards):
         out = tmp_path / "out"
         argv = [
             "run", str(cli_project), "--out", str(out), "--shards", shards,
             "--inject-faults", spec,
         ]
-        assert cli_main(argv) == 1
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "can never fire" in err
+        assert "--inject-faults" in err and "unknown fault option" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "spec", ["chase:permanent:after=1", "*:permanent:after=1"]
-    )
-    def test_after_a_sharded_chase_can_meet_is_accepted(
-        self, cli_project, tmp_path, spec
+    def test_a_shard_key_is_refused_with_its_reason(
+        self, cli_project, tmp_path, capsys
     ):
-        # rebuild rounds number the attempts from 1 on; a clean sharded
-        # run has none, so the rule is accepted and does not fire
+        # ':' separates options, so "shard:0" cannot be a cubes= value;
+        # the refusal says so and points at the library spelling
         out = tmp_path / "out"
         argv = [
             "run", str(cli_project), "--out", str(out), "--shards", "2",
-            "--inject-faults", spec,
+            "--inject-faults", "chase:kill:cubes=shard:0",
         ]
-        assert cli_main(argv) == 0
-        assert (out / "D.csv").exists()
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "may not contain ':'" in err
+        assert "FaultRule(cubes=" in err and "library-only" in err
+        assert not out.exists()
 
     def test_deadline_flag(self, cli_project, tmp_path, capsys):
         # margins as in TestDeadline.test_hang_fault_trips_deadline

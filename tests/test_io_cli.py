@@ -17,7 +17,6 @@ from repro.model import (
     Dimension,
     Frequency,
     day,
-    month,
     quarter,
 )
 from repro.model.io import (
@@ -536,24 +535,27 @@ class TestCliInputErrors:
             ("sql:hang:delay=-1", "fault delay"),
             ("sql:hang:delay=nan", "fault delay"),
             ("sql:hang:delay=inf", "fault delay"),
-            ("sql:permanent:n=0", "n= must be at least 1"),
-            ("sql:permanent:after=-1", "after= must be at least 0"),
+            ("sql:permanent:n=0", "unknown fault option 'n'"),
+            ("sql:permanent:after=-1", "unknown fault option 'after'"),
             ("sql:sometimes", "unknown fault kind"),
+            ("sql:permanent:p=abc", "abc"),
         ],
     )
     def test_out_of_range_fault_options_are_refused(
         self, spec, message, project_dir, capsys
     ):
-        # refused as the spec is parsed: no attempt sleeps a negative
-        # delay, and no journal is left behind
+        # a usage error, refused as the arguments are parsed: no attempt
+        # sleeps a negative delay, and no journal is left behind
         out = project_dir / "results"
         argv = [
             "run", str(project_dir / "project.json"), "--out", str(out),
             "--inject-faults", spec,
         ]
-        assert main(argv) == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert "argument --inject-faults: " in err and message in err
         assert not out.exists()
 
     def test_shards_zero_is_one_per_core(self, project_dir, capsys):

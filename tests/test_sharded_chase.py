@@ -387,12 +387,10 @@ class TestObservabilityParity:
         assert epoch_ok, "absorbed spans must land on the parent timeline"
 
 
-class TestShardSupervision:
-    """Process-level faults inside workers are absorbed by the pool
-    supervisor: dead workers get a rebuilt pool with only the
-    unfinished shards retried; wedged workers trip the per-shard
-    timeout; an exhausted retry budget quarantines the shards and
-    reruns the chase without shard workers — never a wrong answer."""
+class TestDeadShardWorker:
+    """A worker that dies breaks the fork pool, and the executor reruns
+    its loop without shards, once, under a counted reason: never a
+    wrong answer, never a retried shard."""
 
     def _fixture(self, seed=5):
         workload = gdp_example(
@@ -405,60 +403,47 @@ class TestShardSupervision:
         )
         return mapping, instance_from_cubes(workload.data), sequential
 
-    def _sharded(self, mapping, plan, **kwargs):
+    def test_killed_worker_falls_back_unsharded(self):
+        mapping, source, sequential = self._fixture()
+        plan = FaultPlan([FaultRule(kind="kill", cubes=("shard:0",))])
         metrics = MetricsRegistry()
         chase = StratifiedChase(
             mapping,
             shards=2,
             metrics=metrics,
-            fault_context=(plan, "chase", ("G",), 0),
-            **kwargs,
+            fault_context=(plan, "chase", ("G",)),
         )
-        return chase, metrics
-
-    def test_killed_worker_is_retried(self):
-        mapping, source, sequential = self._fixture()
-        plan = FaultPlan(
-            [FaultRule(kind="kill", cubes=("shard:0",), first_n=1)]
-        )
-        chase, metrics = self._sharded(mapping, plan)
         sharded = chase.run(source)
         _assert_identical(sequential, sharded)
-        assert metrics.value("chase.shard.retries") >= 1
-        assert metrics.value("chase.shard.quarantined") == 0
+        assert sharded.stats.shards == 0  # the unsharded loop produced it
+        assert metrics.value("chase.shard.fallback.reason:worker-died") == 1
+        supervision = {
+            "chase.shard.retries",
+            "chase.shard.timeouts",
+            "chase.shard.quarantined",
+        }
+        assert not supervision & set(metrics.snapshot()["counters"])
 
-    def test_repeated_kills_quarantine_and_degrade(self):
-        mapping, source, sequential = self._fixture()
+    def test_killed_worker_leaves_a_failing_run_complete(self):
+        # the engine's default on_error="fail": the fallback is inside
+        # the chase, so the run commits what an unfaulted serial run does
+        workload = gdp_example(n_quarters=8, regions=("north", "south"), seed=4)
+        engine = _build_engine(workload, shards=2)
         plan = FaultPlan([FaultRule(kind="kill", cubes=("shard:0",))])
-        chase, metrics = self._sharded(mapping, plan, shard_retries=1)
-        sharded = chase.run(source)
-        _assert_identical(sequential, sharded)  # the unsharded rerun
-        assert metrics.value("chase.shard.quarantined") >= 1
-        assert (
-            metrics.value(
-                "chase.shard.fallback.reason:shard-retries-exhausted"
-            )
-            == 1
-        )
-        assert sharded.stats.shards == 0  # degraded path produced it
+        record = engine.run(fault_plan=plan)
+        assert record.complete
+        assert plan.injected["kill"] == 0  # it fired in the worker
+        assert engine.metrics.value(
+            "chase.shard.fallback.reason:worker-died"
+        ) == 1
+        serial = _build_engine(workload, shards=1)
+        serial.run()
+        assert _store_state(engine) == _store_state(serial)
 
-    def test_hung_worker_trips_timeout_then_retries(self):
-        mapping, source, sequential = self._fixture()
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    kind="hang",
-                    cubes=("shard:0",),
-                    first_n=1,
-                    delay_s=30.0,
-                )
-            ]
-        )
-        chase, metrics = self._sharded(mapping, plan, shard_timeout_s=1.5)
-        sharded = chase.run(source)
-        _assert_identical(sequential, sharded)
-        assert metrics.value("chase.shard.timeouts") >= 1
-        assert metrics.value("chase.shard.retries") >= 1
+
+class TestShardSupervision:
+    """What the parent does with its shard workers' outcomes: a real
+    error is never swallowed or turned into a fallback."""
 
     def test_error_kinds_still_surface_from_workers(self):
         # permanent faults are the *dispatcher's* to handle:
