@@ -77,14 +77,15 @@ class SqlBackend(Backend):
             spec = mapping.registry.get(tgd.table_function)
             param_order = [name for name, _req in spec.params]
 
-            def adapter(table: Table, *args, _spec=spec, _order=param_order):
+            def adapter(table, *args, _spec=spec, _order=param_order):
                 params = dict(zip(_order, args))
                 rows = sorted(table.rows, key=lambda r: r[0].ordinal)
                 series = [(row[0], row[-1]) for row in rows]
                 result = _spec.impl(series, params)
+                time, measure = table.column_names[0], table.column_names[-1]
                 out = Table(
                     f"{_spec.name}_result",
-                    [table.columns[0], Column(table.columns[-1].name, SqlType.REAL)],
+                    [Column(time, SqlType.TIME), Column(measure, SqlType.REAL)],
                 )
                 out.insert_many((p, float(v)) for p, v in result)
                 return out

@@ -627,7 +627,7 @@ def _fault_rules(spec: str):
 
     try:
         return parse_fault_spec(spec).rules
-    except (ReproError, ValueError) as exc:
+    except ReproError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 

@@ -173,6 +173,10 @@ class FaultPlan:
         return sum(self.injected.values())
 
 
+#: the spec's numeric options and the :class:`FaultRule` field of each
+_NUMERIC_OPTIONS = {"p": "probability", "delay": "delay_s"}
+
+
 def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
     """Parse an ``--inject-faults`` spec string into a :class:`FaultPlan`."""
     rules = []
@@ -198,10 +202,14 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
             key, _, value = opt.partition("=")
             key = key.strip()
             value = value.strip()
-            if key == "p":
-                options["probability"] = float(value)
-            elif key == "delay":
-                options["delay_s"] = float(value)
+            if key in _NUMERIC_OPTIONS:
+                try:
+                    options[_NUMERIC_OPTIONS[key]] = float(value)
+                except ValueError:
+                    raise EngineError(
+                        f"fault option {key}= needs a number, got {value!r} "
+                        f"in rule {chunk!r}"
+                    ) from None
             elif key == "cubes":
                 options["cubes"] = tuple(value.split("+"))
             else:

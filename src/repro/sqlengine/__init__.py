@@ -1,10 +1,13 @@
 """A from-scratch mini relational engine (the DBMS target of Section 5.1).
 
-Supports the dialect the SQL backend emits: CREATE TABLE/VIEW, INSERT
-(VALUES and SELECT), SELECT with joins, WHERE, GROUP BY aggregation,
-tabular functions in FROM, ORDER BY/LIMIT/DISTINCT, DELETE and DROP,
-with user-definable scalar/aggregate/tabular functions and a native
-TIME column type.
+Runs the dialect the SQL backend prints and nothing else: ``INSERT
+INTO t(cols) SELECT …`` over comma joins and ``LEFT JOIN … ON``,
+``WHERE`` conjunctions of ``=`` and ``IS NULL``, ``GROUP BY``,
+arithmetic, ``POW`` and other registered function calls, tabular
+functions in ``FROM``, and ``CREATE VIEW … AS SELECT``.  Tables are
+made by :meth:`Database.create_table`, with a native TIME column type.
+Any other statement or clause is a ``SqlSyntaxError`` naming it
+(:data:`~repro.sqlengine.parser.REFUSED`).
 """
 
 from .database import Database

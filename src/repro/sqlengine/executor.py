@@ -16,23 +16,17 @@ from ..errors import SqlExecutionError
 from ..model.time import TimePoint
 from .functions import FunctionRegistry
 from .sqlast import (
-    Between,
     Binary,
-    CaseWhen,
     ColumnRef,
     FuncCall,
-    InList,
     IsNull,
     Literal,
-    OrderItem,
     Select,
     SelectItem,
     SqlExpr,
-    SubquerySource,
     TableRef,
     Unary,
 )
-from .table import Column, Table
 
 __all__ = ["QueryResult", "SelectExecutor", "RowEnv"]
 
@@ -44,11 +38,9 @@ class QueryResult:
     columns: List[str]
     rows: List[Tuple[Any, ...]]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+    @property
+    def column_names(self) -> List[str]:
+        return self.columns
 
     def column(self, name: str) -> List[Any]:
         index = [c.lower() for c in self.columns].index(name.lower())
@@ -70,25 +62,15 @@ class RowEnv:
 
     def lookup(self, name: str, qualifier: Optional[str]) -> Any:
         lowered = name.lower()
-        if qualifier is not None:
-            key = qualifier.lower()
-            for binding, (colmap, row) in self.slots.items():
-                if binding.lower() == key:
-                    if lowered not in colmap:
-                        raise SqlExecutionError(
-                            f"binding {qualifier} has no column {name!r}"
-                        )
-                    return row[colmap[lowered]]
-            raise SqlExecutionError(f"unknown table alias {qualifier!r}")
+        key = qualifier if qualifier is None else qualifier.lower()
         hits = [
             (colmap, row)
-            for colmap, row in self.slots.values()
-            if lowered in colmap
+            for binding, (colmap, row) in self.slots.items()
+            if lowered in colmap and key in (None, binding.lower())
         ]
-        if not hits:
-            raise SqlExecutionError(f"unknown column {name!r}")
-        if len(hits) > 1:
-            raise SqlExecutionError(f"ambiguous column {name!r}")
+        if len(hits) != 1:
+            problem = "ambiguous" if hits else "unknown"
+            raise SqlExecutionError(f"{problem} column {ColumnRef(name, qualifier)}")
         colmap, row = hits[0]
         return row[colmap[lowered]]
 
@@ -106,13 +88,14 @@ class _Source:
 class SelectExecutor:
     """Executes one SELECT against a table provider.
 
-    ``resolve_table(name) -> Table`` materializes tables and views;
+    ``resolve_table(name)`` returns a table or a view's rows (anything
+    with ``column_names`` and ``rows``);
     ``functions`` provides scalar/aggregate/tabular implementations.
     """
 
     def __init__(
         self,
-        resolve_table: Callable[[str], Table],
+        resolve_table: Callable[[str], Any],
         functions: FunctionRegistry,
     ):
         self.resolve_table = resolve_table
@@ -121,68 +104,33 @@ class SelectExecutor:
     # -- public ----------------------------------------------------------
     def execute(self, select: Select) -> QueryResult:
         sources = [self._materialize(s) for s in select.sources]
-        inner_joins = [j for j in select.joins if j.kind == "INNER"]
-        left_joins = [j for j in select.joins if j.kind == "LEFT"]
-        inner_sources = [self._materialize(j.source) for j in inner_joins]
-        conjuncts: List[SqlExpr] = []
-        for join in inner_joins:
-            conjuncts.extend(_conjuncts(join.condition))
-        if not left_joins:
-            # WHERE can be fused into the join only when no null
-            # extension will happen afterwards
-            conjuncts.extend(_conjuncts(select.where))
-        envs = self._join_all(sources + inner_sources, conjuncts)
-        envs = [env for env, _pending in envs]
-        all_sources = sources + inner_sources
-        for join in left_joins:
+        # WHERE can be fused into the join only when no null extension
+        # will happen afterwards
+        fused = [] if select.joins else _conjuncts(select.where)
+        envs, bound = self._join_all(sources, fused)
+        for join in select.joins:
             source = self._materialize(join.source)
-            envs = self._left_join(envs, source, join.condition)
-            all_sources.append(source)
-        if left_joins and select.where is not None:
+            envs = self._left_join(envs, source, join.condition, bound)
+            bound.add(source.binding.lower())
+            sources.append(source)
+        if select.joins and select.where is not None:
             envs = [env for env in envs if self._truthy(select.where, env)]
         if select.group_by or self._has_aggregate(select):
-            return self._grouped(select, envs, all_sources)
-        return self._plain(select, envs, all_sources)
+            return self._grouped(select, envs, sources)
+        return self._plain(select, envs, sources)
 
     def _left_join(
-        self, envs: List[RowEnv], source: _Source, condition: SqlExpr
+        self, envs: List[RowEnv], source: _Source, condition: SqlExpr, bound: set
     ) -> List[RowEnv]:
         """Extend each env with matching rows, or a NULL row if none match."""
         null_row = tuple([None] * len(source.columns))
-        # try a hash index on equi conjuncts of the ON condition
-        on_conjuncts = _conjuncts(condition)
-        keys = []
-
-        def determined(expr: SqlExpr) -> bool:
-            deps = _bindings_of(expr)
-            return source.binding.lower() not in deps
-
-        for conjunct in on_conjuncts:
-            if not (isinstance(conjunct, Binary) and conjunct.op == "="):
-                continue
-            for bound_side, new_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if (
-                    isinstance(new_side, ColumnRef)
-                    and (new_side.qualifier or "").lower() == source.binding.lower()
-                    and new_side.name.lower() in source.colmap
-                    and determined(bound_side)
-                ):
-                    keys.append((bound_side, new_side))
-                    break
-        index: Optional[Dict[Tuple, List[Tuple]]] = None
-        if keys:
-            positions = [source.colmap[ref.name.lower()] for _e, ref in keys]
-            index = {}
-            for row in source.rows:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
+        pairs = (_equi_pair(c, bound, source) for c in _conjuncts(condition))
+        keys = [pair for pair in pairs if pair is not None]
+        index = _index(source, keys) if keys else None
         out: List[RowEnv] = []
         for env in envs:
             if index is not None:
-                key = tuple(self._eval(expr, env) for expr, _ref in keys)
-                candidates = index.get(key, ())
+                candidates = index.get(self._probe(env, keys), ())
             else:
                 candidates = source.rows
             matched = False
@@ -196,70 +144,34 @@ class SelectExecutor:
         return out
 
     def _has_aggregate(self, select: Select) -> bool:
-        """Whether the projection or HAVING uses an aggregate function."""
-        candidates: List[SqlExpr] = [item.expr for item in select.items]
-        if select.having is not None:
-            candidates.append(select.having)
-        return any(self._contains_aggregate(e) for e in candidates)
+        """Whether the projection applies an aggregate function."""
+        return any(self._is_aggregate(item.expr) for item in select.items)
 
-    def _contains_aggregate(self, expr: SqlExpr) -> bool:
-        if isinstance(expr, FuncCall):
-            if self.functions.is_aggregate(expr.name):
-                return True
-            return any(self._contains_aggregate(a) for a in expr.args)
-        if isinstance(expr, Binary):
-            return self._contains_aggregate(expr.left) or self._contains_aggregate(
-                expr.right
-            )
-        if isinstance(expr, Unary):
-            return self._contains_aggregate(expr.operand)
-        if isinstance(expr, IsNull):
-            return self._contains_aggregate(expr.operand)
-        if isinstance(expr, CaseWhen):
-            for condition, result in expr.whens:
-                if self._contains_aggregate(condition) or self._contains_aggregate(
-                    result
-                ):
-                    return True
-            return expr.otherwise is not None and self._contains_aggregate(
-                expr.otherwise
-            )
-        return False
+    def _is_aggregate(self, expr: SqlExpr) -> bool:
+        return isinstance(expr, FuncCall) and self.functions.is_aggregate(expr.name)
 
     # -- FROM ----------------------------------------------------------------
     def _materialize(self, source) -> _Source:
-        if isinstance(source, SubquerySource):
-            result = self.execute(source.select)
-            colmap = {c.lower(): i for i, c in enumerate(result.columns)}
-            return _Source(source.alias, colmap, list(result.columns), result.rows)
         if isinstance(source, TableRef):
-            table = self.resolve_table(source.name)
-            colmap = {c.name.lower(): i for i, c in enumerate(table.columns)}
-            return _Source(source.binding, colmap, table.column_names, table.rows)
-        tabular = self.functions.tabular(source.name)
-        args = []
-        for arg in source.args:
-            if isinstance(arg, Literal):
-                args.append(arg.value)
-            else:
-                args.append(self.resolve_table(arg))
-        result = tabular.impl(*args)
-        if not isinstance(result, Table):
-            raise SqlExecutionError(
-                f"tabular function {source.name} returned {type(result).__name__}"
-            )
-        colmap = {c.name.lower(): i for i, c in enumerate(result.columns)}
-        return _Source(source.binding, colmap, result.column_names, result.rows)
+            relation = self.resolve_table(source.name)
+        else:
+            args = [
+                arg.value if isinstance(arg, Literal) else self.resolve_table(arg)
+                for arg in source.args
+            ]
+            relation = self.functions.tabular(source.name).impl(*args)
+        names = relation.column_names
+        colmap = {c.lower(): i for i, c in enumerate(names)}
+        return _Source(source.binding, colmap, names, relation.rows)
 
     # -- joining ----------------------------------------------------------------
     def _join_all(
         self, sources: List[_Source], conjuncts: List[SqlExpr]
-    ) -> List[Tuple[RowEnv, None]]:
+    ) -> Tuple[List[RowEnv], set]:
         """Left-deep hash join over all sources; residual conjuncts are
-        applied as soon as every binding they mention is available."""
+        applied as soon as every binding they mention is available.
+        Returns the joined rows and the bindings they bind."""
         pending = list(conjuncts)
-        if not sources:
-            raise SqlExecutionError("SELECT needs at least one FROM source")
         first = sources[0]
         bound = {first.binding.lower()}
         envs = [
@@ -274,7 +186,7 @@ class SelectExecutor:
         # applied once every source is joined
         for condition in pending:
             envs = [env for env in envs if self._truthy(condition, env)]
-        return [(env, None) for env in envs]
+        return envs, bound
 
     def _apply_ready(
         self, envs: List[RowEnv], pending: List[SqlExpr], bound: set
@@ -293,16 +205,12 @@ class SelectExecutor:
         pending: List[SqlExpr],
         bound: set,
     ) -> List[RowEnv]:
-        new_binding = source.binding.lower()
         keys: List[Tuple[SqlExpr, ColumnRef]] = []
-        used: List[SqlExpr] = []
-        for condition in pending:
-            pair = _equi_pair(condition, bound, new_binding, source)
+        for condition in list(pending):
+            pair = _equi_pair(condition, bound, source)
             if pair is not None:
                 keys.append(pair)
-                used.append(condition)
-        for condition in used:
-            pending.remove(condition)
+                pending.remove(condition)
         if not keys:
             # cartesian extension; residual conditions filter later
             return [
@@ -310,20 +218,15 @@ class SelectExecutor:
                 for env in envs
                 for row in source.rows
             ]
-        index: Dict[Tuple, List[Tuple]] = {}
-        new_side_positions = [
-            source.colmap[ref.name.lower()] for _bound_expr, ref in keys
+        index = _index(source, keys)
+        return [
+            env.extended(source.binding, source.colmap, row)
+            for env in envs
+            for row in index.get(self._probe(env, keys), ())
         ]
-        for row in source.rows:
-            index.setdefault(
-                tuple(row[p] for p in new_side_positions), []
-            ).append(row)
-        out: List[RowEnv] = []
-        for env in envs:
-            key = tuple(self._eval(expr, env) for expr, _ref in keys)
-            for row in index.get(key, ()):
-                out.append(env.extended(source.binding, source.colmap, row))
-        return out
+
+    def _probe(self, env: RowEnv, keys: List[Tuple[SqlExpr, ColumnRef]]) -> Tuple:
+        return tuple(self._eval(expr, env) for expr, _ref in keys)
 
     # -- projection ----------------------------------------------------------
     def _expand_items(
@@ -342,11 +245,8 @@ class SelectExecutor:
     ) -> QueryResult:
         items = self._expand_items(select, sources)
         columns = [_item_name(item, i) for i, item in enumerate(items)]
-        rows = [
-            tuple(self._eval(item.expr, env) for item in items) for env in envs
-        ]
-        keyed = list(zip(rows, envs))
-        return self._finalize(select, columns, keyed, items)
+        rows = [tuple(self._eval(item.expr, env) for item in items) for env in envs]
+        return QueryResult(columns, rows)
 
     def _grouped(
         self, select: Select, envs: List[RowEnv], sources: List[_Source]
@@ -359,63 +259,11 @@ class SelectExecutor:
                 key = tuple(self._eval(e, env) for e in select.group_by)
                 groups.setdefault(key, []).append(env)
         else:
-            if envs:
-                groups[()] = envs
-            else:
-                groups[()] = []  # global aggregate over empty input
-        keyed = []
-        for _key, group in groups.items():
-            if select.having is not None and not self._truthy_agg(
-                select.having, group
-            ):
-                continue
-            row = tuple(self._eval_agg(item.expr, group) for item in items)
-            representative = group[0] if group else RowEnv({})
-            keyed.append((row, representative))
-        return self._finalize(select, columns, keyed, items)
-
-    def _finalize(
-        self,
-        select: Select,
-        columns: List[str],
-        keyed: List[Tuple[Tuple, RowEnv]],
-        items: List[SelectItem],
-    ) -> QueryResult:
-        if select.order_by:
-            alias_index = {
-                (item.alias or "").lower(): i
-                for i, item in enumerate(items)
-                if item.alias
-            }
-            for i, item in enumerate(items):
-                if isinstance(item.expr, ColumnRef):
-                    alias_index.setdefault(item.expr.name.lower(), i)
-
-            def sort_value(order: OrderItem, row: Tuple, env: RowEnv):
-                if (
-                    isinstance(order.expr, ColumnRef)
-                    and order.expr.qualifier is None
-                    and order.expr.name.lower() in alias_index
-                ):
-                    return row[alias_index[order.expr.name.lower()]]
-                return self._eval(order.expr, env)
-
-            for order in reversed(select.order_by):
-                keyed.sort(
-                    key=lambda pair, o=order: _sort_key(sort_value(o, *pair)),
-                    reverse=order.descending,
-                )
-        rows = [row for row, _env in keyed]
-        if select.distinct:
-            seen = set()
-            unique = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
-        if select.limit is not None:
-            rows = rows[: select.limit]
+            groups[()] = envs  # a global aggregate, also over no rows
+        rows = [
+            tuple(self._eval_agg(item.expr, group) for item in items)
+            for group in groups.values()
+        ]
         return QueryResult(columns, rows)
 
     # -- expression evaluation ---------------------------------------------------
@@ -426,113 +274,49 @@ class SelectExecutor:
             return env.lookup(expr.name, expr.qualifier)
         if isinstance(expr, Unary):
             value = self._eval(expr.operand, env)
-            if expr.op == "-":
-                return None if value is None else -value
-            if expr.op == "NOT":
-                return None if value is None else not value
-            raise SqlExecutionError(f"unknown unary operator {expr.op}")
+            return None if value is None else -value
         if isinstance(expr, Binary):
-            return self._binary(expr, lambda e: self._eval(e, env))
+            return self._binary(expr, env)
         if isinstance(expr, IsNull):
             value = self._eval(expr.operand, env)
             return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, InList):
-            value = self._eval(expr.operand, env)
-            if value is None:
-                return None
-            members = [self._eval(item, env) for item in expr.items]
-            found = value in [m for m in members if m is not None]
-            if not found and any(m is None for m in members):
-                return None  # SQL: unknown when NULL might match
-            return (not found) if expr.negated else found
-        if isinstance(expr, Between):
-            value = self._eval(expr.operand, env)
-            low = self._eval(expr.low, env)
-            high = self._eval(expr.high, env)
-            if value is None or low is None or high is None:
-                return None
-            inside = low <= value <= high
-            return (not inside) if expr.negated else inside
-        if isinstance(expr, CaseWhen):
-            for condition, result in expr.whens:
-                if self._eval(condition, env) is True:
-                    return self._eval(result, env)
-            if expr.otherwise is not None:
-                return self._eval(expr.otherwise, env)
-            return None
-        if isinstance(expr, FuncCall):
-            if self.functions.is_aggregate(expr.name):
-                raise SqlExecutionError(
-                    f"aggregate {expr.name} used outside GROUP BY context"
-                )
-            impl = self.functions.scalar(expr.name)
-            return impl(*(self._eval(a, env) for a in expr.args))
-        raise SqlExecutionError(f"cannot evaluate {type(expr).__name__}")
+        # a function call: the parser makes no other expression
+        if self.functions.is_aggregate(expr.name):
+            raise SqlExecutionError(f"aggregate {expr.name} used outside GROUP BY context")
+        impl = self.functions.scalar(expr.name)
+        return impl(*(self._eval(a, env) for a in expr.args))
 
     def _eval_agg(self, expr: SqlExpr, group: List[RowEnv]) -> Any:
-        """Evaluate in aggregate context: aggregates consume the group."""
-        if isinstance(expr, FuncCall) and self.functions.is_aggregate(expr.name):
+        """Evaluate a projection item on a group: an aggregate consumes
+        the group, anything else is read off its first row."""
+        if self._is_aggregate(expr):
             impl = self.functions.aggregate(expr.name)
             if expr.star:
                 return impl([1] * len(group))
             if len(expr.args) != 1:
-                raise SqlExecutionError(
-                    f"aggregate {expr.name} takes one argument"
-                )
+                raise SqlExecutionError(f"aggregate {expr.name} takes one argument")
             return impl([self._eval(expr.args[0], env) for env in group])
-        if isinstance(expr, Binary):
-            return self._binary(expr, lambda e: self._eval_agg(e, group))
-        if isinstance(expr, Unary):
-            value = self._eval_agg(expr.operand, group)
-            if expr.op == "-":
-                return None if value is None else -value
-            return None if value is None else not value
-        if isinstance(expr, FuncCall):
-            impl = self.functions.scalar(expr.name)
-            return impl(*(self._eval_agg(a, group) for a in expr.args))
-        if isinstance(expr, (Literal,)):
-            return expr.value
         if not group:
-            raise SqlExecutionError(
-                "non-aggregate expression over an empty group"
-            )
+            raise SqlExecutionError("non-aggregate expression over an empty group")
         return self._eval(expr, group[0])
 
     def _truthy(self, expr: SqlExpr, env: RowEnv) -> bool:
         return self._eval(expr, env) is True
 
-    def _truthy_agg(self, expr: SqlExpr, group: List[RowEnv]) -> bool:
-        return self._eval_agg(expr, group) is True
-
-    def _binary(self, expr: Binary, ev: Callable[[SqlExpr], Any]) -> Any:
-        op = expr.op
-        if op == "AND":
-            left = ev(expr.left)
+    def _binary(self, expr: Binary, env: RowEnv) -> Any:
+        left = self._eval(expr.left, env)
+        if expr.op == "AND":
+            # three-valued: FALSE wins, then NULL
             if left is False:
                 return False
-            right = ev(expr.right)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = ev(expr.left)
-            if left is True:
-                return True
-            right = ev(expr.right)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = ev(expr.left)
-        right = ev(expr.right)
+            right = self._eval(expr.right, env)
+            return right if right is False or left is True else None
+        right = self._eval(expr.right, env)
         if left is None or right is None:
             return None
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare(op, left, right)
-        return _arith(op, left, right)
+        if expr.op == "=":
+            return left == right
+        return _arith(expr.op, left, right)
 
 
 def _arith(op: str, left: Any, right: Any) -> Any:
@@ -545,15 +329,11 @@ def _arith(op: str, left: Any, right: Any) -> Any:
             return left - right
         if op == "*":
             return left * right
-        if op == "/":
-            if right == 0:
-                raise SqlExecutionError("division by zero")
-            return left / right
-        if op == "%":
-            return left % right
+        if right == 0:
+            raise SqlExecutionError("division by zero")
+        return left / right
     except TypeError as exc:
         raise SqlExecutionError(f"bad operands for {op}: {left!r}, {right!r}") from exc
-    raise SqlExecutionError(f"unknown operator {op}")
 
 
 def _time_arith(op: str, left: Any, right: Any) -> Any:
@@ -562,38 +342,7 @@ def _time_arith(op: str, left: Any, right: Any) -> Any:
             return left.shift(int(right))
         if op == "-":
             return left.shift(-int(right))
-    if isinstance(left, TimePoint) and isinstance(right, TimePoint) and op == "-":
-        return left - right
     raise SqlExecutionError(f"unsupported TIME arithmetic: {left!r} {op} {right!r}")
-
-
-def _compare(op: str, left: Any, right: Any) -> bool:
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    except TypeError as exc:
-        raise SqlExecutionError(
-            f"cannot compare {left!r} and {right!r}"
-        ) from exc
-
-
-def _sort_key(value: Any):
-    if value is None:
-        return (0, 0)
-    if isinstance(value, TimePoint):
-        return (1, value.ordinal)
-    if isinstance(value, str):
-        return (2, value)
-    return (1, value)
 
 
 def _conjuncts(expr: Optional[SqlExpr]) -> List[SqlExpr]:
@@ -623,19 +372,11 @@ def _bindings_of(expr: SqlExpr) -> set:
         elif isinstance(node, Binary):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
+        elif isinstance(node, (Unary, IsNull)):
             walk(node.operand)
         elif isinstance(node, FuncCall):
             for arg in node.args:
                 walk(arg)
-        elif isinstance(node, CaseWhen):
-            for condition, result in node.whens:
-                walk(condition)
-                walk(result)
-            if node.otherwise is not None:
-                walk(node.otherwise)
 
     walk(expr)
     if unqualified[0]:
@@ -644,7 +385,7 @@ def _bindings_of(expr: SqlExpr) -> set:
 
 
 def _equi_pair(
-    condition: SqlExpr, bound: set, new_binding: str, source: _Source
+    condition: SqlExpr, bound: set, source: _Source
 ) -> Optional[Tuple[SqlExpr, ColumnRef]]:
     """If ``condition`` is ``boundexpr = new.col`` (either side), return
     ``(bound-side expression, new-side column ref)`` for hash joining."""
@@ -656,8 +397,7 @@ def _equi_pair(
     ):
         if not isinstance(new_side, ColumnRef):
             continue
-        qualifier = (new_side.qualifier or "").lower()
-        if qualifier != new_binding:
+        if (new_side.qualifier or "").lower() != source.binding.lower():
             continue
         if new_side.name.lower() not in source.colmap:
             continue
@@ -665,6 +405,17 @@ def _equi_pair(
         if deps and deps <= bound:
             return (bound_side, new_side)
     return None
+
+
+def _index(
+    source: _Source, keys: List[Tuple[SqlExpr, ColumnRef]]
+) -> Dict[Tuple, List[Tuple]]:
+    """The source's rows by the values of the keys' new-side columns."""
+    positions = [source.colmap[ref.name.lower()] for _expr, ref in keys]
+    index: Dict[Tuple, List[Tuple]] = {}
+    for row in source.rows:
+        index.setdefault(tuple(row[p] for p in positions), []).append(row)
+    return index
 
 
 def _item_name(item: SelectItem, position: int) -> str:

@@ -62,31 +62,26 @@ class FunctionRegistry:
 
     # -- lookup --------------------------------------------------------------
     def scalar(self, name: str) -> Callable:
-        try:
-            return self._scalar[name.lower()]
-        except KeyError:
-            raise SqlExecutionError(f"unknown scalar function {name!r}") from None
+        return _lookup(self._scalar, "scalar", name)
 
     def aggregate(self, name: str) -> Callable:
-        try:
-            return self._aggregate[name.lower()]
-        except KeyError:
-            raise SqlExecutionError(f"unknown aggregate function {name!r}") from None
+        return _lookup(self._aggregate, "aggregate", name)
 
     def tabular(self, name: str) -> TabularFunction:
-        try:
-            return self._tabular[name.lower()]
-        except KeyError:
-            raise SqlExecutionError(f"unknown tabular function {name!r}") from None
+        return _lookup(self._tabular, "tabular", name)
 
     def is_aggregate(self, name: str) -> bool:
         return name.lower() in self._aggregate
 
-    def is_scalar(self, name: str) -> bool:
-        return name.lower() in self._scalar
-
     def is_tabular(self, name: str) -> bool:
         return name.lower() in self._tabular
+
+
+def _lookup(namespace: Dict[str, Any], kind: str, name: str) -> Any:
+    try:
+        return namespace[name.lower()]
+    except KeyError:
+        raise SqlExecutionError(f"unknown {kind} function {name!r}") from None
 
 
 def _null_guard(fn: Callable) -> Callable:
@@ -121,12 +116,6 @@ def _time_convert(freq: Frequency) -> Callable:
     return conv
 
 
-def _timeshift(value, periods):
-    if not isinstance(value, TimePoint):
-        raise SqlExecutionError(f"TIMESHIFT applied to non-time value {value!r}")
-    return value.shift(int(periods))
-
-
 def default_functions() -> FunctionRegistry:
     """The built-in function set."""
     registry = FunctionRegistry()
@@ -140,30 +129,13 @@ def default_functions() -> FunctionRegistry:
         "cos": math.cos,
         "round": lambda v, nd=0: round(v, int(nd)),
         "pow": lambda v, e: v**e,
-        "power": lambda v, e: v**e,
-        "coalesce": None,  # handled specially below
         "quarter": _time_convert(Frequency.QUARTER),
         "month": _time_convert(Frequency.MONTH),
         "year": _time_convert(Frequency.YEAR),
         "week": _time_convert(Frequency.WEEK),
-        "timeshift": _timeshift,
     }
     for name, impl in scalars.items():
-        if impl is not None:
-            registry.register_scalar(name, _null_guard(impl))
-
-    def coalesce(*args):
-        for arg in args:
-            if arg is not None:
-                return arg
-        return None
-
-    registry.register_scalar("coalesce", coalesce)
-
+        registry.register_scalar(name, _null_guard(impl))
     for name, impl in _agg.AGGREGATES.items():
         registry.register_aggregate(name, _agg_skip_nulls(impl))
-    # SQL spells a couple of these differently
-    registry.register_aggregate("stddev_pop", _agg_skip_nulls(_agg.agg_stddev))
-    registry.register_aggregate("var_pop", _agg_skip_nulls(_agg.agg_var))
-
     return registry

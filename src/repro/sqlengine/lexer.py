@@ -1,13 +1,15 @@
-"""SQL tokenizer.
+"""SQL tokenizer: one regular expression, matched token by token.
 
 Keywords are case-insensitive; identifiers keep their case (and can be
 double-quoted to include unusual characters).  String literals use
 single quotes with ``''`` escaping; ``TIME '2020Q1'`` literals are
-recognized at the parser level.
+recognized at the parser level.  ``--`` starts a comment that runs to
+the end of the line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, List
 
@@ -15,15 +17,26 @@ from ..errors import SqlSyntaxError
 
 __all__ = ["SqlToken", "tokenize_sql", "KEYWORDS"]
 
+#: the dialect's keywords, and the words of the SQL it refuses (a table
+#: or column may not be named by either)
 KEYWORDS = {
-    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
-    "AS", "AND", "OR", "NOT", "INSERT", "INTO", "VALUES", "CREATE", "TABLE",
-    "VIEW", "DROP", "DELETE", "JOIN", "INNER", "LEFT", "OUTER", "ON", "DISTINCT", "NULL",
-    "IS", "CASE", "WHEN", "THEN", "ELSE", "END", "ASC", "DESC", "IF",
-    "EXISTS", "TIME", "UPDATE", "SET", "IN", "BETWEEN",
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "AS", "AND", "NOT", "INSERT",
+    "INTO", "CREATE", "VIEW", "JOIN", "INNER", "LEFT", "OUTER", "ON", "NULL",
+    "IS", "TIME",
+    "UPDATE", "DELETE", "DROP", "TABLE", "VALUES", "ORDER", "LIMIT",
+    "DISTINCT", "HAVING", "CASE", "IN", "BETWEEN", "OR",
 }
 
-_PUNCT = ["<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "+", "-", "*", "/", "%", ".", ";"]
+#: whitespace and comments match no named group and are skipped
+_TOKEN = re.compile(
+    r"""\s+|--[^\n]*
+    |'(?P<STRING>(?:[^']|'')*)'
+    |"(?P<IDENT>[^"]*)"
+    |(?P<NUMBER>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |(?P<WORD>[^\W\d]\w*)
+    |(?P<PUNCT><=|>=|<>|!=|[=<>(),+\-*/%.;])""",
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -35,90 +48,21 @@ class SqlToken:
 
 def tokenize_sql(text: str) -> List[SqlToken]:
     tokens: List[SqlToken] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chars = []
-            while i < n:
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        chars.append("'")
-                        i += 2
-                        continue
-                    break
-                chars.append(text[i])
-                i += 1
-            if i >= n:
-                raise SqlSyntaxError(f"unterminated string at position {start}")
-            i += 1
-            tokens.append(SqlToken("STRING", "".join(chars), start))
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            chars = []
-            while i < n and text[i] != '"':
-                chars.append(text[i])
-                i += 1
-            if i >= n:
-                raise SqlSyntaxError(f"unterminated quoted identifier at {start}")
-            i += 1
-            tokens.append(SqlToken("IDENT", "".join(chars), start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = seen_exp = False
-            while i < n:
-                c = text[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    # distinguish "1.5" from "t.x": dot must be followed by digit
-                    if i + 1 < n and text[i + 1].isdigit():
-                        seen_dot = True
-                        i += 1
-                    else:
-                        break
-                elif c in "eE" and not seen_exp and i > start:
-                    seen_exp = True
-                    i += 1
-                    if i < n and text[i] in "+-":
-                        i += 1
-                else:
-                    break
-            literal = text[start:i]
-            value = float(literal) if ("." in literal or "e" in literal.lower()) else int(literal)
-            tokens.append(SqlToken("NUMBER", value, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word.upper() in KEYWORDS:
-                tokens.append(SqlToken("KEYWORD", word.upper(), start))
-            else:
-                tokens.append(SqlToken("IDENT", word, start))
-            continue
-        matched = False
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(SqlToken("PUNCT", "<>" if punct == "!=" else punct, i))
-                i += len(punct)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(SqlToken("EOF", None, n))
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise SqlSyntaxError(f"unexpected character {text[pos]!r} at position {pos}")
+        kind, value = match.lastgroup, match.group(match.lastgroup or 0)
+        if kind == "WORD":
+            upper = value.upper()
+            kind, value = ("KEYWORD", upper) if upper in KEYWORDS else ("IDENT", value)
+        elif kind == "NUMBER":
+            value = float(value) if any(c in value for c in ".eE") else int(value)
+        elif kind == "STRING":
+            value = value.replace("''", "'")
+        if kind is not None:
+            tokens.append(SqlToken(kind, value, pos))
+        pos = match.end()
+    tokens.append(SqlToken("EOF", None, len(text)))
     return tokens

@@ -1,44 +1,69 @@
-"""Recursive-descent parser for the SQL dialect."""
+"""Recursive-descent parser for the SQL dialect the SQL backend prints.
+
+A statement outside it — ``UPDATE``, ``DELETE``, ``DROP``, ``CREATE
+TABLE``, ``INSERT … VALUES``, ``ORDER BY`` and the rest of
+:data:`REFUSED` — is a :class:`~repro.errors.SqlSyntaxError` that names
+the feature, raised before anything is parsed.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from ..errors import SqlSyntaxError
 from ..model.time import parse_timepoint
 from .lexer import SqlToken, tokenize_sql
 from .sqlast import (
-    Between,
     Binary,
-    CaseWhen,
-    ColumnDef,
     ColumnRef,
-    CreateTable,
     CreateView,
-    Delete,
-    Drop,
     FuncCall,
-    InList,
     Insert,
     IsNull,
     Join,
     Literal,
-    OrderItem,
     Select,
     SelectItem,
     SqlExpr,
-    SubquerySource,
     TableFuncRef,
     TableRef,
     Unary,
-    Update,
 )
 
-__all__ = ["parse_sql", "parse_sql_script"]
+__all__ = ["REFUSED", "parse_sql", "parse_sql_script"]
+
+#: keyword or operator -> the feature it starts, for the SQL the
+#: dialect leaves out
+REFUSED = {
+    "UPDATE": "UPDATE",
+    "DELETE": "DELETE",
+    "DROP": "DROP",
+    "TABLE": "CREATE TABLE",
+    "VALUES": "INSERT … VALUES",
+    "ORDER": "ORDER BY",
+    "LIMIT": "LIMIT",
+    "DISTINCT": "DISTINCT",
+    "HAVING": "HAVING",
+    "CASE": "CASE",
+    "IN": "IN",
+    "BETWEEN": "BETWEEN",
+    "OR": "OR",
+    "INNER": "INNER JOIN",
+    "<>": "the comparison <>",
+    "!=": "the comparison !=",
+    "<": "the comparison <",
+    "<=": "the comparison <=",
+    ">": "the comparison >",
+    ">=": "the comparison >=",
+    "%": "%",
+}
 
 
 class _SqlParser:
     def __init__(self, tokens: List[SqlToken]):
+        for token in tokens:
+            if token.type in ("KEYWORD", "PUNCT") and token.value in REFUSED:
+                _refuse(REFUSED[token.value], token)
         self._tokens = tokens
         self._pos = 0
 
@@ -90,14 +115,11 @@ class _SqlParser:
             return self._select()
         if self._at_keyword("INSERT"):
             return self._insert()
-        if self._at_keyword("CREATE"):
-            return self._create()
-        if self._at_keyword("UPDATE"):
-            return self._update()
-        if self._at_keyword("DELETE"):
-            return self._delete()
-        if self._at_keyword("DROP"):
-            return self._drop()
+        if self._accept_keyword("CREATE"):
+            self._expect_keyword("VIEW")
+            name = self._ident("a view name")
+            self._expect_keyword("AS")
+            return CreateView(name, self._select())
         raise SqlSyntaxError(f"unexpected start of statement: {self._peek().value!r}")
 
     def parse_script(self) -> List:
@@ -108,16 +130,9 @@ class _SqlParser:
                 pass
         return statements
 
-    def finish(self) -> None:
-        self._accept_punct(";")
-        token = self._peek()
-        if token.type != "EOF":
-            raise SqlSyntaxError(f"trailing input at {token.value!r}")
-
     # -- SELECT ------------------------------------------------------------
     def _select(self) -> Select:
         self._expect_keyword("SELECT")
-        distinct = bool(self._accept_keyword("DISTINCT"))
         items: List[SelectItem] = []
         if self._accept_punct("*"):
             pass  # empty items tuple = SELECT *
@@ -132,18 +147,15 @@ class _SqlParser:
             if self._accept_punct(","):
                 sources.append(self._from_item())
                 continue
-            if self._at_keyword("JOIN", "INNER", "LEFT"):
-                kind = "INNER"
-                if self._accept_keyword("LEFT"):
-                    self._accept_keyword("OUTER")
-                    kind = "LEFT"
-                else:
-                    self._accept_keyword("INNER")
+            if self._accept_keyword("LEFT"):
+                self._accept_keyword("OUTER")
                 self._expect_keyword("JOIN")
                 source = self._from_item()
                 self._expect_keyword("ON")
-                joins.append(Join(source, self._expr(), kind))
+                joins.append(Join(source, self._expr()))
                 continue
+            if self._at_keyword("JOIN"):
+                _refuse("INNER JOIN", self._peek())
             break
         where = self._expr() if self._accept_keyword("WHERE") else None
         group_by: List[SqlExpr] = []
@@ -152,22 +164,7 @@ class _SqlParser:
             group_by.append(self._expr())
             while self._accept_punct(","):
                 group_by.append(self._expr())
-        having = self._expr() if self._accept_keyword("HAVING") else None
-        order_by: List[OrderItem] = []
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            order_by.append(self._order_item())
-            while self._accept_punct(","):
-                order_by.append(self._order_item())
-        limit = None
-        if self._accept_keyword("LIMIT"):
-            token = self._advance()
-            if token.type != "NUMBER" or not isinstance(token.value, int):
-                raise SqlSyntaxError("LIMIT needs an integer")
-            limit = token.value
-        return Select(
-            items, sources, joins, where, group_by, having, order_by, limit, distinct
-        )
+        return Select(items, sources, joins, where, group_by)
 
     def _select_item(self) -> SelectItem:
         expr = self._expr()
@@ -178,23 +175,9 @@ class _SqlParser:
             alias = self._advance().value
         return SelectItem(expr, alias)
 
-    def _order_item(self) -> OrderItem:
-        expr = self._expr()
-        descending = False
-        if self._accept_keyword("DESC"):
-            descending = True
-        else:
-            self._accept_keyword("ASC")
-        return OrderItem(expr, descending)
-
-    def _from_item(self) -> Union[TableRef, TableFuncRef, SubquerySource]:
-        if self._accept_punct("("):
-            select = self._select()
-            self._expect_punct(")")
-            alias = self._optional_alias()
-            if alias is None:
-                raise SqlSyntaxError("a derived table needs an alias")
-            return SubquerySource(select, alias)
+    def _from_item(self) -> Union[TableRef, TableFuncRef]:
+        if self._at_punct("("):
+            _refuse("a derived table", self._peek())
         name = self._ident("a table name")
         if self._accept_punct("("):
             args: List = []
@@ -213,9 +196,7 @@ class _SqlParser:
         token = self._peek()
         if token.type == "IDENT":
             return self._advance().value  # a table name
-        if token.type == "NUMBER":
-            return Literal(self._advance().value)
-        if token.type == "STRING":
+        if token.type in ("NUMBER", "STRING"):
             return Literal(self._advance().value)
         raise SqlSyntaxError(
             f"tabular function arguments must be table names or literals, "
@@ -229,119 +210,23 @@ class _SqlParser:
             return self._advance().value
         return None
 
-    # -- INSERT / DDL / DELETE -------------------------------------------------
     def _insert(self) -> Insert:
         self._expect_keyword("INSERT")
         self._expect_keyword("INTO")
         table = self._ident("a table name")
-        columns: List[str] = []
-        if self._accept_punct("("):
-            columns.append(self._ident("a column name"))
-            while self._accept_punct(","):
-                columns.append(self._ident("a column name"))
-            self._expect_punct(")")
-        if self._accept_keyword("VALUES"):
-            rows = [self._value_tuple()]
-            while self._accept_punct(","):
-                rows.append(self._value_tuple())
-            return Insert(table, columns, rows, None)
-        if self._at_keyword("SELECT"):
-            return Insert(table, columns, (), self._select())
-        raise SqlSyntaxError("INSERT needs VALUES or SELECT")
-
-    def _value_tuple(self) -> Tuple[SqlExpr, ...]:
         self._expect_punct("(")
-        exprs = [self._expr()]
+        columns = [self._ident("a column name")]
         while self._accept_punct(","):
-            exprs.append(self._expr())
+            columns.append(self._ident("a column name"))
         self._expect_punct(")")
-        return tuple(exprs)
-
-    def _create(self):
-        self._expect_keyword("CREATE")
-        if self._accept_keyword("TABLE"):
-            if_not_exists = False
-            if self._accept_keyword("IF"):
-                self._expect_keyword("NOT")
-                self._expect_keyword("EXISTS")
-                if_not_exists = True
-            name = self._ident("a table name")
-            self._expect_punct("(")
-            columns = [self._column_def()]
-            while self._accept_punct(","):
-                columns.append(self._column_def())
-            self._expect_punct(")")
-            return CreateTable(name, columns, if_not_exists)
-        if self._accept_keyword("VIEW"):
-            name = self._ident("a view name")
-            self._expect_keyword("AS")
-            return CreateView(name, self._select())
-        raise SqlSyntaxError("CREATE supports TABLE and VIEW")
-
-    def _column_def(self) -> ColumnDef:
-        name = self._ident("a column name")
-        token = self._peek()
-        if token.type == "KEYWORD" and token.value == "TIME":
-            self._advance()
-            return ColumnDef(name, "TIME")
-        type_name = self._ident("a column type")
-        return ColumnDef(name, type_name)
-
-    def _update(self) -> Update:
-        self._expect_keyword("UPDATE")
-        table = self._ident("a table name")
-        self._expect_keyword("SET")
-        assignments = [self._set_clause()]
-        while self._accept_punct(","):
-            assignments.append(self._set_clause())
-        where = self._expr() if self._accept_keyword("WHERE") else None
-        return Update(table, assignments, where)
-
-    def _set_clause(self):
-        column = self._ident("a column name")
-        self._expect_punct("=")
-        return (column, self._expr())
-
-    def _delete(self) -> Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._ident("a table name")
-        where = self._expr() if self._accept_keyword("WHERE") else None
-        return Delete(table, where)
-
-    def _drop(self) -> Drop:
-        self._expect_keyword("DROP")
-        kind = "TABLE"
-        if self._accept_keyword("VIEW"):
-            kind = "VIEW"
-        else:
-            self._expect_keyword("TABLE")
-        if_exists = False
-        if self._accept_keyword("IF"):
-            self._expect_keyword("EXISTS")
-            if_exists = True
-        return Drop(self._ident("a name"), kind, if_exists)
+        return Insert(table, columns, self._select())
 
     # -- expressions ----------------------------------------------------------
     def _expr(self) -> SqlExpr:
-        return self._or_expr()
-
-    def _or_expr(self) -> SqlExpr:
-        left = self._and_expr()
-        while self._accept_keyword("OR"):
-            left = Binary("OR", left, self._and_expr())
-        return left
-
-    def _and_expr(self) -> SqlExpr:
-        left = self._not_expr()
+        left = self._comparison()
         while self._accept_keyword("AND"):
-            left = Binary("AND", left, self._not_expr())
+            left = Binary("AND", left, self._comparison())
         return left
-
-    def _not_expr(self) -> SqlExpr:
-        if self._accept_keyword("NOT"):
-            return Unary("NOT", self._not_expr())
-        return self._comparison()
 
     def _comparison(self) -> SqlExpr:
         left = self._additive()
@@ -349,29 +234,8 @@ class _SqlParser:
             negated = bool(self._accept_keyword("NOT"))
             self._expect_keyword("NULL")
             return IsNull(left, negated)
-        negated = False
-        if self._at_keyword("NOT"):
-            lookahead = self._tokens[self._pos + 1]
-            if lookahead.type == "KEYWORD" and lookahead.value in ("IN", "BETWEEN"):
-                self._advance()
-                negated = True
-        if self._accept_keyword("IN"):
-            self._expect_punct("(")
-            items = [self._expr()]
-            while self._accept_punct(","):
-                items.append(self._expr())
-            self._expect_punct(")")
-            return InList(left, items, negated)
-        if self._accept_keyword("BETWEEN"):
-            low = self._additive()
-            self._expect_keyword("AND")
-            high = self._additive()
-            return Between(left, low, high, negated)
-        if negated:
-            raise SqlSyntaxError("dangling NOT before a comparison")
-        for op in ("<=", ">=", "<>", "=", "<", ">"):
-            if self._accept_punct(op):
-                return Binary(op, left, self._additive())
+        if self._accept_punct("="):
+            return Binary("=", left, self._additive())
         return left
 
     def _additive(self) -> SqlExpr:
@@ -391,8 +255,6 @@ class _SqlParser:
                 left = Binary("*", left, self._unary())
             elif self._accept_punct("/"):
                 left = Binary("/", left, self._unary())
-            elif self._accept_punct("%"):
-                left = Binary("%", left, self._unary())
             else:
                 return left
 
@@ -403,14 +265,8 @@ class _SqlParser:
 
     def _primary(self) -> SqlExpr:
         token = self._peek()
-        if token.type == "NUMBER":
-            self._advance()
-            return Literal(token.value)
-        if token.type == "STRING":
-            self._advance()
-            return Literal(token.value)
-        if self._accept_keyword("NULL"):
-            return Literal(None)
+        if token.type in ("NUMBER", "STRING"):
+            return Literal(self._advance().value)
         if self._at_keyword("TIME"):
             self._advance()
             literal = self._peek()
@@ -418,8 +274,6 @@ class _SqlParser:
                 raise SqlSyntaxError("TIME literal needs a string: TIME '2020Q1'")
             self._advance()
             return Literal(parse_timepoint(literal.value))
-        if self._accept_keyword("CASE"):
-            return self._case()
         if self._accept_punct("("):
             inner = self._expr()
             self._expect_punct(")")
@@ -446,25 +300,19 @@ class _SqlParser:
         self._expect_punct(")")
         return FuncCall(name, args)
 
-    def _case(self) -> CaseWhen:
-        whens = []
-        while self._accept_keyword("WHEN"):
-            condition = self._expr()
-            self._expect_keyword("THEN")
-            whens.append((condition, self._expr()))
-        if not whens:
-            raise SqlSyntaxError("CASE needs at least one WHEN")
-        otherwise = self._expr() if self._accept_keyword("ELSE") else None
-        self._expect_keyword("END")
-        return CaseWhen(tuple(whens), otherwise)
+
+def _refuse(feature: str, token: SqlToken) -> None:
+    raise SqlSyntaxError(
+        f"the SQL target does not support {feature} (at position {token.pos})"
+    )
 
 
 def parse_sql(text: str):
     """Parse a single SQL statement."""
-    parser = _SqlParser(tokenize_sql(text))
-    statement = parser.parse_statement()
-    parser.finish()
-    return statement
+    statements = parse_sql_script(text)
+    if len(statements) != 1:
+        raise SqlSyntaxError(f"expected one statement, found {len(statements)}")
+    return statements[0]
 
 
 def parse_sql_script(text: str) -> List:

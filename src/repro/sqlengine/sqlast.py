@@ -2,15 +2,14 @@
 
 The dialect covers exactly what Section 5.1 needs — ``INSERT INTO …
 SELECT`` with joins, ``GROUP BY`` aggregation, and tabular functions in
-``FROM`` — plus the usual DDL/DML conveniences (CREATE TABLE/VIEW,
-INSERT VALUES, DELETE, DROP, ORDER BY, LIMIT) so the engine is usable
-as a standalone mini DBMS.
+``FROM`` — plus ``CREATE VIEW … AS SELECT`` for intermediates held as
+views (Section 6).  Tables are made by ``Database.create_table``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 __all__ = [
     "SqlExpr",
@@ -19,24 +18,14 @@ __all__ = [
     "Unary",
     "Binary",
     "FuncCall",
-    "CaseWhen",
     "IsNull",
-    "InList",
-    "Between",
     "SelectItem",
-    "SubquerySource",
     "TableRef",
     "TableFuncRef",
     "Join",
-    "OrderItem",
     "Select",
     "Insert",
-    "Update",
-    "CreateTable",
     "CreateView",
-    "Delete",
-    "Drop",
-    "ColumnDef",
 ]
 
 
@@ -60,13 +49,13 @@ class ColumnRef(SqlExpr):
 
 @dataclass(frozen=True)
 class Unary(SqlExpr):
-    op: str  # '-', 'NOT'
+    op: str  # '-'
     operand: SqlExpr
 
 
 @dataclass(frozen=True)
 class Binary(SqlExpr):
-    op: str  # arithmetic + - * / %, comparison = <> < <= > >=, AND, OR
+    op: str  # arithmetic + - * /, '=', AND
     left: SqlExpr
     right: SqlExpr
 
@@ -84,38 +73,8 @@ class FuncCall(SqlExpr):
 
 
 @dataclass(frozen=True)
-class CaseWhen(SqlExpr):
-    whens: Tuple[Tuple[SqlExpr, SqlExpr], ...]  # (condition, result)
-    otherwise: Optional[SqlExpr] = None
-
-
-@dataclass(frozen=True)
 class IsNull(SqlExpr):
     operand: SqlExpr
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class InList(SqlExpr):
-    """``expr [NOT] IN (v1, v2, …)``."""
-
-    operand: SqlExpr
-    items: Tuple[SqlExpr, ...]
-    negated: bool = False
-
-    def __init__(self, operand, items, negated=False):
-        object.__setattr__(self, "operand", operand)
-        object.__setattr__(self, "items", tuple(items))
-        object.__setattr__(self, "negated", negated)
-
-
-@dataclass(frozen=True)
-class Between(SqlExpr):
-    """``expr [NOT] BETWEEN low AND high`` (inclusive)."""
-
-    operand: SqlExpr
-    low: SqlExpr
-    high: SqlExpr
     negated: bool = False
 
 
@@ -138,18 +97,6 @@ class TableRef:
 
 
 @dataclass(frozen=True)
-class SubquerySource:
-    """A derived table in FROM: ``(SELECT …) alias``."""
-
-    select: "Select"
-    alias: str
-
-    @property
-    def binding(self) -> str:
-        return self.alias
-
-
-@dataclass(frozen=True)
 class TableFuncRef:
     """A tabular function in FROM: ``STL_T(GDP, 4) alias``."""
 
@@ -169,17 +116,10 @@ class TableFuncRef:
 
 @dataclass(frozen=True)
 class Join:
-    """An explicit ``[LEFT] JOIN … ON`` clause attached to a FROM item."""
+    """A ``LEFT [OUTER] JOIN … ON`` clause attached to a FROM item."""
 
     source: Union[TableRef, TableFuncRef]
     condition: SqlExpr
-    kind: str = "INNER"  # INNER or LEFT
-
-
-@dataclass(frozen=True)
-class OrderItem:
-    expr: SqlExpr
-    descending: bool = False
 
 
 @dataclass(frozen=True)
@@ -189,94 +129,30 @@ class Select:
     joins: Tuple[Join, ...] = ()
     where: Optional[SqlExpr] = None
     group_by: Tuple[SqlExpr, ...] = ()
-    having: Optional[SqlExpr] = None
-    order_by: Tuple[OrderItem, ...] = ()
-    limit: Optional[int] = None
-    distinct: bool = False
 
-    def __init__(
-        self,
-        items,
-        sources,
-        joins=(),
-        where=None,
-        group_by=(),
-        having=None,
-        order_by=(),
-        limit=None,
-        distinct=False,
-    ):
+    def __init__(self, items, sources, joins=(), where=None, group_by=()):
         object.__setattr__(self, "items", tuple(items))
         object.__setattr__(self, "sources", tuple(sources))
         object.__setattr__(self, "joins", tuple(joins))
         object.__setattr__(self, "where", where)
         object.__setattr__(self, "group_by", tuple(group_by))
-        object.__setattr__(self, "having", having)
-        object.__setattr__(self, "order_by", tuple(order_by))
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "distinct", distinct)
 
 
 @dataclass(frozen=True)
 class Insert:
-    table: str
-    columns: Tuple[str, ...]  # empty = positional
-    values: Tuple[Tuple[SqlExpr, ...], ...] = ()  # VALUES form
-    select: Optional[Select] = None  # INSERT ... SELECT form
+    """``INSERT INTO table(columns) SELECT …``."""
 
-    def __init__(self, table, columns=(), values=(), select=None):
+    table: str
+    columns: Tuple[str, ...]
+    select: Select
+
+    def __init__(self, table, columns, select):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(self, "values", tuple(tuple(v) for v in values))
         object.__setattr__(self, "select", select)
-
-
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type_name: str
-
-
-@dataclass(frozen=True)
-class CreateTable:
-    name: str
-    columns: Tuple[ColumnDef, ...]
-    if_not_exists: bool = False
-
-    def __init__(self, name, columns, if_not_exists=False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(self, "if_not_exists", if_not_exists)
 
 
 @dataclass(frozen=True)
 class CreateView:
     name: str
     select: Select
-
-
-@dataclass(frozen=True)
-class Update:
-    table: str
-    assignments: Tuple[Tuple[str, SqlExpr], ...]  # (column, expr)
-    where: Optional[SqlExpr] = None
-
-    def __init__(self, table, assignments, where=None):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(
-            self, "assignments", tuple(tuple(a) for a in assignments)
-        )
-        object.__setattr__(self, "where", where)
-
-
-@dataclass(frozen=True)
-class Delete:
-    table: str
-    where: Optional[SqlExpr] = None
-
-
-@dataclass(frozen=True)
-class Drop:
-    name: str
-    kind: str = "TABLE"  # TABLE or VIEW
-    if_exists: bool = False

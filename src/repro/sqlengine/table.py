@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from ..errors import SqlExecutionError
 from .values import SqlType, check_type
@@ -15,9 +15,6 @@ __all__ = ["Column", "Table"]
 class Column:
     name: str
     sql_type: SqlType
-
-    def __str__(self) -> str:
-        return f"{self.name} {self.sql_type.value}"
 
 
 class Table:
@@ -80,15 +77,5 @@ class Table:
         self.rows.extend(rows)
         return len(rows)
 
-    def truncate(self) -> None:
-        self.rows.clear()
-
-    def copy_structure(self, new_name: Optional[str] = None) -> "Table":
-        return Table(new_name or self.name, self.columns)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __repr__(self) -> str:
-        cols = ", ".join(str(c) for c in self.columns)
-        return f"Table({self.name}: {cols}; {len(self.rows)} rows)"

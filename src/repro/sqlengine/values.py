@@ -25,13 +25,6 @@ class SqlType(enum.Enum):
     TEXT = "TEXT"
     TIME = "TIME"
 
-    @classmethod
-    def parse(cls, name: str) -> "SqlType":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise SqlExecutionError(f"unknown column type {name!r}") from None
-
 
 def check_type(sql_type: SqlType, value: Any, *context: str) -> Any:
     """Validate (and mildly coerce) a value against a column type.
@@ -60,11 +53,9 @@ def check_type(sql_type: SqlType, value: Any, *context: str) -> Any:
         if not isinstance(value, str):
             raise SqlExecutionError(f"{value!r} is not TEXT{_where(context)}")
         return value
-    if sql_type is SqlType.TIME:
-        if not isinstance(value, TimePoint):
-            raise SqlExecutionError(f"{value!r} is not TIME{_where(context)}")
-        return value
-    raise SqlExecutionError(f"unhandled type {sql_type}")
+    if not isinstance(value, TimePoint):  # TIME
+        raise SqlExecutionError(f"{value!r} is not TIME{_where(context)}")
+    return value
 
 
 def _where(context) -> str:

@@ -309,6 +309,19 @@ class TestFaultPlan:
         with pytest.raises(EngineError):
             parse_fault_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, option", [("sql:permanent:p=abc", "p"), ("r:hang:delay=x", "delay")]
+    )
+    def test_parse_names_the_option_that_is_not_a_number(self, spec, option):
+        # the library's own error, naming the option and the rule, not
+        # float()'s bare ValueError
+        with pytest.raises(EngineError) as caught:
+            parse_fault_spec(spec)
+        assert str(caught.value) == (
+            f"fault option {option}= needs a number, got "
+            f"{spec.rsplit('=', 1)[1]!r} in rule {spec!r}"
+        )
+
 class TestOneAttempt:
     def test_permanent_fault_fails_in_one_attempt(self):
         plan = FaultPlan([FaultRule(kind="permanent")], seed=0)
